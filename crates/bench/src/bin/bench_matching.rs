@@ -1,4 +1,4 @@
-//! Serial vs parallel view-matching throughput across view-set sizes,
+//! View-matching latency and throughput across view-set sizes,
 //! persisted as a machine-readable trajectory at the repo root.
 //!
 //! ```text
@@ -11,21 +11,15 @@
 //! throughput in queries/second, the filter-tree pruning ratio
 //! (candidates examined / catalog size), and the substitute-cache hit
 //! rate (`null` for cache-off runs). Earlier entries in the file are
-//! kept, so the file accumulates a performance trajectory across runs —
-//! and because earlier revisions of this bench emitted drifted field
-//! sets, every prior entry is re-parsed and migrated to the current
-//! uniform schema on append (missing `unix_time` becomes 0, redundant
-//! per-entry header fields are dropped, missing run fields become `null`
-//! or their documented defaults), so every row of the written file parses
-//! identically. A file in the pre-trajectory single-run format is
-//! absorbed as the first entry.
+//! kept, so the file accumulates a performance trajectory across runs.
+//! The row schema is frozen ([`RUN_FIELDS`]): an existing `--out` file
+//! that does not parse to it is refused (exit 2) before anything is
+//! measured or written.
 //!
-//! Serial records drive `find_substitutes` one query at a time on an
-//! engine pinned to the serial path; parallel records drive
-//! `find_substitutes_batch` over the same queries sharing the engine
-//! across worker threads. Uniform-workload engines run with the
-//! substitute cache off (the measurement loop repeats each query, which
-//! would otherwise measure pure cache hits); the `zipf` records measure
+//! Serial records drive `find_substitutes` one query at a time.
+//! Uniform-workload engines run with the substitute cache off (the
+//! measurement loop repeats each query, which would otherwise measure
+//! pure cache hits); the `zipf` records measure
 //! exactly that repeated-template regime instead — a skewed stream over
 //! ~50 query templates, cold (cache off) vs warm (default cache,
 //! primed). The `zipf-churn` record is the online-catalog measurement:
@@ -37,14 +31,14 @@
 //!
 //! ```text
 //! cargo run -p mv-bench --release --bin bench_matching -- \
-//!     [--sizes 100,1000,10000,100000] [--queries N] [--threads N] \
-//!     [--out PATH] [--strict] [--prove-smoke N]
+//!     [--sizes 100,1000,10000,100000] [--queries N] [--out PATH] \
+//!     [--strict] [--prove-smoke N]
 //! ```
 //!
 //! `--prove-smoke N` additionally runs the `mv-prove` bounded
 //! equivalence checker over the first N substitutes the matcher
 //! produces at the largest scale point (k=2) and records the outcome
-//! counts and wall time in the trajectory entry's `note` field, so the
+//! counts and wall time as the entry's `mode: "prove"` row, so the
 //! prove cost rides along with the matching trajectory.
 //!
 //! Every run also emits one `mode: "maintain"` / `workload:
@@ -63,20 +57,20 @@
 //! Each scale point also emits a `batched` record driving
 //! `find_substitutes_many` over the skewed stream (cache off): the
 //! duplicate-heavy batch forms fingerprint groups, so the record
-//! measures what one-snapshot-pin, one-descent-per-group batching buys
-//! over the serial cold stream. Uniform-serial rows additionally carry
-//! `rss_bytes_per_view` (resident-set growth of the bulk registration,
-//! Linux only) and `bytes_per_view_arena` (the packed descriptor
-//! arena's deterministic share); both are `null` on rows that do not
-//! measure registration.
+//! measures what one-snapshot-pin, one-descent-per-group batching and
+//! the fan-out of groups across cores buy over the serial cold stream —
+//! the one inter-query parallel measurement. Uniform-serial rows
+//! additionally carry `rss_bytes_per_view` (resident-set growth of the
+//! bulk registration, Linux only) and `bytes_per_view_arena` (the packed
+//! descriptor arena's deterministic share); both are `null` on rows that
+//! do not measure registration.
 //!
 //! `--strict` turns the built-in regression assertions into the exit
-//! code: the run fails if the parallel auto mode regresses serial
-//! throughput by more than 10 % at any scale point, if the warm hit
-//! rate retained across the disjoint-table churn drops below 90 %, or
-//! — ratcheting against the best prior trajectory entry at the same
-//! scale — if memory per view (arena or RSS) exceeds 1.25x the prior
-//! best or the serial p50 exceeds 2x the prior best.
+//! code: the run fails if the warm hit rate retained across the
+//! disjoint-table churn drops below 90 %, or — ratcheting against the
+//! best prior trajectory entry at the same scale — if memory per view
+//! (arena or RSS) exceeds 1.25x the prior best or the serial p50 exceeds
+//! 2x the prior best.
 
 use mv_bench::json::Json;
 use mv_bench::{build_workload, engine_with, Workload, DATA_SEED};
@@ -92,7 +86,6 @@ use std::time::{Duration, Instant};
 struct Args {
     sizes: Vec<usize>,
     queries: usize,
-    threads: usize,
     out: String,
     strict: bool,
     prove_smoke: usize,
@@ -102,7 +95,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         sizes: vec![100, 1000, 10_000, 100_000],
         queries: 200,
-        threads: 0, // 0 = auto (available parallelism)
         out: concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_matching.json").to_string(),
         strict: false,
         prove_smoke: 0,
@@ -132,13 +124,6 @@ fn parse_args() -> Args {
             "--queries" => {
                 args.queries = value(i).parse().unwrap_or_else(|_| {
                     eprintln!("--queries requires a positive number");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
-            "--threads" => {
-                args.threads = value(i).parse().unwrap_or_else(|_| {
-                    eprintln!("--threads requires a number (0 = auto)");
                     std::process::exit(2);
                 });
                 i += 2;
@@ -259,48 +244,12 @@ fn run_serial(engine: &MatchingEngine, queries: &[SpjgExpr]) -> (Vec<Duration>, 
     (latencies, qps)
 }
 
-/// Drive `find_substitutes_batch` over the whole query list; throughput
-/// from the batch entry point, latencies from an identically-shaped timed
-/// fan-out over the same shared engine.
-fn run_parallel(
-    engine: &MatchingEngine,
-    queries: &[SpjgExpr],
-    workers: usize,
-) -> (Vec<Duration>, f64) {
-    let once = {
-        let t = Instant::now();
-        std::hint::black_box(engine.find_substitutes_batch(queries));
-        t.elapsed()
-    };
-    let reps = calibrate_reps(once, MEASURE_TARGET);
-    let started = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(engine.find_substitutes_batch(queries));
-    }
-    let total = started.elapsed();
-    let qps = (queries.len() * reps) as f64 / total.as_secs_f64();
-    let latencies = mv_parallel::par_map(queries, workers, |q| {
-        let t = Instant::now();
-        std::hint::black_box(engine.find_substitutes(q));
-        t.elapsed()
-    });
-    (latencies, qps)
-}
-
-fn measure(w: &Workload, args: &Args, views: usize, workers: usize) -> (Record, Record) {
-    // The serial engine never fans out, whatever the candidate count; the
-    // parallel engine uses the default threshold plus the requested
-    // worker cap for batch calls. Both run with the substitute cache off:
-    // the measurement loop repeats each distinct query, so an enabled
-    // cache would turn the uniform records into cache-hit benchmarks (the
-    // zipf records measure that regime deliberately).
-    let serial_cfg = MatchConfig {
-        parallel_threshold: usize::MAX,
-        substitute_cache_capacity: 0,
-        ..MatchConfig::default()
-    };
-    let parallel_cfg = MatchConfig {
-        parallel_workers: args.threads,
+/// The uniform-serial row of one scale point, cache off: the measurement
+/// loop repeats each distinct query, so an enabled cache would turn it
+/// into a cache-hit benchmark (the zipf records measure that regime
+/// deliberately).
+fn measure(w: &Workload, views: usize) -> Record {
+    let cfg = MatchConfig {
         substitute_cache_capacity: 0,
         ..MatchConfig::default()
     };
@@ -309,13 +258,12 @@ fn measure(w: &Workload, args: &Args, views: usize, workers: usize) -> (Record, 
     // allocator-reuse-dependent, but what an operator sees) plus the
     // deterministic packed-arena share.
     let rss_before = rss_bytes();
-    let engine = engine_with(w, views, serial_cfg);
+    let engine = engine_with(w, views, cfg);
     let rss_per_view = rss_before
         .zip(rss_bytes())
         .map(|(before, after)| ((after - before).max(0.0)) / views as f64);
-    let arena_per_view = Some(engine.arena_bytes() as f64 / views as f64);
     let (mut lat, qps) = run_serial(&engine, &w.queries);
-    let serial = Record {
+    Record {
         views,
         mode: "serial",
         threads: 1,
@@ -328,38 +276,19 @@ fn measure(w: &Workload, args: &Args, views: usize, workers: usize) -> (Record, 
         candidate_fraction: engine.stats().candidate_fraction(),
         cache_hit_rate: None,
         rss_bytes_per_view: rss_per_view,
-        bytes_per_view_arena: arena_per_view,
-    };
-
-    let engine = engine_with(w, views, parallel_cfg);
-    let (mut lat, qps) = run_parallel(&engine, &w.queries, workers);
-    let parallel = Record {
-        views,
-        mode: "parallel",
-        threads: workers,
-        queries: w.queries.len(),
-        workload: "uniform",
-        p50_us: percentile_us(&mut lat, 0.50),
-        p95_us: percentile_us(&mut lat, 0.95),
-        p99_us: percentile_us(&mut lat, 0.99),
-        throughput_qps: qps,
-        candidate_fraction: engine.stats().candidate_fraction(),
-        cache_hit_rate: None,
-        rss_bytes_per_view: None,
-        bytes_per_view_arena: arena_per_view,
-    };
-    (serial, parallel)
+        bytes_per_view_arena: Some(engine.arena_bytes() as f64 / views as f64),
+    }
 }
 
 /// Drive `find_substitutes_many` over the skewed stream, cache off: the
 /// duplicate-heavy batch makes real fingerprint groups, so the record
 /// measures the amortization the batched entry point buys (one snapshot
-/// pin, one tree descent per group). Per-query latency is the batch
-/// wall-clock divided evenly — individual queries are not timed inside
-/// the batch — so the percentiles describe batch-call variance.
+/// pin, one tree descent per group, groups fanned out over `workers`
+/// threads). Per-query latency is the batch wall-clock divided evenly —
+/// individual queries are not timed inside the batch — so the
+/// percentiles describe batch-call variance.
 fn measure_batched(w: &Workload, views: usize, stream: &[SpjgExpr], workers: usize) -> Record {
     let cfg = MatchConfig {
-        parallel_workers: workers,
         substitute_cache_capacity: 0,
         ..MatchConfig::default()
     };
@@ -439,8 +368,8 @@ fn zipf_stream(templates: &[SpjgExpr], len: usize) -> Vec<SpjgExpr> {
 }
 
 /// Measure the skewed repeated-template stream cold (cache off) and warm
-/// (default cache, primed with one pass over the templates), serial path
-/// both times so the two records differ only in the cache.
+/// (default cache, primed with one pass over the templates), so the two
+/// records differ only in the cache.
 fn measure_zipf(w: &Workload, views: usize, stream: &[SpjgExpr]) -> (Record, Record) {
     let record = |mode: &'static str,
                   workload: &'static str,
@@ -464,7 +393,6 @@ fn measure_zipf(w: &Workload, views: usize, stream: &[SpjgExpr]) -> (Record, Rec
     };
 
     let cold_cfg = MatchConfig {
-        parallel_threshold: usize::MAX,
         substitute_cache_capacity: 0,
         ..MatchConfig::default()
     };
@@ -472,11 +400,7 @@ fn measure_zipf(w: &Workload, views: usize, stream: &[SpjgExpr]) -> (Record, Rec
     let (mut lat, qps) = run_serial(&engine, stream);
     let cold = record("serial", "zipf-cold", &mut lat, qps, &engine, None);
 
-    let warm_cfg = MatchConfig {
-        parallel_threshold: usize::MAX,
-        ..MatchConfig::default()
-    };
-    let engine = engine_with(w, views, warm_cfg);
+    let engine = engine_with(w, views, MatchConfig::default());
     for q in &w.queries[..ZIPF_TEMPLATES.min(w.queries.len())] {
         std::hint::black_box(engine.find_substitutes(q));
     }
@@ -556,11 +480,7 @@ fn measure_churn(
     stream: &[SpjgExpr],
     churn: &[ViewDef],
 ) -> Record {
-    let warm_cfg = MatchConfig {
-        parallel_threshold: usize::MAX,
-        ..MatchConfig::default()
-    };
-    let engine = engine_with(w, views, warm_cfg);
+    let engine = engine_with(w, views, MatchConfig::default());
     for q in templates {
         std::hint::black_box(engine.find_substitutes(q));
     }
@@ -629,8 +549,8 @@ fn round(v: f64, digits: u32) -> f64 {
     (v * m).round() / m
 }
 
-/// The uniform run-row schema every written row conforms to, new and
-/// migrated alike. Field order is fixed so the file diffs cleanly.
+/// The frozen run-row schema: every row of the trajectory file carries
+/// exactly these fields, in this order, so the file diffs cleanly.
 const RUN_FIELDS: [&str; 19] = [
     "views",
     "mode",
@@ -736,75 +656,37 @@ fn prove_run_json(s: &ProveSmoke) -> Json {
     Json::Obj(fields)
 }
 
-/// Migrate one legacy run row to the uniform schema: known fields are
-/// copied, absent measurements become `null`, absent `workload` becomes
-/// `"uniform"` (the only workload older revisions ran).
-fn migrate_run(run: &Json) -> Json {
-    let fields = RUN_FIELDS
-        .iter()
-        .map(|&key| {
-            let v = match run.get(key) {
-                Some(v) => v.clone(),
-                None if key == "workload" => Json::Str("uniform".into()),
-                None => Json::Null,
-            };
-            (key.to_string(), v)
-        })
-        .collect();
-    Json::Obj(fields)
+/// The fields of one trajectory entry, in written order.
+const ENTRY_FIELDS: [&str; 5] = ["unix_time", "queries", "threads", "note", "runs"];
+
+/// Does `obj` carry exactly `fields`, in order?
+fn has_fields(obj: &Json, fields: &[&str]) -> bool {
+    matches!(obj, Json::Obj(kv) if kv.iter().map(|(k, _)| k.as_str()).eq(fields.iter().copied()))
 }
 
-/// Migrate one legacy trajectory entry: `unix_time` defaults to 0 (the
-/// first revision never recorded it), the redundant per-entry
-/// `benchmark`/`command` copies are dropped, `note` (engine tuning in
-/// effect for the run) defaults to `null`, and every run row is
-/// normalized.
-fn migrate_entry(entry: &Json) -> Json {
-    let num = |key: &str| {
-        entry
-            .get(key)
-            .and_then(Json::as_f64)
-            .map(Json::Num)
-            .unwrap_or(Json::Num(0.0))
-    };
-    let runs = entry
-        .get("runs")
+/// The entries of an existing trajectory file. Anything that is not a
+/// `"trajectory"` document whose entries and run rows carry exactly the
+/// frozen field lists is an error: the caller must not overwrite a file
+/// it cannot carry forward whole.
+fn prior_entries(old: &str) -> Result<Vec<Json>, String> {
+    let doc = Json::parse(old).map_err(|e| format!("not valid JSON ({e})"))?;
+    let entries = doc
+        .get("trajectory")
         .and_then(Json::as_arr)
-        .map(|rs| rs.iter().map(migrate_run).collect())
-        .unwrap_or_default();
-    Json::Obj(vec![
-        ("unix_time".into(), num("unix_time")),
-        ("queries".into(), num("queries")),
-        ("threads".into(), num("threads")),
-        (
-            "note".into(),
-            entry.get("note").cloned().unwrap_or(Json::Null),
-        ),
-        ("runs".into(), Json::Arr(runs)),
-    ])
-}
-
-/// Parse and migrate whatever trajectory the existing file holds. A
-/// `"trajectory"` document yields its entries; the pre-trajectory format
-/// (one top-level object with a `"runs"` array) yields that object as a
-/// single entry; anything unparseable yields nothing, with a warning —
-/// the bench never loses a run to a corrupt file silently.
-fn prior_entries(old: &str) -> Vec<Json> {
-    let doc = match Json::parse(old) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("warning: existing trajectory file is not valid JSON ({e}); starting fresh");
-            return Vec::new();
+        .ok_or("no \"trajectory\" array")?;
+    for (i, entry) in entries.iter().enumerate() {
+        let runs = match entry.get("runs").and_then(Json::as_arr) {
+            Some(runs) if has_fields(entry, &ENTRY_FIELDS) => runs,
+            _ => return Err(format!("entry {i} does not carry {ENTRY_FIELDS:?}")),
+        };
+        if let Some(j) = runs.iter().position(|run| !has_fields(run, &RUN_FIELDS)) {
+            return Err(format!(
+                "entry {i}, run {j} is not a {}-field row",
+                RUN_FIELDS.len()
+            ));
         }
-    };
-    if let Some(entries) = doc.get("trajectory").and_then(Json::as_arr) {
-        entries.iter().map(migrate_entry).collect()
-    } else if doc.get("runs").is_some() {
-        vec![migrate_entry(&doc)]
-    } else {
-        eprintln!("warning: existing file holds no trajectory; starting fresh");
-        Vec::new()
     }
+    Ok(entries.to_vec())
 }
 
 /// Best (smallest positive) prior value of `field` across every prior
@@ -849,7 +731,7 @@ fn trajectory_json(entries: Vec<Json>) -> Json {
     Json::Obj(vec![
         (
             "benchmark".into(),
-            Json::Str("view-matching serial vs parallel".into()),
+            Json::Str("view-matching latency and throughput".into()),
         ),
         (
             "command".into(),
@@ -865,10 +747,9 @@ fn entry_json(records: &[Record], args: &Args, workers: usize, extra_runs: Vec<J
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let note = String::from(
-        "parallel tuning: packed candidate scan min_chunk=64, auto mode falls back \
-         to serial below 32 candidates/worker; batched rows drive \
-         find_substitutes_many (one snapshot pin, fingerprint-grouped); prove \
-         smoke runs the compiled-program prover (structured prove row)",
+        "one serial candidate loop; batched rows drive find_substitutes_many (one \
+         snapshot pin, fingerprint groups fanned out across cores); prove smoke runs \
+         the compiled-program prover (structured prove row)",
     );
     let mut runs: Vec<Json> = records.iter().map(record_json).collect();
     runs.extend(extra_runs);
@@ -884,14 +765,12 @@ fn entry_json(records: &[Record], args: &Args, workers: usize, extra_runs: Vec<J
 /// Run the `mv-prove` bounded equivalence checker over the first `n`
 /// substitutes the matcher produces at the `views` scale point. The
 /// result lands in the trajectory as a dedicated `mode: "prove"` row
-/// (the four structured prove columns); earlier revisions wrote a
-/// free-text `note` line instead, which migration leaves as prose.
+/// (the four structured prove columns).
 fn prove_smoke(w: &Workload, views: usize, n: usize) -> ProveSmoke {
     let engine = engine_with(
         w,
         views,
         MatchConfig {
-            parallel_threshold: usize::MAX,
             substitute_cache_capacity: 0,
             prove_budget: 0,
             ..MatchConfig::default()
@@ -964,14 +843,7 @@ struct MaintainRun {
 /// are `Fresh`, recompute-fallback views are still stale) before the
 /// dirty views refresh for the next round.
 fn measure_maintain(w: &Workload, views: usize, stream: &[SpjgExpr]) -> MaintainRun {
-    let engine = engine_with(
-        w,
-        views,
-        MatchConfig {
-            parallel_threshold: usize::MAX,
-            ..MatchConfig::default()
-        },
-    );
+    let engine = engine_with(w, views, MatchConfig::default());
     let (db, _) = generate_tpch(&TpchScale::tiny(), DATA_SEED);
     let mut maintainer = Maintainer::new(db);
     let guard = engine.views();
@@ -1064,12 +936,22 @@ fn maintain_run_json(m: &MaintainRun) -> Json {
 
 fn main() {
     let args = parse_args();
-    let max_views = args.sizes.iter().copied().max().unwrap();
-    let workers = if args.threads == 0 {
-        mv_parallel::workers_for(usize::MAX)
-    } else {
-        args.threads
+    // Prior entries serve double duty: the strict gates ratchet against
+    // their best recorded values, and the new entry appends after them.
+    // A missing file starts a trajectory; one this bench cannot carry
+    // forward is refused before it could be overwritten.
+    let prior = match std::fs::read_to_string(&args.out) {
+        Ok(old) => prior_entries(&old).unwrap_or_else(|e| {
+            eprintln!("{} is not a bench_matching trajectory: {e}", args.out);
+            std::process::exit(2);
+        }),
+        Err(_) => Vec::new(),
     };
+
+    let max_views = args.sizes.iter().copied().max().unwrap();
+    // What `find_substitutes_many` fans a batch of the skewed stream's
+    // distinct templates out over.
+    let workers = mv_parallel::workers_for(ZIPF_TEMPLATES.min(args.queries));
     eprintln!(
         "building workload: {max_views} views, {} queries ...",
         args.queries
@@ -1084,12 +966,6 @@ fn main() {
     let churn_stream = churn
         .as_ref()
         .map(|(templates, _)| zipf_stream(templates, args.queries));
-
-    // Prior entries serve double duty: the strict gates ratchet against
-    // their best recorded values, and the new entry appends after them.
-    let prior = std::fs::read_to_string(&args.out)
-        .map(|old| prior_entries(&old))
-        .unwrap_or_default();
 
     let mut records = Vec::new();
     let mut failures: Vec<String> = Vec::new();
@@ -1122,19 +998,7 @@ fn main() {
         );
     };
     for &views in &args.sizes {
-        let (serial, parallel) = measure(&w, &args, views, workers);
-        let speedup = parallel.throughput_qps / serial.throughput_qps;
-        // The regression assertion behind `--strict`: auto mode must fall
-        // back to the serial path when fan-out cannot pay for itself, so
-        // losing to serial by >10 % at any scale point is a bug, not a
-        // tuning matter.
-        if parallel.throughput_qps < 0.9 * serial.throughput_qps {
-            failures.push(format!(
-                "at {views} views the parallel auto mode ({:.0} q/s) regresses the serial \
-                 path ({:.0} q/s) by more than 10%",
-                parallel.throughput_qps, serial.throughput_qps
-            ));
-        }
+        let serial = measure(&w, views);
         // Memory-per-view gates: the packed arena share is deterministic
         // (tight 1.25x tolerance); RSS is allocator- and noise-dependent
         // but is what actually bounds catalog scale, so it gets the same
@@ -1180,9 +1044,7 @@ fn main() {
             }
         }
         print_record(&serial, None);
-        print_record(&parallel, Some(speedup));
         records.push(serial);
-        records.push(parallel);
 
         let (cold, warm) = measure_zipf(&w, views, &stream);
         let cold_qps = cold.throughput_qps;
@@ -1277,7 +1139,7 @@ fn main() {
     extra_runs.push(maintain_run_json(&maintain));
 
     if failures.is_empty() {
-        eprintln!("regression check: PASS (parallel auto mode and churn hit-rate retention)");
+        eprintln!("regression check: PASS (churn hit-rate retention, memory and latency ratchets)");
     } else {
         for f in &failures {
             eprintln!("regression check: FAIL — {f}");
@@ -1306,108 +1168,11 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Entry 1 of the real legacy file: no `unix_time`, redundant nested
-    /// `benchmark`/`command`, rows without `workload`, `p99`, or
-    /// `candidate_fraction`.
-    const LEGACY: &str = r#"{
-      "benchmark": "view-matching serial vs parallel",
-      "command": "cargo run -p mv-bench --release --bin bench_matching",
-      "trajectory": [
-        {
-          "benchmark": "view-matching serial vs parallel",
-          "command": "cargo run -p mv-bench --release --bin bench_matching",
-          "queries": 200,
-          "threads": 4,
-          "runs": [
-            {"views": 100, "mode": "serial", "threads": 1, "queries": 200,
-             "p50_match_latency_us": 21.07, "p95_match_latency_us": 43.05,
-             "throughput_qps": 40343.2}
-          ]
-        },
-        {
-          "unix_time": 1754250000,
-          "queries": 200,
-          "threads": 4,
-          "runs": [
-            {"views": 100, "mode": "parallel", "workload": "zipf-warm", "threads": 4,
-             "queries": 200, "p50_match_latency_us": 10.0, "p95_match_latency_us": 20.0,
-             "p99_match_latency_us": 30.0, "throughput_qps": 90000.0,
-             "candidate_fraction": 0.004, "cache_hit_rate": 0.98}
-          ]
-        }
-      ]
-    }"#;
-
-    #[test]
-    fn migration_produces_uniform_rows() {
-        let entries = prior_entries(LEGACY);
-        assert_eq!(entries.len(), 2);
-        for entry in &entries {
-            // Entry schema: exactly these four fields, in order.
-            match entry {
-                Json::Obj(fields) => {
-                    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                    assert_eq!(keys, ["unix_time", "queries", "threads", "note", "runs"]);
-                }
-                other => panic!("entry is not an object: {other:?}"),
-            }
-            for run in entry.get("runs").unwrap().as_arr().unwrap() {
-                match run {
-                    Json::Obj(fields) => {
-                        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
-                        assert_eq!(keys, RUN_FIELDS, "every row parses uniformly");
-                    }
-                    other => panic!("run is not an object: {other:?}"),
-                }
-            }
-        }
-        // The first entry's gaps got their documented defaults.
-        assert_eq!(entries[0].get("unix_time").unwrap().as_u64(), Some(0));
-        assert_eq!(entries[0].get("note"), Some(&Json::Null));
-        let first_run = &entries[0].get("runs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(first_run.get("rss_bytes_per_view"), Some(&Json::Null));
-        assert_eq!(first_run.get("bytes_per_view_arena"), Some(&Json::Null));
-        let first_run = &entries[0].get("runs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(first_run.get("workload").unwrap().as_str(), Some("uniform"));
-        assert_eq!(first_run.get("p99_match_latency_us"), Some(&Json::Null));
-        assert_eq!(first_run.get("candidate_fraction"), Some(&Json::Null));
-        assert_eq!(first_run.get("cache_hit_rate"), Some(&Json::Null));
-        // Rows from before the structured prove columns null them.
-        assert_eq!(first_run.get("prove_wall_ms"), Some(&Json::Null));
-        assert_eq!(first_run.get("proved"), Some(&Json::Null));
-        assert_eq!(first_run.get("refuted"), Some(&Json::Null));
-        assert_eq!(first_run.get("inconclusive"), Some(&Json::Null));
-        // Likewise rows from before the maintenance columns.
-        assert_eq!(first_run.get("maintain_us_per_delta"), Some(&Json::Null));
-        assert_eq!(first_run.get("fresh_serving_rate"), Some(&Json::Null));
-        // Present measurements survive untouched.
-        let second_run = &entries[1].get("runs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(
-            second_run.get("cache_hit_rate").unwrap().as_f64(),
-            Some(0.98)
-        );
-        assert_eq!(
-            entries[1].get("unix_time").unwrap().as_u64(),
-            Some(1754250000)
-        );
-    }
-
-    #[test]
-    fn migrated_document_roundtrips() {
-        let doc = trajectory_json(prior_entries(LEGACY));
-        let reparsed = Json::parse(&doc.to_pretty()).expect("written file parses");
-        assert_eq!(reparsed, doc);
-        // A second migration pass is the identity: the schema is a fixed point.
-        let again = prior_entries(&doc.to_pretty());
-        assert_eq!(
-            Json::Arr(again),
-            reparsed.get("trajectory").unwrap().clone()
-        );
-    }
-
     #[test]
     fn gate_baseline_is_best_prior_uniform_serial_row() {
-        let entries = prior_entries(
+        // The ratchet readers only look at the fields they name, so
+        // abbreviated rows do here.
+        let doc = Json::parse(
             r#"{"trajectory": [
                 {"queries": 10, "threads": 1, "runs": [
                     {"views": 100, "mode": "serial", "workload": "uniform",
@@ -1420,17 +1185,62 @@ mod tests {
                     {"views": 100, "mode": "serial", "workload": "zipf-cold",
                      "p50_match_latency_us": 5.0}]}
             ]}"#,
-        );
-        // Best across entries, uniform-serial rows only — the parallel
-        // 10.0 and the zipf 5.0 must not become the baseline.
-        assert_eq!(
-            best_prior(&entries, 100, "p50_match_latency_us"),
-            Some(25.0)
-        );
-        assert_eq!(best_prior(&entries, 100, "rss_bytes_per_view"), Some(900.0));
+        )
+        .expect("valid JSON");
+        let entries = doc.get("trajectory").unwrap().as_arr().unwrap();
+        // Best across entries, uniform-serial rows only — the 10.0 of an
+        // old entry's `parallel` row and the zipf 5.0 must not become the
+        // baseline.
+        assert_eq!(best_prior(entries, 100, "p50_match_latency_us"), Some(25.0));
+        assert_eq!(best_prior(entries, 100, "rss_bytes_per_view"), Some(900.0));
         // Unmeasured field / unseen scale: no baseline, gate passes.
-        assert_eq!(best_prior(&entries, 100, "bytes_per_view_arena"), None);
-        assert_eq!(best_prior(&entries, 1000, "p50_match_latency_us"), None);
+        assert_eq!(best_prior(entries, 100, "bytes_per_view_arena"), None);
+        assert_eq!(best_prior(entries, 1000, "p50_match_latency_us"), None);
+    }
+
+    /// What this bench writes it reads back whole; a file in any other
+    /// shape is refused rather than absorbed, so `main` never overwrites
+    /// it.
+    #[test]
+    fn only_the_frozen_schema_reloads() {
+        let args = Args {
+            sizes: vec![100],
+            queries: 10,
+            out: String::new(),
+            strict: false,
+            prove_smoke: 0,
+        };
+        let record = Record {
+            views: 100,
+            mode: "serial",
+            threads: 1,
+            queries: 10,
+            workload: "uniform",
+            p50_us: 5.5,
+            p95_us: 9.0,
+            p99_us: 12.25,
+            throughput_qps: 150_000.0,
+            candidate_fraction: 0.004,
+            cache_hit_rate: None,
+            rss_bytes_per_view: Some(2048.0),
+            bytes_per_view_arena: Some(132.0),
+        };
+        let entry = entry_json(&[record], &args, 2, Vec::new());
+        let body = trajectory_json(vec![entry.clone()]).to_pretty();
+        assert_eq!(prior_entries(&body), Ok(vec![entry]));
+
+        for foreign in [
+            "not json",
+            // The pre-trajectory single-run format.
+            r#"{"queries": 100, "threads": 2, "runs": []}"#,
+            // An entry from before `unix_time` and `note`.
+            r#"{"trajectory": [{"queries": 200, "threads": 4, "runs": []}]}"#,
+            // A row from before the 19-field schema.
+            r#"{"trajectory": [{"unix_time": 0, "queries": 200, "threads": 4, "note": null,
+                "runs": [{"views": 100, "mode": "serial", "threads": 1, "queries": 200}]}]}"#,
+        ] {
+            assert!(prior_entries(foreign).is_err(), "accepted: {foreign}");
+        }
     }
 
     #[test]
@@ -1511,18 +1321,5 @@ mod tests {
         );
         assert_eq!(best_prior(&entries, 1000, "maintain_us_per_delta"), None);
         assert_eq!(best_prior(&entries, 1000, "p50_match_latency_us"), None);
-    }
-
-    #[test]
-    fn pre_trajectory_file_is_absorbed() {
-        let old = r#"{"queries": 100, "threads": 2, "runs": [
-            {"views": 10, "mode": "serial", "threads": 1, "queries": 100,
-             "p50_match_latency_us": 5.0, "p95_match_latency_us": 9.0,
-             "throughput_qps": 1000.0}]}"#;
-        let entries = prior_entries(old);
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].get("queries").unwrap().as_u64(), Some(100));
-        let run = &entries[0].get("runs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(run.get("workload").unwrap().as_str(), Some("uniform"));
     }
 }

@@ -8,7 +8,6 @@ use mv_data::{generate_tpch, TpchScale};
 use mv_optimizer::{Optimizer, OptimizerConfig};
 use mv_plan::{SpjgExpr, ViewDef};
 use mv_workload::{Generator, WorkloadParams};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Seeds used throughout so every figure is reproducible.
@@ -103,37 +102,6 @@ pub fn run_pass(
     }
 }
 
-/// [`run_pass`] with the optimization loop fanned out over `workers`
-/// threads, all sharing one engine through an `Arc`. Each worker builds
-/// its own (cheap) [`Optimizer`] over the shared engine and the queries
-/// are distributed by work stealing; results are identical to the serial
-/// pass, and the engine's instrumentation accumulates across workers.
-pub fn run_pass_parallel(
-    workload: &Workload,
-    engine: &Arc<MatchingEngine>,
-    opt_config: &OptimizerConfig,
-    workers: usize,
-) -> PassResult {
-    engine.reset_stats();
-    let started = Instant::now();
-    let uses: Vec<bool> = mv_parallel::par_map(&workload.queries, workers.max(1), |q| {
-        let optimizer = Optimizer::new(Arc::clone(engine), opt_config.clone());
-        optimizer.optimize(q).plan.uses_view()
-    });
-    let total_time = started.elapsed();
-    let plans_using_views = uses.iter().filter(|&&u| u).count();
-    let stats = engine.stats();
-    PassResult {
-        total_time,
-        matching_time: stats.match_time,
-        invocations: stats.invocations,
-        candidates: stats.candidates,
-        views_available: stats.views_available,
-        substitutes: stats.substitutes,
-        plans_using_views,
-    }
-}
-
 /// The four optimizer configurations of Figure 2.
 pub fn figure2_configs() -> Vec<(&'static str, MatchConfig, OptimizerConfig)> {
     let filter_on = MatchConfig::default();
@@ -167,19 +135,6 @@ mod tests {
         let pass = run_pass(&w, &engine, &OptimizerConfig::default());
         assert!(pass.invocations >= 10, "rule fired per query at least once");
         assert!(pass.total_time >= pass.matching_time || pass.matching_time.as_micros() == 0);
-    }
-
-    #[test]
-    fn parallel_pass_matches_serial() {
-        let w = build_workload(30, 10);
-        let engine = Arc::new(engine_with(&w, 30, MatchConfig::default()));
-        let cfg = OptimizerConfig::default();
-        let serial = run_pass(&w, &engine, &cfg);
-        let parallel = run_pass_parallel(&w, &engine, &cfg, 4);
-        assert_eq!(parallel.invocations, serial.invocations);
-        assert_eq!(parallel.candidates, serial.candidates);
-        assert_eq!(parallel.substitutes, serial.substitutes);
-        assert_eq!(parallel.plans_using_views, serial.plans_using_views);
     }
 
     #[test]

@@ -204,19 +204,22 @@ pub struct SubstituteCache {
 }
 
 impl SubstituteCache {
-    /// A cache of at most `capacity` entries striped over `shards`
-    /// mutexes. `capacity == 0` disables caching entirely.
-    pub fn new(capacity: usize, shards: usize) -> SubstituteCache {
+    /// A cache of at most `capacity` entries, striped over one mutex per
+    /// 128 entries (at most 8, so the default 1,024 is 8 stripes of 128
+    /// and a small cache is one stripe). Stripes are sized by floor: the
+    /// sum never exceeds `capacity`. `capacity == 0` disables caching
+    /// entirely.
+    pub fn new(capacity: usize) -> SubstituteCache {
         if capacity == 0 {
             return SubstituteCache {
                 shards: Vec::new(),
                 per_shard: 0,
             };
         }
-        let n = shards.clamp(1, capacity);
+        let n = (capacity / 128).clamp(1, 8);
         SubstituteCache {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard: capacity.div_ceil(n),
+            per_shard: capacity / n,
         }
     }
 
@@ -408,7 +411,7 @@ mod tests {
 
     #[test]
     fn lookup_insert_stamp_and_eviction() {
-        let cache = SubstituteCache::new(4, 2);
+        let cache = SubstituteCache::new(4);
         assert!(cache.is_enabled());
         assert!(cache.is_empty());
         let fp = fingerprint(&query("a", 5));
@@ -454,7 +457,7 @@ mod tests {
 
     #[test]
     fn per_table_stamps_compare_positionally() {
-        let cache = SubstituteCache::new(4, 1);
+        let cache = SubstituteCache::new(4);
         let fp = fingerprint(&query("a", 5));
         cache.insert(fp.hash, fp.render.clone(), vec![2, 7], 0, Vec::new());
         // Same epochs for the same tables: hit.
@@ -471,7 +474,7 @@ mod tests {
 
     #[test]
     fn disabled_cache_is_inert() {
-        let cache = SubstituteCache::new(0, 8);
+        let cache = SubstituteCache::new(0);
         assert!(!cache.is_enabled());
         let fp = fingerprint(&query("a", 5));
         cache.insert(fp.hash, fp.render.clone(), vec![0], 0, Vec::new());

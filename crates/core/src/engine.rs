@@ -253,16 +253,14 @@ impl CatalogSnapshot {
 /// The engine is an *online catalog*: every method — registration
 /// (`add_view`, `add_views`, `remove_view`, `add_check_constraint`) as
 /// well as the whole matching path (`find_substitutes`,
-/// `find_substitutes_batch`, `candidates`, `match_one`) — takes `&self`,
+/// `find_substitutes_many`, `candidates`, `match_one`) — takes `&self`,
 /// so writers run concurrently with matchers. Writers serialize among
 /// themselves on an internal mutex, build the next immutable
 /// [`CatalogSnapshot`] by copy-on-write, and publish it with one atomic
 /// pointer swap; readers pin the current snapshot once per match and
 /// never observe a half-applied change. A multi-threaded optimizer host
 /// can therefore share one engine behind an `Arc`, match queries from any
-/// number of threads, and register views mid-traffic; see also
-/// [`MatchConfig::parallel_threshold`] for the intra-query fan-out of the
-/// candidate loop.
+/// number of threads, and register views mid-traffic.
 #[derive(Debug)]
 pub struct MatchingEngine {
     catalog: Catalog,
@@ -288,10 +286,7 @@ const _: () = {
 impl MatchingEngine {
     /// Create an engine over a schema.
     pub fn new(catalog: Catalog, config: MatchConfig) -> Self {
-        let cache = SubstituteCache::new(
-            config.substitute_cache_capacity,
-            config.substitute_cache_shards,
-        );
+        let cache = SubstituteCache::new(config.substitute_cache_capacity);
         let shared = Published::new(CatalogSnapshot::empty(&catalog));
         MatchingEngine {
             catalog,
@@ -977,11 +972,8 @@ impl MatchingEngine {
         out.dedup();
     }
 
-    /// Run the full matching tests over a filtered candidate list,
-    /// serially or fanned out across threads per
-    /// [`MatchConfig::parallel_threshold`]. Each `match_view` call is pure
-    /// in the engine's shared state, and results keep candidate order
-    /// (ascending `ViewId`), so both paths return byte-identical lists.
+    /// Run the full matching tests over a filtered candidate list.
+    /// Results keep candidate order (ascending `ViewId`).
     fn match_candidates(
         &self,
         snap: &CatalogSnapshot,
@@ -1019,18 +1011,7 @@ impl MatchingEngine {
                 (id, sub)
             })
         };
-        let workers = self.config.match_workers(candidates.len());
-        if workers > 1 {
-            // With the packed prechecks most candidates cost well under a
-            // microsecond, so chunks claimed from the shared cursor are
-            // kept coarse (64 candidates) to amortize the bookkeeping.
-            mv_parallel::par_map_min_chunk(candidates, workers, 64, try_candidate)
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            candidates.iter().filter_map(try_candidate).collect()
-        }
+        candidates.iter().filter_map(try_candidate).collect()
     }
 
     /// Filter, match and debug-verify — the uncached matching pipeline.
@@ -1171,16 +1152,6 @@ impl MatchingEngine {
         self.cache.len()
     }
 
-    /// Match a whole batch of queries, fanning out across threads — the
-    /// entry point for workload drivers and multi-query optimization.
-    /// Results arrive in query order, each entry byte-identical to what
-    /// [`MatchingEngine::find_substitutes`] returns for that query;
-    /// instrumentation counters accumulate across all workers.
-    pub fn find_substitutes_batch(&self, queries: &[SpjgExpr]) -> Vec<Vec<(ViewId, Substitute)>> {
-        let workers = self.config.batch_workers(queries.len());
-        mv_parallel::par_map(queries, workers, |q| self.find_substitutes(q))
-    }
-
     /// Batched matching for bursts of queries: pins **one** catalog
     /// snapshot for the whole batch and groups the queries by cache
     /// fingerprint, so repeated query shapes — the common case in a
@@ -1216,9 +1187,8 @@ impl MatchingEngine {
                 start = i;
             }
         }
-        let workers = self.config.batch_workers(groups.len());
+        let workers = mv_parallel::workers_for(groups.len());
         let matched = mv_parallel::par_map(&groups, workers, |group| {
-            let started = self.config.timing.then(Instant::now);
             let rep = group[0];
             let (results, n_candidates) = self.find_substitutes_in(&snap, &queries[rep]);
             // Replay the representative's result for the other members:
@@ -1227,6 +1197,7 @@ impl MatchingEngine {
             let replays: Vec<Vec<(ViewId, Substitute)>> = group[1..]
                 .iter()
                 .map(|&qi| {
+                    let started = self.config.timing.then(Instant::now);
                     let mut r = results.clone();
                     restamp_output_names(&mut r, &queries[qi]);
                     #[cfg(debug_assertions)]

@@ -71,10 +71,6 @@ pub struct MatchConfig {
     /// Use the filter tree to narrow candidates (section 4). With this off
     /// the engine checks every view — the "No Filter" series of Figure 2.
     pub use_filter_tree: bool,
-    /// Upper bound on occurrence bijections tried for self-join table
-    /// correspondence (factorial blow-up guard; the paper's workload never
-    /// repeats a table, so one mapping is the overwhelmingly common case).
-    pub max_table_mappings: usize,
     /// Enable base-table backjoins (the section 7 extension): when a view
     /// covers all tables and rows but lacks some columns, and it outputs a
     /// non-null unique key of one of its tables, the matcher may join the
@@ -93,30 +89,14 @@ pub struct MatchConfig {
     /// exactly as in the SQL Server prototype. Disable to drop those two
     /// conditions (weaker pruning, never misses a recomputable rewrite).
     pub strict_expression_filter: bool,
-    /// Candidate count at or above which `find_substitutes` fans the
-    /// per-candidate `match_view` loop out across threads. Below the
-    /// threshold the loop stays serial: on the paper's workload the filter
-    /// tree leaves a handful of candidates (< 0.4 % of views), where
-    /// thread spawn costs more than the matching itself. Results are
-    /// deterministic either way — substitutes come back ordered by
-    /// [`mv_plan::ViewId`], byte-identical to the serial path. Set to
-    /// `usize::MAX` to pin matching fully serial.
-    pub parallel_threshold: usize,
-    /// Worker cap for parallel matching and for
-    /// `find_substitutes_batch`'s per-query fan-out. `0` (the default)
-    /// means use the machine's available parallelism.
-    pub parallel_workers: usize,
     /// Capacity (entries) of the fingerprint-keyed substitute cache on
     /// [`crate::MatchingEngine::find_substitutes`]: repeated query shapes
     /// skip the filter tree and the matching tests entirely and return the
     /// cached substitute list (output names re-stamped from the probing
     /// query). `0` disables the cache. Entries are invalidated lazily on
-    /// view registration/removal via an engine epoch.
+    /// view registration/removal via an engine epoch. The cache stripes
+    /// itself over one mutex per 128 entries of capacity, at most 8.
     pub substitute_cache_capacity: usize,
-    /// Mutex stripes of the substitute cache; concurrent matchers only
-    /// contend when their fingerprints share a stripe. Clamped to
-    /// `[1, capacity]`.
-    pub substitute_cache_shards: usize,
     /// Record wall-clock filter/match durations in [`crate::MatchStats`].
     /// With this off, `find_substitutes` performs zero clock reads — on
     /// the cached hot path the only work left is the fingerprint render
@@ -140,70 +120,16 @@ pub struct MatchConfig {
     pub freshness: FreshnessPolicy,
 }
 
-impl MatchConfig {
-    /// Workers to use for a candidate loop of `n_items`, honoring the
-    /// threshold and cap; `1` means run serially. In auto mode
-    /// (`parallel_workers == 0`) the fan-out is additionally sized so each
-    /// worker gets at least [`MIN_CANDIDATES_PER_WORKER`] candidates —
-    /// per-candidate matching runs a few microseconds, so a thinner split
-    /// spends more on thread spawns than it saves (the bench trajectory
-    /// recorded parallel *losing* to serial at 10k views for exactly this
-    /// reason). An explicit worker count is honored as given.
-    ///
-    /// [`MIN_CANDIDATES_PER_WORKER`]: MatchConfig::MIN_CANDIDATES_PER_WORKER
-    pub(crate) fn match_workers(&self, n_items: usize) -> usize {
-        if n_items < self.parallel_threshold.max(2) {
-            return 1;
-        }
-        let workers = self.batch_workers(n_items);
-        if self.parallel_workers == 0 {
-            // Auto mode falls back to serial whenever the fan-out cannot
-            // pay for itself: a single effective worker (one core, or a
-            // nested call from inside a batch worker) or a per-worker
-            // share below the floor.
-            let sized = workers.min(n_items / Self::MIN_CANDIDATES_PER_WORKER);
-            if sized <= 1 {
-                1
-            } else {
-                sized
-            }
-        } else {
-            workers
-        }
-    }
-
-    /// Smallest per-worker candidate share the auto-sized candidate-loop
-    /// fan-out will accept (see [`MatchConfig::match_workers`]).
-    pub const MIN_CANDIDATES_PER_WORKER: usize = 32;
-
-    /// Workers for an unconditional fan-out over `n_items` (the batch
-    /// entry point, which exists precisely to parallelize). In auto mode
-    /// `mv_parallel::workers_for` already declines nested fan-outs and
-    /// single-core machines, so a batch on one CPU runs the plain serial
-    /// loop instead of paying per-call thread spawns for nothing.
-    pub(crate) fn batch_workers(&self, n_items: usize) -> usize {
-        if self.parallel_workers == 0 {
-            mv_parallel::workers_for(n_items)
-        } else {
-            self.parallel_workers.min(n_items).max(1)
-        }
-    }
-}
-
 impl Default for MatchConfig {
     fn default() -> Self {
         MatchConfig {
             null_rejecting_fk: false,
             refined_hubs: true,
             use_filter_tree: true,
-            max_table_mappings: 64,
             allow_backjoins: false,
             use_check_constraints: true,
             strict_expression_filter: true,
-            parallel_threshold: 256,
-            parallel_workers: 0,
             substitute_cache_capacity: 1024,
-            substitute_cache_shards: 8,
             timing: true,
             prove_budget: if cfg!(debug_assertions) { 2_000 } else { 0 },
             freshness: FreshnessPolicy::default(),
@@ -295,33 +221,32 @@ pub fn match_view_prepared(
     // mapping. Both grouping lists are sorted by table id, so the
     // enumeration order — and therefore which of several valid mappings
     // wins — is deterministic.
-    let mappings = enumerate_mappings(
-        view.expr.tables.len(),
-        &pq.by_table,
-        &pv.by_table,
-        config.max_table_mappings,
-    );
+    let mappings = enumerate_mappings(view.expr.tables.len(), &pq.by_table, &pv.by_table);
     mappings
         .into_iter()
         .find_map(|assign| try_match(catalog, config, pq, view_id, view, pv, &assign))
 }
 
+/// Upper bound on occurrence bijections tried for self-join table
+/// correspondence (factorial blow-up guard; the paper's workload never
+/// repeats a table, so one mapping is the overwhelmingly common case).
+const MAX_TABLE_MAPPINGS: usize = 64;
+
 /// Build all injective mappings `view occurrence -> query occurrence`
 /// (as `assign[view_occ] = Some(query_occ)`, `None` = extra table).
 /// Both grouping lists are sorted by table id (see
 /// [`occurrences_by_table`]); the caller has verified the query tables
-/// are a subset of the view's.
+/// are a subset of the view's. At most [`MAX_TABLE_MAPPINGS`] come back.
 fn enumerate_mappings(
     n_view_occs: usize,
     q_by_table: &[(TableId, Vec<OccId>)],
     v_by_table: &[(TableId, Vec<OccId>)],
-    cap: usize,
 ) -> Vec<Vec<Option<OccId>>> {
     // Fast path: when no shared table repeats on either side the single
     // injective mapping is forced — skip the placement product and its
     // nested allocations. This is the overwhelmingly common case (the
     // paper's workload never repeats a table).
-    if cap > 0 && q_by_table.iter().all(|(_, q)| q.len() == 1) {
+    if q_by_table.iter().all(|(_, q)| q.len() == 1) {
         let mut m: Vec<Option<OccId>> = vec![None; n_view_occs];
         let mut forced = true;
         for (t, qoccs) in q_by_table {
@@ -350,7 +275,7 @@ fn enumerate_mappings(
         let mut next = Vec::new();
         for base in &result {
             for placement in &placements {
-                if next.len() >= cap {
+                if next.len() >= MAX_TABLE_MAPPINGS {
                     break;
                 }
                 let mut m = base.clone();

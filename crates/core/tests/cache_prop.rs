@@ -6,7 +6,7 @@
 //! these tests double as a harness for that oracle.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{MatchConfig, MatchingEngine};
+use mv_core::{MatchConfig, MatchingEngine, SubstituteCache};
 use mv_plan::{OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
@@ -214,15 +214,15 @@ fn renamed_outputs_hit_and_restamp() {
     }
 }
 
-/// The cache never holds more entries than its configured capacity, and
-/// a warm entry keeps answering across unrelated traffic (clock eviction
-/// gives referenced entries a second chance).
+/// The cache never holds more entries than its configured capacity —
+/// whatever the capacity, including ones its stripe count does not divide
+/// — and a warm entry keeps answering across unrelated traffic (clock
+/// eviction gives referenced entries a second chance).
 #[test]
 fn capacity_bounds_resident_entries() {
     let (views, queries) = pools(16, 8);
     let config = MatchConfig {
         substitute_cache_capacity: 3,
-        substitute_cache_shards: 1,
         ..MatchConfig::default()
     };
     let engine = engine_with(config);
@@ -242,4 +242,24 @@ fn capacity_bounds_resident_entries() {
         s.cache_hits + s.cache_misses == 3 * queries.len() as u64,
         "every find probed the cache"
     );
+
+    // Sweep: twice the capacity in distinct fingerprints, spread over
+    // every stripe, never leaves more than `capacity` resident.
+    for capacity in [1usize, 3, 10, 127, 129, 1000, 1024] {
+        let cache = SubstituteCache::new(capacity);
+        for h in 0..2 * capacity as u64 {
+            cache.insert(h, format!("q{h}"), vec![0], 0, Vec::new());
+            assert!(cache.len() <= capacity, "capacity {capacity} exceeded");
+        }
+        // Floor sizing gives up less than one entry per stripe.
+        assert!(cache.len() + 8 > capacity, "capacity {capacity} wasted");
+    }
+
+    // The default 1,024 is 8 stripes of 128: fingerprints that all land
+    // on one stripe (hash ≡ 0 mod 16 ⊂ mod 8) fill exactly 128 slots.
+    let cache = SubstituteCache::new(1024);
+    for i in 0..200u64 {
+        cache.insert(16 * i, format!("q{i}"), vec![0], 0, Vec::new());
+    }
+    assert_eq!(cache.len(), 128, "1,024 entries stripe as 8 x 128");
 }

@@ -1,9 +1,8 @@
 //! The engine's concurrency contract: `MatchingEngine` is `Send + Sync`,
 //! any number of threads may run `find_substitutes` against one shared
-//! engine, every path (serial candidate loop, parallel candidate loop,
-//! batch fan-out) returns identical substitute lists in ascending
-//! `ViewId` order, and the atomic instrumentation counters add up
-//! exactly under contention.
+//! engine, the batch fan-out returns the same substitute lists (ascending
+//! `ViewId` order) as query-at-a-time matching, and the atomic
+//! instrumentation counters add up exactly under contention.
 
 use mv_catalog::tpch::tpch_catalog;
 use mv_core::{MatchConfig, MatchingEngine};
@@ -31,24 +30,6 @@ fn engine(views: &[ViewDef], config: MatchConfig) -> MatchingEngine {
             .expect("generated views are valid");
     }
     engine
-}
-
-/// Force the candidate loop serial regardless of candidate count.
-fn serial_config() -> MatchConfig {
-    MatchConfig {
-        parallel_threshold: usize::MAX,
-        ..MatchConfig::default()
-    }
-}
-
-/// Force the candidate loop parallel from the first candidate on, with
-/// real threads even on a single-CPU machine.
-fn parallel_config() -> MatchConfig {
-    MatchConfig {
-        parallel_threshold: 2,
-        parallel_workers: 4,
-        ..MatchConfig::default()
-    }
 }
 
 #[test]
@@ -95,30 +76,57 @@ fn concurrent_matching_equals_serial() {
 }
 
 #[test]
-fn parallel_candidate_loop_equals_serial() {
-    let (views, queries) = workload(60, 24);
-    let serial_engine = engine(&views, serial_config());
-    let parallel_engine = engine(&views, parallel_config());
-    let mut matched = 0usize;
-    for q in &queries {
-        let s = serial_engine.find_substitutes(q);
-        let p = parallel_engine.find_substitutes(q);
-        assert_eq!(p, s, "parallel candidate loop diverged");
-        assert!(s.windows(2).all(|w| w[0].0 < w[1].0), "ViewId order");
-        matched += s.len();
-    }
-    assert!(matched > 0, "workload produced no matches to compare");
-}
-
-#[test]
 fn batch_equals_query_at_a_time() {
     let (views, queries) = workload(60, 24);
-    let engine = engine(&views, parallel_config());
+    let engine = engine(&views, MatchConfig::default());
     let one_by_one: Vec<_> = queries.iter().map(|q| engine.find_substitutes(q)).collect();
+    let want = engine.stats();
+    assert_eq!(want.invocations, queries.len() as u64);
+    assert!(
+        one_by_one.iter().any(|rows| !rows.is_empty()),
+        "workload produced no matches to compare"
+    );
+
+    // Same cold start for the batch: empty cache, zeroed counters.
+    engine.clear_substitute_cache();
     engine.reset_stats();
-    let batch = engine.find_substitutes_batch(&queries);
-    assert_eq!(batch, one_by_one);
-    assert_eq!(engine.stats().invocations, queries.len() as u64);
+    assert_eq!(engine.find_substitutes_many(&queries), one_by_one);
+    let got = engine.stats();
+    assert_eq!(got.invocations, want.invocations);
+    assert_eq!(got.candidates, want.candidates);
+    assert_eq!(got.views_available, want.views_available);
+    assert_eq!(got.substitutes, want.substitutes);
+    assert_eq!(got.cache_hits, want.cache_hits);
+    assert_eq!(got.cache_misses, want.cache_misses);
+    assert_eq!(got.cache_invalidations, want.cache_invalidations);
+}
+
+/// A batch of duplicates is one fingerprint group on one worker: the
+/// representative is matched once and replayed, so the time booked to
+/// `match_time` is spent inside the call and cannot exceed its wall time.
+#[test]
+fn batch_match_time_fits_inside_the_call() {
+    let (views, queries) = workload(60, 24);
+    let engine = engine(
+        &views,
+        MatchConfig {
+            substitute_cache_capacity: 0,
+            timing: true,
+            ..MatchConfig::default()
+        },
+    );
+    let batch = vec![queries[0].clone(); 32];
+    let started = std::time::Instant::now();
+    let out = engine.find_substitutes_many(&batch);
+    let wall = started.elapsed();
+    assert_eq!(out.len(), batch.len());
+    let stats = engine.stats();
+    assert_eq!(stats.invocations, batch.len() as u64);
+    assert!(
+        stats.match_time <= wall,
+        "match_time {:?} exceeds the call's wall time {wall:?}",
+        stats.match_time
+    );
 }
 
 /// `find_substitutes_many` racing concurrent registration: the batch
@@ -129,7 +137,7 @@ fn batch_equals_query_at_a_time() {
 fn batched_matching_races_registration() {
     let (views, queries) = workload(60, 24);
     let (seed_views, late_views) = views.split_at(30);
-    let engine = Arc::new(engine(seed_views, parallel_config()));
+    let engine = Arc::new(engine(seed_views, MatchConfig::default()));
 
     std::thread::scope(|scope| {
         // Writer registers the second half of the catalog.
@@ -208,49 +216,46 @@ fn concurrent_cache_hits_are_identical() {
     assert_eq!(stats.cache_invalidations, 0);
 }
 
-/// `remove_view` (an exclusive `&mut` operation) interleaved with
-/// matching rounds: removed views drop out of the results immediately
-/// and never reappear, on both the serial and the parallel path.
+/// `remove_view` interleaved with matching rounds: removed views drop
+/// out of the results immediately and never reappear.
 #[test]
 fn remove_view_interleaved_with_matching() {
-    for config in [serial_config(), parallel_config()] {
-        let (views, queries) = workload(60, 24);
-        let engine = engine(&views, config);
+    let (views, queries) = workload(60, 24);
+    let engine = engine(&views, MatchConfig::default());
 
-        let initial: Vec<_> = queries.iter().map(|q| engine.find_substitutes(q)).collect();
-        let matched: Vec<_> = initial.iter().flatten().map(|(id, _)| *id).collect();
-        assert!(!matched.is_empty(), "workload produced no matches");
+    let initial: Vec<_> = queries.iter().map(|q| engine.find_substitutes(q)).collect();
+    let matched: Vec<_> = initial.iter().flatten().map(|(id, _)| *id).collect();
+    assert!(!matched.is_empty(), "workload produced no matches");
 
-        // Remove every matched view, one matching round per removal.
-        let mut removed = Vec::new();
-        for &victim in &matched {
-            if removed.contains(&victim) {
-                continue;
-            }
-            engine.remove_view(victim);
-            removed.push(victim);
-            for q in &queries {
-                for (id, _) in engine.find_substitutes(q) {
-                    assert!(!removed.contains(&id), "removed view {id:?} reappeared");
-                }
-            }
+    // Remove every matched view, one matching round per removal.
+    let mut removed = Vec::new();
+    for &victim in &matched {
+        if removed.contains(&victim) {
+            continue;
         }
-
-        // With every previously-matching view gone, all that remains are
-        // matches on never-removed views — and the survivors must agree
-        // with a fresh engine holding only the surviving views.
-        let survivors: Vec<ViewDef> = views
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !removed.iter().any(|r| r.0 as usize == *i))
-            .map(|(_, v)| v.clone())
-            .collect();
-        let fresh = self::engine(&survivors, MatchConfig::default());
+        engine.remove_view(victim);
+        removed.push(victim);
         for q in &queries {
-            assert_eq!(
-                engine.find_substitutes(q).len(),
-                fresh.find_substitutes(q).len()
-            );
+            for (id, _) in engine.find_substitutes(q) {
+                assert!(!removed.contains(&id), "removed view {id:?} reappeared");
+            }
         }
+    }
+
+    // With every previously-matching view gone, all that remains are
+    // matches on never-removed views — and the survivors must agree
+    // with a fresh engine holding only the surviving views.
+    let survivors: Vec<ViewDef> = views
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !removed.iter().any(|r| r.0 as usize == *i))
+        .map(|(_, v)| v.clone())
+        .collect();
+    let fresh = self::engine(&survivors, MatchConfig::default());
+    for q in &queries {
+        assert_eq!(
+            engine.find_substitutes(q).len(),
+            fresh.find_substitutes(q).len()
+        );
     }
 }

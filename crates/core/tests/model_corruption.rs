@@ -76,9 +76,7 @@ fn engine(fx: &Fixture, cache_capacity: usize) -> Arc<MatchingEngine> {
         fx.catalog.clone(),
         MatchConfig {
             timing: false,
-            parallel_threshold: usize::MAX,
             substitute_cache_capacity: cache_capacity,
-            substitute_cache_shards: 1,
             ..MatchConfig::default()
         },
     ))

@@ -80,15 +80,13 @@ fn fixture() -> Fixture {
     }
 }
 
-/// Engine configuration for the modeled runs: no clock reads, serial
-/// matching, and a single cache stripe so the schedule space stays
-/// focused on the synchronization that matters.
+/// Engine configuration for the modeled runs: no clock reads, and a cache
+/// small enough to be a single stripe so the schedule space stays focused
+/// on the synchronization that matters.
 fn model_config() -> MatchConfig {
     MatchConfig {
         timing: false,
-        parallel_threshold: usize::MAX,
         substitute_cache_capacity: 16,
-        substitute_cache_shards: 1,
         ..MatchConfig::default()
     }
 }
@@ -98,7 +96,6 @@ fn model_config() -> MatchConfig {
 fn reference_config() -> MatchConfig {
     MatchConfig {
         timing: false,
-        parallel_threshold: usize::MAX,
         substitute_cache_capacity: 0,
         ..MatchConfig::default()
     }

@@ -12,17 +12,16 @@
 //! * zero unsafe code (each worker returns `(chunk index, results)`
 //!   pairs that are reassembled after the join).
 //!
-//! Threads are spawned per call. For the matching workload this is the
-//! right trade-off: a fan-out is only attempted above a candidate-count
-//! threshold where per-item work dominates the ~10 µs thread spawn cost,
-//! and keeping the engine free of a resident pool keeps it trivially
-//! `Send + Sync`.
+//! Threads are spawned per call. The callers fan out whole queries (a
+//! batch of fingerprint groups) or chunks of enumerated databases, where
+//! per-item work dominates the ~10 µs thread spawn cost, and keeping the
+//! engine free of a resident pool keeps it trivially `Send + Sync`.
 
 pub mod sync;
 
 use std::num::NonZeroUsize;
-// The fan-out cursor and the parallelism override are plain counters in
-// the facade's home crate itself. mv-lint: allow(MV201)
+// The fan-out cursor is a plain counter in the facade's home crate
+// itself. mv-lint: allow(MV201)
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -43,33 +42,16 @@ pub fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
-/// Test-only override for [`effective_parallelism`]; 0 means "no
-/// override, probe the machine".
-static PARALLELISM_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
 /// The machine's available parallelism, probed once and cached.
 /// `std::thread::available_parallelism` re-reads the cgroup/affinity state
 /// on every call, which is far too slow for a per-query decision.
 pub fn effective_parallelism() -> usize {
-    let forced = PARALLELISM_OVERRIDE.load(Ordering::SeqCst);
-    if forced != 0 {
-        return forced;
-    }
     static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| {
         std::thread::available_parallelism()
             .map(NonZeroUsize::get)
             .unwrap_or(1)
     })
-}
-
-/// Force [`effective_parallelism`] to report a fixed worker count
-/// (`Some(n)`), or clear the override (`None`). For tests and model
-/// programs that need worker counts independent of host CPU topology —
-/// production code must never call this.
-#[doc(hidden)]
-pub fn set_effective_parallelism_override(n: Option<usize>) {
-    PARALLELISM_OVERRIDE.store(n.unwrap_or(0), Ordering::SeqCst);
 }
 
 /// Number of workers to use for `hint` work items: the machine's
@@ -122,20 +104,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_min_chunk(items, workers, 1, f)
-}
-
-/// [`par_map`] with a floor on the chunk size workers claim from the
-/// shared cursor. For loops over many cheap items (the per-candidate
-/// matching loop) a floor keeps the cursor contention and per-chunk
-/// bookkeeping amortized over enough real work; `min_chunk = 1` recovers
-/// plain `par_map`.
-pub fn par_map_min_chunk<T, R, F>(items: &[T], workers: usize, min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
     let workers = workers.min(items.len());
     // Under the model checker, fan-outs run serially: scoped worker
     // threads cannot be routed through the cooperative scheduler, and
@@ -146,9 +114,8 @@ where
     }
 
     // Chunks are finer than the worker count so a skewed item cannot
-    // serialize the tail: aim for ~4 chunks per worker, at least
-    // `min_chunk` (>= 1) items per chunk.
-    let chunk = (items.len() / (workers * 4)).max(min_chunk.max(1));
+    // serialize the tail: aim for ~4 chunks per worker.
+    let chunk = (items.len() / (workers * 4)).max(1);
     let n_chunks = items.len().div_ceil(chunk);
     let cursor = AtomicUsize::new(0);
 
@@ -187,17 +154,6 @@ where
     out
 }
 
-/// `par_map` then flatten, preserving item order — the shape of a
-/// candidate loop where each item yields zero or more results.
-pub fn par_flat_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Vec<R> + Sync,
-{
-    par_map(items, workers, f).into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,14 +165,6 @@ mod tests {
             let out = par_map(&items, workers, |&x| x * 3);
             assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn flat_map_matches_serial() {
-        let items: Vec<usize> = (0..257).collect();
-        let f = |&x: &usize| (0..x % 4).map(|i| x * 10 + i).collect::<Vec<_>>();
-        let serial: Vec<usize> = items.iter().flat_map(f).collect();
-        assert_eq!(par_flat_map(&items, 8, f), serial);
     }
 
     #[test]
@@ -241,34 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn min_chunk_matches_serial() {
-        let items: Vec<u64> = (0..500).collect();
-        let serial: Vec<u64> = items.iter().map(|&x| x ^ 7).collect();
-        for min_chunk in [0, 1, 16, 1000] {
-            assert_eq!(par_map_min_chunk(&items, 4, min_chunk, |&x| x ^ 7), serial);
-        }
-    }
-
-    // One test body covers both the bounds and the override: the
-    // override mutates a process-global, and the test harness runs
-    // `#[test]` functions concurrently.
-    #[test]
-    fn workers_for_is_bounded_and_overridable() {
+    fn workers_for_is_bounded() {
         assert_eq!(workers_for(0), 1);
         assert!(workers_for(1000) >= 1);
         assert!(workers_for(2) <= 2);
         assert_eq!(workers_for(1000), effective_parallelism().min(1000));
-
-        // Prime the real probe first so clearing the override falls back
-        // to a cached honest value.
-        let honest = effective_parallelism();
-        set_effective_parallelism_override(Some(3));
-        assert_eq!(effective_parallelism(), 3);
-        assert_eq!(workers_for(1000), 3);
-        set_effective_parallelism_override(Some(1));
-        assert_eq!(workers_for(1000), 1);
-        set_effective_parallelism_override(None);
-        assert_eq!(effective_parallelism(), honest);
     }
 
     #[test]
