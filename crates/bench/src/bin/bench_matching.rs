@@ -41,8 +41,9 @@
 //! counts and wall time as the entry's `mode: "prove"` row, so the
 //! prove cost rides along with the matching trajectory.
 //!
-//! Every run also emits one `mode: "maintain"` / `workload:
-//! "churn-writes"` row: the views (capped at 1000) are registered with
+//! Every run also emits `mode: "maintain"` / `workload: "churn-writes"`
+//! rows at 1,000 and 10,000 views (one row at the largest `--sizes`
+//! point when that is smaller): the views are registered with
 //! the `mv-maintain` incremental-maintenance driver over tiny generated
 //! data, insert/delete delta rounds stream through the base tables, and
 //! the row records the mean maintenance cost per delta
@@ -818,10 +819,11 @@ fn prove_smoke(w: &Workload, views: usize, n: usize) -> ProveSmoke {
 /// Delta rounds the maintenance measurement drives.
 const MAINTAIN_ROUNDS: usize = 32;
 
-/// View-count cap for the maintenance row: registration materializes
-/// every view over the tiny generated data, so the row measures a fixed
-/// modest catalog rather than scaling with `--sizes`.
-const MAINTAIN_VIEW_CAP: usize = 1000;
+/// View counts of the maintenance rows: registration materializes every
+/// view over the tiny generated data, so the rows measure two fixed
+/// catalogs (capped at the largest `--sizes` point) rather than scaling
+/// with `--sizes`.
+const MAINTAIN_SIZES: [usize; 2] = [1000, 10_000];
 
 /// What the churn-with-writes maintenance measurement produced.
 struct MaintainRun {
@@ -1103,40 +1105,43 @@ fn main() {
         extra_runs.push(prove_run_json(&smoke));
     }
 
-    // The churn-with-writes maintenance row: one per run, at a capped
-    // scale so registration stays proportionate.
-    let m_views = max_views.min(MAINTAIN_VIEW_CAP);
-    let maintain = measure_maintain(&w, m_views, &stream);
-    eprintln!(
-        "maintenance at {} views ({} incremental / {} recompute): {:.1} us/delta over {} \
-         deltas, {:.1}% of substitutes served fresh",
-        maintain.views,
-        maintain.incremental,
-        maintain.recompute,
-        maintain.us_per_delta,
-        maintain.deltas,
-        maintain.fresh_serving_rate * 100.0
-    );
-    // Maintenance-cost ratchet: 2x the best prior maintain row at this
-    // scale — per-delta costs are microseconds, so scheduler noise is
-    // proportionally large; 2x still catches an algorithmic slide (e.g.
-    // falling off the incremental path back to recompute).
-    if let Some(base) = best_prior_mode(
-        &prior,
-        m_views,
-        "maintain",
-        "churn-writes",
-        "maintain_us_per_delta",
-    ) {
-        if maintain.us_per_delta > 2.0 * base {
-            failures.push(format!(
-                "at {} views maintenance costs {:.1} us/delta, more than 2x the best \
-                 prior run ({base:.1} us/delta)",
-                maintain.views, maintain.us_per_delta
-            ));
+    // The churn-with-writes maintenance rows, at fixed scales so
+    // registration stays proportionate.
+    let mut m_sizes: Vec<usize> = MAINTAIN_SIZES.iter().map(|&m| m.min(max_views)).collect();
+    m_sizes.dedup();
+    for m_views in m_sizes {
+        let maintain = measure_maintain(&w, m_views, &stream);
+        eprintln!(
+            "maintenance at {} views ({} incremental / {} recompute): {:.1} us/delta over {} \
+             deltas, {:.1}% of substitutes served fresh",
+            maintain.views,
+            maintain.incremental,
+            maintain.recompute,
+            maintain.us_per_delta,
+            maintain.deltas,
+            maintain.fresh_serving_rate * 100.0
+        );
+        // Maintenance-cost ratchet: 2x the best prior maintain row at this
+        // scale — a round's cost depends on which table it writes, so
+        // means over 32 rounds move; 2x still catches an algorithmic slide
+        // (e.g. falling off the incremental path back to recompute).
+        if let Some(base) = best_prior_mode(
+            &prior,
+            m_views,
+            "maintain",
+            "churn-writes",
+            "maintain_us_per_delta",
+        ) {
+            if maintain.us_per_delta > 2.0 * base {
+                failures.push(format!(
+                    "at {} views maintenance costs {:.1} us/delta, more than 2x the best \
+                     prior run ({base:.1} us/delta)",
+                    maintain.views, maintain.us_per_delta
+                ));
+            }
         }
+        extra_runs.push(maintain_run_json(&maintain));
     }
-    extra_runs.push(maintain_run_json(&maintain));
 
     if failures.is_empty() {
         eprintln!("regression check: PASS (churn hit-rate retention, memory and latency ratchets)");

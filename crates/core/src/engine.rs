@@ -7,6 +7,7 @@ use crate::descriptor::{PackedCatalog, PackedProbe, PreparedView};
 use crate::filter::{FilterTree, LevelSearch};
 use crate::fkgraph::{build_fk_graph, compute_hub};
 use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
+use crate::stamps::ViewStamps;
 use crate::stats::{AtomicMatchStats, MatchStats};
 use crate::summary::ExprSummary;
 use mv_catalog::{Catalog, ColumnId, TableId};
@@ -119,6 +120,12 @@ fn base_col_token(expr: &SpjgExpr, c: ColRef) -> u64 {
     col_token(expr.table_of(c.occ), c.col)
 }
 
+/// The data epoch of `table` in a snapshot's per-table vector (0 for a
+/// table the catalog does not know).
+fn epoch_of(data_epochs: &[u64], table: TableId) -> u64 {
+    data_epochs.get(table.0 as usize).copied().unwrap_or(0)
+}
+
 /// One immutable catalog state: the view registry, the prepared match
 /// descriptors, both filter trees, the interner, the check constraints and
 /// the removal set, published as a unit.
@@ -126,10 +133,11 @@ fn base_col_token(expr: &SpjgExpr, c: ColRef) -> u64 {
 /// Every field a reader touches lives here, so a matcher that pins one
 /// snapshot sees one coherent catalog for its whole match — never a
 /// half-registered view (say, a registry entry whose filter-tree keys are
-/// not filed yet). Writers clone the snapshot (cheap: the registry stores
-/// `Arc`'d definitions, descriptors are `Arc`'d, and the filter trees
-/// share untouched subtrees structurally), apply their change to the
-/// clone, and publish it atomically.
+/// not filed yet). Writers clone the snapshot, apply their change to the
+/// clone, and publish it atomically. The clone allocates nothing per
+/// view: the registry, the interner, the constraints and the trees are
+/// one `Arc` each, the packed descriptors and the view stamps are paged
+/// behind `Arc`s, and only the two per-table epoch vectors are copied.
 #[derive(Debug, Clone)]
 struct CatalogSnapshot {
     /// The registered views (slots and names of removed views stay
@@ -161,9 +169,9 @@ struct CatalogSnapshot {
     data_epochs: Vec<u64>,
     /// Per-view data-epoch stamp: the data epochs of the view's distinct
     /// base tables (ascending by table) as of the view's registration or
-    /// last [`MatchingEngine::mark_view_maintained`]. The gap between a
+    /// last [`MatchingEngine::mark_views_maintained`]. The gap between a
     /// stamp and `data_epochs` is the view's staleness lag.
-    view_stamps: Arc<HashMap<ViewId, Vec<(TableId, u64)>>>,
+    view_stamps: ViewStamps,
     /// Monotone publication counter (diagnostics; every write bumps it).
     epoch: u64,
 }
@@ -180,7 +188,7 @@ impl CatalogSnapshot {
             removed: Arc::new(HashSet::new()),
             table_epochs: vec![0; catalog.table_count()],
             data_epochs: vec![0; catalog.table_count()],
-            view_stamps: Arc::new(HashMap::new()),
+            view_stamps: ViewStamps::default(),
             epoch: 0,
         }
     }
@@ -218,12 +226,8 @@ impl CatalogSnapshot {
         self.views.len() - self.removed.len()
     }
 
-    /// The current data epochs of a view's base tables, in stamp order.
-    fn current_epochs_for(&self, stamp: &[(TableId, u64)]) -> Vec<(TableId, u64)> {
-        stamp
-            .iter()
-            .map(|&(t, _)| (t, self.data_epochs.get(t.0 as usize).copied().unwrap_or(0)))
-            .collect()
+    fn data_epoch(&self, table: TableId) -> u64 {
+        epoch_of(&self.data_epochs, table)
     }
 
     /// How many write rounds the view's materialized state trails the
@@ -231,15 +235,11 @@ impl CatalogSnapshot {
     /// data epochs and the view's stamp. Unstamped views (never possible
     /// for a registered view) count as fresh.
     fn view_lag(&self, id: ViewId) -> u64 {
-        let Some(stamp) = self.view_stamps.get(&id) else {
-            return 0;
-        };
-        stamp
+        self.view_stamps
+            .get(id)
+            .unwrap_or(&[])
             .iter()
-            .map(|&(t, stamped)| {
-                let cur = self.data_epochs.get(t.0 as usize).copied().unwrap_or(0);
-                cur.saturating_sub(stamped)
-            })
+            .map(|&(t, stamped)| self.data_epoch(t).saturating_sub(stamped))
             .max()
             .unwrap_or(0)
     }
@@ -352,7 +352,6 @@ impl MatchingEngine {
         };
         debug_assert!(in_tree, "registered view must be present in its tree");
         Arc::make_mut(&mut next.removed).insert(id);
-        Arc::make_mut(&mut next.view_stamps).remove(&id);
         // Invalidate lazily and precisely: only entries whose query
         // touches one of the removed view's tables can have included it.
         #[cfg(mv_model)]
@@ -417,7 +416,7 @@ impl MatchingEngine {
 
     /// Record a write round against a base table: bump its *data epoch*,
     /// so every view over it becomes one round stale until
-    /// [`MatchingEngine::mark_view_maintained`] restamps it. Invalidates
+    /// [`MatchingEngine::mark_views_maintained`] restamps it. Invalidates
     /// exactly the cached results the staleness change can affect: a view
     /// over `table` can serve any query whose tables are a subset of the
     /// view's, so the invalidation bump covers `table` plus every table of
@@ -429,8 +428,8 @@ impl MatchingEngine {
             *e += 1;
         }
         let mut affected: Vec<TableId> = vec![table];
-        for stamp in next.view_stamps.values() {
-            if stamp.iter().any(|&(t, _)| t == table) {
+        for (id, stamp) in next.view_stamps.iter() {
+            if stamp.iter().any(|&(t, _)| t == table) && !next.removed.contains(&id) {
                 affected.extend(stamp.iter().map(|&(t, _)| t));
             }
         }
@@ -440,37 +439,55 @@ impl MatchingEngine {
         self.shared.store(Arc::new(next));
     }
 
-    /// Stamp a view's materialized state as maintained up to the current
-    /// data epochs of its base tables (the maintenance side calls this
-    /// after applying deltas to the view's contents). Invalidates cached
-    /// results over the view's tables: under a freshness policy the view
-    /// may newly qualify as a substitute. Returns `false` for removed or
-    /// out-of-range ids.
-    pub fn mark_view_maintained(&self, id: ViewId) -> bool {
+    /// Stamp the materialized state of every view in `ids` as maintained
+    /// up to the current data epochs of its base tables (the maintenance
+    /// side calls this once per write round, after applying the round's
+    /// deltas to the views' contents). One snapshot clone and one
+    /// publication however many views the round touched, and each table
+    /// of a restamped view has its invalidation epoch bumped once: under
+    /// a freshness policy those views may newly qualify as substitutes,
+    /// so cached results over their tables go stale — the same results
+    /// one restamp per view would invalidate. Removed and out-of-range
+    /// ids are skipped; returns how many views were restamped, and
+    /// publishes nothing when that is none.
+    pub fn mark_views_maintained(&self, ids: &[ViewId]) -> usize {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
-        if next.removed.contains(&id) || (id.0 as usize) >= next.views.len() {
-            return false;
+        let mut tables: Vec<TableId> = Vec::new();
+        let mut restamped = 0;
+        for &id in ids {
+            if next.removed.contains(&id) {
+                continue;
+            }
+            let Some(stamp) = next.view_stamps.get_mut(id) else {
+                continue;
+            };
+            for (t, stamped) in stamp {
+                *stamped = epoch_of(&next.data_epochs, *t);
+                tables.push(*t);
+            }
+            restamped += 1;
         }
-        let Some(stamp) = next.view_stamps.get(&id) else {
-            return false;
-        };
-        let restamped = next.current_epochs_for(stamp);
-        let tables: Vec<TableId> = restamped.iter().map(|&(t, _)| t).collect();
-        Arc::make_mut(&mut next.view_stamps).insert(id, restamped);
+        if restamped == 0 {
+            return 0;
+        }
+        tables.sort_unstable();
+        tables.dedup();
         next.bump_tables(tables);
         self.shared.store(Arc::new(next));
-        true
+        restamped
+    }
+
+    /// [`MatchingEngine::mark_views_maintained`] for one view. Returns
+    /// `false` for removed or out-of-range ids.
+    pub fn mark_view_maintained(&self, id: ViewId) -> bool {
+        self.mark_views_maintained(&[id]) == 1
     }
 
     /// The current data epoch of a base table (write rounds recorded via
     /// [`MatchingEngine::record_base_write`]).
     pub fn data_epoch(&self, table: TableId) -> u64 {
-        self.snapshot()
-            .data_epochs
-            .get(table.0 as usize)
-            .copied()
-            .unwrap_or(0)
+        self.snapshot().data_epoch(table)
     }
 
     /// How many write rounds a view's materialized state trails the
@@ -488,7 +505,11 @@ impl MatchingEngine {
     /// (ascending by table), for the maintenance auditor. `None` for
     /// removed or out-of-range ids.
     pub fn view_data_epochs(&self, id: ViewId) -> Option<Vec<(TableId, u64)>> {
-        self.snapshot().view_stamps.get(&id).cloned()
+        let snap = self.snapshot();
+        if snap.removed.contains(&id) {
+            return None;
+        }
+        snap.view_stamps.get(id).map(<[_]>::to_vec)
     }
 
     /// Corruption hook for the maintenance audit suite: overwrite a
@@ -499,16 +520,14 @@ impl MatchingEngine {
     pub fn corrupt_view_stamp_for_audit(&self, id: ViewId, lead: u64) -> bool {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
-        let Some(stamp) = next.view_stamps.get(&id) else {
+        let Some(stamp) = next.view_stamps.get_mut(id) else {
             return false;
         };
-        let forged: Vec<(TableId, u64)> = next
-            .current_epochs_for(stamp)
-            .into_iter()
-            .map(|(t, e)| (t, e + lead))
-            .collect();
-        let tables: Vec<TableId> = forged.iter().map(|&(t, _)| t).collect();
-        Arc::make_mut(&mut next.view_stamps).insert(id, forged);
+        let mut tables: Vec<TableId> = Vec::new();
+        for (t, stamped) in stamp {
+            *stamped = epoch_of(&next.data_epochs, *t) + lead;
+            tables.push(*t);
+        }
         next.bump_tables(tables);
         self.shared.store(Arc::new(next));
         true
@@ -642,11 +661,10 @@ impl MatchingEngine {
         let id = next.views.add(def)?;
         // A freshly registered view is materialized from current base
         // data: stamp it with the current data epochs of its tables.
-        let stamp: Vec<(TableId, u64)> = tables
-            .iter()
-            .map(|&t| (t, next.data_epochs.get(t.0 as usize).copied().unwrap_or(0)))
-            .collect();
-        Arc::make_mut(&mut next.view_stamps).insert(id, stamp);
+        debug_assert_eq!(next.view_stamps.get(id), None, "stamps trail the registry");
+        let data_epochs = &next.data_epochs;
+        next.view_stamps
+            .push(tables.iter().map(|&t| (t, epoch_of(data_epochs, t))));
         next.packed
             .push(Arc::new(prepared), &next.views.get(id).expr);
         if is_agg {

@@ -50,6 +50,7 @@ pub mod matching;
 mod matching_tests;
 #[cfg(mv_model)]
 pub mod mutation;
+mod stamps;
 pub mod stats;
 pub mod summary;
 

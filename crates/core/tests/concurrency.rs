@@ -1,13 +1,18 @@
 //! The engine's concurrency contract: `MatchingEngine` is `Send + Sync`,
 //! any number of threads may run `find_substitutes` against one shared
 //! engine, the batch fan-out returns the same substitute lists (ascending
-//! `ViewId` order) as query-at-a-time matching, and the atomic
-//! instrumentation counters add up exactly under contention.
+//! `ViewId` order) as query-at-a-time matching, the atomic
+//! instrumentation counters add up exactly under contention, and a
+//! `StrictFresh` reader racing write rounds never gets a substitute from
+//! a view whose stamp trails.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{MatchConfig, MatchingEngine};
-use mv_plan::{SpjgExpr, ViewDef};
+use mv_catalog::TableId;
+use mv_core::{FreshnessPolicy, MatchConfig, MatchingEngine};
+use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr};
+use mv_plan::{NamedExpr, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const VIEW_SEED: u64 = 0xC0_FFEE;
@@ -258,4 +263,177 @@ fn remove_view_interleaved_with_matching() {
             fresh.find_substitutes(q).len()
         );
     }
+}
+
+/// The views reading `table`, by id.
+fn views_over(engine: &MatchingEngine, table: TableId) -> Vec<ViewId> {
+    engine
+        .views()
+        .iter()
+        .filter(|(_, def)| def.expr.tables.contains(&table))
+        .map(|(id, _)| id)
+        .collect()
+}
+
+/// `SELECT <key> FROM <table> WHERE <key> BETWEEN lo AND hi`.
+fn key_range(table: TableId, lo: i64, hi: i64) -> SpjgExpr {
+    let key = || ScalarExpr::col(ColRef::new(0, 0));
+    SpjgExpr::spj(
+        vec![table],
+        BoolExpr::and(vec![
+            BoolExpr::cmp(key(), CmpOp::Ge, ScalarExpr::lit(lo)),
+            BoolExpr::cmp(key(), CmpOp::Le, ScalarExpr::lit(hi)),
+        ]),
+        vec![NamedExpr::new(key(), "k")],
+    )
+}
+
+/// One `mark_views_maintained` call over k views is one publication, and
+/// it leaves the substitute cache exactly where k single restamps leave
+/// it: the same entries stale, the same entries still served.
+#[test]
+fn batch_restamp_publishes_once_and_invalidates_like_single_restamps() {
+    let (_, t) = tpch_catalog();
+    let views: Vec<ViewDef> = [
+        (t.part, 0, 100),
+        (t.part, 0, 200),
+        (t.part, 50, 300),
+        (t.orders, 0, 100),
+    ]
+    .iter()
+    .enumerate()
+    .map(|(i, &(table, lo, hi))| ViewDef::new(format!("v{i}"), key_range(table, lo, hi)))
+    .collect();
+    let queries = [
+        key_range(t.part, 10, 90),
+        key_range(t.part, 60, 150),
+        key_range(t.orders, 10, 90),
+    ];
+    let config = || MatchConfig {
+        freshness: FreshnessPolicy::StrictFresh,
+        ..MatchConfig::default()
+    };
+    let (batch, single) = (engine(&views, config()), engine(&views, config()));
+    let ids = views_over(&batch, t.part);
+    assert_eq!(ids.len(), 3);
+
+    for engine in [&batch, &single] {
+        engine.record_base_write(t.part);
+        // Cache every query's answer under the stale stamps.
+        for q in &queries {
+            engine.find_substitutes(q);
+        }
+        engine.reset_stats();
+    }
+    let before = batch.snapshot_epoch();
+    assert_eq!(batch.mark_views_maintained(&ids), ids.len());
+    assert_eq!(batch.snapshot_epoch(), before + 1, "one publication");
+    let before = single.snapshot_epoch();
+    for &id in &ids {
+        assert!(single.mark_view_maintained(id));
+    }
+    assert_eq!(single.snapshot_epoch(), before + ids.len() as u64);
+
+    for q in &queries {
+        assert_eq!(batch.find_substitutes(q), single.find_substitutes(q));
+        let (b, s) = (batch.stats(), single.stats());
+        assert_eq!(
+            (b.cache_hits, b.cache_misses, b.cache_invalidations),
+            (s.cache_hits, s.cache_misses, s.cache_invalidations)
+        );
+    }
+    // The two queries over the restamped table went stale and now see its
+    // views again; the one over `orders` is still served from the cache.
+    let stats = batch.stats();
+    assert_eq!((stats.cache_invalidations, stats.cache_hits), (2, 1));
+    assert_eq!(batch.find_substitutes(&queries[0]).len(), 2);
+    // Ids the catalog does not hold restamp nothing and publish nothing.
+    let before = batch.snapshot_epoch();
+    assert_eq!(
+        batch.mark_views_maintained(&[ViewId(views.len() as u32)]),
+        0
+    );
+    assert_eq!(batch.snapshot_epoch(), before);
+}
+
+/// A `StrictFresh` reader racing `record_base_write` →
+/// `mark_views_maintained` rounds. The writer counts its engine calls in
+/// a sequence lock (odd while a call is in flight), so a reader pass that
+/// saw the same even value before and after ran entirely inside one
+/// state: between a write and its restamp no view over the written table
+/// may be served, after the restamp the answers are the quiescent ones
+/// again. Every pass, straddling or not, may only see `Fresh` stamps. The
+/// writer holds each state until the reader has completed a pass inside
+/// it, so both states are observed every round.
+#[test]
+fn strict_fresh_reader_races_write_rounds() {
+    let (views, queries) = workload(60, 24);
+    let engine = engine(
+        &views,
+        MatchConfig {
+            freshness: FreshnessPolicy::StrictFresh,
+            ..MatchConfig::default()
+        },
+    );
+    let quiescent: Vec<_> = queries.iter().map(|q| engine.find_substitutes(q)).collect();
+    // Write the table most answers depend on.
+    let answering = |table: TableId| {
+        let over = views_over(&engine, table);
+        quiescent
+            .iter()
+            .flatten()
+            .filter(|(id, _)| over.contains(id))
+            .count()
+    };
+    let table = (0..8)
+        .map(TableId)
+        .max_by_key(|&table| answering(table))
+        .expect("eight tables");
+    assert!(answering(table) > 0, "no query is answered from a view");
+    let written = views_over(&engine, table);
+
+    const ROUNDS: u64 = 40;
+    let seq = AtomicU64::new(0);
+    let seen = AtomicU64::new(u64::MAX);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let reader = scope.spawn(|| {
+            while !done.load(Ordering::SeqCst) {
+                let before = seq.load(Ordering::SeqCst);
+                let pass: Vec<_> = queries.iter().map(|q| engine.find_substitutes(q)).collect();
+                let stable = before.is_multiple_of(2) && seq.load(Ordering::SeqCst) == before;
+                for (got, want) in pass.iter().zip(&quiescent) {
+                    assert!(got.iter().all(|(_, sub)| sub.freshness.is_fresh()));
+                    if !stable {
+                        continue;
+                    }
+                    if (before / 2) % 2 == 1 {
+                        // Written, not yet restamped.
+                        assert!(got.iter().all(|(id, _)| !written.contains(id)));
+                    } else {
+                        assert_eq!(got, want);
+                    }
+                }
+                if stable {
+                    seen.store(before, Ordering::SeqCst);
+                }
+            }
+        });
+        let held = |state: u64| {
+            while seen.load(Ordering::SeqCst) != state {
+                assert!(!reader.is_finished(), "the reader failed an assertion");
+                std::thread::yield_now();
+            }
+        };
+        held(0);
+        for _ in 0..ROUNDS {
+            seq.fetch_add(1, Ordering::SeqCst);
+            engine.record_base_write(table);
+            held(seq.fetch_add(1, Ordering::SeqCst) + 1);
+            seq.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(engine.mark_views_maintained(&written), written.len());
+            held(seq.fetch_add(1, Ordering::SeqCst) + 1);
+        }
+        done.store(true, Ordering::SeqCst);
+    });
 }

@@ -92,40 +92,24 @@ impl Database {
 
     /// Delete rows from a table by value, with bag semantics: each row in
     /// `rows` removes *one* matching stored row (`k` copies in the delta
-    /// remove `k` duplicates). Returns how many rows were actually
-    /// removed; deltas naming absent rows simply fall short, which the
-    /// caller can treat as an error or ignore. Row order of survivors is
-    /// preserved.
-    pub fn delete_rows(&mut self, table: TableId, rows: &[Row]) -> usize {
-        let i = table.0 as usize;
-        let Some(stored) = self.tables.get_mut(i) else {
-            return 0;
+    /// remove `k` duplicates). Returns the rows actually removed; deltas
+    /// naming absent rows simply fall short, which the caller can treat
+    /// as an error or ignore. Row order of survivors is preserved.
+    pub fn delete_rows(&mut self, table: TableId, rows: &[Row]) -> Vec<Row> {
+        let Some(stored) = self.tables.get_mut(table.0 as usize) else {
+            return Vec::new();
         };
         let mut pending: Vec<&Row> = rows.iter().collect();
-        let before = stored.len();
-        stored.retain(|r| {
-            if let Some(pos) = pending.iter().position(|p| *p == r) {
+        let mut removed = Vec::with_capacity(rows.len());
+        stored.retain_mut(|r| match pending.iter().position(|p| *p == r) {
+            Some(pos) => {
                 pending.swap_remove(pos);
+                removed.push(std::mem::take(r));
                 false
-            } else {
-                true
             }
+            None => true,
         });
-        before - stored.len()
-    }
-
-    /// Swap a table's stored rows with `rows`, in place. The maintenance
-    /// crate evaluates a view expression "with table T's rows replaced by
-    /// the delta rows": swap the delta in, evaluate, swap the real rows
-    /// back — no copies either way. Marks the table loaded.
-    pub fn swap_rows(&mut self, table: TableId, rows: &mut Vec<Row>) {
-        let i = table.0 as usize;
-        if self.tables.len() <= i {
-            self.tables.resize_with(i + 1, Vec::new);
-            self.loaded.resize(i + 1, false);
-        }
-        std::mem::swap(&mut self.tables[i], rows);
-        self.loaded[i] = true;
+        removed
     }
 
     /// The rows of a table (empty slice if never loaded).
@@ -328,7 +312,7 @@ mod tests {
         assert_eq!(db.row_count(t), 6);
         // Deleting one copy leaves the other.
         let removed = db.delete_rows(t, &[vec![Value::Int(5), Value::Int(10)]]);
-        assert_eq!(removed, 1);
+        assert_eq!(removed, vec![vec![Value::Int(5), Value::Int(10)]]);
         assert_eq!(db.row_count(t), 5);
         assert_eq!(
             db.rows(t).iter().filter(|r| r[0] == Value::Int(5)).count(),
@@ -336,7 +320,7 @@ mod tests {
         );
         // Absent rows fall short rather than panic.
         let removed = db.delete_rows(t, &[vec![Value::Int(77), Value::Null]]);
-        assert_eq!(removed, 0);
+        assert!(removed.is_empty());
     }
 
     #[test]

@@ -34,8 +34,8 @@ use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, OccId, ScalarExpr};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute};
 
 /// Bits of an [`Op::Col`] operand holding the column index; the rest holds
-/// the table-occurrence index (plan programs) — substitute programs use the
-/// whole operand as a flat position instead.
+/// the join step of the column's table occurrence (plan programs) —
+/// substitute programs use the whole operand as a flat position instead.
 const COL_BITS: usize = 16;
 const COL_MASK: usize = (1 << COL_BITS) - 1;
 
@@ -52,8 +52,8 @@ trait Fetch {
     fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value;
 }
 
-/// Plan-program resolution: `pos` packs `(occurrence, column)`;
-/// `tuple[occ]` indexes that occurrence's scan.
+/// Plan-program resolution: `pos` packs `(join step, column)`;
+/// `tuple[step]` indexes the scan of the occurrence joined at that step.
 struct PlanFetch<'a> {
     occ_rows: &'a [&'a [Row]],
 }
@@ -651,15 +651,14 @@ impl RowBag {
         self.count == 0
     }
 
-    /// Materialize as owned rows (cold path: witnesses and tests).
+    /// The rows, borrowed from the flat storage.
+    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.count).map(|i| &self.vals[i * self.arity..(i + 1) * self.arity])
+    }
+
+    /// Materialize as owned rows.
     pub fn to_rows(&self) -> Vec<Row> {
-        if self.arity == 0 {
-            return vec![Vec::new(); self.count];
-        }
-        self.vals
-            .chunks_exact(self.arity)
-            .map(|c| c.to_vec())
-            .collect()
+        self.rows().map(<[Value]>::to_vec).collect()
     }
 }
 
@@ -713,8 +712,36 @@ impl ExecScratch {
     }
 }
 
-fn conjunct_bound(conj: &Conjunct, bound: u32) -> bool {
-    conj.columns().iter().all(|c| c.occ.0 < bound)
+/// A join order for `expr` that starts at occurrence `first` and reaches
+/// the others through their equijoin conjuncts: each next occurrence is
+/// the lowest-numbered one with a `ColumnEq` to an occurrence already
+/// placed, or — when the join graph is disconnected — the lowest-numbered
+/// one left (a Cartesian step either way).
+fn delta_order(expr: &SpjgExpr, first: usize) -> Vec<usize> {
+    let n = expr.tables.len();
+    let mut placed = vec![false; n];
+    placed[first] = true;
+    let mut order = vec![first];
+    while order.len() < n {
+        let joins_placed = |occ: usize| {
+            expr.conjuncts.iter().any(|conj| match conj {
+                Conjunct::ColumnEq(a, b) => {
+                    let (a, b) = (a.occ.0 as usize, b.occ.0 as usize);
+                    (a == occ && placed[b]) || (b == occ && placed[a])
+                }
+                _ => false,
+            })
+        };
+        let mut unplaced = (0..n).filter(|&occ| !placed[occ]);
+        let next = unplaced
+            .clone()
+            .find(|&occ| joins_placed(occ))
+            .or_else(|| unplaced.next())
+            .expect("an occurrence is left while order.len() < n");
+        placed[next] = true;
+        order.push(next);
+    }
+    order
 }
 
 /// Apply compiled filters in place over the tuple buffer, compacting
@@ -783,8 +810,10 @@ fn join_steps(
 }
 
 /// An [`SpjgExpr`] compiled once: the join schedule plus predicate and
-/// output programs, all addressed by packed `(occurrence, column)` fetch
-/// positions.
+/// output programs, all addressed by packed `(step, column)` fetch
+/// positions. [`PlanProgram::compile`] schedules the occurrences in
+/// `expr.tables` order, so step and occurrence coincide;
+/// [`PlanProgram::compile_delta`] puts a chosen occurrence first.
 #[derive(Debug, Clone)]
 pub struct PlanProgram {
     steps: Vec<JoinStep>,
@@ -800,26 +829,51 @@ impl PlanProgram {
     /// become join keys at which step, and when each remaining conjunct is
     /// applied) replicates [`crate::spjg::execute_spj_part`] exactly.
     pub fn compile(catalog: &Catalog, expr: &SpjgExpr) -> Self {
+        let order: Vec<usize> = (0..expr.tables.len()).collect();
+        Self::compile_in_order(catalog, expr, &order)
+    }
+
+    /// Compile the *delta schedule* of occurrence `occ`: the same block,
+    /// joined starting from `occ` and reaching the other occurrences
+    /// through their equijoin keys, for [`PlanProgram::execute_delta`] to
+    /// run with a handful of delta rows standing in for `occ`'s table. A
+    /// one-row delta then costs one pass over each other table instead of
+    /// the full join of everything scheduled before `occ`. The output bag
+    /// equals [`PlanProgram::compile`]'s over a database whose `occ`
+    /// table holds the delta rows (row order aside).
+    pub fn compile_delta(catalog: &Catalog, expr: &SpjgExpr, occ: usize) -> Self {
+        Self::compile_in_order(catalog, expr, &delta_order(expr, occ))
+    }
+
+    /// Compile with step `k` joining occurrence `order[k]`. A `ColumnEq`
+    /// becomes a join key at the step that binds its later side; every
+    /// other conjunct is applied at the first step that binds all its
+    /// columns.
+    fn compile_in_order(catalog: &Catalog, expr: &SpjgExpr, order: &[usize]) -> Self {
         assert!(
             expr.tables.len() <= MAX_OCCS,
             "PlanProgram supports at most {MAX_OCCS} table occurrences"
         );
-        let map = |c: ColRef| ((c.occ.0 as usize) << COL_BITS) | c.col.0 as usize;
+        let mut step_of = vec![0usize; order.len()];
+        for (step, &occ) in order.iter().enumerate() {
+            step_of[occ] = step;
+        }
+        let step_of = |c: ColRef| step_of[c.occ.0 as usize];
+        let map = |c: ColRef| (step_of(c) << COL_BITS) | c.col.0 as usize;
 
         let mut applied = vec![false; expr.conjuncts.len()];
-        let mut steps = Vec::with_capacity(expr.tables.len());
-        for (occ_idx, &table) in expr.tables.iter().enumerate() {
-            let occ = occ_idx as u32;
+        let mut steps = Vec::with_capacity(order.len());
+        for (step, &occ) in order.iter().enumerate() {
             let mut keys = Vec::new();
             for (i, conj) in expr.conjuncts.iter().enumerate() {
                 if applied[i] {
                     continue;
                 }
                 if let Conjunct::ColumnEq(a, b) = conj {
-                    if a.occ.0 < occ && b.occ.0 == occ {
+                    if step_of(*a) < step && step_of(*b) == step {
                         keys.push((map(*a), b.col.0 as usize));
                         applied[i] = true;
-                    } else if b.occ.0 < occ && a.occ.0 == occ {
+                    } else if step_of(*b) < step && step_of(*a) == step {
                         keys.push((map(*b), a.col.0 as usize));
                         applied[i] = true;
                     }
@@ -827,14 +881,14 @@ impl PlanProgram {
             }
             let mut filters = Vec::new();
             for (i, conj) in expr.conjuncts.iter().enumerate() {
-                if applied[i] || !conjunct_bound(conj, occ + 1) {
+                if applied[i] || !conj.columns().iter().all(|c| step_of(*c) <= step) {
                     continue;
                 }
                 applied[i] = true;
                 filters.push(Program::compile_bool(&conj.to_bool(), &map));
             }
             steps.push(JoinStep {
-                table,
+                table: expr.tables[occ],
                 keys,
                 filters,
             });
@@ -862,6 +916,29 @@ impl PlanProgram {
 
     /// Evaluate against one database, writing the output bag into `out`.
     pub fn execute(&self, db: &Database, scratch: &mut ExecScratch, out: &mut RowBag) {
+        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
+        self.scans(db, &mut occ_rows);
+        self.run(&occ_rows[..self.steps.len()], scratch, out);
+    }
+
+    /// Evaluate with `delta` standing in for the first step's table and
+    /// every other table read from `db` — for a program compiled by
+    /// [`PlanProgram::compile_delta`], the block over the delta rows of
+    /// its chosen occurrence. The delta is borrowed, never copied.
+    pub fn execute_delta(
+        &self,
+        db: &Database,
+        delta: &[Row],
+        scratch: &mut ExecScratch,
+        out: &mut RowBag,
+    ) {
+        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
+        self.scans(db, &mut occ_rows);
+        occ_rows[0] = delta;
+        self.run(&occ_rows[..self.steps.len()], scratch, out);
+    }
+
+    fn run(&self, occ_rows: &[&[Row]], scratch: &mut ExecScratch, out: &mut RowBag) {
         let ExecScratch {
             cur,
             nxt,
@@ -870,11 +947,7 @@ impl PlanProgram {
             groups,
             ..
         } = scratch;
-        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        self.scans(db, &mut occ_rows);
-        let f = PlanFetch {
-            occ_rows: &occ_rows[..self.steps.len()],
-        };
+        let f = PlanFetch { occ_rows };
         let n_rows = join_steps(&self.steps, &f, cur, nxt, st);
         let stride = self.steps.len();
         out.reset(self.output.arity());
@@ -1505,6 +1578,46 @@ mod tests {
         assert!(!qbag.is_empty());
         assert!(bag_eq(&q2.to_rows(), &qbag.to_rows()));
         assert!(bag_eq(&s2.to_rows(), &sbag.to_rows()));
+    }
+
+    #[test]
+    fn delta_schedule_starts_at_any_occurrence() {
+        let (db, t) = generate_tpch(&TpchScale::tiny(), 5);
+        // A three-way join chain plus a table no equijoin reaches.
+        let e = SpjgExpr::aggregate(
+            vec![t.lineitem, t.orders, t.customer, t.region],
+            BoolExpr::and(vec![
+                BoolExpr::col_eq(cr(0, 0), cr(1, 0)),
+                BoolExpr::col_eq(cr(1, 1), cr(2, 0)),
+                BoolExpr::cmp(S::col(cr(2, 0)), CmpOp::Ge, S::lit(1i64)),
+                BoolExpr::cmp(S::col(cr(3, 0)), CmpOp::Le, S::lit(1i64)),
+            ]),
+            vec![NamedExpr::new(S::col(cr(2, 0)), "c_custkey")],
+            vec![
+                NamedAgg::new(AggFunc::CountStar, "cnt"),
+                NamedAgg::new(AggFunc::Sum(S::col(cr(0, 4))), "qty"),
+            ],
+        );
+        assert_eq!(delta_order(&e, 2), vec![2, 1, 0, 3]);
+        assert_eq!(delta_order(&e, 3), vec![3, 0, 1, 2]);
+        let mut scratch = ExecScratch::new();
+        let mut out = RowBag::new();
+        for (occ, &table) in e.tables.iter().enumerate() {
+            // Two stored rows, one of them twice.
+            let stored = db.rows(table);
+            let delta = vec![stored[0].clone(), stored[1].clone(), stored[0].clone()];
+            let mut swapped = db.clone();
+            swapped.load(table, delta.clone());
+            let want = execute_spjg(&swapped, &e);
+            PlanProgram::compile_delta(&db.catalog, &e, occ).execute_delta(
+                &db,
+                &delta,
+                &mut scratch,
+                &mut out,
+            );
+            assert!(!want.is_empty());
+            assert!(bag_eq(&out.to_rows(), &want), "delta on occurrence {occ}");
+        }
     }
 
     #[test]

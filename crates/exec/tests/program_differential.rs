@@ -342,6 +342,110 @@ fn compiled_substitute_matches_interpreter_over_enumerated_databases() {
     assert!(checked > 2000, "differential coverage too thin: {checked}");
 }
 
+/// A seeded bag of delta rows for fixture table `table`: 0–3 rows from a
+/// domain wider than the enumerated one (a key no stored row has, NULL
+/// join keys), then — half the time — the first row once more, so
+/// duplicate delta rows are common.
+fn gen_delta(rng: &mut Rng, f: &Fixture, table: TableId) -> Vec<Vec<Value>> {
+    let int_or_null = |rng: &mut Rng, vals: &[i64]| match rng.below(vals.len() as u64 + 1) {
+        0 => Value::Null,
+        i => Value::Int(vals[i as usize - 1]),
+    };
+    let mut rows: Vec<Vec<Value>> = (0..rng.below(4))
+        .map(|_| {
+            if table == f.r {
+                vec![
+                    Value::Int(1 + rng.below(3) as i64),
+                    int_or_null(rng, &[0, 7]),
+                    if rng.chance(50) {
+                        Value::Str("steel wire".into())
+                    } else {
+                        Value::Null
+                    },
+                ]
+            } else {
+                vec![
+                    int_or_null(rng, &[1, 2, 3]),
+                    int_or_null(rng, &[0]),
+                    Value::Float(1.5),
+                ]
+            }
+        })
+        .collect();
+    if !rows.is_empty() && rng.chance(50) {
+        rows.push(rows[0].clone());
+    }
+    rows
+}
+
+/// The delta schedule of every occurrence of every generated plan,
+/// executed over a borrowed delta, against the interpreter over the same
+/// plan with that occurrence reading a stand-in table that holds the
+/// delta rows. The stand-in makes the reference per *occurrence*, so
+/// self-joins are covered too (swapping the table's stored rows would
+/// replace both occurrences at once).
+#[test]
+fn delta_program_matches_interpreter_with_the_occurrence_swapped() {
+    let f = fixture();
+    let spec = enum_spec(&f);
+    let checks: HashMap<TableId, Vec<Conjunct>> = HashMap::new();
+    let enumerator = Enumerator::new(&f.catalog, &checks, &spec);
+    // The same schema plus one stand-in per table, for the reference.
+    let mut swapped_catalog = f.catalog.clone();
+    let stand_in: HashMap<TableId, TableId> = [(f.r, "r_delta"), (f.t, "t_delta")]
+        .into_iter()
+        .map(|(table, name)| {
+            let mut def = f.catalog.table(table).clone();
+            def.name = name.into();
+            (table, swapped_catalog.add_table(def))
+        })
+        .collect();
+    let mut rng = Rng(0xDE17A);
+    let mut scratch = ExecScratch::new();
+    let mut bag = RowBag::new();
+    let (mut checked, mut empty, mut duplicated, mut null_keyed) = (0u64, 0u64, 0u64, 0u64);
+    for plan_idx in 0..PLANS {
+        let plan = gen_plan(&mut rng, &f);
+        let stride = 1 + plan_idx % 7;
+        for (occ, &table) in plan.tables.iter().enumerate() {
+            let prog = PlanProgram::compile_delta(&f.catalog, &plan, occ);
+            let mut swapped = plan.clone();
+            swapped.tables[occ] = stand_in[&table];
+            enumerator.for_each(40 * stride, |seed, db| {
+                if seed % stride != 0 {
+                    return true;
+                }
+                let delta = gen_delta(&mut rng, &f, table);
+                empty += delta.is_empty() as u64;
+                duplicated += (delta.len() > 1 && delta.last() == delta.first()) as u64;
+                null_keyed += delta.iter().any(|r| r[0].is_null() || r[1].is_null()) as u64;
+                let mut reference = Database::new(swapped_catalog.clone());
+                reference.load(f.r, db.rows(f.r).to_vec());
+                reference.load(f.t, db.rows(f.t).to_vec());
+                reference.load(stand_in[&table], delta.clone());
+                let want = execute_spjg(&reference, &swapped);
+                prog.execute_delta(db, &delta, &mut scratch, &mut bag);
+                let got = bag.to_rows();
+                assert!(
+                    bag_eq(&got, &want),
+                    "plan {plan_idx} occurrence {occ} seed {seed} delta {delta:?}: {:?}\nplan: {plan:?}",
+                    bag_diff(&got, &want)
+                );
+                checked += 1;
+                true
+            });
+        }
+    }
+    assert!(checked > 2000, "differential coverage too thin: {checked}");
+    for (what, n) in [
+        ("empty", empty),
+        ("duplicated", duplicated),
+        ("NULL-keyed", null_keyed),
+    ] {
+        assert!(n > 100, "only {n} {what} deltas");
+    }
+}
+
 /// Directed SQL-semantics pin: `SUM` over an all-NULL group is NULL (not
 /// 0), a group emptied by the predicate vanishes entirely, and a *scalar*
 /// aggregate over empty input still yields its one row with `COUNT(*)` 0,

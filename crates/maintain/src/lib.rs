@@ -12,27 +12,38 @@
 //! * **SPJ**: the view is linear in each base table, so
 //!   `V(T − Δ⁻ + Δ⁺) = V(T) − V[T↦Δ⁻] + V[T↦Δ⁺]` as bags, where
 //!   `V[T↦X]` evaluates the view with `T`'s rows replaced by `X` and every
-//!   other table at its current state. Both delta joins reuse the compiled
-//!   [`PlanProgram`] for the view.
+//!   other table at its current state. Each delta join runs the view's
+//!   *delta schedule* for the written occurrence
+//!   ([`PlanProgram::compile_delta`]): the join starts at the delta rows
+//!   and reaches the other tables through their equijoin keys, so a write
+//!   costs what it touches, not the join of everything before `T`.
 //! * **Aggregates** (`COUNT(*)`/`SUM` over integer arguments): the same
 //!   delta joins run over the view's SPJ core (group-by expressions plus
 //!   sum arguments), then fold into counting state — per-group row count
 //!   and per-sum (non-null count, exact integer total). Inserts increment,
-//!   deletes decrement; a group whose count reaches zero is deleted.
-//!   `SUM` yields NULL when its non-null count is zero, matching
-//!   [`mv_exec::agg::SumAcc`].
+//!   deletes decrement; a group whose count reaches zero is deleted. Only
+//!   the groups a delta row lands in are touched: their served rows are
+//!   rewritten (or removed) in place. `SUM` yields NULL when its non-null
+//!   count is zero, matching [`mv_exec::agg::SumAcc`].
+//!
+//! Deletes are resolved against the base table first: only rows the table
+//! actually held propagate, so a delta naming an absent row changes
+//! nothing but [`DeltaReport::rows_deleted`].
 //!
 //! Self-joins (a table occurring twice) and float-typed sums fall back to
 //! recompute-from-scratch: the former needs quadratic delta terms, and the
 //! latter cannot reproduce `SumAcc`'s order-dependent float accumulation
 //! by adding and subtracting deltas. Such views are marked *dirty* by a
-//! relevant delta and recomputed by [`Maintainer::refresh`].
+//! relevant delta and recomputed by [`Maintainer::refresh`]. Initial
+//! materialization and refresh run the view's compiled [`PlanProgram`].
 //!
 //! The audit side ([`Maintainer::audit`], [`audit_serving`]) checks the
 //! MV4xx invariants: maintained contents equal recompute-from-scratch as
 //! row bags (MV401), `Fresh`-stamped substitutes really are fresh and
 //! execute to the query's rows (MV402), no zombie groups survive at count
 //! zero (MV403), and no view's data-epoch stamp leads its tables (MV404).
+//! Its reference is the tree-walk interpreter, which shares nothing with
+//! the compiled programs maintenance runs.
 
 use mv_catalog::{ColumnType, TableId, Value};
 use mv_core::MatchingEngine;
@@ -136,6 +147,8 @@ impl SumState {
 struct GroupState {
     count: i64,
     sums: Vec<SumState>,
+    /// Index of the group's row in the view's served contents.
+    row: usize,
 }
 
 /// Which core-output slot feeds each aggregate of the view.
@@ -145,15 +158,16 @@ enum AggSpec {
     Sum { slot: usize, zero_default: bool },
 }
 
-/// The counting rollup of an aggregate view.
+/// The counting rollup of an aggregate view. The delta joins evaluate the
+/// view's SPJ core — the group-by expressions followed by every sum
+/// argument — and [`AggCore::fold`] rolls those rows up.
 #[derive(Debug)]
 struct AggCore {
-    /// SPJ projection of the group-by expressions followed by every sum
-    /// argument — the shape the delta joins evaluate.
-    core: SpjgExpr,
-    prog: PlanProgram,
     n_keys: usize,
     aggs: Vec<AggSpec>,
+    /// One entry per group with a positive count. A grouped view serves
+    /// exactly one row per entry; a scalar aggregate (no group-by) serves
+    /// one row always, which its single group — when it has one — owns.
     groups: HashMap<Vec<Value>, GroupState>,
 }
 
@@ -165,69 +179,96 @@ impl AggCore {
             .count()
     }
 
-    /// Fold one bag of core rows with the given sign (+1 insert, −1
-    /// delete). Groups emptied by deletes are dropped.
-    fn fold(&mut self, rows: &[Row], sign: i64) {
-        let n_sums = self.n_sums();
-        for row in rows {
-            let key = row[..self.n_keys].to_vec();
-            let g = self.groups.entry(key).or_insert_with(|| GroupState {
-                count: 0,
-                sums: vec![SumState::default(); n_sums],
-            });
-            g.count += sign;
-            let mut si = 0;
-            for spec in &self.aggs {
-                if let AggSpec::Sum { slot, .. } = spec {
-                    g.sums[si].fold(&row[*slot], sign);
-                    si += 1;
-                }
-            }
+    /// The served contents of a view with no groups: nothing, or — like
+    /// the executor — the one row a scalar aggregate yields over empty
+    /// input.
+    fn empty_rows(&self) -> Vec<Row> {
+        if self.n_keys > 0 {
+            return Vec::new();
         }
-        self.groups.retain(|_, g| g.count > 0);
+        let mut row = vec![Value::Null; self.aggs.len()];
+        let no_sums = vec![SumState::default(); self.n_sums()];
+        Self::write_aggs(&self.aggs, &mut row, 0, &no_sums);
+        vec![row]
     }
 
-    /// The finished aggregate rows: group key columns, then aggregate
-    /// values in declaration order. A scalar aggregate (no group-by) over
-    /// an emptied view still yields its one row, like the executor.
-    fn finish(&self) -> Vec<Row> {
-        let mut out: Vec<Row> = self
-            .groups
-            .iter()
-            .map(|(key, g)| {
-                let mut row = key.clone();
-                let mut si = 0;
-                for spec in &self.aggs {
-                    match spec {
-                        AggSpec::CountStar => row.push(Value::Int(g.count)),
-                        AggSpec::Sum { zero_default, .. } => {
-                            row.push(g.sums[si].finish(*zero_default));
-                            si += 1;
-                        }
-                    }
-                }
-                row
-            })
-            .collect();
-        if out.is_empty() && self.n_keys == 0 {
-            let empty = GroupState {
-                count: 0,
-                sums: vec![SumState::default(); self.n_sums()],
+    /// Write `out`, the aggregate columns of a served row (the ones after
+    /// its group key), from counting state.
+    fn write_aggs(aggs: &[AggSpec], out: &mut [Value], count: i64, sums: &[SumState]) {
+        let mut sums = sums.iter();
+        for (out, spec) in out.iter_mut().zip(aggs) {
+            *out = match spec {
+                AggSpec::CountStar => Value::Int(count),
+                AggSpec::Sum { zero_default, .. } => sums
+                    .next()
+                    .expect("one state per sum")
+                    .finish(*zero_default),
             };
-            let mut row = Vec::new();
-            let mut si = 0;
-            for spec in &self.aggs {
-                match spec {
-                    AggSpec::CountStar => row.push(Value::Int(0)),
-                    AggSpec::Sum { zero_default, .. } => {
-                        row.push(empty.sums[si].finish(*zero_default));
-                        si += 1;
+        }
+    }
+
+    /// Fold one bag of core rows into the counting state with the given
+    /// sign (+1 insert, −1 delete) and bring `rows`, the view's served
+    /// contents, up to date for exactly the groups the bag touches: a
+    /// group's row is rewritten in place, appended when the group is new,
+    /// and removed with the group when its count reaches zero.
+    fn fold(&mut self, rows: &mut Vec<Row>, core: &RowBag, sign: i64) {
+        for core_row in core.rows() {
+            let key = &core_row[..self.n_keys];
+            let g = match self.groups.get_mut(key) {
+                Some(g) => g,
+                // A delete from a group the rollup never held: the state
+                // has drifted, which the audit reports.
+                None if sign < 0 => continue,
+                None => {
+                    if self.n_keys > 0 {
+                        let mut row = key.to_vec();
+                        row.resize(self.n_keys + self.aggs.len(), Value::Null);
+                        rows.push(row);
                     }
+                    let state = GroupState {
+                        count: 0,
+                        sums: vec![SumState::default(); self.n_sums()],
+                        row: rows.len() - 1,
+                    };
+                    self.groups.entry(key.to_vec()).or_insert(state)
+                }
+            };
+            g.count += sign;
+            let mut sums = g.sums.iter_mut();
+            for spec in &self.aggs {
+                if let AggSpec::Sum { slot, .. } = spec {
+                    sums.next()
+                        .expect("one state per sum")
+                        .fold(&core_row[*slot], sign);
                 }
             }
-            out.push(row);
+            let out = &mut rows[g.row][self.n_keys..];
+            Self::write_aggs(&self.aggs, out, g.count, &g.sums);
+            if g.count <= 0 {
+                self.remove_group(rows, key);
+            }
         }
-        out
+    }
+
+    /// Drop a group and, for a grouped view, its served row; the row that
+    /// takes its place in `rows` is re-pointed. (A scalar aggregate keeps
+    /// its one row, which [`AggCore::fold`] has by then rewritten to the
+    /// empty-input form.)
+    fn remove_group(&mut self, rows: &mut Vec<Row>, key: &[Value]) {
+        let Some(gone) = self.groups.remove(key) else {
+            return;
+        };
+        if self.n_keys == 0 {
+            return;
+        }
+        rows.swap_remove(gone.row);
+        if let Some(moved) = rows.get(gone.row) {
+            self.groups
+                .get_mut(&moved[..self.n_keys])
+                .expect("every served row of a grouped view has its group")
+                .row = gone.row;
+        }
     }
 }
 
@@ -237,24 +278,60 @@ struct MaintainedView {
     name: String,
     expr: SpjgExpr,
     strategy: MaintainStrategy,
-    /// SPJ views: the compiled view plan, reused for the delta joins.
-    prog: Option<PlanProgram>,
-    /// Aggregate views: the counting rollup.
+    /// What materialization and refresh run: the view's plan, or — for an
+    /// incrementally maintained aggregate view — its SPJ core, whose rows
+    /// `agg` rolls up.
+    prog: PlanProgram,
+    /// Incremental views: the delta schedule of `prog`'s block for each
+    /// table occurrence. Empty for recompute views.
+    delta_progs: Vec<PlanProgram>,
+    /// Incrementally maintained aggregate views: the counting rollup.
     agg: Option<AggCore>,
-    /// The served contents (for aggregate views, the finished rows — kept
-    /// current after every fold).
+    /// The served contents, kept current by every delta.
     rows: Vec<Row>,
     /// Recompute pending: a relevant write happened and the view has not
     /// been refreshed since.
     dirty: bool,
 }
 
+impl MaintainedView {
+    /// Recompute the contents (and the rollup) from the base tables.
+    fn materialize(&mut self, db: &Database, exec: &mut ExecBuffers) {
+        let ExecBuffers { scratch, bag } = exec;
+        self.prog.execute(db, scratch, bag);
+        match &mut self.agg {
+            Some(agg) => {
+                agg.groups.clear();
+                self.rows = agg.empty_rows();
+                agg.fold(&mut self.rows, bag, 1);
+            }
+            None => self.rows = bag.to_rows(),
+        }
+        self.dirty = false;
+    }
+}
+
 /// The maintenance driver: owns the base data and every registered view's
 /// materialized state, and applies write rounds to both.
 pub struct Maintainer {
     db: Database,
+    /// In registration order.
     views: Vec<MaintainedView>,
+    /// Where each registered id sits in `views`.
+    slots: HashMap<ViewId, usize>,
+    /// The views (as `views` indices, ascending) reading each base table:
+    /// a write visits these and no others.
+    by_table: HashMap<TableId, Vec<usize>>,
+    /// Boxed: callers hold the driver by value (in enums, next to much
+    /// smaller variants) and move it; the buffers need not move with it.
+    exec: Box<ExecBuffers>,
+}
+
+/// The execution state every program run reuses.
+#[derive(Default)]
+struct ExecBuffers {
     scratch: ExecScratch,
+    bag: RowBag,
 }
 
 impl Maintainer {
@@ -264,7 +341,9 @@ impl Maintainer {
         Maintainer {
             db,
             views: Vec::new(),
-            scratch: ExecScratch::new(),
+            slots: HashMap::new(),
+            by_table: HashMap::new(),
+            exec: Box::default(),
         }
     }
 
@@ -274,36 +353,47 @@ impl Maintainer {
     }
 
     /// Materialize and register a view for maintenance under the id the
-    /// matching engine knows it by. Returns the chosen strategy:
+    /// matching engine knows it by (an id registered again answers to its
+    /// latest registration). Returns the chosen strategy:
     /// incremental when every base table occurs once and (for aggregate
     /// views) every aggregate is `COUNT(*)` or an integer-typed `SUM`;
     /// recompute otherwise.
     pub fn register(&mut self, id: ViewId, def: &ViewDef) -> MaintainStrategy {
         let expr = def.expr.clone();
         let strategy = self.classify(&expr);
-        let rows = execute_spjg(&self.db, &expr);
-        let (prog, agg) = if strategy == MaintainStrategy::Incremental {
-            if expr.is_aggregate() {
-                let mut core_agg = build_agg_core(&self.db, &expr);
-                let core_rows = execute_spjg(&self.db, &core_agg.core);
-                core_agg.fold(&core_rows, 1);
-                (None, Some(core_agg))
-            } else {
-                (Some(PlanProgram::compile(&self.db.catalog, &expr)), None)
-            }
+        let catalog = &self.db.catalog;
+        let incremental = strategy == MaintainStrategy::Incremental;
+        let rollup = (incremental && expr.is_aggregate()).then(|| build_agg_core(&expr));
+        // The block the programs evaluate: the view, or its SPJ core.
+        let block = rollup.as_ref().map_or(&expr, |(_, core)| core);
+        let delta_progs = if incremental {
+            (0..block.tables.len())
+                .map(|occ| PlanProgram::compile_delta(catalog, block, occ))
+                .collect()
         } else {
-            (None, None)
+            Vec::new()
         };
-        self.views.push(MaintainedView {
+        let mut view = MaintainedView {
             id,
             name: def.name.clone(),
+            prog: PlanProgram::compile(catalog, block),
+            delta_progs,
+            agg: rollup.map(|(agg, _)| agg),
             expr,
             strategy,
-            prog,
-            agg,
-            rows,
+            rows: Vec::new(),
             dirty: false,
-        });
+        };
+        view.materialize(&self.db, &mut self.exec);
+        let slot = self.views.len();
+        let mut tables = view.expr.tables.clone();
+        tables.sort_unstable();
+        tables.dedup();
+        for table in tables {
+            self.by_table.entry(table).or_default().push(slot);
+        }
+        self.slots.insert(id, slot);
+        self.views.push(view);
         strategy
     }
 
@@ -331,69 +421,84 @@ impl Maintainer {
         MaintainStrategy::Incremental
     }
 
+    fn view(&self, id: ViewId) -> Option<&MaintainedView> {
+        self.slots.get(&id).map(|&slot| &self.views[slot])
+    }
+
     /// The strategy a registered view runs under.
     pub fn strategy(&self, id: ViewId) -> Option<MaintainStrategy> {
-        self.views.iter().find(|v| v.id == id).map(|v| v.strategy)
+        self.view(id).map(|v| v.strategy)
     }
 
     /// The maintained contents of a registered view (the rows a substitute
     /// scanning the view reads). `None` for unregistered ids.
     pub fn contents(&self, id: ViewId) -> Option<&[Row]> {
-        self.views
-            .iter()
-            .find(|v| v.id == id)
-            .map(|v| v.rows.as_slice())
+        self.view(id).map(|v| v.rows.as_slice())
     }
 
     /// Is the view waiting for a [`Maintainer::refresh`]?
     pub fn is_dirty(&self, id: ViewId) -> bool {
-        self.views
-            .iter()
-            .find(|v| v.id == id)
-            .is_some_and(|v| v.dirty)
+        self.view(id).is_some_and(|v| v.dirty)
     }
 
-    /// Apply one write round: propagate the delta into every registered
-    /// view that references the table (or mark it dirty), then apply it to
-    /// the base table.
+    /// Apply one write round: apply the delta to the base table, then
+    /// propagate the rows actually removed and the rows inserted into
+    /// every registered view that reads the table (or mark it dirty).
     pub fn apply(&mut self, delta: &TableDelta) -> DeltaReport {
-        let mut report = DeltaReport::default();
-        // The delta joins evaluate against the *current* base state with
-        // only the written table overridden, so propagation runs before
-        // the base apply. `swap_rows` lends the override to the database
-        // and takes it back without copying.
-        let mut views = std::mem::take(&mut self.views);
-        for view in &mut views {
-            if !view.expr.tables.contains(&delta.table) {
-                continue;
-            }
+        let Maintainer {
+            db,
+            views,
+            by_table,
+            exec,
+            ..
+        } = self;
+        let ExecBuffers { scratch, bag } = &mut **exec;
+        // An incremental view reads the written table once, and that one
+        // occurrence is what the delta rows stand in for: its delta joins
+        // see only the *other* tables, which this round does not change,
+        // so the base table can go first — and deletes it does not hold
+        // never reach a view.
+        let removed = db.delete_rows(delta.table, &delta.deletes);
+        db.insert_rows(delta.table, &delta.inserts);
+        let mut report = DeltaReport {
+            rows_deleted: removed.len(),
+            ..DeltaReport::default()
+        };
+        for &slot in by_table.get(&delta.table).into_iter().flatten() {
+            let view = &mut views[slot];
             if view.strategy == MaintainStrategy::Recompute || view.dirty {
                 view.dirty = true;
                 report.marked_dirty += 1;
                 continue;
             }
-            let minus = self.eval_delta(view, delta.table, &delta.deletes);
-            let plus = self.eval_delta(view, delta.table, &delta.inserts);
-            if let Some(agg) = &mut view.agg {
-                agg.fold(&minus, -1);
-                agg.fold(&plus, 1);
-                view.rows = agg.finish();
-            } else {
-                bag_remove(&mut view.rows, &minus);
-                view.rows.extend(plus);
+            let occ = view
+                .expr
+                .tables
+                .iter()
+                .position(|&t| t == delta.table)
+                .expect("by_table lists only views reading the table");
+            let prog = &view.delta_progs[occ];
+            for (delta_rows, sign) in [(&removed, -1), (&delta.inserts, 1)] {
+                if delta_rows.is_empty() {
+                    continue;
+                }
+                prog.execute_delta(db, delta_rows, scratch, bag);
+                match &mut view.agg {
+                    Some(agg) => agg.fold(&mut view.rows, bag, sign),
+                    None if sign < 0 => bag_remove(&mut view.rows, bag),
+                    None => view.rows.extend(bag.rows().map(<[Value]>::to_vec)),
+                }
             }
             report.maintained += 1;
         }
-        self.views = views;
-        report.rows_deleted = self.db.delete_rows(delta.table, &delta.deletes);
-        self.db.insert_rows(delta.table, &delta.inserts);
         report
     }
 
     /// [`Maintainer::apply`] plus engine bookkeeping: records the write
     /// round ([`MatchingEngine::record_base_write`]) and restamps every
-    /// view updated in place ([`MatchingEngine::mark_view_maintained`]),
-    /// so freshness-aware matching sees exactly the views whose contents
+    /// view updated in place with one
+    /// [`MatchingEngine::mark_views_maintained`] publication, so
+    /// freshness-aware matching sees exactly the views whose contents
     /// track the new data. Dirty views stay stale until
     /// [`Maintainer::refresh_with_engine`].
     pub fn apply_with_engine(
@@ -403,57 +508,26 @@ impl Maintainer {
     ) -> DeltaReport {
         engine.record_base_write(delta.table);
         let report = self.apply(delta);
-        for view in &self.views {
-            if view.expr.tables.contains(&delta.table) && !view.dirty {
-                engine.mark_view_maintained(view.id);
-            }
-        }
+        let maintained: Vec<ViewId> = self
+            .by_table
+            .get(&delta.table)
+            .into_iter()
+            .flatten()
+            .map(|&slot| &self.views[slot])
+            .filter(|view| !view.dirty)
+            .map(|view| view.id)
+            .collect();
+        engine.mark_views_maintained(&maintained);
         report
-    }
-
-    /// Evaluate the view's delta join: its plan (or SPJ core) with
-    /// `table`'s rows replaced by `delta_rows`.
-    fn eval_delta(
-        &mut self,
-        view: &MaintainedView,
-        table: TableId,
-        delta_rows: &[Row],
-    ) -> Vec<Row> {
-        if delta_rows.is_empty() {
-            return Vec::new();
-        }
-        let mut override_rows: Vec<Row> = delta_rows.to_vec();
-        self.db.swap_rows(table, &mut override_rows);
-        let out = if let Some(agg) = &view.agg {
-            let mut bag = RowBag::new();
-            agg.prog.execute(&self.db, &mut self.scratch, &mut bag);
-            bag.to_rows()
-        } else if let Some(prog) = &view.prog {
-            let mut bag = RowBag::new();
-            prog.execute(&self.db, &mut self.scratch, &mut bag);
-            bag.to_rows()
-        } else {
-            execute_spjg(&self.db, &view.expr)
-        };
-        self.db.swap_rows(table, &mut override_rows);
-        out
     }
 
     /// Recompute a view from the base tables and clear its dirty flag.
     /// Returns `false` for unregistered ids.
     pub fn refresh(&mut self, id: ViewId) -> bool {
-        let Some(i) = self.views.iter().position(|v| v.id == id) else {
+        let Some(&slot) = self.slots.get(&id) else {
             return false;
         };
-        let mut view = self.views.swap_remove(i);
-        view.rows = execute_spjg(&self.db, &view.expr);
-        if let Some(agg) = &mut view.agg {
-            agg.groups.clear();
-            let core_rows = execute_spjg(&self.db, &agg.core);
-            agg.fold(&core_rows, 1);
-        }
-        view.dirty = false;
-        self.views.push(view);
+        self.views[slot].materialize(&self.db, &mut self.exec);
         true
     }
 
@@ -469,14 +543,8 @@ impl Maintainer {
 
     /// Recompute every dirty view.
     pub fn refresh_all(&mut self) {
-        let dirty: Vec<ViewId> = self
-            .views
-            .iter()
-            .filter(|v| v.dirty)
-            .map(|v| v.id)
-            .collect();
-        for id in dirty {
-            self.refresh(id);
+        for view in self.views.iter_mut().filter(|v| v.dirty) {
+            view.materialize(&self.db, &mut self.exec);
         }
     }
 
@@ -524,72 +592,65 @@ impl Maintainer {
     }
 
     /// Corruption hook for the audit suite: drop one row from a view's
-    /// maintained contents, simulating a skipped insert delta. Never call
-    /// outside tests.
+    /// maintained contents (for a grouped aggregate view, the row's group
+    /// with it), simulating a skipped insert delta. Never call outside
+    /// tests.
     #[doc(hidden)]
     pub fn corrupt_drop_row_for_audit(&mut self, id: ViewId) -> bool {
-        let Some(view) = self.views.iter_mut().find(|v| v.id == id) else {
+        let Some(&slot) = self.slots.get(&id) else {
             return false;
         };
-        if view.rows.is_empty() {
-            return false;
+        let view = &mut self.views[slot];
+        match &mut view.agg {
+            _ if view.rows.is_empty() => false,
+            // A scalar aggregate always serves its one row.
+            Some(agg) if agg.n_keys == 0 => false,
+            Some(agg) => {
+                let key = view.rows[0][..agg.n_keys].to_vec();
+                agg.remove_group(&mut view.rows, &key);
+                true
+            }
+            None => {
+                view.rows.remove(0);
+                true
+            }
         }
-        view.rows.remove(0);
-        true
     }
 
-    /// Corruption hook for the audit suite: re-insert a group at count
-    /// zero into an aggregate view's rollup (and its finished rows),
+    /// Corruption hook for the audit suite: insert a group at count zero
+    /// into a grouped aggregate view's rollup and its served rows,
     /// simulating a counting bug that forgets to delete emptied groups.
     /// Never call outside tests.
     #[doc(hidden)]
     pub fn corrupt_zombie_group_for_audit(&mut self, id: ViewId, key: Vec<Value>) -> bool {
-        let Some(view) = self.views.iter_mut().find(|v| v.id == id) else {
+        let Some(&slot) = self.slots.get(&id) else {
             return false;
         };
+        let view = &mut self.views[slot];
         let Some(agg) = &mut view.agg else {
             return false;
         };
-        let n_sums = agg.n_sums();
-        agg.groups.insert(
-            key,
-            GroupState {
-                count: 0,
-                sums: vec![SumState::default(); n_sums],
-            },
-        );
-        view.rows = finish_with_zombies(agg);
+        if key.len() != agg.n_keys || key.is_empty() || agg.groups.contains_key(&key) {
+            return false;
+        }
+        let state = GroupState {
+            count: 0,
+            sums: vec![SumState::default(); agg.n_sums()],
+            row: view.rows.len(),
+        };
+        let mut row = key.clone();
+        row.resize(agg.n_keys + agg.aggs.len(), Value::Null);
+        AggCore::write_aggs(&agg.aggs, &mut row[agg.n_keys..], 0, &state.sums);
+        view.rows.push(row);
+        agg.groups.insert(key, state);
         true
     }
 }
 
-/// Like [`AggCore::finish`] but keeping count-zero groups — only the
-/// zombie corruption hook wants this, to make the forged group visible in
-/// the served rows as well as the rollup.
-fn finish_with_zombies(agg: &AggCore) -> Vec<Row> {
-    let mut out = agg.finish();
-    for (key, g) in &agg.groups {
-        if g.count <= 0 {
-            let mut row = key.clone();
-            let mut si = 0;
-            for spec in &agg.aggs {
-                match spec {
-                    AggSpec::CountStar => row.push(Value::Int(g.count)),
-                    AggSpec::Sum { zero_default, .. } => {
-                        row.push(g.sums[si].finish(*zero_default));
-                        si += 1;
-                    }
-                }
-            }
-            out.push(row);
-        }
-    }
-    out
-}
-
-/// Build the counting rollup for an aggregate view: the SPJ core projects
-/// the group-by expressions, then one column per `SUM` argument.
-fn build_agg_core(db: &Database, expr: &SpjgExpr) -> AggCore {
+/// Build the counting rollup for an aggregate view, and the SPJ core its
+/// delta joins evaluate: the group-by expressions, then one column per
+/// `SUM` argument.
+fn build_agg_core(expr: &SpjgExpr) -> (AggCore, SpjgExpr) {
     let OutputList::Aggregate {
         group_by,
         aggregates,
@@ -601,54 +662,47 @@ fn build_agg_core(db: &Database, expr: &SpjgExpr) -> AggCore {
     let mut outputs: Vec<NamedExpr> = group_by.clone();
     let mut aggs = Vec::with_capacity(aggregates.len());
     for na in aggregates {
-        match &na.func {
-            AggFunc::CountStar => aggs.push(AggSpec::CountStar),
-            AggFunc::Sum(arg) => {
-                aggs.push(AggSpec::Sum {
-                    slot: outputs.len(),
-                    zero_default: false,
-                });
-                outputs.push(NamedExpr::new(arg.clone(), &na.name));
+        let (arg, zero_default) = match &na.func {
+            AggFunc::CountStar => {
+                aggs.push(AggSpec::CountStar);
+                continue;
             }
-            AggFunc::SumZero(arg) => {
-                aggs.push(AggSpec::Sum {
-                    slot: outputs.len(),
-                    zero_default: true,
-                });
-                outputs.push(NamedExpr::new(arg.clone(), &na.name));
-            }
-        }
+            AggFunc::Sum(arg) => (arg, false),
+            AggFunc::SumZero(arg) => (arg, true),
+        };
+        aggs.push(AggSpec::Sum {
+            slot: outputs.len(),
+            zero_default,
+        });
+        outputs.push(NamedExpr::new(arg.clone(), &na.name));
     }
     let core = SpjgExpr {
         tables: expr.tables.clone(),
         conjuncts: expr.conjuncts.clone(),
         output: OutputList::Spj(outputs),
     };
-    let prog = PlanProgram::compile(&db.catalog, &core);
-    AggCore {
-        core,
-        prog,
+    let agg = AggCore {
         n_keys,
         aggs,
         groups: HashMap::new(),
-    }
+    };
+    (agg, core)
 }
 
-/// Remove each row of `minus` from `rows` once, bag-style. Returns the
-/// number actually removed (a shortfall means the delta join produced rows
-/// the maintained bag did not hold — drift the audit will flag).
-fn bag_remove(rows: &mut Vec<Row>, minus: &[Row]) -> usize {
-    let mut pending: Vec<&Row> = minus.iter().collect();
-    let before = rows.len();
-    rows.retain(|r| {
-        if let Some(pos) = pending.iter().position(|p| *p == r) {
+/// Remove each row of `minus` from `rows` once, bag-style. (A row of
+/// `minus` the maintained bag does not hold is drift the audit will flag.)
+fn bag_remove(rows: &mut Vec<Row>, minus: &RowBag) {
+    let mut pending: Vec<&[Value]> = minus.rows().collect();
+    if pending.is_empty() {
+        return;
+    }
+    rows.retain(|r| match pending.iter().position(|p| *p == r.as_slice()) {
+        Some(pos) => {
             pending.swap_remove(pos);
             false
-        } else {
-            true
         }
+        None => true,
     });
-    before - rows.len()
 }
 
 /// The MV4xx serving audit: run every query through the engine and check

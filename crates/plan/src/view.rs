@@ -4,6 +4,7 @@
 use crate::spjg::{OutputList, SpjgExpr};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a materialized view (dense index into a [`ViewSet`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -91,14 +92,17 @@ impl ViewDef {
 
 /// The registry of materialized views.
 ///
-/// Definitions are stored behind `Arc` so cloning the registry — which
-/// the online catalog does on every registration to build the next
-/// published snapshot — costs one pointer bump per view plus the name
-/// index, never a deep copy of the expressions.
+/// The view vector and the name index each sit behind one `Arc`, so
+/// cloning the registry — which the online catalog does for every
+/// snapshot it publishes, restamps after a write round included — is two
+/// pointer bumps whatever the number of views. [`ViewSet::add`] copies
+/// the two containers once if a published snapshot still shares them
+/// (one pointer bump per definition, one `String` per name) and then
+/// appends in place, so a bulk registration pays that copy once.
 #[derive(Debug, Clone, Default)]
 pub struct ViewSet {
-    views: Vec<std::sync::Arc<ViewDef>>,
-    by_name: HashMap<String, ViewId>,
+    views: Arc<Vec<Arc<ViewDef>>>,
+    by_name: Arc<HashMap<String, ViewId>>,
 }
 
 impl ViewSet {
@@ -114,8 +118,8 @@ impl ViewSet {
             return Err(format!("duplicate view name {}", view.name));
         }
         let id = ViewId(self.views.len() as u32);
-        self.by_name.insert(view.name.clone(), id);
-        self.views.push(std::sync::Arc::new(view));
+        Arc::make_mut(&mut self.by_name).insert(view.name.clone(), id);
+        Arc::make_mut(&mut self.views).push(Arc::new(view));
         Ok(id)
     }
 
