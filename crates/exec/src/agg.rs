@@ -1,4 +1,14 @@
 //! Aggregation accumulators with SQL semantics.
+//!
+//! [`SumAcc`] is the one SUM implementation every executor folds values
+//! into (`mv-maintain`'s counting state mirrors it). The compiled
+//! executors — plan and substitute programs (`program.rs`) and the
+//! physical-plan executor (`physical.rs`) — keep one per (group,
+//! aggregate) in `program.rs`'s flat group table and feed it borrowed
+//! values. [`GroupAcc`] is the interpreter's per-group state (`spjg.rs`,
+//! `substitute.rs`): it evaluates every argument through the tree-walking,
+//! cloning `ScalarExpr::eval`, which suits a differential oracle and is
+//! why it is not visible outside this crate.
 
 use mv_catalog::Value;
 use mv_data::Row;
@@ -63,16 +73,17 @@ impl SumAcc {
     }
 }
 
-/// Accumulator state for one group across all aggregates of a block.
+/// The interpreter's accumulator state for one group across all
+/// aggregates of a block.
 #[derive(Debug, Clone)]
-pub struct GroupAcc {
+pub(crate) struct GroupAcc {
     count: i64,
     sums: Vec<SumAcc>,
 }
 
 impl GroupAcc {
     /// Fresh state for `n_aggs` aggregate functions.
-    pub fn new(n_aggs: usize) -> Self {
+    pub(crate) fn new(n_aggs: usize) -> Self {
         GroupAcc {
             count: 0,
             sums: vec![SumAcc::default(); n_aggs],
@@ -80,7 +91,7 @@ impl GroupAcc {
     }
 
     /// Fold one input row into the group.
-    pub fn add(&mut self, aggs: &[AggFunc], row_value: &impl Fn(ColRef) -> Value) {
+    pub(crate) fn add(&mut self, aggs: &[AggFunc], row_value: &impl Fn(ColRef) -> Value) {
         self.count += 1;
         for (i, agg) in aggs.iter().enumerate() {
             if let Some(arg) = agg.argument() {
@@ -90,7 +101,7 @@ impl GroupAcc {
     }
 
     /// Final values for each aggregate, in order.
-    pub fn finish(&self, aggs: &[AggFunc]) -> Row {
+    pub(crate) fn finish(&self, aggs: &[AggFunc]) -> Row {
         aggs.iter()
             .enumerate()
             .map(|(i, agg)| match agg {

@@ -2,12 +2,27 @@
 //!
 //! Three execution paths, all operating on [`mv_data::Database`] rows:
 //!
-//! * [`spjg::execute_spjg`] evaluates an SPJG block directly against base
-//!   tables — the *correctness oracle* for everything else,
-//! * [`substitute::execute_substitute`] evaluates a matcher-produced
-//!   [`mv_plan::Substitute`] against a materialized view's rows,
-//! * [`physical::execute_plan`] interprets an optimizer-produced
-//!   [`mv_plan::PhysicalPlan`].
+//! * [`physical::execute_plan`] runs an optimizer-produced
+//!   [`mv_plan::PhysicalPlan`] — the path that *serves* queries. It
+//!   compiles the plan ([`CompiledPlan`]) and materializes late: base
+//!   tables and view contents are borrowed, intermediate relations are
+//!   `u32` row-index tuples, and values are cloned once, into the result
+//!   (plus group keys and computed columns of an operator under a join).
+//!   No intermediate row is ever built.
+//! * [`program`] holds the compiled forms of an SPJG block and of a
+//!   substitute ([`PlanProgram`], [`SubstituteProgram`],
+//!   [`SubstitutePipeline`]) for callers that evaluate one expression over
+//!   many databases or deltas: `mv-prove`'s enumeration and
+//!   `mv-maintain`'s materialization, refresh and delta joins. The
+//!   physical executor is built from the same parts (postfix programs,
+//!   index tuples, the group table).
+//! * [`spjg::execute_spjg`] and [`substitute::execute_substitute`] are the
+//!   tree-walking interpreter: a straightforward evaluation of an SPJG
+//!   block against base tables and of a matcher-produced
+//!   [`mv_plan::Substitute`] against a view's rows. It is the *correctness
+//!   oracle* the two compiled paths are differentially tested against
+//!   (`tests/physical_differential.rs`, `tests/program_differential.rs`);
+//!   [`materialize_view`] and `mv-lint`'s exec-check still run it too.
 //!
 //! Bag semantics throughout: duplicates are preserved exactly, and
 //! [`compare::bag_eq`] provides multiset equality for tests. The central
@@ -17,6 +32,7 @@
 //! the query against base data.*
 
 pub mod agg;
+mod chains;
 pub mod compare;
 pub mod physical;
 pub mod program;
@@ -24,7 +40,7 @@ pub mod spjg;
 pub mod substitute;
 
 pub use compare::{bag_diff, bag_eq};
-pub use physical::{execute_plan, ViewStore};
+pub use physical::{execute_plan, CompiledPlan, ViewStore};
 pub use program::{
     rowbag_eq, ExecScratch, PlanProgram, RowBag, SubstitutePipeline, SubstituteProgram,
 };

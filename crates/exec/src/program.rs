@@ -26,12 +26,14 @@
 //! random plans × enumerated databases.
 
 use crate::agg::SumAcc;
+use crate::chains::{hash_key, HashChains};
 use mv_catalog::{Catalog, TableId, Value};
 use mv_data::{Database, Row};
 use mv_expr::like::like_match;
 use mv_expr::scalar::eval_binop;
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, OccId, ScalarExpr};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute};
+use std::collections::hash_map::RandomState;
 
 /// Bits of an [`Op::Col`] operand holding the column index; the rest holds
 /// the join step of the column's table occurrence (plan programs) —
@@ -45,10 +47,11 @@ const COL_MASK: usize = (1 << COL_BITS) - 1;
 const MAX_OCCS: usize = 16;
 
 /// Resolve a fetch position to a value for the current index tuple. The
-/// two executors address columns differently (packed `(occ, col)` versus
-/// flat substitute-space positions), so the resolution is a trait and the
-/// programs stay agnostic.
-trait Fetch {
+/// executors address columns differently (packed `(occ, col)`, flat
+/// substitute-space positions, or a physical operator's input positions —
+/// [`crate::physical`]), so the resolution is a trait and the programs stay
+/// agnostic.
+pub(crate) trait Fetch {
     fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value;
 }
 
@@ -175,7 +178,7 @@ pub struct EvalStacks {
 
 /// A compiled expression: postfix ops plus literal and LIKE-pattern pools.
 #[derive(Debug, Clone, PartialEq)]
-struct Program {
+pub(crate) struct Program {
     ops: Vec<Op>,
     lits: Vec<Value>,
     pats: Vec<String>,
@@ -195,13 +198,13 @@ impl Program {
         }
     }
 
-    fn compile_scalar(e: &ScalarExpr, map: &impl Fn(ColRef) -> usize) -> Self {
+    pub(crate) fn compile_scalar(e: &ScalarExpr, map: &impl Fn(ColRef) -> usize) -> Self {
         let mut p = Program::new();
         p.push_scalar(e, map);
         p
     }
 
-    fn compile_bool(e: &BoolExpr, map: &impl Fn(ColRef) -> usize) -> Self {
+    pub(crate) fn compile_bool(e: &BoolExpr, map: &impl Fn(ColRef) -> usize) -> Self {
         let mut p = Program::new();
         p.push_bool(e, map);
         if let [Op::Col(pos), Op::Lit(lit), Op::Cmp(c)] = p.ops.as_slice() {
@@ -211,7 +214,7 @@ impl Program {
     }
 
     /// The fetch position when this program is a single bare column.
-    fn single_col(&self) -> Option<usize> {
+    pub(crate) fn single_col(&self) -> Option<usize> {
         match self.ops.as_slice() {
             [Op::Col(i)] => Some(*i),
             _ => None,
@@ -361,7 +364,12 @@ impl Program {
         }
     }
 
-    fn eval_bool<F: Fetch>(&self, f: &F, tuple: &[u32], st: &mut EvalStacks) -> Option<bool> {
+    pub(crate) fn eval_bool<F: Fetch>(
+        &self,
+        f: &F,
+        tuple: &[u32],
+        st: &mut EvalStacks,
+    ) -> Option<bool> {
         if let Some((pos, op, lit)) = self.fast_cmp {
             return f
                 .at(tuple, pos)
@@ -373,6 +381,9 @@ impl Program {
     }
 
     fn eval_scalar_owned<F: Fetch>(&self, f: &F, tuple: &[u32], st: &mut EvalStacks) -> Value {
+        if let Some(pos) = self.single_col() {
+            return f.at(tuple, pos).clone();
+        }
         self.run(f, tuple, st);
         let s = st.vals.pop().expect("scalar program left empty stack");
         match s {
@@ -418,7 +429,7 @@ enum AggKind {
 /// dominant bare-column argument shape — the direct fetch position, which
 /// skips the program stack entirely.
 #[derive(Debug, Clone)]
-struct AggProg {
+pub(crate) struct AggProg {
     kind: AggKind,
     arg: Option<Program>,
     arg_col: Option<usize>,
@@ -426,7 +437,7 @@ struct AggProg {
 
 /// Compiled output side: projection programs or group-by/aggregate programs.
 #[derive(Debug, Clone)]
-enum OutputProgram {
+pub(crate) enum OutputProgram {
     Project(Vec<Program>),
     Aggregate {
         keys: Vec<Program>,
@@ -441,50 +452,60 @@ enum OutputProgram {
 impl OutputProgram {
     fn compile(output: &OutputList, map: &impl Fn(ColRef) -> usize) -> Self {
         match output {
-            OutputList::Spj(items) => OutputProgram::Project(
-                items
-                    .iter()
-                    .map(|ne| Program::compile_scalar(&ne.expr, map))
-                    .collect(),
-            ),
+            OutputList::Spj(items) => Self::project(items.iter().map(|ne| &ne.expr), map),
             OutputList::Aggregate {
                 group_by,
                 aggregates,
-            } => {
-                let keys: Vec<Program> = group_by
-                    .iter()
-                    .map(|ne| Program::compile_scalar(&ne.expr, map))
-                    .collect();
-                let key_cols = keys.iter().map(Program::single_col).collect();
-                OutputProgram::Aggregate {
-                    keys,
-                    key_cols,
-                    aggs: aggregates
-                        .iter()
-                        .map(|na| {
-                            let kind = match na.func {
-                                AggFunc::CountStar => AggKind::CountStar,
-                                AggFunc::Sum(_) => AggKind::Sum,
-                                AggFunc::SumZero(_) => AggKind::SumZero,
-                            };
-                            let arg = na.func.argument().map(|e| Program::compile_scalar(e, map));
-                            let arg_col = arg.as_ref().and_then(Program::single_col);
-                            AggProg { kind, arg, arg_col }
-                        })
-                        .collect(),
-                }
-            }
+            } => Self::aggregate(
+                group_by.iter().map(|ne| &ne.expr),
+                aggregates.iter().map(|na| &na.func),
+                map,
+            ),
         }
     }
 
-    fn arity(&self) -> usize {
+    /// A projection onto `exprs`.
+    pub(crate) fn project<'e>(
+        exprs: impl Iterator<Item = &'e ScalarExpr>,
+        map: &impl Fn(ColRef) -> usize,
+    ) -> Self {
+        OutputProgram::Project(exprs.map(|e| Program::compile_scalar(e, map)).collect())
+    }
+
+    /// Grouping on `group_by` with one accumulator per aggregate.
+    pub(crate) fn aggregate<'e>(
+        group_by: impl Iterator<Item = &'e ScalarExpr>,
+        aggregates: impl Iterator<Item = &'e AggFunc>,
+        map: &impl Fn(ColRef) -> usize,
+    ) -> Self {
+        let keys: Vec<Program> = group_by.map(|e| Program::compile_scalar(e, map)).collect();
+        let key_cols = keys.iter().map(Program::single_col).collect();
+        OutputProgram::Aggregate {
+            keys,
+            key_cols,
+            aggs: aggregates
+                .map(|func| {
+                    let kind = match func {
+                        AggFunc::CountStar => AggKind::CountStar,
+                        AggFunc::Sum(_) => AggKind::Sum,
+                        AggFunc::SumZero(_) => AggKind::SumZero,
+                    };
+                    let arg = func.argument().map(|e| Program::compile_scalar(e, map));
+                    let arg_col = arg.as_ref().and_then(Program::single_col);
+                    AggProg { kind, arg, arg_col }
+                })
+                .collect(),
+        }
+    }
+
+    pub(crate) fn arity(&self) -> usize {
         match self {
             OutputProgram::Project(items) => items.len(),
             OutputProgram::Aggregate { keys, aggs, .. } => keys.len() + aggs.len(),
         }
     }
 
-    fn begin(&self, groups: &mut GroupTable) {
+    pub(crate) fn begin(&self, groups: &mut GroupTable) {
         if let OutputProgram::Aggregate { .. } = self {
             groups.clear();
         }
@@ -492,7 +513,7 @@ impl OutputProgram {
 
     /// Feed one surviving tuple: push the projected row, or accumulate it
     /// into its group.
-    fn feed<F: Fetch>(
+    pub(crate) fn feed<F: Fetch>(
         &self,
         f: &F,
         tuple: &[u32],
@@ -513,7 +534,7 @@ impl OutputProgram {
                 key_cols,
                 aggs,
             } => {
-                let state = match key_cols {
+                let g = match key_cols {
                     Some(cols) => {
                         groups.find_or_insert_by(cols.len(), aggs.len(), |k| f.at(tuple, cols[k]))
                     }
@@ -525,12 +546,13 @@ impl OutputProgram {
                         groups.find_or_insert_by(key_buf.len(), aggs.len(), |k| &key_buf[k])
                     }
                 };
-                state.count += 1;
-                for (i, agg) in aggs.iter().enumerate() {
+                groups.counts[g] += 1;
+                let sums = &mut groups.sums[g * aggs.len()..(g + 1) * aggs.len()];
+                for (agg, sum) in aggs.iter().zip(sums) {
                     if let Some(pos) = agg.arg_col {
-                        state.sums[i].add(f.at(tuple, pos));
+                        sum.add(f.at(tuple, pos));
                     } else if let Some(p) = &agg.arg {
-                        p.eval_scalar_into_sum(f, tuple, st, &mut state.sums[i]);
+                        p.eval_scalar_into_sum(f, tuple, st, sum);
                     }
                 }
             }
@@ -539,20 +561,24 @@ impl OutputProgram {
 
     /// Flush accumulated groups into the output bag (no-op for projections,
     /// whose rows were emitted by [`OutputProgram::feed`]).
-    fn finish(&self, groups: &mut GroupTable, out: &mut RowBag) {
+    pub(crate) fn finish(&self, groups: &mut GroupTable, out: &mut RowBag) {
         if let OutputProgram::Aggregate { keys, aggs, .. } = self {
             // SQL: a scalar aggregate over empty input yields one row.
-            if groups.live == 0 && keys.is_empty() {
+            if groups.counts.is_empty() && keys.is_empty() {
                 groups.find_or_insert_by(0, aggs.len(), |_| -> &Value { unreachable!() });
             }
-            for g in 0..groups.live {
-                out.vals.extend_from_slice(&groups.keys[g]);
-                let state = &groups.states[g];
-                for (i, agg) in aggs.iter().enumerate() {
+            out.reserve(groups.counts.len());
+            // Keys are moved, not cloned: the table is cleared before its
+            // next use.
+            let mut group_keys = groups.keys.drain(..);
+            for (g, &count) in groups.counts.iter().enumerate() {
+                out.vals.extend(group_keys.by_ref().take(keys.len()));
+                let sums = &groups.sums[g * aggs.len()..(g + 1) * aggs.len()];
+                for (agg, sum) in aggs.iter().zip(sums) {
                     out.vals.push(match agg.kind {
-                        AggKind::CountStar => Value::Int(state.count),
-                        AggKind::Sum => state.sums[i].finish(),
-                        AggKind::SumZero => state.sums[i].finish_zero(),
+                        AggKind::CountStar => Value::Int(count),
+                        AggKind::Sum => sum.finish(),
+                        AggKind::SumZero => sum.finish_zero(),
                     });
                 }
                 out.count += 1;
@@ -561,63 +587,73 @@ impl OutputProgram {
     }
 }
 
-/// Per-group accumulator state, mirroring [`crate::agg::GroupAcc`].
-#[derive(Debug, Default, Clone)]
-struct GroupState {
-    count: i64,
-    sums: Vec<SumAcc>,
-}
+/// Group count up to which [`GroupTable`] finds a group by scanning; past
+/// it the table hashes. The prover's databases hold a handful of rows, so
+/// their groups never leave the scan; a served query's thousands must.
+const LINEAR_GROUPS: usize = 16;
 
-/// A reusable linear-scan group table. Groups per database are few (bounded
-/// by the handful of enumerated rows), so a scan beats rebuilding a hash
-/// map; slots beyond `live` keep their capacity for the next database.
+/// A reusable group table over flat storage (group `g` owns
+/// `keys[g * n_keys..]`, `counts[g]` and `sums[g * n_aggs..]`, so a new
+/// group allocates nothing once the vectors have grown): a linear scan
+/// while the groups are few (it beats hashing every key), a
+/// [`HashChains`] index once they are not.
 #[derive(Debug, Default)]
-struct GroupTable {
-    keys: Vec<Vec<Value>>,
-    states: Vec<GroupState>,
-    live: usize,
+pub(crate) struct GroupTable {
+    keys: Vec<Value>,
+    counts: Vec<i64>,
+    sums: Vec<SumAcc>,
+    /// Covers exactly the groups whenever there are more than
+    /// [`LINEAR_GROUPS`] of them, and is empty otherwise.
+    index: HashChains,
+    hasher: RandomState,
 }
 
 impl GroupTable {
     fn clear(&mut self) {
-        self.live = 0;
+        self.keys.clear();
+        self.counts.clear();
+        self.sums.clear();
+        self.index.clear();
     }
 
-    /// Find the group whose key matches `get(0..n_keys)`, inserting a fresh
-    /// one (cloning the key values — the only clone on the aggregate path)
+    /// The group whose key matches `get(0..n_keys)`, inserted fresh
+    /// (cloning the key values — the only clone on the aggregate path)
     /// when absent.
     fn find_or_insert_by<'v>(
         &mut self,
         n_keys: usize,
         n_aggs: usize,
         get: impl Fn(usize) -> &'v Value,
-    ) -> &mut GroupState {
-        'groups: for i in 0..self.live {
-            for k in 0..n_keys {
-                if self.keys[i][k] != *get(k) {
-                    continue 'groups;
-                }
-            }
-            return &mut self.states[i];
-        }
-        if self.live == self.keys.len() {
-            self.keys
-                .push((0..n_keys).map(|k| get(k).clone()).collect());
-            self.states.push(GroupState {
-                count: 0,
-                sums: vec![SumAcc::default(); n_aggs],
-            });
+    ) -> usize {
+        let live = self.counts.len();
+        let is_group = |g: &usize| (0..n_keys).all(|k| self.keys[g * n_keys + k] == *get(k));
+        let hashed = live > LINEAR_GROUPS;
+        let hash = if hashed {
+            hash_key(&self.hasher, (0..n_keys).map(&get))
         } else {
-            let kv = &mut self.keys[self.live];
-            kv.clear();
-            kv.extend((0..n_keys).map(|k| get(k).clone()));
-            let s = &mut self.states[self.live];
-            s.count = 0;
-            s.sums.clear();
-            s.sums.resize(n_aggs, SumAcc::default());
+            0
+        };
+        let found = if hashed {
+            self.index.chain(hash).map(|g| g as usize).find(is_group)
+        } else {
+            (0..live).find(is_group)
+        };
+        if let Some(g) = found {
+            return g;
         }
-        self.live += 1;
-        &mut self.states[self.live - 1]
+        self.keys.extend((0..n_keys).map(|k| get(k).clone()));
+        self.counts.push(0);
+        self.sums
+            .resize(self.sums.len() + n_aggs, SumAcc::default());
+        if hashed {
+            self.index.push(hash);
+        } else if live == LINEAR_GROUPS {
+            for g in 0..=live {
+                let key = self.keys[g * n_keys..(g + 1) * n_keys].iter();
+                self.index.push(hash_key(&self.hasher, key));
+            }
+        }
+        live
     }
 }
 
@@ -635,10 +671,15 @@ impl RowBag {
         RowBag::default()
     }
 
-    fn reset(&mut self, arity: usize) {
+    pub(crate) fn reset(&mut self, arity: usize) {
         self.vals.clear();
         self.arity = arity;
         self.count = 0;
+    }
+
+    /// Room for `rows` more rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.vals.reserve(rows * self.arity);
     }
 
     /// Number of rows.
@@ -659,6 +700,14 @@ impl RowBag {
     /// Materialize as owned rows.
     pub fn to_rows(&self) -> Vec<Row> {
         self.rows().map(<[Value]>::to_vec).collect()
+    }
+
+    /// The rows, moved out of the flat storage (no value is cloned).
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut vals = self.vals.into_iter();
+        (0..self.count)
+            .map(|_| vals.by_ref().take(self.arity).collect())
+            .collect()
     }
 }
 
@@ -746,7 +795,7 @@ fn delta_order(expr: &SpjgExpr, first: usize) -> Vec<usize> {
 
 /// Apply compiled filters in place over the tuple buffer, compacting
 /// surviving tuples to the front. Returns the new tuple count.
-fn filter_tuples<F: Fetch>(
+pub(crate) fn filter_tuples<F: Fetch>(
     filters: &[Program],
     tuples: &mut Vec<u32>,
     stride: usize,

@@ -1,0 +1,430 @@
+//! The late-materializing physical executor against the interpreter.
+//!
+//! Every plan the optimizer emits for the section 5 generator's queries —
+//! over a few hundred registered and materialized views, with and without
+//! backjoins — must return exactly the bag `execute_spjg` returns for the
+//! query. The run counts the plan shapes it saw and fails if one the
+//! executor treats specially never occurred; the generator alone does not
+//! produce every shape, so a few targeted queries go through the same
+//! optimizer. Hand-built plans cover what no optimizer output reaches:
+//! NULL, duplicated and cross-numeric join keys, a residual that rejects
+//! everything, and more leaves than the prover's programs allow.
+
+use mv_catalog::schema::TableBuilder;
+use mv_catalog::{Catalog, ColumnType, TableId, Value};
+use mv_core::{MatchConfig, MatchingEngine};
+use mv_data::{generate_tpch, Database, Row, TpchScale};
+use mv_exec::spjg::execute_spj_part;
+use mv_exec::{bag_diff, execute_plan, execute_spjg, materialize_view, CompiledPlan, ViewStore};
+use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
+use mv_optimizer::{Optimizer, OptimizerConfig};
+use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr};
+use mv_workload::{Generator, WorkloadParams};
+
+fn cr(occ: u32, col: u32) -> ColRef {
+    ColRef::new(occ, col)
+}
+
+/// How often each plan shape the executor distinguishes was executed.
+#[derive(Debug, Default)]
+struct Shapes {
+    view_scan_filter: usize,
+    backjoin: usize,
+    bushy_join: usize,
+    nested_loop_with_predicate: usize,
+    nested_loop_cross: usize,
+    preaggregation_under_join: usize,
+    computed_project_below_root: usize,
+    scalar_aggregate_over_empty_input: usize,
+}
+
+/// The operator under any stack of `Project`s and `Filter`s.
+fn strip(plan: &PhysicalPlan) -> &PhysicalPlan {
+    match plan {
+        PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => strip(input),
+        other => other,
+    }
+}
+
+fn is_join(plan: &PhysicalPlan) -> bool {
+    matches!(
+        plan,
+        PhysicalPlan::HashJoin { .. } | PhysicalPlan::NestedLoopJoin { .. }
+    )
+}
+
+impl Shapes {
+    fn count(&mut self, plan: &PhysicalPlan, is_root: bool) {
+        match plan {
+            PhysicalPlan::Filter { input, .. } => {
+                self.view_scan_filter += matches!(**input, PhysicalPlan::ViewScan { .. }) as usize;
+            }
+            PhysicalPlan::HashJoin { left, right, .. } => {
+                self.backjoin += (matches!(**left, PhysicalPlan::ViewScan { .. })
+                    && matches!(**right, PhysicalPlan::TableScan { .. }))
+                    as usize;
+            }
+            PhysicalPlan::NestedLoopJoin { predicate, .. } => match predicate {
+                Some(_) => self.nested_loop_with_predicate += 1,
+                None => self.nested_loop_cross += 1,
+            },
+            PhysicalPlan::Project { exprs, .. } => {
+                let computed = exprs.iter().any(|e| !matches!(e, S::Column(_)));
+                self.computed_project_below_root += (computed && !is_root) as usize;
+            }
+            _ => {}
+        }
+        if let PhysicalPlan::HashJoin { left, right, .. }
+        | PhysicalPlan::NestedLoopJoin { left, right, .. } = plan
+        {
+            let (l, r) = (strip(left), strip(right));
+            if is_join(l) && is_join(r) {
+                self.bushy_join += 1;
+            }
+            if [l, r]
+                .iter()
+                .any(|side| matches!(side, PhysicalPlan::HashAggregate { .. }))
+            {
+                self.preaggregation_under_join += 1;
+            }
+        }
+        for child in plan.children() {
+            self.count(child, false);
+        }
+    }
+}
+
+struct Fixture {
+    db: Database,
+    engine: MatchingEngine,
+    store: ViewStore,
+}
+
+fn fixture(config: MatchConfig, n_views: usize) -> Fixture {
+    let (db, _) = generate_tpch(&TpchScale::tiny(), 20_260_928);
+    let engine = MatchingEngine::new(db.catalog.clone(), config);
+    let mut store = ViewStore::new();
+    for v in Generator::new(&db.catalog, WorkloadParams::views(), 41).views(n_views) {
+        let rows = materialize_view(&db, &v);
+        let id = engine.add_view(v).expect("generated views register");
+        store.put(id, rows);
+    }
+    Fixture { db, engine, store }
+}
+
+/// Execute `plan`, compare with the interpreter's answer to `query`, and
+/// count the plan's shapes.
+fn check_plan(fx: &Fixture, plan: &PhysicalPlan, query: &SpjgExpr, shapes: &mut Shapes) {
+    let got = execute_plan(&fx.db, &fx.store, plan);
+    let want = execute_spjg(&fx.db, query);
+    if let Some(diff) = bag_diff(&got, &want) {
+        panic!("physical executor disagrees with the interpreter: {diff}\nplan:\n{plan}");
+    }
+    shapes.count(plan, true);
+    if let OutputList::Aggregate { group_by, .. } = &query.output {
+        if group_by.is_empty() && execute_spj_part(&fx.db, query).is_empty() {
+            shapes.scalar_aggregate_over_empty_input += 1;
+        }
+    }
+}
+
+/// [`check_plan`] on the optimizer's plan for `query`.
+fn check(fx: &Fixture, use_views: bool, query: &SpjgExpr, shapes: &mut Shapes) {
+    let config = OptimizerConfig {
+        use_views,
+        ..OptimizerConfig::default()
+    };
+    let optimizer = Optimizer::new(&fx.engine, config);
+    let plan = optimizer.try_optimize(query).expect("plan").plan;
+    check_plan(fx, &plan, query, shapes);
+}
+
+/// Queries for the shapes the generator's foreign-key walks never reach.
+fn targeted_queries() -> Vec<SpjgExpr> {
+    let (_, t) = mv_catalog::tpch::tpch_catalog();
+    let names = vec![
+        NamedExpr::new(S::col(cr(0, 1)), "r_name"),
+        NamedExpr::new(S::col(cr(1, 1)), "n_name"),
+    ];
+    vec![
+        // No predicate relates the two tables: a cross join.
+        SpjgExpr::spj(
+            vec![t.region, t.nation],
+            BoolExpr::cmp(S::col(cr(1, 0)), CmpOp::Le, S::lit(7i64)),
+            names.clone(),
+        ),
+        // Related by an inequality only: a nested loop with a predicate.
+        SpjgExpr::spj(
+            vec![t.region, t.nation],
+            BoolExpr::cmp(S::col(cr(1, 2)), CmpOp::Lt, S::col(cr(0, 0))),
+            names,
+        ),
+        // A scalar aggregate whose input is empty.
+        SpjgExpr::aggregate(
+            vec![t.lineitem, t.orders],
+            BoolExpr::and(vec![
+                BoolExpr::col_eq(cr(0, 0), cr(1, 0)),
+                BoolExpr::cmp(S::col(cr(0, 4)), CmpOp::Lt, S::lit(0i64)),
+            ]),
+            vec![],
+            vec![
+                NamedAgg::new(AggFunc::CountStar, "cnt"),
+                NamedAgg::new(AggFunc::Sum(S::col(cr(0, 5))), "total"),
+                NamedAgg::new(AggFunc::SumZero(S::col(cr(1, 3))), "total0"),
+            ],
+        ),
+    ]
+}
+
+/// The optimizer only computes expressions at the root, so the computed
+/// `Project` under a join is built by hand: lineitem's key and
+/// `l_quantity * l_extendedprice`, joined to orders.
+fn computed_project_under_join() -> (PhysicalPlan, SpjgExpr) {
+    let (_, t) = mv_catalog::tpch::tpch_catalog();
+    let product = |occ| S::col(cr(occ, 4)).binary(BinOp::Mul, S::col(cr(occ, 5)));
+    let plan = PhysicalPlan::Project {
+        input: Box::new(PhysicalPlan::HashJoin {
+            left: Box::new(PhysicalPlan::Project {
+                input: Box::new(PhysicalPlan::TableScan { table: t.lineitem }),
+                exprs: vec![S::col(cr(0, 0)), product(0)],
+            }),
+            right: Box::new(PhysicalPlan::TableScan { table: t.orders }),
+            left_keys: vec![0],
+            right_keys: vec![0],
+            residual: None,
+        }),
+        // The product, o_custkey (2 + 1), and the product plus one.
+        exprs: vec![
+            S::col(cr(0, 1)),
+            S::col(cr(0, 3)),
+            S::col(cr(0, 1)).binary(BinOp::Add, S::lit(1i64)),
+        ],
+    };
+    let query = SpjgExpr::spj(
+        vec![t.lineitem, t.orders],
+        BoolExpr::col_eq(cr(0, 0), cr(1, 0)),
+        vec![
+            NamedExpr::new(product(0), "product"),
+            NamedExpr::new(S::col(cr(1, 1)), "o_custkey"),
+            NamedExpr::new(product(0).binary(BinOp::Add, S::lit(1i64)), "plus_one"),
+        ],
+    );
+    (plan, query)
+}
+
+#[test]
+fn optimizer_plans_match_the_interpreter_on_every_shape() {
+    let mut shapes = Shapes::default();
+    let plain = fixture(MatchConfig::default(), 300);
+    let backjoins = fixture(
+        MatchConfig {
+            allow_backjoins: true,
+            ..MatchConfig::default()
+        },
+        300,
+    );
+    let mut queries = Generator::new(&plain.db.catalog, WorkloadParams::queries(), 42).queries(150);
+    queries.extend(targeted_queries());
+    for q in &queries {
+        check(&plain, true, q, &mut shapes);
+        check(&backjoins, true, q, &mut shapes);
+        // Without views every join and pre-aggregation runs on base tables.
+        check(&plain, false, q, &mut shapes);
+    }
+    let (plan, query) = computed_project_under_join();
+    check_plan(&plain, &plan, &query, &mut shapes);
+
+    println!("{shapes:#?}");
+    let Shapes {
+        view_scan_filter,
+        backjoin,
+        bushy_join,
+        nested_loop_with_predicate,
+        nested_loop_cross,
+        preaggregation_under_join,
+        computed_project_below_root,
+        scalar_aggregate_over_empty_input,
+    } = shapes;
+    for (shape, seen) in [
+        ("view scan with compensation filter", view_scan_filter),
+        ("backjoin HashJoin", backjoin),
+        ("bushy join", bushy_join),
+        ("NestedLoopJoin with predicate", nested_loop_with_predicate),
+        ("NestedLoopJoin without predicate", nested_loop_cross),
+        ("pre-aggregation under a join", preaggregation_under_join),
+        (
+            "computed Project below the root",
+            computed_project_below_root,
+        ),
+        (
+            "scalar aggregate over empty input",
+            scalar_aggregate_over_empty_input,
+        ),
+    ] {
+        assert!(seen > 0, "no executed plan had the shape: {shape}");
+    }
+}
+
+/// Two single-purpose tables `a(x, tag)` and `b(y, tag)` with nullable
+/// keys of the given types.
+fn key_tables(
+    x: ColumnType,
+    y: ColumnType,
+    a_rows: Vec<Row>,
+    b_rows: Vec<Row>,
+) -> (Database, TableId, TableId) {
+    let mut cat = Catalog::new();
+    let a = cat.add_table(
+        TableBuilder::new("a")
+            .nullable_col("x", x)
+            .col("tag", ColumnType::Int)
+            .build(),
+    );
+    let b = cat.add_table(
+        TableBuilder::new("b")
+            .nullable_col("y", y)
+            .col("tag", ColumnType::Int)
+            .build(),
+    );
+    let mut db = Database::new(cat);
+    db.load(a, a_rows);
+    db.load(b, b_rows);
+    (db, a, b)
+}
+
+/// `a JOIN b ON x = y [AND residual]` as a hash join, against the
+/// interpreter.
+fn check_key_join(db: &Database, a: TableId, b: TableId, residual: Option<BoolExpr>) -> Vec<Row> {
+    let plan = PhysicalPlan::HashJoin {
+        left: Box::new(PhysicalPlan::TableScan { table: a }),
+        right: Box::new(PhysicalPlan::TableScan { table: b }),
+        left_keys: vec![0],
+        right_keys: vec![0],
+        residual: residual.clone(),
+    };
+    // The residual addresses the joined row (a.x, a.tag, b.y, b.tag); the
+    // query addresses the same columns by occurrence.
+    let by_occurrence = |c: ColRef| ColRef::new(c.col.0 / 2, c.col.0 % 2);
+    let mut conjuncts = vec![BoolExpr::col_eq(cr(0, 0), cr(1, 0))];
+    conjuncts.extend(residual.map(|r| r.map_columns(&mut { by_occurrence })));
+    let query = SpjgExpr::spj(
+        vec![a, b],
+        BoolExpr::and(conjuncts),
+        (0..4)
+            .map(|p| NamedExpr::new(S::col(by_occurrence(cr(0, p))), format!("c{p}")))
+            .collect(),
+    );
+    let got = execute_plan(db, &ViewStore::new(), &plan);
+    let want = execute_spjg(db, &query);
+    if let Some(diff) = bag_diff(&got, &want) {
+        panic!("hash join disagrees with the interpreter: {diff}");
+    }
+    got
+}
+
+fn keyed(keys: &[Value]) -> Vec<Row> {
+    keys.iter()
+        .enumerate()
+        .map(|(i, k)| vec![k.clone(), Value::Int(i as i64)])
+        .collect()
+}
+
+#[test]
+fn null_and_duplicate_keys_on_both_sides() {
+    let few = keyed(&[Value::Int(1), Value::Null, Value::Int(2), Value::Int(1)]);
+    let many = keyed(&[
+        Value::Int(1),
+        Value::Int(1),
+        Value::Null,
+        Value::Int(3),
+        Value::Int(2),
+        Value::Null,
+        Value::Int(1),
+    ]);
+    // Either input may be the smaller one, so either may be the build side.
+    for (a_rows, b_rows) in [(few.clone(), many.clone()), (many, few)] {
+        let (db, a, b) = key_tables(ColumnType::Int, ColumnType::Int, a_rows, b_rows);
+        let rows = check_key_join(&db, a, b, None);
+        // 1 joins 2 x 3 times, 2 joins once, NULL and 3 never.
+        assert_eq!(rows.len(), 7);
+    }
+}
+
+#[test]
+fn int_keys_join_the_floats_they_equal() {
+    let ints = keyed(&[Value::Int(1), Value::Int(2), Value::Int(3)]);
+    let floats = keyed(&[
+        Value::Float(1.0),
+        Value::Float(2.0),
+        Value::Float(2.5),
+        Value::Float(2.0),
+    ]);
+    for (x, y, a_rows, b_rows) in [
+        (
+            ColumnType::Int,
+            ColumnType::Float,
+            ints.clone(),
+            floats.clone(),
+        ),
+        (ColumnType::Float, ColumnType::Int, floats, ints),
+    ] {
+        let (db, a, b) = key_tables(x, y, a_rows, b_rows);
+        assert_eq!(check_key_join(&db, a, b, None).len(), 3);
+    }
+}
+
+#[test]
+fn residual_that_rejects_every_pair() {
+    let rows = keyed(&[Value::Int(1), Value::Int(1), Value::Int(2)]);
+    let (db, a, b) = key_tables(ColumnType::Int, ColumnType::Int, rows.clone(), rows);
+    // a.tag < a.tag holds for no row.
+    let never = BoolExpr::cmp(S::col(cr(0, 1)), CmpOp::Lt, S::col(cr(0, 1)));
+    assert!(check_key_join(&db, a, b, Some(never)).is_empty());
+    // And a residual over both sides that keeps some pairs.
+    let some = BoolExpr::cmp(S::col(cr(0, 1)), CmpOp::Lt, S::col(cr(0, 3)));
+    assert_eq!(check_key_join(&db, a, b, Some(some)).len(), 1);
+}
+
+/// A balanced tree of hash joins over `leaves` scans of nation, every join
+/// on the first column of both inputs.
+fn nation_join_tree(nation: TableId, leaves: usize) -> PhysicalPlan {
+    if leaves == 1 {
+        return PhysicalPlan::TableScan { table: nation };
+    }
+    PhysicalPlan::HashJoin {
+        left: Box::new(nation_join_tree(nation, leaves / 2)),
+        right: Box::new(nation_join_tree(nation, leaves - leaves / 2)),
+        left_keys: vec![0],
+        right_keys: vec![0],
+        residual: None,
+    }
+}
+
+#[test]
+fn more_than_sixteen_leaves() {
+    const LEAVES: usize = 19;
+    const NATION_WIDTH: u32 = 4;
+    let (db, t) = generate_tpch(&TpchScale::tiny(), 7);
+    // n_name of every leaf.
+    let plan = PhysicalPlan::Project {
+        input: Box::new(nation_join_tree(t.nation, LEAVES)),
+        exprs: (0..LEAVES as u32)
+            .map(|leaf| S::col(cr(0, leaf * NATION_WIDTH + 1)))
+            .collect(),
+    };
+    let query = SpjgExpr::spj(
+        vec![t.nation; LEAVES],
+        BoolExpr::and(
+            (1..LEAVES as u32)
+                .map(|occ| BoolExpr::col_eq(cr(0, 0), cr(occ, 0)))
+                .collect(),
+        ),
+        (0..LEAVES as u32)
+            .map(|occ| NamedExpr::new(S::col(cr(occ, 1)), format!("n{occ}")))
+            .collect(),
+    );
+    let compiled = CompiledPlan::compile(&plan);
+    let got = compiled.run(&db, &ViewStore::new());
+    assert_eq!(got.len(), db.row_count(t.nation));
+    assert!(bag_diff(&got, &execute_spjg(&db, &query)).is_none());
+}

@@ -87,14 +87,27 @@ impl PhysicalPlan {
         }
     }
 
+    // `uses_view`, `views_used` and `node_count` match on the variants instead of going through
+    // `children()`: the serve loop calls them on every read, and
+    // `children()` allocates a `Vec` per node.
+
     /// Does this plan (anywhere in the tree) scan a materialized view?
     /// Figure 4 of the paper counts final plans with this property.
     pub fn uses_view(&self) -> bool {
-        matches!(self, PhysicalPlan::ViewScan { .. })
-            || self.children().iter().any(|c| c.uses_view())
+        match self {
+            PhysicalPlan::ViewScan { .. } => true,
+            PhysicalPlan::TableScan { .. } => false,
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. } => input.uses_view(),
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoopJoin { left, right, .. } => {
+                left.uses_view() || right.uses_view()
+            }
+        }
     }
 
-    /// All views scanned by the plan.
+    /// All views scanned by the plan, in left-to-right scan order.
     pub fn views_used(&self) -> Vec<ViewId> {
         let mut out = Vec::new();
         self.collect_views(&mut out);
@@ -102,21 +115,32 @@ impl PhysicalPlan {
     }
 
     fn collect_views(&self, out: &mut Vec<ViewId>) {
-        if let PhysicalPlan::ViewScan { view } = self {
-            out.push(*view);
-        }
-        for c in self.children() {
-            c.collect_views(out);
+        match self {
+            PhysicalPlan::ViewScan { view } => out.push(*view),
+            PhysicalPlan::TableScan { .. } => {}
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. } => input.collect_views(out),
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoopJoin { left, right, .. } => {
+                left.collect_views(out);
+                right.collect_views(out);
+            }
         }
     }
 
     /// Number of operators in the tree.
     pub fn node_count(&self) -> usize {
-        1 + self
-            .children()
-            .iter()
-            .map(|c| c.node_count())
-            .sum::<usize>()
+        match self {
+            PhysicalPlan::TableScan { .. } | PhysicalPlan::ViewScan { .. } => 1,
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. } => 1 + input.node_count(),
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoopJoin { left, right, .. } => {
+                1 + left.node_count() + right.node_count()
+            }
+        }
     }
 
     fn fmt_indented(&self, f: &mut fmt::Formatter<'_>, indent: usize) -> fmt::Result {
@@ -230,6 +254,8 @@ mod tests {
         assert_eq!(p.views_used(), vec![ViewId(2)]);
         let scan = PhysicalPlan::TableScan { table: TableId(1) };
         assert!(!scan.uses_view());
+        assert!(scan.views_used().is_empty());
+        assert_eq!(scan.node_count(), 1);
     }
 
     #[test]
@@ -237,6 +263,24 @@ mod tests {
         let p = sample_plan();
         assert_eq!(p.node_count(), 5);
         assert_eq!(p.children().len(), 1);
+    }
+
+    #[test]
+    fn two_view_scans_are_reported_left_to_right() {
+        let p = PhysicalPlan::HashAggregate {
+            input: Box::new(PhysicalPlan::NestedLoopJoin {
+                left: Box::new(PhysicalPlan::ViewScan { view: ViewId(7) }),
+                right: Box::new(sample_plan()),
+                predicate: None,
+            }),
+            group_by: vec![],
+            aggregates: vec![AggFunc::CountStar],
+        };
+        assert!(p.uses_view());
+        assert_eq!(p.views_used(), vec![ViewId(7), ViewId(2)]);
+        assert_eq!(p.node_count(), 8);
+        assert_eq!(p.children().len(), 1);
+        assert_eq!(p.children()[0].children().len(), 2);
     }
 
     #[test]
