@@ -31,10 +31,24 @@ use mv_plan::{AggFunc, SpjgExpr, ViewId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Identity of a view's *join core*: its FROM list (in occurrence order)
+/// and its non-trivial equivalence classes. Everything the matcher derives
+/// ahead of the range test — occurrence mappings, the §3.2 elimination, the
+/// extended query classes — depends on the view through these two alone,
+/// so the candidates of one `find_substitutes` that carry the same id share
+/// that work (DESIGN.md §13.5). Ids are minted by the engine's interner on
+/// the registration path and are only comparable within one engine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CoreId(pub u32);
+
 /// Per-view prepared match descriptor. Built once per `add_view`; the
 /// matching path only reads it.
 #[derive(Debug, Clone)]
 pub struct PreparedView {
+    /// The view's join core, once an engine has registered the view.
+    /// `None` on a hand-prepared descriptor, which shares match state with
+    /// no other view.
+    pub core: Option<CoreId>,
     /// The predicate analysis of the view definition.
     pub summary: ExprSummary,
     /// `summary.ec.nontrivial_classes()`, canonical (classes and members
@@ -231,6 +245,7 @@ impl PreparedView {
         }
         let outputs = PreparedOutputs::build(catalog, config, expr, &nontrivial_ecs, &ec_class);
         PreparedView {
+            core: None,
             summary,
             nontrivial_ecs,
             ranges,

@@ -3,7 +3,7 @@
 //! invokes as its view-matching rule.
 
 use crate::cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
-use crate::descriptor::{PackedCatalog, PackedProbe, PreparedView};
+use crate::descriptor::{CoreId, PackedCatalog, PackedProbe, PreparedView};
 use crate::filter::{FilterTree, LevelSearch};
 use crate::fkgraph::{build_fk_graph, compute_hub};
 use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
@@ -55,18 +55,23 @@ pub fn strict_filter_exempt_levels(is_aggregate_view: bool) -> &'static [usize] 
     }
 }
 
-/// String interner mapping template texts to filter-key tokens.
+/// String interner mapping template texts to filter-key tokens, and
+/// join cores to [`CoreId`]s.
 ///
-/// Tokens are minted only on the **write path** (`add_view`), which
-/// builds the next immutable catalog snapshot; the query-side read path
-/// uses [`Interner::lookup`] against its pinned snapshot, which never
-/// allocates or mutates. This is what lets the interner live lock-free
-/// inside [`CatalogSnapshot`], and it also keeps the map's size
-/// proportional to the registered views instead of growing with every
-/// distinct query ever matched.
+/// Tokens and ids are minted only on the **write path** (`add_view`),
+/// which builds the next immutable catalog snapshot; the query-side read
+/// path uses [`Interner::lookup`] against its pinned snapshot, which never
+/// allocates or mutates, and reads a view's core id off its descriptor.
+/// This is what lets the interner live lock-free inside
+/// [`CatalogSnapshot`], and it also keeps the maps' size proportional to
+/// the registered views instead of growing with every distinct query ever
+/// matched.
 #[derive(Debug, Default, Clone)]
 struct Interner {
     map: HashMap<String, u64>,
+    /// (FROM list in occurrence order, canonical non-trivial equivalence
+    /// classes) → id. A removed view's core keeps its id.
+    cores: HashMap<(Vec<TableId>, Vec<Vec<ColRef>>), CoreId>,
 }
 
 /// Query-side token for a template text no registered view ever produced.
@@ -92,6 +97,15 @@ impl Interner {
     /// Read-only token lookup for the query path.
     fn lookup(&self, s: &str) -> u64 {
         self.map.get(s).copied().unwrap_or(UNKNOWN_TOKEN)
+    }
+
+    /// Id of the join core with this FROM list and these classes.
+    fn intern_core(&mut self, tables: &[TableId], classes: &[Vec<ColRef>]) -> CoreId {
+        let next = CoreId(self.cores.len() as u32);
+        *self
+            .cores
+            .entry((tables.to_vec(), classes.to_vec()))
+            .or_insert(next)
     }
 }
 
@@ -649,13 +663,14 @@ impl MatchingEngine {
         // Level 5 of the filter keys is exactly the view's interned
         // residual tokens; the prepared descriptor reuses them for the
         // per-candidate token-subset prefilter.
-        let prepared = PreparedView::prepare(
+        let mut prepared = PreparedView::prepare(
             &self.catalog,
             &self.config,
             &def.expr,
             vsum,
             keys[4].clone(),
         );
+        prepared.core = Some(interner.intern_core(&def.expr.tables, &prepared.nontrivial_ecs));
         let is_agg = def.expr.is_aggregate();
         let tables: Vec<TableId> = prepared.tables().collect();
         let id = next.views.add(def)?;
@@ -991,14 +1006,16 @@ impl MatchingEngine {
     }
 
     /// Run the full matching tests over a filtered candidate list.
-    /// Results keep candidate order (ascending `ViewId`).
+    /// Results keep candidate order (ascending `ViewId`); the count is the
+    /// join-core states the loop built — candidates over one core share
+    /// everything up to the equijoin test through `pq`.
     fn match_candidates(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
         qsum: &ExprSummary,
         candidates: &[ViewId],
-    ) -> Vec<(ViewId, Substitute)> {
+    ) -> (Vec<(ViewId, Substitute)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
         // The packed probe drives the per-candidate prechecks: residual
         // token subset, table correspondence, aggregation compatibility
@@ -1024,21 +1041,40 @@ impl MatchingEngine {
             }
             let view = snap.views.get(id);
             let pv = snap.packed.prepared(id);
-            match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv).map(|mut sub| {
+            let sub = match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv);
+            // Sharing must be invisible: a state of its own gives this
+            // candidate the same verdict and the same substitute.
+            #[cfg(debug_assertions)]
+            assert_eq!(
+                sub,
+                match_view_prepared(
+                    &self.catalog,
+                    &self.config,
+                    &PreparedQuery::new(query, qsum),
+                    id,
+                    view,
+                    pv
+                ),
+                "{id} matched through shared core state must be byte-identical \
+                 to a match with fresh state"
+            );
+            sub.map(|mut sub| {
                 sub.freshness = Freshness::from_lag(lag);
                 (id, sub)
             })
         };
-        candidates.iter().filter_map(try_candidate).collect()
+        let out = candidates.iter().filter_map(try_candidate).collect();
+        (out, pq.core_states())
     }
 
     /// Filter, match and debug-verify — the uncached matching pipeline.
-    /// Returns the substitutes, the candidate count, and the filter time.
+    /// Returns the substitutes, the candidate and core-state counts, and
+    /// the filter time.
     fn compute_substitutes(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-    ) -> (Vec<(ViewId, Substitute)>, usize, Duration) {
+    ) -> (Vec<(ViewId, Substitute)>, usize, usize, Duration) {
         let qsum = self.query_summary_in(snap, query);
 
         let filter_started = self.config.timing.then(Instant::now);
@@ -1046,14 +1082,14 @@ impl MatchingEngine {
         self.candidates_into_in(snap, query, &qsum, &mut candidates);
         let filter_time = elapsed(filter_started);
 
-        let out = self.match_candidates(snap, query, &qsum, &candidates);
+        let (out, core_states) = self.match_candidates(snap, query, &qsum, &candidates);
         #[cfg(debug_assertions)]
         {
             self.debug_verify(snap, query, &out);
             self.debug_prove(snap, query, &out);
             self.debug_assert_filter_complete(snap, query, &qsum, &candidates);
         }
-        (out, candidates.len(), filter_time)
+        (out, candidates.len(), core_states, filter_time)
     }
 
     /// The view-matching rule: find every view from which `query` can be
@@ -1086,7 +1122,9 @@ impl MatchingEngine {
     ) -> (Vec<(ViewId, Substitute)>, usize) {
         let started = self.config.timing.then(Instant::now);
         if !self.cache.is_enabled() {
-            let (out, n_candidates, filter_time) = self.compute_substitutes(snap, query);
+            let (out, n_candidates, core_states, filter_time) =
+                self.compute_substitutes(snap, query);
+            self.stats.record_core_states(core_states);
             self.stats.record(
                 n_candidates,
                 snap.live_view_count(),
@@ -1109,7 +1147,7 @@ impl MatchingEngine {
                 #[cfg(debug_assertions)]
                 {
                     self.debug_verify(snap, query, &results);
-                    let (fresh, _, _) = self.compute_substitutes(snap, query);
+                    let (fresh, ..) = self.compute_substitutes(snap, query);
                     assert_eq!(
                         results, fresh,
                         "cached substitutes must be byte-identical to a fresh \
@@ -1129,7 +1167,8 @@ impl MatchingEngine {
             CacheLookup::Stale => self.stats.record_cache_invalidation(),
             CacheLookup::Miss | CacheLookup::Disabled => {}
         }
-        let (out, n_candidates, filter_time) = self.compute_substitutes(snap, query);
+        let (out, n_candidates, core_states, filter_time) = self.compute_substitutes(snap, query);
+        self.stats.record_core_states(core_states);
         #[cfg(mv_model)]
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
         #[cfg(not(mv_model))]

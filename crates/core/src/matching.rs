@@ -11,8 +11,13 @@
 //! 4. range subsumption test + compensating range predicates (type 2),
 //! 5. residual subsumption test + compensating residual predicates (type 3),
 //! 6. output-expression mapping (§3.1.4) and aggregation handling (§3.3).
+//!
+//! Steps 1–3 depend on the view only through its *join core* (FROM list
+//! and non-trivial equivalence classes), so they are computed once per
+//! distinct core per query ([`CoreMatch`], kept in the [`PreparedQuery`])
+//! and steps 4–6 run per view against that shared state (DESIGN.md §13.5).
 
-use crate::descriptor::{occurrences_by_table, PreparedView};
+use crate::descriptor::{occurrences_by_table, CoreId, PreparedView};
 use crate::fkgraph::{build_fk_graph, eliminate};
 use crate::summary::{remap_col, ExprSummary};
 use mv_catalog::{Catalog, TableId};
@@ -20,7 +25,9 @@ use mv_expr::{BoolExpr, ClassIndex, ColRef, EquivClasses, Interval, OccId, Scala
 use mv_plan::{
     AggFunc, Freshness, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef, ViewId,
 };
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 
 /// When may a view whose materialized state trails the current base data
 /// substitute for a query? Enforced by `find_substitutes` against the
@@ -139,7 +146,9 @@ impl Default for MatchConfig {
 
 /// A query prepared for matching against many candidate views: the
 /// expression, its predicate summary, and the occurrences grouped by base
-/// table — computed once per `find_substitutes` instead of per candidate.
+/// table — computed once per `find_substitutes` instead of per candidate —
+/// plus what the candidates matched so far have derived per join core.
+/// One value serves one invocation on one thread.
 pub struct PreparedQuery<'a> {
     /// The query block.
     pub expr: &'a SpjgExpr,
@@ -152,6 +161,9 @@ pub struct PreparedQuery<'a> {
     /// substitute-construction lookups probe classes per column per
     /// accepted candidate, which a per-probe scan made the hot spot.
     pub ec_index: ClassIndex,
+    /// The per-core match state built so far, by the id the engine gave
+    /// the core at registration.
+    cores: RefCell<HashMap<CoreId, Rc<CoreMatch>>>,
 }
 
 impl<'a> PreparedQuery<'a> {
@@ -162,7 +174,28 @@ impl<'a> PreparedQuery<'a> {
             summary,
             by_table: occurrences_by_table(expr),
             ec_index: summary.ec.class_index(),
+            cores: RefCell::new(HashMap::new()),
         }
+    }
+
+    /// How many join-core states the candidates matched so far have built.
+    pub(crate) fn core_states(&self) -> usize {
+        self.cores.borrow().len()
+    }
+
+    /// The match state of `pv`'s join core, built by the first candidate
+    /// that carries it. A descriptor no engine registered gets a state of
+    /// its own.
+    fn core(&self, view: &SpjgExpr, pv: &PreparedView) -> Rc<CoreMatch> {
+        let Some(id) = pv.core else {
+            return Rc::new(CoreMatch::new(self, view, pv));
+        };
+        if let Some(core) = self.cores.borrow().get(&id) {
+            return Rc::clone(core);
+        }
+        let core = Rc::new(CoreMatch::new(self, view, pv));
+        self.cores.borrow_mut().insert(id, Rc::clone(&core));
+        core
     }
 }
 
@@ -202,29 +235,16 @@ pub fn match_view_prepared(
         return None;
     }
 
-    // Table correspondence: the query's table multiset must be a subset of
-    // the view's (requirement: "There is no need to consider views with
-    // fewer tables than the query").
-    for (t, qoccs) in &pq.by_table {
-        let available = pv
-            .by_table
-            .binary_search_by_key(t, |(vt, _)| *vt)
-            .map(|i| pv.by_table[i].1.len())
-            .unwrap_or(0);
-        if available < qoccs.len() {
-            return None;
-        }
-    }
-
-    // Enumerate injective assignments of query occurrences to view
-    // occurrences, per base table. With no self-joins this is a single
-    // mapping. Both grouping lists are sorted by table id, so the
-    // enumeration order — and therefore which of several valid mappings
-    // wins — is deterministic.
-    let mappings = enumerate_mappings(view.expr.tables.len(), &pq.by_table, &pv.by_table);
-    mappings
-        .into_iter()
-        .find_map(|assign| try_match(catalog, config, pq, view_id, view, pv, &assign))
+    // Everything up to the equijoin test is the core's; the first mapping
+    // under which this view also passes the per-view remainder wins.
+    let core = pq.core(&view.expr, pv);
+    core.mappings.iter().find_map(|m| {
+        let mapped = m
+            .state
+            .get_or_init(|| MappedCore::build(catalog, config, pq, &view.expr, pv, &m.assign))
+            .as_ref()?;
+        match_under(pq, view_id, view.expr.is_aggregate(), pv, mapped)
+    })
 }
 
 /// Upper bound on occurrence bijections tried for self-join table
@@ -334,17 +354,14 @@ fn injections(qoccs: &[OccId], voccs: &[OccId]) -> Vec<Vec<(OccId, OccId)>> {
 /// re-render) per accepted candidate was the accept-path hot spot.
 struct OutputCtx<'a> {
     pv: &'a PreparedView,
-    /// View occurrence index → query-space occurrence (the fixed
-    /// assignment; extras carry the trailing fresh ids).
+    /// View occurrence index → query-space occurrence, and its inverse
+    /// (see [`MappedCore`]).
     occ_map: &'a [OccId],
-    /// Query-space occurrence → view occurrence index. The inverse of
-    /// `occ_map`, total over query space: every query occurrence is
-    /// assigned and the extras' fresh ids are contiguous behind them.
-    inv: Vec<u32>,
+    inv: &'a [u32],
     /// Backjoins actually used by this match, in activation order:
     /// (view occurrence, base position of its columns in the extended
     /// space).
-    backjoin_active: std::cell::RefCell<Vec<(OccId, usize)>>,
+    backjoin_active: RefCell<Vec<(OccId, usize)>>,
 }
 
 impl OutputCtx<'_> {
@@ -545,120 +562,279 @@ fn is_null_rejecting(qsum: &ExprSummary, c: ColRef) -> bool {
     })
 }
 
-/// Attempt a match under one fixed occurrence assignment.
-fn try_match(
-    catalog: &Catalog,
-    config: &MatchConfig,
-    pq: &PreparedQuery<'_>,
-    view_id: ViewId,
-    view: &ViewDef,
-    pv: &PreparedView,
-    assign: &[Option<OccId>],
-) -> Option<Substitute> {
-    let query = pq.expr;
-    let qsum = pq.summary;
-    let nq = query.tables.len() as u32;
+/// What one invocation knows about one join core: the occurrence mappings
+/// of the query into it, in enumeration order, each with the state derived
+/// under it. A mapping's state is built by the first view that tries it —
+/// a self-join core whose views all match under the first mapping never
+/// pays for the others — and is `None` when the core fails §3.2 or the
+/// equijoin test under that mapping, which rejects every view of the core.
+/// No mappings at all: the query's tables are not a sub-multiset of the
+/// core's.
+struct CoreMatch {
+    mappings: Vec<CoreMapping>,
+}
 
-    // §3.2 precheck from the prepared descriptor: an extra view table can
-    // only be eliminated if some cardinality-preserving FK edge points at
-    // it, and the descriptor's edge set is a superset of any per-query
-    // graph's. A mapping leaving an edge-less occurrence unassigned can
-    // never survive elimination — reject before building the graph.
-    if assign
-        .iter()
-        .enumerate()
-        .any(|(i, a)| a.is_none() && !pv.fk_incoming[i])
-    {
-        return None;
-    }
+/// One occurrence mapping of a [`CoreMatch`]: `assign[view occ]` is the
+/// query occurrence (`None` = extra table), `state` what the first view
+/// to try the mapping derived under it.
+struct CoreMapping {
+    assign: Vec<Option<OccId>>,
+    state: OnceCell<Option<MappedCore>>,
+}
 
-    // View occurrence → query-space occurrence; extra tables get fresh
-    // occurrence ids nq, nq+1, ...
-    let mut occ_map: Vec<OccId> = Vec::with_capacity(assign.len());
-    let mut extras: Vec<OccId> = Vec::new();
-    let mut next = nq;
-    for a in assign {
-        match a {
-            Some(q) => occ_map.push(*q),
-            None => {
-                occ_map.push(OccId(next));
-                extras.push(OccId(next));
-                next += 1;
-            }
+impl CoreMatch {
+    fn new(pq: &PreparedQuery<'_>, view: &SpjgExpr, pv: &PreparedView) -> CoreMatch {
+        // Table correspondence: the query's table multiset must be a subset
+        // of the view's (requirement: "There is no need to consider views
+        // with fewer tables than the query").
+        let covered = pq.by_table.iter().all(|(t, qoccs)| {
+            pv.by_table
+                .binary_search_by_key(t, |(vt, _)| *vt)
+                .is_ok_and(|i| pv.by_table[i].1.len() >= qoccs.len())
+        });
+        // Enumerate injective assignments of query occurrences to view
+        // occurrences, per base table. With no self-joins this is a single
+        // mapping. Both grouping lists are sorted by table id, so the
+        // enumeration order — and therefore which of several valid mappings
+        // wins — is deterministic.
+        let mappings = if covered {
+            enumerate_mappings(view.tables.len(), &pq.by_table, &pv.by_table)
+        } else {
+            Vec::new()
+        };
+        CoreMatch {
+            mappings: mappings
+                .into_iter()
+                .map(|assign| CoreMapping {
+                    assign,
+                    state: OnceCell::new(),
+                })
+                .collect(),
         }
     }
-    let mapf = |o: OccId| occ_map[o.0 as usize];
+}
 
-    // Extended query equivalence classes (section 3.2: "we merely simulate
-    // the addition of extra tables by updating query equivalence classes").
-    // Cloning the query's union-find per candidate is pure overhead when
-    // the view brings no extra tables — the common case borrows it. The
-    // view's classes rebased into query space (needed for the FK graph)
-    // are likewise only built on this rare path: the occurrence
-    // substitution is injective, so distinct view classes stay distinct.
-    let mut qec_owned: Option<EquivClasses> = None;
-    if !extras.is_empty() {
-        let mut vec_q = EquivClasses::new();
-        for class in &pv.nontrivial_ecs {
-            for pair in class.windows(2) {
-                vec_q.union(remap_col(pair[0], &mapf), remap_col(pair[1], &mapf));
-            }
-        }
-        let occs: Vec<(OccId, TableId)> =
-            view.expr.occurrences().map(|(o, t)| (mapf(o), t)).collect();
-        let nullable_ok =
-            |c: ColRef| config.null_rejecting_fk && c.occ.0 < nq && is_null_rejecting(qsum, c);
-        let graph = build_fk_graph(catalog, &occs, &vec_q, &nullable_ok);
-        let elim = eliminate(&graph, &|o| extras.contains(&o));
-        if elim.remaining.iter().any(|o| extras.contains(o)) {
-            return None;
-        }
-        // Replay the join conditions of the deleted edges into the query's
-        // equivalence classes.
-        let mut q = qsum.ec.clone();
-        for e in &elim.deleted_edges {
-            for (f, c) in &e.col_pairs {
-                q.union(*f, *c);
-            }
-        }
-        qec_owned = Some(q);
+/// A join core under one occurrence mapping that survived extra-table
+/// elimination (§3.2) and the equijoin subsumption test (§3.1.2): what the
+/// per-view tests and compensations of [`match_under`] read. The parts only
+/// some views reach are built by the first view that reaches them.
+struct MappedCore {
+    /// View occurrence → query-space occurrence; extra tables carry the
+    /// fresh ids `nq, nq+1, ...`.
+    occ_map: Vec<OccId>,
+    /// Query-space occurrence → view occurrence index. The inverse of
+    /// `occ_map`, total over query space: every query occurrence is
+    /// assigned and the extras' fresh ids are contiguous behind them.
+    /// Needed from substitute construction on.
+    inv: OnceCell<Vec<u32>>,
+    /// The query's classes extended by the join conditions of the
+    /// eliminated extra tables. `None` when the core brings no extra
+    /// table: the query's own classes, class index and range maps then
+    /// serve as they are.
+    extended: Option<ExtendedClasses>,
+}
+
+/// Extended query equivalence classes (section 3.2: "we merely simulate
+/// the addition of extra tables by updating query equivalence classes")
+/// and the query-side maps rebased onto them.
+struct ExtendedClasses {
+    ec: EquivClasses,
+    /// The range test's map; most candidates go no further.
+    ranges: OnceCell<Option<HashMap<ColRef, Interval>>>,
+    /// The range compensation's map.
+    genuine_ranges: OnceCell<Option<HashMap<ColRef, Interval>>>,
+    /// Substitute construction's class lookups.
+    index: OnceCell<ClassIndex>,
+}
+
+impl ExtendedClasses {
+    /// `src` rebased onto the extended classes, computed into `cell` on
+    /// first use.
+    fn rebased<'a>(
+        &'a self,
+        cell: &'a OnceCell<Option<HashMap<ColRef, Interval>>>,
+        src: &HashMap<ColRef, Interval>,
+    ) -> Option<&'a HashMap<ColRef, Interval>> {
+        cell.get_or_init(|| rebase_ranges(src, &self.ec)).as_ref()
     }
-    let qec: &EquivClasses = qec_owned.as_ref().unwrap_or(&qsum.ec);
+}
 
-    // The three subsumption *tests* run before any substitute
-    // construction: most candidates the filter tree lets through die in
-    // one of them, and none of the tests needs the view-output maps or a
-    // template remap. Rejected-is-rejected, so running the tests ahead of
-    // the type-1 compensation (which can also reject, on an unmappable
-    // output) leaves the accept set and the built substitutes unchanged.
+impl MappedCore {
+    /// Derive the core's state under `assign`, or `None` when no view of
+    /// the core can match under it.
+    fn build(
+        catalog: &Catalog,
+        config: &MatchConfig,
+        pq: &PreparedQuery<'_>,
+        view: &SpjgExpr,
+        pv: &PreparedView,
+        assign: &[Option<OccId>],
+    ) -> Option<MappedCore> {
+        let qsum = pq.summary;
+        let nq = pq.expr.tables.len() as u32;
 
-    // ---- Equijoin subsumption test (section 3.1.2) ----
-    // Every non-trivial view equivalence class must be a subset of some
-    // query equivalence class.
-    for class in &pv.nontrivial_ecs {
-        let root = qec.find(remap_col(class[0], &mapf));
-        if class[1..]
+        // §3.2 precheck from the prepared descriptor: an extra view table
+        // can only be eliminated if some cardinality-preserving FK edge
+        // points at it, and the descriptor's edge set is a superset of any
+        // per-query graph's. A mapping leaving an edge-less occurrence
+        // unassigned can never survive elimination — reject before
+        // building the graph.
+        if assign
             .iter()
-            .any(|&c| qec.find(remap_col(c, &mapf)) != root)
+            .enumerate()
+            .any(|(i, a)| a.is_none() && !pv.fk_incoming[i])
         {
             return None;
         }
+
+        let mut occ_map: Vec<OccId> = Vec::with_capacity(assign.len());
+        let mut extras: Vec<OccId> = Vec::new();
+        let mut next = nq;
+        for a in assign {
+            match a {
+                Some(q) => occ_map.push(*q),
+                None => {
+                    occ_map.push(OccId(next));
+                    extras.push(OccId(next));
+                    next += 1;
+                }
+            }
+        }
+        let mapf = |o: OccId| occ_map[o.0 as usize];
+
+        // Cloning the query's union-find is pure overhead when the core
+        // brings no extra tables — the common case borrows it. The view's
+        // classes rebased into query space (needed for the FK graph) are
+        // likewise only built on this path: the occurrence substitution is
+        // injective, so distinct view classes stay distinct.
+        let mut extended = None;
+        if !extras.is_empty() {
+            let mut vec_q = EquivClasses::new();
+            for class in &pv.nontrivial_ecs {
+                for pair in class.windows(2) {
+                    vec_q.union(remap_col(pair[0], &mapf), remap_col(pair[1], &mapf));
+                }
+            }
+            let occs: Vec<(OccId, TableId)> =
+                view.occurrences().map(|(o, t)| (mapf(o), t)).collect();
+            let nullable_ok =
+                |c: ColRef| config.null_rejecting_fk && c.occ.0 < nq && is_null_rejecting(qsum, c);
+            let graph = build_fk_graph(catalog, &occs, &vec_q, &nullable_ok);
+            let elim = eliminate(&graph, &|o| extras.contains(&o));
+            if elim.remaining.iter().any(|o| extras.contains(o)) {
+                return None;
+            }
+            // Replay the join conditions of the deleted edges into the
+            // query's equivalence classes.
+            let mut ec = qsum.ec.clone();
+            for e in &elim.deleted_edges {
+                for (f, c) in &e.col_pairs {
+                    ec.union(*f, *c);
+                }
+            }
+            extended = Some(ExtendedClasses {
+                ec,
+                ranges: OnceCell::new(),
+                genuine_ranges: OnceCell::new(),
+                index: OnceCell::new(),
+            });
+        }
+
+        // ---- Equijoin subsumption test (section 3.1.2) ----
+        // Every non-trivial view equivalence class must be a subset of some
+        // query equivalence class.
+        let qec = extended.as_ref().map_or(&qsum.ec, |x| &x.ec);
+        for class in &pv.nontrivial_ecs {
+            let root = qec.find(remap_col(class[0], &mapf));
+            if class[1..]
+                .iter()
+                .any(|&c| qec.find(remap_col(c, &mapf)) != root)
+            {
+                return None;
+            }
+        }
+
+        Some(MappedCore {
+            occ_map,
+            inv: OnceCell::new(),
+            extended,
+        })
     }
 
+    /// The (extended) query equivalence classes.
+    fn ec<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> &'a EquivClasses {
+        self.extended.as_ref().map_or(&pq.summary.ec, |x| &x.ec)
+    }
+
+    /// [`ClassIndex`] of [`MappedCore::ec`].
+    fn index<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> &'a ClassIndex {
+        match &self.extended {
+            None => &pq.ec_index,
+            Some(x) => x.index.get_or_init(|| x.ec.class_index()),
+        }
+    }
+
+    /// The query ranges keyed by the roots of [`MappedCore::ec`]. With no
+    /// extra tables the rebase is the identity — the summary keys its
+    /// range maps by canonical class roots of the query's own classes.
+    /// `None`: the extension merged classes with disjoint ranges, so no
+    /// row satisfies the extended query and no view of the core matches.
+    fn ranges<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> Option<&'a HashMap<ColRef, Interval>> {
+        match &self.extended {
+            None => Some(&pq.summary.ranges),
+            Some(x) => x.rebased(&x.ranges, &pq.summary.ranges),
+        }
+    }
+
+    /// Like [`MappedCore::ranges`], for the genuine (not check-derived)
+    /// query ranges.
+    fn genuine_ranges<'a>(
+        &'a self,
+        pq: &'a PreparedQuery<'_>,
+    ) -> Option<&'a HashMap<ColRef, Interval>> {
+        match &self.extended {
+            None => Some(&pq.summary.genuine_ranges),
+            Some(x) => x.rebased(&x.genuine_ranges, &pq.summary.genuine_ranges),
+        }
+    }
+
+    fn inv(&self) -> &[u32] {
+        self.inv.get_or_init(|| {
+            let mut inv = vec![0u32; self.occ_map.len()];
+            for (vi, q) in self.occ_map.iter().enumerate() {
+                inv[q.0 as usize] = vi as u32;
+            }
+            inv
+        })
+    }
+}
+
+/// The per-view remainder of a match: range and residual subsumption, the
+/// three compensations and the output list, for one view of a core whose
+/// mapping `core` already passed elimination and the equijoin test.
+fn match_under(
+    pq: &PreparedQuery<'_>,
+    view_id: ViewId,
+    view_is_aggregate: bool,
+    pv: &PreparedView,
+    core: &MappedCore,
+) -> Option<Substitute> {
+    let qsum = pq.summary;
+    let qec = core.ec(pq);
+    let mapf = |o: OccId| core.occ_map[o.0 as usize];
+
+    // Both remaining subsumption *tests* run before any substitute
+    // construction: most candidates the filter tree lets through die in
+    // one of them, and neither needs the view-output maps or a template
+    // remap. Rejected-is-rejected, so running the tests ahead of the
+    // type-1 compensation (which can also reject, on an unmappable
+    // output) leaves the accept set and the built substitutes unchanged.
+
     // ---- Range subsumption test (type 2) ----
-    // Rebase the query ranges onto the extended equivalence classes. With
-    // no extra tables the rebase is the identity — the summary keys its
-    // range maps by canonical class roots of the query's own classes —
-    // so the common case borrows the summary's maps.
-    let qranges_owned: Option<HashMap<ColRef, Interval>> = if extras.is_empty() {
-        None
-    } else {
-        Some(rebase_ranges(&qsum.ranges, qec)?)
-    };
-    let qranges: &HashMap<ColRef, Interval> = qranges_owned.as_ref().unwrap_or(&qsum.ranges);
     // Every view range must contain the corresponding query range. The
     // prepared range list is sorted by class representative, so `veff`
     // accumulates in a deterministic order.
+    let qranges = core.ranges(pq)?;
     let mut veff: HashMap<ColRef, Interval> = HashMap::new();
     for (vroot, iv) in &pv.ranges {
         let c = remap_col(*vroot, &mapf);
@@ -692,27 +868,15 @@ fn try_match(
         }
     }
 
-    // All tests passed — invert the occurrence assignment and build the
-    // compensations against the precomputed view-space output maps.
-    let inv = {
-        let mut inv = vec![0u32; occ_map.len()];
-        for (vi, q) in occ_map.iter().enumerate() {
-            inv[q.0 as usize] = vi as u32;
-        }
-        inv
-    };
+    // All tests passed — build the compensations against the precomputed
+    // view-space output maps.
     let ctx = OutputCtx {
         pv,
-        occ_map: &occ_map,
-        inv,
-        backjoin_active: std::cell::RefCell::new(Vec::new()),
+        occ_map: &core.occ_map,
+        inv: core.inv(),
+        backjoin_active: RefCell::new(Vec::new()),
     };
-    let qix_owned: Option<ClassIndex> = if extras.is_empty() {
-        None
-    } else {
-        Some(qec.class_index())
-    };
-    let qix: &ClassIndex = qix_owned.as_ref().unwrap_or(&pq.ec_index);
+    let qix = core.index(pq);
     let mut predicates: Vec<BoolExpr> = Vec::new();
 
     // ---- Compensating column-equality predicates (section 3.1.3 type 1) --
@@ -746,13 +910,7 @@ fn try_match(
     // Enforce the query bounds that the view does not already guarantee —
     // only the *genuine* bounds: check-derived bounds hold on every view
     // row. Deterministic order for reproducible substitutes.
-    let gen_owned: Option<HashMap<ColRef, Interval>> = if extras.is_empty() {
-        None
-    } else {
-        Some(rebase_ranges(&qsum.genuine_ranges, qec)?)
-    };
-    let gen_ranges: &HashMap<ColRef, Interval> = gen_owned.as_ref().unwrap_or(&qsum.genuine_ranges);
-    let mut qrange_list: Vec<(&ColRef, &Interval)> = gen_ranges.iter().collect();
+    let mut qrange_list: Vec<(&ColRef, &Interval)> = core.genuine_ranges(pq)?.iter().collect();
     qrange_list.sort_by_key(|(c, _)| **c);
     for (qroot, qiv) in qrange_list {
         let viv = veff.get(qroot).cloned().unwrap_or_default();
@@ -792,14 +950,17 @@ fn try_match(
     }
 
     // ---- Output expressions (sections 3.1.4 and 3.3) ----
-    let output = build_output(query, view.expr.is_aggregate(), qec, qix, &ctx)?;
+    let output = build_output(pq.expr, view_is_aggregate, qec, qix, &ctx)?;
 
     // Canonical predicate order: the compensations above are emitted in
     // an order that can follow the query's conjunct order (residuals) or
     // class representatives (ranges) — both of which differ between
     // fingerprint-equal queries. Sorting by rendered text makes the
-    // substitute depend only on the predicate *set*.
-    predicates.sort_by_cached_key(|p| p.to_string());
+    // substitute depend only on the predicate *set*; fewer than two
+    // predicates have one order and are never rendered.
+    if predicates.len() >= 2 {
+        predicates.sort_by_cached_key(|p| p.to_string());
+    }
 
     Some(Substitute {
         view: view_id,
@@ -815,7 +976,7 @@ fn try_match(
 /// Type-1 compensation key: the view equivalence class a query column
 /// lands in, or the (translated) column itself when it is outside every
 /// view class. Distinct keys need a compensating equality; see
-/// `try_match`.
+/// `match_under`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VClassKey {
     Class(u32),

@@ -18,6 +18,12 @@ pub struct MatchStats {
     /// Total candidate views that survived filtering, summed over
     /// invocations.
     pub candidates: u64,
+    /// Join-core match states built, summed over invocations: the
+    /// candidates of one invocation that share a FROM list and equijoin
+    /// classes share one (DESIGN.md §13.5), so `candidates / core_states`
+    /// is how many views paid for one §3.2 elimination. Counts work done —
+    /// an invocation answered from the substitute cache builds none.
+    pub core_states: u64,
     /// Total views registered at the time of each invocation, summed over
     /// invocations (denominator for the candidate fraction).
     pub views_available: u64,
@@ -90,6 +96,7 @@ impl MatchStats {
     pub fn merge(&mut self, other: &MatchStats) {
         self.invocations += other.invocations;
         self.candidates += other.candidates;
+        self.core_states += other.core_states;
         self.views_available += other.views_available;
         self.substitutes += other.substitutes;
         self.filter_time += other.filter_time;
@@ -117,6 +124,7 @@ impl MatchStats {
 pub struct AtomicMatchStats {
     invocations: AtomicU64,
     candidates: AtomicU64,
+    core_states: AtomicU64,
     views_available: AtomicU64,
     substitutes: AtomicU64,
     filter_nanos: AtomicU64,
@@ -151,6 +159,11 @@ impl AtomicMatchStats {
             .fetch_add(match_time.as_nanos() as u64, Ordering::Relaxed);
     }
 
+    /// Record the join-core states one invocation's candidate loop built.
+    pub fn record_core_states(&self, n: usize) {
+        self.core_states.fetch_add(n as u64, Ordering::Relaxed);
+    }
+
     /// Record a substitute-cache hit.
     pub fn record_cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -181,6 +194,7 @@ impl AtomicMatchStats {
         MatchStats {
             invocations: self.invocations.load(Ordering::Relaxed),
             candidates: self.candidates.load(Ordering::Relaxed),
+            core_states: self.core_states.load(Ordering::Relaxed),
             views_available: self.views_available.load(Ordering::Relaxed),
             substitutes: self.substitutes.load(Ordering::Relaxed),
             filter_time: Duration::from_nanos(self.filter_nanos.load(Ordering::Relaxed)),
@@ -197,6 +211,7 @@ impl AtomicMatchStats {
     pub fn reset(&self) {
         self.invocations.store(0, Ordering::Relaxed);
         self.candidates.store(0, Ordering::Relaxed);
+        self.core_states.store(0, Ordering::Relaxed);
         self.views_available.store(0, Ordering::Relaxed);
         self.substitutes.store(0, Ordering::Relaxed);
         self.filter_nanos.store(0, Ordering::Relaxed);
@@ -288,6 +303,7 @@ mod tests {
         let mut a = MatchStats {
             invocations: 1,
             candidates: 2,
+            core_states: 12,
             views_available: 3,
             substitutes: 4,
             filter_time: Duration::from_millis(5),
@@ -301,6 +317,7 @@ mod tests {
         a.merge(&a.clone());
         assert_eq!(a.invocations, 2);
         assert_eq!(a.candidates, 4);
+        assert_eq!(a.core_states, 24);
         assert_eq!(a.views_available, 6);
         assert_eq!(a.substitutes, 8);
         assert_eq!(a.filter_time, Duration::from_millis(10));
@@ -320,13 +337,17 @@ mod tests {
         }
         a.record_cache_miss();
         a.record_cache_invalidation();
+        a.record_core_states(2);
+        a.record_core_states(0);
         let s = a.snapshot();
+        assert_eq!(s.core_states, 2);
         assert_eq!(s.cache_hits, 3);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_invalidations, 1);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
         a.reset();
         let z = a.snapshot();
+        assert_eq!(z.core_states, 0);
         assert_eq!(z.cache_hits, 0);
         assert_eq!(z.cache_misses, 0);
         assert_eq!(z.cache_invalidations, 0);

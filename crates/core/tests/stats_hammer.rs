@@ -19,9 +19,10 @@ use std::time::Duration;
 
 /// Counter-by-counter monotonicity between successive snapshots.
 fn regressed(prev: &MatchStats, cur: &MatchStats) -> Option<String> {
-    let pairs: [(&str, u64, u64); 9] = [
+    let pairs: [(&str, u64, u64); 10] = [
         ("invocations", prev.invocations, cur.invocations),
         ("candidates", prev.candidates, cur.candidates),
+        ("core_states", prev.core_states, cur.core_states),
         ("views_available", prev.views_available, cur.views_available),
         ("substitutes", prev.substitutes, cur.substitutes),
         ("cache_hits", prev.cache_hits, cur.cache_hits),
@@ -81,7 +82,10 @@ proptest! {
                     scope.spawn(move || {
                         for j in 0..ops {
                             if (t + j) % 3 == 0 {
+                                // A miss computes: its candidate loop
+                                // reports the core states it built.
                                 stats.record_cache_miss();
+                                stats.record_core_states(j % 5);
                             } else {
                                 stats.record_cache_hit();
                             }
@@ -124,6 +128,9 @@ proptest! {
         let expected_misses: u64 = (0..threads)
             .map(|t| (0..ops).filter(|j| (t + j) % 3 == 0).count() as u64)
             .sum();
+        let expected_core_states: u64 = (0..threads)
+            .map(|t| (0..ops).filter(|j| (t + j) % 3 == 0).map(|j| (j % 5) as u64).sum::<u64>())
+            .sum();
         let expected_subs: u64 = (0..threads)
             .map(|t| (0..ops).map(|j| ((t + j) % 2) as u64).sum::<u64>())
             .sum();
@@ -131,6 +138,7 @@ proptest! {
         let s = stats.snapshot();
         prop_assert_eq!(s.invocations, total);
         prop_assert_eq!(s.candidates, 2 * total);
+        prop_assert_eq!(s.core_states, expected_core_states);
         prop_assert_eq!(s.views_available, 10 * total);
         prop_assert_eq!(s.substitutes, expected_subs);
         prop_assert_eq!(s.cache_hits + s.cache_misses, s.invocations);

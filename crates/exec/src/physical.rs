@@ -768,7 +768,7 @@ mod empty_view_tests {
         });
     }
 
-    /// The shape `Optimizer::substitute_plan` emits for a substitute with
+    /// The shape the optimizer's `substitute_plan` emits for a substitute with
     /// a backjoin: view ⋈ base table, compensating filter, projection.
     fn backjoin_plan(view: ViewId) -> PhysicalPlan {
         let (_, t) = mv_catalog::tpch::tpch_catalog();

@@ -2,9 +2,12 @@
 
 use crate::block::{BlockInfo, Subset};
 use crate::cost::CostModel;
-use mv_core::MatchingEngine;
+use mv_core::{MatchingEngine, ViewsGuard};
 use mv_expr::{BoolExpr, ColRef, Conjunct, OccId, ScalarExpr};
-use mv_plan::{card, AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr, Substitute};
+use mv_plan::{
+    card, AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr, Substitute, ViewDef,
+    ViewId,
+};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::fmt;
@@ -100,6 +103,41 @@ struct Group {
     rows: f64,
     cost: f64,
     plan: PhysicalPlan,
+}
+
+/// The registered views as one `try_optimize` call sees them: pinned once
+/// instead of once per costed substitute, each view's row estimate
+/// computed once however many substitutes scan it.
+struct PinnedViews<'e> {
+    engine: &'e MatchingEngine,
+    views: ViewsGuard,
+    rows: HashMap<ViewId, f64>,
+}
+
+impl<'e> PinnedViews<'e> {
+    fn new(engine: &'e MatchingEngine) -> Self {
+        PinnedViews {
+            engine,
+            views: engine.views(),
+            rows: HashMap::new(),
+        }
+    }
+
+    /// Definition and estimated rows of a view a substitute scans.
+    fn get(&mut self, id: ViewId) -> (&ViewDef, f64) {
+        // The match that produced the substitute pinned its own snapshot,
+        // which may be later than this one. A definition never changes
+        // under its id, so pinning again is invisible to the costs.
+        if id.0 as usize >= self.views.len() {
+            self.views = self.engine.views();
+        }
+        let view = self.views.get(id);
+        let rows = *self
+            .rows
+            .entry(id)
+            .or_insert_with(|| card::estimate_rows(&view.expr, self.engine.catalog()));
+        (view, rows)
+    }
 }
 
 /// The optimizer. Holds the matching engine (and through it the catalog
@@ -204,6 +242,42 @@ fn bool_to_layout(e: &BoolExpr, layout: &[ColRef]) -> Result<BoolExpr, PlanInvar
     })
 }
 
+/// The physical alternative for a substitute: scan the view, join back
+/// to base tables (section 7 extension), apply the compensating
+/// predicates, project or re-aggregate.
+fn substitute_plan(sub: &Substitute) -> PhysicalPlan {
+    let mut plan = PhysicalPlan::ViewScan { view: sub.view };
+    for bj in &sub.backjoins {
+        plan = PhysicalPlan::HashJoin {
+            left: Box::new(plan),
+            right: Box::new(PhysicalPlan::TableScan { table: bj.table }),
+            left_keys: bj.key.iter().map(|(p, _)| *p).collect(),
+            right_keys: bj.key.iter().map(|(_, c)| c.0 as usize).collect(),
+            residual: None,
+        };
+    }
+    if !sub.predicates.is_empty() {
+        plan = PhysicalPlan::Filter {
+            input: Box::new(plan),
+            predicate: BoolExpr::and(sub.predicates.clone()),
+        };
+    }
+    match &sub.output {
+        OutputList::Spj(items) => PhysicalPlan::Project {
+            input: Box::new(plan),
+            exprs: items.iter().map(|ne| ne.expr.clone()).collect(),
+        },
+        OutputList::Aggregate {
+            group_by,
+            aggregates,
+        } => PhysicalPlan::HashAggregate {
+            input: Box::new(plan),
+            group_by: group_by.iter().map(|ne| ne.expr.clone()).collect(),
+            aggregates: aggregates.iter().map(|na| na.func.clone()).collect(),
+        },
+    }
+}
+
 impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     /// Create an optimizer over an engine (`&MatchingEngine`,
     /// `Arc<MatchingEngine>`, or anything else that borrows one).
@@ -235,9 +309,10 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         let info = BlockInfo::new(query);
         let mut stats = OptimizerStats::default();
         let mut memo: HashMap<Subset, Group> = HashMap::new();
+        let mut views = PinnedViews::new(self.engine());
 
         for s in info.connected_subsets() {
-            let group = self.optimize_subset(&info, s, &memo, &mut stats)?;
+            let group = self.optimize_subset(&info, s, &memo, &mut views, &mut stats)?;
             memo.insert(s, group);
         }
         stats.groups = memo.len();
@@ -247,15 +322,17 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         let top = self.glue_components(&info, &mut memo, &mut stats)?;
 
         let optimized = if query.is_aggregate() {
-            self.finish_aggregate(&info, top, &memo, &mut stats)?
+            self.finish_aggregate(&info, top, &memo, &mut views, &mut stats)?
         } else {
-            self.finish_spj(&info, top, &memo, &mut stats)?
+            self.finish_spj(&info, top, &memo, &mut views, &mut stats)?
         };
         // Debug-mode oracle: the independent plan analyzer re-checks every
         // column reference, join key, and aggregate argument of the winning
         // plan against its input arities. Compiled out of release builds.
         #[cfg(debug_assertions)]
         {
+            // Pinned afresh: the winning plan may scan a view registered
+            // after `views` was pinned.
             let diags = mv_verify::verify_plan(
                 self.engine().catalog(),
                 &self.engine().views(),
@@ -377,12 +454,11 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         )
     }
 
-    /// Build the physical alternative for a substitute: scan the view,
-    /// apply the compensating predicates, project or re-aggregate.
-    fn substitute_plan(&self, sub: &Substitute) -> (PhysicalPlan, f64) {
-        let views = self.engine().views();
-        let view = views.get(sub.view);
-        let view_rows = card::estimate_rows(&view.expr, self.engine().catalog());
+    /// Cost of the physical alternative [`substitute_plan`] builds for
+    /// `sub`: scan the view, apply the compensating predicates, project or
+    /// re-aggregate.
+    fn substitute_cost(&self, views: &mut PinnedViews<'_>, sub: &Substitute) -> f64 {
+        let (view, view_rows) = views.get(sub.view);
         // Index-aware scan costing: "any secondary indexes defined on a
         // materialized view will be considered automatically in the same
         // way as for base tables" (section 2). When the compensating
@@ -390,7 +466,6 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         // secondary index, the scan is costed as an index seek.
         let seek_factor = index_seek_factor(view, &sub.predicates);
         let scanned = (view_rows * seek_factor).max(1.0);
-        let mut plan = PhysicalPlan::ViewScan { view: sub.view };
         let mut cost = self.config.cost.scan(scanned);
         // Base-table backjoins (section 7 extension): each one is a
         // cardinality-preserving hash join against the base table.
@@ -401,44 +476,40 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
                 .stats(bj.table)
                 .map(|st| st.rows as f64)
                 .unwrap_or(card::DEFAULT_TABLE_ROWS);
-            plan = PhysicalPlan::HashJoin {
-                left: Box::new(plan),
-                right: Box::new(PhysicalPlan::TableScan { table: bj.table }),
-                left_keys: bj.key.iter().map(|(p, _)| *p).collect(),
-                right_keys: bj.key.iter().map(|(_, c)| c.0 as usize).collect(),
-                residual: None,
-            };
             cost += self.config.cost.scan(table_rows)
                 + self.config.cost.hash_join(scanned, table_rows, scanned);
         }
         if !sub.predicates.is_empty() {
-            plan = PhysicalPlan::Filter {
-                input: Box::new(plan),
-                predicate: BoolExpr::and(sub.predicates.clone()),
-            };
             cost += self.config.cost.filter(scanned);
         }
-        match &sub.output {
-            OutputList::Spj(items) => {
-                plan = PhysicalPlan::Project {
-                    input: Box::new(plan),
-                    exprs: items.iter().map(|ne| ne.expr.clone()).collect(),
-                };
-                cost += self.config.cost.project(view_rows);
-            }
-            OutputList::Aggregate {
-                group_by,
-                aggregates,
-            } => {
-                plan = PhysicalPlan::HashAggregate {
-                    input: Box::new(plan),
-                    group_by: group_by.iter().map(|ne| ne.expr.clone()).collect(),
-                    aggregates: aggregates.iter().map(|na| na.func.clone()).collect(),
-                };
-                cost += self.config.cost.aggregate(view_rows, view_rows / 2.0);
+        cost + match &sub.output {
+            OutputList::Spj(_) => self.config.cost.project(view_rows),
+            OutputList::Aggregate { .. } => self.config.cost.aggregate(view_rows, view_rows / 2.0),
+        }
+    }
+
+    /// Cost every substitute of one rule invocation (each counted in
+    /// `stats`) and return the one to build a plan for: the cheapest that
+    /// beats `bound`, the group's best cost so far — the earlier on a tie.
+    /// Most invocations return several substitutes and keep none, so only
+    /// the winner is ever turned into a plan.
+    fn cheapest_substitute<'s>(
+        &self,
+        views: &mut PinnedViews<'_>,
+        subs: &'s [(ViewId, Substitute)],
+        mut bound: Option<f64>,
+        stats: &mut OptimizerStats,
+    ) -> Option<(f64, &'s Substitute)> {
+        let mut best = None;
+        for (_, sub) in subs {
+            stats.substitute_alternatives += 1;
+            let cost = self.substitute_cost(views, sub);
+            if bound.is_none_or(|b| cost < b) {
+                bound = Some(cost);
+                best = Some((cost, sub));
             }
         }
-        (plan, cost)
+        best
     }
 
     /// Optimize one connected subset: scans and joins plus view
@@ -448,6 +519,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         info: &BlockInfo,
         s: Subset,
         memo: &HashMap<Subset, Group>,
+        views: &mut PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Result<Group, PlanInvariant> {
         let (block, layout) = self.subset_block(info, s);
@@ -526,10 +598,10 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         if self.config.use_views {
             let subs = self.engine().find_substitutes(&block);
             if self.config.produce_substitutes {
-                for (_, sub) in subs {
-                    stats.substitute_alternatives += 1;
-                    let (plan, cost) = self.substitute_plan(&sub);
-                    consider(cost, plan, stats);
+                stats.alternatives += subs.len();
+                let bound = best.as_ref().map(|(cost, _)| *cost);
+                if let Some((cost, sub)) = self.cheapest_substitute(views, &subs, bound, stats) {
+                    best = Some((cost, substitute_plan(sub)));
                 }
             }
         }
@@ -647,6 +719,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         info: &BlockInfo,
         top: Subset,
         memo: &HashMap<Subset, Group>,
+        views: &mut PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Result<Optimized, PlanInvariant> {
         let g = &memo[&top];
@@ -666,13 +739,11 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         if self.config.use_views {
             let subs = self.engine().find_substitutes(info.expr);
             if self.config.produce_substitutes {
-                for (_, sub) in subs {
-                    stats.substitute_alternatives += 1;
-                    let (plan, cost) = self.substitute_plan(&sub);
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_plan = plan;
-                    }
+                if let Some((cost, sub)) =
+                    self.cheapest_substitute(views, &subs, Some(best_cost), stats)
+                {
+                    best_cost = cost;
+                    best_plan = substitute_plan(sub);
                 }
             }
         }
@@ -693,6 +764,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         info: &BlockInfo,
         top: Subset,
         memo: &HashMap<Subset, Group>,
+        views: &mut PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Result<Optimized, PlanInvariant> {
         let g = &memo[&top];
@@ -732,13 +804,11 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         if self.config.use_views {
             let subs = self.engine().find_substitutes(info.expr);
             if self.config.produce_substitutes {
-                for (_, sub) in subs {
-                    stats.substitute_alternatives += 1;
-                    let (plan, cost) = self.substitute_plan(&sub);
-                    if cost < best_cost {
-                        best_cost = cost;
-                        best_plan = plan;
-                    }
+                if let Some((cost, sub)) =
+                    self.cheapest_substitute(views, &subs, Some(best_cost), stats)
+                {
+                    best_cost = cost;
+                    best_plan = substitute_plan(sub);
                 }
             }
         }
@@ -750,9 +820,9 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
             while s > 0 {
                 let r = info.all & !s;
                 if info.connected(s) && info.connected(r) {
-                    if let Some((cost, plan)) =
-                        self.preagg_plan(info, s, r, memo, group_by, aggregates, final_rows, stats)
-                    {
+                    if let Some((cost, plan)) = self.preagg_plan(
+                        info, s, r, memo, group_by, aggregates, final_rows, views, stats,
+                    ) {
                         stats.alternatives += 1;
                         if cost < best_cost {
                             best_cost = cost;
@@ -784,6 +854,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         group_by: &[NamedExpr],
         aggregates: &[NamedAgg],
         final_rows: f64,
+        views: &mut PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Option<(f64, PhysicalPlan)> {
         let in_side = |cols: &[ColRef], side: Subset| {
@@ -908,13 +979,11 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         if self.config.use_views {
             let subs = self.engine().find_substitutes(&pre_block);
             if self.config.produce_substitutes {
-                for (_, sub) in subs {
-                    stats.substitute_alternatives += 1;
-                    let (plan, cost) = self.substitute_plan(&sub);
-                    if cost < pre_cost {
-                        pre_cost = cost;
-                        pre_plan = plan;
-                    }
+                if let Some((cost, sub)) =
+                    self.cheapest_substitute(views, &subs, Some(pre_cost), stats)
+                {
+                    pre_cost = cost;
+                    pre_plan = substitute_plan(sub);
                 }
             }
         }
