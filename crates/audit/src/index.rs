@@ -18,19 +18,10 @@
 //!    (MV102) — unless the only rejecting levels are the documented
 //!    §4.2.7 strict-expression-filter conservatism, which is reported as
 //!    an INFO note instead.
-//!
-//! The static direction also validates the *packed* catalog the precheck
-//! reads (DESIGN.md §13): every record's arena spans must be in bounds
-//! and well-formed (MV105), and — since the precheck trusts the packed
-//! pages the way the search trusts the stored keys — the MV101/MV103/
-//! MV104 re-derivations read the packed layout too: packed table counts
-//! must match a fresh count over the view definition (MV101), the stored
-//! hub must be contained in the packed table set (MV103), and every
-//! packed token must decode against the catalog/interner (MV104).
 
 use mv_core::{
-    decode_col_token, strict_filter_exempt_levels, table_token, MatchingEngine, AGG_LEVELS,
-    LEVEL_NAMES, SPJ_LEVELS,
+    decode_col_token, strict_filter_exempt_levels, MatchingEngine, AGG_LEVELS, LEVEL_NAMES,
+    SPJ_LEVELS,
 };
 use mv_plan::{SpjgExpr, ViewId};
 use mv_verify::{Diagnostic, Report, RuleId, Severity};
@@ -131,124 +122,6 @@ pub fn audit_stored_entries(engine: &MatchingEngine, report: &mut Report) {
             );
         }
         audit_entry_obligations(engine, &view.name, keys, report);
-        audit_packed_record(engine, id, &view.name, keys, report);
-    }
-}
-
-/// Validate the packed-catalog record backing the precheck for one live
-/// view: span well-formedness first (MV105) — the accessors index the
-/// arenas with the spans, so nothing else is checkable when they are
-/// broken — then the packed re-derivations of MV101/MV103/MV104.
-fn audit_packed_record(
-    engine: &MatchingEngine,
-    id: ViewId,
-    view_name: &str,
-    stored_keys: &[Vec<u64>],
-    report: &mut Report,
-) {
-    let packed = engine.packed();
-    if let Err(detail) = packed.validate_spans(id) {
-        report.push(
-            Diagnostic::error(
-                RuleId::ArenaSpan,
-                "packed descriptor record holds an invalid arena span",
-            )
-            .with_view(view_name)
-            .with_detail(detail),
-        );
-        return;
-    }
-    let catalog = engine.catalog();
-    let n_tables = catalog.table_count() as u64;
-
-    // MV101 re-derived from the packed layout: the packed (table,
-    // occurrence-count) page must equal a fresh count over the view
-    // definition — a stale page prechecks against the wrong pigeonholes.
-    let view = engine.views().get(id).clone();
-    let mut derived: HashMap<u64, u32> = HashMap::new();
-    for (_, t) in view.expr.occurrences() {
-        *derived.entry(table_token(t)).or_insert(0) += 1;
-    }
-    let stored_counts: HashMap<u64, u32> = packed
-        .table_counts(id)
-        .map(|(t, occ, _)| (table_token(t), occ))
-        .collect();
-    if stored_counts != derived {
-        report.push(
-            Diagnostic::error(
-                RuleId::IndexEntry,
-                "packed table/occurrence page no longer matches the view definition",
-            )
-            .with_view(view_name)
-            .with_detail(format!("packed {stored_counts:?} vs derived {derived:?}")),
-        );
-    }
-
-    // MV103 re-derived from the packed layout: the stored hub must be a
-    // subset of the packed table set — the precheck's merged table scan
-    // assumes the hub argument holds for the pages it walks.
-    if let Some(hub) = stored_keys.first() {
-        if !hub.iter().all(|t| stored_counts.contains_key(t)) {
-            report.push(
-                Diagnostic::error(
-                    RuleId::HubInvariant,
-                    "stored hub key is not a subset of the packed table page",
-                )
-                .with_view(view_name)
-                .with_detail(format!(
-                    "hub {hub:?} vs packed tables {:?}",
-                    packed.table_counts(id).map(|(t, ..)| t).collect::<Vec<_>>()
-                )),
-            );
-        }
-    }
-
-    // MV104 re-derived from the packed layout: every packed token must
-    // decode against the catalog (tables, equivalence/range columns) or
-    // the interner (residual template texts).
-    for (t, ..) in packed.table_counts(id) {
-        if table_token(t) >= n_tables {
-            report.push(
-                Diagnostic::error(
-                    RuleId::IndexTokenBounds,
-                    format!("packed table token {} names no catalog table", t.0),
-                )
-                .with_view(view_name)
-                .with_detail("packed table page".to_string()),
-            );
-        }
-    }
-    for (page, tokens) in [
-        ("packed equivalence-column page", packed.ec_cols(id)),
-        ("packed range-column page", packed.range_cols(id)),
-    ] {
-        for &c in tokens {
-            let (table, col) = decode_col_token(c);
-            let valid = (table.0 as u64) < n_tables
-                && (col.0 as usize) < catalog.table(table).columns.len();
-            if !valid {
-                report.push(
-                    Diagnostic::error(
-                        RuleId::IndexTokenBounds,
-                        format!("packed column token {c} decodes to no catalog column"),
-                    )
-                    .with_view(view_name)
-                    .with_detail(page.to_string()),
-                );
-            }
-        }
-    }
-    for &t in packed.residual_tokens(id) {
-        if u64::from(t) >= engine.known_token_count() {
-            report.push(
-                Diagnostic::error(
-                    RuleId::IndexTokenBounds,
-                    format!("packed residual-token {t} was never interned"),
-                )
-                .with_view(view_name)
-                .with_detail("packed residual-token page".to_string()),
-            );
-        }
     }
 }
 

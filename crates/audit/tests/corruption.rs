@@ -203,28 +203,6 @@ fn bogus_tokens_caught_by_mv104() {
     );
 }
 
-#[test]
-fn out_of_bounds_packed_span_caught_by_mv105() {
-    let engine = fixture();
-    assert!(engine.corrupt_packed_span_for_audit(ViewId(0)));
-    let report = audit_index(&engine, &[]);
-    assert_eq!(codes(&report, Severity::Error), vec!["MV105"]);
-    let d = report
-        .diagnostics
-        .iter()
-        .find(|d| d.rule.code() == "MV105")
-        .unwrap();
-    assert_eq!(d.context.view.as_deref(), Some("parts_low"));
-    assert!(
-        d.context.detail.as_deref().unwrap().contains("span"),
-        "detail must describe the broken span: {:?}",
-        d.context.detail
-    );
-    // The other three views' packed records are untouched: exactly one
-    // MV105 diagnostic.
-    assert_eq!(report.count(Severity::Error), 1);
-}
-
 // ---------------------------------------------------------------------
 // Catalog redundancy (MV110–MV112).
 // ---------------------------------------------------------------------

@@ -62,9 +62,9 @@
 //! the fan-out of groups across cores buy over the serial cold stream —
 //! the one inter-query parallel measurement. Uniform-serial rows
 //! additionally carry `rss_bytes_per_view` (resident-set growth of the
-//! bulk registration, Linux only) and `bytes_per_view_arena` (the packed
-//! descriptor arena's deterministic share); both are `null` on rows that
-//! do not measure registration.
+//! bulk registration, Linux only) and `bytes_per_view_arena` (the
+//! descriptor store's pointer tables, deterministic); both are `null` on
+//! rows that do not measure registration.
 //!
 //! `--strict` turns the built-in regression assertions into the exit
 //! code: the run fails if the warm hit rate retained across the
@@ -183,7 +183,7 @@ struct Record {
     /// `/proc/self/status`; `None` off Linux or on non-registration
     /// rows). Carried by the uniform-serial row of each scale point.
     rss_bytes_per_view: Option<f64>,
-    /// Packed-descriptor arena footprint per view
+    /// Descriptor-store footprint per view
     /// (`MatchingEngine::arena_bytes` / views) — deterministic, unlike
     /// RSS, so the strict memory gate leans on it.
     bytes_per_view_arena: Option<f64>,
@@ -257,7 +257,7 @@ fn measure(w: &Workload, views: usize) -> Record {
 
     // Registration cost per view: RSS growth around the bulk add (noisy,
     // allocator-reuse-dependent, but what an operator sees) plus the
-    // deterministic packed-arena share.
+    // deterministic descriptor-store share.
     let rss_before = rss_bytes();
     let engine = engine_with(w, views, cfg);
     let rss_per_view = rss_before
@@ -1001,7 +1001,7 @@ fn main() {
     };
     for &views in &args.sizes {
         let serial = measure(&w, views);
-        // Memory-per-view gates: the packed arena share is deterministic
+        // Memory-per-view gates: the descriptor-store share is deterministic
         // (tight 1.25x tolerance); RSS is allocator- and noise-dependent
         // but is what actually bounds catalog scale, so it gets the same
         // tolerance against the *best* prior run.
@@ -1011,7 +1011,7 @@ fn main() {
         ) {
             if now > 1.25 * base {
                 failures.push(format!(
-                    "at {views} views the packed arena costs {now:.0} B/view, more than \
+                    "at {views} views the descriptor store costs {now:.0} B/view, more than \
                      1.25x the best prior run ({base:.0} B/view)"
                 ));
             }
@@ -1033,9 +1033,8 @@ fn main() {
             }
         }
         // Latency gate: generous 2x tolerance against the best prior p50
-        // — wide enough for scheduler noise, tight enough to catch the
-        // kind of structural regression the packed layout exists to
-        // prevent.
+        // — wide enough for scheduler noise, tight enough to catch a
+        // structural regression.
         if let Some(base) = best_prior(&prior, views, "p50_match_latency_us") {
             if serial.p50_us > 2.0 * base {
                 failures.push(format!(

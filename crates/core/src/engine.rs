@@ -3,7 +3,7 @@
 //! invokes as its view-matching rule.
 
 use crate::cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
-use crate::descriptor::{CoreId, PackedCatalog, PackedProbe, PreparedView};
+use crate::descriptor::{CoreId, DescriptorStore, PreparedView};
 use crate::filter::{FilterTree, LevelSearch};
 use crate::fkgraph::{build_fk_graph, compute_hub};
 use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
@@ -150,17 +150,15 @@ fn epoch_of(data_epochs: &[u64], table: TableId) -> u64 {
 /// not filed yet). Writers clone the snapshot, apply their change to the
 /// clone, and publish it atomically. The clone allocates nothing per
 /// view: the registry, the interner, the constraints and the trees are
-/// one `Arc` each, the packed descriptors and the view stamps are paged
+/// one `Arc` each, the prepared descriptors and the view stamps are paged
 /// behind `Arc`s, and only the two per-table epoch vectors are copied.
 #[derive(Debug, Clone)]
 struct CatalogSnapshot {
     /// The registered views (slots and names of removed views stay
     /// reserved).
     views: ViewSet,
-    /// The arena-packed match descriptors, parallel to `views`: the
-    /// candidate scan's prefilter reads the packed spans, survivors read
-    /// the `Arc`'d cold descriptors behind them.
-    packed: PackedCatalog,
+    /// The prepared match descriptors, parallel to `views`.
+    descriptors: DescriptorStore,
     spj_tree: Arc<FilterTree>,
     agg_tree: Arc<FilterTree>,
     interner: Arc<Interner>,
@@ -194,7 +192,7 @@ impl CatalogSnapshot {
     fn empty(catalog: &Catalog) -> CatalogSnapshot {
         CatalogSnapshot {
             views: ViewSet::new(),
-            packed: PackedCatalog::new(),
+            descriptors: DescriptorStore::default(),
             spj_tree: Arc::new(FilterTree::new(SPJ_LEVELS)),
             agg_tree: Arc::new(FilterTree::new(AGG_LEVELS)),
             interner: Arc::new(Interner::default()),
@@ -346,7 +344,7 @@ impl MatchingEngine {
         drop(cur);
         let (keys, is_agg, tables) = {
             let def = next.views.get(id);
-            let pv = next.packed.prepared(id);
+            let pv = next.descriptors.prepared(id);
             // Read-only token lookup: every text of a registered view was
             // interned when it was added.
             let keys = Self::view_keys(
@@ -660,16 +658,7 @@ impl MatchingEngine {
             &def.expr,
             &vsum,
         );
-        // Level 5 of the filter keys is exactly the view's interned
-        // residual tokens; the prepared descriptor reuses them for the
-        // per-candidate token-subset prefilter.
-        let mut prepared = PreparedView::prepare(
-            &self.catalog,
-            &self.config,
-            &def.expr,
-            vsum,
-            keys[4].clone(),
-        );
+        let mut prepared = PreparedView::prepare(&self.catalog, &self.config, &def.expr, vsum);
         prepared.core = Some(interner.intern_core(&def.expr.tables, &prepared.nontrivial_ecs));
         let is_agg = def.expr.is_aggregate();
         let tables: Vec<TableId> = prepared.tables().collect();
@@ -680,8 +669,7 @@ impl MatchingEngine {
         let data_epochs = &next.data_epochs;
         next.view_stamps
             .push(tables.iter().map(|&t| (t, epoch_of(data_epochs, t))));
-        next.packed
-            .push(Arc::new(prepared), &next.views.get(id).expr);
+        next.descriptors.push(Arc::new(prepared));
         if is_agg {
             Arc::make_mut(&mut next.agg_tree).insert(&keys, id);
         } else {
@@ -1017,20 +1005,7 @@ impl MatchingEngine {
         candidates: &[ViewId],
     ) -> (Vec<(ViewId, Substitute)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
-        // The packed probe drives the per-candidate prechecks: residual
-        // token subset, table correspondence, aggregation compatibility
-        // and the §3.2 edge-less-extra rejection — all as sorted-slice
-        // scans over the arena, before any descriptor access.
-        let q_res_tokens: Vec<u64> = qsum
-            .residuals
-            .iter()
-            .map(|t| snap.interner.lookup(&t.text))
-            .collect();
-        let probe = PackedProbe::new(query.is_aggregate(), &q_res_tokens, &pq.by_table);
         let try_candidate = |&id: &ViewId| -> Option<(ViewId, Substitute)> {
-            if !snap.packed.precheck(id, &probe) {
-                return None;
-            }
             // Freshness gate: the view's materialized state must be within
             // the configured staleness bound of the current data epochs.
             // Checked before the (costlier) matching tests, and the lag is
@@ -1040,7 +1015,7 @@ impl MatchingEngine {
                 return None;
             }
             let view = snap.views.get(id);
-            let pv = snap.packed.prepared(id);
+            let pv = snap.descriptors.prepared(id);
             let sub = match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv);
             // Sharing must be invisible: a state of its own gives this
             // candidate the same verdict and the same substitute.
@@ -1294,9 +1269,6 @@ impl MatchingEngine {
     /// panicking — an id is data here, not a proven-valid handle.
     pub fn match_one(&self, query: &SpjgExpr, view: ViewId) -> Option<Substitute> {
         let snap = self.snapshot();
-        if snap.removed.contains(&view) || (view.0 as usize) >= snap.views.len() {
-            return None;
-        }
         let qsum = self.query_summary_in(&snap, query);
         self.match_one_in(&snap, query, &qsum, view)
     }
@@ -1336,7 +1308,7 @@ impl MatchingEngine {
             &pq,
             view,
             snap.views.get(view),
-            snap.packed.prepared(view),
+            snap.descriptors.prepared(view),
         )
         .map(|mut sub| {
             sub.freshness = Freshness::from_lag(lag);
@@ -1372,7 +1344,7 @@ impl MatchingEngine {
             return None;
         }
         let def = snap.views.get(id);
-        let vsum = &snap.packed.prepared(id).summary;
+        let vsum = &snap.descriptors.prepared(id).summary;
         Some(Self::view_keys(
             &self.catalog,
             &self.config,
@@ -1476,42 +1448,12 @@ impl MatchingEngine {
         true
     }
 
-    /// Pinned view of the packed descriptor arena — `mv-audit` walks it
-    /// to validate spans against re-derived descriptors. Derefs to
-    /// [`PackedCatalog`]; hold it across several reads to see one
-    /// coherent arena while writers keep publishing.
-    pub fn packed(&self) -> PackedGuard {
-        PackedGuard {
-            snap: self.snapshot(),
-        }
-    }
-
-    /// Bytes reserved by the packed descriptor arenas of the current
-    /// snapshot. The bench harness divides this by the live view count
-    /// for its `bytes_per_view_arena` column.
+    /// Bytes the descriptor store of the current snapshot reserves for
+    /// its pointer tables (not the descriptors behind them). The bench
+    /// harness divides this by the live view count for its
+    /// `bytes_per_view_arena` column.
     pub fn arena_bytes(&self) -> usize {
-        self.snapshot().packed.arena_bytes()
-    }
-
-    /// Corruption hook for the `mv-audit` test suite: overwrite `id`'s
-    /// residual-token span with an out-of-bounds `(offset, len)` while
-    /// the rest of the catalog stays intact. Simulates a torn arena
-    /// page. Never call outside tests. Bumps every table epoch: a
-    /// corrupted arena invalidates all cached results, by design.
-    #[doc(hidden)]
-    pub fn corrupt_packed_span_for_audit(&self, id: ViewId) -> bool {
-        let _writer = self.writer_guard();
-        let mut next = (*self.snapshot()).clone();
-        if next.removed.contains(&id) || (id.0 as usize) >= next.views.len() {
-            return false;
-        }
-        next.packed.corrupt_span_for_audit(id);
-        let all_tables: Vec<TableId> = (0..next.table_epochs.len())
-            .map(|i| TableId(i as u32))
-            .collect();
-        next.bump_tables(all_tables);
-        self.shared.store(Arc::new(next));
-        true
+        self.snapshot().descriptors.arena_bytes()
     }
 
     /// Debug-mode completeness oracle, the dual of
@@ -1544,7 +1486,7 @@ impl MatchingEngine {
             if snap.removed.contains(&id) || candidates.binary_search(&id).is_ok() {
                 continue;
             }
-            let pv = snap.packed.prepared(id);
+            let pv = snap.descriptors.prepared(id);
             if match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv).is_none() {
                 continue;
             }
@@ -1670,21 +1612,6 @@ impl std::ops::Deref for ViewsGuard {
     type Target = ViewSet;
     fn deref(&self) -> &ViewSet {
         &self.snap.views
-    }
-}
-
-/// A pinned, read-only handle on the packed descriptor arena: derefs to
-/// [`PackedCatalog`]. Writers publishing new snapshots never mutate the
-/// arena this guard sees. Returned by [`MatchingEngine::packed`].
-#[derive(Debug, Clone)]
-pub struct PackedGuard {
-    snap: Arc<CatalogSnapshot>,
-}
-
-impl std::ops::Deref for PackedGuard {
-    type Target = PackedCatalog;
-    fn deref(&self) -> &PackedCatalog {
-        &self.snap.packed
     }
 }
 

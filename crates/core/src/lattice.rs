@@ -143,14 +143,6 @@ impl<K: Ord + Hash + Clone, V> LatticeIndex<K, V> {
         self.len() == 0
     }
 
-    /// Bytes held by the flat node/key pages (capacity, not length —
-    /// the memory actually reserved). Payload heap allocations are not
-    /// included; the filter tree accounts those per child.
-    pub fn arena_bytes(&self) -> usize {
-        self.keys.capacity() * std::mem::size_of::<K>()
-            + self.nodes.capacity() * std::mem::size_of::<Node<V>>()
-    }
-
     /// The key slice of node `id`.
     fn key(&self, id: u32) -> &[K] {
         let n = &self.nodes[id as usize];

@@ -55,10 +55,10 @@ pub mod stats;
 pub mod summary;
 
 pub use cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
-pub use descriptor::{sorted_intersects, sorted_subset, PackedCatalog, PreparedView, SEG_VIEWS};
+pub use descriptor::PreparedView;
 pub use engine::{
     col_token, decode_col_token, strict_filter_exempt_levels, table_token, ChecksGuard,
-    MatchingEngine, PackedGuard, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS, UNKNOWN_TOKEN,
+    MatchingEngine, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS, UNKNOWN_TOKEN,
 };
 pub use filter::{FilterTree, LevelSearch};
 pub use lattice::LatticeIndex;

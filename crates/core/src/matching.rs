@@ -215,7 +215,7 @@ pub fn match_view(
     vsum: &ExprSummary,
 ) -> Option<Substitute> {
     let pq = PreparedQuery::new(query, qsum);
-    let pv = PreparedView::prepare(catalog, config, &view.expr, vsum.clone(), Vec::new());
+    let pv = PreparedView::prepare(catalog, config, &view.expr, vsum.clone());
     match_view_prepared(catalog, config, &pq, view_id, view, &pv)
 }
 
@@ -673,7 +673,7 @@ impl MappedCore {
         let qsum = pq.summary;
         let nq = pq.expr.tables.len() as u32;
 
-        // §3.2 precheck from the prepared descriptor: an extra view table
+        // §3.2 early exit from the prepared descriptor: an extra view table
         // can only be eliminated if some cardinality-preserving FK edge
         // points at it, and the descriptor's edge set is a superset of any
         // per-query graph's. A mapping leaving an edge-less occurrence

@@ -302,6 +302,59 @@ fn a_core_that_fails_elimination_rejects_only_its_own_views() {
     assert_eq!(strip(got), strip(alone.find_substitutes(&query)));
 }
 
+/// (e) Nothing sits between the candidate list and the full tests, so with
+/// every view a candidate they alone turn away: a view with fewer or more
+/// occurrences of a table than the query (no key points at the surplus
+/// nation, so it is not eliminable), an extra table that no foreign key
+/// points at, a residual the query lacks, and an aggregation view under an
+/// SPJ query. Each verdict is the one the view gets alone.
+#[test]
+fn shapes_only_the_full_tests_reject() {
+    let (catalog, _) = tpch_catalog();
+    let engine = engine(config());
+    let mut ids = Vec::new();
+    for sql in [
+        "create view nation1 with schemabinding as select n_name, n_regionkey from nation",
+        "create view nation2 with schemabinding as select a.n_name an, b.n_name bn \
+         from nation a, nation b where a.n_regionkey = b.n_regionkey",
+        "create view nation3 with schemabinding as select a.n_name an, b.n_name bn, c.n_name cn \
+         from nation a, nation b, nation c \
+         where a.n_regionkey = b.n_regionkey and b.n_regionkey = c.n_regionkey",
+        "create view li_orders with schemabinding as select l_orderkey, o_orderdate \
+         from lineitem, orders where l_orderkey = o_orderkey",
+        "create view li_fox with schemabinding as select l_orderkey, l_comment \
+         from lineitem where l_comment like '%fox%'",
+        "create view li_counts with schemabinding as select l_orderkey, count_big(*) as cnt \
+         from lineitem group by l_orderkey",
+    ] {
+        let view = mv_sql::parse_view(sql, &catalog).expect("shape view binds");
+        ids.push(engine.add_view(view).expect("valid view"));
+    }
+    for (sql, want) in [
+        (
+            "select a.n_name, b.n_name from nation a, nation b \
+             where a.n_regionkey = b.n_regionkey",
+            vec![1],
+        ),
+        ("select o_orderdate from orders", vec![]),
+        ("select l_orderkey from lineitem", vec![3]),
+        (
+            "select l_orderkey from lineitem where l_comment like '%fox%'",
+            vec![4],
+        ),
+        (
+            "select l_orderkey, count_big(*) as cnt from lineitem group by l_orderkey",
+            vec![3, 5],
+        ),
+    ] {
+        let query = mv_sql::parse_query(sql, &catalog).expect("shape query binds");
+        let got = engine.find_substitutes(&query);
+        assert_eq!(got, one_by_one(&engine, &query, &ids), "{sql}");
+        let accepted: Vec<u32> = got.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(accepted, want, "{sql}");
+    }
+}
+
 const VIEW_SEED: u64 = 0x00C0_4E5E;
 const QUERY_SEED: u64 = 0x5_4A4E;
 

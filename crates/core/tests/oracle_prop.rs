@@ -1,20 +1,16 @@
-//! The packed catalog must be invisible: under any interleaving of
-//! `add_view` / `remove_view` / `find_substitutes`, the engine — whose
-//! hot path runs the arena-backed precheck, the filter tree, and the
-//! prepared matcher — returns byte-identical results to a brute-force
-//! oracle that calls the legacy `match_view` entry point on every live
-//! view. The sorted-slice kernels backing the precheck are additionally
-//! checked against a `HashSet` model, and `find_substitutes_many` must
-//! agree with query-at-a-time matching under arbitrary batches.
+//! The index and the prepared descriptors must be invisible: under any
+//! interleaving of `add_view` / `remove_view` / `find_substitutes`, the
+//! engine — whose hot path runs the filter tree and the prepared matcher
+//! — returns byte-identical results to a brute-force oracle that calls
+//! the legacy `match_view` entry point on every live view, and
+//! `find_substitutes_many` must agree with query-at-a-time matching
+//! under arbitrary batches.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{
-    match_view, sorted_intersects, sorted_subset, ExprSummary, MatchConfig, MatchingEngine,
-};
+use mv_core::{match_view, ExprSummary, MatchConfig, MatchingEngine};
 use mv_plan::{OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 const VIEW_SEED: u64 = 0x5EED_CAFE;
 const QUERY_SEED: u64 = 0x00DD_BA11;
@@ -57,7 +53,7 @@ fn decode(kind: usize, idx: usize) -> Op {
 }
 
 /// Brute-force oracle: match every live view with the unprepared entry
-/// point (no filter tree, no packed precheck, no residual-token spans),
+/// point (no filter tree, no prepared descriptor),
 /// in ascending `ViewId` order — the order the engine reports.
 fn oracle(
     catalog: &mv_catalog::Catalog,
@@ -82,12 +78,11 @@ proptest! {
 
     /// Apply an arbitrary op sequence; every `find_substitutes` must
     /// agree byte-for-byte with the brute-force oracle. This pins down
-    /// three things at once: the packed precheck rejects no true match,
-    /// the filter tree loses no candidate, and the prepared matcher
-    /// (spans, interned tokens, precomputed outputs) produces the same
-    /// substitutes as the legacy per-view path.
+    /// two things at once: the filter tree loses no candidate, and the
+    /// prepared matcher (shared core state, precomputed outputs)
+    /// produces the same substitutes as the legacy per-view path.
     #[test]
-    fn packed_engine_equals_bruteforce_oracle(
+    fn engine_equals_bruteforce_oracle(
         ops in prop::collection::vec((0usize..3, 0usize..16), 1..40),
     ) {
         let (views, queries) = pools(16, 8);
@@ -122,35 +117,6 @@ proptest! {
                 }
             }
         }
-
-        // Every arena span the interleaving produced must still be
-        // in bounds and sorted, including spans of removed views
-        // (slots stay sealed in their segment).
-        let packed = engine.packed();
-        for id in 0..packed.len() {
-            prop_assert!(packed.validate_spans(ViewId(id as u32)).is_ok());
-        }
-    }
-
-    /// The sorted-slice kernels against a `HashSet` model. Inputs are
-    /// sorted but deliberately not deduplicated: the kernels promise
-    /// set semantics over multisets.
-    #[test]
-    fn sorted_kernels_match_hashset_model(
-        a in prop::collection::vec(0u32..48, 0..24),
-        b in prop::collection::vec(0u32..48, 0..24),
-    ) {
-        let mut sa = a.clone();
-        let mut sb = b.clone();
-        sa.sort_unstable();
-        sb.sort_unstable();
-        let set_a: HashSet<u32> = a.into_iter().collect();
-        let set_b: HashSet<u32> = b.into_iter().collect();
-        prop_assert_eq!(sorted_subset(&sa, &sb), set_a.is_subset(&set_b));
-        prop_assert_eq!(sorted_intersects(&sa, &sb), !set_a.is_disjoint(&set_b));
-        // Degenerate slices behave like the empty set.
-        prop_assert!(sorted_subset(&[], &sa));
-        prop_assert!(!sorted_intersects(&[], &sa));
     }
 
     /// Batched matching must be a pure reordering optimization:

@@ -96,12 +96,6 @@ pub enum RuleId {
     /// decodes to nothing in the catalog, or a template-text token was
     /// never minted by the interner.
     IndexTokenBounds,
-    /// MV105 — a packed-descriptor arena span is invalid: a record's
-    /// (offset, length) span reaches past its segment arena, a packed set
-    /// is not strictly ascending, or parallel arenas (tables, occurrence
-    /// counts, edge-less counts) disagree — any of which makes the
-    /// branch-light precheck read garbage or panic.
-    ArenaSpan,
     /// MV110 — two registered views are equivalent (each matches the
     /// other's definition); one of them is redundant storage and doubles
     /// candidate work.
@@ -240,7 +234,6 @@ impl RuleId {
             RuleId::FilterCompleteness => "MV102",
             RuleId::HubInvariant => "MV103",
             RuleId::IndexTokenBounds => "MV104",
-            RuleId::ArenaSpan => "MV105",
             RuleId::EquivalentViews => "MV110",
             RuleId::SubsumedView => "MV111",
             RuleId::DeadView => "MV112",
@@ -293,7 +286,6 @@ impl RuleId {
             RuleId::FilterCompleteness => "filter-completeness",
             RuleId::HubInvariant => "hub-invariant",
             RuleId::IndexTokenBounds => "index-token-bounds",
-            RuleId::ArenaSpan => "arena-span",
             RuleId::EquivalentViews => "equivalent-views",
             RuleId::SubsumedView => "subsumed-view",
             RuleId::DeadView => "dead-view",
