@@ -55,12 +55,11 @@
 //! rounds). Under `--strict`, `maintain_us_per_delta` ratchets against
 //! the best prior maintain row at the same scale (2x tolerance).
 //!
-//! Each scale point also emits a `batched` record driving
-//! `find_substitutes_many` over the skewed stream (cache off): the
-//! duplicate-heavy batch forms fingerprint groups, so the record
-//! measures what one-snapshot-pin, one-descent-per-group batching and
-//! the fan-out of groups across cores buy over the serial cold stream —
-//! the one inter-query parallel measurement. Uniform-serial rows
+//! Every matching row drives `find_substitutes`, the one way into the
+//! matcher; the `zipf-churn` rows are the multi-threaded ones (clients
+//! calling it from their own threads). Rows with `mode: "batched"` in
+//! older entries of the file measured a batch entry point that no longer
+//! exists (DESIGN.md §13.4). Uniform-serial rows
 //! additionally carry `rss_bytes_per_view` (resident-set growth of the
 //! bulk registration, Linux only) and `bytes_per_view_arena` (the
 //! descriptor store's pointer tables, deterministic); both are `null` on
@@ -277,50 +276,6 @@ fn measure(w: &Workload, views: usize) -> Record {
         candidate_fraction: engine.stats().candidate_fraction(),
         cache_hit_rate: None,
         rss_bytes_per_view: rss_per_view,
-        bytes_per_view_arena: Some(engine.arena_bytes() as f64 / views as f64),
-    }
-}
-
-/// Drive `find_substitutes_many` over the skewed stream, cache off: the
-/// duplicate-heavy batch makes real fingerprint groups, so the record
-/// measures the amortization the batched entry point buys (one snapshot
-/// pin, one tree descent per group, groups fanned out over `workers`
-/// threads). Per-query latency is the batch wall-clock divided evenly —
-/// individual queries are not timed inside the batch — so the
-/// percentiles describe batch-call variance.
-fn measure_batched(w: &Workload, views: usize, stream: &[SpjgExpr], workers: usize) -> Record {
-    let cfg = MatchConfig {
-        substitute_cache_capacity: 0,
-        ..MatchConfig::default()
-    };
-    let engine = engine_with(w, views, cfg);
-    let once = {
-        let t = Instant::now();
-        std::hint::black_box(engine.find_substitutes_many(stream));
-        t.elapsed()
-    };
-    let reps = calibrate_reps(once, MEASURE_TARGET);
-    let mut per_query = Vec::with_capacity(reps);
-    let started = Instant::now();
-    for _ in 0..reps {
-        let t = Instant::now();
-        std::hint::black_box(engine.find_substitutes_many(stream));
-        per_query.push(t.elapsed() / stream.len() as u32);
-    }
-    let total = started.elapsed();
-    Record {
-        views,
-        mode: "batched",
-        threads: workers,
-        queries: stream.len(),
-        workload: "zipf-cold",
-        p50_us: percentile_us(&mut per_query, 0.50),
-        p95_us: percentile_us(&mut per_query, 0.95),
-        p99_us: percentile_us(&mut per_query, 0.99),
-        throughput_qps: (stream.len() * reps) as f64 / total.as_secs_f64(),
-        candidate_fraction: engine.stats().candidate_fraction(),
-        cache_hit_rate: None,
-        rss_bytes_per_view: None,
         bytes_per_view_arena: Some(engine.arena_bytes() as f64 / views as f64),
     }
 }
@@ -742,22 +697,24 @@ fn trajectory_json(entries: Vec<Json>) -> Json {
     ])
 }
 
-fn entry_json(records: &[Record], args: &Args, workers: usize, extra_runs: Vec<Json>) -> Json {
+fn entry_json(records: &[Record], args: &Args, extra_runs: Vec<Json>) -> Json {
     let unix_time = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let note = String::from(
-        "one serial candidate loop; batched rows drive find_substitutes_many (one \
-         snapshot pin, fingerprint groups fanned out across cores); prove smoke runs \
-         the compiled-program prover (structured prove row)",
+        "every matching row drives find_substitutes; prove smoke runs the \
+         compiled-program prover (structured prove row)",
     );
     let mut runs: Vec<Json> = records.iter().map(record_json).collect();
     runs.extend(extra_runs);
     Json::Obj(vec![
         ("unix_time".into(), Json::Num(unix_time as f64)),
         ("queries".into(), Json::Num(args.queries as f64)),
-        ("threads".into(), Json::Num(workers as f64)),
+        (
+            "threads".into(),
+            Json::Num(mv_parallel::effective_parallelism() as f64),
+        ),
         ("note".into(), Json::Str(note)),
         ("runs".into(), Json::Arr(runs)),
     ])
@@ -951,9 +908,6 @@ fn main() {
     };
 
     let max_views = args.sizes.iter().copied().max().unwrap();
-    // What `find_substitutes_many` fans a batch of the skewed stream's
-    // distinct templates out over.
-    let workers = mv_parallel::workers_for(ZIPF_TEMPLATES.min(args.queries));
     eprintln!(
         "building workload: {max_views} views, {} queries ...",
         args.queries
@@ -1048,16 +1002,11 @@ fn main() {
         records.push(serial);
 
         let (cold, warm) = measure_zipf(&w, views, &stream);
-        let cold_qps = cold.throughput_qps;
-        let warm_speedup = warm.throughput_qps / cold_qps;
+        let warm_speedup = warm.throughput_qps / cold.throughput_qps;
         print_record(&cold, None);
         print_record(&warm, Some(warm_speedup));
         records.push(cold);
         records.push(warm);
-
-        let batched = measure_batched(&w, views, &stream, workers);
-        print_record(&batched, Some(batched.throughput_qps / cold_qps));
-        records.push(batched);
 
         if let (Some((templates, churn_views)), Some(churn_stream)) = (&churn, &churn_stream) {
             let under_churn = measure_churn(&w, views, templates, churn_stream, churn_views);
@@ -1152,7 +1101,7 @@ fn main() {
 
     let mut entries = prior;
     let appended = !entries.is_empty();
-    entries.push(entry_json(&records, &args, workers, extra_runs));
+    entries.push(entry_json(&records, &args, extra_runs));
     let body = trajectory_json(entries).to_pretty();
     std::fs::write(&args.out, &body).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);
@@ -1229,7 +1178,7 @@ mod tests {
             rss_bytes_per_view: Some(2048.0),
             bytes_per_view_arena: Some(132.0),
         };
-        let entry = entry_json(&[record], &args, 2, Vec::new());
+        let entry = entry_json(&[record], &args, Vec::new());
         let body = trajectory_json(vec![entry.clone()]).to_pretty();
         assert_eq!(prior_entries(&body), Ok(vec![entry]));
 

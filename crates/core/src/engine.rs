@@ -2,7 +2,7 @@
 //! the `find_substitutes` entry point that a transformation-based optimizer
 //! invokes as its view-matching rule.
 
-use crate::cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
+use crate::cache::{fingerprint, CacheLookup, SubstituteCache};
 use crate::descriptor::{CoreId, DescriptorStore, PreparedView};
 use crate::filter::{FilterTree, LevelSearch};
 use crate::fkgraph::{build_fk_graph, compute_hub};
@@ -264,15 +264,15 @@ impl CatalogSnapshot {
 ///
 /// The engine is an *online catalog*: every method — registration
 /// (`add_view`, `add_views`, `remove_view`, `add_check_constraint`) as
-/// well as the whole matching path (`find_substitutes`,
-/// `find_substitutes_many`, `candidates`, `match_one`) — takes `&self`,
-/// so writers run concurrently with matchers. Writers serialize among
-/// themselves on an internal mutex, build the next immutable
-/// [`CatalogSnapshot`] by copy-on-write, and publish it with one atomic
-/// pointer swap; readers pin the current snapshot once per match and
-/// never observe a half-applied change. A multi-threaded optimizer host
-/// can therefore share one engine behind an `Arc`, match queries from any
-/// number of threads, and register views mid-traffic.
+/// well as the whole matching path (`find_substitutes`, `candidates`,
+/// `match_one`) — takes `&self`, so writers run concurrently with
+/// matchers. Writers serialize among themselves on an internal mutex,
+/// build the next immutable [`CatalogSnapshot`] by copy-on-write, and
+/// publish it with one atomic pointer swap; readers pin the current
+/// snapshot once per match and never observe a half-applied change. A
+/// multi-threaded optimizer host can therefore share one engine behind an
+/// `Arc`, match queries from any number of threads, and register views
+/// mid-traffic.
 #[derive(Debug)]
 pub struct MatchingEngine {
     catalog: Catalog,
@@ -396,12 +396,20 @@ impl MatchingEngine {
     /// where-clause without changing the query result"), so view
     /// predicates implied by a constraint no longer block matching.
     pub fn add_check_constraint(&self, table: TableId, predicate: BoolExpr) -> Result<(), String> {
-        let n_cols = self.catalog.table(table).columns.len() as u32;
+        if (table.0 as usize) >= self.catalog.table_count() {
+            return Err(format!(
+                "check constraint on unknown table id {} (the catalog has {} tables)",
+                table.0,
+                self.catalog.table_count()
+            ));
+        }
+        let def = self.catalog.table(table);
+        let n_cols = def.columns.len() as u32;
         for c in predicate.columns() {
             if c.occ != OccId(0) || c.col.0 >= n_cols {
                 return Err(format!(
                     "check constraint column {c} out of range for table {}",
-                    self.catalog.table(table).name
+                    def.name
                 ));
             }
         }
@@ -993,6 +1001,30 @@ impl MatchingEngine {
         out.dedup();
     }
 
+    /// Match one live view of `snap`, the step every path into the matcher
+    /// shares: the freshness gate, the full tests over the prepared
+    /// descriptor, and the lag stamp.
+    fn match_admitted(
+        &self,
+        snap: &CatalogSnapshot,
+        pq: &PreparedQuery,
+        id: ViewId,
+    ) -> Option<Substitute> {
+        // Freshness gate: the view's materialized state must be within
+        // the configured staleness bound of the current data epochs.
+        // Checked before the (costlier) matching tests, and the lag is
+        // stamped onto the substitute so callers see the guarantee.
+        let lag = snap.view_lag(id);
+        if !self.config.freshness.admits(lag) {
+            return None;
+        }
+        let view = snap.views.get(id);
+        let pv = snap.descriptors.prepared(id);
+        let mut sub = match_view_prepared(&self.catalog, &self.config, pq, id, view, pv)?;
+        sub.freshness = Freshness::from_lag(lag);
+        Some(sub)
+    }
+
     /// Run the full matching tests over a filtered candidate list.
     /// Results keep candidate order (ascending `ViewId`); the count is the
     /// join-core states the loop built — candidates over one core share
@@ -1006,37 +1038,17 @@ impl MatchingEngine {
     ) -> (Vec<(ViewId, Substitute)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
         let try_candidate = |&id: &ViewId| -> Option<(ViewId, Substitute)> {
-            // Freshness gate: the view's materialized state must be within
-            // the configured staleness bound of the current data epochs.
-            // Checked before the (costlier) matching tests, and the lag is
-            // stamped onto the substitute so callers see the guarantee.
-            let lag = snap.view_lag(id);
-            if !self.config.freshness.admits(lag) {
-                return None;
-            }
-            let view = snap.views.get(id);
-            let pv = snap.descriptors.prepared(id);
-            let sub = match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv);
+            let sub = self.match_admitted(snap, &pq, id);
             // Sharing must be invisible: a state of its own gives this
             // candidate the same verdict and the same substitute.
             #[cfg(debug_assertions)]
             assert_eq!(
                 sub,
-                match_view_prepared(
-                    &self.catalog,
-                    &self.config,
-                    &PreparedQuery::new(query, qsum),
-                    id,
-                    view,
-                    pv
-                ),
+                self.match_admitted(snap, &PreparedQuery::new(query, qsum), id),
                 "{id} matched through shared core state must be byte-identical \
                  to a match with fresh state"
             );
-            sub.map(|mut sub| {
-                sub.freshness = Freshness::from_lag(lag);
-                (id, sub)
-            })
+            sub.map(|sub| (id, sub))
         };
         let out = candidates.iter().filter_map(try_candidate).collect();
         (out, pq.core_states())
@@ -1082,36 +1094,28 @@ impl MatchingEngine {
     /// valid. Hits replay the original candidate count into the stats so
     /// counter totals stay path-independent.
     pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
-        let snap = self.snapshot();
-        self.find_substitutes_in(&snap, query).0
+        self.find_substitutes_in(&self.snapshot(), query)
     }
 
-    /// [`MatchingEngine::find_substitutes`] against a pinned snapshot,
-    /// also returning the candidate count (the batch path records it for
-    /// replayed group members). Records stats and drives the substitute
-    /// cache exactly like the public entry point.
+    /// [`MatchingEngine::find_substitutes`] against a pinned snapshot:
+    /// probe the substitute cache if there is one, otherwise (or on a
+    /// miss) compute, record the stats and fill the cache.
     fn find_substitutes_in(
         &self,
-        snap: &Arc<CatalogSnapshot>,
+        snap: &CatalogSnapshot,
         query: &SpjgExpr,
-    ) -> (Vec<(ViewId, Substitute)>, usize) {
+    ) -> Vec<(ViewId, Substitute)> {
         let started = self.config.timing.then(Instant::now);
-        if !self.cache.is_enabled() {
-            let (out, n_candidates, core_states, filter_time) =
-                self.compute_substitutes(snap, query);
-            self.stats.record_core_states(core_states);
-            self.stats.record(
-                n_candidates,
-                snap.live_view_count(),
-                out.len(),
-                filter_time,
-                elapsed(started),
-            );
-            return (out, n_candidates);
-        }
-        let fp = fingerprint(query);
-        let stamp = snap.table_stamp(query);
-        match self.cache.lookup(fp.hash, &fp.render, &stamp) {
+        // The cache key and the stamp of the pinned snapshot; `None` with
+        // the cache off, which then costs no fingerprint.
+        let key = self
+            .cache
+            .is_enabled()
+            .then(|| (fingerprint(query), snap.table_stamp(query)));
+        let probe = key.as_ref().map_or(CacheLookup::Disabled, |(fp, stamp)| {
+            self.cache.lookup(fp.hash, &fp.render, stamp)
+        });
+        match probe {
             CacheLookup::Hit {
                 mut results,
                 candidates,
@@ -1137,7 +1141,7 @@ impl MatchingEngine {
                     Duration::ZERO,
                     elapsed(started),
                 );
-                return (results, candidates);
+                return results;
             }
             CacheLookup::Stale => self.stats.record_cache_invalidation(),
             CacheLookup::Miss | CacheLookup::Disabled => {}
@@ -1148,7 +1152,7 @@ impl MatchingEngine {
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
         #[cfg(not(mv_model))]
         let skip_miss_stat = false;
-        if !skip_miss_stat {
+        if key.is_some() && !skip_miss_stat {
             self.stats.record_cache_miss();
         }
         self.stats.record(
@@ -1158,20 +1162,22 @@ impl MatchingEngine {
             filter_time,
             elapsed(started),
         );
-        // The entry MUST carry the stamp of the pinned snapshot the
-        // results were computed from. Re-deriving it from the currently
-        // published snapshot (the STAMP_AFTER_PUBLISH mutation) stamps
-        // pre-registration results with post-registration epochs,
-        // making a stale entry look fresh forever.
-        #[cfg(mv_model)]
-        let stamp = if crate::mutation::active(crate::mutation::STAMP_AFTER_PUBLISH) {
-            self.snapshot().table_stamp(query)
-        } else {
-            stamp
-        };
-        self.cache
-            .insert(fp.hash, fp.render, stamp, n_candidates, out.clone());
-        (out, n_candidates)
+        if let Some((fp, stamp)) = key {
+            // The entry MUST carry the stamp of the pinned snapshot the
+            // results were computed from. Re-deriving it from the currently
+            // published snapshot (the STAMP_AFTER_PUBLISH mutation) stamps
+            // pre-registration results with post-registration epochs,
+            // making a stale entry look fresh forever.
+            #[cfg(mv_model)]
+            let stamp = if crate::mutation::active(crate::mutation::STAMP_AFTER_PUBLISH) {
+                self.snapshot().table_stamp(query)
+            } else {
+                stamp
+            };
+            self.cache
+                .insert(fp.hash, fp.render, stamp, n_candidates, out.clone());
+        }
+        out
     }
 
     /// Drop every cached `find_substitutes` result (capacity unchanged).
@@ -1182,86 +1188,6 @@ impl MatchingEngine {
     /// Number of live entries in the substitute cache.
     pub fn substitute_cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Batched matching for bursts of queries: pins **one** catalog
-    /// snapshot for the whole batch and groups the queries by cache
-    /// fingerprint, so repeated query shapes — the common case in a
-    /// workload replay — pay one filter-tree descent per distinct shape
-    /// instead of one per query. Groups fan out through `mv-parallel`.
-    ///
-    /// Results arrive in query order, each entry byte-identical to what
-    /// [`MatchingEngine::find_substitutes`] returns for that query, and
-    /// the per-query instrumentation counters accumulate exactly as if
-    /// every query had been matched individually (replayed group members
-    /// record the representative's candidate count, like a cache hit).
-    pub fn find_substitutes_many(&self, queries: &[SpjgExpr]) -> Vec<Vec<(ViewId, Substitute)>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let snap = self.snapshot();
-        // Sort query indices by fingerprint so equal shapes become
-        // consecutive runs; the index tiebreak keeps the representative
-        // (first member) deterministic.
-        let fps: Vec<Fingerprint> = queries.iter().map(fingerprint).collect();
-        let mut order: Vec<usize> = (0..queries.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            (fps[a].hash, &fps[a].render, a).cmp(&(fps[b].hash, &fps[b].render, b))
-        });
-        let mut groups: Vec<&[usize]> = Vec::new();
-        let mut start = 0;
-        for i in 1..=order.len() {
-            if i == order.len()
-                || fps[order[i]].hash != fps[order[start]].hash
-                || fps[order[i]].render != fps[order[start]].render
-            {
-                groups.push(&order[start..i]);
-                start = i;
-            }
-        }
-        let workers = mv_parallel::workers_for(groups.len());
-        let matched = mv_parallel::par_map(&groups, workers, |group| {
-            let rep = group[0];
-            let (results, n_candidates) = self.find_substitutes_in(&snap, &queries[rep]);
-            // Replay the representative's result for the other members:
-            // same fingerprint means the same substitutes up to output
-            // names, which are restamped per query (mirrors a cache hit).
-            let replays: Vec<Vec<(ViewId, Substitute)>> = group[1..]
-                .iter()
-                .map(|&qi| {
-                    let started = self.config.timing.then(Instant::now);
-                    let mut r = results.clone();
-                    restamp_output_names(&mut r, &queries[qi]);
-                    #[cfg(debug_assertions)]
-                    self.debug_verify(&snap, &queries[qi], &r);
-                    // A replay is served from the representative's result
-                    // exactly as a cache hit serves a repeated query, so it
-                    // must move the cache counters the same way the
-                    // per-query path would (the representative already
-                    // recorded its own hit or miss).
-                    if self.cache.is_enabled() {
-                        self.stats.record_cache_hit();
-                    }
-                    self.stats.record(
-                        n_candidates,
-                        snap.live_view_count(),
-                        r.len(),
-                        Duration::ZERO,
-                        elapsed(started),
-                    );
-                    r
-                })
-                .collect();
-            (results, replays)
-        });
-        let mut out: Vec<Vec<(ViewId, Substitute)>> = vec![Vec::new(); queries.len()];
-        for (group, (rep_result, replays)) in groups.iter().zip(matched) {
-            out[group[0]] = rep_result;
-            for (&qi, r) in group[1..].iter().zip(replays) {
-                out[qi] = r;
-            }
-        }
-        out
     }
 
     /// Match the query against one specific view (bypassing the filter).
@@ -1295,25 +1221,7 @@ impl MatchingEngine {
         if snap.removed.contains(&view) || (view.0 as usize) >= snap.views.len() {
             return None;
         }
-        // Same freshness gate and stamp as the batch path, so a single
-        // probe and `find_substitutes` never disagree on admissibility.
-        let lag = snap.view_lag(view);
-        if !self.config.freshness.admits(lag) {
-            return None;
-        }
-        let pq = PreparedQuery::new(query, qsum);
-        let result = match_view_prepared(
-            &self.catalog,
-            &self.config,
-            &pq,
-            view,
-            snap.views.get(view),
-            snap.descriptors.prepared(view),
-        )
-        .map(|mut sub| {
-            sub.freshness = Freshness::from_lag(lag);
-            sub
-        });
+        let result = self.match_admitted(snap, &PreparedQuery::new(query, qsum), view);
         #[cfg(debug_assertions)]
         if let Some(sub) = &result {
             self.debug_verify(snap, query, std::slice::from_ref(&(view, sub.clone())));
@@ -2124,7 +2032,7 @@ mod tests {
         engine.record_base_write(t.part);
         assert!(engine.find_substitutes(&q).is_empty());
         assert_eq!(engine.view_staleness(ViewId(0)), Some(1));
-        // `match_one` agrees with the batch path.
+        // `match_one` goes through the same gate.
         assert!(engine.match_one(&q, ViewId(0)).is_none());
         // Maintenance restamps parts_low; it alone serves again, Fresh.
         assert!(engine.mark_view_maintained(ViewId(0)));

@@ -429,11 +429,6 @@ impl<K: Ord + Hash + Clone, V> LatticeIndex<K, V> {
     pub fn values(&self) -> impl Iterator<Item = &V> {
         self.nodes.iter().flat_map(|n| n.payload.iter())
     }
-
-    /// All values, mutably.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.nodes.iter_mut().flat_map(|n| n.payload.iter_mut())
-    }
 }
 
 impl SearchScratch {

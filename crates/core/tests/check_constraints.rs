@@ -3,6 +3,7 @@
 //! where-clause without changing the query result."
 
 use mv_catalog::tpch::tpch_catalog;
+use mv_catalog::TableId;
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{NamedExpr, SpjgExpr, ViewDef};
@@ -175,4 +176,16 @@ fn invalid_check_constraint_rejected() {
             BoolExpr::cmp(S::col(cr(0, 99)), CmpOp::Ge, S::lit(0i64))
         )
         .is_err());
+    // A table id the catalog does not hold is an error naming the id, not
+    // a panic, and publishes nothing.
+    let unknown = TableId(engine.catalog().table_count() as u32);
+    let before = engine.snapshot_epoch();
+    let err = engine
+        .add_check_constraint(
+            unknown,
+            BoolExpr::cmp(S::col(cr(0, 0)), CmpOp::Ge, S::lit(0i64)),
+        )
+        .expect_err("unknown table id");
+    assert!(err.contains(&unknown.0.to_string()), "{err}");
+    assert_eq!(engine.snapshot_epoch(), before);
 }

@@ -137,11 +137,6 @@ impl EquivClasses {
         classes
     }
 
-    /// Every column this structure has seen (members of some union call).
-    pub fn known_columns(&self) -> impl Iterator<Item = ColRef> + '_ {
-        self.parent.keys().copied()
-    }
-
     /// Materialize every class once, for hot loops that would otherwise
     /// call [`EquivClasses::class_of`] (a full scan) per probed column.
     pub fn class_index(&self) -> ClassIndex {

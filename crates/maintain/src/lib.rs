@@ -541,13 +541,6 @@ impl Maintainer {
         true
     }
 
-    /// Recompute every dirty view.
-    pub fn refresh_all(&mut self) {
-        for view in self.views.iter_mut().filter(|v| v.dirty) {
-            view.materialize(&self.db, &mut self.exec);
-        }
-    }
-
     /// The MV4xx state audit: every registered, non-dirty view's
     /// maintained contents must equal recompute-from-scratch as row bags
     /// (MV401 `maintained-drift`), and no aggregate rollup may hold a

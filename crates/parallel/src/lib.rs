@@ -1,10 +1,11 @@
 //! Fork-join fan-out over slices built on `std::thread::scope`.
 //!
-//! The matching engine needs exactly one parallel shape: map a pure
-//! function over a slice of work items and collect the results **in
-//! input order**. `rayon` would provide this as `par_iter().map()`, but
-//! the build container cannot fetch external crates, so this crate
-//! implements the same contract on the standard library alone:
+//! `mv-prove`'s enumeration, the one caller, needs exactly one parallel
+//! shape: map a pure function over a slice of work items and collect the
+//! results **in input order**. `rayon` would provide this as
+//! `par_iter().map()`, but the build container cannot fetch external
+//! crates, so this crate implements the same contract on the standard
+//! library alone:
 //!
 //! * deterministic output order (result `i` comes from item `i`),
 //! * dynamic load balancing (workers claim chunks from a shared atomic
@@ -12,10 +13,14 @@
 //! * zero unsafe code (each worker returns `(chunk index, results)`
 //!   pairs that are reassembled after the join).
 //!
-//! Threads are spawned per call. The callers fan out whole queries (a
-//! batch of fingerprint groups) or chunks of enumerated databases, where
-//! per-item work dominates the ~10 µs thread spawn cost, and keeping the
-//! engine free of a resident pool keeps it trivially `Send + Sync`.
+//! Threads are spawned per call. The caller fans out chunks of enumerated
+//! databases, where per-item work dominates the ~10 µs thread spawn cost.
+//! Nothing fans out from inside a worker (the matching engine never calls
+//! `par_map`: clients match from their own threads), so there is no
+//! nesting to guard against.
+//!
+//! The crate is also the home of the [`sync`] facade and of [`Published`],
+//! which the engine publishes its catalog snapshots through.
 
 pub mod sync;
 
@@ -26,21 +31,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use sync::RwLock;
-
-std::thread_local! {
-    /// Set while the current thread is a `par_map` worker, so nested
-    /// fan-outs can detect they are already inside one.
-    static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Is the current thread one of this crate's fan-out workers? A caller
-/// that is already running inside a `par_map` should not fan out again:
-/// every available core is busy with its siblings, so a nested spawn only
-/// adds thread-creation latency and oversubscription (the bench trajectory
-/// recorded the batch path *losing* to serial for exactly this reason).
-pub fn in_worker() -> bool {
-    IN_WORKER.with(|w| w.get())
-}
 
 /// The machine's available parallelism, probed once and cached.
 /// `std::thread::available_parallelism` re-reads the cgroup/affinity state
@@ -55,12 +45,8 @@ pub fn effective_parallelism() -> usize {
 }
 
 /// Number of workers to use for `hint` work items: the machine's
-/// available parallelism (cached), but never more workers than items, and
-/// never a nested fan-out from inside another one.
+/// available parallelism (cached), but never more workers than items.
 pub fn workers_for(hint: usize) -> usize {
-    if in_worker() {
-        return 1;
-    }
     effective_parallelism().min(hint).max(1)
 }
 
@@ -123,7 +109,6 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    IN_WORKER.with(|w| w.set(true));
                     let mut mine: Vec<(usize, Vec<R>)> = Vec::new();
                     loop {
                         // Pure work distribution: the claimed index is the
@@ -213,20 +198,6 @@ mod tests {
         assert_eq!(*sync::read_or_recover(&l), 9);
         *sync::write_or_recover(&l) = 10;
         assert_eq!(*sync::read_or_recover(&l), 10);
-    }
-
-    #[test]
-    fn no_nested_fanout_from_workers() {
-        // From the outside we are not a worker; from inside a par_map
-        // worker `workers_for` must refuse to fan out again.
-        assert!(!in_worker());
-        let items: Vec<u32> = (0..8).collect();
-        let inner_workers = par_map(&items, 4, |_| {
-            assert!(in_worker());
-            workers_for(1000)
-        });
-        assert!(inner_workers.iter().all(|&w| w == 1));
-        assert!(!in_worker(), "flag must not leak back to the caller");
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub(crate) fn run(
     } else {
         cfg.jobs
     };
-    if jobs <= 1 || cfg!(mv_model) || mv_parallel::in_worker() {
+    if jobs <= 1 || cfg!(mv_model) {
         return serial_pass(&progs, &enumerator, cfg.max_databases);
     }
     // Count the chargeable index space first (a walk without plan

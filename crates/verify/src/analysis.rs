@@ -162,11 +162,6 @@ fn bool_null_rejects(b: &BoolExpr, in_class: &impl Fn(ColRef) -> bool) -> bool {
     }
 }
 
-/// Occurrence count of an expression.
-pub fn occ_count(expr: &SpjgExpr) -> usize {
-    expr.tables.len()
-}
-
 /// Does every referenced column of `expr` stay inside the catalog's
 /// bounds? Returns the offending references.
 pub fn out_of_bounds_columns(catalog: &Catalog, expr: &SpjgExpr) -> Vec<ColRef> {

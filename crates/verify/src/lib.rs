@@ -35,12 +35,3 @@ pub use diag::{json_string, Context, Diagnostic, Report, RuleId, Severity};
 pub use expr_rules::{verify_expr, verify_view_expr};
 pub use plan_rules::verify_plan;
 pub use substitute_rules::{verify_substitute, VerifyContext};
-
-use mv_catalog::TableId;
-use mv_expr::Conjunct;
-use std::collections::HashMap;
-
-/// An empty check-constraint map, for callers that have none.
-pub fn no_checks() -> HashMap<TableId, Vec<Conjunct>> {
-    HashMap::new()
-}
