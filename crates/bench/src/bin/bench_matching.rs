@@ -581,7 +581,6 @@ fn record_json(r: &Record) -> Json {
 /// both read these fields).
 struct ProveSmoke {
     views: usize,
-    threads: usize,
     k: usize,
     proved: usize,
     refuted: usize,
@@ -599,7 +598,7 @@ fn prove_run_json(s: &ProveSmoke) -> Json {
             "views" => Json::Num(s.views as f64),
             "mode" => Json::Str("prove".into()),
             "workload" => Json::Str("uniform".into()),
-            "threads" => Json::Num(s.threads as f64),
+            "threads" => Json::Num(1.0),
             "queries" => Json::Num((s.proved + s.refuted + s.inconclusive) as f64),
             "prove_wall_ms" => Json::Num(s.wall_ms as f64),
             "proved" => Json::Num(s.proved as f64),
@@ -713,7 +712,7 @@ fn entry_json(records: &[Record], args: &Args, extra_runs: Vec<Json>) -> Json {
         ("queries".into(), Json::Num(args.queries as f64)),
         (
             "threads".into(),
-            Json::Num(mv_parallel::effective_parallelism() as f64),
+            Json::Num(std::thread::available_parallelism().map_or(1, |n| n.get()) as f64),
         ),
         ("note".into(), Json::Str(note)),
         ("runs".into(), Json::Arr(runs)),
@@ -742,11 +741,9 @@ fn prove_smoke(w: &Workload, views: usize, n: usize) -> ProveSmoke {
         max_databases: 500_000,
         ..mv_prove::ProveConfig::default()
     };
-    let threads = mv_parallel::workers_for(usize::MAX);
     let views_guard = engine.views();
     let mut smoke = ProveSmoke {
         views,
-        threads,
         k: cfg.k,
         proved: 0,
         refuted: 0,
@@ -1028,14 +1025,8 @@ fn main() {
         let smoke = prove_smoke(&w, max_views, args.prove_smoke);
         eprintln!(
             "prove smoke at {} views: {} proved / {} refuted / {} inconclusive at k={} \
-             in {} ms ({} threads)",
-            smoke.views,
-            smoke.proved,
-            smoke.refuted,
-            smoke.inconclusive,
-            smoke.k,
-            smoke.wall_ms,
-            smoke.threads
+             in {} ms",
+            smoke.views, smoke.proved, smoke.refuted, smoke.inconclusive, smoke.k, smoke.wall_ms
         );
         // Prove wall-time ratchet: 1.5x the best prior prove row. Wall
         // clocks are noisier than the deterministic memory gates, but a
@@ -1200,7 +1191,6 @@ mod tests {
     fn prove_row_is_uniform_and_feeds_the_ratchet() {
         let smoke = ProveSmoke {
             views: 1000,
-            threads: 4,
             k: 2,
             proved: 9,
             refuted: 0,

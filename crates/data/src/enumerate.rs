@@ -167,29 +167,10 @@ impl<'a> Enumerator<'a> {
     /// Visit every valid database up to the bound, in deterministic
     /// order, calling `f(index, db)` for each. `f` returns `false` to
     /// stop early. At most `budget` databases are visited.
-    pub fn for_each(&self, budget: u64, f: impl FnMut(u64, &Database) -> bool) -> EnumStats {
-        self.for_each_range(0, budget, f)
-    }
-
-    /// Visit the contiguous index range `[start, end)` of the same
-    /// deterministic walk: `f(index, db)` fires only for global indices in
-    /// the range, and the walk stops once `end` is reached. Indices are
-    /// identical to a full [`Enumerator::for_each`] walk, so chunked
-    /// (parallel) consumers report the same replayable seeds as a serial
-    /// one. The prefix `[0, start)` is still traversed (enumeration is
-    /// stateful), just not handed to `f` — partitioning pays the walk cost
-    /// per chunk but shares out the visitor cost, which dominates when `f`
-    /// executes plans.
-    pub fn for_each_range(
-        &self,
-        start: u64,
-        end: u64,
-        mut f: impl FnMut(u64, &Database) -> bool,
-    ) -> EnumStats {
+    pub fn for_each(&self, budget: u64, mut f: impl FnMut(u64, &Database) -> bool) -> EnumStats {
         let mut db = Database::new(self.catalog.clone());
         let mut index = 0u64;
-        let mut g = |i: u64, db: &Database| i < start || f(i, db);
-        let outcome = self.recurse(0, &mut db, end, &mut index, &mut g);
+        let outcome = self.recurse(0, &mut db, budget, &mut index, &mut f);
         EnumStats {
             databases: index,
             outcome,
@@ -208,7 +189,7 @@ impl<'a> Enumerator<'a> {
     /// fewer databases.
     pub fn database_at(&self, index: u64) -> Option<Database> {
         let mut found = None;
-        self.for_each(index + 1, |i, db| {
+        self.for_each(index.checked_add(1)?, |i, db| {
             if i == index {
                 found = Some(db.clone());
                 false
@@ -550,54 +531,7 @@ mod tests {
             assert_eq!(db.rows(t), rows.as_slice(), "seed {i} replays");
         }
         assert!(e.database_at(seen.len() as u64).is_none());
-    }
-
-    #[test]
-    fn range_partition_matches_full_walk() {
-        let mut cat = Catalog::new();
-        let t = cat.add_table(
-            TableBuilder::new("t")
-                .col("pk", ColumnType::Int)
-                .col("x", ColumnType::Int)
-                .primary_key(&["pk"])
-                .build(),
-        );
-        let spec = EnumSpec {
-            tables: vec![TableSpec {
-                table: t,
-                columns: vec![int(&[0, 1, 2]), int(&[10, 20])],
-            }],
-            max_rows: 2,
-        };
-        let checks = HashMap::new();
-        let e = Enumerator::new(&cat, &checks, &spec);
-        let mut full: Vec<(u64, Vec<Row>)> = Vec::new();
-        let stats = e.for_each(u64::MAX, |i, db| {
-            full.push((i, db.rows(t).to_vec()));
-            true
-        });
-        assert_eq!(stats.outcome, EnumOutcome::Exhausted);
-        let total = stats.databases;
-        // Any contiguous partition visits the same (index, database)
-        // pairs in the same global order.
-        for chunks in [1u64, 2, 3, 7] {
-            let mut chunked: Vec<(u64, Vec<Row>)> = Vec::new();
-            for c in 0..chunks {
-                let lo = c * total / chunks;
-                let hi = (c + 1) * total / chunks;
-                let s = e.for_each_range(lo, hi, |i, db| {
-                    chunked.push((i, db.rows(t).to_vec()));
-                    true
-                });
-                // The walk stops exactly at the end of the chunk.
-                assert_eq!(s.databases, hi);
-            }
-            assert_eq!(chunked, full, "{chunks}-way partition replays");
-        }
-        // A range past the end of the space reports exhaustion.
-        let s = e.for_each_range(total, total + 10, |_, _| true);
-        assert_eq!(s.outcome, EnumOutcome::Exhausted);
-        assert_eq!(s.databases, total);
+        assert!(e.database_at(u64::MAX).is_none());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use mv_core::MatchConfig;
 use mv_data::{generate_tpch, TpchScale};
 use mv_exec::{bag_diff, execute_spjg, execute_substitute_with, materialize_view};
 use mv_maintain::{audit_serving, Maintainer, TableDelta};
-use mv_prove::{pair_tables, prove_diagnostics, prove_with_memo, ProveConfig, ProveCtx, ProveMemo};
+use mv_prove::{pair_tables, prove, prove_diagnostics, ProveConfig, ProveCtx};
 use mv_verify::{json_string, Diagnostic, Report, RuleId, Severity, VerifyContext};
 use mv_verify::{verify_expr, verify_substitute, verify_view_expr};
 use std::process::ExitCode;
@@ -72,8 +72,6 @@ OPTIONS:
                        mv-prove bounded checker (MV3xx)
     --prove-k N        rows-per-table bound for --prove [default: 2]
     --prove-budget N   databases enumerated per proof   [default: 20000]
-    --prove-jobs N     worker threads for the enumerative pass: 0 = auto,
-                       1 = serial; never changes verdicts [default: 0]
     --prove-wall-ms N  fail the prove gate when its wall time exceeds N ms
                        (0 = no budget) [default: 0]
     --deny-warnings    exit nonzero on warnings, not just errors
@@ -95,7 +93,6 @@ struct Args {
     prove: bool,
     prove_k: usize,
     prove_budget: u64,
-    prove_jobs: usize,
     prove_wall_ms: u64,
     deny_warnings: bool,
     json: bool,
@@ -115,7 +112,6 @@ fn parse_args() -> Args {
         prove: false,
         prove_k: 2,
         prove_budget: 20_000,
-        prove_jobs: 0,
         prove_wall_ms: 0,
         deny_warnings: false,
         json: false,
@@ -148,9 +144,6 @@ fn parse_args() -> Args {
             "--prove-budget" => {
                 args.prove_budget =
                     parse_num(&value(&mut it, "--prove-budget"), "--prove-budget") as u64
-            }
-            "--prove-jobs" => {
-                args.prove_jobs = parse_num(&value(&mut it, "--prove-jobs"), "--prove-jobs")
             }
             "--prove-wall-ms" => {
                 args.prove_wall_ms =
@@ -228,13 +221,8 @@ fn main() -> ExitCode {
 
     let prove_summary = if args.prove {
         format!(
-            ", {} proved / {} refuted / {} inconclusive at k={} in {} ms ({} memo hits)",
-            stats.proved,
-            stats.refuted,
-            stats.inconclusive,
-            args.prove_k,
-            stats.prove_ms,
-            stats.memo_hits
+            ", {} proved / {} refuted / {} inconclusive at k={} in {} ms",
+            stats.proved, stats.refuted, stats.inconclusive, args.prove_k, stats.prove_ms
         )
     } else {
         String::new()
@@ -326,7 +314,6 @@ struct WorkloadStats {
     proved: usize,
     refuted: usize,
     inconclusive: usize,
-    memo_hits: u64,
     maintain_rounds: usize,
     maintain_incremental: usize,
     maintain_recompute: usize,
@@ -415,25 +402,22 @@ fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
     }
 
     // Bounded equivalence proof of every produced substitute (MV3xx):
-    // the symbolic pass first, then exhaustive enumeration up to k —
-    // compiled plan programs, chunked across `--prove-jobs` workers, with
-    // a workload-scoped memo of already-proved canonical pairs.
+    // the symbolic pass first, then exhaustive enumeration up to k over
+    // compiled plan programs.
     if args.prove {
         let prove_ctx = ProveCtx::new(&workload.catalog, &checks);
         let cfg = ProveConfig {
             k: args.prove_k,
             max_databases: args.prove_budget,
             symbolic: true,
-            jobs: args.prove_jobs,
         };
-        let mut memo = ProveMemo::new();
         let views = engine.views();
         // Wall-clock for the report only: mv-lint: allow(MV204)
         let start = std::time::Instant::now();
         for (i, id, sub, _) in &pairs {
             let view = views.get(*id);
             let query = &workload.queries[*i];
-            let outcome = prove_with_memo(&prove_ctx, query, &view.expr, sub, &cfg, &mut memo);
+            let outcome = prove(&prove_ctx, query, &view.expr, sub, &cfg);
             if outcome.is_proved() {
                 stats.proved += 1;
             } else if outcome.is_refuted() {
@@ -451,7 +435,6 @@ fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
             ));
         }
         stats.prove_ms = start.elapsed().as_millis();
-        stats.memo_hits = memo.hits();
     }
 
     // Incremental-maintenance gate (MV401+): register every view with
@@ -536,14 +519,9 @@ fn envelope_json(args: &Args, report: &Report, stats: &WorkloadStats, title: &st
         )
     };
     let prove_extra = format!(
-        ", \"proved\": {}, \"refuted\": {}, \"inconclusive\": {}, \"memo_hits\": {}, \
+        ", \"proved\": {}, \"refuted\": {}, \"inconclusive\": {}, \
          \"wall_ms\": {}, \"wall_budget_ms\": {}",
-        stats.proved,
-        stats.refuted,
-        stats.inconclusive,
-        stats.memo_hits,
-        stats.prove_ms,
-        args.prove_wall_ms
+        stats.proved, stats.refuted, stats.inconclusive, stats.prove_ms, args.prove_wall_ms
     );
     let verify_extra = format!(
         ", \"exec_checked\": {}, \"wall_ms\": {}, \"exec_wall_ms\": {}",

@@ -26,11 +26,9 @@
 
 mod domain;
 mod enumerative;
-mod memo;
 mod symbolic;
 
 pub use domain::MAX_FAMILY_VALUES;
-pub use memo::ProveMemo;
 
 use mv_catalog::{Catalog, TableId};
 use mv_data::{Database, EnumOutcome, Enumerator, Row};
@@ -67,11 +65,6 @@ pub struct ProveConfig {
     /// Try the symbolic pass first (disable to force an enumerated
     /// witness for a pair the abstraction would already separate).
     pub symbolic: bool,
-    /// Worker threads for the enumerative pass: `0` = auto (machine
-    /// parallelism), `1` = serial. Parallelism never changes the verdict,
-    /// the counterexample index, or the budget accounting — only wall
-    /// time.
-    pub jobs: usize,
 }
 
 impl Default for ProveConfig {
@@ -80,7 +73,6 @@ impl Default for ProveConfig {
             k: 2,
             max_databases: 20_000,
             symbolic: true,
-            jobs: 0,
         }
     }
 }
@@ -240,28 +232,6 @@ pub fn prove(
         },
         EnumOutcome::Stopped => unreachable!("a stopped walk carries a witness"),
     }
-}
-
-/// [`prove`] with a workload-scoped cache of proved canonical pairs. On a
-/// cache hit the stored outcome is returned without re-running either
-/// pass; misses prove normally and record proved outcomes. The memo must
-/// not outlive the `ctx` it was first used with (the catalog is not part
-/// of the cache key — see [`ProveMemo`]).
-pub fn prove_with_memo(
-    ctx: &ProveCtx<'_>,
-    query: &SpjgExpr,
-    view_expr: &SpjgExpr,
-    sub: &Substitute,
-    cfg: &ProveConfig,
-    memo: &mut ProveMemo,
-) -> ProveOutcome {
-    let key = memo::canonical_key(query, view_expr, sub, cfg);
-    if let Some(hit) = memo.get(&key) {
-        return hit;
-    }
-    let outcome = prove(ctx, query, view_expr, sub, cfg);
-    memo.record(key, &outcome);
-    outcome
 }
 
 /// Reconstruct the database behind an `MV302` seed and re-execute both

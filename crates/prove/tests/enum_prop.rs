@@ -2,7 +2,10 @@
 //! exhaustive and duplicate-free up to k (counts match closed forms and
 //! a brute-force cross-check), every visited database satisfies the
 //! declared FK, key, and check constraints, and the enumeration order is
-//! deterministic — which is what makes `MV302` seeds replayable.
+//! deterministic — which is what makes `MV302` seeds replayable. The last
+//! test holds the prover to that contract end to end: a witness seed
+//! replays to the witness, a seed outside the space is `None`, and a
+//! starved budget is charged exactly.
 
 use mv_catalog::schema::{ForeignKey, TableBuilder};
 use mv_catalog::{Catalog, ColumnId, ColumnType, TableId, Value};
@@ -292,4 +295,79 @@ fn topo_order_respects_fks_and_rejects_cycles() {
         to_columns: vec![ColumnId(0)],
     });
     assert_eq!(topo_order(&cyc, &[a, b]), None);
+}
+
+/// The prover's side of the seed contract, on a one-table pair whose
+/// verdicts come from the enumerative pass (`symbolic: false`): the
+/// substitute `x < 10` for the query `x <= 10` is refuted and its seed
+/// replays to the same database and the same two row bags; the genuine
+/// substitute exhausts the space, and half that budget is charged in full.
+#[test]
+fn prover_seeds_replay_and_budgets_are_charged_exactly() {
+    use mv_plan::{Freshness, NamedExpr, OutputList, SpjgExpr, Substitute, ViewId};
+    use mv_prove::{prove, replay, ProveConfig, ProveCtx, ProveOutcome};
+
+    let mut catalog = Catalog::new();
+    let t = catalog.add_table(
+        TableBuilder::new("t")
+            .col("pk", ColumnType::Int)
+            .nullable_col("x", ColumnType::Int)
+            .primary_key(&["pk"])
+            .build(),
+    );
+    let col = |c: u32| S::col(ColRef::new(0, c));
+    let query = SpjgExpr::spj(
+        vec![t],
+        BoolExpr::cmp(col(1), CmpOp::Le, S::lit(10i64)),
+        vec![NamedExpr::new(col(0), "pk")],
+    );
+    let view = SpjgExpr::spj(
+        vec![t],
+        BoolExpr::Literal(true),
+        vec![NamedExpr::new(col(0), "pk"), NamedExpr::new(col(1), "x")],
+    );
+    let good = Substitute {
+        view: ViewId(0),
+        backjoins: vec![],
+        predicates: vec![BoolExpr::cmp(col(1), CmpOp::Le, S::lit(10i64))],
+        output: OutputList::Spj(vec![NamedExpr::new(col(0), "pk")]),
+        freshness: Freshness::Fresh,
+    };
+    let bad = Substitute {
+        predicates: vec![BoolExpr::cmp(col(1), CmpOp::Lt, S::lit(10i64))],
+        ..good.clone()
+    };
+    let checks = HashMap::new();
+    let ctx = ProveCtx::new(&catalog, &checks);
+    let cfg = ProveConfig {
+        symbolic: false,
+        ..ProveConfig::default()
+    };
+
+    let refuted = prove(&ctx, &query, &view, &bad, &cfg);
+    let ProveOutcome::Counterexample(w) = refuted else {
+        panic!("expected a counterexample, got {refuted:?}");
+    };
+    let replayed = replay(&ctx, &query, &view, &bad, &cfg, w.seed).expect("seed within the space");
+    assert_eq!(replayed.database.rows(t), w.database.rows(t));
+    assert_eq!(replayed.query_rows, w.query_rows);
+    assert_eq!(replayed.substitute_rows, w.substitute_rows);
+    assert!(!replayed.diff.is_empty(), "replayed database agrees");
+    // A seed is plain input: one past any space is `None`, not a panic.
+    assert!(replay(&ctx, &query, &view, &bad, &cfg, u64::MAX).is_none());
+
+    let full = prove(&ctx, &query, &view, &good, &cfg);
+    let ProveOutcome::ProvedBounded { databases: space } = full else {
+        panic!("expected a bounded certificate, got {full:?}");
+    };
+    assert!(space > 8, "fixture space large enough to truncate");
+    let starved = ProveConfig {
+        max_databases: space / 2,
+        ..cfg
+    };
+    let outcome = prove(&ctx, &query, &view, &good, &starved);
+    let ProveOutcome::BudgetExhausted { databases } = outcome else {
+        panic!("expected budget exhaustion, got {outcome:?}");
+    };
+    assert_eq!(databases, space / 2, "MV303 reports the budget it spent");
 }
