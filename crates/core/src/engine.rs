@@ -4,7 +4,7 @@
 
 use crate::cache::{fingerprint, CacheLookup, SubstituteCache};
 use crate::descriptor::{CoreId, DescriptorStore, PreparedView};
-use crate::filter::{FilterTree, LevelSearch};
+use crate::filter::{normalized, FilterTree, LevelSearch};
 use crate::fkgraph::{build_fk_graph, compute_hub};
 use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
 use crate::stamps::ViewStamps;
@@ -852,17 +852,18 @@ impl MatchingEngine {
         out
     }
 
-    /// Render and look up every query-side filter token exactly once.
-    /// Both trees' search conditions are assembled from this one pass, so
-    /// an aggregate query no longer renders its output templates twice.
-    /// Lookups go through the read-only [`Interner::lookup`] — the query
-    /// path mints no tokens and performs no interner writes.
-    fn query_tokens(
+    /// [`MatchingEngine::query_searches`] against a pinned snapshot:
+    /// render and look up every query-side filter token exactly once and
+    /// assemble both trees' search conditions from that one pass, in the
+    /// normalized form the trees search with. Lookups go through the
+    /// read-only [`Interner::lookup`] — the query path mints no tokens and
+    /// performs no interner writes.
+    fn query_searches_in(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
         qsum: &ExprSummary,
-    ) -> QueryTokens {
+    ) -> (Vec<LevelSearch>, Vec<LevelSearch>) {
         let source: Vec<u64> = query.tables.iter().copied().map(table_token).collect();
 
         // Textual output expressions. With the paper-faithful strict
@@ -895,15 +896,8 @@ impl MatchingEngine {
 
         // Output-column hitting classes.
         let class_of = |c: ColRef| {
-            let mut cl: Vec<u64> = qsum
-                .ec
-                .class_of(c)
-                .into_iter()
-                .map(|m| base_col_token(query, m))
-                .collect();
-            cl.sort();
-            cl.dedup();
-            cl
+            let class = qsum.ec.class_of(c);
+            normalized(class.into_iter().map(|m| base_col_token(query, m)))
         };
         let out_classes: Vec<Vec<u64>> = query
             .scalar_outputs()
@@ -937,16 +931,39 @@ impl MatchingEngine {
             }
         }
 
-        QueryTokens {
-            source,
-            scalar_exprs,
-            sum_exprs_complex,
-            sum_exprs_simple,
-            out_classes,
-            sum_classes,
-            residuals,
-            range_cols,
-        }
+        // Each set is sorted and deduplicated here, once — the form
+        // `FilterTree::search_into` borrows.
+        let source = normalized(source);
+        let residuals = normalized(residuals);
+        let range_cols = normalized(range_cols);
+        let spj_exprs = normalized(scalar_exprs.iter().chain(&sum_exprs_complex).copied());
+        let agg = if query.is_aggregate() {
+            vec![
+                LevelSearch::Subset(source.clone()),
+                LevelSearch::Superset(source.clone()),
+                LevelSearch::Superset(normalized(
+                    spj_exprs.iter().copied().chain(sum_exprs_simple),
+                )),
+                LevelSearch::Hitting(out_classes.clone()),
+                LevelSearch::Subset(residuals.clone()),
+                LevelSearch::Subset(range_cols.clone()),
+                LevelSearch::Superset(normalized(scalar_exprs)),
+                LevelSearch::Hitting(out_classes.clone()),
+            ]
+        } else {
+            Vec::new()
+        };
+        let mut classes = out_classes;
+        classes.extend(sum_classes);
+        let spj = vec![
+            LevelSearch::Subset(source.clone()),
+            LevelSearch::Superset(source),
+            LevelSearch::Superset(spj_exprs),
+            LevelSearch::Hitting(classes),
+            LevelSearch::Subset(residuals),
+            LevelSearch::Subset(range_cols),
+        ];
+        (spj, agg)
     }
 
     /// The candidate views for a query: filter-tree search, or every view
@@ -983,10 +1000,10 @@ impl MatchingEngine {
             );
             return;
         }
-        let tokens = self.query_tokens(snap, query, qsum);
-        snap.spj_tree.search_into(&tokens.spj_searches(), out);
+        let (spj, agg) = self.query_searches_in(snap, query, qsum);
+        snap.spj_tree.search_into(&spj, out);
         if query.is_aggregate() && !snap.agg_tree.is_empty() {
-            snap.agg_tree.search_into(&tokens.agg_searches(), out);
+            snap.agg_tree.search_into(&agg, out);
         }
         // Removed views are already gone from the trees; the retain is a
         // cheap second line of defense for the matching invariant.
@@ -1288,15 +1305,16 @@ impl MatchingEngine {
     }
 
     /// The per-level search conditions a query poses against the SPJ and
-    /// aggregation trees, in that order. Read-only (unknown template
-    /// texts resolve to the reserved [`UNKNOWN_TOKEN`]).
+    /// aggregation trees, in that order; a non-aggregate query poses none
+    /// against the latter, which is never searched for one (section 3.3),
+    /// so its list is empty. Read-only (unknown template texts resolve to
+    /// the reserved [`UNKNOWN_TOKEN`]).
     pub fn query_searches(
         &self,
         query: &SpjgExpr,
         qsum: &ExprSummary,
     ) -> (Vec<LevelSearch>, Vec<LevelSearch>) {
-        let tokens = self.query_tokens(&self.snapshot(), query, qsum);
-        (tokens.spj_searches(), tokens.agg_searches())
+        self.query_searches_in(&self.snapshot(), query, qsum)
     }
 
     /// Number of template-text tokens ever minted. Tokens are issued
@@ -1386,8 +1404,7 @@ impl MatchingEngine {
         if !self.config.use_filter_tree || snap.live_view_count() > DEBUG_COMPLETENESS_CAP {
             return;
         }
-        let tokens = self.query_tokens(snap, query, qsum);
-        let (spj, agg) = (tokens.spj_searches(), tokens.agg_searches());
+        let (spj, agg) = self.query_searches_in(snap, query, qsum);
         let pq = PreparedQuery::new(query, qsum);
         for (id, view) in snap.views.iter() {
             // `candidates` is sorted (see `candidates_into`).
@@ -1577,77 +1594,6 @@ fn restamp_output_names(results: &mut [(ViewId, Substitute)], query: &SpjgExpr) 
                 }
             }
         }
-    }
-}
-
-/// Query-side filter tokens, rendered once and shared by both trees'
-/// search conditions.
-struct QueryTokens {
-    /// Source-table tokens (levels 1 and 2).
-    source: Vec<u64>,
-    /// Complex scalar output templates (level 3, and level 7 on the
-    /// aggregation tree).
-    scalar_exprs: Vec<u64>,
-    /// Complex `SUM` argument templates — required from both view kinds.
-    sum_exprs_complex: Vec<u64>,
-    /// Simple-column `SUM` argument templates — required from aggregation
-    /// views; against SPJ views the column condition covers them instead.
-    sum_exprs_simple: Vec<u64>,
-    /// Hitting classes of simple-column scalar outputs (level 4, and
-    /// level 8 on the aggregation tree).
-    out_classes: Vec<Vec<u64>>,
-    /// Hitting classes of simple-column `SUM` arguments (SPJ tree only).
-    sum_classes: Vec<Vec<u64>>,
-    /// Residual predicate texts (level 5).
-    residuals: Vec<u64>,
-    /// Extended range-constrained column list (level 6).
-    range_cols: Vec<u64>,
-}
-
-impl QueryTokens {
-    /// Search conditions for the 6-level SPJ-view tree.
-    fn spj_searches(&self) -> Vec<LevelSearch> {
-        let exprs: Vec<u64> = self
-            .scalar_exprs
-            .iter()
-            .chain(&self.sum_exprs_complex)
-            .copied()
-            .collect();
-        let classes: Vec<Vec<u64>> = self
-            .out_classes
-            .iter()
-            .chain(&self.sum_classes)
-            .cloned()
-            .collect();
-        vec![
-            LevelSearch::Subset(self.source.clone()),
-            LevelSearch::Superset(self.source.clone()),
-            LevelSearch::Superset(exprs),
-            LevelSearch::Hitting(classes),
-            LevelSearch::Subset(self.residuals.clone()),
-            LevelSearch::Subset(self.range_cols.clone()),
-        ]
-    }
-
-    /// Search conditions for the 8-level aggregation-view tree.
-    fn agg_searches(&self) -> Vec<LevelSearch> {
-        let exprs: Vec<u64> = self
-            .scalar_exprs
-            .iter()
-            .chain(&self.sum_exprs_complex)
-            .chain(&self.sum_exprs_simple)
-            .copied()
-            .collect();
-        vec![
-            LevelSearch::Subset(self.source.clone()),
-            LevelSearch::Superset(self.source.clone()),
-            LevelSearch::Superset(exprs),
-            LevelSearch::Hitting(self.out_classes.clone()),
-            LevelSearch::Subset(self.residuals.clone()),
-            LevelSearch::Subset(self.range_cols.clone()),
-            LevelSearch::Superset(self.scalar_exprs.clone()),
-            LevelSearch::Hitting(self.out_classes.clone()),
-        ]
     }
 }
 
@@ -1908,6 +1854,21 @@ mod tests {
             vec![NamedExpr::new(S::col(cr(5, 0)), "oops")],
         );
         assert!(engine.add_view(ViewDef::new("bad", bad)).is_err());
+        // A table id the catalog does not have, with and without a column
+        // of that table referenced.
+        for (tables, col) in [
+            (vec![TableId(99)], cr(0, 0)),
+            (vec![t.part, TableId(99)], cr(0, 0)),
+        ] {
+            let bad = SpjgExpr::spj(
+                tables,
+                BoolExpr::Literal(true),
+                vec![NamedExpr::new(S::col(col), "c")],
+            );
+            let err = engine.add_view(ViewDef::new("bad", bad)).unwrap_err();
+            assert!(err.contains("99"), "error names the table id: {err}");
+        }
+        assert_eq!(engine.live_view_count(), 0);
     }
 
     #[test]
@@ -1933,6 +1894,21 @@ mod tests {
         assert!(engine
             .add_views(vec![ViewDef::new(n3, v3), ViewDef::new("bad", bad)])
             .is_err());
+        // The same with the rejected member in the middle of the batch,
+        // naming a table the catalog does not have.
+        let (n3, v3) = part_view(200, 300, "c");
+        let (n4, v4) = part_view(300, 400, "d");
+        let bad = SpjgExpr::spj(
+            vec![t.part, TableId(99)],
+            BoolExpr::Literal(true),
+            vec![NamedExpr::new(S::col(cr(0, 0)), "p_partkey")],
+        );
+        let batch = vec![
+            ViewDef::new(n3, v3),
+            ViewDef::new("bad", bad),
+            ViewDef::new(n4, v4),
+        ];
+        assert!(engine.add_views(batch).is_err());
         assert_eq!(engine.live_view_count(), 2);
         assert_eq!(engine.stats().registrations, 2);
         assert_eq!(engine.snapshot_epoch(), epoch_before, "nothing published");

@@ -15,12 +15,29 @@
 //! * [`LevelSearch::Hitting`] — the view key intersects every one of the
 //!   query's equivalence classes (output-column and grouping-column
 //!   conditions, sections 4.2.3/4.2.4).
+//!
+//! # Storage layout
+//!
+//! The tree is path-compressed. A partition that holds one key set per
+//! remaining level is a single *chain* node: the keys of all its
+//! remaining levels in one block, then its views. A search tests a
+//! chain's levels in place, in level order, with the pointwise form of
+//! each level's condition ([`LevelSearch::accepts_sorted`]) — the test a
+//! lattice search applies to a one-node lattice, without the lattice.
+//! Only a partition that holds two or more key sets at its next level is
+//! a [`LatticeIndex`] over that level. At 50,000 generated views that is
+//! 3,129 lattices and 40,263 chains (39,765 of them with one to seven
+//! levels inline, 3.4 on average) where a lattice per partition per level
+//! would be 138,949 lattices, 137,295 of them holding one key set.
+//! DESIGN.md §12.3 has the measurement.
 
-use crate::lattice::LatticeIndex;
+use crate::lattice::{is_normalized, is_subset, LatticeIndex};
 use mv_plan::ViewId;
 use std::sync::Arc;
 
-/// The search condition applied at one level.
+/// The search condition applied at one level. The sets of `Subset` and
+/// `Superset` are sorted and deduplicated ([`FilterTree::search_into`]
+/// checks this in debug builds).
 #[derive(Debug, Clone)]
 pub enum LevelSearch {
     /// Qualify nodes whose key is a subset of the given set.
@@ -32,28 +49,77 @@ pub enum LevelSearch {
     Hitting(Vec<Vec<u64>>),
 }
 
+/// The set the tokens denote: sorted, duplicates dropped.
+pub(crate) fn normalized(tokens: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let mut set: Vec<u64> = tokens.into_iter().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
 impl LevelSearch {
     /// Would this search condition accept a partition stored under `key`?
-    ///
-    /// This is the pointwise form of the monotone condition each level's
-    /// lattice search evaluates over whole branches; `mv-audit` uses it to
-    /// attribute a wrongly pruned view to the first level whose stored key
-    /// fails the query's condition. `key` need not be normalized.
+    /// `key` need not be normalized. `mv-audit` uses this to attribute a
+    /// wrongly pruned view to the first level whose stored key fails the
+    /// query's condition.
     pub fn accepts(&self, key: &[u64]) -> bool {
-        let mut key = key.to_vec();
-        key.sort_unstable();
-        key.dedup();
+        self.accepts_sorted(&normalized(key.iter().copied()))
+    }
+
+    /// [`LevelSearch::accepts`] for a sorted, deduplicated `key`, without
+    /// allocating: the pointwise form of the monotone condition a lattice
+    /// search evaluates over whole branches, and the one test a chain
+    /// node, the hitting search and the audit all apply.
+    pub fn accepts_sorted(&self, key: &[u64]) -> bool {
         match self {
-            LevelSearch::Subset(s) => {
-                let mut s = s.clone();
-                s.sort_unstable();
-                key.iter().all(|k| s.binary_search(k).is_ok())
-            }
-            LevelSearch::Superset(s) => s.iter().all(|e| key.binary_search(e).is_ok()),
+            LevelSearch::Subset(s) => is_subset(key, s),
+            LevelSearch::Superset(s) => is_subset(s, key),
             LevelSearch::Hitting(classes) => classes
                 .iter()
                 .all(|cl| cl.iter().any(|e| key.binary_search(e).is_ok())),
         }
+    }
+}
+
+/// A partition with one key set per remaining level, stored inline: the
+/// block holds one end offset per level, then the levels' keys
+/// concatenated (level `i` is `keys[ends[i - 1]..ends[i]]`). How many
+/// levels remain follows from the node's depth in the tree, so it is
+/// passed in, not stored. With no level remaining this is the bottom of
+/// the tree: the block is empty and only the views are left.
+#[derive(Debug, Clone)]
+struct Chain {
+    block: Box<[u64]>,
+    views: Vec<ViewId>,
+}
+
+impl Chain {
+    fn new<'a>(levels: usize, keys: impl Iterator<Item = &'a [u64]>, views: Vec<ViewId>) -> Self {
+        let mut block = vec![0; levels];
+        for (level, key) in keys.enumerate() {
+            block.extend_from_slice(key);
+            block[level] = (block.len() - levels) as u64;
+        }
+        Chain {
+            block: block.into_boxed_slice(),
+            views,
+        }
+    }
+
+    /// The key sets of the chain's `levels` levels, in level order.
+    fn keys(&self, levels: usize) -> impl Iterator<Item = &[u64]> {
+        let (ends, keys) = self.block.split_at(levels);
+        let mut start = 0;
+        ends.iter().map(move |&end| {
+            let key = &keys[start..end as usize];
+            start = end as usize;
+            key
+        })
+    }
+
+    /// Does the chain store exactly these (normalized) keys?
+    fn holds(&self, keys: &[Vec<u64>]) -> bool {
+        self.keys(keys.len()).eq(keys.iter().map(Vec::as_slice))
     }
 }
 
@@ -65,9 +131,9 @@ impl LevelSearch {
 /// published snapshot untouched.
 #[derive(Debug, Clone)]
 enum FilterNode {
-    /// Bottom level: the views in this partition.
-    Leaf(Vec<ViewId>),
-    /// Interior level: a lattice index over the next partitioning key.
+    /// One key set per remaining level, down to the views.
+    Chain(Chain),
+    /// Two or more key sets at the next level: a lattice index over them.
     Internal(LatticeIndex<u64, Arc<FilterNode>>),
 }
 
@@ -88,7 +154,7 @@ impl FilterTree {
     /// An empty tree with `depth` levels (one key per level).
     pub fn new(depth: usize) -> Self {
         let root = if depth == 0 {
-            FilterNode::Leaf(Vec::new())
+            FilterNode::Chain(Chain::new(0, std::iter::empty(), Vec::new()))
         } else {
             FilterNode::Internal(LatticeIndex::new())
         };
@@ -114,42 +180,64 @@ impl FilterTree {
         self.len == 0
     }
 
+    /// The sets `keys` denote, one per level of the tree.
+    fn level_keys(&self, keys: &[Vec<u64>]) -> Vec<Vec<u64>> {
+        assert_eq!(keys.len(), self.depth, "level key count mismatch");
+        keys.iter()
+            .map(|key| normalized(key.iter().copied()))
+            .collect()
+    }
+
     /// Insert a view with its per-level keys (`keys.len()` must equal the
     /// tree depth).
     pub fn insert(&mut self, keys: &[Vec<u64>], view: ViewId) {
-        assert_eq!(keys.len(), self.depth, "level key count mismatch");
+        let keys = self.level_keys(keys);
         self.len += 1;
-        Self::insert_node(&mut self.root, keys, view);
+        Self::insert_node(&mut self.root, &keys, view);
     }
 
     fn insert_node(node: &mut FilterNode, keys: &[Vec<u64>], view: ViewId) {
-        match node {
-            FilterNode::Leaf(views) => {
-                debug_assert!(keys.is_empty());
-                views.push(view);
+        if let FilterNode::Chain(chain) = node {
+            if chain.holds(keys) {
+                chain.views.push(view);
+                return;
             }
-            FilterNode::Internal(index) => {
-                let child = index.get_or_insert_with(keys[0].clone(), || {
-                    Arc::new(if keys.len() == 1 {
-                        FilterNode::Leaf(Vec::new())
-                    } else {
-                        FilterNode::Internal(LatticeIndex::new())
-                    })
-                });
-                // Copy-on-write: a child shared with a published snapshot
-                // is cloned here (one lattice level), an unshared one is
-                // mutated in place.
-                Self::insert_node(Arc::make_mut(child), &keys[1..], view);
-            }
+            // A second key set at some level below: split one level off,
+            // the path-compressed trie's split. The chain becomes a
+            // lattice over its first level whose one child is the rest of
+            // the chain, and the insert goes on below — splitting again
+            // until it reaches the level where the keys differ, so the
+            // shape depends on the stored set, not on insertion order.
+            let views = std::mem::take(&mut chain.views);
+            let mut levels = chain.keys(keys.len());
+            let first = levels
+                .next()
+                .expect("a chain with no level holds every key");
+            let rest = Chain::new(keys.len() - 1, levels, views);
+            let mut index = LatticeIndex::new();
+            index.get_or_insert_with(first, || Arc::new(FilterNode::Chain(rest)));
+            *node = FilterNode::Internal(index);
         }
+        let FilterNode::Internal(index) = node else {
+            unreachable!("a chain was split above")
+        };
+        let (key, rest) = keys.split_first().expect("a lattice indexes a level");
+        let child = index.get_or_insert_with(key, || {
+            let keys = rest.iter().map(Vec::as_slice);
+            Arc::new(FilterNode::Chain(Chain::new(rest.len(), keys, Vec::new())))
+        });
+        // Copy-on-write: a child shared with a published snapshot is
+        // cloned here (one chain block, or one lattice level), an
+        // unshared one is mutated in place.
+        Self::insert_node(Arc::make_mut(child), rest, view);
     }
 
     /// Remove a view previously inserted under exactly these keys.
     /// Returns whether it was found. The partition structure remains (a
     /// re-insert under the same keys is cheap).
     pub fn remove(&mut self, keys: &[Vec<u64>], view: ViewId) -> bool {
-        assert_eq!(keys.len(), self.depth, "level key count mismatch");
-        let removed = Self::remove_node(&mut self.root, keys, view);
+        let keys = self.level_keys(keys);
+        let removed = Self::remove_node(&mut self.root, &keys, view);
         if removed {
             self.len -= 1;
         }
@@ -158,14 +246,17 @@ impl FilterTree {
 
     fn remove_node(node: &mut FilterNode, keys: &[Vec<u64>], view: ViewId) -> bool {
         match node {
-            FilterNode::Leaf(views) => match views.iter().position(|&v| v == view) {
-                Some(i) => {
-                    views.remove(i);
-                    true
+            FilterNode::Chain(chain) => {
+                let at = chain.views.iter().position(|&v| v == view);
+                match at.filter(|_| chain.holds(keys)) {
+                    Some(i) => {
+                        chain.views.remove(i);
+                        true
+                    }
+                    None => false,
                 }
-                None => false,
-            },
-            FilterNode::Internal(index) => match index.peek_mut(keys[0].clone()) {
+            }
+            FilterNode::Internal(index) => match index.peek_mut(&keys[0]) {
                 Some(child) => Self::remove_node(Arc::make_mut(child), &keys[1..], view),
                 None => false,
             },
@@ -176,48 +267,48 @@ impl FilterTree {
     /// be normalized. Panics if `keys.len()` differs from the tree depth,
     /// like [`FilterTree::insert`].
     pub fn contains(&self, keys: &[Vec<u64>], view: ViewId) -> bool {
-        assert_eq!(keys.len(), self.depth, "level key count mismatch");
-        let mut node = &self.root;
-        for key in keys {
+        let keys = self.level_keys(keys);
+        let (mut node, mut keys) = (&self.root, &keys[..]);
+        loop {
             match node {
-                FilterNode::Leaf(_) => unreachable!("depth checked above"),
-                FilterNode::Internal(index) => match index.peek(key.clone()) {
-                    Some(child) => node = child,
+                FilterNode::Chain(chain) => {
+                    return chain.holds(keys) && chain.views.contains(&view);
+                }
+                FilterNode::Internal(index) => match index.peek(&keys[0]) {
+                    Some(child) => (node, keys) = (child, &keys[1..]),
                     None => return false,
                 },
             }
-        }
-        match node {
-            FilterNode::Leaf(views) => views.contains(&view),
-            FilterNode::Internal(_) => unreachable!("depth checked above"),
         }
     }
 
     /// Every `(view, per-level keys)` pair stored in the tree, in
     /// unspecified order. Keys come back normalized (sorted, deduplicated)
-    /// — the form the lattice indexes store. `mv-audit` walks this to
-    /// check each stored entry against a fresh re-derivation of the view's
-    /// keys.
+    /// — the form the tree stores. `mv-audit` walks this to check each
+    /// stored entry against a fresh re-derivation of the view's keys.
     pub fn entries(&self) -> Vec<(ViewId, Vec<Vec<u64>>)> {
         let mut out = Vec::new();
         let mut prefix = Vec::new();
-        Self::collect_entries(&self.root, &mut prefix, &mut out);
+        Self::collect_entries(&self.root, self.depth, &mut prefix, &mut out);
         out
     }
 
     fn collect_entries(
         node: &FilterNode,
+        levels: usize,
         prefix: &mut Vec<Vec<u64>>,
         out: &mut Vec<(ViewId, Vec<Vec<u64>>)>,
     ) {
         match node {
-            FilterNode::Leaf(views) => {
-                out.extend(views.iter().map(|&v| (v, prefix.clone())));
+            FilterNode::Chain(chain) => {
+                let mut keys = prefix.clone();
+                keys.extend(chain.keys(levels).map(<[u64]>::to_vec));
+                out.extend(chain.views.iter().map(|&v| (v, keys.clone())));
             }
             FilterNode::Internal(index) => {
                 for (key, child) in index.iter() {
                     prefix.push(key.to_vec());
-                    Self::collect_entries(child, prefix, out);
+                    Self::collect_entries(child, levels - 1, prefix, out);
                     prefix.pop();
                 }
             }
@@ -236,54 +327,56 @@ impl FilterTree {
     /// **appended** (the buffer is not cleared), so one buffer can collect
     /// the union over several trees without intermediate allocations.
     ///
-    /// Each level's search set is normalized (sorted, deduplicated) once
-    /// up front; the per-partition lattice searches then run through the
-    /// allocation-free visitor API — a descent over a large tree does no
-    /// per-partition allocation.
+    /// `searches` are borrowed as they are — the caller builds each
+    /// level's set sorted and deduplicated, once per query — and the
+    /// descent allocates nothing: lattice searches run through the
+    /// visitor API, chains are tested in place.
     pub fn search_into(&self, searches: &[LevelSearch], out: &mut Vec<ViewId>) {
         assert_eq!(searches.len(), self.depth, "level search count mismatch");
-        let normalized: Vec<LevelSearch> = searches
-            .iter()
-            .map(|s| match s {
-                LevelSearch::Subset(v) => {
-                    let mut v = v.clone();
-                    v.sort_unstable();
-                    v.dedup();
-                    LevelSearch::Subset(v)
-                }
-                LevelSearch::Superset(v) => {
-                    let mut v = v.clone();
-                    v.sort_unstable();
-                    v.dedup();
-                    LevelSearch::Superset(v)
-                }
-                LevelSearch::Hitting(classes) => LevelSearch::Hitting(classes.clone()),
-            })
-            .collect();
-        Self::search_node(&self.root, &normalized, out);
+        debug_assert!(
+            searches.iter().all(|s| match s {
+                LevelSearch::Subset(s) | LevelSearch::Superset(s) => is_normalized(s),
+                LevelSearch::Hitting(_) => true,
+            }),
+            "search not normalized"
+        );
+        Self::search_node(&self.root, searches, out);
     }
 
-    /// `searches` must already be normalized (sorted, deduplicated sets).
     fn search_node(node: &FilterNode, searches: &[LevelSearch], out: &mut Vec<ViewId>) {
         match node {
-            FilterNode::Leaf(views) => out.extend(views.iter().copied()),
+            FilterNode::Chain(chain) => {
+                // `all` stops at the first level whose condition fails.
+                let mut levels = chain.keys(searches.len()).zip(searches);
+                if levels.all(|(key, search)| search.accepts_sorted(key)) {
+                    out.extend_from_slice(&chain.views);
+                }
+            }
             FilterNode::Internal(index) => {
-                let rest = &searches[1..];
+                let (search, rest) = searches.split_first().expect("a lattice indexes a level");
                 let descend = |child: &Arc<FilterNode>| Self::search_node(child, rest, out);
-                match &searches[0] {
+                match search {
                     LevelSearch::Subset(s) => index.for_each_subset_value(s, descend),
                     LevelSearch::Superset(s) => index.for_each_superset_value(s, descend),
-                    LevelSearch::Hitting(classes) => index.for_each_monotone_down_value(
-                        |key| {
-                            classes
-                                .iter()
-                                .all(|cl| cl.iter().any(|e| key.binary_search(e).is_ok()))
-                        },
-                        descend,
-                    ),
+                    LevelSearch::Hitting(_) => index
+                        .for_each_monotone_down_value(|key| search.accepts_sorted(key), descend),
                 }
             }
         }
+    }
+
+    /// How many lattice indexes the tree holds.
+    #[cfg(test)]
+    fn lattice_count(&self) -> usize {
+        fn count(node: &FilterNode) -> usize {
+            match node {
+                FilterNode::Chain(_) => 0,
+                FilterNode::Internal(index) => {
+                    1 + index.iter().map(|(_, child)| count(child)).sum::<usize>()
+                }
+            }
+        }
+        count(&self.root)
     }
 }
 
@@ -373,35 +466,6 @@ mod tests {
     }
 
     #[test]
-    fn accepts_agrees_with_tree_search() {
-        // Any view returned by a tree search must be accepted level-by-level
-        // by the same conditions, and vice versa.
-        let mut tree = FilterTree::new(2);
-        let keys: Vec<Vec<Vec<u64>>> = vec![
-            vec![vec![1, 2], vec![100]],
-            vec![vec![1, 2], vec![]],
-            vec![vec![1], vec![]],
-            vec![vec![1, 2, 3], vec![100, 200]],
-        ];
-        for (i, k) in keys.iter().enumerate() {
-            tree.insert(k, v(i as u32));
-        }
-        let searches = [
-            LevelSearch::Superset(vec![1, 2]),
-            LevelSearch::Subset(vec![100]),
-        ];
-        let mut found = tree.search(&searches);
-        found.sort();
-        let expected: Vec<ViewId> = keys
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| searches.iter().zip(k.iter()).all(|(s, key)| s.accepts(key)))
-            .map(|(i, _)| v(i as u32))
-            .collect();
-        assert_eq!(found, expected);
-    }
-
-    #[test]
     fn contains_and_entries_report_stored_keys() {
         let mut tree = FilterTree::new(2);
         tree.insert(&[vec![2, 1, 1], vec![100]], v(0)); // stored normalized
@@ -422,6 +486,35 @@ mod tests {
         tree.remove(&[vec![1, 2], vec![100]], v(0));
         assert!(!tree.contains(&[vec![1, 2], vec![100]], v(0)));
         assert_eq!(tree.entries(), vec![(v(1), vec![vec![3], vec![]])]);
+    }
+
+    #[test]
+    fn a_partition_with_one_key_set_per_level_is_one_chain() {
+        // Pairwise-distinct level-1 keys: the root lattice and nothing
+        // but chains below it, however deep the tree.
+        let mut tree = FilterTree::new(6);
+        for i in 0..40u64 {
+            let keys: Vec<Vec<u64>> = (0..6).map(|level| vec![i, 100 + level]).collect();
+            tree.insert(&keys, v(i as u32));
+        }
+        assert_eq!(tree.lattice_count(), 1);
+        // Equal keys join the chain; a second key set at level 5 splits
+        // one level at a time down to where the keys differ.
+        let mut keys: Vec<Vec<u64>> = (0..6).map(|level| vec![7, 100 + level]).collect();
+        tree.insert(&keys, v(40));
+        assert_eq!(tree.lattice_count(), 1);
+        keys[4] = vec![7, 999];
+        tree.insert(&keys, v(41));
+        assert_eq!(tree.lattice_count(), 1 + 4);
+        assert_eq!(tree.len(), 42);
+        let everything: Vec<LevelSearch> = (0..6).map(|_| LevelSearch::Superset(vec![])).collect();
+        assert_eq!(tree.search(&everything).len(), 42);
+        let mut searches = everything.clone();
+        searches[0] = LevelSearch::Superset(vec![7]);
+        searches[4] = LevelSearch::Subset(vec![7, 104]);
+        assert_eq!(tree.search(&searches), vec![v(7), v(40)]);
+        assert!(tree.contains(&keys, v(41)) && !tree.contains(&keys, v(40)));
+        assert!(tree.remove(&keys, v(41)) && !tree.remove(&keys, v(41)));
     }
 
     #[test]

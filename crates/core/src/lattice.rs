@@ -19,18 +19,21 @@
 //! # Storage layout
 //!
 //! Node key sets live in one shared arena (`keys`), addressed per node by
-//! an `(offset, len)` span; the nodes themselves are flat records. Cloning
-//! an index — which the filter tree's copy-on-write does on first write to
-//! a shared partition — therefore copies a few contiguous pages instead of
-//! one heap allocation per node key. The top and root node lists are
-//! maintained incrementally on insert, and searches mark visited nodes in
-//! a pooled, epoch-stamped scratch instead of allocating a fresh `visited`
-//! bitmap per search: a search over a million-node catalog does no
-//! per-call allocation at all.
+//! an `(offset, len)` span; the nodes themselves are flat records holding
+//! the one value filed under their key set. Exact-key lookup is a binary
+//! search over `by_key`, the node ids ordered by their arena slices — the
+//! arena is the only copy of a key. Cloning an index — which the filter
+//! tree's copy-on-write does on first write to a shared partition —
+//! therefore copies a few contiguous pages instead of one heap allocation
+//! per node key. The top and root node lists are maintained incrementally
+//! on insert, and searches mark visited nodes in a pooled, epoch-stamped
+//! scratch instead of allocating a fresh `visited` bitmap per search: a
+//! search over a million-node catalog does no per-call allocation at all.
+//!
+//! Every key a caller passes — to file, to look up or to search with — is
+//! a *normalized* set: sorted and deduplicated (checked in debug builds).
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// One node of the lattice. The key set lives in the index's shared key
 /// arena as the span `[key_off, key_off + key_len)`.
@@ -44,19 +47,20 @@ struct Node<V> {
     supersets: Vec<u32>,
     /// Indices of nodes holding maximal proper subsets of the key.
     subsets: Vec<u32>,
-    /// The values stored under this key. A node whose payload empties
-    /// stays in the graph as structure (re-insertion reuses it).
-    payload: Vec<V>,
+    /// The value filed under this key set.
+    value: V,
 }
 
 /// A lattice index: a map from key *sets* to values supporting efficient
-/// subset and superset queries.
+/// subset and superset queries. Each key set holds exactly one value (the
+/// filter tree files one child partition per key set).
 #[derive(Debug, Clone)]
 pub struct LatticeIndex<K, V> {
     nodes: Vec<Node<V>>,
     /// Shared key arena; each node's key is a contiguous sorted slice.
     keys: Vec<K>,
-    by_key: HashMap<Vec<K>, u32>,
+    /// Node ids ordered by key slice, for exact-key lookup.
+    by_key: Vec<u32>,
     /// Nodes with no supersets, maintained incrementally — searches start
     /// here instead of scanning every node.
     tops: Vec<u32>,
@@ -69,7 +73,7 @@ impl<K, V> Default for LatticeIndex<K, V> {
         LatticeIndex {
             nodes: Vec::new(),
             keys: Vec::new(),
-            by_key: HashMap::new(),
+            by_key: Vec::new(),
             tops: Vec::new(),
             roots: Vec::new(),
         }
@@ -93,6 +97,11 @@ pub(crate) fn is_subset<K: Ord>(a: &[K], b: &[K]) -> bool {
         return false;
     }
     true
+}
+
+/// Is `key` sorted and free of duplicates?
+pub(crate) fn is_normalized<K: Ord>(key: &[K]) -> bool {
+    key.windows(2).all(|w| w[0] < w[1])
 }
 
 /// Reusable per-search state: an epoch-stamped visited mark per node (a
@@ -122,7 +131,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
     out
 }
 
-impl<K: Ord + Hash + Clone, V> LatticeIndex<K, V> {
+impl<K: Ord + Clone, V> LatticeIndex<K, V> {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
@@ -133,103 +142,60 @@ impl<K: Ord + Hash + Clone, V> LatticeIndex<K, V> {
         self.nodes.len()
     }
 
-    /// Total number of stored values.
-    pub fn len(&self) -> usize {
-        self.nodes.iter().map(|n| n.payload.len()).sum()
-    }
-
-    /// Whether the index stores no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The key slice of node `id`.
     fn key(&self, id: u32) -> &[K] {
         let n = &self.nodes[id as usize];
         &self.keys[n.key_off as usize..(n.key_off + n.key_len) as usize]
     }
 
-    fn normalize(mut key: Vec<K>) -> Vec<K> {
-        key.sort();
-        key.dedup();
-        key
+    /// Position of `key`'s node in `by_key`, or where it would go.
+    fn position(&self, key: &[K]) -> Result<usize, usize> {
+        debug_assert!(is_normalized(key), "key not normalized");
+        self.by_key.binary_search_by(|&id| self.key(id).cmp(key))
     }
 
-    /// Insert `value` under the key set `key`.
-    pub fn insert(&mut self, key: Vec<K>, value: V) {
-        let id = self.get_or_create_node(Self::normalize(key));
-        self.nodes[id as usize].payload.push(value);
+    /// The value filed under exactly `key`, read-only — audit paths must
+    /// not mutate the index (and in particular must not mint new interner
+    /// tokens).
+    pub fn peek(&self, key: &[K]) -> Option<&V> {
+        let pos = self.position(key).ok()?;
+        Some(&self.nodes[self.by_key[pos] as usize].value)
     }
 
-    /// The first value stored under exactly `key`, mutably (the filter
-    /// tree stores exactly one child per key set).
-    pub fn peek_mut(&mut self, key: Vec<K>) -> Option<&mut V> {
-        let key = Self::normalize(key);
-        let &id = self.by_key.get(&key)?;
-        self.nodes[id as usize].payload.first_mut()
+    /// The value filed under exactly `key`, mutably.
+    pub fn peek_mut(&mut self, key: &[K]) -> Option<&mut V> {
+        let pos = self.position(key).ok()?;
+        Some(&mut self.nodes[self.by_key[pos] as usize].value)
     }
 
-    /// The first value stored under exactly `key`, read-only. The dual of
-    /// [`LatticeIndex::peek_mut`] for audit paths that must not mutate the
-    /// index (and in particular must not mint new interner tokens).
-    pub fn peek(&self, key: Vec<K>) -> Option<&V> {
-        let key = Self::normalize(key);
-        let &id = self.by_key.get(&key)?;
-        self.nodes[id as usize].payload.first()
-    }
-
-    /// Every `(key, value)` pair in the index, in unspecified order. Keys
-    /// are the normalized (sorted, deduplicated) stored keys; a key with
-    /// several values is yielded once per value.
+    /// Every `(key, value)` pair in the index, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&[K], &V)> {
-        self.nodes.iter().flat_map(|n| {
-            let key = &self.keys[n.key_off as usize..(n.key_off + n.key_len) as usize];
-            n.payload.iter().map(move |v| (key, v))
-        })
+        (0..self.nodes.len() as u32).map(|id| (self.key(id), &self.nodes[id as usize].value))
     }
 
-    /// Fetch the payload slot for `key`, creating the node (with a payload
-    /// built by `make`) if absent. Used by the filter tree, where each key
-    /// set owns exactly one child node.
-    pub fn get_or_insert_with(&mut self, key: Vec<K>, make: impl FnOnce() -> V) -> &mut V {
-        let id = self.get_or_create_node(Self::normalize(key)) as usize;
-        if self.nodes[id].payload.is_empty() {
-            self.nodes[id].payload.push(make());
-        }
-        &mut self.nodes[id].payload[0]
-    }
-
-    /// Remove one value equal to `value` stored under `key`. Returns
-    /// whether a value was removed. The node itself remains as graph
-    /// structure.
-    pub fn remove(&mut self, key: Vec<K>, value: &V) -> bool
-    where
-        V: PartialEq,
-    {
-        let key = Self::normalize(key);
-        if let Some(&id) = self.by_key.get(&key) {
-            if let Some(pos) = self.nodes[id as usize]
-                .payload
-                .iter()
-                .position(|v| v == value)
-            {
-                self.nodes[id as usize].payload.remove(pos);
-                return true;
+    /// The value filed under `key`, first linking a node holding `make()`
+    /// into the lattice if the key set is new.
+    pub fn get_or_insert_with(&mut self, key: &[K], make: impl FnOnce() -> V) -> &mut V {
+        let id = match self.position(key) {
+            Ok(pos) => self.by_key[pos],
+            Err(pos) => {
+                let id = self.link_node(key, make());
+                self.by_key.insert(pos, id);
+                id
             }
-        }
-        false
+        };
+        &mut self.nodes[id as usize].value
     }
 
-    fn get_or_create_node(&mut self, key: Vec<K>) -> u32 {
-        if let Some(&id) = self.by_key.get(&key) {
-            return id;
-        }
-        let id = self.nodes.len() as u32;
+    /// Append a node for the new key set `key` and wire it between its
+    /// minimal supersets and maximal subsets.
+    fn link_node(&mut self, key: &[K], value: V) -> u32 {
+        let id = u32::try_from(self.nodes.len()).expect("lattice node ids fit u32");
 
         // Find the existing supersets and subsets of the new key via the
         // lattice itself, then reduce them to the minimal / maximal ones.
         let mut supers = Vec::new();
-        self.collect_down(|k| is_subset(&key, k), |i| supers.push(i));
+        self.collect_down(|k| is_subset(key, k), |i| supers.push(i));
         let minimal_supers: Vec<u32> = supers
             .iter()
             .copied()
@@ -240,7 +206,7 @@ impl<K: Ord + Hash + Clone, V> LatticeIndex<K, V> {
             })
             .collect();
         let mut subs = Vec::new();
-        self.collect_up(|k| is_subset(k, &key), |i| subs.push(i));
+        self.collect_up(|k| is_subset(k, key), |i| subs.push(i));
         let maximal_subs: Vec<u32> = subs
             .iter()
             .copied()
@@ -289,145 +255,94 @@ impl<K: Ord + Hash + Clone, V> LatticeIndex<K, V> {
         if maximal_subs.is_empty() {
             self.roots.push(id);
         }
-        let key_off = self.keys.len() as u32;
-        let key_len = key.len() as u32;
+        let key_off = self.keys.len();
         self.keys.extend(key.iter().cloned());
+        // Bounds `key_off + key_len`, so both casts below are exact.
+        assert!(
+            self.keys.len() <= u32::MAX as usize,
+            "lattice key arena exceeds u32 offsets"
+        );
         self.nodes.push(Node {
-            key_off,
-            key_len,
+            key_off: key_off as u32,
+            key_len: key.len() as u32,
             supersets: minimal_supers,
             subsets: maximal_subs,
-            payload: Vec::new(),
+            value,
         });
-        self.by_key.insert(key, id);
         id
+    }
+
+    /// Visit every node id reachable from `from` along `next` pointers
+    /// through nodes whose key satisfies `qualifies`. Allocation-free:
+    /// visited marks and the stack come from a pooled, epoch-stamped
+    /// scratch.
+    fn collect(
+        &self,
+        from: &[u32],
+        next: impl Fn(&Node<V>) -> &[u32],
+        qualifies: impl Fn(&[K]) -> bool,
+        mut visit: impl FnMut(u32),
+    ) {
+        with_scratch(|scratch| {
+            scratch.begin(self.nodes.len());
+            scratch.stack.extend(from);
+            while let Some(i) = scratch.stack.pop() {
+                if !scratch.first_visit(i) {
+                    continue;
+                }
+                if !qualifies(self.key(i)) {
+                    continue;
+                }
+                visit(i);
+                scratch.stack.extend(next(&self.nodes[i as usize]));
+            }
+        })
     }
 
     /// Visit every node id whose key satisfies `qualifies`, where
     /// `qualifies` is monotone decreasing under ⊆ (if a key fails, all its
     /// subsets fail). Starts from the tops and follows subset pointers.
-    /// Allocation-free: visited marks and the stack come from a pooled,
-    /// epoch-stamped scratch.
-    fn collect_down(&self, qualifies: impl Fn(&[K]) -> bool, mut visit: impl FnMut(u32)) {
-        with_scratch(|scratch| {
-            scratch.begin(self.nodes.len());
-            scratch.stack.extend(&self.tops);
-            while let Some(i) = scratch.stack.pop() {
-                if !scratch.first_visit(i) {
-                    continue;
-                }
-                if !qualifies(self.key(i)) {
-                    continue;
-                }
-                visit(i);
-                scratch.stack.extend(&self.nodes[i as usize].subsets);
-            }
-        })
+    fn collect_down(&self, qualifies: impl Fn(&[K]) -> bool, visit: impl FnMut(u32)) {
+        self.collect(&self.tops, |n| &n.subsets, qualifies, visit)
     }
 
     /// Dual of [`collect_down`]: `qualifies` monotone decreasing under ⊇.
     /// Starts from the roots and follows superset pointers.
-    fn collect_up(&self, qualifies: impl Fn(&[K]) -> bool, mut visit: impl FnMut(u32)) {
-        with_scratch(|scratch| {
-            scratch.begin(self.nodes.len());
-            scratch.stack.extend(&self.roots);
-            while let Some(i) = scratch.stack.pop() {
-                if !scratch.first_visit(i) {
-                    continue;
-                }
-                if !qualifies(self.key(i)) {
-                    continue;
-                }
-                visit(i);
-                scratch.stack.extend(&self.nodes[i as usize].supersets);
-            }
-        })
+    fn collect_up(&self, qualifies: impl Fn(&[K]) -> bool, visit: impl FnMut(u32)) {
+        self.collect(&self.roots, |n| &n.supersets, qualifies, visit)
     }
 
-    /// Visit every value stored under a key that is a superset of (or
-    /// equal to) `search`, which must be sorted and deduplicated. The
-    /// zero-allocation core of [`LatticeIndex::find_supersets`]; the
-    /// filter tree normalizes each level's search once and calls this per
-    /// partition.
+    /// Visit the value of every key that is a superset of (or equal to)
+    /// `search`, which must be sorted and deduplicated. Allocation-free;
+    /// the filter tree calls this per partition with a search set
+    /// normalized once per query.
     pub fn for_each_superset_value<'a>(&'a self, search: &[K], mut f: impl FnMut(&'a V)) {
-        debug_assert!(
-            search.windows(2).all(|w| w[0] < w[1]),
-            "search not normalized"
-        );
+        debug_assert!(is_normalized(search), "search not normalized");
         self.collect_down(
             |k| is_subset(search, k),
-            |i| self.nodes[i as usize].payload.iter().for_each(&mut f),
+            |i| f(&self.nodes[i as usize].value),
         );
     }
 
-    /// Visit every value stored under a key that is a subset of (or equal
-    /// to) `search`, which must be sorted and deduplicated.
+    /// Visit the value of every key that is a subset of (or equal to)
+    /// `search`, which must be sorted and deduplicated.
     pub fn for_each_subset_value<'a>(&'a self, search: &[K], mut f: impl FnMut(&'a V)) {
-        debug_assert!(
-            search.windows(2).all(|w| w[0] < w[1]),
-            "search not normalized"
-        );
+        debug_assert!(is_normalized(search), "search not normalized");
         self.collect_up(
             |k| is_subset(k, search),
-            |i| self.nodes[i as usize].payload.iter().for_each(&mut f),
+            |i| f(&self.nodes[i as usize].value),
         );
     }
 
-    /// Visit every value under a key satisfying an arbitrary predicate
-    /// that is monotone decreasing under subset (the hitting conditions of
+    /// Visit the value of every key satisfying an arbitrary predicate that
+    /// is monotone decreasing under subset (the hitting conditions of
     /// sections 4.2.3/4.2.4). The predicate sees the sorted key.
     pub fn for_each_monotone_down_value<'a>(
         &'a self,
         qualifies: impl Fn(&[K]) -> bool,
         mut f: impl FnMut(&'a V),
     ) {
-        self.collect_down(qualifies, |i| {
-            self.nodes[i as usize].payload.iter().for_each(&mut f)
-        });
-    }
-
-    /// Values stored under keys that are supersets of (or equal to)
-    /// `search`.
-    pub fn find_supersets(&self, search: &[K]) -> Vec<&V> {
-        let search = Self::normalize(search.to_vec());
-        let mut out = Vec::new();
-        self.for_each_superset_value(&search, |v| out.push(v));
-        out
-    }
-
-    /// Values stored under keys that are subsets of (or equal to) `search`.
-    pub fn find_subsets(&self, search: &[K]) -> Vec<&V> {
-        let search = Self::normalize(search.to_vec());
-        let mut out = Vec::new();
-        self.for_each_subset_value(&search, |v| out.push(v));
-        out
-    }
-
-    /// Values under keys satisfying an arbitrary predicate that is
-    /// monotone decreasing under subset (used for the hitting conditions
-    /// of sections 4.2.3/4.2.4). The predicate sees the sorted key.
-    pub fn find_monotone_down(&self, qualifies: impl Fn(&[K]) -> bool) -> Vec<&V> {
-        let mut out = Vec::new();
-        self.for_each_monotone_down_value(qualifies, |v| out.push(v));
-        out
-    }
-
-    /// Values under keys satisfying a predicate monotone decreasing under
-    /// superset.
-    pub fn find_monotone_up(&self, qualifies: impl Fn(&[K]) -> bool) -> Vec<&V> {
-        let mut out = Vec::new();
-        self.collect_up(qualifies, |i| {
-            self.nodes[i as usize]
-                .payload
-                .iter()
-                .for_each(|v| out.push(v))
-        });
-        out
-    }
-
-    /// All values (ignores the lattice structure).
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.nodes.iter().flat_map(|n| n.payload.iter())
+        self.collect_down(qualifies, |i| f(&self.nodes[i as usize].value));
     }
 }
 
@@ -460,54 +375,63 @@ impl SearchScratch {
 mod tests {
     use super::*;
 
+    /// File `name` under the set of its characters.
+    fn file(idx: &mut LatticeIndex<char, String>, name: &str) {
+        let mut key: Vec<char> = name.chars().collect();
+        key.sort();
+        *idx.get_or_insert_with(&key, String::new) = name.to_string();
+    }
+
     /// Build the Figure 1 lattice: keys A, B, D, AB, BE, ABC, ABF, BCDE.
     fn figure1() -> LatticeIndex<char, String> {
         let mut idx = LatticeIndex::new();
         for key in ["A", "B", "D", "AB", "BE", "ABC", "ABF", "BCDE"] {
-            idx.insert(key.chars().collect(), key.to_string());
+            file(&mut idx, key);
         }
         idx
     }
 
-    fn sorted(mut v: Vec<&String>) -> Vec<String> {
-        v.sort();
-        v.into_iter().cloned().collect()
+    fn supersets(idx: &LatticeIndex<char, String>, search: &str) -> Vec<String> {
+        let search: Vec<char> = search.chars().collect();
+        let mut out = Vec::new();
+        idx.for_each_superset_value(&search, |v| out.push(v.clone()));
+        out.sort();
+        out
+    }
+
+    fn subsets(idx: &LatticeIndex<char, String>, search: &str) -> Vec<String> {
+        let search: Vec<char> = search.chars().collect();
+        let mut out = Vec::new();
+        idx.for_each_subset_value(&search, |v| out.push(v.clone()));
+        out.sort();
+        out
     }
 
     #[test]
     fn figure1_superset_search() {
-        let idx = figure1();
         // "Suppose we want to find supersets of AB. ... The search returns
         // ABC, ABF, and AB."
-        let found = sorted(idx.find_supersets(&['A', 'B']));
-        assert_eq!(found, vec!["AB", "ABC", "ABF"]);
+        assert_eq!(supersets(&figure1(), "AB"), ["AB", "ABC", "ABF"]);
     }
 
     #[test]
     fn figure1_subset_search() {
         let idx = figure1();
-        let found = sorted(idx.find_subsets(&['B', 'C', 'D', 'E']));
-        assert_eq!(found, vec!["B", "BCDE", "BE", "D"]);
-        let found = sorted(idx.find_subsets(&['A', 'B', 'E']));
-        assert_eq!(found, vec!["A", "AB", "B", "BE"]);
+        assert_eq!(subsets(&idx, "BCDE"), ["B", "BCDE", "BE", "D"]);
+        assert_eq!(subsets(&idx, "ABE"), ["A", "AB", "B", "BE"]);
     }
 
     #[test]
     fn figure1_structure() {
         let idx = figure1();
         // Tops: ABC, ABF, BCDE. Roots: A, B, D.
-        let tops: Vec<String> = idx
+        let mut tops: Vec<&String> = idx
             .tops
             .iter()
-            .map(|&i| idx.key(i).iter().collect::<String>())
+            .map(|&i| &idx.nodes[i as usize].value)
             .collect();
-        for t in &tops {
-            assert!(
-                matches!(t.as_str(), "ABC" | "ABF" | "BCDE"),
-                "unexpected top {t}"
-            );
-        }
-        assert_eq!(tops.len(), 3);
+        tops.sort();
+        assert_eq!(tops, ["ABC", "ABF", "BCDE"]);
         assert_eq!(idx.roots.len(), 3);
         // The incremental lists must agree with a full scan.
         for (i, n) in idx.nodes.iter().enumerate() {
@@ -524,46 +448,40 @@ mod tests {
         }
         // AB's minimal supersets are ABC and ABF; its maximal subsets are
         // A and B.
-        let ab = idx.by_key[&vec!['A', 'B']] as usize;
+        let ab = idx.by_key[idx.position(&['A', 'B']).unwrap()] as usize;
         assert_eq!(idx.nodes[ab].supersets.len(), 2);
         assert_eq!(idx.nodes[ab].subsets.len(), 2);
     }
 
     #[test]
-    fn duplicate_keys_share_node() {
-        let mut idx = LatticeIndex::new();
-        idx.insert(vec![1, 2], "x");
-        idx.insert(vec![2, 1, 2], "y"); // same set after normalization
-        assert_eq!(idx.node_count(), 1);
-        assert_eq!(idx.len(), 2);
-        let found = idx.find_supersets(&[1]);
-        assert_eq!(found.len(), 2);
+    fn a_key_set_is_filed_once() {
+        let mut idx = figure1();
+        // A stored key returns its slot without building a value; the
+        // arena keeps one copy of each key.
+        let slot = idx.get_or_insert_with(&['A', 'B'], || unreachable!("AB is filed"));
+        assert_eq!(slot, "AB");
+        assert_eq!(idx.node_count(), 8);
+        assert_eq!(idx.keys.len(), "ABDABBEABCABFBCDE".len());
+        assert_eq!(idx.peek(&['B', 'E']).map(String::as_str), Some("BE"));
+        assert_eq!(idx.peek(&['E']), None);
+        idx.peek_mut(&['D']).unwrap().push('!');
+        assert_eq!(subsets(&idx, "D"), ["D!"]);
+        let mut stored: Vec<String> = idx.iter().map(|(k, _)| k.iter().collect()).collect();
+        stored.sort();
+        assert_eq!(stored, ["A", "AB", "ABC", "ABF", "B", "BCDE", "BE", "D"]);
     }
 
     #[test]
     fn empty_key_is_subset_of_everything() {
         let mut idx = LatticeIndex::new();
-        idx.insert(vec![], "empty");
-        idx.insert(vec![1], "one");
-        let found = idx.find_subsets(&[5, 6]);
-        assert_eq!(found, vec![&"empty"]);
-        let found = idx.find_supersets(&[]);
-        assert_eq!(found.len(), 2);
-    }
-
-    #[test]
-    fn remove_values() {
-        let mut idx = LatticeIndex::new();
-        idx.insert(vec![1, 2], "x");
-        idx.insert(vec![1, 2], "y");
-        assert!(idx.remove(vec![2, 1], &"x"));
-        assert!(!idx.remove(vec![2, 1], &"x"));
-        assert_eq!(idx.find_supersets(&[1]), vec![&"y"]);
-        assert!(idx.remove(vec![1, 2], &"y"));
-        assert!(idx.is_empty());
-        // Node remains as structure; re-insertion reuses it.
-        idx.insert(vec![1, 2], "z");
-        assert_eq!(idx.node_count(), 1);
+        idx.get_or_insert_with(&[], || "empty");
+        idx.get_or_insert_with(&[1], || "one");
+        let mut found = Vec::new();
+        idx.for_each_subset_value(&[5, 6], |v| found.push(*v));
+        assert_eq!(found, ["empty"]);
+        let mut found = 0;
+        idx.for_each_superset_value(&[], |_| found += 1);
+        assert_eq!(found, 2);
     }
 
     #[test]
@@ -571,45 +489,41 @@ mod tests {
         // Condition: key must intersect each of the given classes — the
         // output-column condition of section 4.2.3.
         let mut idx = LatticeIndex::new();
-        idx.insert(vec![1, 2, 3], "v123");
-        idx.insert(vec![1, 4], "v14");
-        idx.insert(vec![2], "v2");
+        idx.get_or_insert_with(&[1, 2, 3], || "v123");
+        idx.get_or_insert_with(&[1, 4], || "v14");
+        idx.get_or_insert_with(&[2], || "v2");
         let classes: Vec<Vec<u32>> = vec![vec![1, 9], vec![3, 4]];
         let hits = |k: &[u32]| {
             classes
                 .iter()
                 .all(|cl| cl.iter().any(|e| k.binary_search(e).is_ok()))
         };
-        let mut found: Vec<_> = idx.find_monotone_down(hits);
+        let mut found = Vec::new();
+        idx.for_each_monotone_down_value(hits, |v| found.push(*v));
         found.sort();
-        assert_eq!(found, vec![&"v123", &"v14"]);
+        assert_eq!(found, ["v123", "v14"]);
     }
 
     #[test]
     fn chain_insertion_orders() {
         // Insert in an order that forces re-linking: supersets first.
         let mut idx = LatticeIndex::new();
-        idx.insert(vec![1, 2, 3, 4], "a");
-        idx.insert(vec![1], "b");
+        idx.get_or_insert_with(&[1, 2, 3, 4], || "a");
+        idx.get_or_insert_with(&[1], || "b");
         // Now 1 is a subset of 1234 directly.
-        idx.insert(vec![1, 2], "c"); // splits the direct link
-        idx.insert(vec![1, 2, 3], "d"); // splits again
-        let found = sorted(
-            idx.find_supersets(&[1])
-                .into_iter()
-                .map(|s| s.to_string())
-                .collect::<Vec<_>>()
-                .iter()
-                .collect(),
-        );
-        assert_eq!(found, vec!["a", "b", "c", "d"]);
-        let found = idx.find_subsets(&[1, 2]);
-        assert_eq!(found.len(), 2);
+        idx.get_or_insert_with(&[1, 2], || "c"); // splits the direct link
+        idx.get_or_insert_with(&[1, 2, 3], || "d"); // splits again
+        let mut found = Vec::new();
+        idx.for_each_superset_value(&[1], |v| found.push(*v));
+        found.sort();
+        assert_eq!(found, ["a", "b", "c", "d"]);
+        let mut found = 0;
+        idx.for_each_subset_value(&[1, 2], |_| found += 1);
+        assert_eq!(found, 2);
         // The direct link 1 -> 1234 must be gone (replaced by chains).
-        let one = idx.by_key[&vec![1]] as usize;
-        let big = idx.by_key[&vec![1, 2, 3, 4]];
-        assert!(!idx.nodes[one].supersets.contains(&big));
-        assert!(!idx.nodes[big as usize].subsets.contains(&(one as u32)));
+        let (big, one) = (0, 1);
+        assert!(!idx.nodes[one].supersets.contains(&(big as u32)));
+        assert!(!idx.nodes[big].subsets.contains(&(one as u32)));
         // Re-linking must keep the incremental lists exact.
         assert_eq!(idx.tops, vec![0]);
         assert_eq!(idx.roots, vec![1]);
@@ -618,28 +532,15 @@ mod tests {
     #[test]
     fn incomparable_keys_are_both_roots_and_tops() {
         let mut idx = LatticeIndex::new();
-        idx.insert(vec![1], "a");
-        idx.insert(vec![2], "b");
+        idx.get_or_insert_with(&[1], || "a");
+        idx.get_or_insert_with(&[2], || "b");
         assert_eq!(idx.roots.len(), 2);
         assert_eq!(idx.tops.len(), 2);
-        assert!(idx.find_supersets(&[1, 2]).is_empty());
-        assert_eq!(idx.find_subsets(&[1, 2]).len(), 2);
-    }
-
-    #[test]
-    fn visitor_api_matches_collecting_api() {
-        let idx = figure1();
-        let search: Vec<char> = vec!['A', 'B'];
-        let mut via_visitor: Vec<String> = Vec::new();
-        idx.for_each_superset_value(&search, |v| via_visitor.push(v.clone()));
-        via_visitor.sort();
-        assert_eq!(via_visitor, sorted(idx.find_supersets(&search)));
-
-        let search: Vec<char> = vec!['B', 'C', 'D', 'E'];
-        let mut via_visitor: Vec<String> = Vec::new();
-        idx.for_each_subset_value(&search, |v| via_visitor.push(v.clone()));
-        via_visitor.sort();
-        assert_eq!(via_visitor, sorted(idx.find_subsets(&search)));
+        let mut found = 0;
+        idx.for_each_superset_value(&[1, 2], |_| found += 1);
+        assert_eq!(found, 0);
+        idx.for_each_subset_value(&[1, 2], |_| found += 1);
+        assert_eq!(found, 2);
     }
 
     #[test]

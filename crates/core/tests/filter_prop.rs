@@ -1,0 +1,196 @@
+//! Property tests for the path-compressed filter tree: under arbitrary
+//! insert / remove sequences a tree must answer exactly like the flat list
+//! of its entries. Keys are drawn from a small token alphabet as variations
+//! of a few base key tuples — two views usually agree on every level but
+//! one — so chains split at every level, and equal keys land in the chain
+//! that already holds them.
+
+use mv_core::{FilterTree, LevelSearch};
+use mv_plan::ViewId;
+use proptest::prelude::*;
+
+type Keys = Vec<Vec<u64>>;
+
+/// The condition kinds of the engine's trees: the SPJ tree uses the first
+/// six, the aggregation tree all eight.
+const KINDS: [u8; 8] = [0, 1, 1, 2, 0, 0, 1, 2];
+
+fn normalize(key: &[u64]) -> Vec<u64> {
+    let mut key = key.to_vec();
+    key.sort_unstable();
+    key.dedup();
+    key
+}
+
+/// A probe for every level of a `depth`-level tree from drawn token sets.
+fn searches(depth: usize, sets: &[Vec<u64>], classes: &[Vec<u64>]) -> Vec<LevelSearch> {
+    (0..depth)
+        .map(|level| match KINDS[level] {
+            0 => LevelSearch::Subset(normalize(&sets[level])),
+            1 => LevelSearch::Superset(normalize(&sets[level])),
+            _ => LevelSearch::Hitting(classes.to_vec()),
+        })
+        .collect()
+}
+
+/// The probe a stored entry poses to itself: every level accepts its key.
+fn self_searches(keys: &Keys) -> Vec<LevelSearch> {
+    keys.iter()
+        .zip(KINDS)
+        .map(|(key, kind)| match kind {
+            0 => LevelSearch::Subset(key.clone()),
+            1 => LevelSearch::Superset(key.clone()),
+            _ => LevelSearch::Hitting(key.iter().map(|&t| vec![t]).collect()),
+        })
+        .collect()
+}
+
+fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
+    v.sort();
+    v
+}
+
+/// `search` by a flat scan of the entries.
+fn scan(entries: &[(ViewId, Keys)], probe: &[LevelSearch]) -> Vec<ViewId> {
+    sorted(
+        entries
+            .iter()
+            .filter(|(_, keys)| probe.iter().zip(keys).all(|(s, key)| s.accepts(key)))
+            .map(|(view, _)| *view)
+            .collect(),
+    )
+}
+
+/// One step: the base tuple to vary, the level to vary it at (a level past
+/// the tree's depth leaves the base as it is), the key to put there, and
+/// whether the step removes instead of inserting.
+type Step = (usize, usize, Vec<u64>, bool);
+
+fn run(depth: usize, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes: &[Vec<u64>]) {
+    let mut tree = FilterTree::new(depth);
+    let mut model: Vec<(ViewId, Keys)> = Vec::new();
+    let probe = searches(depth, sets, classes);
+    let mut next_view = 0;
+    for (base, level, key, remove) in steps {
+        let mut keys: Keys = bases[*base][..depth].to_vec();
+        if *level < depth {
+            keys[*level] = key.clone();
+        }
+        let stored: Keys = keys.iter().map(|k| normalize(k)).collect();
+        if *remove {
+            // Take out a view filed under exactly these keys, if any;
+            // whichever view it is, the keys decide.
+            let at = model.iter().position(|(_, k)| *k == stored);
+            let view = at.map_or(ViewId(u32::MAX), |i| model[i].0);
+            prop_assert_eq!(tree.remove(&keys, view), at.is_some());
+            if let Some(i) = at {
+                model.remove(i);
+                prop_assert!(!tree.remove(&keys, view));
+            }
+        } else {
+            tree.insert(&keys, ViewId(next_view));
+            model.push((ViewId(next_view), stored.clone()));
+            next_view += 1;
+        }
+
+        let entries = tree.entries();
+        prop_assert_eq!(sorted(entries.clone()), sorted(model.clone()));
+        prop_assert_eq!(tree.len(), entries.len());
+        prop_assert_eq!(tree.is_empty(), entries.is_empty());
+        for view in (0..next_view).map(ViewId) {
+            let filed = entries.contains(&(view, stored.clone()));
+            prop_assert_eq!(tree.contains(&keys, view), filed);
+        }
+        for (view, keys) in &entries {
+            prop_assert!(tree.contains(keys, *view));
+        }
+        prop_assert_eq!(sorted(tree.search(&probe)), scan(&entries, &probe));
+        let own = self_searches(&stored);
+        let found = sorted(tree.search(&own));
+        prop_assert_eq!(&found, &scan(&entries, &own));
+        let mut filed = entries.iter().filter(|(_, k)| *k == stored);
+        prop_assert!(filed.all(|(view, _)| found.contains(view)));
+    }
+
+    // The shape follows the stored set, not the order it arrived in: a
+    // tree rebuilt from the entries back to front, odd positions first,
+    // answers alike.
+    let entries = tree.entries();
+    let (even, odd): (Vec<_>, Vec<_>) = entries
+        .iter()
+        .rev()
+        .enumerate()
+        .partition(|(i, _)| i % 2 == 0);
+    let mut rebuilt = FilterTree::new(depth);
+    for (_, (view, keys)) in odd.into_iter().chain(even) {
+        rebuilt.insert(keys, *view);
+    }
+    prop_assert_eq!(sorted(rebuilt.entries()), sorted(entries.clone()));
+    prop_assert_eq!(sorted(rebuilt.search(&probe)), scan(&entries, &probe));
+    for (_, keys) in &entries {
+        let own = self_searches(keys);
+        prop_assert_eq!(sorted(rebuilt.search(&own)), sorted(tree.search(&own)));
+    }
+}
+
+fn key() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0u64..4, 0..3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    #[test]
+    fn six_level_tree_equals_flat_scan(
+        bases in prop::collection::vec(prop::collection::vec(key(), 8), 3),
+        steps in prop::collection::vec((0usize..3, 0usize..9, key(), any::<bool>()), 1..40),
+        sets in prop::collection::vec(prop::collection::vec(0u64..4, 0..5), 8),
+        classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
+    ) {
+        run(6, &bases, &steps, &sets, &classes);
+    }
+
+    #[test]
+    fn eight_level_tree_equals_flat_scan(
+        bases in prop::collection::vec(prop::collection::vec(key(), 8), 3),
+        steps in prop::collection::vec((0usize..3, 0usize..9, key(), any::<bool>()), 1..40),
+        sets in prop::collection::vec(prop::collection::vec(0u64..4, 0..5), 8),
+        classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
+    ) {
+        run(8, &bases, &steps, &sets, &classes);
+    }
+}
+
+/// The copy-on-write contract the online catalog relies on, at the layer
+/// that implements it: a clone shares the original's nodes, and a write to
+/// the clone that splits one of the original's chains — at any level —
+/// leaves the original as it was.
+#[test]
+fn splitting_a_chain_in_a_clone_leaves_the_original_alone() {
+    for depth in [6, 8] {
+        let keys: Keys = (0..depth as u64).map(|level| vec![1, 10 + level]).collect();
+        let other: Keys = (0..depth as u64).map(|level| vec![2, 10 + level]).collect();
+        let mut original = FilterTree::new(depth);
+        original.insert(&keys, ViewId(0));
+        original.insert(&keys, ViewId(1));
+        original.insert(&other, ViewId(2));
+        let entries = sorted(original.entries());
+        let own = self_searches(&keys);
+
+        for level in 0..depth {
+            let mut clone = original.clone();
+            let mut split = keys.clone();
+            split[level] = vec![1, 99];
+            clone.insert(&split, ViewId(3));
+            assert!(clone.remove(&keys, ViewId(1)));
+            assert_eq!(clone.len(), 3);
+            assert!(clone.contains(&split, ViewId(3)));
+            assert_eq!(sorted(clone.search(&own)), [ViewId(0)]);
+
+            assert_eq!(original.len(), 3);
+            assert_eq!(sorted(original.entries()), entries);
+            assert_eq!(sorted(original.search(&own)), [ViewId(0), ViewId(1)]);
+            assert!(!original.contains(&split, ViewId(3)));
+        }
+    }
+}

@@ -271,10 +271,15 @@ impl SpjgExpr {
         seen
     }
 
-    /// Validate internal consistency: every column reference addresses an
-    /// existing occurrence and column; aggregate-view style rules are *not*
-    /// enforced here (they belong to view registration).
+    /// Validate internal consistency: every table id names a table of the
+    /// catalog and every column reference addresses an existing occurrence
+    /// and column; aggregate-view style rules are *not* enforced here (they
+    /// belong to view registration).
     pub fn validate(&self, catalog: &Catalog) -> Result<(), String> {
+        let known = catalog.table_count();
+        if let Some(t) = self.tables.iter().find(|t| t.0 as usize >= known) {
+            return Err(format!("table id {} is not in the catalog", t.0));
+        }
         for c in self.referenced_columns() {
             let Some(&table) = self.tables.get(c.occ.0 as usize) else {
                 return Err(format!("column {c} references missing occurrence"));
