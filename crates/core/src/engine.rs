@@ -1289,21 +1289,6 @@ impl MatchingEngine {
         out
     }
 
-    /// Is the view filed in its tree under exactly the keys a fresh
-    /// derivation produces? `false` means the index lost the view or
-    /// holds it under stale keys — either way a search may never reach it.
-    pub fn view_in_tree(&self, id: ViewId) -> bool {
-        let snap = self.snapshot();
-        let Some(keys) = self.view_filter_keys_in(&snap, id) else {
-            return false;
-        };
-        if snap.views.get(id).expr.is_aggregate() {
-            snap.agg_tree.contains(&keys, id)
-        } else {
-            snap.spj_tree.contains(&keys[..SPJ_LEVELS], id)
-        }
-    }
-
     /// The per-level search conditions a query poses against the SPJ and
     /// aggregation trees, in that order; a non-aggregate query poses none
     /// against the latter, which is never searched for one (section 3.3),
@@ -1628,6 +1613,21 @@ mod tests {
         )
     }
 
+    /// Is the view filed in its tree under exactly the keys a fresh
+    /// derivation produces? `false` means the index lost the view or
+    /// holds it under stale keys — either way a search may never reach it.
+    fn view_in_tree(engine: &MatchingEngine, id: ViewId) -> bool {
+        let snap = engine.snapshot();
+        let Some(keys) = engine.view_filter_keys_in(&snap, id) else {
+            return false;
+        };
+        if snap.views.get(id).expr.is_aggregate() {
+            snap.agg_tree.contains(&keys, id)
+        } else {
+            snap.spj_tree.contains(&keys[..SPJ_LEVELS], id)
+        }
+    }
+
     fn engine_with_views(config: MatchConfig) -> MatchingEngine {
         let (cat, t) = tpch_catalog();
         let engine = MatchingEngine::new(cat, config);
@@ -1790,7 +1790,7 @@ mod tests {
     fn audit_api_reports_index_state() {
         let engine = engine_with_views(MatchConfig::default());
         for id in 0..4 {
-            assert!(engine.view_in_tree(ViewId(id)));
+            assert!(view_in_tree(&engine, ViewId(id)));
             assert!(!engine.is_removed(ViewId(id)));
         }
         assert!(engine.view_filter_keys(ViewId(99)).is_none());
@@ -1813,7 +1813,7 @@ mod tests {
         }
         // Evicting drops the view from the index but not from the engine.
         assert!(engine.evict_view_for_audit(ViewId(0)));
-        assert!(!engine.view_in_tree(ViewId(0)));
+        assert!(!view_in_tree(&engine, ViewId(0)));
         assert_eq!(engine.filter_entries().len(), 3);
         assert_eq!(engine.live_view_count(), 4);
         // Removed views have no keys and cannot be corrupted.
@@ -1831,7 +1831,10 @@ mod tests {
         keys.truncate(SPJ_LEVELS);
         keys[4].push(999_999); // bogus residual token
         assert!(engine.refile_view_for_audit(ViewId(0), &keys));
-        assert!(!engine.view_in_tree(ViewId(0)), "stored keys are stale now");
+        assert!(
+            !view_in_tree(&engine, ViewId(0)),
+            "stored keys are stale now"
+        );
         assert_eq!(engine.filter_entries().len(), 4);
     }
 

@@ -290,8 +290,9 @@ fn enumerate_mappings(
             .binary_search_by_key(t, |(vt, _)| *vt)
             .expect("table correspondence checked by the caller")]
         .1;
-        // All injective placements of `qoccs` into `voccs`.
-        let placements = injections(qoccs, voccs);
+        // The loop below takes placements in order until `next` is full,
+        // so no base ever reaches past the first `MAX_TABLE_MAPPINGS`.
+        let placements = injections(qoccs, voccs, MAX_TABLE_MAPPINGS);
         let mut next = Vec::new();
         for base in &result {
             for placement in &placements {
@@ -310,12 +311,15 @@ fn enumerate_mappings(
     result
 }
 
-/// All injective assignments of each query occurrence to a distinct view
-/// occurrence (both of the same base table).
-fn injections(qoccs: &[OccId], voccs: &[OccId]) -> Vec<Vec<(OccId, OccId)>> {
+/// The first `limit` injective assignments, in lexicographic order, of
+/// each query occurrence to a distinct view occurrence (both of the same
+/// base table). There are `|voccs|! / (|voccs| - |qoccs|)!` of them in
+/// all, so the walk stops at the limit rather than materializing them.
+fn injections(qoccs: &[OccId], voccs: &[OccId], limit: usize) -> Vec<Vec<(OccId, OccId)>> {
     fn rec(
         qoccs: &[OccId],
         voccs: &[OccId],
+        limit: usize,
         used: &mut Vec<bool>,
         acc: &mut Vec<(OccId, OccId)>,
         out: &mut Vec<Vec<(OccId, OccId)>>,
@@ -326,10 +330,13 @@ fn injections(qoccs: &[OccId], voccs: &[OccId]) -> Vec<Vec<(OccId, OccId)>> {
         }
         let q = qoccs[acc.len()];
         for (i, &v) in voccs.iter().enumerate() {
+            if out.len() >= limit {
+                return;
+            }
             if !used[i] {
                 used[i] = true;
                 acc.push((q, v));
-                rec(qoccs, voccs, used, acc, out);
+                rec(qoccs, voccs, limit, used, acc, out);
                 acc.pop();
                 used[i] = false;
             }
@@ -339,6 +346,7 @@ fn injections(qoccs: &[OccId], voccs: &[OccId]) -> Vec<Vec<(OccId, OccId)>> {
     rec(
         qoccs,
         voccs,
+        limit,
         &mut vec![false; voccs.len()],
         &mut Vec::new(),
         &mut out,
@@ -1148,4 +1156,34 @@ fn find_sum(
         .iter()
         .find(|(vt, _)| vt.matches(&t, same))
         .map(|(_, pos)| *pos)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A 9-fold self-join has 9! = 362,880 occurrence bijections; the walk
+    /// must stop at the cap, not materialize them and keep the first 64.
+    #[test]
+    fn self_join_placements_stop_at_the_cap() {
+        let occs: Vec<OccId> = (0..9).map(OccId).collect();
+        let placements = injections(&occs, &occs, MAX_TABLE_MAPPINGS);
+        assert_eq!(placements.len(), MAX_TABLE_MAPPINGS);
+        // Lexicographic order: the identity comes first.
+        assert!(placements[0].iter().all(|(q, v)| q == v));
+
+        let by_table = vec![(TableId(0), occs)];
+        let mappings = enumerate_mappings(9, &by_table, &by_table);
+        assert_eq!(mappings.len(), MAX_TABLE_MAPPINGS);
+        for (m, p) in mappings.iter().zip(&placements) {
+            for (q, v) in p {
+                assert_eq!(m[v.0 as usize], Some(*q));
+            }
+        }
+        // Fewer bijections than the cap come back in full.
+        assert_eq!(
+            injections(&by_table[0].1[..3], &by_table[0].1[..4], 64).len(),
+            24
+        );
+    }
 }

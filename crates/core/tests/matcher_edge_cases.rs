@@ -468,3 +468,28 @@ fn self_join_substitute_executes_correctly() {
     assert!(bag_diff(&direct, &rewritten).is_none());
     assert!(!direct.is_empty());
 }
+
+/// A 12-fold self-join has 12! ≈ 4.8e8 occurrence bijections. The matcher
+/// tries the first `MAX_TABLE_MAPPINGS` of them and must not enumerate the
+/// rest on the way (materializing them takes tens of gigabytes): the view
+/// still matches itself, because the identity bijection comes first.
+#[test]
+fn twelve_fold_self_join_matches_itself() {
+    const K: u32 = 12;
+    let (_, t) = mv_catalog::tpch::tpch_catalog();
+    // region ⋈ … ⋈ region chained on r_regionkey.
+    let chain = BoolExpr::and(
+        (1..K)
+            .map(|i| BoolExpr::col_eq(cr(i - 1, 0), cr(i, 0)))
+            .collect(),
+    );
+    let block = SpjgExpr::spj(
+        vec![t.region; K as usize],
+        chain,
+        vec![
+            NamedExpr::new(S::col(cr(0, 0)), "key"),
+            NamedExpr::new(S::col(cr(K - 1, 1)), "name"),
+        ],
+    );
+    assert_eq!(check_pair(block.clone(), block, 83), 1);
+}

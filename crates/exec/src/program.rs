@@ -15,7 +15,9 @@
 //! database's own storage. Values are cloned only at the two places a bag
 //! must own them — projected output cells and group keys on first insert —
 //! so the per-database cost is a few tight loops over integer tuples with
-//! no allocation on the common path. [`SubstitutePipeline`] extends the
+//! no allocation on the common path (the per-call table of scans, one
+//! slice per table occurrence, sits on the stack up to `INLINE_OCCS`
+//! occurrences and on the heap past that). [`SubstitutePipeline`] extends the
 //! same idea across the view boundary: when the view's output is a bare
 //! column projection, the substitute runs directly over the view's join
 //! tuples and the view rows are never materialized at all.
@@ -31,8 +33,8 @@ use mv_catalog::{Catalog, TableId, Value};
 use mv_data::{Database, Row};
 use mv_expr::like::like_match;
 use mv_expr::scalar::eval_binop;
-use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, OccId, ScalarExpr};
-use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute};
+use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, ScalarExpr};
+use mv_plan::{AggFunc, OutputList, SpjgExpr, Substitute};
 use std::collections::hash_map::RandomState;
 
 /// Bits of an [`Op::Col`] operand holding the column index; the rest holds
@@ -41,10 +43,37 @@ use std::collections::hash_map::RandomState;
 const COL_BITS: usize = 16;
 const COL_MASK: usize = (1 << COL_BITS) - 1;
 
-/// Upper bound on table occurrences per plan (and backjoins per
-/// substitute): lets execution keep its per-occurrence scan table on the
-/// stack instead of allocating per database.
-const MAX_OCCS: usize = 16;
+/// Table occurrences per plan (and backjoins per substitute) whose
+/// per-call tables fit on the stack. A wider plan's spill to the heap:
+/// width costs an allocation per execution, it is not a limit.
+const INLINE_OCCS: usize = 16;
+
+/// A per-call table with one slot per table occurrence or backjoin.
+#[derive(Default)]
+struct Slots<T> {
+    inline: [T; INLINE_OCCS],
+    spill: Vec<T>,
+}
+
+impl<T: Copy + Default> Slots<T> {
+    /// `n` slots to fill.
+    fn take(&mut self, n: usize) -> &mut [T] {
+        if n <= INLINE_OCCS {
+            &mut self.inline[..n]
+        } else {
+            self.grow(n)
+        }
+    }
+
+    /// Out of line: with the heap branch inlined the per-database loops
+    /// measured ≈ 10 % slower on prover-sized databases.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, n: usize) -> &mut [T] {
+        self.spill.resize(n, T::default());
+        &mut self.spill
+    }
+}
 
 /// Resolve a fetch position to a value for the current index tuple. The
 /// executors address columns differently (packed `(occ, col)`, flat
@@ -127,7 +156,7 @@ impl Fetch for FusedFetch<'_> {
 /// One postfix instruction. Value-producing ops work a value stack of
 /// [`Slot`]s (fetch positions or literal-pool indices, so pushing a column
 /// never clones); predicate ops work a tri-bool stack.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 enum Op {
     /// Push a fetch position onto the value stack.
     Col(usize),
@@ -177,7 +206,7 @@ pub struct EvalStacks {
 }
 
 /// A compiled expression: postfix ops plus literal and LIKE-pattern pools.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Program {
     ops: Vec<Op>,
     lits: Vec<Value>,
@@ -406,7 +435,7 @@ impl Program {
 }
 
 /// One join step: append a table occurrence to the index-tuple prefix.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct JoinStep {
     table: TableId,
     /// Equijoin pairs `(packed prefix position, column of the new scan)`,
@@ -899,10 +928,6 @@ impl PlanProgram {
     /// other conjunct is applied at the first step that binds all its
     /// columns.
     fn compile_in_order(catalog: &Catalog, expr: &SpjgExpr, order: &[usize]) -> Self {
-        assert!(
-            expr.tables.len() <= MAX_OCCS,
-            "PlanProgram supports at most {MAX_OCCS} table occurrences"
-        );
         let mut step_of = vec![0usize; order.len()];
         for (step, &occ) in order.iter().enumerate() {
             step_of[occ] = step;
@@ -956,18 +981,22 @@ impl PlanProgram {
         }
     }
 
-    /// Fill the per-occurrence scan table for `db`.
-    fn scans<'a>(&self, db: &'a Database, buf: &mut [&'a [Row]; MAX_OCCS]) {
-        for (i, s) in self.steps.iter().enumerate() {
-            buf[i] = db.rows(s.table);
+    /// Fill the per-step scan table for `db`.
+    fn scans<'t, 'a>(
+        &self,
+        db: &'a Database,
+        table: &'t mut Slots<&'a [Row]>,
+    ) -> &'t mut [&'a [Row]] {
+        let occ_rows = table.take(self.steps.len());
+        for (scan, s) in occ_rows.iter_mut().zip(&self.steps) {
+            *scan = db.rows(s.table);
         }
+        occ_rows
     }
 
     /// Evaluate against one database, writing the output bag into `out`.
     pub fn execute(&self, db: &Database, scratch: &mut ExecScratch, out: &mut RowBag) {
-        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        self.scans(db, &mut occ_rows);
-        self.run(&occ_rows[..self.steps.len()], scratch, out);
+        self.run(self.scans(db, &mut Slots::default()), scratch, out);
     }
 
     /// Evaluate with `delta` standing in for the first step's table and
@@ -981,10 +1010,10 @@ impl PlanProgram {
         scratch: &mut ExecScratch,
         out: &mut RowBag,
     ) {
-        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        self.scans(db, &mut occ_rows);
+        let mut table = Slots::default();
+        let occ_rows = self.scans(db, &mut table);
         occ_rows[0] = delta;
-        self.run(&occ_rows[..self.steps.len()], scratch, out);
+        self.run(occ_rows, scratch, out);
     }
 
     fn run(&self, occ_rows: &[&[Row]], scratch: &mut ExecScratch, out: &mut RowBag) {
@@ -1039,11 +1068,6 @@ impl SubstituteProgram {
     /// Compile a substitute. Column references resolve by position in the
     /// substitute column space, so the view's arity is implicit.
     pub fn compile(catalog: &Catalog, sub: &Substitute) -> Self {
-        assert!(
-            sub.backjoins.len() < MAX_OCCS,
-            "SubstituteProgram supports at most {} backjoins",
-            MAX_OCCS - 1
-        );
         let map = |c: ColRef| c.col.0 as usize;
         SubstituteProgram {
             backjoins: sub
@@ -1062,19 +1086,22 @@ impl SubstituteProgram {
 
     /// Fill the backjoin scan/offset tables; segment offsets start at the
     /// view arity (backjoin key positions may reach into earlier segments).
-    fn backjoin_tables<'a>(
+    fn backjoin_tables<'t, 'a>(
         &self,
         db: &'a Database,
         view_arity: usize,
-        rows: &mut [&'a [Row]; MAX_OCCS],
-        offs: &mut [usize; MAX_OCCS],
-    ) {
+        rows: &'t mut Slots<&'a [Row]>,
+        offs: &'t mut Slots<usize>,
+    ) -> (&'t [&'a [Row]], &'t [usize]) {
+        let nb = self.backjoins.len();
+        let (rows, offs) = (rows.take(nb), offs.take(nb));
         let mut off = view_arity;
         for (i, bj) in self.backjoins.iter().enumerate() {
             rows[i] = db.rows(bj.table);
             offs[i] = off;
             off += bj.width;
         }
+        (rows, offs)
     }
 
     /// Run the backjoins, predicate, and output over tuples whose view
@@ -1091,7 +1118,7 @@ impl SubstituteProgram {
         f: &F,
         tup: &mut [u32],
         view_slots: usize,
-        bj_rows: &[&[Row]; MAX_OCCS],
+        bj_rows: &[&[Row]],
         st: &mut EvalStacks,
         key_buf: &mut Vec<Value>,
         groups: &mut GroupTable,
@@ -1131,14 +1158,14 @@ impl SubstituteProgram {
             groups,
             ..
         } = scratch;
-        let mut bj_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        let mut bj_offs: [usize; MAX_OCCS] = [0; MAX_OCCS];
-        self.backjoin_tables(db, view_rows.arity, &mut bj_rows, &mut bj_offs);
+        let (mut bj_rows, mut bj_offs) = (Slots::default(), Slots::default());
+        let (bj_rows, bj_offs) =
+            self.backjoin_tables(db, view_rows.arity, &mut bj_rows, &mut bj_offs);
         let nb = self.backjoins.len();
         let f = SubFetch {
             view: view_rows,
-            bj_offs: &bj_offs[..nb],
-            bj_rows: &bj_rows[..nb],
+            bj_offs,
+            bj_rows,
         };
         out.reset(self.output.arity());
         self.output.begin(groups);
@@ -1146,7 +1173,7 @@ impl SubstituteProgram {
         cur.resize(1 + nb, 0);
         for r in 0..view_rows.count {
             cur[0] = r as u32;
-            self.feed_tuple(&f, cur, 1, &bj_rows, st, key_buf, groups, out);
+            self.feed_tuple(&f, cur, 1, bj_rows, st, key_buf, groups, out);
         }
         self.output.finish(groups, out);
     }
@@ -1196,254 +1223,33 @@ impl SubstitutePipeline {
             ..
         } = scratch;
         let n_vocc = self.view.steps.len();
-        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        self.view.scans(db, &mut occ_rows);
-        let pf = PlanFetch {
-            occ_rows: &occ_rows[..n_vocc],
-        };
+        let mut occ_rows = Slots::default();
+        let occ_rows = &*self.view.scans(db, &mut occ_rows);
+        let pf = PlanFetch { occ_rows };
         let n_view = join_steps(&self.view.steps, &pf, cur, nxt, st);
-        let mut bj_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        let mut bj_offs: [usize; MAX_OCCS] = [0; MAX_OCCS];
-        self.sub
-            .backjoin_tables(db, view_cols.len(), &mut bj_rows, &mut bj_offs);
-        let nb = self.sub.backjoins.len();
+        let (mut bj_rows, mut bj_offs) = (Slots::default(), Slots::default());
+        let (bj_rows, bj_offs) =
+            self.sub
+                .backjoin_tables(db, view_cols.len(), &mut bj_rows, &mut bj_offs);
         let f = FusedFetch {
             view_cols,
-            occ_rows: &occ_rows[..n_vocc],
+            occ_rows,
             n_view_occs: n_vocc,
-            bj_offs: &bj_offs[..nb],
-            bj_rows: &bj_rows[..nb],
+            bj_offs,
+            bj_rows,
         };
         out.reset(self.sub.output.arity());
         self.sub.output.begin(groups);
-        let mut tup_buf = [0u32; 2 * MAX_OCCS];
-        let tup = &mut tup_buf[..n_vocc + nb];
+        // The join is done, so its ping-pong buffer holds the one tuple
+        // the backjoins extend.
+        let mut tup = Slots::default();
+        let tup = tup.take(n_vocc + bj_rows.len());
         for r in 0..n_view {
             tup[..n_vocc].copy_from_slice(&cur[r * n_vocc..(r + 1) * n_vocc]);
             self.sub
-                .feed_tuple(&f, tup, n_vocc, &bj_rows, st, key_buf, groups, out);
+                .feed_tuple(&f, tup, n_vocc, bj_rows, st, key_buf, groups, out);
         }
         self.sub.output.finish(groups, out);
-    }
-
-    /// True when the fused path applies *and* the view's join schedule is
-    /// step-identical to `query`'s — same tables, join keys, and filter
-    /// programs. The two sides then enumerate exactly the same index-tuple
-    /// stream, so [`Self::execute_shared`] can run the join once and feed
-    /// both outputs from it.
-    pub fn shares_join(&self, query: &PlanProgram) -> bool {
-        self.view.out_cols.is_some() && self.view.steps == query.steps
-    }
-
-    /// A query program suitable for [`Self::execute_shared`]: `query`
-    /// itself when it already [`Self::shares_join`], otherwise — when the
-    /// two SPJ blocks join the same tables under the same conjunct set,
-    /// merely numbering the occurrences differently — the query's output
-    /// recompiled against the view's occurrence numbering (the join
-    /// schedule is then the view's own, so `shares_join` holds for the
-    /// result by construction). `None` when the joins genuinely differ or
-    /// the pipeline is unfused; callers then run the two sides separately.
-    pub fn shared_query(
-        &self,
-        catalog: &Catalog,
-        query: &PlanProgram,
-        query_expr: &SpjgExpr,
-        view_expr: &SpjgExpr,
-    ) -> Option<PlanProgram> {
-        self.view.out_cols.as_ref()?;
-        if self.view.steps == query.steps {
-            return Some(query.clone());
-        }
-        let perm = occ_bijection(query_expr, view_expr)?;
-        let remapped = SpjgExpr {
-            tables: view_expr.tables.clone(),
-            conjuncts: view_expr.conjuncts.clone(),
-            output: remap_output(&query_expr.output, &perm),
-        };
-        Some(PlanProgram::compile(catalog, &remapped))
-    }
-
-    /// Evaluate the query *and* the substitute over one shared join pass.
-    /// Requires [`Self::shares_join`]`(query)`; each output bag is exactly
-    /// what the two separate `execute` calls would produce — the common
-    /// case on the prove hot path, where the substitute's view is the
-    /// query's own SPJ block, halves its join work.
-    pub fn execute_shared(
-        &self,
-        query: &PlanProgram,
-        db: &Database,
-        scratch: &mut ExecScratch,
-        query_out: &mut RowBag,
-        out: &mut RowBag,
-    ) {
-        debug_assert!(self.shares_join(query));
-        let view_cols = self.view.out_cols.as_ref().expect("shares_join holds");
-        let ExecScratch {
-            cur,
-            nxt,
-            st,
-            key_buf,
-            groups,
-            ..
-        } = scratch;
-        let n_vocc = self.view.steps.len();
-        let mut occ_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        self.view.scans(db, &mut occ_rows);
-        let pf = PlanFetch {
-            occ_rows: &occ_rows[..n_vocc],
-        };
-        let n_view = join_steps(&self.view.steps, &pf, cur, nxt, st);
-        query_out.reset(query.output.arity());
-        query.output.begin(groups);
-        for r in 0..n_view {
-            query.output.feed(
-                &pf,
-                &cur[r * n_vocc..(r + 1) * n_vocc],
-                st,
-                key_buf,
-                groups,
-                query_out,
-            );
-        }
-        query.output.finish(groups, query_out);
-        let mut bj_rows: [&[Row]; MAX_OCCS] = [&[]; MAX_OCCS];
-        let mut bj_offs: [usize; MAX_OCCS] = [0; MAX_OCCS];
-        self.sub
-            .backjoin_tables(db, view_cols.len(), &mut bj_rows, &mut bj_offs);
-        let nb = self.sub.backjoins.len();
-        let f = FusedFetch {
-            view_cols,
-            occ_rows: &occ_rows[..n_vocc],
-            n_view_occs: n_vocc,
-            bj_offs: &bj_offs[..nb],
-            bj_rows: &bj_rows[..nb],
-        };
-        out.reset(self.sub.output.arity());
-        self.sub.output.begin(groups);
-        let mut tup_buf = [0u32; 2 * MAX_OCCS];
-        let tup = &mut tup_buf[..n_vocc + nb];
-        for r in 0..n_view {
-            tup[..n_vocc].copy_from_slice(&cur[r * n_vocc..(r + 1) * n_vocc]);
-            self.sub
-                .feed_tuple(&f, tup, n_vocc, &bj_rows, st, key_buf, groups, out);
-        }
-        self.sub.output.finish(groups, out);
-    }
-}
-
-/// Occurrence bijection `perm` (query occurrence `i` plays view occurrence
-/// `perm[i]`) under which the two SPJ blocks join the same tables with the
-/// same conjunct set. Join results are schedule-independent — the
-/// assignments of rows to occurrences satisfying all conjuncts — so equal
-/// signatures mean one join pass serves both sides (tuple *order* may
-/// differ from the query's own schedule, which multiset bag comparison
-/// absorbs). Self-joins make the bijection ambiguous; bail to `None`.
-fn occ_bijection(query: &SpjgExpr, view: &SpjgExpr) -> Option<Vec<usize>> {
-    if query.tables.len() != view.tables.len() {
-        return None;
-    }
-    let distinct = |ts: &[TableId]| {
-        let mut s = ts.to_vec();
-        s.sort();
-        s.windows(2).all(|w| w[0] != w[1])
-    };
-    if !distinct(&query.tables) || !distinct(&view.tables) {
-        return None;
-    }
-    let perm: Vec<usize> = query
-        .tables
-        .iter()
-        .map(|t| view.tables.iter().position(|v| v == t))
-        .collect::<Option<_>>()?;
-    if same_conjuncts(&query.conjuncts, &view.conjuncts, &perm) {
-        Some(perm)
-    } else {
-        None
-    }
-}
-
-/// Remap a conjunct's occurrences and normalize `a = b` symmetry.
-fn normalize_conjunct(c: &Conjunct, m: &mut impl FnMut(ColRef) -> ColRef) -> Conjunct {
-    match c {
-        Conjunct::ColumnEq(a, b) => {
-            let (x, y) = (m(*a), m(*b));
-            if y < x {
-                Conjunct::ColumnEq(y, x)
-            } else {
-                Conjunct::ColumnEq(x, y)
-            }
-        }
-        Conjunct::Range { col, op, value } => Conjunct::Range {
-            col: m(*col),
-            op: *op,
-            value: value.clone(),
-        },
-        Conjunct::Residual(b) => Conjunct::Residual(b.map_columns(m)),
-    }
-}
-
-/// Conjunct multisets equal after remapping query occurrences via `perm`.
-/// Residuals compare syntactically — unequal spellings conservatively fail.
-fn same_conjuncts(query: &[Conjunct], view: &[Conjunct], perm: &[usize]) -> bool {
-    if query.len() != view.len() {
-        return false;
-    }
-    let qn: Vec<Conjunct> = query
-        .iter()
-        .map(|c| {
-            normalize_conjunct(c, &mut |r: ColRef| ColRef {
-                occ: OccId(perm[r.occ.0 as usize] as u32),
-                col: r.col,
-            })
-        })
-        .collect();
-    let vn: Vec<Conjunct> = view
-        .iter()
-        .map(|c| normalize_conjunct(c, &mut |r| r))
-        .collect();
-    let mut used = vec![false; vn.len()];
-    qn.iter().all(
-        |c| match vn.iter().enumerate().position(|(i, v)| !used[i] && v == c) {
-            Some(i) => {
-                used[i] = true;
-                true
-            }
-            None => false,
-        },
-    )
-}
-
-/// Remap an output list's occurrences via `perm`.
-fn remap_output(out: &OutputList, perm: &[usize]) -> OutputList {
-    fn remap(perm: &[usize]) -> impl FnMut(ColRef) -> ColRef + '_ {
-        |r: ColRef| ColRef {
-            occ: OccId(perm[r.occ.0 as usize] as u32),
-            col: r.col,
-        }
-    }
-    let ne = |n: &NamedExpr| NamedExpr {
-        expr: n.expr.map_columns(&mut remap(perm)),
-        name: n.name.clone(),
-    };
-    match out {
-        OutputList::Spj(items) => OutputList::Spj(items.iter().map(ne).collect()),
-        OutputList::Aggregate {
-            group_by,
-            aggregates,
-        } => OutputList::Aggregate {
-            group_by: group_by.iter().map(ne).collect(),
-            aggregates: aggregates
-                .iter()
-                .map(|a| NamedAgg {
-                    func: match &a.func {
-                        AggFunc::CountStar => AggFunc::CountStar,
-                        AggFunc::Sum(e) => AggFunc::Sum(e.map_columns(&mut remap(perm))),
-                        AggFunc::SumZero(e) => AggFunc::SumZero(e.map_columns(&mut remap(perm))),
-                    },
-                    name: a.name.clone(),
-                })
-                .collect(),
-        },
     }
 }
 
@@ -1570,63 +1376,6 @@ mod tests {
         assert!(bag_eq(&fused.to_rows(), &want));
         // Fused path never touched the view scratch bag.
         assert!(vscratch.is_empty());
-    }
-
-    #[test]
-    fn shared_query_remaps_permuted_occurrences() {
-        let (db, t) = generate_tpch(&TpchScale::tiny(), 29);
-        // Query and view join the same tables with occurrences numbered in
-        // opposite orders.
-        let query = SpjgExpr::aggregate(
-            vec![t.orders, t.lineitem],
-            BoolExpr::col_eq(cr(0, 0), cr(1, 0)),
-            vec![NamedExpr::new(S::col(cr(0, 1)), "o_custkey")],
-            vec![
-                NamedAgg::new(AggFunc::CountStar, "cnt"),
-                NamedAgg::new(AggFunc::Sum(S::col(cr(1, 4))), "qty"),
-            ],
-        );
-        let view = SpjgExpr::spj(
-            vec![t.lineitem, t.orders],
-            BoolExpr::col_eq(cr(1, 0), cr(0, 0)),
-            vec![
-                NamedExpr::new(S::col(cr(0, 0)), "l_orderkey"),
-                NamedExpr::new(S::col(cr(0, 4)), "l_quantity"),
-                NamedExpr::new(S::col(cr(1, 1)), "o_custkey"),
-            ],
-        );
-        let sub = Substitute {
-            view: ViewId(0),
-            backjoins: vec![],
-            predicates: vec![],
-            output: OutputList::Aggregate {
-                group_by: vec![NamedExpr::new(S::col(cr(0, 2)), "o_custkey")],
-                aggregates: vec![
-                    NamedAgg::new(AggFunc::CountStar, "cnt"),
-                    NamedAgg::new(AggFunc::Sum(S::col(cr(0, 1))), "qty"),
-                ],
-            },
-            freshness: mv_plan::Freshness::Fresh,
-        };
-        let qprog = PlanProgram::compile(&db.catalog, &query);
-        let pipe = SubstitutePipeline::compile(&db.catalog, &view, &sub);
-        // Step-identical fails (different occurrence numbering) …
-        assert!(!pipe.shares_join(&qprog));
-        // … but the bijection remap recovers a shared-join query program.
-        let shared = pipe
-            .shared_query(&db.catalog, &qprog, &query, &view)
-            .expect("same join up to occurrence order");
-        assert!(pipe.shares_join(&shared));
-
-        let mut scratch = ExecScratch::new();
-        let (mut qbag, mut vbag, mut sbag) = (RowBag::new(), RowBag::new(), RowBag::new());
-        qprog.execute(&db, &mut scratch, &mut qbag);
-        pipe.execute(&db, &mut scratch, &mut vbag, &mut sbag);
-        let (mut q2, mut s2) = (RowBag::new(), RowBag::new());
-        pipe.execute_shared(&shared, &db, &mut scratch, &mut q2, &mut s2);
-        assert!(!qbag.is_empty());
-        assert!(bag_eq(&q2.to_rows(), &qbag.to_rows()));
-        assert!(bag_eq(&s2.to_rows(), &sbag.to_rows()));
     }
 
     #[test]

@@ -7,10 +7,10 @@
 
 use mv_catalog::schema::{ForeignKey, TableBuilder};
 use mv_catalog::{Catalog, ColumnId, ColumnType, TableId, Value};
-use mv_data::{ColumnDomain, Database, EnumSpec, Enumerator, TableSpec};
+use mv_data::{generate_tpch, ColumnDomain, Database, EnumSpec, Enumerator, TableSpec, TpchScale};
 use mv_exec::{
     bag_diff, bag_eq, execute_spjg, execute_substitute_with, ExecScratch, PlanProgram, RowBag,
-    SubstituteProgram,
+    SubstitutePipeline, SubstituteProgram,
 };
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, ScalarExpr};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewId};
@@ -340,6 +340,79 @@ fn compiled_substitute_matches_interpreter_over_enumerated_databases() {
         });
     }
     assert!(checked > 2000, "differential coverage too thin: {checked}");
+}
+
+/// Same join, permuted occurrences: an aggregate query over
+/// `orders ⋈ lineitem` and an SPJ view over `lineitem ⋈ orders` number
+/// their occurrences in opposite orders and spell the equijoin both ways
+/// round. Each side runs its own join — the query through
+/// [`PlanProgram::execute`], the substitute fused through
+/// [`SubstitutePipeline::execute`] — and each must agree with the
+/// interpreter; the pair is equivalent, so the two bags also agree with
+/// each other.
+#[test]
+fn permuted_occurrence_pair_matches_interpreter_on_both_sides() {
+    let (db, t) = generate_tpch(&TpchScale::tiny(), 29);
+    let col = |occ: u32, c: u32| ScalarExpr::col(ColRef::new(occ, c));
+    let query = SpjgExpr::aggregate(
+        vec![t.orders, t.lineitem],
+        BoolExpr::col_eq(ColRef::new(0, 0), ColRef::new(1, 0)),
+        vec![NamedExpr::new(col(0, 1), "o_custkey")],
+        vec![
+            NamedAgg::new(AggFunc::CountStar, "cnt"),
+            NamedAgg::new(AggFunc::Sum(col(1, 4)), "qty"),
+        ],
+    );
+    let view = SpjgExpr::spj(
+        vec![t.lineitem, t.orders],
+        BoolExpr::col_eq(ColRef::new(1, 0), ColRef::new(0, 0)),
+        vec![
+            NamedExpr::new(col(0, 0), "l_orderkey"),
+            NamedExpr::new(col(0, 4), "l_quantity"),
+            NamedExpr::new(col(1, 1), "o_custkey"),
+        ],
+    );
+    let sub = Substitute {
+        view: ViewId(0),
+        backjoins: vec![],
+        predicates: vec![],
+        output: OutputList::Aggregate {
+            group_by: vec![NamedExpr::new(col(0, 2), "o_custkey")],
+            aggregates: vec![
+                NamedAgg::new(AggFunc::CountStar, "cnt"),
+                NamedAgg::new(AggFunc::Sum(col(0, 1)), "qty"),
+            ],
+        },
+        freshness: mv_plan::Freshness::Fresh,
+    };
+    let mut scratch = ExecScratch::new();
+    let (mut qbag, mut vbag, mut sbag) = (RowBag::new(), RowBag::new(), RowBag::new());
+    PlanProgram::compile(&db.catalog, &query).execute(&db, &mut scratch, &mut qbag);
+    SubstitutePipeline::compile(&db.catalog, &view, &sub).execute(
+        &db,
+        &mut scratch,
+        &mut vbag,
+        &mut sbag,
+    );
+    let want_query = execute_spjg(&db, &query);
+    let want_sub = execute_substitute_with(&db, &execute_spjg(&db, &view), &sub);
+    assert!(!want_query.is_empty());
+    let (got_query, got_sub) = (qbag.to_rows(), sbag.to_rows());
+    assert!(
+        bag_eq(&got_query, &want_query),
+        "query: {:?}",
+        bag_diff(&got_query, &want_query)
+    );
+    assert!(
+        bag_eq(&got_sub, &want_sub),
+        "substitute: {:?}",
+        bag_diff(&got_sub, &want_sub)
+    );
+    assert!(
+        bag_eq(&got_sub, &got_query),
+        "pair: {:?}",
+        bag_diff(&got_sub, &got_query)
+    );
 }
 
 /// A seeded bag of delta rows for fixture table `table`: 0–3 rows from a

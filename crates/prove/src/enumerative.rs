@@ -29,33 +29,12 @@ pub(crate) struct EnumResult {
 }
 
 /// The compiled pair: the query plan plus the (view, substitute) pipeline,
-/// which fuses away view materialization for column-projection views.
+/// which fuses away view materialization for column-projection views. The
+/// two are compiled from two expressions and share no join, so the query
+/// side always runs the query's own conjuncts (DESIGN.md §16.3).
 struct Programs {
     query: PlanProgram,
     pipeline: SubstitutePipeline,
-    /// The query compiled against the view's occurrence numbering, present
-    /// when both sides join the same tuple stream (the common case: the
-    /// view is the query's own SPJ block, possibly with occurrences
-    /// numbered differently) — one join pass then feeds both outputs.
-    shared_query: Option<PlanProgram>,
-}
-
-impl Programs {
-    fn new(
-        catalog: &mv_catalog::Catalog,
-        query_expr: &SpjgExpr,
-        view_expr: &SpjgExpr,
-        sub: &Substitute,
-    ) -> Self {
-        let query = PlanProgram::compile(catalog, query_expr);
-        let pipeline = SubstitutePipeline::compile(catalog, view_expr, sub);
-        let shared_query = pipeline.shared_query(catalog, &query, query_expr, view_expr);
-        Programs {
-            query,
-            pipeline,
-            shared_query,
-        }
-    }
 }
 
 /// Reusable buffers of one pass.
@@ -69,16 +48,10 @@ struct Bags {
 
 /// Execute the compiled pair on one database; true iff the bags agree.
 fn agree(progs: &Programs, db: &Database, b: &mut Bags) -> bool {
-    if let Some(q) = &progs.shared_query {
-        progs
-            .pipeline
-            .execute_shared(q, db, &mut b.scratch, &mut b.query, &mut b.sub);
-    } else {
-        progs.query.execute(db, &mut b.scratch, &mut b.query);
-        progs
-            .pipeline
-            .execute(db, &mut b.scratch, &mut b.view, &mut b.sub);
-    }
+    progs.query.execute(db, &mut b.scratch, &mut b.query);
+    progs
+        .pipeline
+        .execute(db, &mut b.scratch, &mut b.view, &mut b.sub);
     rowbag_eq(&b.sub, &b.query, &mut b.scratch.matched)
 }
 
@@ -106,7 +79,10 @@ pub(crate) fn run(
     spec: &EnumSpec,
     cfg: &ProveConfig,
 ) -> EnumResult {
-    let progs = Programs::new(ctx.catalog, query, view_expr, sub);
+    let progs = Programs {
+        query: PlanProgram::compile(ctx.catalog, query),
+        pipeline: SubstitutePipeline::compile(ctx.catalog, view_expr, sub),
+    };
     let enumerator = Enumerator::new(ctx.catalog, ctx.checks, spec);
     let mut bags = Bags::default();
     let mut witness = None;
