@@ -1,75 +1,104 @@
-//! The level-2 prepared match descriptor: everything `match_view` used to
-//! re-derive per probe, precomputed once at `add_view` time.
+//! The level-2 prepared match descriptors: what the matching tests would
+//! otherwise re-derive per probe, computed at `add_view` time and stored
+//! once ("we maintain in memory a description of every materialized view",
+//! section 4). A view's description is two values:
 //!
-//! "To speed up view matching we maintain in memory a description of every
-//! materialized view" (section 4). [`crate::ExprSummary`] already holds the
-//! predicate analysis; [`PreparedView`] extends it with the derived forms
-//! the matching tests consume directly, so a substitute-cache miss still
-//! does strictly less work per candidate than the original code path:
+//! - its [`JoinCore`] — what follows from the FROM list and the non-trivial
+//!   equivalence classes alone. Everything the matcher derives ahead of the
+//!   range test reads the view through this value only, so the views of one
+//!   engine that agree on it share it behind an `Arc` (DESIGN.md §13.5);
+//! - its [`PreparedView`] — the rest, the view's own: the per-class range
+//!   intervals as a sorted list (deterministic iteration, no per-probe
+//!   `HashMap` walk), the residual templates, the digested output list.
 //!
-//! - the non-trivial view equivalence classes in canonical order (the
-//!   §3.1.2 equijoin subsumption test walks them without recomputing the
-//!   class partition),
-//! - the per-class range intervals as a sorted list (deterministic
-//!   iteration, no per-probe `HashMap` walk),
-//! - the occurrences grouped by base table, sorted (table-correspondence
-//!   check and mapping enumeration without building per-probe maps),
-//! - the FK-join-graph incoming-edge set (§3.2: an extra table is only
-//!   eliminable if some cardinality-preserving edge points at it, so a
-//!   mapping that leaves an edge-less view occurrence unassigned is
-//!   rejected before the per-probe graph is built).
+//! The [`crate::ExprSummary`] both are read off is a transient of
+//! registration.
 
-use crate::fkgraph::build_fk_graph;
+use crate::fkgraph::{build_fk_graph, FkGraph};
 use crate::matching::MatchConfig;
 use crate::summary::ExprSummary;
 use mv_catalog::{Catalog, TableId};
-use mv_expr::{ColRef, Interval, OccId, Template};
+use mv_expr::{ColRef, EquivClasses, Interval, OccId, Template};
 use mv_plan::{AggFunc, SpjgExpr, ViewId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Identity of a view's *join core*: its FROM list (in occurrence order)
-/// and its non-trivial equivalence classes. Everything the matcher derives
-/// ahead of the range test — occurrence mappings, the §3.2 elimination, the
-/// extended query classes — depends on the view through these two alone,
-/// so the candidates of one `find_substitutes` that carry the same id share
-/// that work (DESIGN.md §13.5). Ids are minted by the engine's interner on
-/// the registration path and are only comparable within one engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CoreId(pub u32);
+/// A view's *join core*: its FROM list, its non-trivial equivalence
+/// classes, and what follows from the two. An engine hands every view with
+/// the same two the same `Arc`, and the per-invocation match state
+/// ([`crate::PreparedQuery`]) is keyed on that identity; a descriptor
+/// prepared outside an engine owns a core of its own.
+#[derive(Debug)]
+pub struct JoinCore {
+    /// The FROM list: `tables[i]` is the base table of `OccId(i)`.
+    pub tables: Vec<TableId>,
+    /// The occurrences grouped by base table, sorted by table id.
+    pub by_table: Vec<(TableId, Vec<OccId>)>,
+    /// The non-trivial equivalence classes, canonical (classes and members
+    /// sorted).
+    pub classes: Vec<Vec<ColRef>>,
+    /// View column → index into `classes`, for every member of a class.
+    pub ec_class: HashMap<ColRef, u32>,
+    /// The FK join graph under the *permissive* nullable-column rule (every
+    /// nullable FK accepted when [`MatchConfig::null_rejecting_fk`] is on):
+    /// its edge set is a superset of what any per-query graph can contain.
+    /// Registration computes each member view's hub from it.
+    pub(crate) fk_graph: FkGraph,
+    /// Per occurrence: does an edge of `fk_graph` point at it? §3.2 can
+    /// only eliminate an extra table some edge points at, so a mapping that
+    /// leaves an edge-less occurrence unassigned is rejected before the
+    /// per-query graph is built.
+    pub fk_incoming: Vec<bool>,
+}
+
+impl JoinCore {
+    /// The core of a block with FROM list `tables` and column equivalences
+    /// `ec`. The one place a view's FK join graph is built.
+    pub fn new(
+        catalog: &Catalog,
+        config: &MatchConfig,
+        tables: &[TableId],
+        ec: &EquivClasses,
+    ) -> JoinCore {
+        let classes = ec.nontrivial_classes();
+        let mut ec_class: HashMap<ColRef, u32> = HashMap::new();
+        for (i, class) in classes.iter().enumerate() {
+            ec_class.extend(class.iter().map(|&c| (c, i as u32)));
+        }
+        let occs: Vec<(OccId, TableId)> = (0..).map(OccId).zip(tables.iter().copied()).collect();
+        let fk_graph = build_fk_graph(catalog, &occs, ec, &|_| config.null_rejecting_fk);
+        let mut fk_incoming = vec![false; tables.len()];
+        for e in &fk_graph.edges {
+            fk_incoming[e.to.0 as usize] = true;
+        }
+        JoinCore {
+            tables: tables.to_vec(),
+            by_table: occurrences_by_table(tables),
+            classes,
+            ec_class,
+            fk_graph,
+            fk_incoming,
+        }
+    }
+}
 
 /// Per-view prepared match descriptor. Built once per `add_view`; the
 /// matching path only reads it.
 #[derive(Debug, Clone)]
 pub struct PreparedView {
-    /// The view's join core, once an engine has registered the view.
-    /// `None` on a hand-prepared descriptor, which shares match state with
-    /// no other view.
-    pub core: Option<CoreId>,
-    /// The predicate analysis of the view definition.
-    pub summary: ExprSummary,
-    /// `summary.ec.nontrivial_classes()`, canonical (classes and members
-    /// sorted).
-    pub nontrivial_ecs: Vec<Vec<ColRef>>,
-    /// `summary.ranges` as a list sorted by class representative.
+    /// The view's join core.
+    pub core: Arc<JoinCore>,
+    /// The range interval per constrained class, sorted by class
+    /// representative.
     pub ranges: Vec<(ColRef, Interval)>,
-    /// View occurrences grouped by base table, sorted by table id.
-    pub by_table: Vec<(TableId, Vec<OccId>)>,
-    /// Per view occurrence: does any cardinality-preserving FK edge point
-    /// at it? Built with the *permissive* nullable-column rule (every
-    /// nullable FK accepted when [`MatchConfig::null_rejecting_fk`] is
-    /// on), so the edge set is a superset of what any per-query graph can
-    /// contain — absence here soundly implies absence there.
-    pub fk_incoming: Vec<bool>,
+    /// The residual predicates as shallow templates (section 3.1.2).
+    pub residuals: Vec<Template>,
     /// The view's output list digested for substitute construction, in
     /// *view* column space. The matcher translates probe columns into view
     /// space through its occurrence assignment instead of rebuilding these
     /// maps (and re-rendering the output templates) per accepted
     /// candidate.
     pub outputs: PreparedOutputs,
-    /// View column → index into `nontrivial_ecs`, for every member of a
-    /// non-trivial class. Columns outside every class are absent.
-    pub ec_class: HashMap<ColRef, u32>,
 }
 
 /// One candidate backjoin target (the section 7 extension), precomputed
@@ -118,8 +147,7 @@ impl PreparedOutputs {
         catalog: &Catalog,
         config: &MatchConfig,
         expr: &SpjgExpr,
-        classes: &[Vec<ColRef>],
-        ec_class: &HashMap<ColRef, u32>,
+        core: &JoinCore,
     ) -> PreparedOutputs {
         let mut col_pos = HashMap::new();
         let mut complex = Vec::new();
@@ -171,7 +199,7 @@ impl PreparedOutputs {
                             // themselves (never from another backjoin,
                             // which would create ordering dependencies
                             // between joins).
-                            out.direct_position_view(ColRef { occ, col: c }, classes, ec_class)
+                            out.direct_position_view(ColRef { occ, col: c }, core)
                                 .map(|p| (p, c))
                         })
                         .collect::<Option<Vec<_>>>()?;
@@ -191,54 +219,44 @@ impl PreparedOutputs {
 
     /// Output position of view column `c`, rerouting through the view's
     /// own equivalence classes; no backjoins.
-    pub fn direct_position_view(
-        &self,
-        c: ColRef,
-        classes: &[Vec<ColRef>],
-        ec_class: &HashMap<ColRef, u32>,
-    ) -> Option<usize> {
+    pub fn direct_position_view(&self, c: ColRef, core: &JoinCore) -> Option<usize> {
         if let Some(&p) = self.col_pos.get(&c) {
             return Some(p);
         }
-        let i = *ec_class.get(&c)? as usize;
-        classes[i].iter().find_map(|m| self.col_pos.get(m).copied())
+        let i = *core.ec_class.get(&c)? as usize;
+        core.classes[i]
+            .iter()
+            .find_map(|m| self.col_pos.get(m).copied())
     }
 }
 
 impl PreparedView {
-    /// Precompute the descriptor for a view definition.
-    pub fn prepare(
+    /// Precompute the descriptor of a view definition that no engine
+    /// registers: analyses the block and builds a join core of its own.
+    pub fn prepare(catalog: &Catalog, config: &MatchConfig, expr: &SpjgExpr) -> PreparedView {
+        let summary = ExprSummary::analyze(expr);
+        let core = Arc::new(JoinCore::new(catalog, config, &expr.tables, &summary.ec));
+        Self::with_core(catalog, config, expr, summary, core)
+    }
+
+    /// The descriptor of `expr` over its join core `core`; `summary` is
+    /// the block's analysis, consumed here.
+    pub(crate) fn with_core(
         catalog: &Catalog,
         config: &MatchConfig,
         expr: &SpjgExpr,
         summary: ExprSummary,
+        core: Arc<JoinCore>,
     ) -> PreparedView {
-        let nontrivial_ecs = summary.ec.nontrivial_classes();
-        let mut ranges: Vec<(ColRef, Interval)> = summary
-            .ranges
-            .iter()
-            .map(|(c, iv)| (*c, iv.clone()))
-            .collect();
+        // A view has no check-constraint extras, so its effective ranges
+        // are its genuine ones and every residual is its own.
+        let mut ranges: Vec<(ColRef, Interval)> = summary.ranges.into_iter().collect();
         ranges.sort_by_key(|(c, _)| *c);
-        let occs: Vec<(OccId, TableId)> = expr.occurrences().collect();
-        let graph = build_fk_graph(catalog, &occs, &summary.ec, &|_| config.null_rejecting_fk);
-        let fk_incoming = graph.incoming_flags(expr.tables.len());
-        let mut ec_class: HashMap<ColRef, u32> = HashMap::new();
-        for (i, class) in nontrivial_ecs.iter().enumerate() {
-            for &c in class {
-                ec_class.insert(c, i as u32);
-            }
-        }
-        let outputs = PreparedOutputs::build(catalog, config, expr, &nontrivial_ecs, &ec_class);
         PreparedView {
-            core: None,
-            summary,
-            nontrivial_ecs,
+            outputs: PreparedOutputs::build(catalog, config, expr, &core),
+            core,
             ranges,
-            by_table: occurrences_by_table(expr),
-            fk_incoming,
-            outputs,
-            ec_class,
+            residuals: summary.residuals,
         }
     }
 
@@ -249,16 +267,16 @@ impl PreparedView {
     /// change could affect carries at least one of these tables in its
     /// stamp.
     pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
-        self.by_table.iter().map(|(t, _)| *t)
+        self.core.by_table.iter().map(|(t, _)| *t)
     }
 }
 
-/// Group an expression's occurrences by base table, sorted by table id
-/// (occurrences within a table keep FROM-list order). Shared by the view
-/// descriptor and the per-query [`crate::matching::PreparedQuery`].
-pub fn occurrences_by_table(expr: &SpjgExpr) -> Vec<(TableId, Vec<OccId>)> {
+/// Group a FROM list's occurrences by base table, sorted by table id
+/// (occurrences within a table keep FROM-list order). Shared by the join
+/// core and the per-query [`crate::matching::PreparedQuery`].
+pub fn occurrences_by_table(tables: &[TableId]) -> Vec<(TableId, Vec<OccId>)> {
     let mut out: Vec<(TableId, Vec<OccId>)> = Vec::new();
-    for (occ, t) in expr.occurrences() {
+    for (occ, &t) in (0u32..).map(OccId).zip(tables) {
         match out.binary_search_by_key(&t, |(bt, _)| *bt) {
             Ok(i) => out[i].1.push(occ),
             Err(i) => out.insert(i, (t, vec![occ])),
@@ -341,20 +359,21 @@ mod tests {
             pred,
             vec![NamedExpr::new(S::col(cr(0, 0)), "k")],
         );
-        let summary = ExprSummary::analyze(&expr);
-        let pv = PreparedView::prepare(&cat, &MatchConfig::default(), &expr, summary);
-        assert_eq!(pv.nontrivial_ecs, vec![vec![cr(0, 0), cr(1, 0)]]);
+        let pv = PreparedView::prepare(&cat, &MatchConfig::default(), &expr);
+        assert_eq!(pv.core.tables, expr.tables);
+        assert_eq!(pv.core.classes, vec![vec![cr(0, 0), cr(1, 0)]]);
         assert_eq!(pv.ranges.len(), 1);
+        assert!(pv.residuals.is_empty());
         // orders is the target of lineitem's FK edge; lineitem has no
         // incoming edge.
-        assert_eq!(pv.fk_incoming, vec![false, true]);
+        assert_eq!(pv.core.fk_incoming, vec![false, true]);
         // by_table sorted by table id, whatever the FROM order.
         let flipped = SpjgExpr::spj(
             vec![t.orders, t.lineitem],
             BoolExpr::Literal(true),
             vec![NamedExpr::new(S::col(cr(0, 0)), "k")],
         );
-        let by_table = occurrences_by_table(&flipped);
+        let by_table = occurrences_by_table(&flipped.tables);
         assert!(by_table.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(by_table.len(), 2);
     }
@@ -367,7 +386,7 @@ mod tests {
             BoolExpr::Literal(true),
             vec![NamedExpr::new(S::col(cr(0, 0)), "k")],
         );
-        let by_table = occurrences_by_table(&expr);
+        let by_table = occurrences_by_table(&expr.tables);
         assert_eq!(by_table.len(), 1);
         assert_eq!(by_table[0].1, vec![OccId(0), OccId(1)]);
     }
@@ -381,12 +400,7 @@ mod tests {
             vec![NamedExpr::new(S::col(cr(0, 0)), "k")],
         );
         let (cat, _) = tpch_catalog();
-        let pv = Arc::new(PreparedView::prepare(
-            &cat,
-            &MatchConfig::default(),
-            &expr,
-            ExprSummary::analyze(&expr),
-        ));
+        let pv = Arc::new(PreparedView::prepare(&cat, &MatchConfig::default(), &expr));
         let mut store = DescriptorStore::default();
         for _ in 0..SEG_VIEWS + 2 {
             store.push(Arc::clone(&pv));

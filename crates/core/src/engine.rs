@@ -3,15 +3,15 @@
 //! invokes as its view-matching rule.
 
 use crate::cache::{fingerprint, CacheLookup, SubstituteCache};
-use crate::descriptor::{CoreId, DescriptorStore, PreparedView};
+use crate::descriptor::{DescriptorStore, JoinCore, PreparedView};
 use crate::filter::{normalized, FilterTree, LevelSearch};
-use crate::fkgraph::{build_fk_graph, compute_hub};
+use crate::fkgraph::{compute_hub, FkGraph};
 use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
 use crate::stamps::ViewStamps;
 use crate::stats::{AtomicMatchStats, MatchStats};
 use crate::summary::ExprSummary;
 use mv_catalog::{Catalog, ColumnId, TableId};
-use mv_expr::{classify, BoolExpr, ColRef, Conjunct, OccId, Template};
+use mv_expr::{classify, BoolExpr, ColRef, Conjunct, EquivClasses, OccId, Template};
 use mv_parallel::sync::{lock_or_recover, Arc, Mutex, MutexGuard};
 use mv_parallel::Published;
 use mv_plan::{AggFunc, Freshness, OutputList, SpjgExpr, Substitute, ViewDef, ViewId, ViewSet};
@@ -55,13 +55,13 @@ pub fn strict_filter_exempt_levels(is_aggregate_view: bool) -> &'static [usize] 
     }
 }
 
-/// String interner mapping template texts to filter-key tokens, and
-/// join cores to [`CoreId`]s.
+/// Interner mapping template texts to filter-key tokens, and (FROM list,
+/// equivalence classes) pairs to the one shared [`JoinCore`] with them.
 ///
-/// Tokens and ids are minted only on the **write path** (`add_view`),
+/// Tokens and cores are minted only on the **write path** (`add_view`),
 /// which builds the next immutable catalog snapshot; the query-side read
 /// path uses [`Interner::lookup`] against its pinned snapshot, which never
-/// allocates or mutates, and reads a view's core id off its descriptor.
+/// allocates or mutates, and reads a view's core off its descriptor.
 /// This is what lets the interner live lock-free inside
 /// [`CatalogSnapshot`], and it also keeps the maps' size proportional to
 /// the registered views instead of growing with every distinct query ever
@@ -69,10 +69,13 @@ pub fn strict_filter_exempt_levels(is_aggregate_view: bool) -> &'static [usize] 
 #[derive(Debug, Default, Clone)]
 struct Interner {
     map: HashMap<String, u64>,
-    /// (FROM list in occurrence order, canonical non-trivial equivalence
-    /// classes) → id. A removed view's core keeps its id.
-    cores: HashMap<(Vec<TableId>, Vec<Vec<ColRef>>), CoreId>,
+    /// The one core per key. A removed view's core stays.
+    cores: HashMap<CoreKey, Arc<JoinCore>>,
 }
+
+/// What makes two join cores one: the FROM list in occurrence order and
+/// the canonical non-trivial equivalence classes.
+type CoreKey = (Vec<TableId>, Vec<Vec<ColRef>>);
 
 /// Query-side token for a template text no registered view ever produced.
 /// Real tokens are minted sequentially from 0, so this value cannot
@@ -99,13 +102,20 @@ impl Interner {
         self.map.get(s).copied().unwrap_or(UNKNOWN_TOKEN)
     }
 
-    /// Id of the join core with this FROM list and these classes.
-    fn intern_core(&mut self, tables: &[TableId], classes: &[Vec<ColRef>]) -> CoreId {
-        let next = CoreId(self.cores.len() as u32);
-        *self
+    /// The join core with this FROM list and these classes, built when
+    /// no registered view had it yet.
+    fn core(
+        &mut self,
+        catalog: &Catalog,
+        config: &MatchConfig,
+        tables: &[TableId],
+        ec: &EquivClasses,
+    ) -> Arc<JoinCore> {
+        let core = self
             .cores
-            .entry((tables.to_vec(), classes.to_vec()))
-            .or_insert(next)
+            .entry((tables.to_vec(), ec.nontrivial_classes()))
+            .or_insert_with(|| Arc::new(JoinCore::new(catalog, config, tables, ec)));
+        Arc::clone(core)
     }
 }
 
@@ -342,27 +352,9 @@ impl MatchingEngine {
         }
         let mut next = (*cur).clone();
         drop(cur);
-        let (keys, is_agg, tables) = {
-            let def = next.views.get(id);
-            let pv = next.descriptors.prepared(id);
-            // Read-only token lookup: every text of a registered view was
-            // interned when it was added.
-            let keys = Self::view_keys(
-                &self.catalog,
-                &self.config,
-                &mut |s| next.interner.lookup(s),
-                &def.expr,
-                &pv.summary,
-            );
-            let tables: Vec<TableId> = pv.tables().collect();
-            (keys, def.expr.is_aggregate(), tables)
-        };
-        let in_tree = if is_agg {
-            Arc::make_mut(&mut next.agg_tree).remove(&keys, id)
-        } else {
-            Arc::make_mut(&mut next.spj_tree).remove(&keys[..SPJ_LEVELS], id)
-        };
+        let in_tree = self.unfile(&mut next, id);
         debug_assert!(in_tree, "registered view must be present in its tree");
+        let tables: Vec<TableId> = next.descriptors.prepared(id).tables().collect();
         Arc::make_mut(&mut next.removed).insert(id);
         // Invalidate lazily and precisely: only entries whose query
         // touches one of the removed view's tables can have included it.
@@ -376,6 +368,19 @@ impl MatchingEngine {
         self.shared.store(Arc::new(next));
         self.stats.record_removal();
         true
+    }
+
+    /// Take a live view out of its filter tree, under the keys its
+    /// definition derives. `false` if it is not live or not filed there.
+    fn unfile(&self, next: &mut CatalogSnapshot, id: ViewId) -> bool {
+        let Some(keys) = self.view_filter_keys_in(next, id) else {
+            return false;
+        };
+        if next.views.get(id).expr.is_aggregate() {
+            Arc::make_mut(&mut next.agg_tree).remove(&keys, id)
+        } else {
+            Arc::make_mut(&mut next.spj_tree).remove(&keys[..SPJ_LEVELS], id)
+        }
     }
 
     /// Number of live (non-removed) views.
@@ -468,14 +473,17 @@ impl MatchingEngine {
     /// a freshness policy those views may newly qualify as substitutes,
     /// so cached results over their tables go stale — the same results
     /// one restamp per view would invalidate. Removed and out-of-range
-    /// ids are skipped; returns how many views were restamped, and
-    /// publishes nothing when that is none.
+    /// ids are skipped; returns how many views were restamped (an id
+    /// given twice is one view), and publishes nothing when that is none.
     pub fn mark_views_maintained(&self, ids: &[ViewId]) -> usize {
+        let mut ids = ids.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
         let mut tables: Vec<TableId> = Vec::new();
         let mut restamped = 0;
-        for &id in ids {
+        for id in ids {
             if next.removed.contains(&id) {
                 continue;
             }
@@ -659,15 +667,16 @@ impl MatchingEngine {
         def.expr.validate(&self.catalog)?;
         let vsum = ExprSummary::analyze(&def.expr);
         let interner = Arc::make_mut(&mut next.interner);
+        let core = interner.core(&self.catalog, &self.config, &def.expr.tables, &vsum.ec);
         let keys = Self::view_keys(
             &self.catalog,
             &self.config,
             &mut |s| interner.intern(s),
             &def.expr,
             &vsum,
+            &core.fk_graph,
         );
-        let mut prepared = PreparedView::prepare(&self.catalog, &self.config, &def.expr, vsum);
-        prepared.core = Some(interner.intern_core(&def.expr.tables, &prepared.nontrivial_ecs));
+        let prepared = PreparedView::with_core(&self.catalog, &self.config, &def.expr, vsum, core);
         let is_agg = def.expr.is_aggregate();
         let tables: Vec<TableId> = prepared.tables().collect();
         let id = next.views.add(def)?;
@@ -726,13 +735,12 @@ impl MatchingEngine {
         token: &mut dyn FnMut(&str) -> u64,
         expr: &SpjgExpr,
         vsum: &ExprSummary,
+        fk_graph: &FkGraph,
     ) -> Vec<Vec<u64>> {
-        let occs: Vec<(OccId, TableId)> = expr.occurrences().collect();
-
-        // Level 1: hub condition key.
-        let graph = build_fk_graph(catalog, &occs, &vsum.ec, &|_| config.null_rejecting_fk);
+        // Level 1: hub condition key, over the FK join graph of the view's
+        // join core.
         let refined = config.refined_hubs;
-        let hub = compute_hub(&graph, &|o| refined && Self::is_anchored(vsum, o));
+        let hub = compute_hub(fk_graph, &|o| refined && Self::is_anchored(vsum, o));
         let k_hub: Vec<u64> = hub.into_iter().map(table_token).collect();
 
         // Level 2: source tables.
@@ -1268,14 +1276,18 @@ impl MatchingEngine {
         if snap.removed.contains(&id) || (id.0 as usize) >= snap.views.len() {
             return None;
         }
-        let def = snap.views.get(id);
-        let vsum = &snap.descriptors.prepared(id).summary;
+        // From the definition alone — the stored descriptor and its core
+        // are among the things this derivation audits.
+        let expr = &snap.views.get(id).expr;
+        let vsum = ExprSummary::analyze(expr);
+        let core = JoinCore::new(&self.catalog, &self.config, &expr.tables, &vsum.ec);
         Some(Self::view_keys(
             &self.catalog,
             &self.config,
             &mut |s| snap.interner.lookup(s),
-            &def.expr,
-            vsum,
+            expr,
+            &vsum,
+            &core.fk_graph,
         ))
     }
 
@@ -1319,15 +1331,7 @@ impl MatchingEngine {
     pub fn evict_view_for_audit(&self, id: ViewId) -> bool {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
-        let Some(keys) = self.view_filter_keys_in(&next, id) else {
-            return false;
-        };
-        let evicted = if next.views.get(id).expr.is_aggregate() {
-            Arc::make_mut(&mut next.agg_tree).remove(&keys, id)
-        } else {
-            Arc::make_mut(&mut next.spj_tree).remove(&keys[..SPJ_LEVELS], id)
-        };
-        if !evicted {
+        if !self.unfile(&mut next, id) {
             return false;
         }
         let all_tables: Vec<TableId> = (0..next.table_epochs.len())
@@ -1522,6 +1526,18 @@ impl std::ops::Deref for ViewsGuard {
     type Target = ViewSet;
     fn deref(&self) -> &ViewSet {
         &self.snap.views
+    }
+}
+
+impl ViewsGuard {
+    /// The prepared descriptor of a registered (live or removed) view.
+    pub fn prepared(&self, id: ViewId) -> &PreparedView {
+        self.snap.descriptors.prepared(id)
+    }
+
+    /// How many distinct [`JoinCore`]s the interner holds.
+    pub fn join_core_count(&self) -> usize {
+        self.snap.interner.cores.len()
     }
 }
 

@@ -35,21 +35,6 @@ pub struct FkGraph {
     pub edges: Vec<FkEdge>,
 }
 
-impl FkGraph {
-    /// Per occurrence: does any cardinality-preserving edge point at it?
-    /// `n_occs` is the expression's occurrence count (flag `i` answers for
-    /// `OccId(i)`). The prepared view descriptor stores this: a mapping
-    /// that leaves an edge-less view occurrence unassigned can be rejected
-    /// before any per-probe graph is built.
-    pub fn incoming_flags(&self, n_occs: usize) -> Vec<bool> {
-        let mut flags = vec![false; n_occs];
-        for e in &self.edges {
-            flags[e.to.0 as usize] = true;
-        }
-        flags
-    }
-}
-
 /// Build the graph. `ec` is the expression's column equivalence classes —
 /// "to capture transitive equijoin conditions correctly we must use the
 /// equivalence classes when adding edges".

@@ -6,7 +6,7 @@
 //! views once, then call [`MatchingEngine::find_substitutes`] for every SPJG
 //! expression the optimizer wants rewritten. Candidate views are narrowed
 //! with a [`filter::FilterTree`] (section 4) and then checked with the full
-//! matching tests of section 3 ([`matching::match_view`]), producing
+//! matching tests of section 3 ([`matching::match_view_prepared`]), producing
 //! [`mv_plan::Substitute`] expressions that compute the query from a view.
 //!
 //! ```
@@ -55,13 +55,13 @@ pub mod stats;
 pub mod summary;
 
 pub use cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
-pub use descriptor::PreparedView;
+pub use descriptor::{JoinCore, PreparedView};
 pub use engine::{
     col_token, decode_col_token, strict_filter_exempt_levels, table_token, ChecksGuard,
     MatchingEngine, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS, UNKNOWN_TOKEN,
 };
 pub use filter::{FilterTree, LevelSearch};
 pub use lattice::LatticeIndex;
-pub use matching::{match_view, match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery};
+pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery};
 pub use stats::MatchStats;
 pub use summary::ExprSummary;

@@ -1,8 +1,8 @@
 //! The view-matching tests of section 3 and substitute construction.
 //!
-//! Given a query SPJG block and one candidate view, [`match_view`] decides
-//! whether the query can be computed from the view alone and, if so, builds
-//! the [`Substitute`]. The pipeline follows the paper:
+//! Given a query SPJG block and one candidate view, [`match_view_prepared`]
+//! decides whether the query can be computed from the view alone and, if
+//! so, builds the [`Substitute`]. The pipeline follows the paper:
 //!
 //! 1. table correspondence (query tables ⊆ view tables, occurrence-aware),
 //! 2. extra-table elimination through cardinality-preserving joins (§3.2),
@@ -12,12 +12,12 @@
 //! 5. residual subsumption test + compensating residual predicates (type 3),
 //! 6. output-expression mapping (§3.1.4) and aggregation handling (§3.3).
 //!
-//! Steps 1–3 depend on the view only through its *join core* (FROM list
-//! and non-trivial equivalence classes), so they are computed once per
+//! Steps 1–3 read the view only through its [`JoinCore`] (FROM list and
+//! non-trivial equivalence classes), so they are computed once per
 //! distinct core per query ([`CoreMatch`], kept in the [`PreparedQuery`])
 //! and steps 4–6 run per view against that shared state (DESIGN.md §13.5).
 
-use crate::descriptor::{occurrences_by_table, CoreId, PreparedView};
+use crate::descriptor::{occurrences_by_table, JoinCore, PreparedView};
 use crate::fkgraph::{build_fk_graph, eliminate};
 use crate::summary::{remap_col, ExprSummary};
 use mv_catalog::{Catalog, TableId};
@@ -28,6 +28,7 @@ use mv_plan::{
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// When may a view whose materialized state trails the current base data
 /// substitute for a query? Enforced by `find_substitutes` against the
@@ -161,9 +162,10 @@ pub struct PreparedQuery<'a> {
     /// substitute-construction lookups probe classes per column per
     /// accepted candidate, which a per-probe scan made the hot spot.
     pub ec_index: ClassIndex,
-    /// The per-core match state built so far, by the id the engine gave
-    /// the core at registration.
-    cores: RefCell<HashMap<CoreId, Rc<CoreMatch>>>,
+    /// The per-core match state built so far, by the identity of the
+    /// shared [`JoinCore`]. Every state holds its core, so no address is
+    /// reused while its entry is here.
+    cores: RefCell<HashMap<*const JoinCore, Rc<CoreMatch>>>,
 }
 
 impl<'a> PreparedQuery<'a> {
@@ -172,7 +174,7 @@ impl<'a> PreparedQuery<'a> {
         PreparedQuery {
             expr,
             summary,
-            by_table: occurrences_by_table(expr),
+            by_table: occurrences_by_table(&expr.tables),
             ec_index: summary.ec.class_index(),
             cores: RefCell::new(HashMap::new()),
         }
@@ -183,40 +185,16 @@ impl<'a> PreparedQuery<'a> {
         self.cores.borrow().len()
     }
 
-    /// The match state of `pv`'s join core, built by the first candidate
-    /// that carries it. A descriptor no engine registered gets a state of
-    /// its own.
-    fn core(&self, view: &SpjgExpr, pv: &PreparedView) -> Rc<CoreMatch> {
-        let Some(id) = pv.core else {
-            return Rc::new(CoreMatch::new(self, view, pv));
-        };
-        if let Some(core) = self.cores.borrow().get(&id) {
-            return Rc::clone(core);
-        }
-        let core = Rc::new(CoreMatch::new(self, view, pv));
-        self.cores.borrow_mut().insert(id, Rc::clone(&core));
-        core
+    /// The match state of a join core, built by the first candidate that
+    /// carries it.
+    fn core(&self, core: &Arc<JoinCore>) -> Rc<CoreMatch> {
+        Rc::clone(
+            self.cores
+                .borrow_mut()
+                .entry(Arc::as_ptr(core))
+                .or_insert_with(|| Rc::new(CoreMatch::new(self, core))),
+        )
     }
-}
-
-/// Decide whether `query` can be computed from `view` and build the
-/// substitute. `qsum`/`vsum` are the precomputed predicate summaries.
-///
-/// Convenience wrapper over [`match_view_prepared`] that builds the
-/// prepared forms on the fly; a candidate loop should prepare once and
-/// call [`match_view_prepared`] directly.
-pub fn match_view(
-    catalog: &Catalog,
-    config: &MatchConfig,
-    query: &SpjgExpr,
-    qsum: &ExprSummary,
-    view_id: ViewId,
-    view: &ViewDef,
-    vsum: &ExprSummary,
-) -> Option<Substitute> {
-    let pq = PreparedQuery::new(query, qsum);
-    let pv = PreparedView::prepare(catalog, config, &view.expr, vsum.clone());
-    match_view_prepared(catalog, config, &pq, view_id, view, &pv)
 }
 
 /// Decide whether the prepared query can be computed from the prepared
@@ -237,11 +215,11 @@ pub fn match_view_prepared(
 
     // Everything up to the equijoin test is the core's; the first mapping
     // under which this view also passes the per-view remainder wins.
-    let core = pq.core(&view.expr, pv);
+    let core = pq.core(&pv.core);
     core.mappings.iter().find_map(|m| {
         let mapped = m
             .state
-            .get_or_init(|| MappedCore::build(catalog, config, pq, &view.expr, pv, &m.assign))
+            .get_or_init(|| MappedCore::build(catalog, config, pq, &pv.core, &m.assign))
             .as_ref()?;
         match_under(pq, view_id, view.expr.is_aggregate(), pv, mapped)
     })
@@ -397,12 +375,9 @@ impl OutputCtx<'_> {
     /// Position of query-space `c` rerouting through the *view's*
     /// equivalence classes; no backjoins.
     fn direct_position_v(&self, c: ColRef) -> Option<usize> {
-        let v = self.to_view(c);
-        if let Some(p) = self.vpos(v) {
-            return Some(p);
-        }
-        let i = *self.pv.ec_class.get(&v)? as usize;
-        self.pv.nontrivial_ecs[i].iter().find_map(|m| self.vpos(*m))
+        self.pv
+            .outputs
+            .direct_position_view(self.to_view(c), &self.pv.core)
     }
 
     /// Position of query-space `c` rerouting through the *view's*
@@ -416,8 +391,8 @@ impl OutputCtx<'_> {
             return None;
         }
         let v = self.to_view(c);
-        let class: &[ColRef] = match self.pv.ec_class.get(&v) {
-            Some(&i) => &self.pv.nontrivial_ecs[i as usize],
+        let class: &[ColRef] = match self.pv.core.ec_class.get(&v) {
+            Some(&i) => &self.pv.core.classes[i as usize],
             None => &[],
         };
         std::iter::once(v)
@@ -579,6 +554,8 @@ fn is_null_rejecting(qsum: &ExprSummary, c: ColRef) -> bool {
 /// No mappings at all: the query's tables are not a sub-multiset of the
 /// core's.
 struct CoreMatch {
+    /// Held so that the core outlives its entry in [`PreparedQuery`].
+    _core: Arc<JoinCore>,
     mappings: Vec<CoreMapping>,
 }
 
@@ -591,14 +568,14 @@ struct CoreMapping {
 }
 
 impl CoreMatch {
-    fn new(pq: &PreparedQuery<'_>, view: &SpjgExpr, pv: &PreparedView) -> CoreMatch {
+    fn new(pq: &PreparedQuery<'_>, core: &Arc<JoinCore>) -> CoreMatch {
         // Table correspondence: the query's table multiset must be a subset
         // of the view's (requirement: "There is no need to consider views
         // with fewer tables than the query").
         let covered = pq.by_table.iter().all(|(t, qoccs)| {
-            pv.by_table
+            core.by_table
                 .binary_search_by_key(t, |(vt, _)| *vt)
-                .is_ok_and(|i| pv.by_table[i].1.len() >= qoccs.len())
+                .is_ok_and(|i| core.by_table[i].1.len() >= qoccs.len())
         });
         // Enumerate injective assignments of query occurrences to view
         // occurrences, per base table. With no self-joins this is a single
@@ -606,11 +583,12 @@ impl CoreMatch {
         // enumeration order — and therefore which of several valid mappings
         // wins — is deterministic.
         let mappings = if covered {
-            enumerate_mappings(view.tables.len(), &pq.by_table, &pv.by_table)
+            enumerate_mappings(core.tables.len(), &pq.by_table, &core.by_table)
         } else {
             Vec::new()
         };
         CoreMatch {
+            _core: Arc::clone(core),
             mappings: mappings
                 .into_iter()
                 .map(|assign| CoreMapping {
@@ -674,23 +652,22 @@ impl MappedCore {
         catalog: &Catalog,
         config: &MatchConfig,
         pq: &PreparedQuery<'_>,
-        view: &SpjgExpr,
-        pv: &PreparedView,
+        core: &JoinCore,
         assign: &[Option<OccId>],
     ) -> Option<MappedCore> {
         let qsum = pq.summary;
         let nq = pq.expr.tables.len() as u32;
 
-        // §3.2 early exit from the prepared descriptor: an extra view table
-        // can only be eliminated if some cardinality-preserving FK edge
-        // points at it, and the descriptor's edge set is a superset of any
-        // per-query graph's. A mapping leaving an edge-less occurrence
+        // §3.2 early exit from the prepared core: an extra view table can
+        // only be eliminated if some cardinality-preserving FK edge points
+        // at it, and the core's edge set is a superset of any per-query
+        // graph's. A mapping leaving an edge-less occurrence
         // unassigned can never survive elimination — reject before
         // building the graph.
         if assign
             .iter()
             .enumerate()
-            .any(|(i, a)| a.is_none() && !pv.fk_incoming[i])
+            .any(|(i, a)| a.is_none() && !core.fk_incoming[i])
         {
             return None;
         }
@@ -718,13 +695,16 @@ impl MappedCore {
         let mut extended = None;
         if !extras.is_empty() {
             let mut vec_q = EquivClasses::new();
-            for class in &pv.nontrivial_ecs {
+            for class in &core.classes {
                 for pair in class.windows(2) {
                     vec_q.union(remap_col(pair[0], &mapf), remap_col(pair[1], &mapf));
                 }
             }
-            let occs: Vec<(OccId, TableId)> =
-                view.occurrences().map(|(o, t)| (mapf(o), t)).collect();
+            let occs: Vec<(OccId, TableId)> = occ_map
+                .iter()
+                .copied()
+                .zip(core.tables.iter().copied())
+                .collect();
             let nullable_ok =
                 |c: ColRef| config.null_rejecting_fk && c.occ.0 < nq && is_null_rejecting(qsum, c);
             let graph = build_fk_graph(catalog, &occs, &vec_q, &nullable_ok);
@@ -752,7 +732,7 @@ impl MappedCore {
         // Every non-trivial view equivalence class must be a subset of some
         // query equivalence class.
         let qec = extended.as_ref().map_or(&qsum.ec, |x| &x.ec);
-        for class in &pv.nontrivial_ecs {
+        for class in &core.classes {
             let root = qec.find(remap_col(class[0], &mapf));
             if class[1..]
                 .iter()
@@ -870,7 +850,7 @@ fn match_under(
     };
     // Every view residual must match a query residual, else the view may
     // lack required rows.
-    for vt in &pv.summary.residuals {
+    for vt in &pv.residuals {
         if !qsum.residuals.iter().any(|qt| v_matches_q(vt, qt)) {
             return None;
         }
@@ -899,7 +879,7 @@ fn match_under(
         let mut parts: Vec<(VClassKey, ColRef)> = Vec::new(); // (view class, representative)
         for &c in qclass {
             let v = ctx.to_view(c);
-            let key = match pv.ec_class.get(&v) {
+            let key = match pv.core.ec_class.get(&v) {
                 Some(&i) => VClassKey::Class(i),
                 None => VClassKey::Solo(v),
             };
@@ -947,7 +927,7 @@ fn match_under(
         .zip(&qsum.residual_bools)
         .take(qsum.genuine_residuals)
     {
-        if pv.summary.residuals.iter().any(|vt| v_matches_q(vt, qt)) {
+        if pv.residuals.iter().any(|vt| v_matches_q(vt, qt)) {
             continue;
         }
         let mapped = qb.try_map_columns(&mut |c| {
@@ -976,7 +956,7 @@ fn match_under(
         predicates,
         output,
         // The engine's freshness enforcement overrides this per candidate;
-        // direct `match_view` callers see the static-catalog default.
+        // direct callers see the static-catalog default.
         freshness: Freshness::Fresh,
     })
 }

@@ -1,6 +1,7 @@
 //! Unit tests for the matcher, centered on the paper's worked examples.
 
-use crate::matching::{match_view, MatchConfig};
+use crate::descriptor::PreparedView;
+use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
 use crate::summary::ExprSummary;
 use mv_catalog::tpch::{tpch_catalog, TpchTables};
 use mv_catalog::{Catalog, Value};
@@ -18,9 +19,10 @@ fn try_match_pair(
     view: &SpjgExpr,
 ) -> Option<Substitute> {
     let qsum = ExprSummary::analyze(query);
+    let pq = PreparedQuery::new(query, &qsum);
     let vdef = ViewDef::new("v", view.clone());
-    let vsum = ExprSummary::analyze(view);
-    match_view(catalog, config, query, &qsum, ViewId(0), &vdef, &vsum)
+    let pv = PreparedView::prepare(catalog, config, view);
+    match_view_prepared(catalog, config, &pq, ViewId(0), &vdef, &pv)
 }
 
 fn out(cols: &[(u32, u32, &str)]) -> Vec<NamedExpr> {

@@ -6,13 +6,22 @@
 //! a single-view `match_one` — which always starts from fresh state —
 //! gives it. Debug builds assert the same inside the engine; this suite
 //! also runs in release mode, where that oracle is compiled out.
+//!
+//! The sharing is structural: the views of one engine that agree on the
+//! core hold one `Arc<JoinCore>`, whatever order they were registered,
+//! batched or removed in, and a descriptor prepared outside the engine —
+//! which owns a core of its own — matches like its registered twin.
 
 use mv_catalog::tpch::{tpch_catalog, TpchTables};
-use mv_core::{MatchConfig, MatchingEngine};
+use mv_core::{
+    match_view_prepared, ExprSummary, MatchConfig, MatchingEngine, PreparedQuery, PreparedView,
+};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{NamedExpr, SpjgExpr, Substitute, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
+use std::collections::HashSet;
+use std::sync::Arc;
 
 // Column positions used below.
 //   lineitem: 0 l_orderkey, 1 l_partkey, 2 l_suppkey, 3 l_linenumber,
@@ -355,6 +364,71 @@ fn shapes_only_the_full_tests_reject() {
     }
 }
 
+/// A join core's identity, re-derived from the definition: the FROM list
+/// and the canonical non-trivial equivalence classes.
+fn core_key(expr: &SpjgExpr) -> (Vec<mv_catalog::TableId>, Vec<Vec<ColRef>>) {
+    (
+        expr.tables.clone(),
+        ExprSummary::analyze(expr).ec.nontrivial_classes(),
+    )
+}
+
+/// (f) Two hundred views, two cores: a self-join and a core with an extra
+/// table a foreign key points at. The views of a family differ in ranges,
+/// residuals and outputs only, and the snapshot holds one core for each.
+#[test]
+fn two_families_leave_two_cores_in_the_snapshot() {
+    let (_, t) = tpch_catalog();
+    let engine = engine(config());
+    let self_join = |i: usize| {
+        let mut conjuncts = vec![
+            BoolExpr::col_eq(cr(0, 2), cr(1, 2)),
+            BoolExpr::cmp(S::col(cr(i as u32 % 2, 0)), CmpOp::Lt, S::lit(i as i64)),
+        ];
+        if i.is_multiple_of(3) {
+            conjuncts.push(like(cr(0, 1), "%A%"));
+        }
+        let outputs = if i.is_multiple_of(2) {
+            out(&[(0, 0), (0, 1), (1, 0), (1, 1)])
+        } else {
+            out(&[(0, 1), (1, 1), (1, 2)])
+        };
+        SpjgExpr::spj(vec![t.nation, t.nation], BoolExpr::and(conjuncts), outputs)
+    };
+    let mut ids = [Vec::new(), Vec::new()];
+    for i in 0..100 {
+        for (family, name, expr) in [(0, "n", self_join(i)), (1, "o", orders_core(&t, i))] {
+            ids[family].push(
+                engine
+                    .add_view(ViewDef::new(format!("{name}{i}"), expr))
+                    .expect("valid view"),
+            );
+        }
+    }
+    let views = engine.views();
+    assert_eq!(views.join_core_count(), 2);
+    for family in &ids {
+        let first = &views.prepared(family[0]).core;
+        assert!(family
+            .iter()
+            .all(|&id| Arc::ptr_eq(&views.prepared(id).core, first)));
+    }
+    let (n, o) = (views.prepared(ids[0][0]), views.prepared(ids[1][0]));
+    assert!(!Arc::ptr_eq(&n.core, &o.core));
+    assert_eq!(n.core.tables, vec![t.nation, t.nation]);
+    assert_eq!(
+        o.core.fk_incoming,
+        vec![false, true],
+        "orders is the extra table"
+    );
+    // The parts that stay per view do differ within a family.
+    let ranges: HashSet<String> = ids[0]
+        .iter()
+        .map(|&id| format!("{:?}", views.prepared(id).ranges))
+        .collect();
+    assert_eq!(ranges.len(), 100);
+}
+
 const VIEW_SEED: u64 = 0x00C0_4E5E;
 const QUERY_SEED: u64 = 0x5_4A4E;
 
@@ -408,5 +482,75 @@ proptest! {
         let stats = engine.stats();
         prop_assert!(stats.core_states <= stats.candidates);
         prop_assert!(matched as u64 == stats.substitutes);
+    }
+
+    /// (g) Registrations one at a time and in batches, interleaved with
+    /// removals: two live views hold the same `Arc<JoinCore>` exactly when
+    /// their definitions have the same FROM list and classes, the interner
+    /// holds one core per distinct pair ever registered (a refused batch
+    /// leaves none behind), and a descriptor prepared outside the engine
+    /// matches byte-identically to `match_one` on its registered twin.
+    #[test]
+    fn equal_cores_are_one_value_under_any_interleaving(
+        ops in prop::collection::vec((0usize..4, 0usize..64), 8..48),
+    ) {
+        let (catalog, t) = tpch_catalog();
+        let mut pool = Generator::new(&catalog, WorkloadParams::views(), VIEW_SEED).views(32);
+        for i in 0..8 {
+            pool.push(ViewDef::new(format!("o{i}"), orders_core(&t, i)));
+            pool.push(ViewDef::new(format!("c{i}"), customer_core(&t, i)));
+        }
+        let mut queries =
+            Generator::new(&catalog, WorkloadParams::queries(), QUERY_SEED).queries(6);
+        let config = config();
+        let engine = engine(config.clone());
+        let mut live: Vec<ViewId> = Vec::new();
+        for (kind, idx) in ops {
+            match kind {
+                0 | 1 => {
+                    if let Ok(id) = engine.add_view(pool[idx % pool.len()].clone()) {
+                        live.push(id);
+                    }
+                }
+                2 => {
+                    // All-or-nothing: one taken name refuses the batch.
+                    let batch = (0..3).map(|k| pool[(idx + 7 * k) % pool.len()].clone()).collect();
+                    if let Ok(ids) = engine.add_views(batch) {
+                        live.extend(ids);
+                    }
+                }
+                _ => {
+                    if !live.is_empty() {
+                        let id = live.remove(idx % live.len());
+                        prop_assert!(engine.remove_view(id));
+                    }
+                }
+            }
+        }
+        let views = engine.views();
+        for (i, &a) in live.iter().enumerate() {
+            for &b in &live[i..] {
+                let same_key = core_key(&views.get(a).expr) == core_key(&views.get(b).expr);
+                let same_core = Arc::ptr_eq(&views.prepared(a).core, &views.prepared(b).core);
+                prop_assert_eq!(same_key, same_core, "{} / {}", a, b);
+            }
+        }
+        let keys: HashSet<_> = views.iter().map(|(_, def)| core_key(&def.expr)).collect();
+        prop_assert_eq!(keys.len(), views.join_core_count());
+
+        queries.push(lineitem_query());
+        for query in &queries {
+            let qsum = engine.query_summary(query);
+            for &id in &live {
+                let def = views.get(id);
+                let own = PreparedView::prepare(&catalog, &config, &def.expr);
+                prop_assert!(!Arc::ptr_eq(&own.core, &views.prepared(id).core));
+                let pq = PreparedQuery::new(query, &qsum);
+                prop_assert_eq!(
+                    match_view_prepared(&catalog, &config, &pq, id, def, &own),
+                    engine.match_one(query, id)
+                );
+            }
+        }
     }
 }

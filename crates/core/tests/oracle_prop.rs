@@ -1,11 +1,14 @@
 //! The index and the prepared descriptors must be invisible: under any
 //! interleaving of `add_view` / `remove_view` / `find_substitutes`, the
 //! engine — whose hot path runs the filter tree and the prepared matcher
-//! — returns byte-identical results to a brute-force oracle that calls
-//! the legacy `match_view` entry point on every live view.
+//! — returns byte-identical results to a brute-force oracle that prepares
+//! every live view on its own (a descriptor and a join core no engine
+//! registered) and runs the full tests on it with fresh match state.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{match_view, ExprSummary, MatchConfig, MatchingEngine};
+use mv_core::{
+    match_view_prepared, ExprSummary, MatchConfig, MatchingEngine, PreparedQuery, PreparedView,
+};
 use mv_plan::{SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
@@ -50,9 +53,9 @@ fn decode(kind: usize, idx: usize) -> Op {
     }
 }
 
-/// Brute-force oracle: match every live view with the unprepared entry
-/// point (no filter tree, no prepared descriptor),
-/// in ascending `ViewId` order — the order the engine reports.
+/// Brute-force oracle: match every live view one at a time (no filter
+/// tree, no shared core, a descriptor prepared here and fresh match state
+/// per view), in ascending `ViewId` order — the order the engine reports.
 fn oracle(
     catalog: &mv_catalog::Catalog,
     config: &MatchConfig,
@@ -62,8 +65,9 @@ fn oracle(
     let qsum = ExprSummary::analyze(query);
     let mut out = Vec::new();
     for (id, def) in live {
-        let vsum = ExprSummary::analyze(&def.expr);
-        if let Some(sub) = match_view(catalog, config, query, &qsum, *id, def, &vsum) {
+        let pq = PreparedQuery::new(query, &qsum);
+        let pv = PreparedView::prepare(catalog, config, &def.expr);
+        if let Some(sub) = match_view_prepared(catalog, config, &pq, *id, def, &pv) {
             out.push((*id, sub));
         }
     }
@@ -77,8 +81,8 @@ proptest! {
     /// Apply an arbitrary op sequence; every `find_substitutes` must
     /// agree byte-for-byte with the brute-force oracle. This pins down
     /// two things at once: the filter tree loses no candidate, and the
-    /// prepared matcher (shared core state, precomputed outputs)
-    /// produces the same substitutes as the legacy per-view path.
+    /// prepared matcher (shared cores and core state) produces the same
+    /// substitutes as the view-at-a-time reference.
     #[test]
     fn engine_equals_bruteforce_oracle(
         ops in prop::collection::vec((0usize..3, 0usize..16), 1..40),

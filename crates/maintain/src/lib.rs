@@ -385,15 +385,31 @@ impl Maintainer {
             dirty: false,
         };
         view.materialize(&self.db, &mut self.exec);
-        let slot = self.views.len();
         let mut tables = view.expr.tables.clone();
         tables.sort_unstable();
         tables.dedup();
+        let slot = match self.slots.get(&id) {
+            // Registered again: the new state takes the id's slot, and the
+            // slot leaves the lists of the tables the old definition read.
+            Some(&slot) => {
+                for views in self.by_table.values_mut() {
+                    views.retain(|&s| s != slot);
+                }
+                self.views[slot] = view;
+                slot
+            }
+            None => {
+                let slot = self.views.len();
+                self.views.push(view);
+                self.slots.insert(id, slot);
+                slot
+            }
+        };
         for table in tables {
-            self.by_table.entry(table).or_default().push(slot);
+            let views = self.by_table.entry(table).or_default();
+            let at = views.partition_point(|&s| s < slot);
+            views.insert(at, slot);
         }
-        self.slots.insert(id, slot);
-        self.views.push(view);
         strategy
     }
 

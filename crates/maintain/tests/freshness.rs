@@ -125,3 +125,54 @@ fn stale_ok_always_serves_with_honest_lag() {
         assert_eq!(subs[0].1.freshness.lag(), round as u64 + 1);
     }
 }
+
+/// An id registered again answers to its latest registration, and only to
+/// it: the earlier copy must not stay behind to be maintained, audited and
+/// restamped next to the new one.
+#[test]
+fn registering_an_id_again_replaces_its_maintained_state() {
+    let (engine, mut maintainer, expr, r) = setup(FreshnessPolicy::StrictFresh);
+    let def = ViewDef::new("v_r", expr.clone());
+    // Break the first copy, then register the id again: the audit sees the
+    // new materialization alone.
+    assert!(maintainer.corrupt_drop_row_for_audit(ViewId(0)));
+    assert_eq!(maintainer.audit().len(), 1);
+    assert_eq!(
+        maintainer.register(ViewId(0), &def),
+        MaintainStrategy::Incremental
+    );
+    assert!(
+        maintainer.audit().is_empty(),
+        "the replaced copy is still audited"
+    );
+    // One view reads `r`: one view maintained, one restamp.
+    let report = maintainer.apply_with_engine(&delta(r, 0), &engine);
+    assert_eq!((report.maintained, report.marked_dirty), (1, 0));
+    assert_eq!(maintainer.contents(ViewId(0)).map(<[Row]>::len), Some(7));
+    assert_eq!(engine.view_staleness(ViewId(0)), Some(0));
+    engine.record_base_write(r);
+    assert_eq!(
+        engine.mark_views_maintained(&[ViewId(0), ViewId(0)]),
+        1,
+        "an id given twice is one view"
+    );
+
+    // Under a definition that recomputes (a self-join), the id is marked
+    // dirty once and nothing is maintained in place behind it — and a
+    // refresh reaches the copy that is dirty.
+    let self_join = SpjgExpr::spj(
+        vec![r, r],
+        BoolExpr::col_eq(cr(0, 1), cr(1, 1)),
+        vec![NamedExpr::new(S::col(cr(0, 0)), "pk")],
+    );
+    assert_eq!(
+        maintainer.register(ViewId(0), &ViewDef::new("v_r", self_join)),
+        MaintainStrategy::Recompute
+    );
+    let report = maintainer.apply_with_engine(&delta(r, 1), &engine);
+    assert_eq!((report.maintained, report.marked_dirty), (0, 1));
+    assert!(maintainer.is_dirty(ViewId(0)));
+    assert!(maintainer.refresh(ViewId(0)));
+    assert!(!maintainer.is_dirty(ViewId(0)));
+    assert!(maintainer.audit().is_empty());
+}
