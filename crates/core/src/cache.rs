@@ -1,5 +1,7 @@
-//! The level-1 substitute cache: canonical query fingerprints mapped to
-//! complete `find_substitutes` results.
+//! The engine's epoch-stamped caches: canonical query fingerprints mapped
+//! to complete `find_substitutes` results, and bound query blocks mapped to
+//! the optimizer's whole-query plans — two instances of one store,
+//! [`EpochCache`].
 //!
 //! Serving workloads are dominated by repeated query *templates* — the
 //! cross-query commonality that multi-query optimization exploits. The
@@ -14,10 +16,13 @@
 //!   sorted, output expressions rendered in positional order with their
 //!   *names dropped* — so α-equivalent queries (renamed outputs, permuted
 //!   predicates, permuted join order) collide on the same entry.
-//! - [`SubstituteCache`] is a mutex-striped shard array keyed by the
-//!   fingerprint hash, with a second-chance ("clock") eviction hand per
-//!   shard. Entries carry a *per-table epoch stamp*: the invalidation
-//!   epoch of each base table the fingerprinted query touches, captured
+//! - [`EpochCache`] is a mutex-striped shard array keyed by a 64-bit
+//!   hash, generic over the collision guard an entry is compared on and
+//!   the value it holds, with a second-chance ("clock") eviction hand per
+//!   shard. [`SubstituteCache`] is the instance keyed by fingerprint;
+//!   the plan instance (DESIGN.md §11.4) is keyed by the block itself.
+//!   Entries carry a *per-table epoch stamp*: the invalidation
+//!   epoch of each base table the keyed query touches, captured
 //!   from the catalog snapshot the result was computed under. Registration
 //!   (`add_view` / `remove_view`) bumps only the epochs of the view's own
 //!   tables, and `add_check_constraint` only its table's — so an entry
@@ -147,46 +152,42 @@ pub fn fingerprint(query: &SpjgExpr) -> Fingerprint {
     }
 }
 
-/// One cached `find_substitutes` result.
+/// One cached value: its collision guard, the per-table epoch stamp it
+/// was computed under, and the second-chance bit.
 #[derive(Debug)]
-struct Entry {
+struct Entry<G, V> {
     hash: u64,
-    render: String,
-    /// Per-table invalidation epochs of the query's (sorted, deduplicated)
+    /// What the entry is the value *of*, compared on every probe so a
+    /// 64-bit hash collision degrades to a miss.
+    guard: G,
+    /// Per-table invalidation epochs of the key's (sorted, deduplicated)
     /// base tables, captured at computation time. A mismatch on lookup
-    /// means some table this query touches saw a view registration,
-    /// removal, or new check constraint since. Two probes with equal
-    /// renders reference the same table set in the same order, so the
-    /// stamps compare positionally.
+    /// means some table the key touches saw a view registration,
+    /// removal, or new check constraint since. Equal guards reference the
+    /// same table set in the same order, so the stamps compare
+    /// positionally.
     stamp: Vec<u64>,
-    /// Candidate count of the original computation, replayed into the
-    /// stats on every hit so counter totals stay path-independent.
-    candidates: usize,
-    results: Vec<(ViewId, Substitute)>,
+    value: V,
     /// Second-chance bit for the clock eviction hand.
     referenced: bool,
 }
 
 /// One mutex-striped shard: a fixed slot array, a hash → slot index, and
 /// the clock hand.
-#[derive(Debug, Default)]
-struct Shard {
-    slots: Vec<Option<Entry>>,
+#[derive(Debug)]
+struct Shard<G, V> {
+    slots: Vec<Option<Entry<G, V>>>,
     index: HashMap<u64, usize>,
     hand: usize,
 }
 
 /// Outcome of a cache probe.
 #[derive(Debug)]
-pub enum CacheLookup {
-    /// A live entry: the cached results plus the candidate count of the
-    /// original computation.
-    Hit {
-        results: Vec<(ViewId, Substitute)>,
-        candidates: usize,
-    },
-    /// An entry existed but some table its query touches changed since;
-    /// it has been discarded (lazy invalidation).
+pub enum CacheLookup<V> {
+    /// A live entry's value.
+    Hit(V),
+    /// An entry existed but some table its key touches changed since; it
+    /// has been discarded (lazy invalidation).
     Stale,
     /// No entry.
     Miss,
@@ -194,31 +195,48 @@ pub enum CacheLookup {
     Disabled,
 }
 
-/// The sharded substitute cache. All methods take `&self`; each shard is
-/// an independent [`Mutex`], so concurrent `find_substitutes` callers only
-/// contend when their fingerprints land on the same stripe.
+/// The sharded, epoch-stamped store behind both of the engine's caches:
+/// values of type `V` filed under a 64-bit hash, each guarded by the `G`
+/// it is the value of and stamped with the epochs of its tables. All
+/// methods take `&self`; each shard is an independent [`Mutex`], so
+/// concurrent callers only contend when their hashes land on the same
+/// stripe.
 #[derive(Debug)]
-pub struct SubstituteCache {
-    shards: Vec<Mutex<Shard>>,
+pub struct EpochCache<G, V> {
+    shards: Vec<Mutex<Shard<G, V>>>,
     per_shard: usize,
 }
 
-impl SubstituteCache {
+/// The substitute cache: a fingerprint's render as the guard, and as the
+/// value the candidate count of the original computation (replayed into
+/// the stats on every hit, so counter totals stay path-independent) with
+/// the `find_substitutes` result.
+pub type SubstituteCache = EpochCache<Box<str>, (usize, Vec<(ViewId, Substitute)>)>;
+
+impl<G, V: Clone> EpochCache<G, V> {
     /// A cache of at most `capacity` entries, striped over one mutex per
     /// 128 entries (at most 8, so the default 1,024 is 8 stripes of 128
     /// and a small cache is one stripe). Stripes are sized by floor: the
     /// sum never exceeds `capacity`. `capacity == 0` disables caching
     /// entirely.
-    pub fn new(capacity: usize) -> SubstituteCache {
+    pub fn new(capacity: usize) -> Self {
         if capacity == 0 {
-            return SubstituteCache {
+            return EpochCache {
                 shards: Vec::new(),
                 per_shard: 0,
             };
         }
         let n = (capacity / 128).clamp(1, 8);
-        SubstituteCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
+        EpochCache {
+            shards: (0..n)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        slots: Vec::new(),
+                        index: HashMap::new(),
+                        hand: 0,
+                    })
+                })
+                .collect(),
             per_shard: capacity / n,
         }
     }
@@ -228,16 +246,22 @@ impl SubstituteCache {
         !self.shards.is_empty()
     }
 
-    fn shard(&self, hash: u64) -> &Mutex<Shard> {
+    fn shard(&self, hash: u64) -> &Mutex<Shard<G, V>> {
         &self.shards[(hash as usize) % self.shards.len()]
     }
 
-    /// Probe for `render` under the current per-table epoch `stamp`
-    /// (epochs of the query's sorted table set). A present entry whose
+    /// Probe for the entry under `hash` whose guard satisfies `is_guard`,
+    /// under the current per-table epoch `stamp`. A present entry whose
     /// stamp mismatches is removed and reported as [`CacheLookup::Stale`];
-    /// a hash collision with a different render is a plain miss (the
-    /// insert that follows will replace the colliding entry).
-    pub fn lookup(&self, hash: u64, render: &str, stamp: &[u64]) -> CacheLookup {
+    /// a hash collision with a different guard is a plain miss (the
+    /// insert that follows will replace the colliding entry). A hit
+    /// clones the value under the stripe's lock.
+    pub fn lookup(
+        &self,
+        hash: u64,
+        is_guard: impl FnOnce(&G) -> bool,
+        stamp: &[u64],
+    ) -> CacheLookup<V> {
         if !self.is_enabled() {
             return CacheLookup::Disabled;
         }
@@ -245,8 +269,8 @@ impl SubstituteCache {
         let Some(&slot) = shard.index.get(&hash) else {
             return CacheLookup::Miss;
         };
-        let entry = shard.slots[slot].as_ref().expect("indexed slot is filled");
-        if entry.render != render {
+        let entry = shard.slots[slot].as_mut().expect("indexed slot is filled");
+        if !is_guard(&entry.guard) {
             return CacheLookup::Miss;
         }
         if entry.stamp != stamp {
@@ -254,34 +278,22 @@ impl SubstituteCache {
             shard.index.remove(&hash);
             return CacheLookup::Stale;
         }
-        let entry = shard.slots[slot].as_mut().expect("indexed slot is filled");
         entry.referenced = true;
-        CacheLookup::Hit {
-            results: entry.results.clone(),
-            candidates: entry.candidates,
-        }
+        CacheLookup::Hit(entry.value.clone())
     }
 
-    /// Store a computed result. An existing entry under the same hash is
+    /// Store a computed value. An existing entry under the same hash is
     /// replaced; otherwise a free slot is used, or the clock hand evicts
     /// the first entry it sweeps past whose second-chance bit is clear.
-    pub fn insert(
-        &self,
-        hash: u64,
-        render: String,
-        stamp: Vec<u64>,
-        candidates: usize,
-        results: Vec<(ViewId, Substitute)>,
-    ) {
+    pub fn insert(&self, hash: u64, guard: G, stamp: Vec<u64>, value: V) {
         if !self.is_enabled() {
             return;
         }
         let entry = Entry {
             hash,
-            render,
+            guard,
             stamp,
-            candidates,
-            results,
+            value,
             referenced: false,
         };
         let mut shard = lock_or_recover(self.shard(hash));
@@ -409,6 +421,12 @@ mod tests {
         assert_ne!(fingerprint(&t(2, 7)).render, fingerprint(&t(2, 8)).render);
     }
 
+    /// The guard test the engine applies: the stored render equals the
+    /// probe's.
+    fn is(render: &str) -> impl FnOnce(&Box<str>) -> bool + '_ {
+        move |g| **g == *render
+    }
+
     #[test]
     fn lookup_insert_stamp_and_eviction() {
         let cache = SubstituteCache::new(4);
@@ -416,21 +434,17 @@ mod tests {
         assert!(cache.is_empty());
         let fp = fingerprint(&query("a", 5));
         assert!(matches!(
-            cache.lookup(fp.hash, &fp.render, &[0]),
+            cache.lookup(fp.hash, is(&fp.render), &[0]),
             CacheLookup::Miss
         ));
         cache.insert(
             fp.hash,
-            fp.render.clone(),
+            fp.render.clone().into(),
             vec![0],
-            3,
-            vec![(ViewId(1), sub(1))],
+            (3, vec![(ViewId(1), sub(1))]),
         );
-        match cache.lookup(fp.hash, &fp.render, &[0]) {
-            CacheLookup::Hit {
-                results,
-                candidates,
-            } => {
+        match cache.lookup(fp.hash, is(&fp.render), &[0]) {
+            CacheLookup::Hit((candidates, results)) => {
                 assert_eq!(results.len(), 1);
                 assert_eq!(candidates, 3);
             }
@@ -438,17 +452,23 @@ mod tests {
         }
         // A bumped table epoch: the entry is discarded on its next probe.
         assert!(matches!(
-            cache.lookup(fp.hash, &fp.render, &[1]),
+            cache.lookup(fp.hash, is(&fp.render), &[1]),
             CacheLookup::Stale
         ));
         assert!(matches!(
-            cache.lookup(fp.hash, &fp.render, &[1]),
+            cache.lookup(fp.hash, is(&fp.render), &[1]),
+            CacheLookup::Miss
+        ));
+        // A hash collision with another guard is a miss, not a hit.
+        cache.insert(fp.hash, "other".into(), vec![0], (0, Vec::new()));
+        assert!(matches!(
+            cache.lookup(fp.hash, is(&fp.render), &[0]),
             CacheLookup::Miss
         ));
         // Capacity is bounded: many inserts never exceed it.
         for i in 0..50 {
             let fp = fingerprint(&query("a", i));
-            cache.insert(fp.hash, fp.render, vec![0], 0, Vec::new());
+            cache.insert(fp.hash, fp.render.into(), vec![0], (0, Vec::new()));
         }
         assert!(cache.len() <= 4, "clock eviction must bound the cache");
         cache.clear();
@@ -459,15 +479,20 @@ mod tests {
     fn per_table_stamps_compare_positionally() {
         let cache = SubstituteCache::new(4);
         let fp = fingerprint(&query("a", 5));
-        cache.insert(fp.hash, fp.render.clone(), vec![2, 7], 0, Vec::new());
+        cache.insert(
+            fp.hash,
+            fp.render.clone().into(),
+            vec![2, 7],
+            (0, Vec::new()),
+        );
         // Same epochs for the same tables: hit.
         assert!(matches!(
-            cache.lookup(fp.hash, &fp.render, &[2, 7]),
-            CacheLookup::Hit { .. }
+            cache.lookup(fp.hash, is(&fp.render), &[2, 7]),
+            CacheLookup::Hit(_)
         ));
         // One table advanced: stale, even though the other is unchanged.
         assert!(matches!(
-            cache.lookup(fp.hash, &fp.render, &[2, 8]),
+            cache.lookup(fp.hash, is(&fp.render), &[2, 8]),
             CacheLookup::Stale
         ));
     }
@@ -477,9 +502,9 @@ mod tests {
         let cache = SubstituteCache::new(0);
         assert!(!cache.is_enabled());
         let fp = fingerprint(&query("a", 5));
-        cache.insert(fp.hash, fp.render.clone(), vec![0], 0, Vec::new());
+        cache.insert(fp.hash, fp.render.clone().into(), vec![0], (0, Vec::new()));
         assert!(matches!(
-            cache.lookup(fp.hash, &fp.render, &[0]),
+            cache.lookup(fp.hash, is(&fp.render), &[0]),
             CacheLookup::Disabled
         ));
         assert_eq!(cache.len(), 0);

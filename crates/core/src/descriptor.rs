@@ -123,10 +123,11 @@ pub struct BackjoinOffer {
 /// re-rendered per occurrence assignment.
 #[derive(Debug, Clone)]
 pub struct PreparedOutputs {
-    /// Simple-column outputs: view column → output position (scalar
-    /// outputs only; for aggregation views these are the grouping
-    /// outputs).
-    pub col_pos: HashMap<ColRef, usize>,
+    /// Simple-column outputs: (view column, output position), sorted by
+    /// column, the first position of a column repeated in the output list
+    /// (scalar outputs only; for aggregation views these are the grouping
+    /// outputs). Read through [`PreparedOutputs::col_position`].
+    pub col_pos: Box<[(ColRef, usize)]>,
     /// Complex scalar outputs as templates.
     pub complex: Vec<(Template, usize)>,
     /// Number of scalar (grouping) outputs; aggregate outputs follow.
@@ -149,16 +150,19 @@ impl PreparedOutputs {
         expr: &SpjgExpr,
         core: &JoinCore,
     ) -> PreparedOutputs {
-        let mut col_pos = HashMap::new();
+        let mut col_pos = Vec::new();
         let mut complex = Vec::new();
         let scalars = expr.scalar_outputs();
         for (i, ne) in scalars.iter().enumerate() {
             if let Some(c) = ne.expr.as_column() {
-                col_pos.entry(c).or_insert(i);
+                col_pos.push((c, i));
             } else if !ne.expr.is_constant() {
                 complex.push((Template::of_scalar(&ne.expr), i));
             }
         }
+        // Stable: of a column output twice, the first position stays.
+        col_pos.sort_by_key(|&(c, _)| c);
+        col_pos.dedup_by_key(|&mut (c, _)| c);
         let mut sum_args = Vec::new();
         let mut count_pos = None;
         for (j, na) in expr.aggregate_outputs().iter().enumerate() {
@@ -171,7 +175,7 @@ impl PreparedOutputs {
             }
         }
         let mut out = PreparedOutputs {
-            col_pos,
+            col_pos: col_pos.into_boxed_slice(),
             complex,
             scalar_len: scalars.len(),
             sum_args,
@@ -217,16 +221,20 @@ impl PreparedOutputs {
         out
     }
 
+    /// Output position of view column `c`, exact.
+    pub fn col_position(&self, c: ColRef) -> Option<usize> {
+        let i = self.col_pos.binary_search_by_key(&c, |&(v, _)| v).ok()?;
+        Some(self.col_pos[i].1)
+    }
+
     /// Output position of view column `c`, rerouting through the view's
     /// own equivalence classes; no backjoins.
     pub fn direct_position_view(&self, c: ColRef, core: &JoinCore) -> Option<usize> {
-        if let Some(&p) = self.col_pos.get(&c) {
+        if let Some(p) = self.col_position(c) {
             return Some(p);
         }
         let i = *core.ec_class.get(&c)? as usize;
-        core.classes[i]
-            .iter()
-            .find_map(|m| self.col_pos.get(m).copied())
+        core.classes[i].iter().find_map(|&m| self.col_position(m))
     }
 }
 

@@ -2,7 +2,7 @@
 //! the `find_substitutes` entry point that a transformation-based optimizer
 //! invokes as its view-matching rule.
 
-use crate::cache::{fingerprint, CacheLookup, SubstituteCache};
+use crate::cache::{fingerprint, CacheLookup, EpochCache, SubstituteCache};
 use crate::descriptor::{DescriptorStore, JoinCore, PreparedView};
 use crate::filter::{normalized, FilterTree, LevelSearch};
 use crate::fkgraph::{compute_hub, FkGraph};
@@ -15,7 +15,10 @@ use mv_expr::{classify, BoolExpr, ColRef, Conjunct, EquivClasses, OccId, Templat
 use mv_parallel::sync::{lock_or_recover, Arc, Mutex, MutexGuard};
 use mv_parallel::Published;
 use mv_plan::{AggFunc, Freshness, OutputList, SpjgExpr, Substitute, ViewDef, ViewId, ViewSet};
+use std::any::Any;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
 
 /// Number of filter-tree levels for SPJ views (hub, source tables, output
@@ -230,18 +233,18 @@ impl CatalogSnapshot {
     /// computed under; equal renders reference equal table sets, so two
     /// stamps for the same fingerprint compare positionally.
     fn table_stamp(&self, query: &SpjgExpr) -> Vec<u64> {
-        let mut tables: Vec<TableId> = query.tables.clone();
-        tables.sort_unstable();
-        tables.dedup();
-        tables
-            .iter()
-            .map(|t| {
-                self.table_epochs
-                    .get(t.0 as usize)
-                    .copied()
-                    .unwrap_or(u64::MAX)
-            })
-            .collect()
+        // One allocation: the sorted table ids become their epochs in place.
+        let mut stamp: Vec<u64> = query.tables.iter().map(|t| u64::from(t.0)).collect();
+        stamp.sort_unstable();
+        stamp.dedup();
+        for e in &mut stamp {
+            *e = self
+                .table_epochs
+                .get(*e as usize)
+                .copied()
+                .unwrap_or(u64::MAX);
+        }
+        stamp
     }
 
     fn live_view_count(&self) -> usize {
@@ -267,8 +270,39 @@ impl CatalogSnapshot {
     }
 }
 
-/// The engine owning the published catalog snapshot, the substitute cache
-/// and the instrumentation counters.
+/// The plan cache (DESIGN.md §11.4): an optimizer-config tag and the bound
+/// block as the guard, the optimizer's result — a type this crate does not
+/// know — as the value.
+type PlanCache = EpochCache<(u64, SpjgExpr), Arc<dyn Any + Send + Sync>>;
+
+/// The plan cache holds `1 / PLAN_CACHE_SHARE` of the substitute cache's
+/// capacity: 64 plans at the default 1,024, so a capacity of 0 turns both
+/// off (DESIGN.md §11.4 has why this share).
+const PLAN_CACHE_SHARE: usize = 16;
+
+/// Outcome of [`MatchingEngine::probe_plan`].
+#[derive(Debug)]
+pub enum PlanProbe<P> {
+    /// The plan cached for this (tag, block), valid under the pinned
+    /// snapshot's epochs.
+    Hit(P),
+    /// No valid plan: search, then hand the ticket to
+    /// [`MatchingEngine::insert_plan`].
+    Miss(PlanTicket),
+}
+
+/// What a plan-cache miss hands back for the insert: the key's hash and
+/// tag, and the epoch stamp read from the snapshot pinned *before* the
+/// search — so the stamp cannot be taken after a registration the search
+/// did not see.
+#[derive(Debug)]
+pub struct PlanTicket {
+    /// `(hash, tag, stamp)`; `None` with the plan cache off.
+    key: Option<(u64, u64, Vec<u64>)>,
+}
+
+/// The engine owning the published catalog snapshot, the substitute and
+/// plan caches and the instrumentation counters.
 ///
 /// # Concurrency
 ///
@@ -295,6 +329,8 @@ pub struct MatchingEngine {
     /// Fingerprint-keyed cache of complete `find_substitutes` results,
     /// invalidated per table via the snapshot's `table_epochs`.
     cache: SubstituteCache,
+    /// Block-keyed cache of whole-query plans, invalidated the same way.
+    plans: PlanCache,
 }
 
 // Compile-time guarantee that the engine stays shareable across threads:
@@ -309,6 +345,7 @@ impl MatchingEngine {
     /// Create an engine over a schema.
     pub fn new(catalog: Catalog, config: MatchConfig) -> Self {
         let cache = SubstituteCache::new(config.substitute_cache_capacity);
+        let plans = PlanCache::new(config.substitute_cache_capacity / PLAN_CACHE_SHARE);
         let shared = Published::new(CatalogSnapshot::empty(&catalog));
         MatchingEngine {
             catalog,
@@ -317,6 +354,7 @@ impl MatchingEngine {
             writer: Mutex::new(()),
             stats: AtomicMatchStats::default(),
             cache,
+            plans,
         }
     }
 
@@ -1138,13 +1176,10 @@ impl MatchingEngine {
             .is_enabled()
             .then(|| (fingerprint(query), snap.table_stamp(query)));
         let probe = key.as_ref().map_or(CacheLookup::Disabled, |(fp, stamp)| {
-            self.cache.lookup(fp.hash, &fp.render, stamp)
+            self.cache.lookup(fp.hash, |g| **g == *fp.render, stamp)
         });
         match probe {
-            CacheLookup::Hit {
-                mut results,
-                candidates,
-            } => {
+            CacheLookup::Hit((candidates, mut results)) => {
                 // Output names are the one query-specific part of a
                 // substitute the fingerprint deliberately ignores.
                 restamp_output_names(&mut results, query);
@@ -1199,8 +1234,14 @@ impl MatchingEngine {
             } else {
                 stamp
             };
-            self.cache
-                .insert(fp.hash, fp.render, stamp, n_candidates, out.clone());
+            // Stored shrunk to fit: the render is built in a doubling
+            // buffer.
+            self.cache.insert(
+                fp.hash,
+                fp.render.into_boxed_str(),
+                stamp,
+                (n_candidates, out.clone()),
+            );
         }
         out
     }
@@ -1213,6 +1254,91 @@ impl MatchingEngine {
     /// Number of live entries in the substitute cache.
     pub fn substitute_cache_len(&self) -> usize {
         self.cache.len()
+    }
+
+    /// Probe the plan cache for the plan of `query` under the optimizer
+    /// configuration `tag` identifies. `pin` is the snapshot the caller
+    /// pinned before searching: a hit is valid under its epochs, and a
+    /// miss carries its stamp in the [`PlanTicket`] for the insert. With
+    /// the cache off (`substitute_cache_capacity / 16 == 0`) nothing is
+    /// hashed and nothing counted. A cached value of another type than
+    /// `P` is a miss.
+    ///
+    /// Sound because a query's plan depends on the catalog only through
+    /// `find_substitutes` on subsets of its tables, and every write that
+    /// can change one of those bumps the epoch of a table in the subset —
+    /// so of a table in the query's stamp (DESIGN.md §11.4).
+    pub fn probe_plan<P: Clone + 'static>(
+        &self,
+        pin: &ViewsGuard,
+        tag: u64,
+        query: &SpjgExpr,
+    ) -> PlanProbe<P> {
+        if !self.plans.is_enabled() {
+            return PlanProbe::Miss(PlanTicket { key: None });
+        }
+        let mut hasher = DefaultHasher::new();
+        (tag, query).hash(&mut hasher);
+        let hash = hasher.finish();
+        let stamp = pin.snap.table_stamp(query);
+        let is_key = |(t, block): &(u64, SpjgExpr)| *t == tag && block == query;
+        match self.plans.lookup(hash, is_key, &stamp) {
+            CacheLookup::Hit(plan) => {
+                if let Some(plan) = plan.downcast_ref::<P>() {
+                    self.stats.record_plan_cache_hit();
+                    return PlanProbe::Hit(plan.clone());
+                }
+            }
+            CacheLookup::Stale => self.stats.record_plan_cache_invalidation(),
+            CacheLookup::Miss | CacheLookup::Disabled => {}
+        }
+        self.stats.record_plan_cache_miss();
+        PlanProbe::Miss(PlanTicket {
+            key: Some((hash, tag, stamp)),
+        })
+    }
+
+    /// Store the plan a [`MatchingEngine::probe_plan`] miss went on to
+    /// search for, under the ticket's stamp.
+    pub fn insert_plan<P: Send + Sync + 'static>(
+        &self,
+        ticket: PlanTicket,
+        query: &SpjgExpr,
+        plan: P,
+    ) {
+        let Some((hash, tag, stamp)) = ticket.key else {
+            return;
+        };
+        // The stamp MUST be the one read before the search. Re-reading it
+        // here (the PLAN_STAMP_AT_INSERT mutation) stamps a plan searched
+        // before a registration with the epochs after it.
+        #[cfg(mv_model)]
+        let stamp = if crate::mutation::active(crate::mutation::PLAN_STAMP_AT_INSERT) {
+            self.snapshot().table_stamp(query)
+        } else {
+            stamp
+        };
+        self.plans
+            .insert(hash, (tag, query.clone()), stamp, Arc::new(plan));
+    }
+
+    /// Number of live entries in the plan cache.
+    pub fn plan_cache_len(&self) -> usize {
+        self.plans.len()
+    }
+
+    /// [`MatchingEngine::find_substitutes`] against `pin`, past the
+    /// substitute cache and the counters: the search the optimizer re-runs
+    /// on every plan-cache hit of a debug build, to assert the hit equals
+    /// it. Never call outside that check.
+    #[cfg(debug_assertions)]
+    #[doc(hidden)]
+    pub fn fresh_substitutes(
+        &self,
+        pin: &ViewsGuard,
+        query: &SpjgExpr,
+    ) -> Vec<(ViewId, Substitute)> {
+        self.compute_substitutes(&pin.snap, query).0
     }
 
     /// Match the query against one specific view (bypassing the filter).

@@ -54,11 +54,12 @@ mod stamps;
 pub mod stats;
 pub mod summary;
 
-pub use cache::{fingerprint, CacheLookup, Fingerprint, SubstituteCache};
+pub use cache::{fingerprint, CacheLookup, EpochCache, Fingerprint, SubstituteCache};
 pub use descriptor::{JoinCore, PreparedView};
 pub use engine::{
     col_token, decode_col_token, strict_filter_exempt_levels, table_token, ChecksGuard,
-    MatchingEngine, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS, UNKNOWN_TOKEN,
+    MatchingEngine, PlanProbe, PlanTicket, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS,
+    UNKNOWN_TOKEN,
 };
 pub use filter::{FilterTree, LevelSearch};
 pub use lattice::LatticeIndex;

@@ -103,7 +103,9 @@ pub struct MatchConfig {
     /// cached substitute list (output names re-stamped from the probing
     /// query). `0` disables the cache. Entries are invalidated lazily on
     /// view registration/removal via an engine epoch. The cache stripes
-    /// itself over one mutex per 128 entries of capacity, at most 8.
+    /// itself over one mutex per 128 entries of capacity, at most 8. The
+    /// engine's plan cache ([`crate::MatchingEngine::probe_plan`]) holds
+    /// a sixteenth of this many whole-query plans, so `0` disables both.
     pub substitute_cache_capacity: usize,
     /// Record wall-clock filter/match durations in [`crate::MatchStats`].
     /// With this off, `find_substitutes` performs zero clock reads — on
@@ -369,7 +371,7 @@ impl OutputCtx<'_> {
 
     /// Output position of view-space column `v`, exact.
     fn vpos(&self, v: ColRef) -> Option<usize> {
-        self.pv.outputs.col_pos.get(&v).copied()
+        self.pv.outputs.col_position(v)
     }
 
     /// Position of query-space `c` rerouting through the *view's*

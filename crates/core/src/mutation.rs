@@ -33,6 +33,11 @@ pub const SKIP_EPOCH_BUMP_ON_REMOVE: u32 = 4;
 /// The cache-miss counter is not recorded: the quiescent invariant
 /// `cache_hits + cache_misses == invocations` breaks.
 pub const SKIP_CACHE_MISS_STAT: u32 = 5;
+/// `insert_plan` stamps the plan from the currently *published* snapshot
+/// instead of using the ticket's stamp, read before the search: a
+/// registration between probe and insert leaves a stale plan looking
+/// fresh.
+pub const PLAN_STAMP_AT_INSERT: u32 = 6;
 
 static ACTIVE: AtomicU32 = AtomicU32::new(NONE);
 

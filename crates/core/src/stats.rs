@@ -44,6 +44,14 @@ pub struct MatchStats {
     /// view or constraint over some table they touch was added or removed
     /// since they were stored).
     pub cache_invalidations: u64,
+    /// Whole-query plans served from the plan cache (DESIGN.md §11.4): an
+    /// optimizer call answered this way invokes the matching rule zero
+    /// times, so it shows in none of the counters above.
+    pub plan_cache_hits: u64,
+    /// Plan-cache probes that had to search (stale probes included).
+    pub plan_cache_misses: u64,
+    /// Cached plans discarded because a table epoch moved past them.
+    pub plan_cache_invalidations: u64,
     /// Views registered (`add_view`/`add_views`) since the last reset.
     pub registrations: u64,
     /// Views dropped (`remove_view`) since the last reset.
@@ -92,6 +100,17 @@ impl MatchStats {
         }
     }
 
+    /// Fraction of plan-cache probes answered from the cache; 0 when it
+    /// was never probed.
+    pub fn plan_cache_hit_rate(&self) -> f64 {
+        let probes = self.plan_cache_hits + self.plan_cache_misses;
+        if probes == 0 {
+            0.0
+        } else {
+            self.plan_cache_hits as f64 / probes as f64
+        }
+    }
+
     /// Merge another stats block into this one.
     pub fn merge(&mut self, other: &MatchStats) {
         self.invocations += other.invocations;
@@ -104,6 +123,9 @@ impl MatchStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_invalidations += other.cache_invalidations;
+        self.plan_cache_hits += other.plan_cache_hits;
+        self.plan_cache_misses += other.plan_cache_misses;
+        self.plan_cache_invalidations += other.plan_cache_invalidations;
         self.registrations += other.registrations;
         self.removals += other.removals;
     }
@@ -132,6 +154,9 @@ pub struct AtomicMatchStats {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_invalidations: AtomicU64,
+    plan_cache_hits: AtomicU64,
+    plan_cache_misses: AtomicU64,
+    plan_cache_invalidations: AtomicU64,
     registrations: AtomicU64,
     removals: AtomicU64,
 }
@@ -179,6 +204,22 @@ impl AtomicMatchStats {
         self.cache_invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record a plan-cache hit.
+    pub fn record_plan_cache_hit(&self) {
+        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a plan-cache miss (probed, had to search).
+    pub fn record_plan_cache_miss(&self) {
+        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a stale cached plan discarded by epoch invalidation.
+    pub fn record_plan_cache_invalidation(&self) {
+        self.plan_cache_invalidations
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record `n` view registrations.
     pub fn record_registrations(&self, n: usize) {
         self.registrations.fetch_add(n as u64, Ordering::Relaxed);
@@ -202,6 +243,9 @@ impl AtomicMatchStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
+            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
+            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
+            plan_cache_invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
             registrations: self.registrations.load(Ordering::Relaxed),
             removals: self.removals.load(Ordering::Relaxed),
         }
@@ -219,6 +263,9 @@ impl AtomicMatchStats {
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
         self.cache_invalidations.store(0, Ordering::Relaxed);
+        self.plan_cache_hits.store(0, Ordering::Relaxed);
+        self.plan_cache_misses.store(0, Ordering::Relaxed);
+        self.plan_cache_invalidations.store(0, Ordering::Relaxed);
         self.registrations.store(0, Ordering::Relaxed);
         self.removals.store(0, Ordering::Relaxed);
     }
@@ -311,6 +358,9 @@ mod tests {
             cache_hits: 7,
             cache_misses: 8,
             cache_invalidations: 9,
+            plan_cache_hits: 13,
+            plan_cache_misses: 14,
+            plan_cache_invalidations: 15,
             registrations: 10,
             removals: 11,
         };
@@ -324,6 +374,9 @@ mod tests {
         assert_eq!(a.cache_hits, 14);
         assert_eq!(a.cache_misses, 16);
         assert_eq!(a.cache_invalidations, 18);
+        assert_eq!(a.plan_cache_hits, 26);
+        assert_eq!(a.plan_cache_misses, 28);
+        assert_eq!(a.plan_cache_invalidations, 30);
         assert_eq!(a.registrations, 20);
         assert_eq!(a.removals, 22);
     }
@@ -337,6 +390,10 @@ mod tests {
         }
         a.record_cache_miss();
         a.record_cache_invalidation();
+        a.record_plan_cache_hit();
+        a.record_plan_cache_miss();
+        a.record_plan_cache_miss();
+        a.record_plan_cache_invalidation();
         a.record_core_states(2);
         a.record_core_states(0);
         let s = a.snapshot();
@@ -345,11 +402,15 @@ mod tests {
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_invalidations, 1);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
+        assert_eq!(s.plan_cache_invalidations, 1);
+        assert!((s.plan_cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.invocations, 0, "plan counters are their own");
         a.reset();
         let z = a.snapshot();
         assert_eq!(z.core_states, 0);
         assert_eq!(z.cache_hits, 0);
         assert_eq!(z.cache_misses, 0);
         assert_eq!(z.cache_invalidations, 0);
+        assert_eq!(z.plan_cache_hits + z.plan_cache_misses, 0);
     }
 }

@@ -248,7 +248,7 @@ fn capacity_bounds_resident_entries() {
     for capacity in [1usize, 3, 10, 127, 129, 1000, 1024] {
         let cache = SubstituteCache::new(capacity);
         for h in 0..2 * capacity as u64 {
-            cache.insert(h, format!("q{h}"), vec![0], 0, Vec::new());
+            cache.insert(h, format!("q{h}").into(), vec![0], (0, Vec::new()));
             assert!(cache.len() <= capacity, "capacity {capacity} exceeded");
         }
         // Floor sizing gives up less than one entry per stripe.
@@ -259,7 +259,7 @@ fn capacity_bounds_resident_entries() {
     // on one stripe (hash ≡ 0 mod 16 ⊂ mod 8) fill exactly 128 slots.
     let cache = SubstituteCache::new(1024);
     for i in 0..200u64 {
-        cache.insert(16 * i, format!("q{i}"), vec![0], 0, Vec::new());
+        cache.insert(16 * i, format!("q{i}").into(), vec![0], (0, Vec::new()));
     }
     assert_eq!(cache.len(), 128, "1,024 entries stripe as 8 x 128");
 }

@@ -5,7 +5,7 @@
 //! is the concurrency analogue of mv-verify's soundness corruption suite:
 //! a checker that never fails proves nothing.
 //!
-//! The sixth seeded mutation — publication downgraded from release/acquire
+//! The seventh seeded mutation — publication downgraded from release/acquire
 //! to relaxed — lives in `crates/model/tests/explorer.rs`
 //! (`relaxed_publication_is_pinned_to_a_failing_schedule`), where the
 //! memory-model shims themselves are exercised directly.
@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mv_catalog::tpch::tpch_catalog;
 use mv_catalog::{Catalog, TableId};
-use mv_core::{mutation, MatchConfig, MatchingEngine};
+use mv_core::{mutation, MatchConfig, MatchingEngine, PlanProbe};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_model::{explore, replay, Config};
 use mv_plan::{NamedExpr, SpjgExpr, ViewDef};
@@ -83,12 +83,60 @@ fn engine(fx: &Fixture, cache_capacity: usize) -> Arc<MatchingEngine> {
 }
 
 fn names(engine: &MatchingEngine, query: &SpjgExpr) -> BTreeSet<String> {
+    let subs = engine.find_substitutes(query);
+    // Pinned after the match: a racing registration may have published
+    // the view a substitute scans after an earlier pin.
     let views = engine.views();
-    engine
-        .find_substitutes(query)
-        .iter()
+    subs.iter()
         .map(|(id, _)| views.get(*id).name.clone())
         .collect()
+}
+
+/// The optimizer's plan-cache protocol with a stand-in plan mv-core can
+/// build (it cannot depend on the optimizer): pin, probe, and on a miss
+/// derive the "plan" from `find_substitutes` and insert it under the
+/// ticket.
+fn planned(engine: &MatchingEngine, query: &SpjgExpr) -> BTreeSet<String> {
+    let pin = engine.views();
+    match engine.probe_plan::<BTreeSet<String>>(&pin, 0, query) {
+        PlanProbe::Hit(plan) => plan,
+        PlanProbe::Miss(ticket) => {
+            let plan = names(engine, query);
+            engine.insert_plan(ticket, query, plan.clone());
+            plan
+        }
+    }
+}
+
+/// A planner races a registration over the query's table; once both are
+/// done, the next plan must see the registered view.
+fn plan_race(fx: &Fixture, query: &SpjgExpr) {
+    let engine = engine(fx, 16);
+    engine
+        .add_view(part_view(fx, "old", 100))
+        .expect("base view registers");
+    let writer = {
+        let engine = Arc::clone(&engine);
+        let view = part_view(fx, "fresh", 60);
+        mv_model::thread::spawn(move || {
+            engine.add_view(view).expect("racing registration succeeds");
+        })
+    };
+    let planner = {
+        let engine = Arc::clone(&engine);
+        let query = query.clone();
+        mv_model::thread::spawn(move || {
+            // Plan while the registration may land between probe and insert.
+            planned(&engine, &query);
+        })
+    };
+    writer.join().expect("writer joins");
+    planner.join().expect("planner joins");
+    let got = planned(&engine, query);
+    assert!(
+        got.contains("fresh"),
+        "quiescent plan {got:?} is missing the registered view"
+    );
 }
 
 fn cfg() -> Config {
@@ -293,6 +341,21 @@ fn skip_cache_miss_stat_unbalances_the_counters() {
     );
 }
 
+/// Mutation 6: `insert_plan` re-reads the stamp from the currently
+/// published snapshot instead of using the ticket's, read before the
+/// search — an `add_view` between probe and insert makes a plan searched
+/// without the new view look fresh forever.
+#[test]
+fn plan_stamp_at_insert_freezes_a_stale_plan() {
+    let fx = fixture();
+    let query = part_query(&fx);
+    pin(
+        mutation::PLAN_STAMP_AT_INSERT,
+        "plan-stamp-at-insert",
+        || plan_race(&fx, &query),
+    );
+}
+
 /// With no mutation active the same race programs pass clean — the
 /// failures above come from the seeded weakenings, not the checker.
 #[test]
@@ -330,4 +393,5 @@ fn unmutated_programs_pass() {
         assert_eq!(stats.cache_hits + stats.cache_misses, stats.invocations);
     });
     report.assert_pass("unmutated add/match race");
+    explore(&cfg(), || plan_race(&fx, &query)).assert_pass("unmutated add/plan race");
 }

@@ -11,7 +11,7 @@ use crate::scalar::ScalarExpr;
 use mv_catalog::Value;
 
 /// One classified conjunct of a CNF predicate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Conjunct {
     /// `a = b` between two distinct column references (`PE`).
     ColumnEq(ColRef, ColRef),

@@ -18,7 +18,11 @@
 //!   Example 4;
 //! * a simple **cost model** over the cardinality estimates of
 //!   [`mv_plan::card`], so the choice among substitutes and join orders is
-//!   fully cost based.
+//!   fully cost based;
+//! * a **plan cache**: a block this configuration planned before is served
+//!   from the engine's epoch-stamped plan cache without a search, until a
+//!   write touches one of its tables or the plan is evicted
+//!   ([`mv_core::MatchingEngine::probe_plan`]).
 //!
 //! The optimizer never *requires* views: with [`OptimizerConfig::use_views`]
 //! off it is a plain join-order optimizer, which is the baseline of the

@@ -2,15 +2,17 @@
 
 use crate::block::{BlockInfo, Subset};
 use crate::cost::CostModel;
-use mv_core::{MatchingEngine, ViewsGuard};
+use mv_core::{MatchingEngine, PlanProbe, ViewsGuard};
 use mv_expr::{BoolExpr, ColRef, Conjunct, OccId, ScalarExpr};
 use mv_plan::{
     card, AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr, Substitute, ViewDef,
     ViewId,
 };
 use std::borrow::Borrow;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Optimizer settings. The combinations of `use_views` and
 /// `produce_substitutes` reproduce the four series of the paper's Figure 2:
@@ -41,8 +43,9 @@ impl Default for OptimizerConfig {
     }
 }
 
-/// Counters describing one `optimize` call.
-#[derive(Debug, Clone, Default)]
+/// Counters describing the search that chose a plan. A plan served from
+/// the plan cache replays the counters of the search that found it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptimizerStats {
     /// Memo groups created (connected subsets).
     pub groups: usize,
@@ -85,7 +88,7 @@ impl fmt::Display for PlanInvariant {
 impl std::error::Error for PlanInvariant {}
 
 /// The result of optimization.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Optimized {
     /// The winning physical plan.
     pub plan: PhysicalPlan,
@@ -107,11 +110,16 @@ struct Group {
 
 /// The registered views as one `try_optimize` call sees them: pinned once
 /// instead of once per costed substitute, each view's row estimate
-/// computed once however many substitutes scan it.
+/// computed once however many substitutes scan it. The pin is also the
+/// snapshot the plan cache is probed under.
 struct PinnedViews<'e> {
     engine: &'e MatchingEngine,
     views: ViewsGuard,
     rows: HashMap<ViewId, f64>,
+    /// Run the rule past the substitute cache and the counters, against
+    /// the pin: the search a debug build re-runs on a plan-cache hit.
+    #[cfg(debug_assertions)]
+    fresh: bool,
 }
 
 impl<'e> PinnedViews<'e> {
@@ -120,7 +128,18 @@ impl<'e> PinnedViews<'e> {
             engine,
             views: engine.views(),
             rows: HashMap::new(),
+            #[cfg(debug_assertions)]
+            fresh: false,
         }
+    }
+
+    /// The view-matching rule on `block`.
+    fn substitutes(&self, block: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
+        #[cfg(debug_assertions)]
+        if self.fresh {
+            return self.engine.fresh_substitutes(&self.views, block);
+        }
+        self.engine.find_substitutes(block)
     }
 
     /// Definition and estimated rows of a view a substitute scans.
@@ -148,6 +167,44 @@ impl<'e> PinnedViews<'e> {
 pub struct Optimizer<E: Borrow<MatchingEngine>> {
     engine: E,
     config: OptimizerConfig,
+    /// [`config_tag`] of `config`, the plan cache's key next to the block.
+    tag: u64,
+}
+
+/// A hash of everything in `config` that can change the plan of a block.
+/// Optimizers with different configurations share an engine, and with it
+/// the plan cache, without being served each other's plans.
+fn config_tag(config: &OptimizerConfig) -> u64 {
+    // Destructured, so a new field cannot be left out of the tag.
+    let OptimizerConfig {
+        use_views,
+        produce_substitutes,
+        enable_preaggregation,
+        cost,
+    } = config;
+    let CostModel {
+        scan_row,
+        filter_row,
+        hash_build_row,
+        hash_probe_row,
+        nl_pair,
+        agg_row,
+        project_row,
+    } = cost;
+    let mut hasher = DefaultHasher::new();
+    (use_views, produce_substitutes, enable_preaggregation).hash(&mut hasher);
+    for c in [
+        scan_row,
+        filter_row,
+        hash_build_row,
+        hash_probe_row,
+        nl_pair,
+        agg_row,
+        project_row,
+    ] {
+        c.to_bits().hash(&mut hasher);
+    }
+    hasher.finish()
 }
 
 /// How constrained is a view output position by the compensating
@@ -282,7 +339,12 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     /// Create an optimizer over an engine (`&MatchingEngine`,
     /// `Arc<MatchingEngine>`, or anything else that borrows one).
     pub fn new(engine: E, config: OptimizerConfig) -> Self {
-        Optimizer { engine, config }
+        let tag = config_tag(&config);
+        Optimizer {
+            engine,
+            config,
+            tag,
+        }
     }
 
     /// The shared matching engine.
@@ -300,31 +362,38 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     /// Optimize one SPJG block into a physical plan, reporting violated
     /// internal invariants (a column missing from a derived layout, a
     /// subset with no plan) as [`PlanInvariant`] errors.
+    ///
+    /// A block this configuration planned before, under epochs of its
+    /// tables that have not moved since, is served from the engine's plan
+    /// cache without a search (DESIGN.md §11.4); its `stats` are those of
+    /// the search that found it.
     pub fn try_optimize(&self, query: &SpjgExpr) -> Result<Optimized, PlanInvariant> {
         if query.tables.is_empty() {
             return Err(PlanInvariant::new(
                 "queries must reference at least one table".to_string(),
             ));
         }
-        let info = BlockInfo::new(query);
-        let mut stats = OptimizerStats::default();
-        let mut memo: HashMap<Subset, Group> = HashMap::new();
         let mut views = PinnedViews::new(self.engine());
-
-        for s in info.connected_subsets() {
-            let group = self.optimize_subset(&info, s, &memo, &mut views, &mut stats)?;
-            memo.insert(s, group);
-        }
-        stats.groups = memo.len();
-
-        // Disconnected queries (cross products) are glued together with
-        // nested-loop joins over the connected components.
-        let top = self.glue_components(&info, &mut memo, &mut stats)?;
-
-        let optimized = if query.is_aggregate() {
-            self.finish_aggregate(&info, top, &memo, &mut views, &mut stats)?
-        } else {
-            self.finish_spj(&info, top, &memo, &mut views, &mut stats)?
+        let optimized = match self.engine().probe_plan(&views.views, self.tag, query) {
+            PlanProbe::Hit(hit) => {
+                // Debug-mode oracle: the cached plan is the one a fresh
+                // search finds under the snapshot it was served at.
+                #[cfg(debug_assertions)]
+                {
+                    views.fresh = true;
+                    let fresh = self.search(query, &mut views)?;
+                    assert_eq!(
+                        hit, fresh,
+                        "a cached plan must be byte-identical to a fresh search"
+                    );
+                }
+                hit
+            }
+            PlanProbe::Miss(ticket) => {
+                let optimized = self.search(query, &mut views)?;
+                self.engine().insert_plan(ticket, query, optimized.clone());
+                optimized
+            }
         };
         // Debug-mode oracle: the independent plan analyzer re-checks every
         // column reference, join key, and aggregate argument of the winning
@@ -348,6 +417,36 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
                     .join("\n"),
             );
         }
+        Ok(optimized)
+    }
+
+    /// The search behind [`Optimizer::try_optimize`]: every connected
+    /// subset, cheapest first, with the view-matching rule on each, then
+    /// the components glued and the final projection or aggregation.
+    fn search(
+        &self,
+        query: &SpjgExpr,
+        views: &mut PinnedViews<'_>,
+    ) -> Result<Optimized, PlanInvariant> {
+        let info = BlockInfo::new(query);
+        let mut stats = OptimizerStats::default();
+        let mut memo: HashMap<Subset, Group> = HashMap::new();
+
+        for s in info.connected_subsets() {
+            let group = self.optimize_subset(&info, s, &memo, views, &mut stats)?;
+            memo.insert(s, group);
+        }
+        stats.groups = memo.len();
+
+        // Disconnected queries (cross products) are glued together with
+        // nested-loop joins over the connected components.
+        let top = self.glue_components(&info, &mut memo, &mut stats)?;
+
+        let optimized = if query.is_aggregate() {
+            self.finish_aggregate(&info, top, &memo, views, &mut stats)?
+        } else {
+            self.finish_spj(&info, top, &memo, views, &mut stats)?
+        };
         Ok(Optimized { stats, ..optimized })
     }
 
@@ -365,11 +464,15 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         // Combine the maximal connected components with cross joins.
         let mut components: Vec<Subset> = memo.keys().copied().collect();
         components.retain(|&s| !memo.keys().any(|&o| o != s && o & s == s));
+        // Ties by subset, not by the memo's hash order: the same block
+        // must get the same plan every time (a cached plan is asserted
+        // equal to a fresh search's).
         components.sort_by(|a, b| {
             memo[a]
                 .rows
                 .partial_cmp(&memo[b].rows)
                 .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(b))
         });
         let mut acc = components[0];
         for &c in &components[1..] {
@@ -596,7 +699,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
 
         // The view-matching rule.
         if self.config.use_views {
-            let subs = self.engine().find_substitutes(&block);
+            let subs = views.substitutes(&block);
             if self.config.produce_substitutes {
                 stats.alternatives += subs.len();
                 let bound = best.as_ref().map(|(cost, _)| *cost);
@@ -737,7 +840,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         };
         stats.alternatives += 1;
         if self.config.use_views {
-            let subs = self.engine().find_substitutes(info.expr);
+            let subs = views.substitutes(info.expr);
             if self.config.produce_substitutes {
                 if let Some((cost, sub)) =
                     self.cheapest_substitute(views, &subs, Some(best_cost), stats)
@@ -802,7 +905,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
 
         // Alternative 2: whole-query substitutes.
         if self.config.use_views {
-            let subs = self.engine().find_substitutes(info.expr);
+            let subs = views.substitutes(info.expr);
             if self.config.produce_substitutes {
                 if let Some((cost, sub)) =
                     self.cheapest_substitute(views, &subs, Some(best_cost), stats)
@@ -977,7 +1080,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
 
         // The view-matching rule on the pre-aggregated block (Example 4).
         if self.config.use_views {
-            let subs = self.engine().find_substitutes(&pre_block);
+            let subs = views.substitutes(&pre_block);
             if self.config.produce_substitutes {
                 if let Some((cost, sub)) =
                     self.cheapest_substitute(views, &subs, Some(pre_cost), stats)

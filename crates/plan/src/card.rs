@@ -14,7 +14,7 @@
 use crate::spjg::{OutputList, SpjgExpr};
 use mv_catalog::{Catalog, ColumnStats};
 use mv_expr::{BoolExpr, Bound, CmpOp, ColRef, Conjunct, Interval};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Default selectivity for predicates we cannot interpret (LIKE, complex
 /// residuals). The classic System-R guess.
@@ -79,7 +79,9 @@ pub fn estimate_spj_rows(expr: &SpjgExpr, catalog: &Catalog) -> f64 {
     // Accumulate range predicates into per-column intervals so that a
     // BETWEEN pair is costed once, then apply equijoin and residual
     // selectivities independently.
-    let mut intervals: HashMap<ColRef, Interval> = HashMap::new();
+    // Ordered: the selectivities multiply in one order every time, so the
+    // same block always gets the same estimate to the last bit.
+    let mut intervals: BTreeMap<ColRef, Interval> = BTreeMap::new();
     for conj in &expr.conjuncts {
         match conj {
             Conjunct::ColumnEq(a, b) => {

@@ -8,7 +8,7 @@ use mv_expr::{classify, BoolExpr, ColRef, Conjunct, EquivClasses, OccId, ScalarE
 /// "Output columns defined by arithmetic or other expressions must be
 /// assigned names (using the AS clause) so that they can be referred to"
 /// (section 2, Example 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NamedExpr {
     /// The expression.
     pub expr: ScalarExpr,
@@ -31,7 +31,7 @@ impl NamedExpr {
 /// Section 2: "Aggregation functions are limited to sum and count."
 /// `AVG(E)` is rewritten to `SUM(E) / COUNT(*)` by the SQL front end
 /// (section 3.3), so it never reaches the plan layer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)` / `COUNT_BIG(*)`.
     CountStar,
@@ -56,7 +56,7 @@ impl AggFunc {
 }
 
 /// A named aggregate output (`SUM(x) AS name`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct NamedAgg {
     /// The aggregation function.
     pub func: AggFunc,
@@ -75,7 +75,7 @@ impl NamedAgg {
 }
 
 /// The output side of an SPJG block.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OutputList {
     /// Plain projection (no aggregation).
     Spj(Vec<NamedExpr>),
@@ -97,7 +97,7 @@ pub enum OutputList {
 /// Tables are *occurrences*: position `i` in [`SpjgExpr::tables`] is
 /// occurrence [`OccId`]`(i)`, and every [`ColRef`] in the block addresses
 /// `(occurrence, column)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SpjgExpr {
     /// The FROM list: base table of each occurrence.
     pub tables: Vec<TableId>,
