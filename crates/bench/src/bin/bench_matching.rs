@@ -777,6 +777,11 @@ struct MaintainRun {
     fresh_serving_rate: f64,
     incremental: usize,
     recompute: usize,
+    /// Of the (view, round) visits — a view reading the written table —
+    /// the share the round left unchanged ([`DeltaReport::unchanged`]).
+    ///
+    /// [`DeltaReport::unchanged`]: mv_maintain::DeltaReport::unchanged
+    unchanged_share: f64,
 }
 
 /// Register the first `views` workload views with the incremental-
@@ -807,6 +812,7 @@ fn measure_maintain(w: &Workload, views: usize, stream: &[SpjgExpr]) -> Maintain
     let mut deltas = 0usize;
     let (mut fresh, mut served) = (0u64, 0u64);
     let mut serving_probes = 0usize;
+    let (mut visits, mut unchanged) = (0usize, 0usize);
     for round in 0..MAINTAIN_ROUNDS {
         let Some(&table) = tables.get(round % tables.len().max(1)) else {
             break;
@@ -821,8 +827,10 @@ fn measure_maintain(w: &Workload, views: usize, stream: &[SpjgExpr]) -> Maintain
             deletes: vec![rows[round % rows.len()].clone()],
         };
         let t = Instant::now();
-        maintainer.apply_with_engine(&delta, &engine);
+        let done = maintainer.apply_with_engine(&delta, &engine);
         maintain_wall += t.elapsed();
+        visits += done.maintained + done.marked_dirty;
+        unchanged += done.unchanged;
         deltas += 1;
         for q in stream {
             serving_probes += 1;
@@ -855,6 +863,11 @@ fn measure_maintain(w: &Workload, views: usize, stream: &[SpjgExpr]) -> Maintain
         },
         incremental,
         recompute,
+        unchanged_share: if visits == 0 {
+            0.0
+        } else {
+            unchanged as f64 / visits as f64
+        },
     }
 }
 
@@ -1016,12 +1029,13 @@ fn main() {
         let maintain = measure_maintain(&w, m_views, &stream);
         eprintln!(
             "maintenance at {} views ({} incremental / {} recompute): {:.1} us/delta over {} \
-             deltas, {:.1}% of substitutes served fresh",
+             deltas, {:.1}% of view visits unchanged, {:.1}% of substitutes served fresh",
             maintain.views,
             maintain.incremental,
             maintain.recompute,
             maintain.us_per_delta,
             maintain.deltas,
+            maintain.unchanged_share * 100.0,
             maintain.fresh_serving_rate * 100.0
         );
         extra_runs.push(maintain_run_json(&maintain));
@@ -1172,6 +1186,7 @@ mod tests {
             fresh_serving_rate: 0.97,
             incremental: 700,
             recompute: 300,
+            unchanged_share: 0.5,
         };
         let row = maintain_run_json(&run);
         match &row {

@@ -4,7 +4,10 @@
 //! with [`hash_key`] and compares the ids a chain yields against its own
 //! storage. Nothing is allocated per entry, which is what lets the hash
 //! join ([`crate::physical`]) and the group table ([`crate::program`])
-//! key on values borrowed from the rows they index.
+//! key on values borrowed from the rows they index. `mv-maintain` keys
+//! its counting state on the group columns of a view's served rows with
+//! it, and pairs a delta's deleted and inserted rows through it; both
+//! remove ids ([`HashChains::unlink`], [`HashChains::swap_remove`]).
 
 use mv_catalog::Value;
 use std::collections::hash_map::RandomState;
@@ -14,7 +17,7 @@ const NIL: u32 = u32::MAX;
 
 /// Hash of a composite key. Relies on `Value`'s contract that equal
 /// values (including an `Int` and the `Float` it equals) hash equally.
-pub(crate) fn hash_key<'v>(state: &RandomState, key: impl Iterator<Item = &'v Value>) -> u64 {
+pub fn hash_key<'v>(state: &RandomState, key: impl Iterator<Item = &'v Value>) -> u64 {
     let mut h = state.build_hasher();
     for v in key {
         v.hash(&mut h);
@@ -24,7 +27,7 @@ pub(crate) fn hash_key<'v>(state: &RandomState, key: impl Iterator<Item = &'v Va
 
 /// Bucket heads plus one `next` link and one stored hash per id.
 #[derive(Debug, Default)]
-pub(crate) struct HashChains {
+pub struct HashChains {
     /// Power-of-two bucket array (empty until the first id exists).
     heads: Vec<u32>,
     next: Vec<u32>,
@@ -43,7 +46,7 @@ impl HashChains {
     }
 
     /// Forget every id, keeping the allocations.
-    pub(crate) fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.heads.clear();
         self.next.clear();
         self.hashes.clear();
@@ -59,7 +62,7 @@ impl HashChains {
 
     /// Add the next id (`0, 1, 2, …` in call order) under `hash`, doubling
     /// the bucket array whenever it would be more than half full.
-    pub(crate) fn push(&mut self, hash: u64) {
+    pub fn push(&mut self, hash: u64) {
         let id = self.next.len();
         debug_assert!(id < NIL as usize, "id space exceeds u32");
         self.next.push(NIL);
@@ -75,8 +78,45 @@ impl HashChains {
         }
     }
 
+    /// Take `id` out of its chain (no-op when it is not linked). The id
+    /// keeps its number and can be linked again.
+    pub fn unlink(&mut self, id: u32) {
+        if self.heads.is_empty() {
+            return;
+        }
+        let bucket = self.hashes[id as usize] as usize & (self.heads.len() - 1);
+        let after = std::mem::replace(&mut self.next[id as usize], NIL);
+        if self.heads[bucket] == id {
+            self.heads[bucket] = after;
+            return;
+        }
+        let mut cur = self.heads[bucket];
+        while cur != NIL {
+            if self.next[cur as usize] == id {
+                self.next[cur as usize] = after;
+                return;
+            }
+            cur = self.next[cur as usize];
+        }
+    }
+
+    /// Remove `id` the way `Vec::swap_remove` removes an element: the last
+    /// id takes its number (and keeps its hash), and the id space shrinks
+    /// by one. Callers mirror the move in their own storage.
+    pub fn swap_remove(&mut self, id: u32) {
+        let last = self.next.len() as u32 - 1;
+        self.unlink(id);
+        if id != last {
+            let hash = self.hashes[last as usize];
+            self.unlink(last);
+            self.link(id, hash);
+        }
+        self.next.pop();
+        self.hashes.pop();
+    }
+
     /// The linked ids whose stored hash equals `hash`.
-    pub(crate) fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
+    pub fn chain(&self, hash: u64) -> impl Iterator<Item = u32> + '_ {
         let mut cur = match self.heads.len() {
             0 => NIL,
             n => self.heads[hash as usize & (n - 1)],
@@ -127,6 +167,51 @@ mod tests {
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3]);
         assert_eq!(HashChains::with_ids(0).chain(9).count(), 0);
+    }
+
+    /// Removal under colliding hashes: every removed id leaves its chain,
+    /// the moved last id answers under its old hash at its new number, and
+    /// ids pushed afterwards index correctly.
+    #[test]
+    fn swap_remove_renumbers_the_last_id_under_colliding_hashes() {
+        let mut t = HashChains::default();
+        // Three ids share one hash and five another, and the two hashes
+        // collide in the low bits on purpose.
+        let hash = |id: u32| {
+            if id.is_multiple_of(3) {
+                1u64 << 40 | 5
+            } else {
+                2u64 << 40 | 5
+            }
+        };
+        let mut ids: Vec<u32> = (0..8).collect();
+        for &id in &ids {
+            t.push(hash(id));
+        }
+        let check = |t: &HashChains, ids: &[u32]| {
+            for h in [hash(0), hash(1)] {
+                let mut got: Vec<u32> = t.chain(h).map(|slot| ids[slot as usize]).collect();
+                got.sort_unstable();
+                let mut want: Vec<u32> = ids.iter().copied().filter(|&id| hash(id) == h).collect();
+                want.sort_unstable();
+                assert_eq!(got, want, "chain {h:#x}");
+            }
+        };
+        // Remove from the middle, the head of a chain, the last slot, and
+        // down to empty, mirroring each move in `ids`.
+        for slot in [3u32, 0, 5, 0, 2, 1, 1, 0] {
+            t.swap_remove(slot);
+            ids.swap_remove(slot as usize);
+            check(&t, &ids);
+        }
+        // Emptied, so the next id pushed is 0 again.
+        t.push(hash(0));
+        assert_eq!(t.chain(hash(0)).collect::<Vec<_>>(), vec![0]);
+        // An unlinked id is skipped, and unlinking it twice is harmless.
+        t.push(hash(0));
+        t.unlink(0);
+        t.unlink(0);
+        assert_eq!(t.chain(hash(0)).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

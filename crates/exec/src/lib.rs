@@ -32,7 +32,7 @@
 //! the query against base data.*
 
 pub mod agg;
-mod chains;
+pub mod chains;
 pub mod compare;
 pub mod physical;
 pub mod program;

@@ -229,10 +229,13 @@ fn main() -> ExitCode {
     };
     let maintain_summary = if args.maintain > 0 {
         format!(
-            ", {} maintain rounds ({} incremental / {} recompute views) in {} ms",
+            ", {} maintain rounds ({} incremental / {} recompute views, {} of {} view visits \
+             unchanged) in {} ms",
             stats.maintain_rounds,
             stats.maintain_incremental,
             stats.maintain_recompute,
+            stats.maintain_unchanged,
+            stats.maintain_visits,
             stats.maintain_ms
         )
     } else {
@@ -317,6 +320,11 @@ struct WorkloadStats {
     maintain_rounds: usize,
     maintain_incremental: usize,
     maintain_recompute: usize,
+    /// Views reading a written table, summed over the rounds
+    /// (`maintained + marked_dirty`), and those of them the round left
+    /// unchanged.
+    maintain_visits: usize,
+    maintain_unchanged: usize,
     verify_ms: u128,
     exec_ms: u128,
     prove_ms: u128,
@@ -474,7 +482,9 @@ fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
                 inserts: vec![rows[(round + 1) % rows.len()].clone()],
                 deletes: vec![rows[round % rows.len()].clone()],
             };
-            maintainer.apply_with_engine(&delta, &engine);
+            let done = maintainer.apply_with_engine(&delta, &engine);
+            stats.maintain_visits += done.maintained + done.marked_dirty;
+            stats.maintain_unchanged += done.unchanged;
             for (id, _) in views.iter() {
                 if maintainer.is_dirty(id) {
                     maintainer.refresh_with_engine(id, &engine);
@@ -530,10 +540,13 @@ fn envelope_json(args: &Args, report: &Report, stats: &WorkloadStats, title: &st
     let audit_extra = format!(", \"wall_ms\": {}", stats.audit_ms);
     let source_extra = format!(", \"wall_ms\": {}", stats.source_ms);
     let maintain_extra = format!(
-        ", \"rounds\": {}, \"incremental\": {}, \"recompute\": {}, \"wall_ms\": {}",
+        ", \"rounds\": {}, \"incremental\": {}, \"recompute\": {}, \"visits\": {}, \
+         \"unchanged\": {}, \"wall_ms\": {}",
         stats.maintain_rounds,
         stats.maintain_incremental,
         stats.maintain_recompute,
+        stats.maintain_visits,
+        stats.maintain_unchanged,
         stats.maintain_ms
     );
     let mut out = String::from("{\n");

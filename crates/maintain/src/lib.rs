@@ -17,25 +17,33 @@
 //!   ([`PlanProgram::compile_delta`]): the join starts at the delta rows
 //!   and reaches the other tables through their equijoin keys, so a write
 //!   costs what it touches, not the join of everything before `T`.
-//! * **Aggregates** (`COUNT(*)`/`SUM` over integer arguments): the same
-//!   delta joins run over the view's SPJ core (group-by expressions plus
-//!   sum arguments), then fold into counting state — per-group row count
-//!   and per-sum (non-null count, exact integer total). Inserts increment,
-//!   deletes decrement; a group whose count reaches zero is deleted. Only
-//!   the groups a delta row lands in are touched: their served rows are
-//!   rewritten (or removed) in place. `SUM` yields NULL when its non-null
-//!   count is zero, matching [`mv_exec::agg::SumAcc`].
+//! * **Aggregates** (`COUNT(*)`/`SUM`): the same delta joins run over the
+//!   view's SPJ core (group-by expressions plus sum arguments), then fold
+//!   into counting state — per-group row count and per-sum (non-null
+//!   count, exact integer total), stored flat beside the served rows.
+//!   Inserts increment, deletes decrement; a group whose count reaches
+//!   zero is deleted. Only the groups a delta row lands in are touched:
+//!   their served rows are rewritten (or removed) in place. `SUM` yields
+//!   NULL when its non-null count is zero, matching
+//!   [`mv_exec::agg::SumAcc`].
 //!
 //! Deletes are resolved against the base table first: only rows the table
 //! actually held propagate, so a delta naming an absent row changes
-//! nothing but [`DeltaReport::rows_deleted`].
+//! nothing but [`DeltaReport::rows_deleted`]. A removed row and an inserted
+//! row that are identical on every column of the table a view references
+//! cancel for that view: only the unpaired rest is delta-joined, and a
+//! view with no rest is unchanged ([`DeltaReport::unchanged`]).
 //!
-//! Self-joins (a table occurring twice) and float-typed sums fall back to
-//! recompute-from-scratch: the former needs quadratic delta terms, and the
-//! latter cannot reproduce `SumAcc`'s order-dependent float accumulation
-//! by adding and subtracting deltas. Such views are marked *dirty* by a
-//! relevant delta and recomputed by [`Maintainer::refresh`]. Initial
-//! materialization and refresh run the view's compiled [`PlanProgram`].
+//! Only self-joins (a table occurring twice) are classified for
+//! recompute-from-scratch: they need quadratic delta terms, so a relevant
+//! write marks them *dirty* and [`Maintainer::refresh`] recomputes them.
+//! A `SUM` that meets a `Float` value falls back by value instead: float
+//! accumulation depends on the order of the rows, so adding and
+//! subtracting deltas cannot reproduce [`mv_exec::agg::SumAcc`]'s
+//! from-scratch result. The round marks the view dirty, and a refresh
+//! serves the whole view's program output for as long as a float is still
+//! there. Initial materialization and refresh run the view's compiled
+//! [`PlanProgram`].
 //!
 //! The audit side ([`Maintainer::audit`], [`audit_serving`]) checks the
 //! MV4xx invariants: maintained contents equal recompute-from-scratch as
@@ -45,12 +53,14 @@
 //! Its reference is the tree-walk interpreter, which shares nothing with
 //! the compiled programs maintenance runs.
 
-use mv_catalog::{ColumnType, TableId, Value};
+use mv_catalog::{TableId, Value};
 use mv_core::MatchingEngine;
 use mv_data::{Database, Row};
+use mv_exec::chains::{hash_key, HashChains};
 use mv_exec::{bag_diff, execute_spjg, execute_substitute_with, ExecScratch, PlanProgram, RowBag};
 use mv_plan::{AggFunc, NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_verify::{Diagnostic, RuleId, Severity};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 
 /// One write round against a base table: a bag of inserted rows and a bag
@@ -95,12 +105,20 @@ pub enum MaintainStrategy {
     Recompute,
 }
 
-/// What one [`Maintainer::apply`] call did.
+/// What one [`Maintainer::apply`] call did. `maintained + marked_dirty`
+/// is the number of registered views reading the written table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaReport {
-    /// Views updated in place by delta propagation.
+    /// Views whose contents track the round: updated in place by delta
+    /// propagation, or left unchanged by it.
     pub maintained: usize,
-    /// Views marked dirty (recompute strategy, or already dirty).
+    /// Of `maintained`, the views whose referenced columns the round left
+    /// unchanged: every removed row cancelled against an inserted row
+    /// identical on them, so nothing was delta-joined (and a recompute
+    /// view was not dirtied).
+    pub unchanged: usize,
+    /// Views marked dirty (recompute strategy, a `Float` reaching a
+    /// `SUM`, or already dirty).
     pub marked_dirty: usize,
     /// Base rows actually removed (shortfall against `deletes.len()` means
     /// the delta named rows the table did not contain).
@@ -110,7 +128,8 @@ pub struct DeltaReport {
 /// Exact integer SUM state: NULLs are skipped (`nonnull` counts the rest),
 /// and the total uses the same wrapping arithmetic as
 /// [`mv_exec::agg::SumAcc`], so adding then subtracting a delta restores
-/// the previous state bit-for-bit.
+/// the previous state bit-for-bit. A `Float` never reaches it:
+/// [`AggCore::holds_float`] turns such rows away first.
 #[derive(Debug, Clone, Copy, Default)]
 struct SumState {
     nonnull: i64,
@@ -142,15 +161,6 @@ impl SumState {
     }
 }
 
-/// Counting state for one group.
-#[derive(Debug, Clone)]
-struct GroupState {
-    count: i64,
-    sums: Vec<SumState>,
-    /// Index of the group's row in the view's served contents.
-    row: usize,
-}
-
 /// Which core-output slot feeds each aggregate of the view.
 #[derive(Debug, Clone, Copy)]
 enum AggSpec {
@@ -158,25 +168,62 @@ enum AggSpec {
     Sum { slot: usize, zero_default: bool },
 }
 
+impl AggSpec {
+    fn sum_slot(&self) -> Option<usize> {
+        match self {
+            AggSpec::CountStar => None,
+            AggSpec::Sum { slot, .. } => Some(*slot),
+        }
+    }
+}
+
 /// The counting rollup of an aggregate view. The delta joins evaluate the
 /// view's SPJ core — the group-by expressions followed by every sum
 /// argument — and [`AggCore::fold`] rolls those rows up.
+///
+/// The state is flat and sits beside the view's served rows: group `g`
+/// owns `counts[g]`, `sums[g * n_sums..]` and, for a grouped view,
+/// `rows[g]`, whose first `n_keys` columns are the group key. `index`
+/// finds a group by the hash of its key, and the key is compared in place
+/// in the served row, so no key is stored twice. A scalar aggregate (no
+/// group-by) has at most one group and always serves one row, `rows[0]`,
+/// which its group — when it has one — owns.
 #[derive(Debug)]
 struct AggCore {
     n_keys: usize,
+    n_sums: usize,
     aggs: Vec<AggSpec>,
-    /// One entry per group with a positive count. A grouped view serves
-    /// exactly one row per entry; a scalar aggregate (no group-by) serves
-    /// one row always, which its single group — when it has one — owns.
-    groups: HashMap<Vec<Value>, GroupState>,
+    counts: Vec<i64>,
+    sums: Vec<SumState>,
+    index: HashChains,
+    hasher: RandomState,
+    /// `false` while the served rows are the whole view's program output
+    /// rather than this rollup's: the last materialization met a `Float`
+    /// in a `SUM`, and the counting state is empty.
+    exact: bool,
+    /// The whole view's program, compiled the first time a float makes it
+    /// necessary.
+    whole: Option<Box<PlanProgram>>,
 }
 
 impl AggCore {
-    fn n_sums(&self) -> usize {
-        self.aggs
-            .iter()
-            .filter(|a| matches!(a, AggSpec::Sum { .. }))
-            .count()
+    /// Forget every group.
+    fn clear(&mut self) {
+        self.counts.clear();
+        self.sums.clear();
+        self.index.clear();
+    }
+
+    /// Does a `Float` reach a `SUM` in these core rows? Float accumulation
+    /// depends on the order of the rows, so such rows cannot be folded in
+    /// and out exactly.
+    fn holds_float(&self, core: &RowBag) -> bool {
+        core.rows().any(|row| {
+            self.aggs
+                .iter()
+                .filter_map(AggSpec::sum_slot)
+                .any(|slot| matches!(row[slot], Value::Float(_)))
+        })
     }
 
     /// The served contents of a view with no groups: nothing, or — like
@@ -187,7 +234,7 @@ impl AggCore {
             return Vec::new();
         }
         let mut row = vec![Value::Null; self.aggs.len()];
-        let no_sums = vec![SumState::default(); self.n_sums()];
+        let no_sums = vec![SumState::default(); self.n_sums];
         Self::write_aggs(&self.aggs, &mut row, 0, &no_sums);
         vec![row]
     }
@@ -207,6 +254,46 @@ impl AggCore {
         }
     }
 
+    /// Rewrite the aggregate columns of group `g`'s served row.
+    fn write_row(&self, rows: &mut [Row], g: usize) {
+        let sums = &self.sums[g * self.n_sums..(g + 1) * self.n_sums];
+        Self::write_aggs(
+            &self.aggs,
+            &mut rows[g][self.n_keys..],
+            self.counts[g],
+            sums,
+        );
+    }
+
+    fn hash(&self, key: &[Value]) -> u64 {
+        hash_key(&self.hasher, key.iter())
+    }
+
+    /// The group whose key (hashing to `hash`) is `key`.
+    fn find(&self, rows: &[Row], key: &[Value], hash: u64) -> Option<usize> {
+        self.index
+            .chain(hash)
+            .map(|g| g as usize)
+            .find(|&g| rows[g][..self.n_keys] == *key)
+    }
+
+    /// Open a group at count zero; a grouped view's new row (key, then
+    /// NULLs) is appended to `rows`.
+    fn push_group(&mut self, rows: &mut Vec<Row>, key: &[Value], hash: u64) -> usize {
+        if self.n_keys > 0 {
+            let width = self.n_keys + self.aggs.len();
+            let mut row = Vec::with_capacity(width);
+            row.extend_from_slice(key);
+            row.resize(width, Value::Null);
+            rows.push(row);
+        }
+        self.index.push(hash);
+        self.counts.push(0);
+        self.sums
+            .resize(self.sums.len() + self.n_sums, SumState::default());
+        self.counts.len() - 1
+    }
+
     /// Fold one bag of core rows into the counting state with the given
     /// sign (+1 insert, −1 delete) and bring `rows`, the view's served
     /// contents, up to date for exactly the groups the bag touches: a
@@ -215,59 +302,41 @@ impl AggCore {
     fn fold(&mut self, rows: &mut Vec<Row>, core: &RowBag, sign: i64) {
         for core_row in core.rows() {
             let key = &core_row[..self.n_keys];
-            let g = match self.groups.get_mut(key) {
+            let hash = self.hash(key);
+            let g = match self.find(rows, key, hash) {
                 Some(g) => g,
                 // A delete from a group the rollup never held: the state
                 // has drifted, which the audit reports.
                 None if sign < 0 => continue,
-                None => {
-                    if self.n_keys > 0 {
-                        let mut row = key.to_vec();
-                        row.resize(self.n_keys + self.aggs.len(), Value::Null);
-                        rows.push(row);
-                    }
-                    let state = GroupState {
-                        count: 0,
-                        sums: vec![SumState::default(); self.n_sums()],
-                        row: rows.len() - 1,
-                    };
-                    self.groups.entry(key.to_vec()).or_insert(state)
-                }
+                None => self.push_group(rows, key, hash),
             };
-            g.count += sign;
-            let mut sums = g.sums.iter_mut();
-            for spec in &self.aggs {
-                if let AggSpec::Sum { slot, .. } = spec {
-                    sums.next()
-                        .expect("one state per sum")
-                        .fold(&core_row[*slot], sign);
-                }
+            self.counts[g] += sign;
+            let slots = self.aggs.iter().filter_map(AggSpec::sum_slot);
+            let sums = &mut self.sums[g * self.n_sums..(g + 1) * self.n_sums];
+            for (sum, slot) in sums.iter_mut().zip(slots) {
+                sum.fold(&core_row[slot], sign);
             }
-            let out = &mut rows[g.row][self.n_keys..];
-            Self::write_aggs(&self.aggs, out, g.count, &g.sums);
-            if g.count <= 0 {
-                self.remove_group(rows, key);
+            self.write_row(rows, g);
+            if self.counts[g] <= 0 {
+                self.remove_group(rows, g);
             }
         }
     }
 
-    /// Drop a group and, for a grouped view, its served row; the row that
-    /// takes its place in `rows` is re-pointed. (A scalar aggregate keeps
-    /// its one row, which [`AggCore::fold`] has by then rewritten to the
-    /// empty-input form.)
-    fn remove_group(&mut self, rows: &mut Vec<Row>, key: &[Value]) {
-        let Some(gone) = self.groups.remove(key) else {
-            return;
-        };
-        if self.n_keys == 0 {
-            return;
-        }
-        rows.swap_remove(gone.row);
-        if let Some(moved) = rows.get(gone.row) {
-            self.groups
-                .get_mut(&moved[..self.n_keys])
-                .expect("every served row of a grouped view has its group")
-                .row = gone.row;
+    /// Drop group `g` from every array, the way `Vec::swap_remove` does:
+    /// the last group takes its number (and, for a grouped view, its row
+    /// takes `g`'s place in `rows`). A scalar aggregate keeps its one row,
+    /// which [`AggCore::fold`] has by then rewritten to the empty-input
+    /// form.
+    fn remove_group(&mut self, rows: &mut Vec<Row>, g: usize) {
+        let n = self.n_sums;
+        let last = self.counts.len() - 1;
+        self.index.swap_remove(g as u32);
+        self.counts.swap_remove(g);
+        self.sums.copy_within(last * n..(last + 1) * n, g * n);
+        self.sums.truncate(last * n);
+        if self.n_keys > 0 {
+            rows.swap_remove(g);
         }
     }
 }
@@ -289,26 +358,49 @@ struct MaintainedView {
     agg: Option<AggCore>,
     /// The served contents, kept current by every delta.
     rows: Vec<Row>,
-    /// Recompute pending: a relevant write happened and the view has not
-    /// been refreshed since.
+    /// Recompute pending: a write changed what the view reads, the view
+    /// could not take it in place, and it has not been refreshed since.
     dirty: bool,
 }
 
 impl MaintainedView {
     /// Recompute the contents (and the rollup) from the base tables.
     fn materialize(&mut self, db: &Database, exec: &mut ExecBuffers) {
-        let ExecBuffers { scratch, bag } = exec;
+        let ExecBuffers { scratch, bags, .. } = exec;
+        let bag = &mut bags[0];
         self.prog.execute(db, scratch, bag);
-        match &mut self.agg {
-            Some(agg) => {
-                agg.groups.clear();
-                self.rows = agg.empty_rows();
-                agg.fold(&mut self.rows, bag, 1);
-            }
-            None => self.rows = bag.to_rows(),
-        }
         self.dirty = false;
+        let Some(agg) = &mut self.agg else {
+            self.rows = bag.to_rows();
+            return;
+        };
+        agg.clear();
+        agg.exact = !agg.holds_float(bag);
+        if agg.exact {
+            self.rows = agg.empty_rows();
+            agg.fold(&mut self.rows, bag, 1);
+        } else {
+            let whole = agg
+                .whole
+                .get_or_insert_with(|| Box::new(PlanProgram::compile(&db.catalog, &self.expr)));
+            whole.execute(db, scratch, bag);
+            self.rows = bag.to_rows();
+        }
     }
+
+    /// Can a write that changes what the view reads be applied in place?
+    fn in_place(&self) -> bool {
+        self.strategy == MaintainStrategy::Incremental && self.agg.as_ref().is_none_or(|a| a.exact)
+    }
+}
+
+/// A view reading a table: its slot in [`Maintainer::views`], and the
+/// columns of the table it references in any occurrence — conjuncts,
+/// outputs, group-by and `SUM` arguments — ascending. The view's contents
+/// depend on the table through these columns only.
+struct Reader {
+    slot: usize,
+    cols: Box<[usize]>,
 }
 
 /// The maintenance driver: owns the base data and every registered view's
@@ -319,9 +411,9 @@ pub struct Maintainer {
     views: Vec<MaintainedView>,
     /// Where each registered id sits in `views`.
     slots: HashMap<ViewId, usize>,
-    /// The views (as `views` indices, ascending) reading each base table:
-    /// a write visits these and no others.
-    by_table: HashMap<TableId, Vec<usize>>,
+    /// The views reading each base table, by ascending slot: a write visits
+    /// these and no others.
+    by_table: HashMap<TableId, Vec<Reader>>,
     /// Boxed: callers hold the driver by value (in enums, next to much
     /// smaller variants) and move it; the buffers need not move with it.
     exec: Box<ExecBuffers>,
@@ -331,7 +423,92 @@ pub struct Maintainer {
 #[derive(Default)]
 struct ExecBuffers {
     scratch: ExecScratch,
-    bag: RowBag,
+    /// Materialization uses the first; a round's delta joins fill the
+    /// first from its removed rows and the second from its inserted rows.
+    bags: [RowBag; 2],
+    pairs: Pairs,
+}
+
+/// Up to this many (removed × inserted) row comparisons a round pairs its
+/// rows by scanning; past it, by hashing.
+const LINEAR_PAIRS: usize = 16;
+
+/// Scratch for cancelling a round's removed rows against its inserted rows.
+#[derive(Default)]
+struct Pairs {
+    index: HashChains,
+    hasher: RandomState,
+    /// Per removed row: cancelled against an inserted row?
+    paired: Vec<bool>,
+    /// Positions of the inserted rows nothing cancelled.
+    lone: Vec<usize>,
+    /// Copies of a partly cancelled round's remainder.
+    minus: Vec<Row>,
+    plus: Vec<Row>,
+}
+
+/// Same variant and same value (`Value::eq` on it, so `NULL` matches
+/// `NULL` and floats compare by normalized bits). Unlike `Value::eq`,
+/// `Int(3)` is not `Float(3.0)`: the two differ in what a `SUM` over them
+/// yields.
+fn identical(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
+}
+
+impl Pairs {
+    /// Pair each removed row with an inserted row identical to it on
+    /// `cols`, and return the unpaired rest of each side. A view that
+    /// references no other column of the table sees a cancelled pair as no
+    /// change at all, so the rest is all it has to delta-join.
+    fn remainder<'a>(
+        &'a mut self,
+        cols: &[usize],
+        removed: &'a [Row],
+        inserted: &'a [Row],
+    ) -> (&'a [Row], &'a [Row]) {
+        let same = |a: &Row, b: &Row| cols.iter().all(|&c| identical(&a[c], &b[c]));
+        self.paired.clear();
+        self.paired.resize(removed.len(), false);
+        self.lone.clear();
+        if removed.len() * inserted.len() <= LINEAR_PAIRS {
+            for (j, ins) in inserted.iter().enumerate() {
+                match (0..removed.len()).find(|&i| !self.paired[i] && same(&removed[i], ins)) {
+                    Some(i) => self.paired[i] = true,
+                    None => self.lone.push(j),
+                }
+            }
+        } else {
+            let hash = |row: &Row| hash_key(&self.hasher, cols.iter().map(|&c| &row[c]));
+            self.index.clear();
+            for row in removed {
+                self.index.push(hash(row));
+            }
+            for (j, ins) in inserted.iter().enumerate() {
+                let found = self
+                    .index
+                    .chain(hash(ins))
+                    .find(|&i| same(&removed[i as usize], ins));
+                match found {
+                    // Unlinked, so a later insert cannot pair with it too.
+                    Some(i) => {
+                        self.index.unlink(i);
+                        self.paired[i as usize] = true;
+                    }
+                    None => self.lone.push(j),
+                }
+            }
+        }
+        if self.lone.len() == inserted.len() {
+            return (removed, inserted);
+        }
+        self.minus.clear();
+        self.plus.clear();
+        let unpaired = removed.iter().zip(&self.paired).filter(|(_, &p)| !p);
+        self.minus.extend(unpaired.map(|(row, _)| row.clone()));
+        self.plus
+            .extend(self.lone.iter().map(|&j| inserted[j].clone()));
+        (&self.minus, &self.plus)
+    }
 }
 
 impl Maintainer {
@@ -354,13 +531,13 @@ impl Maintainer {
 
     /// Materialize and register a view for maintenance under the id the
     /// matching engine knows it by (an id registered again answers to its
-    /// latest registration). Returns the chosen strategy:
-    /// incremental when every base table occurs once and (for aggregate
-    /// views) every aggregate is `COUNT(*)` or an integer-typed `SUM`;
-    /// recompute otherwise.
+    /// latest registration). Returns the chosen strategy: incremental when
+    /// every base table occurs once, recompute for a self-join. (An
+    /// incremental aggregate view still falls back to recompute for as
+    /// long as a `Float` reaches one of its `SUM`s.)
     pub fn register(&mut self, id: ViewId, def: &ViewDef) -> MaintainStrategy {
         let expr = def.expr.clone();
-        let strategy = self.classify(&expr);
+        let strategy = classify(&expr);
         let catalog = &self.db.catalog;
         let incremental = strategy == MaintainStrategy::Incremental;
         let rollup = (incremental && expr.is_aggregate()).then(|| build_agg_core(&expr));
@@ -385,15 +562,13 @@ impl Maintainer {
             dirty: false,
         };
         view.materialize(&self.db, &mut self.exec);
-        let mut tables = view.expr.tables.clone();
-        tables.sort_unstable();
-        tables.dedup();
+        let reads = read_columns(&view.expr);
         let slot = match self.slots.get(&id) {
             // Registered again: the new state takes the id's slot, and the
             // slot leaves the lists of the tables the old definition read.
             Some(&slot) => {
-                for views in self.by_table.values_mut() {
-                    views.retain(|&s| s != slot);
+                for readers in self.by_table.values_mut() {
+                    readers.retain(|r| r.slot != slot);
                 }
                 self.views[slot] = view;
                 slot
@@ -405,36 +580,12 @@ impl Maintainer {
                 slot
             }
         };
-        for table in tables {
-            let views = self.by_table.entry(table).or_default();
-            let at = views.partition_point(|&s| s < slot);
-            views.insert(at, slot);
+        for (table, cols) in reads {
+            let readers = self.by_table.entry(table).or_default();
+            let at = readers.partition_point(|r| r.slot < slot);
+            readers.insert(at, Reader { slot, cols });
         }
         strategy
-    }
-
-    fn classify(&self, expr: &SpjgExpr) -> MaintainStrategy {
-        let mut tables: Vec<TableId> = expr.tables.clone();
-        tables.sort_unstable();
-        let single_occurrence = tables.windows(2).all(|w| w[0] != w[1]);
-        if !single_occurrence {
-            return MaintainStrategy::Recompute;
-        }
-        if let OutputList::Aggregate { aggregates, .. } = &expr.output {
-            for agg in aggregates {
-                if let Some(arg) = agg.func.argument() {
-                    let ty = arg.infer_type(&|c| expr.col_type(&self.db.catalog, c));
-                    if ty != Some(ColumnType::Int) {
-                        // Float sums accumulate order-dependently; an
-                        // add-then-subtract round trip need not restore
-                        // the recompute value, so only exact integer sums
-                        // self-maintain.
-                        return MaintainStrategy::Recompute;
-                    }
-                }
-            }
-        }
-        MaintainStrategy::Incremental
     }
 
     fn view(&self, id: ViewId) -> Option<&MaintainedView> {
@@ -457,10 +608,48 @@ impl Maintainer {
         self.view(id).is_some_and(|v| v.dirty)
     }
 
+    /// Reject a malformed delta before anything changes.
+    ///
+    /// # Panics
+    ///
+    /// If the delta's table is not in the catalog, or any inserted or
+    /// deleted row's arity is not the table's.
+    fn check_delta(&self, delta: &TableDelta) {
+        let catalog = &self.db.catalog;
+        assert!(
+            (delta.table.0 as usize) < catalog.table_count(),
+            "delta against table {} the catalog does not hold",
+            delta.table.0
+        );
+        let table = catalog.table(delta.table);
+        let arity = table.columns.len();
+        assert!(
+            delta
+                .inserts
+                .iter()
+                .chain(&delta.deletes)
+                .all(|r| r.len() == arity),
+            "row arity mismatch for table {}",
+            table.name
+        );
+    }
+
     /// Apply one write round: apply the delta to the base table, then
     /// propagate the rows actually removed and the rows inserted into
     /// every registered view that reads the table (or mark it dirty).
+    ///
+    /// # Panics
+    ///
+    /// If the delta names a table the catalog does not hold, or holds a
+    /// row whose arity is not the table's. Both are checked before
+    /// anything is changed, so the base data and every view are left as
+    /// they were.
     pub fn apply(&mut self, delta: &TableDelta) -> DeltaReport {
+        self.check_delta(delta);
+        self.propagate(delta)
+    }
+
+    fn propagate(&mut self, delta: &TableDelta) -> DeltaReport {
         let Maintainer {
             db,
             views,
@@ -468,7 +657,11 @@ impl Maintainer {
             exec,
             ..
         } = self;
-        let ExecBuffers { scratch, bag } = &mut **exec;
+        let ExecBuffers {
+            scratch,
+            bags,
+            pairs,
+        } = &mut **exec;
         // An incremental view reads the written table once, and that one
         // occurrence is what the delta rows stand in for: its delta joins
         // see only the *other* tables, which this round does not change,
@@ -480,9 +673,19 @@ impl Maintainer {
             rows_deleted: removed.len(),
             ..DeltaReport::default()
         };
-        for &slot in by_table.get(&delta.table).into_iter().flatten() {
-            let view = &mut views[slot];
-            if view.strategy == MaintainStrategy::Recompute || view.dirty {
+        for reader in by_table.get(&delta.table).into_iter().flatten() {
+            let view = &mut views[reader.slot];
+            if view.dirty {
+                report.marked_dirty += 1;
+                continue;
+            }
+            let (minus, plus) = pairs.remainder(&reader.cols, &removed, &delta.inserts);
+            if minus.is_empty() && plus.is_empty() {
+                report.unchanged += 1;
+                report.maintained += 1;
+                continue;
+            }
+            if !view.in_place() {
                 view.dirty = true;
                 report.marked_dirty += 1;
                 continue;
@@ -494,15 +697,24 @@ impl Maintainer {
                 .position(|&t| t == delta.table)
                 .expect("by_table lists only views reading the table");
             let prog = &view.delta_progs[occ];
-            for (delta_rows, sign) in [(&removed, -1), (&delta.inserts, 1)] {
-                if delta_rows.is_empty() {
+            // Both delta joins run before either is applied, so a view
+            // that cannot take the round keeps its last consistent rows.
+            let [minus_bag, plus_bag] = bags;
+            prog.execute_delta(db, minus, scratch, minus_bag);
+            prog.execute_delta(db, plus, scratch, plus_bag);
+            match &mut view.agg {
+                Some(agg) if agg.holds_float(minus_bag) || agg.holds_float(plus_bag) => {
+                    view.dirty = true;
+                    report.marked_dirty += 1;
                     continue;
                 }
-                prog.execute_delta(db, delta_rows, scratch, bag);
-                match &mut view.agg {
-                    Some(agg) => agg.fold(&mut view.rows, bag, sign),
-                    None if sign < 0 => bag_remove(&mut view.rows, bag),
-                    None => view.rows.extend(bag.rows().map(<[Value]>::to_vec)),
+                Some(agg) => {
+                    agg.fold(&mut view.rows, minus_bag, -1);
+                    agg.fold(&mut view.rows, plus_bag, 1);
+                }
+                None => {
+                    bag_remove(&mut view.rows, minus_bag);
+                    view.rows.extend(plus_bag.rows().map(<[Value]>::to_vec));
                 }
             }
             report.maintained += 1;
@@ -512,24 +724,30 @@ impl Maintainer {
 
     /// [`Maintainer::apply`] plus engine bookkeeping: records the write
     /// round ([`MatchingEngine::record_base_write`]) and restamps every
-    /// view updated in place with one
-    /// [`MatchingEngine::mark_views_maintained`] publication, so
-    /// freshness-aware matching sees exactly the views whose contents
-    /// track the new data. Dirty views stay stale until
+    /// view whose contents track the round — updated in place or left
+    /// unchanged — with one [`MatchingEngine::mark_views_maintained`]
+    /// publication, so freshness-aware matching sees exactly the views
+    /// whose contents track the new data. Dirty views stay stale until
     /// [`Maintainer::refresh_with_engine`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Maintainer::apply`], before the write is recorded: a malformed
+    /// delta leaves the engine's epochs and stamps as they were too.
     pub fn apply_with_engine(
         &mut self,
         delta: &TableDelta,
         engine: &MatchingEngine,
     ) -> DeltaReport {
+        self.check_delta(delta);
         engine.record_base_write(delta.table);
-        let report = self.apply(delta);
+        let report = self.propagate(delta);
         let maintained: Vec<ViewId> = self
             .by_table
             .get(&delta.table)
             .into_iter()
             .flatten()
-            .map(|&slot| &self.views[slot])
+            .map(|r| &self.views[r.slot])
             .filter(|view| !view.dirty)
             .map(|view| view.id)
             .collect();
@@ -566,16 +784,14 @@ impl Maintainer {
         let mut out = Vec::new();
         for view in &self.views {
             if let Some(agg) = &view.agg {
-                for (key, g) in &agg.groups {
-                    if g.count <= 0 {
+                for (g, &count) in agg.counts.iter().enumerate() {
+                    if count <= 0 {
+                        let key = view.rows.get(g).map_or(&[][..], |row| &row[..agg.n_keys]);
                         out.push(
                             Diagnostic::new(
                                 RuleId::ZombieGroup,
                                 Severity::Error,
-                                format!(
-                                    "group {key:?} held at count {} after maintenance",
-                                    g.count
-                                ),
+                                format!("group {key:?} held at count {count} after maintenance"),
                             )
                             .with_view(&view.name),
                         );
@@ -614,12 +830,11 @@ impl Maintainer {
             _ if view.rows.is_empty() => false,
             // A scalar aggregate always serves its one row.
             Some(agg) if agg.n_keys == 0 => false,
-            Some(agg) => {
-                let key = view.rows[0][..agg.n_keys].to_vec();
-                agg.remove_group(&mut view.rows, &key);
+            Some(agg) if agg.exact => {
+                agg.remove_group(&mut view.rows, 0);
                 true
             }
-            None => {
+            _ => {
                 view.rows.remove(0);
                 true
             }
@@ -636,24 +851,54 @@ impl Maintainer {
             return false;
         };
         let view = &mut self.views[slot];
-        let Some(agg) = &mut view.agg else {
+        let Some(agg) = view.agg.as_mut().filter(|a| a.exact) else {
             return false;
         };
-        if key.len() != agg.n_keys || key.is_empty() || agg.groups.contains_key(&key) {
+        if key.len() != agg.n_keys || key.is_empty() {
             return false;
         }
-        let state = GroupState {
-            count: 0,
-            sums: vec![SumState::default(); agg.n_sums()],
-            row: view.rows.len(),
-        };
-        let mut row = key.clone();
-        row.resize(agg.n_keys + agg.aggs.len(), Value::Null);
-        AggCore::write_aggs(&agg.aggs, &mut row[agg.n_keys..], 0, &state.sums);
-        view.rows.push(row);
-        agg.groups.insert(key, state);
+        let hash = agg.hash(&key);
+        if agg.find(&view.rows, &key, hash).is_some() {
+            return false;
+        }
+        let g = agg.push_group(&mut view.rows, &key, hash);
+        agg.write_row(&mut view.rows, g);
         true
     }
+}
+
+/// Incremental when every base table occurs once; a self-join would need
+/// the delta's cross terms, so it is recomputed.
+fn classify(expr: &SpjgExpr) -> MaintainStrategy {
+    let mut tables: Vec<TableId> = expr.tables.clone();
+    tables.sort_unstable();
+    if tables.windows(2).any(|w| w[0] == w[1]) {
+        MaintainStrategy::Recompute
+    } else {
+        MaintainStrategy::Incremental
+    }
+}
+
+/// Each table `expr` reads, with the columns of it the view references in
+/// any occurrence, ascending (none, for a table only counted).
+fn read_columns(expr: &SpjgExpr) -> Vec<(TableId, Box<[usize]>)> {
+    let referenced = expr.referenced_columns();
+    let mut tables = expr.tables.clone();
+    tables.sort_unstable();
+    tables.dedup();
+    tables
+        .into_iter()
+        .map(|table| {
+            let mut cols: Vec<usize> = referenced
+                .iter()
+                .filter(|c| expr.table_of(c.occ) == table)
+                .map(|c| c.col.0 as usize)
+                .collect();
+            cols.sort_unstable();
+            cols.dedup();
+            (table, cols.into_boxed_slice())
+        })
+        .collect()
 }
 
 /// Build the counting rollup for an aggregate view, and the SPJ core its
@@ -690,10 +935,17 @@ fn build_agg_core(expr: &SpjgExpr) -> (AggCore, SpjgExpr) {
         conjuncts: expr.conjuncts.clone(),
         output: OutputList::Spj(outputs),
     };
+    let n_sums = aggs.iter().filter_map(AggSpec::sum_slot).count();
     let agg = AggCore {
         n_keys,
+        n_sums,
         aggs,
-        groups: HashMap::new(),
+        counts: Vec::new(),
+        sums: Vec::new(),
+        index: HashChains::default(),
+        hasher: RandomState::new(),
+        exact: true,
+        whole: None,
     };
     (agg, core)
 }

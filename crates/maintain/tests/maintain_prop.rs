@@ -3,15 +3,23 @@
 //! contents equal recompute-from-scratch as row bags after *every* step —
 //! for SPJ and aggregate views on the incremental path, and for a
 //! self-join view on the recompute-fallback path (refreshed each step).
+//!
+//! Around it: update-shaped deltas cancel for exactly the views that do
+//! not reference the changed columns (checked against a model built from
+//! `SpjgExpr::referenced_columns`), a `SUM` over a `Float`-declared column
+//! is maintained in place while its values are integers and falls back to
+//! recompute at the first float, and a malformed delta changes nothing.
 
 use mv_catalog::schema::TableBuilder;
 use mv_catalog::{Catalog, ColumnType, TableId, Value};
+use mv_core::{MatchConfig, MatchingEngine};
 use mv_data::{Database, Row};
 use mv_exec::{bag_diff, execute_spjg};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_maintain::{MaintainStrategy, Maintainer, TableDelta};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef, ViewId};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn cr(occ: u32, col: u32) -> ColRef {
     ColRef::new(occ, col)
@@ -235,7 +243,8 @@ proptest! {
                 }
             }
             if op == 3 {
-                delta.deletes.push(vec![Value::Int(-1); existing.first().map_or(2, Vec::len)]);
+                let arity = f.maintainer.db().catalog.table(table).columns.len();
+                delta.deletes.push(vec![Value::Int(-1); arity]);
             }
             let report = f.maintainer.apply(&delta);
             prop_assert_eq!(
@@ -267,8 +276,8 @@ fn delete_of_an_absent_row_reaches_no_view() {
         let report = f.maintainer.apply(&TableDelta::delete(table, vec![row]));
         assert_eq!(report.rows_deleted, 0);
     }
-    // The self-join view is marked dirty, not changed; the others must
-    // hold exactly what they held.
+    // Nothing left either table, so no view changed or was marked dirty.
+    assert!(f.views.iter().all(|(id, _)| !f.maintainer.is_dirty(*id)));
     check_all(&mut f, 1);
     for ((id, _), rows) in f.views.iter().zip(&before) {
         let now = f.maintainer.contents(*id).expect("registered");
@@ -301,4 +310,430 @@ fn refresh_keeps_registration_order() {
         })
         .collect();
     assert_eq!(order, ["agg_by_g", "self_join"]);
+}
+
+/// Same variant and same value: `Int(3)` is not `Float(3.0)`, `NULL` is
+/// `NULL`.
+fn identical(a: &Value, b: &Value) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
+}
+
+/// The columns of `table` a view references, in any occurrence.
+fn read_cols(expr: &SpjgExpr, table: TableId) -> Vec<usize> {
+    expr.referenced_columns()
+        .iter()
+        .filter(|c| expr.table_of(c.occ) == table)
+        .map(|c| c.col.0 as usize)
+        .collect()
+}
+
+/// The rows a view reading `cols` must still delta-join after each removed
+/// row cancels against an inserted row identical to it on `cols`: the
+/// unpaired removed rows, then the unpaired inserted rows. (Greedy
+/// pairing is a maximum one: "identical on `cols`" is an equivalence.)
+fn model_remainder(cols: &[usize], removed: &[Row], inserted: &[Row]) -> (Vec<Row>, Vec<Row>) {
+    let mut minus = removed.to_vec();
+    let mut plus = Vec::new();
+    for ins in inserted {
+        match minus
+            .iter()
+            .position(|r| cols.iter().all(|&c| identical(&r[c], &ins[c])))
+        {
+            Some(at) => {
+                minus.remove(at);
+            }
+            None => plus.push(ins.clone()),
+        }
+    }
+    (minus, plus)
+}
+
+/// The stored rows `deletes` removes, as `Database::delete_rows` picks
+/// them: each stored row, in storage order, that equals a pending delete.
+fn removed_by(stored: &[Row], deletes: &[Row]) -> Vec<Row> {
+    let mut pending: Vec<&Row> = deletes.iter().collect();
+    stored
+        .iter()
+        .filter(|r| match pending.iter().position(|p| *p == *r) {
+            Some(at) => {
+                pending.swap_remove(at);
+                true
+            }
+            None => false,
+        })
+        .cloned()
+        .collect()
+}
+
+/// `old` with one column's value replaced: by itself (so `NULL → NULL`
+/// stays `NULL`), by the equal `Float` of an `Int` (`Int(3) → Float(3.0)`,
+/// equal under `Value::eq` but not identical), by `NULL`, or by a small
+/// integer. A key column only ever takes itself or a fresh key.
+fn update_value(old: &Value, seed: &mut u64, fresh_key: Option<&mut i64>) -> Value {
+    let pick = splitmix64(seed) % 4;
+    if let Some(next) = fresh_key {
+        if pick == 0 {
+            return old.clone();
+        }
+        *next += 1;
+        return Value::Int(*next);
+    }
+    match (pick, old) {
+        (0, _) => old.clone(),
+        (1, Value::Int(i)) => Value::Float(*i as f64),
+        (1 | 2, _) => Value::Null,
+        _ => Value::Int((splitmix64(seed) % 5) as i64 * 10),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Update-shaped rounds — 1–6 distinct stored rows deleted, each
+    /// re-inserted with one column changed (past 4 × 4 rows the rows are
+    /// paired by hashing, not scanning) — cancel for exactly the views
+    /// that reference none of the changed columns of their pair. Each
+    /// view's fate follows the model: `unchanged` counts the views whose
+    /// remainder is empty, those are neither dirtied nor touched (the
+    /// self-join included), every view reading the table is maintained or
+    /// dirty, and contents still equal recompute after every step.
+    #[test]
+    fn update_pairs_cancel_exactly_where_no_read_column_changed(
+        steps in prop::collection::vec((0usize..2, 1usize..7, 0u64..u64::MAX), 1..14),
+        seed in 0u64..u64::MAX,
+    ) {
+        let (mut f, r, s) = fixture(seed);
+        let mut next_pk = 1000i64;
+        for (i, &(tsel, k, sd)) in steps.iter().enumerate() {
+            let table = if tsel == 0 { r } else { s };
+            let mut st = sd;
+            let existing = f.maintainer.db().rows(table).to_vec();
+            let mut picks: Vec<usize> = (0..existing.len()).collect();
+            let mut delta = TableDelta { table, inserts: Vec::new(), deletes: Vec::new() };
+            for _ in 0..k.min(existing.len()) {
+                let old = existing[picks.swap_remove((splitmix64(&mut st) % picks.len() as u64) as usize)].clone();
+                let mut new = old.clone();
+                let col = (splitmix64(&mut st) % old.len() as u64) as usize;
+                let key = (table == r && col == 0).then_some(&mut next_pk);
+                new[col] = update_value(&old[col], &mut st, key);
+                delta.deletes.push(old);
+                delta.inserts.push(new);
+            }
+            let removed = removed_by(&existing, &delta.deletes);
+            let readers: Vec<(ViewId, bool)> = f
+                .views
+                .iter()
+                .filter(|(_, e)| e.tables.contains(&table))
+                .map(|(id, e)| {
+                    let (minus, plus) = model_remainder(&read_cols(e, table), &removed, &delta.inserts);
+                    (*id, minus.is_empty() && plus.is_empty())
+                })
+                .collect();
+            let before: Vec<Vec<Row>> = readers
+                .iter()
+                .map(|(id, _)| f.maintainer.contents(*id).expect("registered").to_vec())
+                .collect();
+            let report = f.maintainer.apply(&delta);
+            prop_assert_eq!(report.rows_deleted, delta.deletes.len(), "step {}", i);
+            prop_assert_eq!(
+                report.unchanged,
+                readers.iter().filter(|(_, unchanged)| *unchanged).count(),
+                "step {}", i
+            );
+            prop_assert_eq!(report.maintained + report.marked_dirty, readers.len(), "step {}", i);
+            for ((id, unchanged), rows) in readers.iter().zip(&before) {
+                if *unchanged {
+                    prop_assert!(!f.maintainer.is_dirty(*id), "step {}: view {} dirtied", i, id.0);
+                    let now = f.maintainer.contents(*id).expect("registered");
+                    prop_assert!(now == rows.as_slice(), "step {}: view {} touched", i, id.0);
+                } else if *id == ViewId(3) {
+                    prop_assert!(f.maintainer.is_dirty(*id), "step {}: self-join not dirtied", i);
+                }
+            }
+            check_all(&mut f, i + 1);
+        }
+    }
+}
+
+/// An update to a column the self-join never reads leaves it clean, and
+/// is delta-joined only by the views that read the column.
+#[test]
+fn self_join_is_not_dirtied_by_an_update_it_does_not_read() {
+    let (mut f, r, _) = fixture(3);
+    let old = f.maintainer.db().rows(r)[0].clone();
+    let mut new = old.clone();
+    // `x`: read by `spj_join` (its filter) and `agg_by_g` (its sum), not
+    // by `self_join` (pk and g).
+    new[2] = match &old[2] {
+        Value::Int(x) => Value::Int(x + 1),
+        _ => Value::Int(7),
+    };
+    let report = f.maintainer.apply(&TableDelta {
+        table: r,
+        inserts: vec![new],
+        deletes: vec![old],
+    });
+    assert_eq!(report.unchanged, 1);
+    assert_eq!((report.maintained, report.marked_dirty), (3, 0));
+    assert!(!f.maintainer.is_dirty(ViewId(3)));
+    check_all(&mut f, 1);
+}
+
+/// `Int(v) → Float(v)` is equal under `Value::eq` but not a cancelled
+/// pair: the views reading `x` take the round (the sum falls back, since
+/// a float reached it), and only the self-join, which does not read `x`,
+/// is unchanged.
+#[test]
+fn int_to_equal_float_update_is_a_change() {
+    let (mut f, r, _) = fixture(3);
+    let old = f
+        .maintainer
+        .db()
+        .rows(r)
+        .iter()
+        .find(|row| matches!(row[2], Value::Int(_)))
+        .expect("a row with an integer x")
+        .clone();
+    let mut new = old.clone();
+    let Value::Int(x) = old[2] else {
+        unreachable!("picked for its integer x")
+    };
+    new[2] = Value::Float(x as f64);
+    assert_eq!(old, new, "Value::eq equates the pair");
+    let report = f.maintainer.apply(&TableDelta {
+        table: r,
+        inserts: vec![new],
+        deletes: vec![old],
+    });
+    assert_eq!(report.unchanged, 1);
+    assert_eq!((report.maintained, report.marked_dirty), (2, 1));
+    assert!(f.maintainer.is_dirty(ViewId(1)), "the float reached SUM(x)");
+    assert!(!f.maintainer.is_dirty(ViewId(3)));
+    check_all(&mut f, 1);
+}
+
+/// `f(pk, g, x)` with `x` declared `Float`, as the TPC-H money columns
+/// are, and two views summing it: grouped, and scalar with a zero default.
+fn float_fixture(rows: Vec<Row>) -> (Maintainer, Vec<(ViewId, SpjgExpr)>, TableId) {
+    let mut cat = Catalog::new();
+    let t = cat.add_table(
+        TableBuilder::new("f")
+            .col("pk", ColumnType::Int)
+            .nullable_col("g", ColumnType::Int)
+            .nullable_col("x", ColumnType::Float)
+            .primary_key(&["pk"])
+            .build(),
+    );
+    let mut db = Database::new(cat);
+    db.load(t, rows);
+    let mut maintainer = Maintainer::new(db);
+    let grouped = SpjgExpr::aggregate(
+        vec![t],
+        BoolExpr::Literal(true),
+        vec![NamedExpr::new(S::col(cr(0, 1)), "g")],
+        vec![
+            NamedAgg::new(AggFunc::CountStar, "cnt"),
+            NamedAgg::new(AggFunc::Sum(S::col(cr(0, 2))), "sum_x"),
+        ],
+    );
+    let scalar = SpjgExpr::aggregate(
+        vec![t],
+        BoolExpr::Literal(true),
+        vec![],
+        vec![NamedAgg::new(AggFunc::SumZero(S::col(cr(0, 2))), "sum_x")],
+    );
+    let mut views = Vec::new();
+    for (i, (name, expr)) in [("f_by_g", grouped), ("f_total", scalar)]
+        .into_iter()
+        .enumerate()
+    {
+        let id = ViewId(i as u32);
+        assert_eq!(
+            maintainer.register(id, &ViewDef::new(name, expr.clone())),
+            MaintainStrategy::Incremental,
+            "a Float-declared sum is classified by structure, not type"
+        );
+        views.push((id, expr));
+    }
+    (maintainer, views, t)
+}
+
+/// A measure for `f`: NULL one time in five, otherwise an integer or —
+/// with probability `floats / 2` — a float whose sums round.
+fn f_measure(seed: &mut u64, floats: u64) -> Value {
+    let v = splitmix64(seed) % 10;
+    if v < 2 {
+        Value::Null
+    } else if splitmix64(seed) % 2 < floats {
+        Value::Float(v as f64 * 0.1)
+    } else {
+        Value::Int(v as i64)
+    }
+}
+
+/// Integers in a `Float`-declared column are summed exactly in place:
+/// the views register `Incremental` and a stream of integer rounds never
+/// dirties them.
+#[test]
+fn float_declared_sums_over_integers_stay_incremental() {
+    let rows = (0..8)
+        .map(|i| vec![Value::Int(i), Value::Int(i % 3), Value::Int(i * 10)])
+        .collect();
+    let (mut maintainer, views, t) = float_fixture(rows);
+    for round in 0..6i64 {
+        let old = maintainer.db().rows(t)[0].clone();
+        let delta = TableDelta {
+            table: t,
+            inserts: vec![vec![
+                Value::Int(100 + round),
+                Value::Int(round % 4),
+                Value::Int(round),
+            ]],
+            deletes: vec![old],
+        };
+        let report = maintainer.apply(&delta);
+        assert_eq!((report.maintained, report.marked_dirty), (2, 0));
+        for (id, expr) in &views {
+            assert!(!maintainer.is_dirty(*id));
+            let want = execute_spjg(maintainer.db(), expr);
+            let got = maintainer.contents(*id).expect("registered");
+            assert!(
+                mv_exec::bag_eq(got, &want),
+                "round {round}: {:?}",
+                bag_diff(got, &want)
+            );
+        }
+    }
+    assert!(maintainer.audit().is_empty());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Integer, mixed and float-valued streams into a `Float`-declared
+    /// sum (`floats` 0, 1, 2). The views start exact; a round whose
+    /// remainder carries a float — or that changes anything while a float
+    /// is stored — dirties them, and no other round does. After the
+    /// refresh that follows, contents equal `execute_spjg` (floats compared
+    /// bit for bit), and once the floats are gone the views are maintained
+    /// in place again.
+    #[test]
+    fn float_sums_fall_back_by_value(
+        steps in prop::collection::vec((0usize..3, 0u64..u64::MAX), 1..16),
+        floats in 0u64..3,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut st = seed;
+        let mut next_pk = 0i64;
+        let mut row = |st: &mut u64, floats: u64| {
+            next_pk += 1;
+            vec![Value::Int(next_pk), Value::Int((splitmix64(st) % 3) as i64), f_measure(st, floats)]
+        };
+        let rows: Vec<Row> = (0..6).map(|_| row(&mut st, 0)).collect();
+        let (mut maintainer, views, t) = float_fixture(rows);
+        for (i, &(op, sd)) in steps.iter().enumerate() {
+            let mut st = sd;
+            let existing = maintainer.db().rows(t).to_vec();
+            let mut picks: Vec<usize> = (0..existing.len()).collect();
+            let mut delta = TableDelta { table: t, inserts: Vec::new(), deletes: Vec::new() };
+            if op != 0 {
+                for _ in 0..(1 + splitmix64(&mut st) % 2).min(picks.len() as u64) {
+                    let at = picks.swap_remove((splitmix64(&mut st) % picks.len() as u64) as usize);
+                    delta.deletes.push(existing[at].clone());
+                }
+            }
+            if op != 1 {
+                for _ in 0..1 + splitmix64(&mut st) % 2 {
+                    delta.inserts.push(row(&mut st, floats));
+                }
+            }
+            let is_float = |r: &Row| matches!(r[2], Value::Float(_));
+            let stored_float = existing.iter().any(is_float);
+            let removed = removed_by(&existing, &delta.deletes);
+            let want_dirty: Vec<bool> = views
+                .iter()
+                .map(|(_, e)| {
+                    let (minus, plus) = model_remainder(&read_cols(e, t), &removed, &delta.inserts);
+                    let changes = !(minus.is_empty() && plus.is_empty());
+                    changes && (stored_float || minus.iter().chain(&plus).any(is_float))
+                })
+                .collect();
+            let report = maintainer.apply(&delta);
+            prop_assert_eq!(report.marked_dirty, want_dirty.iter().filter(|d| **d).count(), "step {}", i);
+            for ((id, expr), want_dirty) in views.iter().zip(&want_dirty) {
+                prop_assert_eq!(maintainer.is_dirty(*id), *want_dirty, "step {}: view {}", i, id.0);
+                if *want_dirty {
+                    prop_assert!(maintainer.refresh(*id));
+                }
+                let want = execute_spjg(maintainer.db(), expr);
+                let got = maintainer.contents(*id).expect("registered");
+                prop_assert!(
+                    mv_exec::bag_eq(got, &want),
+                    "step {}: view {} differs: {:?}", i, id.0, bag_diff(got, &want)
+                );
+            }
+            let diags = maintainer.audit();
+            prop_assert!(diags.is_empty(), "step {}: audit found {:?}", i, diags);
+        }
+    }
+}
+
+/// A malformed delta — an insert of the wrong width behind a valid
+/// delete, a delete of the wrong width, a table the catalog does not hold
+/// — panics before anything changes: base rows, every view's contents,
+/// the audit and the engine's epochs and stamps are all as they were.
+/// (The wrong-width insert used to land the delete and record the write
+/// first, leaving incremental views wrong.)
+#[test]
+fn malformed_delta_changes_nothing() {
+    let (mut f, r, s) = fixture(5);
+    let engine = MatchingEngine::new(f.maintainer.db().catalog.clone(), MatchConfig::default());
+    for (id, expr) in &f.views {
+        let def = ViewDef::new(format!("v{}", id.0), expr.clone());
+        assert_eq!(engine.add_view(def).expect("view registers"), *id);
+    }
+    let snapshot = |f: &Fixture| {
+        let tables: Vec<Vec<Row>> = [r, s]
+            .iter()
+            .map(|&t| f.maintainer.db().rows(t).to_vec())
+            .collect();
+        let contents: Vec<Vec<Row>> = f
+            .views
+            .iter()
+            .map(|(id, _)| f.maintainer.contents(*id).expect("registered").to_vec())
+            .collect();
+        let epochs: Vec<u64> = [r, s].iter().map(|&t| engine.data_epoch(t)).collect();
+        let stamps: Vec<_> = f
+            .views
+            .iter()
+            .map(|(id, _)| engine.view_data_epochs(*id))
+            .collect();
+        let audit = format!("{:?}", f.maintainer.audit());
+        (tables, contents, epochs, stamps, audit)
+    };
+    let before = snapshot(&f);
+    assert_eq!(before.4, "[]");
+    let stored = f.maintainer.db().rows(r)[0].clone();
+    let bad = [
+        TableDelta {
+            table: r,
+            inserts: vec![vec![Value::Int(1); 2]],
+            deletes: vec![stored.clone()],
+        },
+        TableDelta::delete(r, vec![vec![Value::Int(1); 4]]),
+        TableDelta::insert(TableId(9), vec![stored]),
+    ];
+    for (i, delta) in bad.iter().enumerate() {
+        let with_engine = catch_unwind(AssertUnwindSafe(|| {
+            f.maintainer.apply_with_engine(delta, &engine)
+        }));
+        assert!(with_engine.is_err(), "delta {i} was accepted");
+        assert!(
+            before == snapshot(&f),
+            "delta {i} half-applied with the engine"
+        );
+        let alone = catch_unwind(AssertUnwindSafe(|| f.maintainer.apply(delta)));
+        assert!(alone.is_err(), "delta {i} was accepted");
+        assert!(before == snapshot(&f), "delta {i} half-applied");
+    }
 }
