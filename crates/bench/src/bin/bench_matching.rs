@@ -78,7 +78,7 @@
 use mv_bench::json::Json;
 use mv_bench::{build_workload, engine_with, Workload, DATA_SEED};
 use mv_catalog::TableId;
-use mv_core::{MatchConfig, MatchingEngine};
+use mv_core::{MatchConfig, MatchStats, MatchingEngine};
 use mv_data::{generate_tpch, TpchScale};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_maintain::{MaintainStrategy, Maintainer, TableDelta};
@@ -365,7 +365,9 @@ fn measure_zipf(w: &Workload, views: usize, stream: &[SpjgExpr]) -> (Record, Rec
     }
     engine.reset_stats();
     let (mut lat, qps) = run_serial(&engine, stream);
-    let hit_rate = engine.stats().cache_hit_rate();
+    let stats = engine.stats();
+    let hit_rate = stats.cache_hit_rate();
+    print_cache_line("zipf-warm", views, &stats);
     let warm = record(
         "serial",
         "zipf-warm",
@@ -375,6 +377,16 @@ fn measure_zipf(w: &Workload, views: usize, stream: &[SpjgExpr]) -> (Record, Rec
         Some(hit_rate),
     );
     (cold, warm)
+}
+
+/// The substitute cache's hit rate and evictions over a cached run, on
+/// stderr.
+fn print_cache_line(workload: &str, views: usize, stats: &MatchStats) {
+    eprintln!(
+        "{workload} at {views} views: cache hit rate {:.1}%, {} evictions",
+        stats.cache_hit_rate() * 100.0,
+        stats.cache_evictions
+    );
 }
 
 /// Pick a churn table plus zipf templates disjoint from it: the table the
@@ -486,6 +498,7 @@ fn measure_churn(
     });
     let total = started.elapsed();
     let stats = engine.stats();
+    print_cache_line("zipf-churn", views, &stats);
     Record {
         views,
         mode: "mixed",

@@ -207,6 +207,9 @@ impl fmt::Display for Value {
         match self {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
+            // An integral float keeps a fractional digit, so it renders
+            // (and reparses) as a float, never as the equal integer.
+            Value::Float(x) if x.is_finite() && x.fract() == 0.0 => write!(f, "{x:.1}"),
             Value::Float(x) => write!(f, "{x}"),
             Value::Str(s) => write!(f, "'{}'", s.replace('\'', "''")),
             Value::Date(d) => {
@@ -345,6 +348,15 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(hash_of(&a), hash_of(&b));
         assert_ne!(Value::Int(42), Value::Float(42.5));
+    }
+
+    #[test]
+    fn integral_floats_display_as_floats() {
+        assert_eq!(Value::Float(2.0).to_string(), "2.0");
+        assert_eq!(Value::Float(-3.0).to_string(), "-3.0");
+        assert_eq!(Value::Float(2.5).to_string(), "2.5");
+        assert_eq!(Value::Int(2).to_string(), "2");
+        assert_eq!(Value::Float(f64::INFINITY).to_string(), "inf");
     }
 
     #[test]

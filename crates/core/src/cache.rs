@@ -1,14 +1,13 @@
 //! The engine's epoch-stamped caches: canonical query fingerprints mapped
-//! to complete `find_substitutes` results, and bound query blocks mapped to
-//! the optimizer's whole-query plans — two instances of one store,
-//! [`EpochCache`].
+//! to the matcher's *verdict* — which views passed the full tests — and
+//! bound query blocks mapped to the optimizer's whole-query plans — two
+//! instances of one store, [`EpochCache`].
 //!
 //! Serving workloads are dominated by repeated query *templates* — the
-//! cross-query commonality that multi-query optimization exploits. The
-//! matcher's answer for a query depends only on the query shape and on the
+//! cross-query commonality that multi-query optimization exploits. Which
+//! views can answer a query depends only on the query shape and on the
 //! engine's registered state (views + check constraints), so a repeated
-//! shape can skip both the filter-tree walk and the subsumption tests
-//! entirely:
+//! shape can skip the filter-tree walk and every failing candidate:
 //!
 //! - [`fingerprint`] renders an [`SpjgExpr`] into a normalized textual
 //!   form — tables sorted (occurrences renumbered accordingly), conjuncts
@@ -18,29 +17,33 @@
 //!   predicates, permuted join order) collide on the same entry.
 //! - [`EpochCache`] is a mutex-striped shard array keyed by a 64-bit
 //!   hash, generic over the collision guard an entry is compared on and
-//!   the value it holds, with a second-chance ("clock") eviction hand per
-//!   shard. [`SubstituteCache`] is the instance keyed by fingerprint;
-//!   the plan instance (DESIGN.md §11.4) is keyed by the block itself.
-//!   Entries carry a *per-table epoch stamp*: the invalidation
-//!   epoch of each base table the keyed query touches, captured
-//!   from the catalog snapshot the result was computed under. Registration
-//!   (`add_view` / `remove_view`) bumps only the epochs of the view's own
-//!   tables, and `add_check_constraint` only its table's — so an entry
-//!   whose query touches disjoint tables keeps a matching stamp and
-//!   survives the write. (A view can only answer a query whose tables are
-//!   a subset of the view's, so bumping the view's tables covers every
-//!   query whose result could change.) Stale entries are lazily discarded
-//!   on their next lookup — registering a view never takes a
-//!   stop-the-world pass over the cache.
+//!   the value it holds, with GreedyDual eviction per shard (Young; Cao
+//!   & Irani's GreedyDual-Size is the sized form): each entry carries
+//!   what recomputing it costs, and a full shard evicts the entry whose
+//!   cost, aged by the shard's rising floor, is lowest. [`SubstituteCache`]
+//!   is the instance keyed by fingerprint; the plan instance (DESIGN.md
+//!   §11.4) is keyed by the block itself. Entries carry a *per-table
+//!   epoch stamp*: the invalidation epoch of each base table the keyed
+//!   query touches, captured from the catalog snapshot the value was
+//!   computed under. Registration (`add_view` / `remove_view`) bumps only
+//!   the epochs of the view's own tables, and `add_check_constraint` only
+//!   its table's — so an entry whose query touches disjoint tables keeps
+//!   a matching stamp and survives the write. (A view can only answer a
+//!   query whose tables are a subset of the view's, so bumping the view's
+//!   tables covers every query whose result could change.) Stale entries
+//!   are lazily discarded on their next lookup — registering a view never
+//!   takes a stop-the-world pass over the cache.
 //!
-//! Cached results are returned byte-identical to what uncached matching
-//! produces (output names are re-stamped from the probing query, which is
-//! the only query-specific part of a [`Substitute`]); debug builds prove
-//! this with a differential assertion on every hit.
+//! A substitute-cache hit re-runs the full tests over the cached views
+//! only, for the probing query and against the pinned snapshot, so the
+//! substitutes carry the query's own names and literals and the freshness
+//! the snapshot's data epochs give each view. Base-table writes therefore
+//! leave substitute entries alone (DESIGN.md §11.1); debug builds prove a
+//! hit equals a fresh computation with a differential assertion.
 
 use mv_expr::Template;
 use mv_parallel::sync::{lock_or_recover, Mutex};
-use mv_plan::{AggFunc, OutputList, SpjgExpr, Substitute, ViewId};
+use mv_plan::{AggFunc, OutputList, SpjgExpr, ViewId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -65,8 +68,8 @@ pub struct Fingerprint {
 /// in the text, and the rendered conjuncts are sorted; output expressions
 /// are rendered in positional order (substitute output lists are
 /// positional, so their order is semantic) but with the output *names*
-/// omitted — names are the one query-specific part of a substitute and
-/// are re-stamped on every cache hit.
+/// omitted — a hit rebuilds the substitutes for the probing query, so
+/// they carry its names.
 pub fn fingerprint(query: &SpjgExpr) -> Fingerprint {
     // Occurrence renumbering: position of each old occurrence in the
     // table-sorted order.
@@ -153,7 +156,7 @@ pub fn fingerprint(query: &SpjgExpr) -> Fingerprint {
 }
 
 /// One cached value: its collision guard, the per-table epoch stamp it
-/// was computed under, and the second-chance bit.
+/// was computed under, and its GreedyDual cost and priority.
 #[derive(Debug)]
 struct Entry<G, V> {
     hash: u64,
@@ -162,23 +165,26 @@ struct Entry<G, V> {
     guard: G,
     /// Per-table invalidation epochs of the key's (sorted, deduplicated)
     /// base tables, captured at computation time. A mismatch on lookup
-    /// means some table the key touches saw a view registration,
-    /// removal, or new check constraint since. Equal guards reference the
-    /// same table set in the same order, so the stamps compare
-    /// positionally.
+    /// means some table the key touches saw a change the value depends
+    /// on since. Equal guards reference the same table set in the same
+    /// order, so the stamps compare positionally.
     stamp: Vec<u64>,
     value: V,
-    /// Second-chance bit for the clock eviction hand.
-    referenced: bool,
+    /// What recomputing the value costs, in the caller's unit.
+    cost: u64,
+    /// The shard's floor at the entry's last insert or hit, plus `cost`.
+    priority: u64,
 }
 
 /// One mutex-striped shard: a fixed slot array, a hash → slot index, and
-/// the clock hand.
+/// the GreedyDual floor — the priority of the last entry evicted, which
+/// every insert and hit adds its cost to, so an entry not used for a
+/// while ages below newer ones of the same cost.
 #[derive(Debug)]
 struct Shard<G, V> {
     slots: Vec<Option<Entry<G, V>>>,
     index: HashMap<u64, usize>,
-    hand: usize,
+    floor: u64,
 }
 
 /// Outcome of a cache probe.
@@ -208,10 +214,11 @@ pub struct EpochCache<G, V> {
 }
 
 /// The substitute cache: a fingerprint's render as the guard, and as the
-/// value the candidate count of the original computation (replayed into
-/// the stats on every hit, so counter totals stay path-independent) with
-/// the `find_substitutes` result.
-pub type SubstituteCache = EpochCache<Box<str>, (usize, Vec<(ViewId, Substitute)>)>;
+/// value the matcher's structural verdict — the candidate count of the
+/// original computation (replayed into the stats on every hit, so counter
+/// totals stay path-independent) and the views that passed the full
+/// tests, freshness not applied.
+pub type SubstituteCache = EpochCache<Box<str>, (usize, Vec<ViewId>)>;
 
 impl<G, V: Clone> EpochCache<G, V> {
     /// A cache of at most `capacity` entries, striped over one mutex per
@@ -233,7 +240,7 @@ impl<G, V: Clone> EpochCache<G, V> {
                     Mutex::new(Shard {
                         slots: Vec::new(),
                         index: HashMap::new(),
-                        hand: 0,
+                        floor: 0,
                     })
                 })
                 .collect(),
@@ -255,7 +262,8 @@ impl<G, V: Clone> EpochCache<G, V> {
     /// stamp mismatches is removed and reported as [`CacheLookup::Stale`];
     /// a hash collision with a different guard is a plain miss (the
     /// insert that follows will replace the colliding entry). A hit
-    /// clones the value under the stripe's lock.
+    /// renews the entry's priority and clones the value under the
+    /// stripe's lock.
     pub fn lookup(
         &self,
         hash: u64,
@@ -269,6 +277,7 @@ impl<G, V: Clone> EpochCache<G, V> {
         let Some(&slot) = shard.index.get(&hash) else {
             return CacheLookup::Miss;
         };
+        let floor = shard.floor;
         let entry = shard.slots[slot].as_mut().expect("indexed slot is filled");
         if !is_guard(&entry.guard) {
             return CacheLookup::Miss;
@@ -278,56 +287,55 @@ impl<G, V: Clone> EpochCache<G, V> {
             shard.index.remove(&hash);
             return CacheLookup::Stale;
         }
-        entry.referenced = true;
+        entry.priority = floor.saturating_add(entry.cost);
         CacheLookup::Hit(entry.value.clone())
     }
 
-    /// Store a computed value. An existing entry under the same hash is
-    /// replaced; otherwise a free slot is used, or the clock hand evicts
-    /// the first entry it sweeps past whose second-chance bit is clear.
-    pub fn insert(&self, hash: u64, guard: G, stamp: Vec<u64>, value: V) {
+    /// Store a value that costs `cost` to recompute. An existing entry
+    /// under the same hash is replaced; otherwise a free slot is used, or
+    /// the shard evicts its minimum-priority entry (a scan of at most
+    /// `per_shard` slots) and raises its floor to that priority. Returns
+    /// whether an entry was evicted.
+    pub fn insert(&self, hash: u64, guard: G, stamp: Vec<u64>, value: V, cost: u64) -> bool {
         if !self.is_enabled() {
-            return;
+            return false;
         }
-        let entry = Entry {
+        let mut shard = lock_or_recover(self.shard(hash));
+        let slot = if let Some(&slot) = shard.index.get(&hash) {
+            slot
+        } else if shard.slots.len() < self.per_shard {
+            shard.slots.push(None);
+            shard.slots.len() - 1
+        } else {
+            // A free slot orders first (`None < Some`), then the lowest
+            // priority; ties go to the lowest slot.
+            let (slot, _) = shard
+                .slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.as_ref().map(|e| e.priority))
+                .expect("a full shard has slots");
+            slot
+        };
+        let evicted = match shard.slots[slot].take() {
+            Some(old) if old.hash != hash => {
+                shard.index.remove(&old.hash);
+                shard.floor = old.priority;
+                true
+            }
+            _ => false,
+        };
+        shard.index.insert(hash, slot);
+        let priority = shard.floor.saturating_add(cost);
+        shard.slots[slot] = Some(Entry {
             hash,
             guard,
             stamp,
             value,
-            referenced: false,
-        };
-        let mut shard = lock_or_recover(self.shard(hash));
-        if let Some(&slot) = shard.index.get(&hash) {
-            shard.slots[slot] = Some(entry);
-            return;
-        }
-        if shard.slots.len() < self.per_shard {
-            let slot = shard.slots.len();
-            shard.slots.push(Some(entry));
-            shard.index.insert(hash, slot);
-            return;
-        }
-        if let Some(slot) = shard.slots.iter().position(|s| s.is_none()) {
-            shard.index.insert(hash, slot);
-            shard.slots[slot] = Some(entry);
-            return;
-        }
-        // Clock sweep: clear second-chance bits until a victim is found.
-        // Bounded: after one full revolution every bit is clear.
-        loop {
-            let slot = shard.hand % self.per_shard;
-            shard.hand = slot + 1;
-            let occupant = shard.slots[slot].as_mut().expect("full shard");
-            if occupant.referenced {
-                occupant.referenced = false;
-                continue;
-            }
-            let old_hash = occupant.hash;
-            shard.index.remove(&old_hash);
-            shard.index.insert(hash, slot);
-            shard.slots[slot] = Some(entry);
-            return;
-        }
+            cost,
+            priority,
+        });
+        evicted
     }
 
     /// Number of live entries across all shards.
@@ -349,7 +357,7 @@ impl<G, V: Clone> EpochCache<G, V> {
             let mut shard = lock_or_recover(s);
             shard.slots.clear();
             shard.index.clear();
-            shard.hand = 0;
+            shard.floor = 0;
         }
     }
 }
@@ -362,16 +370,6 @@ mod tests {
 
     fn cr(occ: u32, col: u32) -> ColRef {
         ColRef::new(occ, col)
-    }
-
-    fn sub(view: u32) -> Substitute {
-        Substitute {
-            view: ViewId(view),
-            backjoins: Vec::new(),
-            predicates: Vec::new(),
-            output: OutputList::Spj(Vec::new()),
-            freshness: mv_plan::Freshness::Fresh,
-        }
     }
 
     fn query(name: &str, lo: i64) -> SpjgExpr {
@@ -441,7 +439,8 @@ mod tests {
             fp.hash,
             fp.render.clone().into(),
             vec![0],
-            (3, vec![(ViewId(1), sub(1))]),
+            (3, vec![ViewId(1)]),
+            4,
         );
         match cache.lookup(fp.hash, is(&fp.render), &[0]) {
             CacheLookup::Hit((candidates, results)) => {
@@ -460,7 +459,7 @@ mod tests {
             CacheLookup::Miss
         ));
         // A hash collision with another guard is a miss, not a hit.
-        cache.insert(fp.hash, "other".into(), vec![0], (0, Vec::new()));
+        cache.insert(fp.hash, "other".into(), vec![0], (0, Vec::new()), 1);
         assert!(matches!(
             cache.lookup(fp.hash, is(&fp.render), &[0]),
             CacheLookup::Miss
@@ -468,9 +467,9 @@ mod tests {
         // Capacity is bounded: many inserts never exceed it.
         for i in 0..50 {
             let fp = fingerprint(&query("a", i));
-            cache.insert(fp.hash, fp.render.into(), vec![0], (0, Vec::new()));
+            cache.insert(fp.hash, fp.render.into(), vec![0], (0, Vec::new()), 1);
         }
-        assert!(cache.len() <= 4, "clock eviction must bound the cache");
+        assert!(cache.len() <= 4, "eviction must bound the cache");
         cache.clear();
         assert_eq!(cache.len(), 0);
     }
@@ -484,6 +483,7 @@ mod tests {
             fp.render.clone().into(),
             vec![2, 7],
             (0, Vec::new()),
+            1,
         );
         // Same epochs for the same tables: hit.
         assert!(matches!(
@@ -502,11 +502,53 @@ mod tests {
         let cache = SubstituteCache::new(0);
         assert!(!cache.is_enabled());
         let fp = fingerprint(&query("a", 5));
-        cache.insert(fp.hash, fp.render.clone().into(), vec![0], (0, Vec::new()));
+        let evicted = cache.insert(
+            fp.hash,
+            fp.render.clone().into(),
+            vec![0],
+            (0, Vec::new()),
+            1,
+        );
+        assert!(!evicted);
         assert!(matches!(
             cache.lookup(fp.hash, is(&fp.render), &[0]),
             CacheLookup::Disabled
         ));
         assert_eq!(cache.len(), 0);
+    }
+
+    /// Replay `keys` in order `rounds` times through `cache` — probe, and
+    /// on a miss insert at cost 1 — and return the hits and evictions.
+    fn replay(cache: &EpochCache<u64, ()>, keys: &[u64], rounds: usize) -> (usize, usize) {
+        let (mut hits, mut evictions) = (0, 0);
+        for _ in 0..rounds {
+            for &k in keys {
+                match cache.lookup(k, |g| *g == k, &[0]) {
+                    CacheLookup::Hit(()) => hits += 1,
+                    _ => evictions += usize::from(cache.insert(k, k, vec![0], (), 1)),
+                }
+            }
+        }
+        (hits, evictions)
+    }
+
+    #[test]
+    fn greedy_dual_keeps_the_costly_key_under_a_cyclic_stream() {
+        // One stripe of 4 slots; the cheap stream cycles over 8 keys.
+        let cheap: Vec<u64> = (1..=8).collect();
+        let cache = EpochCache::<u64, ()>::new(4);
+        let (hits, evictions) = replay(&cache, &cheap, 10);
+        assert_eq!(hits, 0, "cost-1 keys alone cycle, as under LRU");
+        assert_eq!(evictions, 80 - 4);
+
+        let cache = EpochCache::<u64, ()>::new(4);
+        assert!(!cache.insert(100, 100, vec![0], (), 100));
+        let (hits, _) = replay(&cache, &cheap, 10);
+        assert_eq!(hits, 0, "three slots still cycle eight keys");
+        assert!(
+            matches!(cache.lookup(100, |g| *g == 100, &[0]), CacheLookup::Hit(())),
+            "the cost-100 key outlives 77 cheap evictions"
+        );
+        assert_eq!(cache.len(), 4);
     }
 }

@@ -14,7 +14,7 @@ use mv_catalog::{Catalog, ColumnId, TableId};
 use mv_expr::{classify, BoolExpr, ColRef, Conjunct, EquivClasses, OccId, Template};
 use mv_parallel::sync::{lock_or_recover, Arc, Mutex, MutexGuard};
 use mv_parallel::Published;
-use mv_plan::{AggFunc, Freshness, OutputList, SpjgExpr, Substitute, ViewDef, ViewId, ViewSet};
+use mv_plan::{AggFunc, Freshness, SpjgExpr, Substitute, ViewDef, ViewId, ViewSet};
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -153,6 +153,18 @@ fn epoch_of(data_epochs: &[u64], table: TableId) -> u64 {
     data_epochs.get(table.0 as usize).copied().unwrap_or(0)
 }
 
+/// The epochs of a query's distinct source tables, ascending.
+fn stamp_of(epochs: &[u64], query: &SpjgExpr) -> Vec<u64> {
+    // One allocation: the sorted table ids become their epochs in place.
+    let mut stamp: Vec<u64> = query.tables.iter().map(|t| u64::from(t.0)).collect();
+    stamp.sort_unstable();
+    stamp.dedup();
+    for e in &mut stamp {
+        *e = epochs.get(*e as usize).copied().unwrap_or(u64::MAX);
+    }
+    stamp
+}
+
 /// One immutable catalog state: the view registry, the prepared match
 /// descriptors, both filter trees, the interner, the check constraints and
 /// the removal set, published as a unit.
@@ -164,7 +176,7 @@ fn epoch_of(data_epochs: &[u64], table: TableId) -> u64 {
 /// clone, and publish it atomically. The clone allocates nothing per
 /// view: the registry, the interner, the constraints and the trees are
 /// one `Arc` each, the prepared descriptors and the view stamps are paged
-/// behind `Arc`s, and only the two per-table epoch vectors are copied.
+/// behind `Arc`s, and only the three per-table epoch vectors are copied.
 #[derive(Debug, Clone)]
 struct CatalogSnapshot {
     /// The registered views (slots and names of removed views stay
@@ -180,15 +192,23 @@ struct CatalogSnapshot {
     checks: Arc<HashMap<TableId, Vec<Conjunct>>>,
     /// Views dropped with `remove_view`. Matching skips them.
     removed: Arc<HashSet<ViewId>>,
-    /// Per-table invalidation epochs, indexed by `TableId`. A write bumps
-    /// exactly the tables it can affect (the view's tables, or the
-    /// constraint's table); cached results are stamped with the epochs of
-    /// their query's tables and go stale only when one of *those* moves.
+    /// Per-table *catalog* epochs, indexed by `TableId`. A catalog change
+    /// bumps exactly the tables it can affect (the view's tables, or the
+    /// constraint's table); substitute-cache verdicts are stamped with
+    /// the epochs of their query's tables and go stale only when one of
+    /// *those* moves.
     table_epochs: Vec<u64>,
+    /// Per-table *plan* epochs: bumped with `table_epochs` on every
+    /// catalog change, and also by the freshness changes a write round or
+    /// a restamp makes. Plans are stamped from these, because a plan
+    /// depends on which views were fresh; a verdict does not (freshness
+    /// is applied each time it is rebuilt).
+    plan_epochs: Vec<u64>,
     /// Per-table *data* epochs, indexed by `TableId`: how many base-table
     /// write rounds [`MatchingEngine::record_base_write`] has recorded.
     /// Distinct from `table_epochs` (which counts *catalog* changes —
-    /// registrations, removals, constraints — for cache invalidation):
+    /// registrations, removals, constraints — for cache invalidation) and
+    /// from `plan_epochs`:
     /// data epochs measure how far a view's materialized state may trail
     /// the base data.
     data_epochs: Vec<u64>,
@@ -212,39 +232,46 @@ impl CatalogSnapshot {
             checks: Arc::new(HashMap::new()),
             removed: Arc::new(HashSet::new()),
             table_epochs: vec![0; catalog.table_count()],
+            plan_epochs: vec![0; catalog.table_count()],
             data_epochs: vec![0; catalog.table_count()],
             view_stamps: ViewStamps::default(),
             epoch: 0,
         }
     }
 
-    /// Bump the invalidation epoch of every given table.
+    /// Bump the catalog (and so the plan) epoch of every given table.
     fn bump_tables(&mut self, tables: impl IntoIterator<Item = TableId>) {
         for t in tables {
             if let Some(e) = self.table_epochs.get_mut(t.0 as usize) {
+                *e += 1;
+                self.plan_epochs[t.0 as usize] += 1;
+            }
+        }
+        self.epoch += 1;
+    }
+
+    /// Bump only the plan epoch of every given table: a freshness change,
+    /// which no verdict depends on.
+    fn bump_plan_tables(&mut self, tables: impl IntoIterator<Item = TableId>) {
+        for t in tables {
+            if let Some(e) = self.plan_epochs.get_mut(t.0 as usize) {
                 *e += 1;
             }
         }
         self.epoch += 1;
     }
 
-    /// The per-table epoch stamp of a query: the epochs of its distinct
-    /// source tables, ascending. Cached results carry the stamp they were
+    /// The catalog-epoch stamp of a query: the epochs of its distinct
+    /// source tables, ascending. Cached verdicts carry the stamp they were
     /// computed under; equal renders reference equal table sets, so two
     /// stamps for the same fingerprint compare positionally.
     fn table_stamp(&self, query: &SpjgExpr) -> Vec<u64> {
-        // One allocation: the sorted table ids become their epochs in place.
-        let mut stamp: Vec<u64> = query.tables.iter().map(|t| u64::from(t.0)).collect();
-        stamp.sort_unstable();
-        stamp.dedup();
-        for e in &mut stamp {
-            *e = self
-                .table_epochs
-                .get(*e as usize)
-                .copied()
-                .unwrap_or(u64::MAX);
-        }
-        stamp
+        stamp_of(&self.table_epochs, query)
+    }
+
+    /// [`CatalogSnapshot::table_stamp`] over the plan epochs.
+    fn plan_stamp(&self, query: &SpjgExpr) -> Vec<u64> {
+        stamp_of(&self.plan_epochs, query)
     }
 
     fn live_view_count(&self) -> usize {
@@ -326,10 +353,11 @@ pub struct MatchingEngine {
     /// Serializes snapshot builders; never held by readers.
     writer: Mutex<()>,
     stats: AtomicMatchStats,
-    /// Fingerprint-keyed cache of complete `find_substitutes` results,
-    /// invalidated per table via the snapshot's `table_epochs`.
+    /// Fingerprint-keyed cache of structural verdicts, invalidated per
+    /// table via the snapshot's `table_epochs`.
     cache: SubstituteCache,
-    /// Block-keyed cache of whole-query plans, invalidated the same way.
+    /// Block-keyed cache of whole-query plans, invalidated per table via
+    /// the snapshot's `plan_epochs`.
     plans: PlanCache,
 }
 
@@ -479,11 +507,12 @@ impl MatchingEngine {
 
     /// Record a write round against a base table: bump its *data epoch*,
     /// so every view over it becomes one round stale until
-    /// [`MatchingEngine::mark_views_maintained`] restamps it. Invalidates
-    /// exactly the cached results the staleness change can affect: a view
-    /// over `table` can serve any query whose tables are a subset of the
-    /// view's, so the invalidation bump covers `table` plus every table of
-    /// every live view that references `table`.
+    /// [`MatchingEngine::mark_views_maintained`] restamps it. Substitute
+    /// verdicts stay valid — freshness is applied each time one is
+    /// rebuilt. Invalidates exactly the cached plans the staleness change
+    /// can affect: a view over `table` can serve any query whose tables
+    /// are a subset of the view's, so the plan-epoch bump covers `table`
+    /// plus every table of every live view that references `table`.
     pub fn record_base_write(&self, table: TableId) {
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
@@ -498,7 +527,7 @@ impl MatchingEngine {
         }
         affected.sort_unstable();
         affected.dedup();
-        next.bump_tables(affected);
+        next.bump_plan_tables(affected);
         self.shared.store(Arc::new(next));
     }
 
@@ -507,12 +536,13 @@ impl MatchingEngine {
     /// side calls this once per write round, after applying the round's
     /// deltas to the views' contents). One snapshot clone and one
     /// publication however many views the round touched, and each table
-    /// of a restamped view has its invalidation epoch bumped once: under
-    /// a freshness policy those views may newly qualify as substitutes,
-    /// so cached results over their tables go stale — the same results
-    /// one restamp per view would invalidate. Removed and out-of-range
-    /// ids are skipped; returns how many views were restamped (an id
-    /// given twice is one view), and publishes nothing when that is none.
+    /// of a restamped view has its plan epoch bumped once: under a
+    /// freshness policy those views may newly qualify as substitutes, so
+    /// cached plans over their tables go stale — the same plans one
+    /// restamp per view would invalidate. Substitute verdicts stay valid.
+    /// Removed and out-of-range ids are skipped; returns how many views
+    /// were restamped (an id given twice is one view), and publishes
+    /// nothing when that is none.
     pub fn mark_views_maintained(&self, ids: &[ViewId]) -> usize {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
@@ -539,7 +569,7 @@ impl MatchingEngine {
         }
         tables.sort_unstable();
         tables.dedup();
-        next.bump_tables(tables);
+        next.bump_plan_tables(tables);
         self.shared.store(Arc::new(next));
         restamped
     }
@@ -594,7 +624,7 @@ impl MatchingEngine {
             *stamped = epoch_of(&next.data_epochs, *t) + lead;
             tables.push(*t);
         }
-        next.bump_tables(tables);
+        next.bump_plan_tables(tables);
         self.shared.store(Arc::new(next));
         true
     }
@@ -1064,66 +1094,68 @@ impl MatchingEngine {
         out.dedup();
     }
 
-    /// Match one live view of `snap`, the step every path into the matcher
-    /// shares: the freshness gate, the full tests over the prepared
-    /// descriptor, and the lag stamp.
-    fn match_admitted(
-        &self,
-        snap: &CatalogSnapshot,
-        pq: &PreparedQuery,
-        id: ViewId,
-    ) -> Option<Substitute> {
-        // Freshness gate: the view's materialized state must be within
-        // the configured staleness bound of the current data epochs.
-        // Checked before the (costlier) matching tests, and the lag is
-        // stamped onto the substitute so callers see the guarantee.
-        let lag = snap.view_lag(id);
-        if !self.config.freshness.admits(lag) {
-            return None;
-        }
-        let view = snap.views.get(id);
-        let pv = snap.descriptors.prepared(id);
-        let mut sub = match_view_prepared(&self.catalog, &self.config, pq, id, view, pv)?;
-        sub.freshness = Freshness::from_lag(lag);
-        Some(sub)
-    }
-
-    /// Run the full matching tests over a filtered candidate list.
-    /// Results keep candidate order (ascending `ViewId`); the count is the
-    /// join-core states the loop built — candidates over one core share
-    /// everything up to the equijoin test through `pq`.
+    /// Run the full tests over `ids` (live views of `snap`, ascending)
+    /// and apply the freshness gate to each: the views within the
+    /// configured staleness bound of the current data epochs keep their
+    /// substitutes, stamped with the lag so callers see the guarantee.
+    /// With `verdict`, every id that passes the full tests is also pushed
+    /// there, fresh or not — the structural verdict a cache entry keeps;
+    /// without it, a view the gate refuses skips the tests. The count is
+    /// the join-core states the loop built — candidates over one core
+    /// share everything up to the equijoin test through one
+    /// [`PreparedQuery`].
     fn match_candidates(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
         qsum: &ExprSummary,
-        candidates: &[ViewId],
+        ids: &[ViewId],
+        mut verdict: Option<&mut Vec<ViewId>>,
     ) -> (Vec<(ViewId, Substitute)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
-        let try_candidate = |&id: &ViewId| -> Option<(ViewId, Substitute)> {
-            let sub = self.match_admitted(snap, &pq, id);
+        let match_view = |pq: &PreparedQuery, id: ViewId| {
+            let (view, pv) = (snap.views.get(id), snap.descriptors.prepared(id));
+            match_view_prepared(&self.catalog, &self.config, pq, id, view, pv)
+        };
+        let mut out = Vec::new();
+        for &id in ids {
+            let lag = snap.view_lag(id);
+            let admitted = self.config.freshness.admits(lag);
+            if !admitted && verdict.is_none() {
+                continue;
+            }
+            let Some(mut sub) = match_view(&pq, id) else {
+                continue;
+            };
             // Sharing must be invisible: a state of its own gives this
-            // candidate the same verdict and the same substitute.
+            // candidate the same substitute.
             #[cfg(debug_assertions)]
             assert_eq!(
-                sub,
-                self.match_admitted(snap, &PreparedQuery::new(query, qsum), id),
+                Some(&sub),
+                match_view(&PreparedQuery::new(query, qsum), id).as_ref(),
                 "{id} matched through shared core state must be byte-identical \
                  to a match with fresh state"
             );
-            sub.map(|sub| (id, sub))
-        };
-        let out = candidates.iter().filter_map(try_candidate).collect();
+            if let Some(verdict) = verdict.as_deref_mut() {
+                verdict.push(id);
+            }
+            if admitted {
+                sub.freshness = Freshness::from_lag(lag);
+                out.push((id, sub));
+            }
+        }
         (out, pq.core_states())
     }
 
-    /// Filter, match and debug-verify — the uncached matching pipeline.
-    /// Returns the substitutes, the candidate and core-state counts, and
-    /// the filter time.
+    /// Filter, match and debug-verify — the uncached matching pipeline,
+    /// recording the structural verdict into `verdict` when given (see
+    /// [`MatchingEngine::match_candidates`]). Returns the substitutes, the
+    /// candidate and core-state counts, and the filter time.
     fn compute_substitutes(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
+        verdict: Option<&mut Vec<ViewId>>,
     ) -> (Vec<(ViewId, Substitute)>, usize, usize, Duration) {
         let qsum = self.query_summary_in(snap, query);
 
@@ -1132,7 +1164,7 @@ impl MatchingEngine {
         self.candidates_into_in(snap, query, &qsum, &mut candidates);
         let filter_time = elapsed(filter_started);
 
-        let (out, core_states) = self.match_candidates(snap, query, &qsum, &candidates);
+        let (out, core_states) = self.match_candidates(snap, query, &qsum, &candidates, verdict);
         #[cfg(debug_assertions)]
         {
             self.debug_verify(snap, query, &out);
@@ -1150,12 +1182,15 @@ impl MatchingEngine {
     ///
     /// With the substitute cache enabled (see
     /// [`MatchConfig::substitute_cache_capacity`]), a repeated query shape
-    /// returns the cached result — byte-identical to a fresh computation,
-    /// which debug builds prove with a differential assertion on every
-    /// hit. Entries are stamped with the invalidation epochs of the
-    /// query's tables, so a registration over disjoint tables leaves them
-    /// valid. Hits replay the original candidate count into the stats so
-    /// counter totals stay path-independent.
+    /// skips the filter tree and every failing candidate: the full tests
+    /// re-run over the views the cached verdict kept, and the freshness
+    /// gate over the pinned snapshot, so the result is byte-identical to
+    /// a fresh computation, which debug builds prove with a differential
+    /// assertion on every hit. Verdicts are stamped with the catalog
+    /// epochs of the query's tables, so a registration over disjoint
+    /// tables leaves them valid and a base-table write touches none.
+    /// Hits replay the original candidate count into the stats so counter
+    /// totals stay path-independent.
     pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
         self.find_substitutes_in(&self.snapshot(), query)
     }
@@ -1179,21 +1214,22 @@ impl MatchingEngine {
             self.cache.lookup(fp.hash, |g| **g == *fp.render, stamp)
         });
         match probe {
-            CacheLookup::Hit((candidates, mut results)) => {
-                // Output names are the one query-specific part of a
-                // substitute the fingerprint deliberately ignores.
-                restamp_output_names(&mut results, query);
+            CacheLookup::Hit((candidates, verdict)) => {
+                let qsum = self.query_summary_in(snap, query);
+                let (results, core_states) =
+                    self.match_candidates(snap, query, &qsum, &verdict, None);
                 #[cfg(debug_assertions)]
                 {
                     self.debug_verify(snap, query, &results);
-                    let (fresh, ..) = self.compute_substitutes(snap, query);
+                    let (fresh, ..) = self.compute_substitutes(snap, query, None);
                     assert_eq!(
                         results, fresh,
-                        "cached substitutes must be byte-identical to a fresh \
+                        "rebuilt substitutes must be byte-identical to a fresh \
                          computation for the probing query"
                     );
                 }
                 self.stats.record_cache_hit();
+                self.stats.record_core_states(core_states);
                 self.stats.record(
                     candidates,
                     snap.live_view_count(),
@@ -1206,7 +1242,9 @@ impl MatchingEngine {
             CacheLookup::Stale => self.stats.record_cache_invalidation(),
             CacheLookup::Miss | CacheLookup::Disabled => {}
         }
-        let (out, n_candidates, core_states, filter_time) = self.compute_substitutes(snap, query);
+        let mut verdict = Vec::new();
+        let (out, n_candidates, core_states, filter_time) =
+            self.compute_substitutes(snap, query, key.is_some().then_some(&mut verdict));
         self.stats.record_core_states(core_states);
         #[cfg(mv_model)]
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
@@ -1224,9 +1262,9 @@ impl MatchingEngine {
         );
         if let Some((fp, stamp)) = key {
             // The entry MUST carry the stamp of the pinned snapshot the
-            // results were computed from. Re-deriving it from the currently
+            // verdict was computed from. Re-deriving it from the currently
             // published snapshot (the STAMP_AFTER_PUBLISH mutation) stamps
-            // pre-registration results with post-registration epochs,
+            // a pre-registration verdict with post-registration epochs,
             // making a stale entry look fresh forever.
             #[cfg(mv_model)]
             let stamp = if crate::mutation::active(crate::mutation::STAMP_AFTER_PUBLISH) {
@@ -1234,14 +1272,21 @@ impl MatchingEngine {
             } else {
                 stamp
             };
+            // A hit skips the filter and every failing candidate: the
+            // candidate count is what the entry saves.
+            let cost = n_candidates as u64 + 1;
             // Stored shrunk to fit: the render is built in a doubling
             // buffer.
-            self.cache.insert(
+            let evicted = self.cache.insert(
                 fp.hash,
                 fp.render.into_boxed_str(),
                 stamp,
-                (n_candidates, out.clone()),
+                (n_candidates, verdict),
+                cost,
             );
+            if evicted {
+                self.stats.record_cache_eviction();
+            }
         }
         out
     }
@@ -1266,8 +1311,10 @@ impl MatchingEngine {
     ///
     /// Sound because a query's plan depends on the catalog only through
     /// `find_substitutes` on subsets of its tables, and every write that
-    /// can change one of those bumps the epoch of a table in the subset —
-    /// so of a table in the query's stamp (DESIGN.md §11.4).
+    /// can change one of those — a catalog change, or a write round or
+    /// restamp that moves a view's freshness — bumps the plan epoch of a
+    /// table in the subset, so of a table in the query's stamp
+    /// (DESIGN.md §11.4).
     pub fn probe_plan<P: Clone + 'static>(
         &self,
         pin: &ViewsGuard,
@@ -1280,7 +1327,7 @@ impl MatchingEngine {
         let mut hasher = DefaultHasher::new();
         (tag, query).hash(&mut hasher);
         let hash = hasher.finish();
-        let stamp = pin.snap.table_stamp(query);
+        let stamp = pin.snap.plan_stamp(query);
         let is_key = |(t, block): &(u64, SpjgExpr)| *t == tag && block == query;
         match self.plans.lookup(hash, is_key, &stamp) {
             CacheLookup::Hit(plan) => {
@@ -1314,12 +1361,12 @@ impl MatchingEngine {
         // before a registration with the epochs after it.
         #[cfg(mv_model)]
         let stamp = if crate::mutation::active(crate::mutation::PLAN_STAMP_AT_INSERT) {
-            self.snapshot().table_stamp(query)
+            self.snapshot().plan_stamp(query)
         } else {
             stamp
         };
         self.plans
-            .insert(hash, (tag, query.clone()), stamp, Arc::new(plan));
+            .insert(hash, (tag, query.clone()), stamp, Arc::new(plan), 1);
     }
 
     /// Number of live entries in the plan cache.
@@ -1338,7 +1385,7 @@ impl MatchingEngine {
         pin: &ViewsGuard,
         query: &SpjgExpr,
     ) -> Vec<(ViewId, Substitute)> {
-        self.compute_substitutes(&pin.snap, query).0
+        self.compute_substitutes(&pin.snap, query, None).0
     }
 
     /// Match the query against one specific view (bypassing the filter).
@@ -1372,12 +1419,10 @@ impl MatchingEngine {
         if snap.removed.contains(&view) || (view.0 as usize) >= snap.views.len() {
             return None;
         }
-        let result = self.match_admitted(snap, &PreparedQuery::new(query, qsum), view);
+        let (result, _) = self.match_candidates(snap, query, qsum, &[view], None);
         #[cfg(debug_assertions)]
-        if let Some(sub) = &result {
-            self.debug_verify(snap, query, std::slice::from_ref(&(view, sub.clone())));
-        }
-        result
+        self.debug_verify(snap, query, &result);
+        result.into_iter().next().map(|(_, sub)| sub)
     }
 
     // ------------------------------------------------------------------
@@ -1688,48 +1733,12 @@ fn elapsed(started: Option<Instant>) -> Duration {
     started.map_or(Duration::ZERO, |t| t.elapsed())
 }
 
-/// Overwrite the output names of cached substitutes with the probing
-/// query's names. The fingerprint deliberately ignores names (α-equivalent
-/// queries share an entry), and substitute outputs are positional with the
-/// query's outputs, so restamping by position restores byte identity with
-/// a fresh computation for this exact query.
-fn restamp_output_names(results: &mut [(ViewId, Substitute)], query: &SpjgExpr) {
-    let names = query.output_names();
-    for (_, sub) in results.iter_mut() {
-        match &mut sub.output {
-            OutputList::Spj(items) => {
-                for (item, name) in items.iter_mut().zip(&names) {
-                    if item.name != *name {
-                        item.name = (*name).to_string();
-                    }
-                }
-            }
-            OutputList::Aggregate {
-                group_by,
-                aggregates,
-            } => {
-                let (g_names, a_names) = names.split_at(group_by.len());
-                for (item, name) in group_by.iter_mut().zip(g_names) {
-                    if item.name != *name {
-                        item.name = (*name).to_string();
-                    }
-                }
-                for (item, name) in aggregates.iter_mut().zip(a_names) {
-                    if item.name != *name {
-                        item.name = (*name).to_string();
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matching::FreshnessPolicy;
     use mv_catalog::tpch::tpch_catalog;
-    use mv_expr::{BoolExpr, CmpOp, ScalarExpr as S};
+    use mv_expr::{BinOp, BoolExpr, CmpOp, ScalarExpr as S};
     use mv_plan::{NamedAgg, NamedExpr};
 
     fn cr(occ: u32, col: u32) -> ColRef {
@@ -2194,24 +2203,25 @@ mod tests {
         let fresh = engine.find_substitutes(&q);
         assert!(fresh.iter().all(|(_, s)| s.freshness.is_fresh()));
         engine.record_base_write(t.part);
-        // StaleOk (the default) still serves, but the stamp says stale —
-        // and the write invalidated the cached entry, so the stale stamp
-        // is actually visible rather than replayed from cache.
+        // StaleOk (the default) still serves, but the stamp says stale:
+        // the cached verdict survives the write, and rebuilding it stamps
+        // each view with its lag under the current data epochs.
         let stale = engine.find_substitutes(&q);
         assert_eq!(stale.len(), fresh.len());
         assert!(stale
             .iter()
             .all(|(_, s)| s.freshness == Freshness::Stale { lag: 1 }));
-        assert_eq!(engine.stats().cache_invalidations, 1);
+        let stats = engine.stats();
+        assert_eq!((stats.cache_hits, stats.cache_invalidations), (1, 0));
     }
 
     #[test]
     fn base_write_invalidates_via_view_table_closure() {
         // A view may cover more tables than the queries it serves (e.g.
-        // after FK elimination), so `record_base_write` must bump the
+        // after FK elimination), so `record_base_write` must bump the plan
         // epochs of *all* tables of every view containing the written
-        // table — a cached query over a subset of the view's tables would
-        // otherwise keep serving the old freshness stamp.
+        // table — a cached plan for a query over a subset of the view's
+        // tables would otherwise keep serving the old freshness stamp.
         let (cat, t) = tpch_catalog();
         let engine = MatchingEngine::new(cat, MatchConfig::default());
         // View joining orders to customer; queries over orders alone can
@@ -2230,20 +2240,123 @@ mod tests {
             BoolExpr::Literal(true),
             vec![NamedExpr::new(S::col(cr(0, 0)), "o_orderkey")],
         );
-        let before = engine.find_substitutes(&q);
+        // A stand-in plan: the substitutes the probe's miss searched for.
+        let plan = |engine: &MatchingEngine| {
+            let pin = engine.views();
+            match engine.probe_plan::<Vec<(ViewId, Substitute)>>(&pin, 0, &q) {
+                PlanProbe::Hit(plan) => plan,
+                PlanProbe::Miss(ticket) => {
+                    let plan = engine.find_substitutes(&q);
+                    engine.insert_plan(ticket, &q, plan.clone());
+                    plan
+                }
+            }
+        };
+        let before = plan(&engine);
         assert_eq!(
             before.len(),
             1,
             "FK elimination serves orders from the join view"
         );
+        assert_eq!(plan(&engine), before, "a repeated plan is a hit");
         // Writing *customer* — a table the query never references — still
-        // changes the view's freshness, so the cached entry must go stale
-        // and the re-match must carry the new stamp.
+        // changes the view's freshness, so the cached plan must go stale
+        // and the re-plan must carry the new stamp. The substitute cache
+        // serves the re-plan: its verdict holds, and the rebuild restamps.
         engine.record_base_write(t.customer);
-        let after = engine.find_substitutes(&q);
+        let after = plan(&engine);
         assert_eq!(after.len(), 1);
         assert_eq!(after[0].1.freshness, Freshness::Stale { lag: 1 });
-        assert_eq!(engine.stats().cache_invalidations, 1);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.plan_cache_hits, stats.plan_cache_invalidations),
+            (1, 1)
+        );
+        assert_eq!((stats.cache_hits, stats.cache_invalidations), (1, 0));
+    }
+
+    #[test]
+    fn cached_verdicts_apply_freshness_on_rebuild() {
+        let (_, t) = tpch_catalog();
+        let q = part_query(600, 900);
+        let lags = |subs: &[(ViewId, Substitute)]| -> Vec<(ViewId, Freshness)> {
+            subs.iter().map(|(id, s)| (*id, s.freshness)).collect()
+        };
+        let hits = |engine: &MatchingEngine| {
+            let s = engine.stats();
+            assert_eq!(s.cache_invalidations, 0, "writes touch no verdict");
+            s.cache_hits
+        };
+
+        let engine = engine_with_views(MatchConfig {
+            freshness: FreshnessPolicy::StrictFresh,
+            ..MatchConfig::default()
+        });
+        assert_eq!(engine.find_substitutes(&q).len(), 2);
+        // Both part views stale: the rebuilt verdict serves neither.
+        engine.record_base_write(t.part);
+        assert!(engine.find_substitutes(&q).is_empty());
+        assert_eq!(hits(&engine), 1);
+        // parts_low maintained: the same verdict serves it again, Fresh.
+        assert_eq!(engine.mark_views_maintained(&[ViewId(0)]), 1);
+        let subs = engine.find_substitutes(&q);
+        assert_eq!(lags(&subs), vec![(ViewId(0), Freshness::Fresh)]);
+        assert_eq!(hits(&engine), 2);
+        // A verdict recorded while parts_mid is stale still lists it, so
+        // restamping parts_mid serves it from the next hit.
+        engine.clear_substitute_cache();
+        assert_eq!(engine.find_substitutes(&q).len(), 1);
+        assert_eq!(engine.mark_views_maintained(&[ViewId(1)]), 1);
+        let subs = engine.find_substitutes(&q);
+        let fresh = Freshness::Fresh;
+        assert_eq!(lags(&subs), vec![(ViewId(0), fresh), (ViewId(1), fresh)]);
+        assert_eq!(hits(&engine), 3);
+
+        let engine = engine_with_views(MatchConfig {
+            freshness: FreshnessPolicy::BoundedStaleness(1),
+            ..MatchConfig::default()
+        });
+        engine.find_substitutes(&q);
+        engine.record_base_write(t.part);
+        let stale = Freshness::Stale { lag: 1 };
+        let subs = engine.find_substitutes(&q);
+        assert_eq!(lags(&subs), vec![(ViewId(0), stale), (ViewId(1), stale)]);
+        // A second round passes the bound for the unmaintained view only.
+        assert_eq!(engine.mark_views_maintained(&[ViewId(0)]), 1);
+        engine.record_base_write(t.part);
+        let subs = engine.find_substitutes(&q);
+        assert_eq!(lags(&subs), vec![(ViewId(0), stale)]);
+        assert_eq!(hits(&engine), 2);
+    }
+
+    #[test]
+    fn integral_float_literal_is_not_the_equal_integer() {
+        // A view outputting `o_orderkey * 2` serves integers; the query's
+        // `o_orderkey * 2.0` yields floats, so the view column cannot
+        // answer it, and the two queries must not share a cache entry.
+        let (cat, t) = tpch_catalog();
+        let engine = MatchingEngine::new(cat, MatchConfig::default());
+        let doubled = |factor: S| S::col(cr(0, 0)).binary(BinOp::Mul, factor);
+        let v = SpjgExpr::spj(
+            vec![t.orders],
+            BoolExpr::Literal(true),
+            vec![
+                NamedExpr::new(S::col(cr(0, 0)), "o_orderkey"),
+                NamedExpr::new(doubled(S::lit(2i64)), "twice"),
+            ],
+        );
+        engine.add_view(ViewDef::new("doubled", v)).unwrap();
+        let query = |factor: S| {
+            SpjgExpr::spj(
+                vec![t.orders],
+                BoolExpr::Literal(true),
+                vec![NamedExpr::new(doubled(factor), "x")],
+            )
+        };
+        let (int_q, float_q) = (query(S::lit(2i64)), query(S::lit(2.0f64)));
+        assert_ne!(fingerprint(&int_q), fingerprint(&float_q));
+        assert_eq!(engine.find_substitutes(&int_q).len(), 1);
+        assert!(engine.find_substitutes(&float_q).is_empty());
     }
 
     #[test]

@@ -98,12 +98,15 @@ pub struct MatchConfig {
     /// conditions (weaker pruning, never misses a recomputable rewrite).
     pub strict_expression_filter: bool,
     /// Capacity (entries) of the fingerprint-keyed substitute cache on
-    /// [`crate::MatchingEngine::find_substitutes`]: repeated query shapes
-    /// skip the filter tree and the matching tests entirely and return the
-    /// cached substitute list (output names re-stamped from the probing
-    /// query). `0` disables the cache. Entries are invalidated lazily on
-    /// view registration/removal via an engine epoch. The cache stripes
-    /// itself over one mutex per 128 entries of capacity, at most 8. The
+    /// [`crate::MatchingEngine::find_substitutes`]: an entry holds the
+    /// views that passed the full tests, so a repeated query shape skips
+    /// the filter tree and every failing candidate, and the substitutes
+    /// are rebuilt for the probing query under the current freshness.
+    /// `0` disables the cache. Entries are invalidated lazily, per table,
+    /// on view registration/removal and check constraints (never on
+    /// base-table writes); a full stripe evicts the entry cheapest to
+    /// recompute. The cache stripes itself over one mutex per 128
+    /// entries of capacity, at most 8. The
     /// engine's plan cache ([`crate::MatchingEngine::probe_plan`]) holds
     /// a sixteenth of this many whole-query plans, so `0` disables both.
     pub substitute_cache_capacity: usize,

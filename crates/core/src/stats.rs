@@ -22,7 +22,8 @@ pub struct MatchStats {
     /// candidates of one invocation that share a FROM list and equijoin
     /// classes share one (DESIGN.md §13.5), so `candidates / core_states`
     /// is how many views paid for one §3.2 elimination. Counts work done —
-    /// an invocation answered from the substitute cache builds none.
+    /// an invocation answered from the substitute cache builds states only
+    /// for the views its cached verdict kept.
     pub core_states: u64,
     /// Total views registered at the time of each invocation, summed over
     /// invocations (denominator for the candidate fraction).
@@ -44,6 +45,9 @@ pub struct MatchStats {
     /// view or constraint over some table they touch was added or removed
     /// since they were stored).
     pub cache_invalidations: u64,
+    /// Substitute-cache entries evicted to make room: a full stripe drops
+    /// its cheapest-to-recompute entry (GreedyDual, DESIGN.md §11.1).
+    pub cache_evictions: u64,
     /// Whole-query plans served from the plan cache (DESIGN.md §11.4): an
     /// optimizer call answered this way invokes the matching rule zero
     /// times, so it shows in none of the counters above.
@@ -123,6 +127,7 @@ impl MatchStats {
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
         self.cache_invalidations += other.cache_invalidations;
+        self.cache_evictions += other.cache_evictions;
         self.plan_cache_hits += other.plan_cache_hits;
         self.plan_cache_misses += other.plan_cache_misses;
         self.plan_cache_invalidations += other.plan_cache_invalidations;
@@ -154,6 +159,7 @@ pub struct AtomicMatchStats {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_invalidations: AtomicU64,
+    cache_evictions: AtomicU64,
     plan_cache_hits: AtomicU64,
     plan_cache_misses: AtomicU64,
     plan_cache_invalidations: AtomicU64,
@@ -204,6 +210,11 @@ impl AtomicMatchStats {
         self.cache_invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Record a substitute-cache entry evicted for room.
+    pub fn record_cache_eviction(&self) {
+        self.cache_evictions.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record a plan-cache hit.
     pub fn record_plan_cache_hit(&self) {
         self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -243,6 +254,7 @@ impl AtomicMatchStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
+            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
             plan_cache_invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
@@ -263,6 +275,7 @@ impl AtomicMatchStats {
         self.cache_hits.store(0, Ordering::Relaxed);
         self.cache_misses.store(0, Ordering::Relaxed);
         self.cache_invalidations.store(0, Ordering::Relaxed);
+        self.cache_evictions.store(0, Ordering::Relaxed);
         self.plan_cache_hits.store(0, Ordering::Relaxed);
         self.plan_cache_misses.store(0, Ordering::Relaxed);
         self.plan_cache_invalidations.store(0, Ordering::Relaxed);
@@ -358,6 +371,7 @@ mod tests {
             cache_hits: 7,
             cache_misses: 8,
             cache_invalidations: 9,
+            cache_evictions: 16,
             plan_cache_hits: 13,
             plan_cache_misses: 14,
             plan_cache_invalidations: 15,
@@ -374,6 +388,7 @@ mod tests {
         assert_eq!(a.cache_hits, 14);
         assert_eq!(a.cache_misses, 16);
         assert_eq!(a.cache_invalidations, 18);
+        assert_eq!(a.cache_evictions, 32);
         assert_eq!(a.plan_cache_hits, 26);
         assert_eq!(a.plan_cache_misses, 28);
         assert_eq!(a.plan_cache_invalidations, 30);
@@ -390,6 +405,7 @@ mod tests {
         }
         a.record_cache_miss();
         a.record_cache_invalidation();
+        a.record_cache_eviction();
         a.record_plan_cache_hit();
         a.record_plan_cache_miss();
         a.record_plan_cache_miss();
@@ -401,6 +417,7 @@ mod tests {
         assert_eq!(s.cache_hits, 3);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_invalidations, 1);
+        assert_eq!(s.cache_evictions, 1);
         assert!((s.cache_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(s.plan_cache_invalidations, 1);
         assert!((s.plan_cache_hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -411,6 +428,7 @@ mod tests {
         assert_eq!(z.cache_hits, 0);
         assert_eq!(z.cache_misses, 0);
         assert_eq!(z.cache_invalidations, 0);
+        assert_eq!(z.cache_evictions, 0);
         assert_eq!(z.plan_cache_hits + z.plan_cache_misses, 0);
     }
 }

@@ -1,12 +1,15 @@
 //! The substitute cache must be invisible: under any interleaving of
-//! `add_view` / `remove_view` / `find_substitutes`, an engine with the
-//! cache enabled returns byte-identical results to an engine with the
-//! cache disabled. In debug builds every cache hit additionally runs the
-//! engine's own differential assertion (cached == freshly computed), so
-//! these tests double as a harness for that oracle.
+//! `add_view` / `remove_view` / `record_base_write` /
+//! `mark_views_maintained` / `find_substitutes`, an engine with the cache
+//! enabled returns byte-identical results — freshness stamps included —
+//! to an engine with the cache disabled. In debug builds every cache hit
+//! additionally runs the engine's own differential assertion (rebuilt ==
+//! freshly computed), so these tests double as a harness for that oracle;
+//! release builds compile it out, which leaves these tests as the check
+//! of a rebuilt hit.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{MatchConfig, MatchingEngine, SubstituteCache};
+use mv_core::{FreshnessPolicy, MatchConfig, MatchingEngine, SubstituteCache};
 use mv_plan::{OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
@@ -40,6 +43,10 @@ fn uncached_config() -> MatchConfig {
 enum Op {
     AddView(usize),
     RemoveView(usize),
+    /// A write round against the first table of query `idx`.
+    RecordWrite(usize),
+    /// Restamp every live view over the first table of query `idx`.
+    MarkMaintained(usize),
     Find(usize),
 }
 
@@ -47,6 +54,8 @@ fn decode(kind: usize, idx: usize) -> Op {
     match kind {
         0 => Op::AddView(idx),
         1 => Op::RemoveView(idx),
+        2 => Op::RecordWrite(idx),
+        3 => Op::MarkMaintained(idx),
         _ => Op::Find(idx),
     }
 }
@@ -54,18 +63,37 @@ fn decode(kind: usize, idx: usize) -> Op {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Apply the same op sequence to a cached and an uncached engine;
-    /// every `find_substitutes` must agree byte-for-byte. Repeated query
-    /// indices make real cache hits, removals and additions exercise the
-    /// epoch invalidation mid-sequence.
+    /// Apply the same op sequence to a cached and an uncached engine
+    /// under `StrictFresh`; every `find_substitutes` must agree
+    /// byte-for-byte. Repeated query indices make real cache hits,
+    /// removals and additions exercise the epoch invalidation
+    /// mid-sequence, and writes and restamps exercise freshness applied
+    /// to a rebuilt verdict. Half the view pool is the queries
+    /// themselves, and the whole pool is registered before the first op,
+    /// so a find has views that answer it.
     #[test]
     fn interleaving_equals_uncached_engine(
-        ops in prop::collection::vec((0usize..3, 0usize..16), 1..40),
+        ops in prop::collection::vec((0usize..6, 0usize..16), 1..40),
     ) {
-        let (views, queries) = pools(16, 8);
-        let cached = engine_with(MatchConfig::default());
-        let uncached = engine_with(uncached_config());
+        let (mut views, queries) = pools(8, 8);
+        views.extend(
+            queries
+                .iter()
+                .enumerate()
+                .map(|(i, q)| ViewDef::new(format!("q{i}"), q.clone())),
+        );
+        let strict = |config: MatchConfig| MatchConfig {
+            freshness: FreshnessPolicy::StrictFresh,
+            ..config
+        };
+        let cached = engine_with(strict(MatchConfig::default()));
+        let uncached = engine_with(strict(uncached_config()));
         let mut live: Vec<ViewId> = Vec::new();
+        for def in &views {
+            let id = cached.add_view(def.clone()).expect("pool views are valid");
+            prop_assert_eq!(uncached.add_view(def.clone()), Ok(id));
+            live.push(id);
+        }
 
         for (kind, idx) in ops {
             match decode(kind, idx) {
@@ -86,6 +114,24 @@ proptest! {
                     let id = live.remove(i % live.len());
                     prop_assert!(cached.remove_view(id));
                     prop_assert!(uncached.remove_view(id));
+                }
+                Op::RecordWrite(i) => {
+                    let table = queries[i % queries.len()].tables[0];
+                    cached.record_base_write(table);
+                    uncached.record_base_write(table);
+                }
+                Op::MarkMaintained(i) => {
+                    let table = queries[i % queries.len()].tables[0];
+                    let views = cached.views();
+                    let over: Vec<ViewId> = live
+                        .iter()
+                        .copied()
+                        .filter(|&id| views.get(id).expr.tables.contains(&table))
+                        .collect();
+                    prop_assert_eq!(
+                        cached.mark_views_maintained(&over),
+                        uncached.mark_views_maintained(&over)
+                    );
                 }
                 Op::Find(qi) => {
                     let q = &queries[qi % queries.len()];
@@ -148,7 +194,7 @@ fn epoch_bump_evicts_stale_hits() {
 }
 
 /// α-equivalent queries (same shape, different output names) share one
-/// cache entry, and the hit is restamped with the probing query's names.
+/// cache entry, and the hit is rebuilt with the probing query's names.
 #[test]
 fn renamed_outputs_hit_and_restamp() {
     let (views, queries) = pools(16, 8);
@@ -215,9 +261,7 @@ fn renamed_outputs_hit_and_restamp() {
 }
 
 /// The cache never holds more entries than its configured capacity —
-/// whatever the capacity, including ones its stripe count does not divide
-/// — and a warm entry keeps answering across unrelated traffic (clock
-/// eviction gives referenced entries a second chance).
+/// whatever the capacity, including ones its stripe count does not divide.
 #[test]
 fn capacity_bounds_resident_entries() {
     let (views, queries) = pools(16, 8);
@@ -242,13 +286,18 @@ fn capacity_bounds_resident_entries() {
         s.cache_hits + s.cache_misses == 3 * queries.len() as u64,
         "every find probed the cache"
     );
+    assert_eq!(
+        s.cache_evictions,
+        s.cache_misses - engine.substitute_cache_len() as u64,
+        "every miss past the first fills evicts exactly one entry"
+    );
 
     // Sweep: twice the capacity in distinct fingerprints, spread over
     // every stripe, never leaves more than `capacity` resident.
     for capacity in [1usize, 3, 10, 127, 129, 1000, 1024] {
         let cache = SubstituteCache::new(capacity);
         for h in 0..2 * capacity as u64 {
-            cache.insert(h, format!("q{h}").into(), vec![0], (0, Vec::new()));
+            cache.insert(h, format!("q{h}").into(), vec![0], (0, Vec::new()), 1);
             assert!(cache.len() <= capacity, "capacity {capacity} exceeded");
         }
         // Floor sizing gives up less than one entry per stripe.
@@ -259,7 +308,7 @@ fn capacity_bounds_resident_entries() {
     // on one stripe (hash ≡ 0 mod 16 ⊂ mod 8) fill exactly 128 slots.
     let cache = SubstituteCache::new(1024);
     for i in 0..200u64 {
-        cache.insert(16 * i, format!("q{i}").into(), vec![0], (0, Vec::new()));
+        cache.insert(16 * i, format!("q{i}").into(), vec![0], (0, Vec::new()), 1);
     }
     assert_eq!(cache.len(), 128, "1,024 entries stripe as 8 x 128");
 }

@@ -212,8 +212,10 @@ fn key_range(table: TableId, lo: i64, hi: i64) -> SpjgExpr {
 }
 
 /// One `mark_views_maintained` call over k views is one publication, and
-/// it leaves the substitute cache exactly where k single restamps leave
-/// it: the same entries stale, the same entries still served.
+/// it leaves the engine exactly where k single restamps leave it: the
+/// same answers, with the same stamps, served from the same cache
+/// entries. Restamps invalidate no substitute-cache entry — a cached
+/// verdict is rebuilt against the current freshness on every hit.
 #[test]
 fn batch_restamp_publishes_once_and_invalidates_like_single_restamps() {
     let (_, t) = tpch_catalog();
@@ -258,18 +260,21 @@ fn batch_restamp_publishes_once_and_invalidates_like_single_restamps() {
     assert_eq!(single.snapshot_epoch(), before + ids.len() as u64);
 
     for q in &queries {
-        assert_eq!(batch.find_substitutes(q), single.find_substitutes(q));
+        let served = batch.find_substitutes(q);
+        assert_eq!(served, single.find_substitutes(q));
+        assert!(served.iter().all(|(_, s)| s.freshness.is_fresh()));
         let (b, s) = (batch.stats(), single.stats());
         assert_eq!(
             (b.cache_hits, b.cache_misses, b.cache_invalidations),
             (s.cache_hits, s.cache_misses, s.cache_invalidations)
         );
     }
-    // The two queries over the restamped table went stale and now see its
-    // views again; the one over `orders` is still served from the cache.
+    // Every query is served from its cached verdict; the two over the
+    // restamped table see its views again.
     let stats = batch.stats();
-    assert_eq!((stats.cache_invalidations, stats.cache_hits), (2, 1));
+    assert_eq!((stats.cache_invalidations, stats.cache_hits), (0, 3));
     assert_eq!(batch.find_substitutes(&queries[0]).len(), 2);
+    assert_eq!(batch.find_substitutes(&queries[1]).len(), 2);
     // Ids the catalog does not hold restamp nothing and publish nothing.
     let before = batch.snapshot_epoch();
     assert_eq!(

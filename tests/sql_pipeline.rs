@@ -18,6 +18,23 @@ fn rendered_sql_reparses_to_the_same_block() {
 }
 
 #[test]
+fn integral_float_literal_survives_the_round_trip() {
+    let (catalog, _) = tpch_catalog();
+    let q = parse_query(
+        "select o_orderkey * 2.0 as x from orders where o_totalprice > 100.0",
+        &catalog,
+    )
+    .unwrap();
+    let sql = sql_of(&q, &catalog);
+    assert!(sql.contains("2.0") && sql.contains("100.0"), "{sql}");
+    let reparsed = parse_query(&sql, &catalog).unwrap();
+    assert_eq!(reparsed, q);
+    // `Value`'s equality equates `Float(2.0)` with `Int(2)`; the debug
+    // form tells the variants apart.
+    assert_eq!(format!("{reparsed:?}"), format!("{q:?}"), "{sql}");
+}
+
+#[test]
 fn handwritten_sql_through_the_whole_stack() {
     let (db, _) = generate_tpch(&TpchScale::small(), 12);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
