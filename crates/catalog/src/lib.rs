@@ -25,4 +25,4 @@ pub use schema::{
     TableBuilder, TableId,
 };
 pub use stats::{ColumnStats, TableStats};
-pub use types::{ColumnType, Value};
+pub use types::{ColumnType, KeyHasher, Value};

@@ -142,6 +142,17 @@ impl Value {
         }
     }
 
+    /// Equal and indistinguishable: the same variant with the same bits.
+    /// Stricter than `==`, which equates `Int(2)` with `Float(2.0)` and
+    /// `0.0` with `-0.0` although each pair computes different results.
+    pub fn identical(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+            (Value::Float(_), _) | (_, Value::Float(_)) => false,
+            _ => self == other,
+        }
+    }
+
     /// Normalized bits for hashing floats: maps `-0.0` to `0.0` and all NaNs
     /// to one canonical NaN.
     fn float_bits(f: f64) -> u64 {
@@ -175,6 +186,10 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// Each value feeds its hasher a tag byte, then its payload: the
+/// normalized `f64` bits of a number, a string's text followed by the
+/// `0xff` that `Hasher::write_str` appends, or a date's day number.
+/// [`KeyHasher`] writes the same bytes; keep the two in step.
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
@@ -198,6 +213,87 @@ impl Hash for Value {
                 3u8.hash(state);
                 d.hash(state);
             }
+        }
+    }
+}
+
+/// Bytes a [`KeyHasher`] gathers before it hands them to its hasher.
+const KEY_BUF: usize = 128;
+
+/// Hashes a composite key with one `Hasher::write` per buffer of bytes,
+/// where hashing each [`Value`] in turn makes up to three calls per value.
+///
+/// The bytes are the ones `Value`'s `Hash` writes, packed into a stack
+/// buffer (a string longer than the buffer is written straight through).
+/// For a hasher whose result depends only on the byte stream, such as the
+/// SipHash behind `std`'s `RandomState`, the hash therefore equals the
+/// streamed one, and an `Int` still hashes like the `Float` it equals.
+pub struct KeyHasher<H> {
+    hasher: H,
+    buf: [u8; KEY_BUF],
+    len: usize,
+}
+
+impl<H: Hasher> KeyHasher<H> {
+    /// Start a key on `hasher`.
+    pub fn new(hasher: H) -> Self {
+        KeyHasher {
+            hasher,
+            buf: [0; KEY_BUF],
+            len: 0,
+        }
+    }
+
+    /// Append one value of the key.
+    #[inline]
+    pub fn push(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.put(&[0]),
+            Value::Int(i) => self.put_number(*i as f64),
+            Value::Float(f) => self.put_number(*f),
+            Value::Str(s) => {
+                self.put(&[2]);
+                self.put(s.as_bytes());
+                self.put(&[0xff]);
+            }
+            Value::Date(d) => {
+                let mut bytes = [3; 5];
+                bytes[1..].copy_from_slice(&d.to_ne_bytes());
+                self.put(&bytes);
+            }
+        }
+    }
+
+    /// The hash of the values pushed.
+    pub fn finish(mut self) -> u64 {
+        self.flush();
+        self.hasher.finish()
+    }
+
+    #[inline]
+    fn put_number(&mut self, f: f64) {
+        let mut bytes = [1; 9];
+        bytes[1..].copy_from_slice(&Value::float_bits(f).to_ne_bytes());
+        self.put(&bytes);
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > KEY_BUF {
+            self.flush();
+            if bytes.len() > KEY_BUF {
+                self.hasher.write(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn flush(&mut self) {
+        if self.len > 0 {
+            self.hasher.write(&self.buf[..self.len]);
+            self.len = 0;
         }
     }
 }

@@ -1328,7 +1328,8 @@ impl MatchingEngine {
         (tag, query).hash(&mut hasher);
         let hash = hasher.finish();
         let stamp = pin.snap.plan_stamp(query);
-        let is_key = |(t, block): &(u64, SpjgExpr)| *t == tag && block == query;
+        // Not `block == query`: that serves `a * 2.0` the plan for `a * 2`.
+        let is_key = |(t, block): &(u64, SpjgExpr)| *t == tag && block.identical(query);
         match self.plans.lookup(hash, is_key, &stamp) {
             CacheLookup::Hit(plan) => {
                 if let Some(plan) = plan.downcast_ref::<P>() {

@@ -8,19 +8,23 @@
 //! its counting state on the group columns of a view's served rows with
 //! it, and pairs a delta's deleted and inserted rows through it; both
 //! remove ids ([`HashChains::unlink`], [`HashChains::swap_remove`]).
+//!
+//! Keys are row data that writers control, so they are hashed with the
+//! keyed SipHash of a per-table `RandomState`: one pass per key through
+//! [`KeyHasher`], bit-identical to hashing each value in turn.
 
-use mv_catalog::Value;
+use mv_catalog::{KeyHasher, Value};
 use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::BuildHasher;
 
 const NIL: u32 = u32::MAX;
 
 /// Hash of a composite key. Relies on `Value`'s contract that equal
 /// values (including an `Int` and the `Float` it equals) hash equally.
 pub fn hash_key<'v>(state: &RandomState, key: impl Iterator<Item = &'v Value>) -> u64 {
-    let mut h = state.build_hasher();
+    let mut h = KeyHasher::new(state.build_hasher());
     for v in key {
-        v.hash(&mut h);
+        h.push(v);
     }
     h.finish()
 }
@@ -35,11 +39,12 @@ pub struct HashChains {
 }
 
 impl HashChains {
-    /// An index for the ids `0..n`, none of them linked yet.
-    pub(crate) fn with_ids(n: usize) -> Self {
+    /// An index for the ids `0..n`, none of them linked yet, with at
+    /// least `buckets` buckets.
+    pub(crate) fn with_ids(n: usize, buckets: usize) -> Self {
         debug_assert!(n < NIL as usize, "id space exceeds u32");
         HashChains {
-            heads: vec![NIL; (2 * n).next_power_of_two()],
+            heads: vec![NIL; buckets.next_power_of_two()],
             next: vec![NIL; n],
             hashes: vec![0; n],
         }
@@ -160,13 +165,13 @@ mod tests {
 
     #[test]
     fn unlinked_ids_are_never_yielded() {
-        let mut t = HashChains::with_ids(4);
+        let mut t = HashChains::with_ids(4, 8);
         t.link(1, 9);
         t.link(3, 9);
         let mut ids: Vec<u32> = t.chain(9).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3]);
-        assert_eq!(HashChains::with_ids(0).chain(9).count(), 0);
+        assert_eq!(HashChains::with_ids(0, 0).chain(9).count(), 0);
     }
 
     /// Removal under colliding hashes: every removed id leaves its chain,
@@ -220,5 +225,56 @@ mod tests {
         let a = [Value::Int(3), Value::Null];
         let b = [Value::Float(3.0), Value::Null];
         assert_eq!(hash_key(&s, a.iter()), hash_key(&s, b.iter()));
+    }
+
+    /// The packed pass is bit-identical to `Value::hash` streamed value by
+    /// value through the same keyed hasher, so every equality the `Hash`
+    /// contract promises carries over.
+    #[test]
+    fn packed_hash_equals_the_streamed_hash() {
+        use std::hash::{Hash, Hasher};
+        let s = RandomState::new();
+        let streamed = |key: &[Value]| {
+            let mut h = s.build_hasher();
+            for v in key {
+                v.hash(&mut h);
+            }
+            h.finish()
+        };
+        let values = [
+            Value::Null,
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::from_bits(0x7ff8_0000_0000_0001)),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::from(""),
+            Value::from("abc"),
+            // Longer than the packing buffer: written straight through.
+            Value::from("x".repeat(300)),
+            Value::Date(-3),
+            Value::Date(10_000),
+        ];
+        for a in &values {
+            for b in &values {
+                let key = [a.clone(), b.clone()];
+                assert_eq!(hash_key(&s, key.iter()), streamed(&key), "{key:?}");
+            }
+        }
+        // More values than the buffer holds, cut at every length so the
+        // buffer fills at every offset of a value.
+        let wide: Vec<Value> = values.iter().cycle().take(80).cloned().collect();
+        for n in 0..=wide.len() {
+            assert_eq!(hash_key(&s, wide[..n].iter()), streamed(&wide[..n]));
+        }
+        // Equal values hash alike: 0.0 and -0.0, Int(3) and Float(3.0),
+        // and two NaNs.
+        for (a, b) in [(3, 4), (1, 2), (5, 6)] {
+            let (a, b) = (&values[a], &values[b]);
+            assert_eq!(hash_key(&s, [a].into_iter()), hash_key(&s, [b].into_iter()));
+        }
     }
 }

@@ -7,8 +7,11 @@
 //!   compiles the plan ([`CompiledPlan`]) and materializes late: base
 //!   tables and view contents are borrowed, intermediate relations are
 //!   `u32` row-index tuples, and values are cloned once, into the result
-//!   (plus group keys and computed columns of an operator under a join).
-//!   No intermediate row is ever built.
+//!   (a group's key values from its first tuple, when its row is built).
+//!   No intermediate row is ever built, except the owned output of an
+//!   aggregate or computed projection that sits under a join. A hash join
+//!   addresses one dense `Int` key column by offset and hashes any other
+//!   key in one keyed SipHash pass.
 //! * [`program`] holds the compiled forms of an SPJG block and of a
 //!   substitute ([`PlanProgram`], [`SubstituteProgram`],
 //!   [`SubstitutePipeline`]) for callers that evaluate one expression over

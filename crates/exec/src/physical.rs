@@ -4,18 +4,23 @@
 //! filter, column-remap and join operators over borrowed leaves (base
 //! tables, [`ViewStore`] contents, or the owned output of a fragment
 //! below). Operators exchange index tuples, not rows — see [`Rel`] — and
-//! each fragment clones values exactly once, where its result is built.
+//! each fragment clones values exactly once, straight into the rows it
+//! returns: a group's key values are cloned from the group's first tuple
+//! when the group's row is built.
+//!
+//! A hash join indexes its build side by what the keys turn out to be
+//! (`BuildTable`): one dense `Int` key column is addressed by offset,
+//! anything else is chained by its keyed hash.
 
-use crate::chains::{hash_key, HashChains};
-use crate::program::{
-    filter_tuples, EvalStacks, Fetch, GroupTable, OutputProgram, Program, RowBag,
-};
-use mv_catalog::{TableId, Value};
+use crate::chains::HashChains;
+use crate::program::{filter_tuples, EvalStacks, Fetch, GroupTable, OutputProgram, Program};
+use mv_catalog::{KeyHasher, TableId, Value};
 use mv_data::{Database, Row};
 use mv_expr::{BoolExpr, ColRef, ScalarExpr};
 use mv_plan::{PhysicalPlan, ViewId};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Storage for materialized view contents, addressed by [`ViewId`].
 #[derive(Debug, Clone, Default)]
@@ -137,10 +142,98 @@ impl<'a> JoinSide<'a> {
     /// Hash of tuple `i`'s key; `None` when a key value is NULL (SQL
     /// equality: NULL keys never join).
     fn hash(&self, i: usize, state: &RandomState) -> Option<u64> {
-        if self.key(i).any(Value::is_null) {
-            return None;
+        let mut h = KeyHasher::new(state.build_hasher());
+        for v in self.key(i) {
+            if v.is_null() {
+                return None;
+            }
+            h.push(v);
         }
-        Some(hash_key(state, self.key(i)))
+        Some(h.finish())
+    }
+
+    /// `(min, span)` of the key when it is one column whose non-NULL
+    /// values are `Int`s inside ±[`EXACT_INT`] and take fewer than
+    /// `4 × tuples + 64` distinct places.
+    fn dense_int_range(&self) -> Option<(i64, u64)> {
+        let [(slot, col)] = self.keys[..] else {
+            return None;
+        };
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        for tuple in self.rel.tuples.chunks_exact(self.rel.stride) {
+            match self.leaves[slot][tuple[slot] as usize][col] {
+                Value::Int(k) => (min, max) = (min.min(k), max.max(k)),
+                Value::Null => {}
+                _ => return None,
+            }
+        }
+        // Empty (every key NULL) when `min > max`.
+        let span = max as i128 - min as i128 + 1;
+        let dense = (1..=4 * self.rel.len() as i128 + 64).contains(&span)
+            && -EXACT_INT < min
+            && max < EXACT_INT;
+        dense.then_some((min, span as u64))
+    }
+}
+
+/// Inside ±2^53 every `i64` converts to `f64` and back exactly, so an
+/// integral `Float` equals (by `Value::eq`) exactly one `Int` there.
+const EXACT_INT: i64 = 1 << 53;
+
+/// How a hash join's build side is indexed. The layout is chosen from the
+/// build keys each time the join runs.
+enum BuildLayout {
+    /// One key column over a dense range of `Int`s
+    /// ([`JoinSide::dense_int_range`]): a key's bucket is its offset from
+    /// `min`, and nothing is hashed.
+    Direct { min: i64, span: u64 },
+    /// Any other key: chained by its keyed hash.
+    Hashed(RandomState),
+}
+
+/// The build side's tuple ids, chained under their key's bucket.
+struct BuildTable {
+    layout: BuildLayout,
+    chains: HashChains,
+}
+
+impl BuildTable {
+    fn new(build: &JoinSide) -> Self {
+        let n = build.rel.len();
+        let (layout, buckets) = match build.dense_int_range() {
+            Some((min, span)) => (BuildLayout::Direct { min, span }, span as usize),
+            None => (BuildLayout::Hashed(RandomState::new()), 2 * n),
+        };
+        let mut table = BuildTable {
+            layout,
+            chains: HashChains::with_ids(n, buckets),
+        };
+        for i in 0..n {
+            if let Some(bucket) = table.bucket(build, i) {
+                table.chains.link(i as u32, bucket);
+            }
+        }
+        table
+    }
+
+    /// The bucket of `side`'s tuple `i`, or `None` when its key can equal
+    /// no build key: NULL, or under [`BuildLayout::Direct`] anything but
+    /// an `Int` or integral `Float` inside the range.
+    fn bucket(&self, side: &JoinSide, i: usize) -> Option<u64> {
+        match &self.layout {
+            BuildLayout::Direct { min, span } => {
+                let k = match *side.key(i).next()? {
+                    Value::Int(k) => k,
+                    Value::Float(x) if x.fract() == 0.0 && x.abs() < EXACT_INT as f64 => x as i64,
+                    _ => return None,
+                };
+                let offset = k as i128 - *min as i128;
+                (0..*span as i128)
+                    .contains(&offset)
+                    .then_some(offset as u64)
+            }
+            BuildLayout::Hashed(state) => side.hash(i, state),
+        }
     }
 }
 
@@ -195,8 +288,8 @@ enum Leaf {
 /// values are cloned.
 #[derive(Debug, Clone)]
 enum Output {
-    /// Every output position (the plan's root is not a `Project` or
-    /// `HashAggregate`).
+    /// Every output position (the plan's root is not a `HashAggregate` or
+    /// a `Project` that computes).
     All,
     Program(OutputProgram),
 }
@@ -213,8 +306,8 @@ struct Fragment {
 /// view contents are borrowed, every intermediate relation is a vector of
 /// `u32` row-index tuples, predicates and output expressions are postfix
 /// programs, and values are cloned once, into the result rows (and into
-/// the group keys, accumulators and computed columns of an operator that
-/// sits under a join).
+/// the owned output of an aggregate or computed projection that sits
+/// under a join).
 ///
 /// Compiling needs neither the data nor the schema, so a caller that
 /// caches plans can compile once and [`CompiledPlan::run`] many times.
@@ -246,10 +339,16 @@ impl Fragment {
     fn compile(plan: &PhysicalPlan) -> Self {
         let mut leaves = Vec::new();
         let (root, output) = match plan {
-            PhysicalPlan::Project { input, exprs } => (
-                Node::compile(input, &mut leaves),
-                Output::Program(OutputProgram::project(exprs.iter(), &input_pos)),
-            ),
+            // A `Project` of bare columns falls through to a `Remap` under
+            // `Output::All`.
+            PhysicalPlan::Project { input, exprs }
+                if exprs.iter().any(|e| e.as_column().is_none()) =>
+            {
+                (
+                    Node::compile(input, &mut leaves),
+                    Output::Program(OutputProgram::project(exprs.iter(), &input_pos)),
+                )
+            }
             PhysicalPlan::HashAggregate {
                 input,
                 group_by,
@@ -312,17 +411,16 @@ impl Fragment {
                     leaves: &leaves,
                     cols: &rel.cols,
                 };
-                let mut out = RowBag::new();
-                out.reset(program.arity());
+                let mut rows = Vec::new();
                 let mut groups = GroupTable::default();
                 let mut key_buf = Vec::new();
                 program.begin(&mut groups);
                 for tuple in rel.tuples.chunks_exact(rel.stride) {
-                    program.feed(&fetch, tuple, &mut st, &mut key_buf, &mut groups, &mut out);
+                    program.feed(&fetch, tuple, &mut st, &mut key_buf, &mut groups, &mut rows);
                 }
                 // A scalar aggregate over no tuples still yields its row.
-                program.finish(&mut groups, &mut out);
-                out.into_rows()
+                program.finish(&fetch, &mut groups, &mut rows);
+                rows
             }
         }
     }
@@ -505,19 +603,13 @@ impl Node {
                 } else {
                     (&r_side, &l_side)
                 };
-                let state = RandomState::new();
-                let mut table = HashChains::with_ids(build.rel.len());
-                for i in 0..build.rel.len() {
-                    if let Some(hash) = build.hash(i, &state) {
-                        table.link(i as u32, hash);
-                    }
-                }
+                let table = BuildTable::new(build);
                 let mut out = JoinOutput::new(&l, &r, leaves, residual.as_ref());
                 for j in 0..probe.rel.len() {
-                    let Some(hash) = probe.hash(j, &state) else {
+                    let Some(bucket) = table.bucket(probe, j) else {
                         continue;
                     };
-                    for i in table.chain(hash).map(|i| i as usize) {
+                    for i in table.chains.chain(bucket).map(|i| i as usize) {
                         if build.key(i).eq(probe.key(j)) {
                             let (li, ri) = if build_left { (i, j) } else { (j, i) };
                             out.push(li, ri, st);
@@ -842,6 +934,50 @@ mod empty_view_tests {
         assert!(kept > 0);
         assert_eq!(compiled.run(&db, &store).len(), kept);
         assert_eq!(compiled.run(&db, &store).len(), kept);
+    }
+}
+
+#[cfg(test)]
+mod layout_tests {
+    use super::*;
+
+    /// Whether a build side of `rows` keyed on `key` is addressed by
+    /// offset. `physical_differential.rs` checks both layouts' answers.
+    fn direct(rows: &[Row], key: &[usize]) -> bool {
+        let leaves: [&[Row]; 1] = [rows];
+        let rel = Rel {
+            tuples: (0..rows.len() as u32).collect(),
+            stride: 1,
+            cols: (0..rows[0].len()).map(|col| (0, col)).collect(),
+        };
+        let side = JoinSide::new(&rel, &leaves, key);
+        matches!(BuildTable::new(&side).layout, BuildLayout::Direct { .. })
+    }
+
+    fn one_key(keys: &[Value]) -> bool {
+        let rows: Vec<Row> = keys.iter().map(|k| vec![k.clone()]).collect();
+        direct(&rows, &[0])
+    }
+
+    #[test]
+    fn the_build_keys_choose_the_layout() {
+        let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        assert!(one_key(&ints(&[-5, -3, -3, -1])));
+        assert!(one_key(&[Value::Int(7), Value::Null]));
+        // Three rows may span 4 × 3 + 64 = 76 places.
+        assert!(one_key(&ints(&[0, 40, 75])));
+        assert!(!one_key(&ints(&[0, 40, 76])));
+        assert!(!one_key(&ints(&[i64::MIN, 0, i64::MAX])));
+        // Only inside ±2^53 does an integral Float equal one Int.
+        let big = 1i64 << 53;
+        assert!(one_key(&ints(&[-big + 1, -big + 2])));
+        assert!(!one_key(&ints(&[big - 1, big])));
+        assert!(!one_key(&[Value::Null, Value::Null]));
+        assert!(!one_key(&[Value::Int(1), Value::Float(2.0)]));
+        assert!(!one_key(&[Value::Date(1), Value::Date(2)]));
+        let pairs = [ints(&[1, 2]), ints(&[2, 3])];
+        assert!(!direct(&pairs, &[0, 1]));
+        assert!(direct(&pairs, &[1]));
     }
 }
 

@@ -12,15 +12,17 @@
 //! The execution representation never materializes joined rows: a joined
 //! "row" is a tuple of `u32` row indices, one per table occurrence, and
 //! every column reference resolves lazily through a [`Fetch`] back to the
-//! database's own storage. Values are cloned only at the two places a bag
-//! must own them — projected output cells and group keys on first insert —
-//! so the per-database cost is a few tight loops over integer tuples with
-//! no allocation on the common path (the per-call table of scans, one
-//! slice per table occurrence, sits on the stack up to `INLINE_OCCS`
-//! occurrences and on the heap past that). [`SubstitutePipeline`] extends the
-//! same idea across the view boundary: when the view's output is a bare
-//! column projection, the substitute runs directly over the view's join
-//! tuples and the view rows are never materialized at all.
+//! database's own storage. Values are cloned only where the output must
+//! own them — projected cells, and a group's key values when its row is
+//! built (the group table keeps a bare-column key as the group's first
+//! index tuple) — so the per-database cost is a few tight loops over
+//! integer tuples with no allocation on the common path (the per-call
+//! table of scans, one slice per table occurrence, sits on the stack up to
+//! `INLINE_OCCS` occurrences and on the heap past that).
+//! [`SubstitutePipeline`] extends the same idea across the view boundary:
+//! when the view's output is a bare column projection, the substitute runs
+//! directly over the view's join tuples and the view rows are never
+//! materialized at all.
 //!
 //! The tree-walking interpreter in [`crate::spjg`] / [`crate::substitute`]
 //! stays as the differential oracle: the compiled path must produce exactly
@@ -549,14 +551,15 @@ impl OutputProgram {
         st: &mut EvalStacks,
         key_buf: &mut Vec<Value>,
         groups: &mut GroupTable,
-        out: &mut RowBag,
+        out: &mut impl RowSink,
     ) {
         match self {
             OutputProgram::Project(items) => {
-                for item in items {
-                    out.vals.push(item.eval_scalar_owned(f, tuple, st));
-                }
-                out.count += 1;
+                out.push_row(
+                    items
+                        .iter()
+                        .map(|item| item.eval_scalar_owned(f, tuple, st)),
+                );
             }
             OutputProgram::Aggregate {
                 keys,
@@ -564,15 +567,13 @@ impl OutputProgram {
                 aggs,
             } => {
                 let g = match key_cols {
-                    Some(cols) => {
-                        groups.find_or_insert_by(cols.len(), aggs.len(), |k| f.at(tuple, cols[k]))
-                    }
+                    Some(cols) => groups.find_or_insert_tuple(f, tuple, cols, aggs.len()),
                     None => {
                         key_buf.clear();
                         for k in keys {
                             key_buf.push(k.eval_scalar_owned(f, tuple, st));
                         }
-                        groups.find_or_insert_by(key_buf.len(), aggs.len(), |k| &key_buf[k])
+                        groups.find_or_insert_values(key_buf, aggs.len())
                     }
                 };
                 groups.counts[g] += 1;
@@ -588,31 +589,65 @@ impl OutputProgram {
         }
     }
 
-    /// Flush accumulated groups into the output bag (no-op for projections,
-    /// whose rows were emitted by [`OutputProgram::feed`]).
-    pub(crate) fn finish(&self, groups: &mut GroupTable, out: &mut RowBag) {
-        if let OutputProgram::Aggregate { keys, aggs, .. } = self {
-            // SQL: a scalar aggregate over empty input yields one row.
-            if groups.counts.is_empty() && keys.is_empty() {
-                groups.find_or_insert_by(0, aggs.len(), |_| -> &Value { unreachable!() });
-            }
-            out.reserve(groups.counts.len());
-            // Keys are moved, not cloned: the table is cleared before its
-            // next use.
-            let mut group_keys = groups.keys.drain(..);
-            for (g, &count) in groups.counts.iter().enumerate() {
-                out.vals.extend(group_keys.by_ref().take(keys.len()));
-                let sums = &groups.sums[g * aggs.len()..(g + 1) * aggs.len()];
-                for (agg, sum) in aggs.iter().zip(sums) {
-                    out.vals.push(match agg.kind {
-                        AggKind::CountStar => Value::Int(count),
-                        AggKind::Sum => sum.finish(),
-                        AggKind::SumZero => sum.finish_zero(),
-                    });
+    /// Flush accumulated groups into the output (no-op for projections,
+    /// whose rows were emitted by [`OutputProgram::feed`]). `f` resolves
+    /// the tuples fed, for the bare-column keys a group keeps as its first
+    /// tuple.
+    pub(crate) fn finish<F: Fetch>(&self, f: &F, groups: &mut GroupTable, out: &mut impl RowSink) {
+        let OutputProgram::Aggregate {
+            keys,
+            key_cols,
+            aggs,
+        } = self
+        else {
+            return;
+        };
+        // SQL: a scalar aggregate over empty input yields one row.
+        if groups.counts.is_empty() && keys.is_empty() {
+            groups.open(aggs.len(), None, |_, _| {
+                unreachable!("one group is never hashed")
+            });
+        }
+        // Computed keys are moved, not cloned: the table is cleared before
+        // its next use.
+        let mut computed = groups.keys.drain(..);
+        for (g, &count) in groups.counts.iter().enumerate() {
+            let sums = &groups.sums[g * aggs.len()..(g + 1) * aggs.len()];
+            let results = aggs.iter().zip(sums).map(|(agg, sum)| match agg.kind {
+                AggKind::CountStar => Value::Int(count),
+                AggKind::Sum => sum.finish(),
+                AggKind::SumZero => sum.finish_zero(),
+            });
+            match key_cols {
+                Some(cols) => {
+                    // `GroupTable::first` would borrow all of `groups`,
+                    // whose `keys` `computed` holds.
+                    let first = &groups.reps[g * groups.stride..(g + 1) * groups.stride];
+                    out.push_row(cols.iter().map(|&c| f.at(first, c).clone()).chain(results));
                 }
-                out.count += 1;
+                None => out.push_row(computed.by_ref().take(keys.len()).chain(results)),
             }
         }
+    }
+}
+
+/// Where an [`OutputProgram`] writes its rows: a flat [`RowBag`] for the
+/// prover's and maintenance's programs, owned rows for the physical
+/// executor.
+pub(crate) trait RowSink {
+    fn push_row(&mut self, row: impl Iterator<Item = Value>);
+}
+
+impl RowSink for RowBag {
+    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
+        self.vals.extend(row);
+        self.count += 1;
+    }
+}
+
+impl RowSink for Vec<Row> {
+    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
+        self.push(row.collect());
     }
 }
 
@@ -621,13 +656,22 @@ impl OutputProgram {
 /// their groups never leave the scan; a served query's thousands must.
 const LINEAR_GROUPS: usize = 16;
 
-/// A reusable group table over flat storage (group `g` owns
-/// `keys[g * n_keys..]`, `counts[g]` and `sums[g * n_aggs..]`, so a new
-/// group allocates nothing once the vectors have grown): a linear scan
-/// while the groups are few (it beats hashing every key), a
-/// [`HashChains`] index once they are not.
+/// A reusable group table over flat storage (group `g` owns `counts[g]`,
+/// `sums[g * n_aggs..]` and its key, so a new group allocates nothing once
+/// the vectors have grown): a linear scan while the groups are few (it
+/// beats hashing every key), a [`HashChains`] index once they are not.
+///
+/// A group's key is kept one of two ways. Bare-column keys keep the
+/// group's first index tuple (`reps[g * stride..]`, copied, because the
+/// programs reuse their tuple buffers) and compare candidates in place
+/// through the [`Fetch`]; no value is cloned until
+/// [`OutputProgram::finish`] builds the group's row. Computed keys keep
+/// their values (`keys[g * n_keys..]`).
 #[derive(Debug, Default)]
 pub(crate) struct GroupTable {
+    reps: Vec<u32>,
+    /// Index-tuple width of `reps`.
+    stride: usize,
     keys: Vec<Value>,
     counts: Vec<i64>,
     sums: Vec<SumAcc>,
@@ -639,50 +683,103 @@ pub(crate) struct GroupTable {
 
 impl GroupTable {
     fn clear(&mut self) {
+        self.reps.clear();
+        self.stride = 0;
         self.keys.clear();
         self.counts.clear();
         self.sums.clear();
         self.index.clear();
     }
 
-    /// The group whose key matches `get(0..n_keys)`, inserted fresh
-    /// (cloning the key values — the only clone on the aggregate path)
-    /// when absent.
-    fn find_or_insert_by<'v>(
+    /// The group of `tuple`'s values at the fetch positions `cols`,
+    /// opened with `tuple` as its first tuple when absent.
+    fn find_or_insert_tuple<F: Fetch>(
         &mut self,
-        n_keys: usize,
+        f: &F,
+        tuple: &[u32],
+        cols: &[usize],
         n_aggs: usize,
-        get: impl Fn(usize) -> &'v Value,
     ) -> usize {
-        let live = self.counts.len();
-        let is_group = |g: &usize| (0..n_keys).all(|k| self.keys[g * n_keys + k] == *get(k));
-        let hashed = live > LINEAR_GROUPS;
-        let hash = if hashed {
-            hash_key(&self.hasher, (0..n_keys).map(&get))
-        } else {
-            0
+        self.stride = tuple.len();
+        let hash = self.hashed().then(|| {
+            let key = cols.iter().map(|&c| f.at(tuple, c));
+            hash_key(&self.hasher, key)
+        });
+        let is_group = |g| {
+            let first = self.first(g);
+            cols.iter().all(|&c| f.at(first, c) == f.at(tuple, c))
         };
-        let found = if hashed {
-            self.index.chain(hash).map(|g| g as usize).find(is_group)
-        } else {
-            (0..live).find(is_group)
-        };
-        if let Some(g) = found {
+        if let Some(g) = self.find(hash, is_group) {
             return g;
         }
-        self.keys.extend((0..n_keys).map(|k| get(k).clone()));
+        self.reps.extend_from_slice(tuple);
+        self.open(n_aggs, hash, |t, g| {
+            hash_key(&t.hasher, cols.iter().map(|&c| f.at(t.first(g), c)))
+        })
+    }
+
+    /// Group `g`'s first tuple (bare-column keys).
+    fn first(&self, g: usize) -> &[u32] {
+        &self.reps[g * self.stride..(g + 1) * self.stride]
+    }
+
+    /// The group whose computed key is `key`, opened with `key`'s values
+    /// (moved out, leaving `key` empty) when absent.
+    fn find_or_insert_values(&mut self, key: &mut Vec<Value>, n_aggs: usize) -> usize {
+        let n = key.len();
+        let hash = self.hashed().then(|| hash_key(&self.hasher, key.iter()));
+        if let Some(g) = self.find(hash, |g| self.keys[g * n..(g + 1) * n] == key[..]) {
+            return g;
+        }
+        self.keys.append(key);
+        self.open(n_aggs, hash, |t, g| {
+            hash_key(&t.hasher, t.keys[g * n..(g + 1) * n].iter())
+        })
+    }
+
+    /// Whether lookups go through the index (else they scan).
+    fn hashed(&self) -> bool {
+        self.counts.len() > LINEAR_GROUPS
+    }
+
+    /// The group `is_group` accepts: among those chained under `hash`
+    /// when the table is hashed, else among all.
+    fn find(&self, hash: Option<u64>, is_group: impl Fn(usize) -> bool) -> Option<usize> {
+        match hash {
+            Some(hash) => self
+                .index
+                .chain(hash)
+                .map(|g| g as usize)
+                .find(|&g| is_group(g)),
+            None => (0..self.counts.len()).find(|&g| is_group(g)),
+        }
+    }
+
+    /// Open the next group, whose key the caller has just stored, and
+    /// return its number. `hash` is its key's hash when the table is
+    /// hashed; the group that ends the scan indexes every group by
+    /// `stored_hash`.
+    fn open(
+        &mut self,
+        n_aggs: usize,
+        hash: Option<u64>,
+        stored_hash: impl Fn(&Self, usize) -> u64,
+    ) -> usize {
+        let g = self.counts.len();
         self.counts.push(0);
         self.sums
             .resize(self.sums.len() + n_aggs, SumAcc::default());
-        if hashed {
-            self.index.push(hash);
-        } else if live == LINEAR_GROUPS {
-            for g in 0..=live {
-                let key = self.keys[g * n_keys..(g + 1) * n_keys].iter();
-                self.index.push(hash_key(&self.hasher, key));
+        match hash {
+            Some(hash) => self.index.push(hash),
+            None if g == LINEAR_GROUPS => {
+                for old in 0..=g {
+                    let hash = stored_hash(self, old);
+                    self.index.push(hash);
+                }
             }
+            None => {}
         }
-        live
+        g
     }
 }
 
@@ -706,11 +803,6 @@ impl RowBag {
         self.count = 0;
     }
 
-    /// Room for `rows` more rows.
-    pub(crate) fn reserve(&mut self, rows: usize) {
-        self.vals.reserve(rows * self.arity);
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.count
@@ -729,14 +821,6 @@ impl RowBag {
     /// Materialize as owned rows.
     pub fn to_rows(&self) -> Vec<Row> {
         self.rows().map(<[Value]>::to_vec).collect()
-    }
-
-    /// The rows, moved out of the flat storage (no value is cloned).
-    pub fn into_rows(self) -> Vec<Row> {
-        let mut vals = self.vals.into_iter();
-        (0..self.count)
-            .map(|_| vals.by_ref().take(self.arity).collect())
-            .collect()
     }
 }
 
@@ -1040,7 +1124,7 @@ impl PlanProgram {
                 out,
             );
         }
-        self.output.finish(groups, out);
+        self.output.finish(&f, groups, out);
     }
 }
 
@@ -1175,7 +1259,7 @@ impl SubstituteProgram {
             cur[0] = r as u32;
             self.feed_tuple(&f, cur, 1, bj_rows, st, key_buf, groups, out);
         }
-        self.output.finish(groups, out);
+        self.output.finish(&f, groups, out);
     }
 }
 
@@ -1249,7 +1333,7 @@ impl SubstitutePipeline {
             self.sub
                 .feed_tuple(&f, tup, n_vocc, bj_rows, st, key_buf, groups, out);
         }
-        self.sub.output.finish(groups, out);
+        self.sub.output.finish(&f, groups, out);
     }
 }
 

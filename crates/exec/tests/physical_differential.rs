@@ -385,6 +385,232 @@ fn residual_that_rejects_every_pair() {
     assert_eq!(check_key_join(&db, a, b, Some(some)).len(), 1);
 }
 
+/// One-column joins, each against the interpreter with the smaller table
+/// (the build side) on the left and then on the right. A build side whose
+/// keys are `Int`s over a dense range is addressed by key offset; these
+/// cases probe that layout's edges and the keys that fall back to hashing.
+#[test]
+fn single_key_build_layouts() {
+    use ColumnType::{Date, Float, Int};
+    let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+    let with_null = |mut keys: Vec<Value>| {
+        keys.push(Value::Null);
+        keys
+    };
+    let big = 1i64 << 53;
+    // (case, build type, build keys, probe type, probe keys, joined pairs)
+    let cases = [
+        (
+            "negative keys, NULLs and duplicates",
+            Int,
+            with_null(ints(&[-5, -3, -3, -1])),
+            Int,
+            with_null(ints(&[-5, -4, -3, -1, 0, -3])),
+            6,
+        ),
+        (
+            "keys at i64::MIN and i64::MAX",
+            Int,
+            ints(&[i64::MIN, i64::MAX, 0]),
+            Int,
+            ints(&[i64::MIN, i64::MAX, 0, -1, 1]),
+            3,
+        ),
+        (
+            "sparse keys",
+            Int,
+            ints(&[1, 1_000_000, 5_000_000_000]),
+            Int,
+            ints(&[1, 1_000_000, 2, 5_000_000_000]),
+            3,
+        ),
+        (
+            "Float probes of Int keys",
+            Int,
+            with_null(ints(&[0, 1, 2, 3])),
+            Float,
+            with_null(
+                [
+                    1.0,
+                    2.5,
+                    3.0,
+                    -0.0,
+                    -1.0,
+                    f64::NAN,
+                    f64::INFINITY,
+                    big as f64,
+                ]
+                .map(Value::Float)
+                .to_vec(),
+            ),
+            3,
+        ),
+        (
+            "an all-NULL build side",
+            Int,
+            vec![Value::Null, Value::Null],
+            Int,
+            with_null(ints(&[1, 2])),
+            0,
+        ),
+        (
+            "a Date key",
+            Date,
+            with_null(vec![Value::Date(1), Value::Date(2)]),
+            Date,
+            [2, 3, 1, 2].map(Value::Date).to_vec(),
+            3,
+        ),
+    ];
+    for (case, build_ty, build, probe_ty, probe, pairs) in cases {
+        assert!(
+            build.len() < probe.len(),
+            "{case}: the build side is smaller"
+        );
+        let (build, probe) = (keyed(&build), keyed(&probe));
+        for (x, y, a_rows, b_rows) in [
+            (build_ty, probe_ty, build.clone(), probe.clone()),
+            (probe_ty, build_ty, probe, build),
+        ] {
+            let (db, a, b) = key_tables(x, y, a_rows, b_rows);
+            assert_eq!(check_key_join(&db, a, b, None).len(), pairs, "{case}");
+        }
+    }
+}
+
+/// Rows sorted by their debug form, which tells `Int(2)` from
+/// `Float(2.0)` where `bag_diff` (by `Value::eq`) cannot.
+fn debug_rows(rows: &[Row]) -> Vec<String> {
+    let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+    rows.sort();
+    rows
+}
+
+/// Grouping against the interpreter, compared by debug form: more groups
+/// than the table scans for, NULL keys, `Int(2)` and `Float(2.0)` in one
+/// group (whose key takes the variant of its first row, `Float` for 2 and
+/// `Int` for 3), computed keys, a scalar aggregate over no rows, and an
+/// aggregate under a join.
+#[test]
+fn grouping_keeps_the_first_rows_key() {
+    let mut cat = Catalog::new();
+    let g = cat.add_table(
+        TableBuilder::new("g")
+            .nullable_col("k", ColumnType::Float)
+            .nullable_col("j", ColumnType::Int)
+            .col("v", ColumnType::Int)
+            .build(),
+    );
+    let rows: Vec<Row> = (0..90i64)
+        .map(|i| {
+            let k = match i % 9 {
+                0 => Value::Null,
+                1 if i < 45 => Value::Float(2.0),
+                1 => Value::Int(2),
+                2 if i < 45 => Value::Int(3),
+                2 => Value::Float(3.0),
+                _ => Value::Int(i % 31),
+            };
+            let j = if i % 4 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 3)
+            };
+            vec![k, j, Value::Int(i)]
+        })
+        .collect();
+    let mut db = Database::new(cat);
+    db.load(g, rows.clone());
+
+    let col = |c: u32| S::col(cr(0, c));
+    let aggs = || {
+        vec![
+            AggFunc::CountStar,
+            AggFunc::Sum(col(2)),
+            AggFunc::Sum(col(0)),
+        ]
+    };
+    let named_aggs = || {
+        aggs()
+            .into_iter()
+            .enumerate()
+            .map(|(i, f)| NamedAgg::new(f, format!("a{i}")))
+            .collect::<Vec<_>>()
+    };
+    let scan = || Box::new(PhysicalPlan::TableScan { table: g });
+    let grouped = |keys: Vec<S>| {
+        let plan = PhysicalPlan::HashAggregate {
+            input: scan(),
+            group_by: keys.clone(),
+            aggregates: aggs(),
+        };
+        let named = keys
+            .into_iter()
+            .enumerate()
+            .map(|(i, e)| NamedExpr::new(e, format!("g{i}")))
+            .collect();
+        let query = SpjgExpr::aggregate(vec![g], BoolExpr::Literal(true), named, named_aggs());
+        (plan, query)
+    };
+    let bare = grouped(vec![col(0), col(1)]);
+    let computed = grouped(vec![col(0), col(1).binary(BinOp::Add, S::lit(1i64))]);
+    let never = BoolExpr::cmp(col(2), CmpOp::Lt, S::lit(0i64));
+    let empty_scalar = (
+        PhysicalPlan::HashAggregate {
+            input: Box::new(PhysicalPlan::Filter {
+                input: scan(),
+                predicate: never.clone(),
+            }),
+            group_by: vec![],
+            aggregates: aggs(),
+        },
+        SpjgExpr::aggregate(vec![g], never, vec![], named_aggs()),
+    );
+    for (case, (plan, query)) in [
+        ("bare-column keys", &bare),
+        ("computed keys", &computed),
+        ("a scalar aggregate over no rows", &empty_scalar),
+    ] {
+        let got = execute_plan(&db, &ViewStore::new(), plan);
+        let want = execute_spjg(&db, query);
+        assert_eq!(debug_rows(&got), debug_rows(&want), "{case}");
+    }
+    let groups = execute_spjg(&db, &bare.1);
+    assert!(groups.len() > 16, "past the scanned group count");
+    for key in ["[Float(2.0), Int(1)", "[Int(3), Int(1)"] {
+        assert!(
+            debug_rows(&groups).iter().any(|r| r.starts_with(key)),
+            "{key}"
+        );
+    }
+
+    // The grouped rows joined back to `g` on `k`: the aggregate runs as
+    // the join's owned leaf. The oracle joins the interpreter's groups to
+    // the rows by hand.
+    let plan = PhysicalPlan::HashJoin {
+        left: Box::new(bare.0.clone()),
+        right: scan(),
+        left_keys: vec![0],
+        right_keys: vec![0],
+        residual: None,
+    };
+    let want: Vec<Row> = groups
+        .iter()
+        .flat_map(|grp| {
+            rows.iter()
+                .filter(|row| !grp[0].is_null() && grp[0] == row[0])
+                .map(move |row| [grp.as_slice(), row.as_slice()].concat())
+        })
+        .collect();
+    assert!(!want.is_empty());
+    let got = execute_plan(&db, &ViewStore::new(), &plan);
+    assert_eq!(
+        debug_rows(&got),
+        debug_rows(&want),
+        "aggregate under a join"
+    );
+}
+
 /// A balanced tree of hash joins over `leaves` scans of nation, every join
 /// on the first column of both inputs.
 fn nation_join_tree(nation: TableId, leaves: usize) -> PhysicalPlan {

@@ -170,6 +170,26 @@ impl BoolExpr {
         }
     }
 
+    /// Append the scalar literals into `out`, left-to-right.
+    pub fn collect_literals<'a>(&'a self, out: &mut Vec<&'a Value>) {
+        match self {
+            BoolExpr::And(v) | BoolExpr::Or(v) => {
+                for p in v {
+                    p.collect_literals(out);
+                }
+            }
+            BoolExpr::Not(p) => p.collect_literals(out),
+            BoolExpr::Compare { left, right, .. } => {
+                left.collect_literals(out);
+                right.collect_literals(out);
+            }
+            BoolExpr::Like { expr, .. } | BoolExpr::IsNull { expr, .. } => {
+                expr.collect_literals(out)
+            }
+            BoolExpr::Literal(_) => {}
+        }
+    }
+
     /// Rewrite every column reference through `f`.
     pub fn map_columns(&self, f: &mut impl FnMut(ColRef) -> ColRef) -> BoolExpr {
         self.try_map_columns(&mut |c| Some(f(c)))

@@ -87,6 +87,18 @@ impl ScalarExpr {
         }
     }
 
+    /// Append the literals into `out`, left-to-right.
+    pub fn collect_literals<'a>(&'a self, out: &mut Vec<&'a Value>) {
+        match self {
+            ScalarExpr::Column(_) => {}
+            ScalarExpr::Literal(v) => out.push(v),
+            ScalarExpr::Binary { left, right, .. } => {
+                left.collect_literals(out);
+                right.collect_literals(out);
+            }
+        }
+    }
+
     /// True iff the expression is a bare column reference.
     pub fn as_column(&self) -> Option<ColRef> {
         match self {

@@ -6,11 +6,11 @@
 //! snapshot it was served at), so these tests drive that oracle too.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_catalog::{Catalog, TableId};
+use mv_catalog::{Catalog, TableId, Value};
 use mv_core::{FreshnessPolicy, MatchConfig, MatchingEngine};
-use mv_data::{generate_tpch, TpchScale};
+use mv_data::{generate_tpch, Row, TpchScale};
 use mv_exec::{bag_diff, execute_plan, execute_spjg, materialize_view, ViewStore};
-use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
+use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_optimizer::{Optimized, Optimizer, OptimizerConfig};
 use mv_plan::{NamedExpr, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
@@ -278,6 +278,50 @@ fn renamed_and_permuted_blocks_are_separate_entries() {
     }
     let s = engine.stats();
     assert_eq!((s.plan_cache_misses, s.plan_cache_hits), (3, 3));
+}
+
+/// Blocks equal under `Value`'s `Eq` whose literals differ in variant or
+/// sign never answer each other: `o_orderkey * 2` computes `Int`s where
+/// `* 2.0` computes `Float`s, and `* -0.0` computes `-0.0`. `bag_diff`
+/// compares with that same `Eq`, so the rows' debug forms are compared.
+#[test]
+fn literal_variants_are_separate_keys() {
+    let (db, engine, store) = materialized(vec![]);
+    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
+    let (_, t) = tpch_catalog();
+    let debug_rows = |rows: Vec<Row>| {
+        let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        rows
+    };
+    let literals = [
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+    ];
+    for (i, lit) in literals.into_iter().enumerate() {
+        let q = SpjgExpr::spj(
+            vec![t.orders],
+            BoolExpr::Literal(true),
+            vec![NamedExpr::new(
+                S::col(cr(0, 0)).binary(BinOp::Mul, S::Literal(lit.clone())),
+                "x",
+            )],
+        );
+        let fresh = optimizer.optimize(&q);
+        assert_eq!(
+            engine.stats().plan_cache_misses,
+            i as u64 + 1,
+            "{lit:?} searches"
+        );
+        assert_eq!(optimizer.optimize(&q), fresh, "{lit:?} hits itself");
+        assert_eq!(
+            debug_rows(execute_plan(&db, &store, &fresh.plan)),
+            debug_rows(execute_spjg(&db, &q)),
+            "the plan for `o_orderkey * {lit:?}`"
+        );
+    }
 }
 
 /// Reader threads optimize while a writer registers views over their

@@ -1,6 +1,6 @@
 //! The SPJG normal form.
 
-use mv_catalog::{Catalog, ColumnType, TableId};
+use mv_catalog::{Catalog, ColumnType, TableId, Value};
 use mv_expr::{classify, BoolExpr, ColRef, Conjunct, EquivClasses, OccId, ScalarExpr};
 
 /// A named output expression (`expr AS name`).
@@ -132,6 +132,41 @@ impl SpjgExpr {
                 aggregates,
             },
         }
+    }
+
+    /// `self == other`, with every literal also [`Value::identical`].
+    /// `==` compares literals with `Value`'s `Eq`, so blocks equal by it
+    /// can still compute different values (`a * 2` and `a * 2.0`); a cache
+    /// of what a block computes keys on this instead.
+    pub fn identical(&self, other: &SpjgExpr) -> bool {
+        self == other
+            && self
+                .literals()
+                .iter()
+                .zip(other.literals())
+                .all(|(a, b)| a.identical(b))
+    }
+
+    /// Every literal of the block: range bounds and residuals, then the
+    /// output expressions.
+    fn literals(&self) -> Vec<&Value> {
+        let mut out = Vec::new();
+        for conj in &self.conjuncts {
+            match conj {
+                Conjunct::ColumnEq(..) => {}
+                Conjunct::Range { value, .. } => out.push(value),
+                Conjunct::Residual(p) => p.collect_literals(&mut out),
+            }
+        }
+        for e in self.scalar_outputs() {
+            e.expr.collect_literals(&mut out);
+        }
+        for a in self.aggregate_outputs() {
+            if let Some(arg) = a.func.argument() {
+                arg.collect_literals(&mut out);
+            }
+        }
+        out
     }
 
     /// Is this an aggregation block?
