@@ -6,69 +6,49 @@
 //! anything non-tiny, and pre-aggregation pays off when it collapses many
 //! rows early. Cardinalities come from [`mv_plan::card`].
 
-/// Tunable cost constants.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Cost per row produced by a scan.
-    pub scan_row: f64,
-    /// Cost per input row of a filter.
-    pub filter_row: f64,
-    /// Cost per build-side row of a hash join.
-    pub hash_build_row: f64,
-    /// Cost per probe-side row of a hash join.
-    pub hash_probe_row: f64,
-    /// Cost per pair examined by a nested-loop join.
-    pub nl_pair: f64,
-    /// Cost per input row of a hash aggregate.
-    pub agg_row: f64,
-    /// Cost per row of a projection.
-    pub project_row: f64,
+/// Cost per row produced by a scan.
+pub const SCAN_ROW: f64 = 1.0;
+/// Cost per input row of a filter.
+pub const FILTER_ROW: f64 = 0.1;
+/// Cost per build-side row of a hash join.
+pub const HASH_BUILD_ROW: f64 = 1.5;
+/// Cost per probe-side row of a hash join.
+pub const HASH_PROBE_ROW: f64 = 1.0;
+/// Cost per pair examined by a nested-loop join.
+pub const NL_PAIR: f64 = 0.3;
+/// Cost per input row of a hash aggregate.
+pub const AGG_ROW: f64 = 1.2;
+/// Cost per row of a projection.
+pub const PROJECT_ROW: f64 = 0.05;
+
+/// Scan cost for `rows` stored rows.
+pub fn scan(rows: f64) -> f64 {
+    SCAN_ROW * rows
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            scan_row: 1.0,
-            filter_row: 0.1,
-            hash_build_row: 1.5,
-            hash_probe_row: 1.0,
-            nl_pair: 0.3,
-            agg_row: 1.2,
-            project_row: 0.05,
-        }
-    }
+/// Filter cost over `rows` input rows.
+pub fn filter(rows: f64) -> f64 {
+    FILTER_ROW * rows
 }
 
-impl CostModel {
-    /// Scan cost for `rows` stored rows.
-    pub fn scan(&self, rows: f64) -> f64 {
-        self.scan_row * rows
-    }
+/// Hash join cost.
+pub fn hash_join(build: f64, probe: f64, out: f64) -> f64 {
+    HASH_BUILD_ROW * build + HASH_PROBE_ROW * probe + PROJECT_ROW * out
+}
 
-    /// Filter cost over `rows` input rows.
-    pub fn filter(&self, rows: f64) -> f64 {
-        self.filter_row * rows
-    }
+/// Nested-loop join cost.
+pub fn nested_loop(left: f64, right: f64) -> f64 {
+    NL_PAIR * left * right
+}
 
-    /// Hash join cost.
-    pub fn hash_join(&self, build: f64, probe: f64, out: f64) -> f64 {
-        self.hash_build_row * build + self.hash_probe_row * probe + self.project_row * out
-    }
+/// Hash aggregation cost.
+pub fn aggregate(rows: f64, groups: f64) -> f64 {
+    AGG_ROW * rows + groups
+}
 
-    /// Nested-loop join cost.
-    pub fn nested_loop(&self, left: f64, right: f64) -> f64 {
-        self.nl_pair * left * right
-    }
-
-    /// Hash aggregation cost.
-    pub fn aggregate(&self, rows: f64, groups: f64) -> f64 {
-        self.agg_row * rows + groups
-    }
-
-    /// Projection cost.
-    pub fn project(&self, rows: f64) -> f64 {
-        self.project_row * rows
-    }
+/// Projection cost.
+pub fn project(rows: f64) -> f64 {
+    PROJECT_ROW * rows
 }
 
 #[cfg(test)]
@@ -77,22 +57,20 @@ mod tests {
 
     #[test]
     fn hash_beats_nested_loop_at_scale() {
-        let m = CostModel::default();
-        let hj = m.hash_join(1000.0, 1000.0, 1000.0);
-        let nl = m.nested_loop(1000.0, 1000.0);
+        let hj = hash_join(1000.0, 1000.0, 1000.0);
+        let nl = nested_loop(1000.0, 1000.0);
         assert!(hj < nl);
         // On tiny inputs nested loop can win.
-        let hj = m.hash_join(2.0, 2.0, 2.0);
-        let nl = m.nested_loop(2.0, 2.0);
+        let hj = hash_join(2.0, 2.0, 2.0);
+        let nl = nested_loop(2.0, 2.0);
         assert!(nl < hj);
     }
 
     #[test]
     fn view_scan_cheaper_than_join() {
-        let m = CostModel::default();
         // Scanning a 100-row view vs joining two 10k-row tables.
-        let view = m.scan(100.0) + m.filter(100.0);
-        let join = m.scan(10_000.0) * 2.0 + m.hash_join(10_000.0, 10_000.0, 40_000.0);
+        let view = scan(100.0) + filter(100.0);
+        let join = scan(10_000.0) * 2.0 + hash_join(10_000.0, 10_000.0, 40_000.0);
         assert!(view < join / 100.0);
     }
 }

@@ -33,5 +33,4 @@ pub mod cost;
 pub mod optimizer;
 
 pub use block::BlockInfo;
-pub use cost::CostModel;
 pub use optimizer::{Optimized, Optimizer, OptimizerConfig, OptimizerStats, PlanInvariant};
