@@ -39,7 +39,11 @@
 //! substitutes carry the query's own names and literals and the freshness
 //! the snapshot's data epochs give each view. Base-table writes therefore
 //! leave substitute entries alone (DESIGN.md §11.1); debug builds prove a
-//! hit equals a fresh computation with a differential assertion.
+//! hit equals a fresh computation with a differential assertion. A plan
+//! carries the same per-table stamp, plus one freshness counter when the
+//! engine's policy is not `StaleOk`: then a write round or a restamp,
+//! which can change which views the gate admits, makes every plan stale
+//! (DESIGN.md §11.4).
 
 use mv_expr::Template;
 use mv_parallel::sync::{lock_or_recover, Mutex};

@@ -6,7 +6,7 @@ use crate::cache::{fingerprint, CacheLookup, EpochCache, SubstituteCache};
 use crate::descriptor::{DescriptorStore, JoinCore, PreparedView};
 use crate::filter::{normalized, FilterTree, LevelSearch};
 use crate::fkgraph::{compute_hub, FkGraph};
-use crate::matching::{match_view_prepared, MatchConfig, PreparedQuery};
+use crate::matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery};
 use crate::stamps::ViewStamps;
 use crate::stats::{AtomicMatchStats, MatchStats};
 use crate::summary::ExprSummary;
@@ -153,18 +153,6 @@ fn epoch_of(data_epochs: &[u64], table: TableId) -> u64 {
     data_epochs.get(table.0 as usize).copied().unwrap_or(0)
 }
 
-/// The epochs of a query's distinct source tables, ascending.
-fn stamp_of(epochs: &[u64], query: &SpjgExpr) -> Vec<u64> {
-    // One allocation: the sorted table ids become their epochs in place.
-    let mut stamp: Vec<u64> = query.tables.iter().map(|t| u64::from(t.0)).collect();
-    stamp.sort_unstable();
-    stamp.dedup();
-    for e in &mut stamp {
-        *e = epochs.get(*e as usize).copied().unwrap_or(u64::MAX);
-    }
-    stamp
-}
-
 /// One immutable catalog state: the view registry, the prepared match
 /// descriptors, both filter trees, the interner, the check constraints and
 /// the removal set, published as a unit.
@@ -176,7 +164,7 @@ fn stamp_of(epochs: &[u64], query: &SpjgExpr) -> Vec<u64> {
 /// clone, and publish it atomically. The clone allocates nothing per
 /// view: the registry, the interner, the constraints and the trees are
 /// one `Arc` each, the prepared descriptors and the view stamps are paged
-/// behind `Arc`s, and only the three per-table epoch vectors are copied.
+/// behind `Arc`s, and only the two per-table epoch vectors are copied.
 #[derive(Debug, Clone)]
 struct CatalogSnapshot {
     /// The registered views (slots and names of removed views stay
@@ -194,24 +182,22 @@ struct CatalogSnapshot {
     removed: Arc<HashSet<ViewId>>,
     /// Per-table *catalog* epochs, indexed by `TableId`. A catalog change
     /// bumps exactly the tables it can affect (the view's tables, or the
-    /// constraint's table); substitute-cache verdicts are stamped with
-    /// the epochs of their query's tables and go stale only when one of
-    /// *those* moves.
+    /// constraint's table); substitute-cache verdicts and cached plans are
+    /// stamped with the epochs of their query's tables and go stale only
+    /// when one of *those* moves.
     table_epochs: Vec<u64>,
-    /// Per-table *plan* epochs: bumped with `table_epochs` on every
-    /// catalog change, and also by the freshness changes a write round or
-    /// a restamp makes. Plans are stamped from these, because a plan
-    /// depends on which views were fresh; a verdict does not (freshness
-    /// is applied each time it is rebuilt).
-    plan_epochs: Vec<u64>,
     /// Per-table *data* epochs, indexed by `TableId`: how many base-table
     /// write rounds [`MatchingEngine::record_base_write`] has recorded.
     /// Distinct from `table_epochs` (which counts *catalog* changes —
-    /// registrations, removals, constraints — for cache invalidation) and
-    /// from `plan_epochs`:
+    /// registrations, removals, constraints — for cache invalidation):
     /// data epochs measure how far a view's materialized state may trail
     /// the base data.
     data_epochs: Vec<u64>,
+    /// How many times any view's lag may have moved: bumped by every
+    /// write round and every restamp. A plan searched under a policy that
+    /// is not `StaleOk` carries it in its stamp, because the gate's
+    /// verdicts are the only way freshness reaches a plan.
+    freshness_epoch: u64,
     /// Per-view data-epoch stamp: the data epochs of the view's distinct
     /// base tables (ascending by table) as of the view's registration or
     /// last [`MatchingEngine::mark_views_maintained`]. The gap between a
@@ -232,32 +218,26 @@ impl CatalogSnapshot {
             checks: Arc::new(HashMap::new()),
             removed: Arc::new(HashSet::new()),
             table_epochs: vec![0; catalog.table_count()],
-            plan_epochs: vec![0; catalog.table_count()],
             data_epochs: vec![0; catalog.table_count()],
+            freshness_epoch: 0,
             view_stamps: ViewStamps::default(),
             epoch: 0,
         }
     }
 
-    /// Bump the catalog (and so the plan) epoch of every given table.
+    /// Bump the catalog epoch of every given table.
     fn bump_tables(&mut self, tables: impl IntoIterator<Item = TableId>) {
         for t in tables {
             if let Some(e) = self.table_epochs.get_mut(t.0 as usize) {
                 *e += 1;
-                self.plan_epochs[t.0 as usize] += 1;
             }
         }
         self.epoch += 1;
     }
 
-    /// Bump only the plan epoch of every given table: a freshness change,
-    /// which no verdict depends on.
-    fn bump_plan_tables(&mut self, tables: impl IntoIterator<Item = TableId>) {
-        for t in tables {
-            if let Some(e) = self.plan_epochs.get_mut(t.0 as usize) {
-                *e += 1;
-            }
-        }
+    /// Record that some view's lag may have moved.
+    fn bump_freshness(&mut self) {
+        self.freshness_epoch += 1;
         self.epoch += 1;
     }
 
@@ -266,12 +246,15 @@ impl CatalogSnapshot {
     /// computed under; equal renders reference equal table sets, so two
     /// stamps for the same fingerprint compare positionally.
     fn table_stamp(&self, query: &SpjgExpr) -> Vec<u64> {
-        stamp_of(&self.table_epochs, query)
-    }
-
-    /// [`CatalogSnapshot::table_stamp`] over the plan epochs.
-    fn plan_stamp(&self, query: &SpjgExpr) -> Vec<u64> {
-        stamp_of(&self.plan_epochs, query)
+        // One allocation: the sorted table ids become their epochs in place.
+        let mut stamp: Vec<u64> = query.tables.iter().map(|t| u64::from(t.0)).collect();
+        stamp.sort_unstable();
+        stamp.dedup();
+        let epochs = &self.table_epochs;
+        for e in &mut stamp {
+            *e = epochs.get(*e as usize).copied().unwrap_or(u64::MAX);
+        }
+        stamp
     }
 
     fn live_view_count(&self) -> usize {
@@ -357,7 +340,8 @@ pub struct MatchingEngine {
     /// table via the snapshot's `table_epochs`.
     cache: SubstituteCache,
     /// Block-keyed cache of whole-query plans, invalidated per table via
-    /// the snapshot's `plan_epochs`.
+    /// the snapshot's `table_epochs` and, unless the freshness policy is
+    /// `StaleOk`, by its `freshness_epoch`.
     plans: PlanCache,
 }
 
@@ -507,27 +491,20 @@ impl MatchingEngine {
 
     /// Record a write round against a base table: bump its *data epoch*,
     /// so every view over it becomes one round stale until
-    /// [`MatchingEngine::mark_views_maintained`] restamps it. Substitute
-    /// verdicts stay valid — freshness is applied each time one is
-    /// rebuilt. Invalidates exactly the cached plans the staleness change
-    /// can affect: a view over `table` can serve any query whose tables
-    /// are a subset of the view's, so the plan-epoch bump covers `table`
-    /// plus every table of every live view that references `table`.
+    /// [`MatchingEngine::mark_views_maintained`] restamps it, and bump the
+    /// freshness counter. Substitute verdicts stay valid — freshness is
+    /// applied each time one is rebuilt. Under `StaleOk` cached plans stay
+    /// valid too; under any other policy every cached plan goes stale
+    /// (DESIGN.md §17.2). A table the catalog does not know records and
+    /// publishes nothing.
     pub fn record_base_write(&self, table: TableId) {
+        if (table.0 as usize) >= self.catalog.table_count() {
+            return;
+        }
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
-        if let Some(e) = next.data_epochs.get_mut(table.0 as usize) {
-            *e += 1;
-        }
-        let mut affected: Vec<TableId> = vec![table];
-        for (id, stamp) in next.view_stamps.iter() {
-            if stamp.iter().any(|&(t, _)| t == table) && !next.removed.contains(&id) {
-                affected.extend(stamp.iter().map(|&(t, _)| t));
-            }
-        }
-        affected.sort_unstable();
-        affected.dedup();
-        next.bump_plan_tables(affected);
+        next.data_epochs[table.0 as usize] += 1;
+        next.bump_freshness();
         self.shared.store(Arc::new(next));
     }
 
@@ -535,21 +512,18 @@ impl MatchingEngine {
     /// up to the current data epochs of its base tables (the maintenance
     /// side calls this once per write round, after applying the round's
     /// deltas to the views' contents). One snapshot clone and one
-    /// publication however many views the round touched, and each table
-    /// of a restamped view has its plan epoch bumped once: under a
-    /// freshness policy those views may newly qualify as substitutes, so
-    /// cached plans over their tables go stale — the same plans one
-    /// restamp per view would invalidate. Substitute verdicts stay valid.
-    /// Removed and out-of-range ids are skipped; returns how many views
-    /// were restamped (an id given twice is one view), and publishes
-    /// nothing when that is none.
+    /// publication however many views the round touched, and one bump of
+    /// the freshness counter: under a policy other than `StaleOk` those
+    /// views may newly qualify as substitutes, so every cached plan goes
+    /// stale. Substitute verdicts stay valid. Removed and out-of-range ids
+    /// are skipped; returns how many views were restamped (an id given
+    /// twice is one view), and publishes nothing when that is none.
     pub fn mark_views_maintained(&self, ids: &[ViewId]) -> usize {
         let mut ids = ids.to_vec();
         ids.sort_unstable();
         ids.dedup();
         let _writer = self.writer_guard();
         let mut next = (*self.snapshot()).clone();
-        let mut tables: Vec<TableId> = Vec::new();
         let mut restamped = 0;
         for id in ids {
             if next.removed.contains(&id) {
@@ -560,16 +534,13 @@ impl MatchingEngine {
             };
             for (t, stamped) in stamp {
                 *stamped = epoch_of(&next.data_epochs, *t);
-                tables.push(*t);
             }
             restamped += 1;
         }
         if restamped == 0 {
             return 0;
         }
-        tables.sort_unstable();
-        tables.dedup();
-        next.bump_plan_tables(tables);
+        next.bump_freshness();
         self.shared.store(Arc::new(next));
         restamped
     }
@@ -619,12 +590,10 @@ impl MatchingEngine {
         let Some(stamp) = next.view_stamps.get_mut(id) else {
             return false;
         };
-        let mut tables: Vec<TableId> = Vec::new();
         for (t, stamped) in stamp {
             *stamped = epoch_of(&next.data_epochs, *t) + lead;
-            tables.push(*t);
         }
-        next.bump_plan_tables(tables);
+        next.bump_freshness();
         self.shared.store(Arc::new(next));
         true
     }
@@ -1310,10 +1279,12 @@ impl MatchingEngine {
     /// `P` is a miss.
     ///
     /// Sound because a query's plan depends on the catalog only through
-    /// `find_substitutes` on subsets of its tables, and every write that
-    /// can change one of those — a catalog change, or a write round or
-    /// restamp that moves a view's freshness — bumps the plan epoch of a
-    /// table in the subset, so of a table in the query's stamp
+    /// `find_substitutes` on subsets of its tables. Every catalog change
+    /// that can change one of those bumps the epoch of a table in the
+    /// subset, so of a table in the query's stamp. Freshness reaches a
+    /// plan only through which views the gate admits; under `StaleOk` it
+    /// admits every view, and under any other policy the stamp also
+    /// carries the freshness counter every write round and restamp bumps
     /// (DESIGN.md §11.4).
     pub fn probe_plan<P: Clone + 'static>(
         &self,
@@ -1327,7 +1298,7 @@ impl MatchingEngine {
         let mut hasher = DefaultHasher::new();
         (tag, query).hash(&mut hasher);
         let hash = hasher.finish();
-        let stamp = pin.snap.plan_stamp(query);
+        let stamp = self.plan_stamp(&pin.snap, query);
         // Not `block == query`: that serves `a * 2.0` the plan for `a * 2`.
         let is_key = |(t, block): &(u64, SpjgExpr)| *t == tag && block.identical(query);
         match self.plans.lookup(hash, is_key, &stamp) {
@@ -1362,12 +1333,23 @@ impl MatchingEngine {
         // before a registration with the epochs after it.
         #[cfg(mv_model)]
         let stamp = if crate::mutation::active(crate::mutation::PLAN_STAMP_AT_INSERT) {
-            self.snapshot().plan_stamp(query)
+            self.plan_stamp(&self.snapshot(), query)
         } else {
             stamp
         };
         self.plans
             .insert(hash, (tag, query.clone()), stamp, Arc::new(plan), 1);
+    }
+
+    /// The stamp a plan for `query` searched under `snap` carries: the
+    /// query's catalog stamp, plus the freshness counter when the policy
+    /// lets freshness change a plan.
+    fn plan_stamp(&self, snap: &CatalogSnapshot, query: &SpjgExpr) -> Vec<u64> {
+        let mut stamp = snap.table_stamp(query);
+        if self.config.freshness != FreshnessPolicy::StaleOk {
+            stamp.push(snap.freshness_epoch);
+        }
+        stamp
     }
 
     /// Number of live entries in the plan cache.
@@ -1737,7 +1719,6 @@ fn elapsed(started: Option<Instant>) -> Duration {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching::FreshnessPolicy;
     use mv_catalog::tpch::tpch_catalog;
     use mv_expr::{BinOp, BoolExpr, CmpOp, ScalarExpr as S};
     use mv_plan::{NamedAgg, NamedExpr};
@@ -2216,17 +2197,17 @@ mod tests {
         assert_eq!((stats.cache_hits, stats.cache_invalidations), (1, 0));
     }
 
-    #[test]
-    fn base_write_invalidates_via_view_table_closure() {
-        // A view may cover more tables than the queries it serves (e.g.
-        // after FK elimination), so `record_base_write` must bump the plan
-        // epochs of *all* tables of every view containing the written
-        // table — a cached plan for a query over a subset of the view's
-        // tables would otherwise keep serving the old freshness stamp.
+    /// An engine holding one view, `orders ⋈ customer`, and a query over
+    /// orders alone that FK elimination serves from it.
+    fn orders_cust_engine(freshness: FreshnessPolicy) -> (MatchingEngine, SpjgExpr) {
         let (cat, t) = tpch_catalog();
-        let engine = MatchingEngine::new(cat, MatchConfig::default());
-        // View joining orders to customer; queries over orders alone can
-        // be served from it via FK elimination.
+        let engine = MatchingEngine::new(
+            cat,
+            MatchConfig {
+                freshness,
+                ..MatchConfig::default()
+            },
+        );
         let v = SpjgExpr::spj(
             vec![t.orders, t.customer],
             BoolExpr::col_eq(cr(0, 1), cr(1, 0)),
@@ -2241,39 +2222,70 @@ mod tests {
             BoolExpr::Literal(true),
             vec![NamedExpr::new(S::col(cr(0, 0)), "o_orderkey")],
         );
-        // A stand-in plan: the substitutes the probe's miss searched for.
-        let plan = |engine: &MatchingEngine| {
-            let pin = engine.views();
-            match engine.probe_plan::<Vec<(ViewId, Substitute)>>(&pin, 0, &q) {
-                PlanProbe::Hit(plan) => plan,
-                PlanProbe::Miss(ticket) => {
-                    let plan = engine.find_substitutes(&q);
-                    engine.insert_plan(ticket, &q, plan.clone());
-                    plan
-                }
+        (engine, q)
+    }
+
+    /// The optimizer's plan-cache protocol with a stand-in plan: the views
+    /// the search would scan. Like a real plan, it carries no lag.
+    fn planned(engine: &MatchingEngine, q: &SpjgExpr) -> Vec<ViewId> {
+        let pin = engine.views();
+        match engine.probe_plan::<Vec<ViewId>>(&pin, 0, q) {
+            PlanProbe::Hit(plan) => plan,
+            PlanProbe::Miss(ticket) => {
+                let plan: Vec<ViewId> = engine
+                    .find_substitutes(q)
+                    .into_iter()
+                    .map(|(id, _)| id)
+                    .collect();
+                engine.insert_plan(ticket, q, plan.clone());
+                plan
             }
-        };
-        let before = plan(&engine);
-        assert_eq!(
-            before.len(),
-            1,
-            "FK elimination serves orders from the join view"
-        );
-        assert_eq!(plan(&engine), before, "a repeated plan is a hit");
-        // Writing *customer* — a table the query never references — still
-        // changes the view's freshness, so the cached plan must go stale
-        // and the re-plan must carry the new stamp. The substitute cache
-        // serves the re-plan: its verdict holds, and the rebuild restamps.
+        }
+    }
+
+    fn plan_hits_and_misses(engine: &MatchingEngine) -> (u64, u64) {
+        let s = engine.stats();
+        (s.plan_cache_hits, s.plan_cache_misses)
+    }
+
+    #[test]
+    fn writes_reach_cached_plans_only_under_a_freshness_policy() {
+        let (_, t) = tpch_catalog();
+        let view = vec![ViewId(0)];
+
+        // StaleOk admits every view whatever its lag, so writing customer
+        // — a table the query never names — leaves the plan a hit.
+        let (engine, q) = orders_cust_engine(FreshnessPolicy::StaleOk);
+        assert_eq!(planned(&engine, &q), view, "served from the join view");
         engine.record_base_write(t.customer);
-        let after = plan(&engine);
-        assert_eq!(after.len(), 1);
-        assert_eq!(after[0].1.freshness, Freshness::Stale { lag: 1 });
-        let stats = engine.stats();
-        assert_eq!(
-            (stats.plan_cache_hits, stats.plan_cache_invalidations),
-            (1, 1)
-        );
-        assert_eq!((stats.cache_hits, stats.cache_invalidations), (1, 0));
+        assert_eq!(planned(&engine, &q), view);
+        assert_eq!(plan_hits_and_misses(&engine), (1, 1));
+
+        // StrictFresh: the write makes the view stale, so the cached plan
+        // misses and the re-plan serves no view.
+        let (engine, q) = orders_cust_engine(FreshnessPolicy::StrictFresh);
+        assert_eq!(planned(&engine, &q), view);
+        assert_eq!(planned(&engine, &q), view, "a repeated plan is a hit");
+        engine.record_base_write(t.customer);
+        assert!(planned(&engine, &q).is_empty());
+        // The restamp makes it fresh again: the plan misses once more, and
+        // the re-plan serves the view.
+        assert_eq!(engine.mark_views_maintained(&[ViewId(0)]), 1);
+        assert_eq!(planned(&engine, &q), view);
+        assert_eq!(plan_hits_and_misses(&engine), (1, 3));
+        assert_eq!(engine.stats().cache_invalidations, 0, "no verdict moved");
+    }
+
+    #[test]
+    fn write_to_an_unknown_table_publishes_nothing() {
+        let (engine, q) = orders_cust_engine(FreshnessPolicy::StrictFresh);
+        let unknown = TableId(engine.catalog().table_count() as u32);
+        assert_eq!(planned(&engine, &q), vec![ViewId(0)]);
+        let epoch = engine.snapshot_epoch();
+        engine.record_base_write(unknown);
+        assert_eq!(engine.snapshot_epoch(), epoch, "nothing recorded");
+        assert_eq!(planned(&engine, &q), vec![ViewId(0)]);
+        assert_eq!(plan_hits_and_misses(&engine), (1, 1));
     }
 
     #[test]

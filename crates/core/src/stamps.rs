@@ -73,18 +73,6 @@ impl ViewStamps {
         let span = page.span(i % PAGE_VIEWS);
         Some(&mut page.stamps[span])
     }
-
-    /// Every view's stamp, in id order.
-    pub(crate) fn iter(&self) -> impl Iterator<Item = (ViewId, &[(TableId, u64)])> {
-        self.pages.iter().enumerate().flat_map(|(p, page)| {
-            (0..page.ends.len()).map(move |i| {
-                (
-                    ViewId((p * PAGE_VIEWS + i) as u32),
-                    &page.stamps[page.span(i)],
-                )
-            })
-        })
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +100,5 @@ mod tests {
         assert!(Arc::ptr_eq(&stamps.pages[0], &published.pages[0]));
         assert!(!Arc::ptr_eq(&stamps.pages[1], &published.pages[1]));
         assert_eq!(stamps.get(ViewId(PAGE_VIEWS as u32 + 3)), None);
-        assert_eq!(stamps.iter().count(), PAGE_VIEWS + 3);
-        assert_eq!(stamps.iter().last().map(|(id, _)| id), Some(last));
     }
 }

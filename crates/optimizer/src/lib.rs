@@ -21,8 +21,9 @@
 //!   fully cost based;
 //! * a **plan cache**: a block this configuration planned before is served
 //!   from the engine's epoch-stamped plan cache without a search, until a
-//!   write touches one of its tables or the plan is evicted
-//!   ([`mv_core::MatchingEngine::probe_plan`]).
+//!   catalog change touches one of its tables, a write round or restamp
+//!   moves freshness under a policy other than `StaleOk`, or the plan is
+//!   evicted ([`mv_core::MatchingEngine::probe_plan`]).
 //!
 //! The optimizer never *requires* views: with [`OptimizerConfig::use_views`]
 //! off it is a plain join-order optimizer, which is the baseline of the

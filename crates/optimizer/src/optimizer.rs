@@ -562,10 +562,10 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     /// subset with no plan) as [`PlanInvariant`] errors. A block with no
     /// table, or with more than 63 table occurrences, is one too.
     ///
-    /// A block this configuration planned before, under epochs of its
-    /// tables that have not moved since, is served from the engine's plan
-    /// cache without a search (DESIGN.md §11.4); its `stats` are those of
-    /// the search that found it.
+    /// A block this configuration planned before, under a stamp that has
+    /// not moved since, is served from the engine's plan cache without a
+    /// search (DESIGN.md §11.4); its `stats` are those of the search that
+    /// found it.
     pub fn try_optimize(&self, query: &SpjgExpr) -> Result<Optimized, PlanInvariant> {
         if query.tables.is_empty() {
             return Err(PlanInvariant::new(

@@ -15,6 +15,7 @@ use mv_optimizer::{Optimized, Optimizer, OptimizerConfig};
 use mv_plan::{NamedExpr, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 const VIEW_SEED: u64 = 0x91A_CA5E;
@@ -86,25 +87,25 @@ fn check_constraint(i: usize) -> (TableId, BoolExpr) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 18, ..ProptestConfig::default() })]
 
     /// Apply the same op sequence to a default engine and to one with
     /// capacity 0 (no substitute cache, no plan cache); every optimized
     /// query must agree in full. Each optimize runs twice on the cached
     /// side, so every step also checks a guaranteed hit; the writes in
-    /// between exercise the epoch invalidation, under both the default
-    /// freshness policy and `StrictFresh` (where a base write changes
-    /// which views may answer).
+    /// between exercise the epoch invalidation, under the default
+    /// freshness policy, `StrictFresh` and `BoundedStaleness(1)` (where a
+    /// base write or a restamp changes which views may answer).
     #[test]
     fn interleaving_equals_uncached_engine(
-        strict in 0usize..2,
+        strict in 0usize..3,
         ops in prop::collection::vec((0usize..6, 0usize..16), 1..40),
     ) {
         let (catalog, views, queries) = pools(8, 8);
-        let freshness = if strict == 1 {
-            FreshnessPolicy::StrictFresh
-        } else {
-            FreshnessPolicy::default()
+        let freshness = match strict {
+            0 => FreshnessPolicy::default(),
+            1 => FreshnessPolicy::StrictFresh,
+            _ => FreshnessPolicy::BoundedStaleness(1),
         };
         let default_capacity = MatchConfig::default().substitute_cache_capacity;
         let cached = MatchingEngine::new(catalog.clone(), config(default_capacity, freshness));
@@ -378,4 +379,107 @@ fn readers_racing_a_writer_settle_on_fresh_searches() {
         answered_from_views += plan.plan.uses_view() as usize;
     }
     assert!(answered_from_views > 0, "the registered views are used");
+}
+
+/// The views reading `table`, by id.
+fn views_over(engine: &MatchingEngine, table: TableId) -> Vec<ViewId> {
+    engine
+        .views()
+        .iter()
+        .filter(|(_, def)| def.expr.tables.contains(&table))
+        .map(|(id, _)| id)
+        .collect()
+}
+
+/// A `StrictFresh` planner racing `record_base_write` →
+/// `mark_views_maintained` rounds, the optimizer-level twin of
+/// `mv-core`'s `concurrency.rs::strict_fresh_reader_races_write_rounds`.
+/// The writer counts its engine calls in a sequence lock (odd while a call
+/// is in flight), so a planner pass that saw the same even value before
+/// and after ran entirely inside one state: between a write and its
+/// restamp no plan scans a view over the written table, and after the
+/// restamp the plans are the quiescent ones again, whether searched or
+/// served from the plan cache. The writer holds each state until the
+/// planner has completed a pass inside it, so both states are planned
+/// every round.
+#[test]
+fn strict_fresh_planner_races_write_rounds() {
+    let (catalog, views, queries) = pools(24, 8);
+    let default_capacity = MatchConfig::default().substitute_cache_capacity;
+    let engine = MatchingEngine::new(
+        catalog.clone(),
+        config(default_capacity, FreshnessPolicy::StrictFresh),
+    );
+    engine.add_views(views).expect("views register");
+    let plan_all = |optimizer: &Optimizer<&MatchingEngine>| -> Vec<Optimized> {
+        queries
+            .iter()
+            .map(|q| optimizer.try_optimize(q).expect("plan"))
+            .collect()
+    };
+    let quiescent = plan_all(&Optimizer::new(&engine, OptimizerConfig::default()));
+    // Write the table whose views the most plans scan.
+    let scanning = |table: TableId| {
+        let over = views_over(&engine, table);
+        quiescent
+            .iter()
+            .filter(|o| o.plan.views_used().iter().any(|v| over.contains(v)))
+            .count()
+    };
+    let table = (0..catalog.table_count() as u32)
+        .map(TableId)
+        .max_by_key(|&table| scanning(table))
+        .expect("a table");
+    assert!(scanning(table) > 0, "no plan scans a view");
+    let written = views_over(&engine, table);
+
+    const ROUNDS: u64 = 12;
+    let seq = AtomicU64::new(0);
+    let seen = AtomicU64::new(u64::MAX);
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let planner = scope.spawn(|| {
+            let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
+            while !done.load(Ordering::SeqCst) {
+                let before = seq.load(Ordering::SeqCst);
+                let pass = plan_all(&optimizer);
+                let stable = before.is_multiple_of(2) && seq.load(Ordering::SeqCst) == before;
+                if !stable {
+                    continue;
+                }
+                if (before / 2) % 2 == 1 {
+                    // Written, not yet restamped.
+                    for got in &pass {
+                        let used = got.plan.views_used();
+                        assert!(
+                            used.iter().all(|v| !written.contains(v)),
+                            "a plan scans stale views {used:?}:\n{}",
+                            got.plan
+                        );
+                    }
+                } else {
+                    assert_eq!(pass, quiescent, "restamped plans are the quiescent ones");
+                }
+                seen.store(before, Ordering::SeqCst);
+            }
+        });
+        let held = |state: u64| {
+            while seen.load(Ordering::SeqCst) != state {
+                assert!(!planner.is_finished(), "the planner failed an assertion");
+                std::thread::yield_now();
+            }
+        };
+        held(0);
+        for _ in 0..ROUNDS {
+            seq.fetch_add(1, Ordering::SeqCst);
+            engine.record_base_write(table);
+            held(seq.fetch_add(1, Ordering::SeqCst) + 1);
+            seq.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(engine.mark_views_maintained(&written), written.len());
+            held(seq.fetch_add(1, Ordering::SeqCst) + 1);
+        }
+        done.store(true, Ordering::SeqCst);
+    });
+    let stats = engine.stats();
+    assert!(stats.plan_cache_hits > 0, "some passes are served whole");
 }
