@@ -1,7 +1,5 @@
-//! Shared benchmark infrastructure: workload setup and the measurement
-//! loops behind the `figures` binary and the Criterion micro-benches.
-
-pub mod json;
+//! Shared benchmark infrastructure: the section 5 workload setup and the
+//! optimization-pass measurement behind the `figures` binary.
 
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_data::{generate_tpch, TpchScale};

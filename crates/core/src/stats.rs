@@ -114,30 +114,34 @@ impl MatchStats {
             self.plan_cache_hits as f64 / probes as f64
         }
     }
-
-    /// Merge another stats block into this one.
-    pub fn merge(&mut self, other: &MatchStats) {
-        self.invocations += other.invocations;
-        self.candidates += other.candidates;
-        self.core_states += other.core_states;
-        self.views_available += other.views_available;
-        self.substitutes += other.substitutes;
-        self.filter_time += other.filter_time;
-        self.match_time += other.match_time;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_invalidations += other.cache_invalidations;
-        self.cache_evictions += other.cache_evictions;
-        self.plan_cache_hits += other.plan_cache_hits;
-        self.plan_cache_misses += other.plan_cache_misses;
-        self.plan_cache_invalidations += other.plan_cache_invalidations;
-        self.registrations += other.registrations;
-        self.removals += other.removals;
-    }
 }
 
+/// One slot of [`AtomicMatchStats`]'s counter array, one per
+/// [`MatchStats`] field (durations as nanoseconds).
+#[derive(Clone, Copy)]
+enum Counter {
+    Invocations,
+    Candidates,
+    CoreStates,
+    ViewsAvailable,
+    Substitutes,
+    FilterNanos,
+    MatchNanos,
+    CacheHits,
+    CacheMisses,
+    CacheInvalidations,
+    CacheEvictions,
+    PlanCacheHits,
+    PlanCacheMisses,
+    PlanCacheInvalidations,
+    Registrations,
+    Removals,
+}
+
+const COUNTERS: usize = Counter::Removals as usize + 1;
+
 /// Lock-free accumulator behind [`crate::MatchingEngine`]'s shared-state
-/// counters. Every field is a relaxed [`AtomicU64`] (durations in
+/// counters. Every counter is a relaxed [`AtomicU64`] (durations in
 /// nanoseconds), so concurrent `find_substitutes` calls from many threads
 /// record without contention and totals always add up exactly; a
 /// [`MatchStats`] value is materialized on demand by [`snapshot`].
@@ -149,25 +153,14 @@ impl MatchStats {
 /// [`snapshot`]: AtomicMatchStats::snapshot
 #[derive(Debug, Default)]
 pub struct AtomicMatchStats {
-    invocations: AtomicU64,
-    candidates: AtomicU64,
-    core_states: AtomicU64,
-    views_available: AtomicU64,
-    substitutes: AtomicU64,
-    filter_nanos: AtomicU64,
-    match_nanos: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_invalidations: AtomicU64,
-    cache_evictions: AtomicU64,
-    plan_cache_hits: AtomicU64,
-    plan_cache_misses: AtomicU64,
-    plan_cache_invalidations: AtomicU64,
-    registrations: AtomicU64,
-    removals: AtomicU64,
+    counters: [AtomicU64; COUNTERS],
 }
 
 impl AtomicMatchStats {
+    fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Record one `find_substitutes` invocation.
     pub fn record(
         &self,
@@ -177,110 +170,93 @@ impl AtomicMatchStats {
         filter_time: Duration,
         match_time: Duration,
     ) {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        self.candidates
-            .fetch_add(candidates as u64, Ordering::Relaxed);
-        self.views_available
-            .fetch_add(views_available as u64, Ordering::Relaxed);
-        self.substitutes
-            .fetch_add(substitutes as u64, Ordering::Relaxed);
-        self.filter_nanos
-            .fetch_add(filter_time.as_nanos() as u64, Ordering::Relaxed);
-        self.match_nanos
-            .fetch_add(match_time.as_nanos() as u64, Ordering::Relaxed);
+        self.add(Counter::Invocations, 1);
+        self.add(Counter::Candidates, candidates as u64);
+        self.add(Counter::ViewsAvailable, views_available as u64);
+        self.add(Counter::Substitutes, substitutes as u64);
+        self.add(Counter::FilterNanos, filter_time.as_nanos() as u64);
+        self.add(Counter::MatchNanos, match_time.as_nanos() as u64);
     }
 
     /// Record the join-core states one invocation's candidate loop built.
     pub fn record_core_states(&self, n: usize) {
-        self.core_states.fetch_add(n as u64, Ordering::Relaxed);
+        self.add(Counter::CoreStates, n as u64);
     }
 
     /// Record a substitute-cache hit.
     pub fn record_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::CacheHits, 1);
     }
 
     /// Record a substitute-cache miss (probed, had to compute).
     pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::CacheMisses, 1);
     }
 
     /// Record a stale cached entry discarded by epoch invalidation.
     pub fn record_cache_invalidation(&self) {
-        self.cache_invalidations.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::CacheInvalidations, 1);
     }
 
     /// Record a substitute-cache entry evicted for room.
     pub fn record_cache_eviction(&self) {
-        self.cache_evictions.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::CacheEvictions, 1);
     }
 
     /// Record a plan-cache hit.
     pub fn record_plan_cache_hit(&self) {
-        self.plan_cache_hits.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::PlanCacheHits, 1);
     }
 
     /// Record a plan-cache miss (probed, had to search).
     pub fn record_plan_cache_miss(&self) {
-        self.plan_cache_misses.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::PlanCacheMisses, 1);
     }
 
     /// Record a stale cached plan discarded by epoch invalidation.
     pub fn record_plan_cache_invalidation(&self) {
-        self.plan_cache_invalidations
-            .fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::PlanCacheInvalidations, 1);
     }
 
     /// Record `n` view registrations.
     pub fn record_registrations(&self, n: usize) {
-        self.registrations.fetch_add(n as u64, Ordering::Relaxed);
+        self.add(Counter::Registrations, n as u64);
     }
 
     /// Record one view removal.
     pub fn record_removal(&self) {
-        self.removals.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::Removals, 1);
     }
 
     /// Materialize the counters as a plain [`MatchStats`] value.
     pub fn snapshot(&self) -> MatchStats {
+        let loaded = self.counters.each_ref().map(|c| c.load(Ordering::Relaxed));
+        let get = |c: Counter| loaded[c as usize];
         MatchStats {
-            invocations: self.invocations.load(Ordering::Relaxed),
-            candidates: self.candidates.load(Ordering::Relaxed),
-            core_states: self.core_states.load(Ordering::Relaxed),
-            views_available: self.views_available.load(Ordering::Relaxed),
-            substitutes: self.substitutes.load(Ordering::Relaxed),
-            filter_time: Duration::from_nanos(self.filter_nanos.load(Ordering::Relaxed)),
-            match_time: Duration::from_nanos(self.match_nanos.load(Ordering::Relaxed)),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
-            plan_cache_misses: self.plan_cache_misses.load(Ordering::Relaxed),
-            plan_cache_invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
-            registrations: self.registrations.load(Ordering::Relaxed),
-            removals: self.removals.load(Ordering::Relaxed),
+            invocations: get(Counter::Invocations),
+            candidates: get(Counter::Candidates),
+            core_states: get(Counter::CoreStates),
+            views_available: get(Counter::ViewsAvailable),
+            substitutes: get(Counter::Substitutes),
+            filter_time: Duration::from_nanos(get(Counter::FilterNanos)),
+            match_time: Duration::from_nanos(get(Counter::MatchNanos)),
+            cache_hits: get(Counter::CacheHits),
+            cache_misses: get(Counter::CacheMisses),
+            cache_invalidations: get(Counter::CacheInvalidations),
+            cache_evictions: get(Counter::CacheEvictions),
+            plan_cache_hits: get(Counter::PlanCacheHits),
+            plan_cache_misses: get(Counter::PlanCacheMisses),
+            plan_cache_invalidations: get(Counter::PlanCacheInvalidations),
+            registrations: get(Counter::Registrations),
+            removals: get(Counter::Removals),
         }
     }
 
     /// Zero every counter.
     pub fn reset(&self) {
-        self.invocations.store(0, Ordering::Relaxed);
-        self.candidates.store(0, Ordering::Relaxed);
-        self.core_states.store(0, Ordering::Relaxed);
-        self.views_available.store(0, Ordering::Relaxed);
-        self.substitutes.store(0, Ordering::Relaxed);
-        self.filter_nanos.store(0, Ordering::Relaxed);
-        self.match_nanos.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_invalidations.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-        self.plan_cache_hits.store(0, Ordering::Relaxed);
-        self.plan_cache_misses.store(0, Ordering::Relaxed);
-        self.plan_cache_invalidations.store(0, Ordering::Relaxed);
-        self.registrations.store(0, Ordering::Relaxed);
-        self.removals.store(0, Ordering::Relaxed);
+        for c in &self.counters {
+            c.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -356,44 +332,6 @@ mod tests {
         assert_eq!(s.candidates, 16_000);
         assert_eq!(s.substitutes, 8000);
         assert_eq!(s.filter_time, Duration::from_nanos(80_000));
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = MatchStats {
-            invocations: 1,
-            candidates: 2,
-            core_states: 12,
-            views_available: 3,
-            substitutes: 4,
-            filter_time: Duration::from_millis(5),
-            match_time: Duration::from_millis(6),
-            cache_hits: 7,
-            cache_misses: 8,
-            cache_invalidations: 9,
-            cache_evictions: 16,
-            plan_cache_hits: 13,
-            plan_cache_misses: 14,
-            plan_cache_invalidations: 15,
-            registrations: 10,
-            removals: 11,
-        };
-        a.merge(&a.clone());
-        assert_eq!(a.invocations, 2);
-        assert_eq!(a.candidates, 4);
-        assert_eq!(a.core_states, 24);
-        assert_eq!(a.views_available, 6);
-        assert_eq!(a.substitutes, 8);
-        assert_eq!(a.filter_time, Duration::from_millis(10));
-        assert_eq!(a.cache_hits, 14);
-        assert_eq!(a.cache_misses, 16);
-        assert_eq!(a.cache_invalidations, 18);
-        assert_eq!(a.cache_evictions, 32);
-        assert_eq!(a.plan_cache_hits, 26);
-        assert_eq!(a.plan_cache_misses, 28);
-        assert_eq!(a.plan_cache_invalidations, 30);
-        assert_eq!(a.registrations, 20);
-        assert_eq!(a.removals, 22);
     }
 
     #[test]

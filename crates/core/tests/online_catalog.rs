@@ -127,6 +127,77 @@ fn pinned_guard_is_isolated_from_writers() {
     assert_eq!(engine.views().len(), before + 1, "fresh pin sees the write");
 }
 
+/// Per-table invalidation is precise as well as conservative: matchers
+/// replaying warm queries while a writer registers views over a table none
+/// of them reads keep every cached entry. Catalog epochs move only for the
+/// registered views' tables, so the retained share is exactly 100 %, and a
+/// registration that bumped every table would turn the replays into misses.
+#[test]
+fn disjoint_registration_keeps_every_warm_entry() {
+    const REGISTRATIONS: usize = 48;
+    let (views, queries) = workload(100, 60);
+    let (catalog, _) = tpch_catalog();
+    // The table the queries reference least, and the queries that avoid it.
+    let table = (0..catalog.table_count() as u32)
+        .map(mv_catalog::TableId)
+        .min_by_key(|t| queries.iter().filter(|q| q.tables.contains(t)).count())
+        .unwrap();
+    let templates: Vec<&SpjgExpr> = queries
+        .iter()
+        .filter(|q| !q.tables.contains(&table))
+        .collect();
+    assert!(!templates.is_empty(), "some query avoids the churn table");
+    // Column 0 exists in every TPC-H table; the range bound makes each
+    // registration a distinct view over the churn table.
+    let churn: Vec<ViewDef> = (0..REGISTRATIONS)
+        .map(|k| {
+            let expr = SpjgExpr::spj(
+                vec![table],
+                BoolExpr::cmp(S::col(ColRef::new(0, 0)), CmpOp::Ge, S::lit(k as i64)),
+                vec![mv_plan::NamedExpr::new(S::col(ColRef::new(0, 0)), "k0")],
+            );
+            ViewDef::new(format!("churn_{k}"), expr)
+        })
+        .collect();
+
+    let engine = MatchingEngine::new(catalog, MatchConfig::default());
+    engine.add_views(views).expect("generated views are valid");
+    let primed: Vec<_> = templates
+        .iter()
+        .map(|q| engine.find_substitutes(q))
+        .collect();
+    engine.reset_stats();
+
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for v in &churn {
+                engine.add_view(v.clone()).expect("churn views are valid");
+            }
+            done.store(true, Ordering::Release);
+        });
+        for _ in 0..2 {
+            scope.spawn(|| loop {
+                // Replay until the writer finishes, then one final pass
+                // over the settled catalog.
+                let finished = done.load(Ordering::Acquire);
+                for (q, want) in templates.iter().zip(&primed) {
+                    assert_eq!(&engine.find_substitutes(q), want, "warm result moved");
+                }
+                if finished {
+                    break;
+                }
+            });
+        }
+    });
+
+    let stats = engine.stats();
+    assert_eq!(stats.cache_invalidations, 0, "a disjoint write invalidated");
+    assert_eq!(stats.cache_misses, 0, "a warm entry was lost");
+    assert!(stats.cache_hits > 0, "the replays probed the cache");
+    assert_eq!(stats.registrations, REGISTRATIONS as u64);
+}
+
 // Per-table invalidation is conservative: a cached engine and an
 // uncached engine fed the same interleaving of registrations, removals,
 // check-constraint declarations and queries must answer every query

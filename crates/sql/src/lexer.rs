@@ -173,24 +173,23 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
                 i += 2;
             }
             '\'' => {
+                // Copy the text between quote bytes as `str` slices: a `'`
+                // byte never occurs inside a multi-byte UTF-8 character, so
+                // every slice boundary is a char boundary.
                 let mut s = String::new();
                 i += 1;
                 loop {
-                    if i >= bytes.len() {
+                    let Some(len) = input[i..].find('\'') else {
                         return Err(SqlError::new("unterminated string literal", start));
+                    };
+                    s.push_str(&input[i..i + len]);
+                    i += len + 1;
+                    if bytes.get(i) != Some(&b'\'') {
+                        break;
                     }
-                    if bytes[i] == b'\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[i] as char);
-                        i += 1;
-                    }
+                    // `''` is an escaped quote.
+                    s.push('\'');
+                    i += 1;
                 }
                 out.push(Spanned {
                     token: Token::Str(s),
@@ -242,7 +241,10 @@ pub fn tokenize(input: &str) -> Result<Vec<Spanned>, SqlError> {
                 });
                 i = end;
             }
-            other => {
+            _ => {
+                // `i` sits on a char boundary: every arm above consumes
+                // whole ASCII bytes or whole string literals.
+                let other = input[i..].chars().next().unwrap_or(c);
                 return Err(SqlError::new(
                     format!("unexpected character {other:?}"),
                     start,
@@ -283,10 +285,19 @@ mod tests {
     #[test]
     fn strings_with_escapes() {
         assert_eq!(
-            toks("'it''s' '%steel%'"),
-            vec![Token::Str("it's".into()), Token::Str("%steel%".into())]
+            toks("'it''s' '%steel%' 'café' 'naïve''s'"),
+            vec![
+                Token::Str("it's".into()),
+                Token::Str("%steel%".into()),
+                Token::Str("café".into()),
+                Token::Str("naïve's".into()),
+            ]
         );
         assert!(tokenize("'unterminated").is_err());
+        assert_eq!(
+            tokenize("é").unwrap_err().message,
+            "unexpected character 'é'"
+        );
     }
 
     #[test]
