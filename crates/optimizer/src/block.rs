@@ -3,6 +3,7 @@
 
 use mv_expr::{ColRef, OccId};
 use mv_plan::{OutputList, SpjgExpr};
+use std::collections::BTreeSet;
 
 /// A subset of table occurrences as a bitmask (bit `i` = occurrence `i`).
 pub type Subset = u64;
@@ -19,6 +20,8 @@ pub struct BlockInfo<'a> {
     pub output_columns: Vec<ColRef>,
     /// The full set of occurrences.
     pub all: Subset,
+    /// The connected subsets, highest mask first.
+    connected: Vec<Subset>,
 }
 
 /// Bitmask of the occurrences referenced by a set of columns.
@@ -29,7 +32,7 @@ fn mask_of(cols: &[ColRef]) -> Subset {
 impl<'a> BlockInfo<'a> {
     /// Analyze a block.
     pub fn new(expr: &'a SpjgExpr) -> Self {
-        let conjunct_masks = expr
+        let conjunct_masks: Vec<Subset> = expr
             .conjuncts
             .iter()
             .map(|c| mask_of(&c.columns()))
@@ -62,44 +65,43 @@ impl<'a> BlockInfo<'a> {
         } else {
             (1u64 << expr.tables.len()) - 1
         };
+        let connected = grow_connected(expr.tables.len(), &conjunct_masks);
         BlockInfo {
             expr,
             conjunct_masks,
             output_columns,
             all,
+            connected,
         }
     }
 
     /// Occurrences in a subset, ascending.
-    pub fn members(&self, s: Subset) -> Vec<OccId> {
+    pub fn members(&self, s: Subset) -> impl Iterator<Item = OccId> {
         (0..self.expr.tables.len() as u32)
-            .filter(|i| s & (1 << i) != 0)
+            .filter(move |i| s & (1 << i) != 0)
             .map(OccId)
-            .collect()
     }
 
     /// Conjunct indices fully covered by `s` (every referenced occurrence
     /// inside the subset). A conjunct with no columns (constant) has mask 0
     /// and is covered by every subset.
-    pub fn covered(&self, s: Subset) -> Vec<usize> {
+    pub fn covered(&self, s: Subset) -> impl Iterator<Item = usize> + '_ {
         self.conjunct_masks
             .iter()
             .enumerate()
-            .filter(|(_, &m)| m & !s == 0)
+            .filter(move |(_, &m)| m & !s == 0)
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Conjunct indices covered by `s` but by neither `a` nor `b` — the
     /// predicates applied when joining `a` and `b` into `s = a | b`.
-    pub fn newly_covered(&self, a: Subset, b: Subset) -> Vec<usize> {
+    pub fn newly_covered(&self, a: Subset, b: Subset) -> impl Iterator<Item = usize> + '_ {
         let s = a | b;
         self.conjunct_masks
             .iter()
             .enumerate()
-            .filter(|(_, &m)| m & !s == 0 && (m & !a != 0) && (m & !b != 0))
+            .filter(move |(_, &m)| m & !s == 0 && (m & !a != 0) && (m & !b != 0))
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Is the subset connected in the join graph (occurrences linked by
@@ -107,27 +109,7 @@ impl<'a> BlockInfo<'a> {
     /// memo never enumerates cartesian intermediates unless the whole
     /// query is a cross product.
     pub fn connected(&self, s: Subset) -> bool {
-        let members = self.members(s);
-        if members.len() <= 1 {
-            return s != 0;
-        }
-        let mut reached: Subset = 1 << members[0].0;
-        loop {
-            let mut grew = false;
-            for &m in &self.conjunct_masks {
-                if m & s != m || m == 0 {
-                    continue; // conjunct leaves the subset (or is constant)
-                }
-                if m & reached != 0 && m & !reached != 0 {
-                    reached |= m;
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-        reached & s == s
+        self.connected.binary_search_by(|c| s.cmp(c)).is_ok()
     }
 
     /// The *required* columns of a subset: every column of an occurrence in
@@ -156,14 +138,52 @@ impl<'a> BlockInfo<'a> {
         out
     }
 
-    /// All connected subsets, ordered by size (singletons first). The
-    /// block sizes the paper works with (≤ 7 tables) keep this tiny.
+    /// All connected subsets, ordered by size (singletons first), and by
+    /// mask within a size.
     pub fn connected_subsets(&self) -> Vec<Subset> {
-        let n = self.expr.tables.len();
-        let mut subsets: Vec<Subset> = (1..(1u64 << n)).filter(|&s| self.connected(s)).collect();
-        subsets.sort_by_key(|s| s.count_ones());
+        let mut subsets = self.connected.clone();
+        subsets.sort_by_key(|&s| (s.count_ones(), s));
         subsets
     }
+
+    /// The splits of `s` into two connected parts, each given by its left
+    /// part `a` (the right one is `s & !a`), highest `a` first: the order
+    /// of a walk down the submasks of `s`, so ties between splits break
+    /// the way such a walk breaks them. Only connected subsets are
+    /// visited, not every submask.
+    pub fn splits(&self, s: Subset) -> impl Iterator<Item = Subset> + '_ {
+        let below = self.connected.partition_point(|&a| a >= s);
+        self.connected[below..]
+            .iter()
+            .copied()
+            .filter(move |&a| a & !s == 0 && self.connected(s & !a))
+    }
+}
+
+/// The connected subsets of `n` occurrences under conjuncts of the given
+/// masks, highest mask first. Each is grown from a smaller one by a
+/// conjunct that reaches out of it: a conjunct connects its occurrences
+/// only inside a subset that holds all of them. A chain of `n` has
+/// `n (n + 1) / 2` of them, found without looking at the other masks; a
+/// star or a clique still has exponentially many.
+fn grow_connected(n: usize, conjunct_masks: &[Subset]) -> Vec<Subset> {
+    let mut edges: Vec<Subset> = conjunct_masks
+        .iter()
+        .copied()
+        .filter(|m| m.count_ones() > 1)
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    let mut found: BTreeSet<Subset> = (0..n).map(|i| 1 << i).collect();
+    let mut todo: Vec<Subset> = found.iter().copied().collect();
+    while let Some(s) = todo.pop() {
+        for &m in &edges {
+            if m & s != 0 && m & !s != 0 && found.insert(s | m) {
+                todo.push(s | m);
+            }
+        }
+    }
+    found.into_iter().rev().collect()
 }
 
 #[cfg(test)]
@@ -204,6 +224,34 @@ mod tests {
         assert!(!info.connected(0));
         // Connected subsets: 3 singletons + 2 pairs + 1 triple.
         assert_eq!(info.connected_subsets().len(), 6);
+        // Splits of the whole chain, highest left part first; {lineitem,
+        // customer} is no part.
+        assert!(info.splits(0b111).eq([0b110, 0b100, 0b011, 0b001]));
+    }
+
+    #[test]
+    fn grown_subsets_are_the_connected_masks() {
+        // Occurrences 0-2 linked only by one three-way conjunct, 2-3 and
+        // 4-5 by edges, 6 by nothing; a constant and a local conjunct.
+        let masks = [0b000_0111, 0b000_1100, 0b011_0000, 0b100_0000, 0];
+        // The definition: a conjunct spreads reach only inside `s`.
+        let connected = |s: Subset| {
+            let mut reached = s & s.wrapping_neg();
+            loop {
+                let grown = masks
+                    .iter()
+                    .filter(|&&m| m & !s == 0 && m & reached != 0)
+                    .fold(reached, |r, m| r | m);
+                if grown == reached {
+                    return reached == s;
+                }
+                reached = grown;
+            }
+        };
+        let want: Vec<Subset> = (1..1 << 7).rev().filter(|&s| connected(s)).collect();
+        assert_eq!(grow_connected(7, &masks), want);
+        // {0, 1} alone does not hold the three-way conjunct.
+        assert!(!want.contains(&0b011) && want.contains(&0b111) && want.contains(&0b1111));
     }
 
     #[test]
@@ -211,11 +259,11 @@ mod tests {
         let block = chain_block();
         let info = BlockInfo::new(&block);
         // Joining {lineitem} with {orders} covers the first equijoin only.
-        assert_eq!(info.newly_covered(0b001, 0b010), vec![0]);
+        assert!(info.newly_covered(0b001, 0b010).eq([0]));
         // Joining {lineitem, orders} with {customer} covers the second.
-        assert_eq!(info.newly_covered(0b011, 0b100), vec![1]);
+        assert!(info.newly_covered(0b011, 0b100).eq([1]));
         // The single-table range on customer is covered by {customer}.
-        assert!(info.covered(0b100).contains(&2));
+        assert!(info.covered(0b100).any(|i| i == 2));
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //!
 //! * a **memo** of groups, one per *connected subset* of the query's table
 //!   occurrences — the plan space that Cascades' join-commutativity and
-//!   join-associativity rules enumerate;
+//!   join-associativity rules enumerate. The subsets are grown from their
+//!   neighbours in the join graph, so a chain of `n` occurrences has
+//!   `n (n + 1) / 2` groups and no other mask is looked at;
 //! * per group, **physical alternatives**: scans, hash/nested-loop joins
-//!   over every connected partition, and — via the view-matching rule —
-//!   compensated scans of materialized views;
+//!   over every split into two connected groups, and — via the
+//!   view-matching rule — compensated scans of materialized views. Each is
+//!   costed from its inputs' costs and rows without being built; a group
+//!   keeps its cost, its rows, its output layout and the *choice* that won
+//!   (the scan, a split, or the winning substitute), and one pass builds
+//!   the plan top-down from the winners when the search is over;
 //! * the **eager pre-aggregation** transformation (Yan & Larson, cited as
 //!   \[16\]) that pushes a group-by below the top joins; the view-matching
 //!   rule fires on the pre-aggregated block exactly as in the paper's

@@ -301,6 +301,46 @@ fn grouped_cross_product_over_an_empty_side_has_no_groups() {
 }
 
 #[test]
+fn a_wide_chain_plans_in_polynomial_time() {
+    // Thirty nation occurrences, each joined to the next on n_nationkey.
+    // The chain has 465 connected subsets; enumerating them out of all
+    // 2^30 masks, and a subset's splits out of all its submasks, took
+    // about 4x longer for every two more occurrences.
+    let (db, engine, store) = setup(vec![]);
+    let (_, t) = mv_catalog::tpch::tpch_catalog();
+    const N: u32 = 30;
+    let chain = BoolExpr::and(
+        (1..N)
+            .map(|i| BoolExpr::col_eq(cr(i - 1, 0), cr(i, 0)))
+            .collect(),
+    );
+    let spj = SpjgExpr::spj(
+        vec![t.nation; N as usize],
+        chain.clone(),
+        vec![
+            NamedExpr::new(S::col(cr(0, 1)), "n_name"),
+            NamedExpr::new(S::col(cr(N - 1, 2)), "n_regionkey"),
+        ],
+    );
+    // Grouped, so the root also offers pre-aggregation over every split.
+    let grouped = SpjgExpr::aggregate(
+        vec![t.nation; N as usize],
+        chain,
+        vec![NamedExpr::new(S::col(cr(N - 1, 2)), "n_regionkey")],
+        vec![
+            NamedAgg::new(AggFunc::CountStar, "cnt"),
+            NamedAgg::new(AggFunc::Sum(S::col(cr(0, 0))), "keys"),
+        ],
+    );
+    for query in [spj, grouped] {
+        assert!(!execute_spjg(&db, &query).is_empty());
+        check(&db, &engine, &store, &query);
+        let optimized = Optimizer::new(&engine, OptimizerConfig::default()).optimize(&query);
+        assert_eq!(optimized.stats.groups, (N * (N + 1) / 2) as usize);
+    }
+}
+
+#[test]
 fn a_block_of_64_occurrences_is_a_typed_error() {
     // The optimizer's subsets are 64-bit masks. A block this wide used to
     // overflow the mask of all occurrences: a shift panic in a debug
