@@ -1,161 +1,98 @@
-//! The engine's epoch-stamped caches: canonical query fingerprints mapped
-//! to the matcher's *verdict* — which views passed the full tests — and
-//! bound query blocks mapped to the optimizer's whole-query plans — two
-//! instances of one store, [`EpochCache`].
+//! The engine's epoch-stamped caches: bound query blocks mapped to the
+//! matcher's *verdict* — which views passed the full tests — and to the
+//! optimizer's whole-query plans — two instances of one store,
+//! [`EpochCache`].
 //!
 //! Serving workloads are dominated by repeated query *templates* — the
 //! cross-query commonality that multi-query optimization exploits. Which
-//! views can answer a query depends only on the query shape and on the
+//! views can answer a query depends only on the query block and on the
 //! engine's registered state (views + check constraints), so a repeated
-//! shape can skip the filter-tree walk and every failing candidate:
+//! block can skip the filter-tree walk and every failing candidate:
 //!
-//! - [`fingerprint`] renders an [`SpjgExpr`] into a normalized textual
-//!   form — tables sorted (occurrences renumbered accordingly), conjuncts
-//!   rendered through the canonicalizing [`Template`] machinery and
-//!   sorted, output expressions rendered in positional order with their
-//!   *names dropped* — so α-equivalent queries (renamed outputs, permuted
-//!   predicates, permuted join order) collide on the same entry.
+//! - [`fingerprint`] hashes an [`SpjgExpr`] through its derived `Hash`.
+//!   Both caches key on the block itself: the hash files the entry, and
+//!   the block, compared with [`SpjgExpr::identical`], guards it — so
+//!   blocks that differ in output names, FROM-list order or a literal's
+//!   variant (`2` and `2.0`) are separate entries (DESIGN.md §11.6).
 //! - [`EpochCache`] is a mutex-striped shard array keyed by a 64-bit
-//!   hash, generic over the collision guard an entry is compared on and
-//!   the value it holds, with GreedyDual eviction per shard (Young; Cao
-//!   & Irani's GreedyDual-Size is the sized form): each entry carries
-//!   what recomputing it costs, and a full shard evicts the entry whose
-//!   cost, aged by the shard's rising floor, is lowest. [`SubstituteCache`]
-//!   is the instance keyed by fingerprint; the plan instance (DESIGN.md
-//!   §11.4) is keyed by the block itself. Entries carry a *per-table
-//!   epoch stamp*: the invalidation epoch of each base table the keyed
-//!   query touches, captured from the catalog snapshot the value was
-//!   computed under. Registration (`add_view` / `remove_view`) bumps only
-//!   the epochs of the view's own tables, and `add_check_constraint` only
-//!   its table's — so an entry whose query touches disjoint tables keeps
-//!   a matching stamp and survives the write. (A view can only answer a
-//!   query whose tables are a subset of the view's, so bumping the view's
-//!   tables covers every query whose result could change.) Stale entries
-//!   are lazily discarded on their next lookup — registering a view never
-//!   takes a stop-the-world pass over the cache.
+//!   hash, generic over the [`Guard`] an entry is compared on and the
+//!   value it holds, with GreedyDual eviction per shard (Young; Cao &
+//!   Irani's GreedyDual-Size is the sized form): each entry carries what
+//!   recomputing it costs, and a full shard evicts the entry whose cost,
+//!   aged by the shard's rising floor, is lowest. [`SubstituteCache`] is
+//!   the instance guarded by the block; the plan instance (DESIGN.md
+//!   §11.4) is guarded by the block and an optimizer-config tag. Entries
+//!   carry a *per-table epoch stamp*: the invalidation epoch of each base
+//!   table the keyed query touches, captured from the catalog snapshot
+//!   the value was computed under. Registration (`add_view` /
+//!   `remove_view`) bumps only the epochs of the view's own tables, and
+//!   `add_check_constraint` only its table's — so an entry whose query
+//!   touches disjoint tables keeps a matching stamp and survives the
+//!   write. (A view can only answer a query whose tables are a subset of
+//!   the view's, so bumping the view's tables covers every query whose
+//!   result could change.) Stale entries are lazily discarded on their
+//!   next lookup — registering a view never takes a stop-the-world pass
+//!   over the cache.
 //!
 //! A substitute-cache hit re-runs the full tests over the cached views
 //! only, for the probing query and against the pinned snapshot, so the
-//! substitutes carry the query's own names and literals and the freshness
-//! the snapshot's data epochs give each view. Base-table writes therefore
-//! leave substitute entries alone (DESIGN.md §11.1); debug builds prove a
-//! hit equals a fresh computation with a differential assertion. A plan
-//! carries the same per-table stamp, plus one freshness counter when the
-//! engine's policy is not `StaleOk`: then a write round or a restamp,
-//! which can change which views the gate admits, makes every plan stale
-//! (DESIGN.md §11.4).
+//! substitutes carry the freshness the snapshot's data epochs give each
+//! view. Base-table writes therefore leave substitute entries alone
+//! (DESIGN.md §11.1); debug builds prove a hit equals a fresh computation
+//! with a differential assertion. A plan carries the same per-table
+//! stamp, plus one freshness counter when the engine's policy is not
+//! `StaleOk`: then a write round or a restamp, which can change which
+//! views the gate admits, makes every plan stale (DESIGN.md §11.4).
 
-use mv_expr::Template;
 use mv_parallel::sync::{lock_or_recover, Mutex};
-use mv_plan::{AggFunc, OutputList, SpjgExpr, ViewId};
+use mv_plan::{SpjgExpr, ViewId};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-/// A canonical rendering of a query plus its 64-bit hash. The full render
-/// is kept and compared on lookup, so a hash collision degrades to a cache
-/// miss instead of returning another query's substitutes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A query block's 64-bit hash: the substitute cache's key, and, combined
+/// with an optimizer-config tag, the plan cache's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fingerprint {
-    /// Hash of [`Fingerprint::render`].
+    /// The block's derived `Hash` through the standard hasher. Blocks
+    /// equal under `==` hash equal, so `a * 2` and `a * 2.0` collide
+    /// here and are told apart by the entry's [`Guard`].
     pub hash: u64,
-    /// The normalized textual form of the query.
-    pub render: String,
 }
 
-/// Render `query` into its canonical textual form and hash it.
-///
-/// Normalization: occurrences are renumbered by sorting the source-table
-/// list (stable, so self-joins keep their relative order); conjuncts are
-/// rendered through [`Template::of_bool`] — which already canonicalizes
-/// commutative operators and flips `>` to `<` — with literal values kept
-/// in the text, and the rendered conjuncts are sorted; output expressions
-/// are rendered in positional order (substitute output lists are
-/// positional, so their order is semantic) but with the output *names*
-/// omitted — a hit rebuilds the substitutes for the probing query, so
-/// they carry its names.
+/// Hash `query` for a cache probe.
 pub fn fingerprint(query: &SpjgExpr) -> Fingerprint {
-    // Occurrence renumbering: position of each old occurrence in the
-    // table-sorted order.
-    let mut order: Vec<usize> = (0..query.tables.len()).collect();
-    order.sort_by_key(|&i| (query.tables[i].0, i));
-    let mut renum = vec![0usize; order.len()];
-    for (new, &old) in order.iter().enumerate() {
-        renum[old] = new;
-    }
-
-    let mut render = String::with_capacity(128);
-    render.push_str("T:");
-    for &old in &order {
-        render.push_str(&query.tables[old].0.to_string());
-        render.push(',');
-    }
-
-    // One string per conjunct: canonical template text plus the renumbered
-    // column list (literal values are part of the template text).
-    let push_template = |out: &mut String, t: &Template| {
-        out.push_str(&t.text);
-        out.push('/');
-        for c in &t.cols {
-            out.push_str(&format!("{}.{},", renum[c.occ.0 as usize], c.col.0));
-        }
-    };
-    let mut conjuncts: Vec<String> = query
-        .conjuncts
-        .iter()
-        .map(|conj| {
-            let mut s = String::new();
-            push_template(&mut s, &Template::of_bool(&conj.to_bool()));
-            s
-        })
-        .collect();
-    conjuncts.sort_unstable();
-    render.push_str("|C:");
-    for c in &conjuncts {
-        render.push_str(c);
-        render.push(';');
-    }
-
-    match &query.output {
-        OutputList::Spj(items) => {
-            render.push_str("|S:");
-            for ne in items {
-                push_template(&mut render, &Template::of_scalar(&ne.expr));
-                render.push(';');
-            }
-        }
-        OutputList::Aggregate {
-            group_by,
-            aggregates,
-        } => {
-            render.push_str("|G:");
-            for ne in group_by {
-                push_template(&mut render, &Template::of_scalar(&ne.expr));
-                render.push(';');
-            }
-            render.push_str("|A:");
-            for na in aggregates {
-                match &na.func {
-                    AggFunc::CountStar => render.push_str("COUNT(*)"),
-                    AggFunc::Sum(e) => {
-                        render.push_str("SUM:");
-                        push_template(&mut render, &Template::of_scalar(e));
-                    }
-                    AggFunc::SumZero(e) => {
-                        render.push_str("SUMZ:");
-                        push_template(&mut render, &Template::of_scalar(e));
-                    }
-                }
-                render.push(';');
-            }
-        }
-    }
-
     let mut hasher = DefaultHasher::new();
-    render.hash(&mut hasher);
+    query.hash(&mut hasher);
     Fingerprint {
         hash: hasher.finish(),
-        render,
+    }
+}
+
+/// What a cache entry is the value *of*. An insert under a hash whose
+/// entry has another guard replaces that entry, and counts as an eviction.
+pub trait Guard {
+    /// Do `self` and `other` key the same value?
+    fn same(&self, other: &Self) -> bool;
+}
+
+impl Guard for u64 {
+    fn same(&self, other: &Self) -> bool {
+        self == other
+    }
+}
+
+impl Guard for SpjgExpr {
+    /// [`SpjgExpr::identical`], not `==`: that would serve `a * 2.0` the
+    /// value of `a * 2`.
+    fn same(&self, other: &Self) -> bool {
+        self.identical(other)
+    }
+}
+
+impl<A: Guard, B: Guard> Guard for (A, B) {
+    fn same(&self, other: &Self) -> bool {
+        self.0.same(&other.0) && self.1.same(&other.1)
     }
 }
 
@@ -170,8 +107,8 @@ struct Entry<G, V> {
     /// Per-table invalidation epochs of the key's (sorted, deduplicated)
     /// base tables, captured at computation time. A mismatch on lookup
     /// means some table the key touches saw a change the value depends
-    /// on since. Equal guards reference the same table set in the same
-    /// order, so the stamps compare positionally.
+    /// on since. Equal guards reference the same table set, so the
+    /// stamps compare positionally.
     stamp: Vec<u64>,
     value: V,
     /// What recomputing the value costs, in the caller's unit.
@@ -217,14 +154,14 @@ pub struct EpochCache<G, V> {
     per_shard: usize,
 }
 
-/// The substitute cache: a fingerprint's render as the guard, and as the
-/// value the matcher's structural verdict — the candidate count of the
-/// original computation (replayed into the stats on every hit, so counter
-/// totals stay path-independent) and the views that passed the full
-/// tests, freshness not applied.
-pub type SubstituteCache = EpochCache<Box<str>, (usize, Vec<ViewId>)>;
+/// The substitute cache: the bound block as the guard, and as the value
+/// the matcher's structural verdict — the candidate count of the original
+/// computation (replayed into the stats on every hit, so counter totals
+/// stay path-independent) and the views that passed the full tests,
+/// freshness not applied.
+pub type SubstituteCache = EpochCache<SpjgExpr, (usize, Vec<ViewId>)>;
 
-impl<G, V: Clone> EpochCache<G, V> {
+impl<G: Guard, V: Clone> EpochCache<G, V> {
     /// A cache of at most `capacity` entries, striped over one mutex per
     /// 128 entries (at most 8, so the default 1,024 is 8 stripes of 128
     /// and a small cache is one stripe). Stripes are sized by floor: the
@@ -298,8 +235,9 @@ impl<G, V: Clone> EpochCache<G, V> {
     /// Store a value that costs `cost` to recompute. An existing entry
     /// under the same hash is replaced; otherwise a free slot is used, or
     /// the shard evicts its minimum-priority entry (a scan of at most
-    /// `per_shard` slots) and raises its floor to that priority. Returns
-    /// whether an entry was evicted.
+    /// `per_shard` slots). Returns whether an entry of another guard was
+    /// dropped — by capacity or by the replacement of a colliding one —
+    /// in which case the floor rises to that entry's priority.
     pub fn insert(&self, hash: u64, guard: G, stamp: Vec<u64>, value: V, cost: u64) -> bool {
         if !self.is_enabled() {
             return false;
@@ -322,9 +260,10 @@ impl<G, V: Clone> EpochCache<G, V> {
             slot
         };
         let evicted = match shard.slots[slot].take() {
-            Some(old) if old.hash != hash => {
+            Some(old) if old.hash != hash || !old.guard.same(&guard) => {
                 shard.index.remove(&old.hash);
-                shard.floor = old.priority;
+                // `max`: a replaced entry need not be the shard's minimum.
+                shard.floor = shard.floor.max(old.priority);
                 true
             }
             _ => false,
@@ -369,84 +308,20 @@ impl<G, V: Clone> EpochCache<G, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
-    use mv_plan::NamedExpr;
 
-    fn cr(occ: u32, col: u32) -> ColRef {
-        ColRef::new(occ, col)
-    }
-
-    fn query(name: &str, lo: i64) -> SpjgExpr {
-        SpjgExpr::spj(
-            vec![mv_catalog::TableId(3)],
-            BoolExpr::cmp(S::col(cr(0, 0)), CmpOp::Ge, S::lit(lo)),
-            vec![NamedExpr::new(S::col(cr(0, 0)), name)],
-        )
-    }
-
-    #[test]
-    fn renamed_outputs_collide_different_literals_do_not() {
-        let a = fingerprint(&query("a", 5));
-        let b = fingerprint(&query("completely_different_name", 5));
-        assert_eq!(a, b, "output names must not affect the fingerprint");
-        let c = fingerprint(&query("a", 6));
-        assert_ne!(a.render, c.render, "literal values are semantic");
-    }
-
-    #[test]
-    fn conjunct_order_and_table_order_collide() {
-        let t = |a: u32, b: u32| {
-            let pred = vec![
-                BoolExpr::cmp(S::col(cr(0, 0)), CmpOp::Ge, S::lit(1i64)),
-                BoolExpr::cmp(S::col(cr(1, 0)), CmpOp::Lt, S::lit(9i64)),
-            ];
-            SpjgExpr::spj(
-                vec![mv_catalog::TableId(a), mv_catalog::TableId(b)],
-                BoolExpr::and(pred),
-                vec![NamedExpr::new(S::col(cr(0, 0)), "x")],
-            )
-        };
-        // Same query with tables listed in the other order and the
-        // occurrence numbering swapped accordingly.
-        let swapped = {
-            let pred = vec![
-                BoolExpr::cmp(S::col(cr(1, 0)), CmpOp::Ge, S::lit(1i64)),
-                BoolExpr::cmp(S::col(cr(0, 0)), CmpOp::Lt, S::lit(9i64)),
-            ];
-            SpjgExpr::spj(
-                vec![mv_catalog::TableId(7), mv_catalog::TableId(2)],
-                BoolExpr::and(pred),
-                vec![NamedExpr::new(S::col(cr(1, 0)), "renamed")],
-            )
-        };
-        assert_eq!(fingerprint(&t(2, 7)), fingerprint(&swapped));
-        assert_ne!(fingerprint(&t(2, 7)).render, fingerprint(&t(2, 8)).render);
-    }
-
-    /// The guard test the engine applies: the stored render equals the
-    /// probe's.
-    fn is(render: &str) -> impl FnOnce(&Box<str>) -> bool + '_ {
-        move |g| **g == *render
+    /// A probe's guard test for `key`.
+    fn is(key: u64) -> impl FnOnce(&u64) -> bool {
+        move |g| *g == key
     }
 
     #[test]
     fn lookup_insert_stamp_and_eviction() {
-        let cache = SubstituteCache::new(4);
+        let cache = EpochCache::<u64, (usize, Vec<ViewId>)>::new(4);
         assert!(cache.is_enabled());
         assert!(cache.is_empty());
-        let fp = fingerprint(&query("a", 5));
-        assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[0]),
-            CacheLookup::Miss
-        ));
-        cache.insert(
-            fp.hash,
-            fp.render.clone().into(),
-            vec![0],
-            (3, vec![ViewId(1)]),
-            4,
-        );
-        match cache.lookup(fp.hash, is(&fp.render), &[0]) {
+        assert!(matches!(cache.lookup(5, is(5), &[0]), CacheLookup::Miss));
+        cache.insert(5, 5, vec![0], (3, vec![ViewId(1)]), 4);
+        match cache.lookup(5, is(5), &[0]) {
             CacheLookup::Hit((candidates, results)) => {
                 assert_eq!(results.len(), 1);
                 assert_eq!(candidates, 3);
@@ -454,24 +329,14 @@ mod tests {
             other => panic!("expected hit, got {other:?}"),
         }
         // A bumped table epoch: the entry is discarded on its next probe.
-        assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[1]),
-            CacheLookup::Stale
-        ));
-        assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[1]),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(cache.lookup(5, is(5), &[1]), CacheLookup::Stale));
+        assert!(matches!(cache.lookup(5, is(5), &[1]), CacheLookup::Miss));
         // A hash collision with another guard is a miss, not a hit.
-        cache.insert(fp.hash, "other".into(), vec![0], (0, Vec::new()), 1);
-        assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[0]),
-            CacheLookup::Miss
-        ));
+        cache.insert(5, 6, vec![0], (0, Vec::new()), 1);
+        assert!(matches!(cache.lookup(5, is(5), &[0]), CacheLookup::Miss));
         // Capacity is bounded: many inserts never exceed it.
         for i in 0..50 {
-            let fp = fingerprint(&query("a", i));
-            cache.insert(fp.hash, fp.render.into(), vec![0], (0, Vec::new()), 1);
+            cache.insert(100 + i, i, vec![0], (0, Vec::new()), 1);
         }
         assert!(cache.len() <= 4, "eviction must bound the cache");
         cache.clear();
@@ -480,45 +345,57 @@ mod tests {
 
     #[test]
     fn per_table_stamps_compare_positionally() {
-        let cache = SubstituteCache::new(4);
-        let fp = fingerprint(&query("a", 5));
-        cache.insert(
-            fp.hash,
-            fp.render.clone().into(),
-            vec![2, 7],
-            (0, Vec::new()),
-            1,
-        );
+        let cache = EpochCache::<u64, ()>::new(4);
+        cache.insert(5, 5, vec![2, 7], (), 1);
         // Same epochs for the same tables: hit.
         assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[2, 7]),
-            CacheLookup::Hit(_)
+            cache.lookup(5, is(5), &[2, 7]),
+            CacheLookup::Hit(())
         ));
         // One table advanced: stale, even though the other is unchanged.
         assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[2, 8]),
+            cache.lookup(5, is(5), &[2, 8]),
             CacheLookup::Stale
         ));
     }
 
     #[test]
     fn disabled_cache_is_inert() {
-        let cache = SubstituteCache::new(0);
+        let cache = EpochCache::<u64, ()>::new(0);
         assert!(!cache.is_enabled());
-        let fp = fingerprint(&query("a", 5));
-        let evicted = cache.insert(
-            fp.hash,
-            fp.render.clone().into(),
-            vec![0],
-            (0, Vec::new()),
-            1,
-        );
-        assert!(!evicted);
+        assert!(!cache.insert(5, 5, vec![0], (), 1));
         assert!(matches!(
-            cache.lookup(fp.hash, is(&fp.render), &[0]),
+            cache.lookup(5, is(5), &[0]),
             CacheLookup::Disabled
         ));
         assert_eq!(cache.len(), 0);
+    }
+
+    /// Replacing a colliding entry of another guard is an eviction: it
+    /// is reported and raises the floor to the replaced entry's priority,
+    /// as a capacity eviction does. Re-inserting the same guard is not.
+    #[test]
+    fn replacing_another_guard_under_one_hash_is_an_eviction() {
+        let cache = EpochCache::<u64, ()>::new(4);
+        assert!(!cache.insert(7, 1, vec![0], (), 10));
+        assert!(cache.insert(7, 2, vec![0], (), 1), "guard 1 was evicted");
+        assert_eq!(cache.len(), 1);
+        assert!(
+            !cache.insert(7, 2, vec![0], (), 1),
+            "same guard: no eviction"
+        );
+        // The raised floor decides the next capacity eviction: guard 8
+        // sits at 10 + 1, above the cost-5 key, which goes.
+        let cache = EpochCache::<u64, ()>::new(2);
+        cache.insert(1, 1, vec![0], (), 5);
+        cache.insert(7, 7, vec![0], (), 10);
+        assert!(cache.insert(7, 8, vec![0], (), 1));
+        assert!(cache.insert(3, 3, vec![0], (), 1), "a full shard evicts");
+        assert!(
+            matches!(cache.lookup(7, is(8), &[0]), CacheLookup::Hit(())),
+            "the replacement outlives the cost-5 key"
+        );
+        assert!(matches!(cache.lookup(1, is(1), &[0]), CacheLookup::Miss));
     }
 
     /// Replay `keys` in order `rounds` times through `cache` — probe, and

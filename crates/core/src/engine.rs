@@ -243,8 +243,8 @@ impl CatalogSnapshot {
 
     /// The catalog-epoch stamp of a query: the epochs of its distinct
     /// source tables, ascending. Cached verdicts carry the stamp they were
-    /// computed under; equal renders reference equal table sets, so two
-    /// stamps for the same fingerprint compare positionally.
+    /// computed under; identical blocks reference equal table sets, so
+    /// two stamps for the same key compare positionally.
     fn table_stamp(&self, query: &SpjgExpr) -> Vec<u64> {
         // One allocation: the sorted table ids become their epochs in place.
         let mut stamp: Vec<u64> = query.tables.iter().map(|t| u64::from(t.0)).collect();
@@ -336,8 +336,8 @@ pub struct MatchingEngine {
     /// Serializes snapshot builders; never held by readers.
     writer: Mutex<()>,
     stats: AtomicMatchStats,
-    /// Fingerprint-keyed cache of structural verdicts, invalidated per
-    /// table via the snapshot's `table_epochs`.
+    /// Block-keyed cache of structural verdicts, invalidated per table via
+    /// the snapshot's `table_epochs`.
     cache: SubstituteCache,
     /// Block-keyed cache of whole-query plans, invalidated per table via
     /// the snapshot's `table_epochs` and, unless the freshness policy is
@@ -1150,7 +1150,7 @@ impl MatchingEngine {
     /// views: the whole match runs against one pinned snapshot.
     ///
     /// With the substitute cache enabled (see
-    /// [`MatchConfig::substitute_cache_capacity`]), a repeated query shape
+    /// [`MatchConfig::substitute_cache_capacity`]), a repeated query block
     /// skips the filter tree and every failing candidate: the full tests
     /// re-run over the views the cached verdict kept, and the freshness
     /// gate over the pinned snapshot, so the result is byte-identical to
@@ -1159,7 +1159,8 @@ impl MatchingEngine {
     /// epochs of the query's tables, so a registration over disjoint
     /// tables leaves them valid and a base-table write touches none.
     /// Hits replay the original candidate count into the stats so counter
-    /// totals stay path-independent.
+    /// totals stay path-independent. A block that fails
+    /// [`SpjgExpr::validate`] has no substitutes.
     pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
         self.find_substitutes_in(&self.snapshot(), query)
     }
@@ -1173,14 +1174,14 @@ impl MatchingEngine {
         query: &SpjgExpr,
     ) -> Vec<(ViewId, Substitute)> {
         let started = self.config.timing.then(Instant::now);
-        // The cache key and the stamp of the pinned snapshot; `None` with
-        // the cache off, which then costs no fingerprint.
+        // The block's hash and the stamp of the pinned snapshot; `None`
+        // with the cache off, which then hashes nothing.
         let key = self
             .cache
             .is_enabled()
-            .then(|| (fingerprint(query), snap.table_stamp(query)));
-        let probe = key.as_ref().map_or(CacheLookup::Disabled, |(fp, stamp)| {
-            self.cache.lookup(fp.hash, |g| **g == *fp.render, stamp)
+            .then(|| (fingerprint(query).hash, snap.table_stamp(query)));
+        let probe = key.as_ref().map_or(CacheLookup::Disabled, |(hash, stamp)| {
+            self.cache.lookup(*hash, |g| g.identical(query), stamp)
         });
         match probe {
             CacheLookup::Hit((candidates, verdict)) => {
@@ -1211,6 +1212,11 @@ impl MatchingEngine {
             CacheLookup::Stale => self.stats.record_cache_invalidation(),
             CacheLookup::Miss | CacheLookup::Disabled => {}
         }
+        // Checked here, past the probe: a malformed block is never
+        // inserted, so it never hits, and a hit pays nothing for the check.
+        if query.validate(&self.catalog).is_err() {
+            return Vec::new();
+        }
         let mut verdict = Vec::new();
         let (out, n_candidates, core_states, filter_time) =
             self.compute_substitutes(snap, query, key.is_some().then_some(&mut verdict));
@@ -1229,7 +1235,7 @@ impl MatchingEngine {
             filter_time,
             elapsed(started),
         );
-        if let Some((fp, stamp)) = key {
+        if let Some((hash, stamp)) = key {
             // The entry MUST carry the stamp of the pinned snapshot the
             // verdict was computed from. Re-deriving it from the currently
             // published snapshot (the STAMP_AFTER_PUBLISH mutation) stamps
@@ -1244,15 +1250,9 @@ impl MatchingEngine {
             // A hit skips the filter and every failing candidate: the
             // candidate count is what the entry saves.
             let cost = n_candidates as u64 + 1;
-            // Stored shrunk to fit: the render is built in a doubling
-            // buffer.
-            let evicted = self.cache.insert(
-                fp.hash,
-                fp.render.into_boxed_str(),
-                stamp,
-                (n_candidates, verdict),
-                cost,
-            );
+            let evicted =
+                self.cache
+                    .insert(hash, query.clone(), stamp, (n_candidates, verdict), cost);
             if evicted {
                 self.stats.record_cache_eviction();
             }
@@ -1296,7 +1296,7 @@ impl MatchingEngine {
             return PlanProbe::Miss(PlanTicket { key: None });
         }
         let mut hasher = DefaultHasher::new();
-        (tag, query).hash(&mut hasher);
+        (tag, fingerprint(query).hash).hash(&mut hasher);
         let hash = hasher.finish();
         let stamp = self.plan_stamp(&pin.snap, query);
         // Not `block == query`: that serves `a * 2.0` the plan for `a * 2`.
@@ -1372,9 +1372,11 @@ impl MatchingEngine {
     }
 
     /// Match the query against one specific view (bypassing the filter).
-    /// Returns `None` for removed and out-of-range view ids rather than
-    /// panicking — an id is data here, not a proven-valid handle.
+    /// Returns `None` for removed and out-of-range view ids, and for a
+    /// query that fails [`SpjgExpr::validate`], rather than panicking — an
+    /// id or a block is data here, not a proven-valid handle.
     pub fn match_one(&self, query: &SpjgExpr, view: ViewId) -> Option<Substitute> {
+        query.validate(&self.catalog).ok()?;
         let snap = self.snapshot();
         let qsum = self.query_summary_in(&snap, query);
         self.match_one_in(&snap, query, &qsum, view)
@@ -2367,9 +2369,14 @@ mod tests {
             )
         };
         let (int_q, float_q) = (query(S::lit(2i64)), query(S::lit(2.0f64)));
-        assert_ne!(fingerprint(&int_q), fingerprint(&float_q));
         assert_eq!(engine.find_substitutes(&int_q).len(), 1);
         assert!(engine.find_substitutes(&float_q).is_empty());
+        // The two blocks hash equal by design; the guard tells them
+        // apart, and the second one replaces the first's entry.
+        let s = engine.stats();
+        assert_eq!((s.cache_misses, s.cache_hits, s.cache_evictions), (2, 0, 1));
+        assert!(engine.find_substitutes(&float_q).is_empty());
+        assert_eq!(engine.stats().cache_hits, 1, "the float block hits itself");
     }
 
     #[test]

@@ -97,9 +97,9 @@ pub struct MatchConfig {
     /// exactly as in the SQL Server prototype. Disable to drop those two
     /// conditions (weaker pruning, never misses a recomputable rewrite).
     pub strict_expression_filter: bool,
-    /// Capacity (entries) of the fingerprint-keyed substitute cache on
+    /// Capacity (entries) of the block-keyed substitute cache on
     /// [`crate::MatchingEngine::find_substitutes`]: an entry holds the
-    /// views that passed the full tests, so a repeated query shape skips
+    /// views that passed the full tests, so a repeated query block skips
     /// the filter tree and every failing candidate, and the substitutes
     /// are rebuilt for the probing query under the current freshness.
     /// `0` disables the cache. Entries are invalidated lazily, per table,
@@ -112,8 +112,8 @@ pub struct MatchConfig {
     pub substitute_cache_capacity: usize,
     /// Record wall-clock filter/match durations in [`crate::MatchStats`].
     /// With this off, `find_substitutes` performs zero clock reads — on
-    /// the cached hot path the only work left is the fingerprint render
-    /// and a shard probe.
+    /// the cached hot path the only work left is hashing the block and a
+    /// shard probe.
     pub timing: bool,
     /// Database budget for the debug-build bounded-equivalence oracle:
     /// when nonzero (and `debug_assertions` are on), every substitute
@@ -433,28 +433,6 @@ impl OutputCtx<'_> {
         ix.members(ec.find(c))?
             .iter()
             .find_map(|m| self.vpos(self.to_view(*m)))
-    }
-
-    /// Like [`OutputCtx::find_position`], but *representative-blind*: the
-    /// whole class is scanned in sorted order with no shortcut for `c`
-    /// itself, so every member of a class resolves to the same position.
-    /// Used where the probed column is a class representative (whose
-    /// choice depends on predicate fold order) rather than a semantically
-    /// pinned column — fingerprint-equal queries must produce
-    /// byte-identical substitutes (see `crate::cache`).
-    fn canonical_position(&self, c: ColRef, ec: &EquivClasses, ix: &ClassIndex) -> Option<usize> {
-        // Sorted members, or just `[c]` for a column outside every class —
-        // the same set `EquivClasses::class_of` returns.
-        let class: &[ColRef] = ix.members(ec.find(c)).unwrap_or(std::slice::from_ref(&c));
-        if let Some(p) = class.iter().find_map(|m| self.vpos(self.to_view(*m))) {
-            return Some(p);
-        }
-        if self.pv.outputs.backjoins.is_empty() {
-            return None;
-        }
-        class
-            .iter()
-            .find_map(|&m| self.backjoin_position(self.to_view(m)))
     }
 
     /// Position of view-space `v` through an active (or newly activated)
@@ -877,9 +855,7 @@ fn match_under(
     // equivalence class E, we create a column-equality predicate between
     // any column in Ei and any column in Ei+1." These reroute through the
     // VIEW equivalence classes; a query column outside every view class is
-    // its own singleton. (Each class contributes an independent predicate
-    // group and the list is sorted below, so iterating classes by root
-    // instead of by smallest member changes nothing observable.)
+    // its own singleton. Classes come in the sorted `ClassIndex`'s order.
     for qclass in qix.nontrivial() {
         let mut parts: Vec<(VClassKey, ColRef)> = Vec::new(); // (view class, representative)
         for &c in qclass {
@@ -912,11 +888,7 @@ fn match_under(
             continue;
         }
         // Route through QUERY equivalence classes (section 3.1.3 point 2).
-        // `qroot` is a class *representative*, which depends on the
-        // union-fold order — canonical_position scans the sorted class so
-        // the emitted predicate does not (fingerprint-equal queries must
-        // produce byte-identical substitutes; see `crate::cache`).
-        let pos = ctx.canonical_position(*qroot, qec, qix)?;
+        let pos = ctx.find_position(*qroot, qec, qix)?;
         for (op, value) in comps {
             predicates.push(BoolExpr::cmp(out_col(pos), op, ScalarExpr::Literal(value)));
         }
@@ -944,16 +916,6 @@ fn match_under(
 
     // ---- Output expressions (sections 3.1.4 and 3.3) ----
     let output = build_output(pq.expr, view_is_aggregate, qec, qix, &ctx)?;
-
-    // Canonical predicate order: the compensations above are emitted in
-    // an order that can follow the query's conjunct order (residuals) or
-    // class representatives (ranges) — both of which differ between
-    // fingerprint-equal queries. Sorting by rendered text makes the
-    // substitute depend only on the predicate *set*; fewer than two
-    // predicates have one order and are never rendered.
-    if predicates.len() >= 2 {
-        predicates.sort_by_cached_key(|p| p.to_string());
-    }
 
     Some(Substitute {
         view: view_id,

@@ -45,8 +45,9 @@ pub struct MatchStats {
     /// view or constraint over some table they touch was added or removed
     /// since they were stored).
     pub cache_invalidations: u64,
-    /// Substitute-cache entries evicted to make room: a full stripe drops
-    /// its cheapest-to-recompute entry (GreedyDual, DESIGN.md §11.1).
+    /// Substitute-cache entries evicted: a full stripe drops its
+    /// cheapest-to-recompute entry (GreedyDual, DESIGN.md §11.1), and an
+    /// insert replaces another block's entry under the same hash.
     pub cache_evictions: u64,
     /// Whole-query plans served from the plan cache (DESIGN.md §11.4): an
     /// optimizer call answered this way invokes the matching rule zero
@@ -198,7 +199,7 @@ impl AtomicMatchStats {
         self.add(Counter::CacheInvalidations, 1);
     }
 
-    /// Record a substitute-cache entry evicted for room.
+    /// Record a substitute-cache entry evicted or replaced.
     pub fn record_cache_eviction(&self) {
         self.add(Counter::CacheEvictions, 1);
     }

@@ -9,8 +9,9 @@
 //! of a rebuilt hit.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{FreshnessPolicy, MatchConfig, MatchingEngine, SubstituteCache};
-use mv_plan::{OutputList, SpjgExpr, ViewDef, ViewId};
+use mv_core::{EpochCache, FreshnessPolicy, MatchConfig, MatchingEngine};
+use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
+use mv_plan::{NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
 
@@ -193,71 +194,84 @@ fn epoch_bump_evicts_stale_hits() {
     assert_eq!(refreshed, fresh.find_substitutes(q));
 }
 
-/// α-equivalent queries (same shape, different output names) share one
-/// cache entry, and the hit is rebuilt with the probing query's names.
+/// The key is the exact block: variants that differ only in output names,
+/// in FROM-list order or in a literal's variant (`50` against `50.0`) are
+/// separate entries. Each misses once and then hits itself, returns what an
+/// uncached engine returns, and carries its own output names.
 #[test]
-fn renamed_outputs_hit_and_restamp() {
-    let (views, queries) = pools(16, 8);
-    let engine = engine_with(MatchConfig::default());
-    for v in &views {
-        engine
-            .add_view(v.clone())
-            .expect("generated views are valid");
+fn renamed_and_permuted_blocks_are_separate_entries() {
+    let (catalog, t) = tpch_catalog();
+    let cr = ColRef::new;
+    // lineitem ⋈ orders; `swap` lists orders first and renumbers.
+    let block = |swap: bool, bound: S, names: [&str; 2]| {
+        let (l, o) = if swap { (1, 0) } else { (0, 1) };
+        let tables = if swap {
+            vec![t.orders, t.lineitem]
+        } else {
+            vec![t.lineitem, t.orders]
+        };
+        SpjgExpr::spj(
+            tables,
+            BoolExpr::and(vec![
+                BoolExpr::col_eq(cr(l, 0), cr(o, 0)),
+                BoolExpr::cmp(S::col(cr(o, 1)), CmpOp::Ge, bound),
+            ]),
+            vec![
+                NamedExpr::new(S::col(cr(l, 4)), names[0]),
+                NamedExpr::new(S::col(cr(o, 1)), names[1]),
+            ],
+        )
+    };
+    let view = SpjgExpr::spj(
+        vec![t.lineitem, t.orders],
+        BoolExpr::col_eq(cr(0, 0), cr(1, 0)),
+        vec![
+            NamedExpr::new(S::col(cr(0, 0)), "l_orderkey"),
+            NamedExpr::new(S::col(cr(0, 4)), "l_quantity"),
+            NamedExpr::new(S::col(cr(1, 1)), "o_custkey"),
+        ],
+    );
+    let engine = MatchingEngine::new(catalog.clone(), MatchConfig::default());
+    let uncached = MatchingEngine::new(catalog, uncached_config());
+    for e in [&engine, &uncached] {
+        e.add_view(ViewDef::new("lo", view.clone()))
+            .expect("the view is valid");
     }
 
-    let q = queries
-        .iter()
-        .find(|q| !engine.find_substitutes(q).is_empty())
-        .expect("workload produced at least one matching query");
-    engine.reset_stats();
-    engine.clear_substitute_cache();
-
-    let mut renamed = q.clone();
-    match &mut renamed.output {
-        OutputList::Spj(items) => {
-            for (i, item) in items.iter_mut().enumerate() {
-                item.name = format!("r{i}");
-            }
-        }
-        OutputList::Aggregate {
-            group_by,
-            aggregates,
-        } => {
-            for (i, item) in group_by.iter_mut().enumerate() {
-                item.name = format!("g{i}");
-            }
-            for (i, item) in aggregates.iter_mut().enumerate() {
-                item.name = format!("a{i}");
-            }
-        }
-    }
-
-    let original = engine.find_substitutes(q);
-    let restamped = engine.find_substitutes(&renamed);
-    let s = engine.stats();
-    assert_eq!(s.cache_misses, 1);
-    assert_eq!(s.cache_hits, 1, "renamed variant must share the entry");
-    assert_eq!(original.len(), restamped.len());
-    let want = renamed.output_names();
-    for (_, sub) in &restamped {
-        match &sub.output {
-            OutputList::Spj(items) => {
-                let got: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
-                assert_eq!(got, want, "hit must carry the probing query's names");
-            }
-            OutputList::Aggregate {
-                group_by,
-                aggregates,
-            } => {
-                let got: Vec<&str> = group_by
-                    .iter()
-                    .map(|i| i.name.as_str())
-                    .chain(aggregates.iter().map(|i| i.name.as_str()))
-                    .collect();
-                assert_eq!(got, want, "hit must carry the probing query's names");
-            }
+    let fifty = || S::lit(50i64);
+    let variants = [
+        block(false, fifty(), ["qty", "custkey"]),
+        block(false, fifty(), ["r0", "r1"]),
+        block(true, fifty(), ["qty", "custkey"]),
+        block(false, S::lit(50.0f64), ["qty", "custkey"]),
+    ];
+    for (i, q) in variants.iter().enumerate() {
+        let fresh = engine.find_substitutes(q);
+        assert_eq!(
+            engine.stats().cache_misses,
+            i as u64 + 1,
+            "variant {i} misses"
+        );
+        assert_eq!(engine.find_substitutes(q), fresh, "variant {i}");
+        assert_eq!(
+            engine.stats().cache_hits,
+            i as u64 + 1,
+            "variant {i} hits itself"
+        );
+        assert_eq!(fresh, uncached.find_substitutes(q), "variant {i}");
+        assert_eq!(fresh.len(), 1, "variant {i} is answered by the view");
+        for (_, sub) in &fresh {
+            let OutputList::Spj(items) = &sub.output else {
+                panic!("variant {i} is an SPJ block");
+            };
+            let got: Vec<&str> = items.iter().map(|i| i.name.as_str()).collect();
+            assert_eq!(got, q.output_names(), "variant {i} carries its own names");
         }
     }
+    // `50` and `50.0` hash equal, as `Value`'s `Eq` has them equal: the
+    // float variant's entry replaced the first variant's.
+    assert_eq!(engine.substitute_cache_len(), 3);
+    assert_eq!(engine.stats().cache_evictions, 1);
 }
 
 /// The cache never holds more entries than its configured capacity —
@@ -292,23 +306,23 @@ fn capacity_bounds_resident_entries() {
         "every miss past the first fills evicts exactly one entry"
     );
 
-    // Sweep: twice the capacity in distinct fingerprints, spread over
-    // every stripe, never leaves more than `capacity` resident.
+    // Sweep: twice the capacity in distinct keys, spread over every
+    // stripe, never leaves more than `capacity` resident.
     for capacity in [1usize, 3, 10, 127, 129, 1000, 1024] {
-        let cache = SubstituteCache::new(capacity);
+        let cache = EpochCache::<u64, ()>::new(capacity);
         for h in 0..2 * capacity as u64 {
-            cache.insert(h, format!("q{h}").into(), vec![0], (0, Vec::new()), 1);
+            cache.insert(h, h, vec![0], (), 1);
             assert!(cache.len() <= capacity, "capacity {capacity} exceeded");
         }
         // Floor sizing gives up less than one entry per stripe.
         assert!(cache.len() + 8 > capacity, "capacity {capacity} wasted");
     }
 
-    // The default 1,024 is 8 stripes of 128: fingerprints that all land
-    // on one stripe (hash ≡ 0 mod 16 ⊂ mod 8) fill exactly 128 slots.
-    let cache = SubstituteCache::new(1024);
+    // The default 1,024 is 8 stripes of 128: keys that all land on one
+    // stripe (hash ≡ 0 mod 16 ⊂ mod 8) fill exactly 128 slots.
+    let cache = EpochCache::<u64, ()>::new(1024);
     for i in 0..200u64 {
-        cache.insert(16 * i, format!("q{i}").into(), vec![0], (0, Vec::new()), 1);
+        cache.insert(16 * i, i, vec![0], (), 1);
     }
     assert_eq!(cache.len(), 128, "1,024 entries stripe as 8 x 128");
 }

@@ -571,7 +571,8 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     /// Optimize one SPJG block into a physical plan, reporting violated
     /// internal invariants (a column missing from a derived layout, a
     /// subset with no plan) as [`PlanInvariant`] errors. A block with no
-    /// table, or with more than 63 table occurrences, is one too.
+    /// table, with more than 63 table occurrences, or that fails
+    /// [`SpjgExpr::validate`] is one too.
     ///
     /// A block this configuration planned before, under a stamp that has
     /// not moved since, is served from the engine's plan cache without a
@@ -609,6 +610,11 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
                 hit
             }
             PlanProbe::Miss(ticket) => {
+                // Past the probe: a malformed block is never inserted, so
+                // a hit pays nothing for the check.
+                query
+                    .validate(self.engine().catalog())
+                    .map_err(PlanInvariant::new)?;
                 let optimized = self.search(query, &mut views)?;
                 self.engine().insert_plan(ticket, query, optimized.clone());
                 optimized

@@ -365,6 +365,53 @@ fn a_block_of_64_occurrences_is_a_typed_error() {
 }
 
 #[test]
+fn malformed_blocks_are_rejected_at_every_entry_point() {
+    // `add_view` rejects each of these through `SpjgExpr::validate`; the
+    // query side used to panic on them instead, in the catalog lookup or
+    // an occurrence index.
+    let (catalog, t) = mv_catalog::tpch::tpch_catalog();
+    let engine = MatchingEngine::new(catalog.clone(), MatchConfig::default());
+    let nation = |pred: BoolExpr, out: ColRef| {
+        SpjgExpr::spj(vec![t.nation], pred, vec![NamedExpr::new(S::col(out), "x")])
+    };
+    let view = engine
+        .add_view(ViewDef::new(
+            "all_nations",
+            nation(BoolExpr::Literal(true), cr(0, 0)),
+        ))
+        .expect("a valid view");
+    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
+    let out_of_range = BoolExpr::cmp(S::col(cr(0, 99)), CmpOp::Ge, S::lit(1i64));
+    let blocks = [
+        SpjgExpr::spj(
+            vec![mv_catalog::TableId(99)],
+            BoolExpr::Literal(true),
+            vec![NamedExpr::new(S::col(cr(0, 0)), "x")],
+        ),
+        nation(out_of_range, cr(0, 0)),
+        nation(BoolExpr::Literal(true), cr(0, 99)),
+        nation(BoolExpr::Literal(true), cr(3, 0)),
+    ];
+    for block in &blocks {
+        let why = block
+            .validate(&catalog)
+            .expect_err("the block is malformed");
+        for _ in 0..2 {
+            assert!(engine.find_substitutes(block).is_empty(), "{why}");
+            assert_eq!(engine.match_one(block, view), None, "{why}");
+            let err = optimizer.try_optimize(block).unwrap_err();
+            assert_eq!((err.rule, err.detail.as_str()), ("MV017", why.as_str()));
+        }
+    }
+    assert_eq!(
+        engine.substitute_cache_len(),
+        0,
+        "nothing malformed is cached"
+    );
+    assert_eq!(engine.plan_cache_len(), 0, "nothing malformed is cached");
+}
+
+#[test]
 fn views_never_change_results_across_many_queries() {
     let (_, t) = mv_catalog::tpch::tpch_catalog();
     // A pile of views, some useful, some not.
