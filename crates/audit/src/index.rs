@@ -9,8 +9,10 @@
 //!    a fresh, read-only re-derivation of the view's level keys from its
 //!    definition (MV101), the hub ⊆ source-tables invariant that the
 //!    level-1 subset search relies on (MV103), and token well-formedness —
-//!    every stored token must decode to a catalog table/column or an
-//!    interned template text (MV104).
+//!    every stored table or column token must decode to a catalog table or
+//!    column (MV104). A template-text token is the text's 64-bit hash, so
+//!    any value is well formed; a corrupted one differs from the
+//!    re-derived key and is MV101's.
 //! 2. **Differential check** ([`audit_differential`]): for each workload
 //!    query, run the filter-tree search and the exhaustive matcher over
 //!    all live views; any view the matcher accepts but the filter prunes
@@ -31,8 +33,6 @@ use std::collections::HashMap;
 const TABLE_LEVELS: [usize; 2] = [0, 1];
 /// Filter-tree levels keyed by base-qualified column tokens.
 const COL_LEVELS: [usize; 3] = [3, 5, 7];
-/// Filter-tree levels keyed by interned template-text tokens.
-const TEXT_LEVELS: [usize; 3] = [2, 4, 6];
 
 /// Run the full index-completeness pass.
 pub fn audit_index(engine: &MatchingEngine, queries: &[SpjgExpr]) -> Report {
@@ -126,7 +126,7 @@ pub fn audit_stored_entries(engine: &MatchingEngine, report: &mut Report) {
 }
 
 /// Per-entry monotone-condition obligations on the *stored* keys: the hub
-/// invariant (MV103) and token bounds (MV104).
+/// invariant (MV103) and table/column token bounds (MV104).
 fn audit_entry_obligations(
     engine: &MatchingEngine,
     view_name: &str,
@@ -180,19 +180,6 @@ fn audit_entry_obligations(
                         Diagnostic::error(
                             RuleId::IndexTokenBounds,
                             format!("stored column token {c} decodes to no catalog column"),
-                        )
-                        .with_view(view_name)
-                        .with_detail(format!("level {level}")),
-                    );
-                }
-            }
-        } else if TEXT_LEVELS.contains(&lvl) {
-            for &t in key {
-                if t >= engine.known_token_count() {
-                    report.push(
-                        Diagnostic::error(
-                            RuleId::IndexTokenBounds,
-                            format!("stored template-text token {t} was never interned"),
                         )
                         .with_view(view_name)
                         .with_detail(format!("level {level}")),

@@ -177,12 +177,11 @@ fn foreign_hub_caught_by_mv103() {
 }
 
 #[test]
-fn bogus_tokens_caught_by_mv104() {
+fn bogus_column_token_caught_by_mv104() {
     let engine = fixture();
     let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
     keys.truncate(SPJ_LEVELS);
     keys[5].push(col_token(TableId(999), ColumnId(7))); // no such table
-    keys[2].push(1_000_000); // never-interned template text
     assert!(engine.refile_view_for_audit(ViewId(0), &keys));
     let report = audit_index(&engine, &[]);
     let errs = codes(&report, Severity::Error);
@@ -193,14 +192,22 @@ fn bogus_tokens_caught_by_mv104() {
         .filter(|d| d.rule.code() == "MV104")
         .map(|d| d.context.detail.as_deref().unwrap())
         .collect();
-    assert!(
-        levels.iter().any(|l| l.contains("range-cols")),
-        "{levels:?}"
-    );
-    assert!(
-        levels.iter().any(|l| l.contains("output-exprs")),
-        "{levels:?}"
-    );
+    assert_eq!(levels, vec!["level range-cols"]);
+}
+
+#[test]
+fn bogus_text_token_caught_by_mv101() {
+    // A template-text token is a hash, so any value is well formed
+    // (no MV104); a wrong one differs from the re-derived key.
+    let engine = fixture();
+    let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
+    keys.truncate(SPJ_LEVELS);
+    keys[2].push(1_000_000);
+    assert!(engine.refile_view_for_audit(ViewId(0), &keys));
+    let report = audit_index(&engine, &[]);
+    assert_eq!(codes(&report, Severity::Error), vec!["MV101"]);
+    let detail = report.diagnostics[0].context.detail.as_deref().unwrap();
+    assert!(detail.contains("output-exprs"), "{detail}");
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! condition is applied."
 //!
 //! Keys at every level are sets of opaque `u64` tokens (table ids,
-//! base-qualified column ids, or interned template texts — the
+//! base-qualified column ids, or hashed template texts — the
 //! [`crate::engine`] module computes them). Each level searches its lattice
 //! index with one of three monotone conditions:
 //!

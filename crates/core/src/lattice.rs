@@ -155,8 +155,7 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
     }
 
     /// The value filed under exactly `key`, read-only — audit paths must
-    /// not mutate the index (and in particular must not mint new interner
-    /// tokens).
+    /// not mutate the index.
     pub fn peek(&self, key: &[K]) -> Option<&V> {
         let pos = self.position(key).ok()?;
         Some(&self.nodes[self.by_key[pos] as usize].value)

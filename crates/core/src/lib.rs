@@ -59,7 +59,6 @@ pub use descriptor::{JoinCore, PreparedView};
 pub use engine::{
     col_token, decode_col_token, strict_filter_exempt_levels, table_token, ChecksGuard,
     MatchingEngine, PlanProbe, PlanTicket, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS,
-    UNKNOWN_TOKEN,
 };
 pub use filter::{FilterTree, LevelSearch};
 pub use lattice::LatticeIndex;

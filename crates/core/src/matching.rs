@@ -84,11 +84,6 @@ pub struct MatchConfig {
     /// non-null unique key of one of its tables, the matcher may join the
     /// view back to that base table to pull the missing columns in.
     pub allow_backjoins: bool,
-    /// Fold declared check constraints into the query's antecedent
-    /// (section 3.1.2): a view predicate that is implied by a check
-    /// constraint no longer blocks matching. Constraints are registered
-    /// with [`crate::MatchingEngine::add_check_constraint`].
-    pub use_check_constraints: bool,
     /// Keep the paper's conservative output/grouping-expression filter
     /// conditions (sections 4.2.7/4.2.8), which "ignore the possibility of
     /// computing an expression from scratch using plain columns": a query
@@ -140,7 +135,6 @@ impl Default for MatchConfig {
             refined_hubs: true,
             use_filter_tree: true,
             allow_backjoins: false,
-            use_check_constraints: true,
             strict_expression_filter: true,
             substitute_cache_capacity: 1024,
             timing: true,

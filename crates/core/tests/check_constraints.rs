@@ -67,26 +67,6 @@ fn check_constraint_unlocks_redundant_view_range() {
 }
 
 #[test]
-fn check_constraints_can_be_disabled() {
-    let (cat, t, view) = view_with_redundant_range();
-    let engine = MatchingEngine::new(
-        cat,
-        MatchConfig {
-            use_check_constraints: false,
-            ..MatchConfig::default()
-        },
-    );
-    engine
-        .add_check_constraint(
-            t.orders,
-            BoolExpr::cmp(S::col(cr(0, 3)), CmpOp::Ge, S::lit(0i64)),
-        )
-        .unwrap();
-    engine.add_view(view).unwrap();
-    assert!(engine.find_substitutes(&plain_query(&t)).is_empty());
-}
-
-#[test]
 fn check_residual_satisfies_view_residual_without_compensation() {
     let (cat, t) = tpch_catalog();
     // View keeps only 'O' status orders; a CHECK pins every order to 'O'.

@@ -486,7 +486,7 @@ proptest! {
 
     /// (g) Registrations one at a time and in batches, interleaved with
     /// removals: two live views hold the same `Arc<JoinCore>` exactly when
-    /// their definitions have the same FROM list and classes, the interner
+    /// their definitions have the same FROM list and classes, the snapshot
     /// holds one core per distinct pair ever registered (a refused batch
     /// leaves none behind), and a descriptor prepared outside the engine
     /// matches byte-identically to `match_one` on its registered twin.

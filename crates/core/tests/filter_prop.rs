@@ -3,7 +3,8 @@
 //! of its entries. Keys are drawn from a small token alphabet as variations
 //! of a few base key tuples — two views usually agree on every level but
 //! one — so chains split at every level, and equal keys land in the chain
-//! that already holds them.
+//! that already holds them. A third property is the one the engine's
+//! hashed text tokens rest on: merging tokens never drops a view.
 
 use mv_core::{FilterTree, LevelSearch};
 use mv_plan::ViewId;
@@ -133,6 +134,87 @@ fn run(depth: usize, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes:
     }
 }
 
+/// `key` with every token sent through `merge`, a map on the alphabet.
+fn merged(key: &[u64], merge: &[u64]) -> Vec<u64> {
+    key.iter().map(|&t| merge[t as usize]).collect()
+}
+
+/// A probe that accepts `keys` and, by chance, others: each subset set is
+/// the key plus drawn tokens, each superset set the drawn tokens the key
+/// holds, each class a drawn one plus a token of the key (no class for
+/// an empty key, which none can hit).
+fn probe_around(keys: &[Vec<u64>], sets: &[Vec<u64>], classes: &[Vec<u64>]) -> Vec<LevelSearch> {
+    keys.iter()
+        .zip(KINDS)
+        .zip(sets)
+        .map(|((key, kind), set)| match kind {
+            0 => LevelSearch::Subset(normalize(&[key.as_slice(), set].concat())),
+            1 => LevelSearch::Superset(normalize(
+                &set.iter()
+                    .copied()
+                    .filter(|t| key.contains(t))
+                    .collect::<Vec<_>>(),
+            )),
+            _ => LevelSearch::Hitting(match key.first() {
+                Some(&t) => classes
+                    .iter()
+                    .map(|c| [c.as_slice(), &[t]].concat())
+                    .collect(),
+                None => Vec::new(),
+            }),
+        })
+        .collect()
+}
+
+/// The same probe with every token sent through `merge`.
+fn merged_probe(probe: &[LevelSearch], merge: &[u64]) -> Vec<LevelSearch> {
+    probe
+        .iter()
+        .map(|search| match search {
+            LevelSearch::Subset(set) => LevelSearch::Subset(normalize(&merged(set, merge))),
+            LevelSearch::Superset(set) => LevelSearch::Superset(normalize(&merged(set, merge))),
+            LevelSearch::Hitting(classes) => {
+                LevelSearch::Hitting(classes.iter().map(|c| merged(c, merge)).collect())
+            }
+        })
+        .collect()
+}
+
+/// The engine's template-text tokens are hashes, and two texts whose
+/// hashes collide share one token. That is safe because merging tokens
+/// never drops a view: each level condition that holds between a stored
+/// key and a search still holds once any token-merging map is applied to
+/// both, so a merged search returns every view the unmerged one did. The
+/// probes are built around the stored views, so each returns at least one.
+fn merging_keeps_every_view(
+    depth: usize,
+    views: &[Keys],
+    sets: &[Vec<u64>],
+    classes: &[Vec<u64>],
+    merge: &[u64],
+) {
+    let mut tree = FilterTree::new(depth);
+    let mut merged_tree = FilterTree::new(depth);
+    for (i, keys) in views.iter().enumerate() {
+        let keys = &keys[..depth];
+        tree.insert(keys, ViewId(i as u32));
+        let keys: Keys = keys.iter().map(|k| merged(k, merge)).collect();
+        merged_tree.insert(&keys, ViewId(i as u32));
+    }
+    for keys in views {
+        let probe = probe_around(&keys[..depth], sets, classes);
+        let before = tree.search(&probe);
+        let after = merged_tree.search(&merged_probe(&probe, merge));
+        prop_assert!(!before.is_empty());
+        prop_assert!(
+            before.iter().all(|view| after.contains(view)),
+            "merged search {:?} lost a view of {:?}",
+            sorted(after),
+            sorted(before)
+        );
+    }
+}
+
 fn key() -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0u64..4, 0..3)
 }
@@ -158,6 +240,17 @@ proptest! {
         classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
     ) {
         run(8, &bases, &steps, &sets, &classes);
+    }
+
+    #[test]
+    fn merging_tokens_never_drops_a_view(
+        depth in prop::sample::select(vec![6usize, 8]),
+        views in prop::collection::vec(prop::collection::vec(key(), 8), 1..24),
+        sets in prop::collection::vec(prop::collection::vec(0u64..4, 0..5), 8),
+        classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
+        merge in prop::collection::vec(0u64..4, 4),
+    ) {
+        merging_keeps_every_view(depth, &views, &sets, &classes, &merge);
     }
 }
 

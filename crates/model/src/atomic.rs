@@ -84,75 +84,11 @@ macro_rules! atomic_shim {
                 self.rmw(ord, |v| v.wrapping_add(value))
             }
 
-            pub fn fetch_sub(&self, value: $prim, ord: Ordering) -> $prim {
-                if ctx().is_none() {
-                    return self.inner.fetch_sub(value, ord);
-                }
-                self.rmw(ord, |v| v.wrapping_sub(value))
-            }
-
             pub fn fetch_or(&self, value: $prim, ord: Ordering) -> $prim {
                 if ctx().is_none() {
                     return self.inner.fetch_or(value, ord);
                 }
                 self.rmw(ord, |v| v | value)
-            }
-
-            pub fn fetch_and(&self, value: $prim, ord: Ordering) -> $prim {
-                if ctx().is_none() {
-                    return self.inner.fetch_and(value, ord);
-                }
-                self.rmw(ord, |v| v & value)
-            }
-
-            pub fn fetch_max(&self, value: $prim, ord: Ordering) -> $prim {
-                if ctx().is_none() {
-                    return self.inner.fetch_max(value, ord);
-                }
-                self.rmw(ord, |v| v.max(value))
-            }
-
-            pub fn swap(&self, value: $prim, ord: Ordering) -> $prim {
-                if ctx().is_none() {
-                    return self.inner.swap(value, ord);
-                }
-                self.rmw(ord, |_| value)
-            }
-
-            pub fn compare_exchange(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                if ctx().is_none() {
-                    return self.inner.compare_exchange(current, new, success, failure);
-                }
-                // Model path: a CAS is an RMW that either installs `new`
-                // or re-installs the observed value. Either way it reads
-                // the newest store, which is exactly CAS semantics.
-                let ord = if success == Ordering::Relaxed {
-                    failure
-                } else {
-                    success
-                };
-                let seen = self.rmw(ord, |v| if v == current { new } else { v });
-                if seen == current {
-                    Ok(seen)
-                } else {
-                    Err(seen)
-                }
-            }
-
-            pub fn compare_exchange_weak(
-                &self,
-                current: $prim,
-                new: $prim,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$prim, $prim> {
-                self.compare_exchange(current, new, success, failure)
             }
         }
 

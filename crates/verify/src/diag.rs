@@ -92,9 +92,9 @@ pub enum RuleId {
     /// subset of the view's stored source-table key, so the subset search
     /// at level 1 can prune the view for queries it should reach.
     HubInvariant,
-    /// MV104 — a stored index token is out of bounds: a table/column token
-    /// decodes to nothing in the catalog, or a template-text token was
-    /// never minted by the interner.
+    /// MV104 — a stored index token is out of bounds: a table or column
+    /// token decodes to nothing in the catalog. (A template-text token is
+    /// a hash, so any value is well formed; MV101 catches a wrong one.)
     IndexTokenBounds,
     /// MV110 — two registered views are equivalent (each matches the
     /// other's definition); one of them is redundant storage and doubles
