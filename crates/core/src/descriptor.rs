@@ -83,7 +83,8 @@ impl JoinCore {
 }
 
 /// Per-view prepared match descriptor. Built once per `add_view`; the
-/// matching path only reads it.
+/// matching path, and the optimizer costing a [`crate::Verdict`], only
+/// read it.
 #[derive(Debug, Clone)]
 pub struct PreparedView {
     /// The view's join core.
@@ -99,6 +100,11 @@ pub struct PreparedView {
     /// maps (and re-rendering the output templates) per accepted
     /// candidate.
     pub outputs: PreparedOutputs,
+    /// The view's estimated rows ([`mv_plan::card::estimate_rows`]), the
+    /// scan a substitute over it is costed by. Estimated once here: the
+    /// estimate reads only the definition and the catalog's statistics,
+    /// and an engine's catalog never changes.
+    pub rows: f64,
 }
 
 /// One candidate backjoin target (the section 7 extension), precomputed
@@ -265,6 +271,7 @@ impl PreparedView {
             core,
             ranges,
             residuals: summary.residuals,
+            rows: mv_plan::card::estimate_rows(expr, catalog),
         }
     }
 

@@ -6,7 +6,7 @@ use crate::cache::{fingerprint, CacheLookup, EpochCache, SubstituteCache};
 use crate::descriptor::{DescriptorStore, JoinCore, PreparedView};
 use crate::filter::{normalized, FilterTree, LevelSearch};
 use crate::fkgraph::{compute_hub, FkGraph};
-use crate::matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery};
+use crate::matching::{match_view, Assemble, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict};
 use crate::stamps::ViewStamps;
 use crate::stats::{AtomicMatchStats, MatchStats};
 use crate::summary::ExprSummary;
@@ -997,31 +997,32 @@ impl MatchingEngine {
     /// Run the full tests over `ids` (live views of `snap`, ascending)
     /// and apply the freshness gate to each: the views within the
     /// configured staleness bound of the current data epochs keep their
-    /// substitutes, stamped with the lag so callers see the guarantee.
-    /// With `verdict`, every id that passes the full tests is also pushed
+    /// substitutes (or verdicts, as `Y` says), stamped with the lag so
+    /// callers see the guarantee.
+    /// With `passed`, every id that passes the full tests is also pushed
     /// there, fresh or not — the structural verdict a cache entry keeps;
     /// without it, a view the gate refuses skips the tests. The count is
     /// the join-core states the loop built — candidates over one core
     /// share everything up to the equijoin test through one
     /// [`PreparedQuery`].
-    fn match_candidates(
+    fn match_candidates<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
         qsum: &ExprSummary,
         ids: &[ViewId],
-        mut verdict: Option<&mut Vec<ViewId>>,
-    ) -> (Vec<(ViewId, Substitute)>, usize) {
+        mut passed: Option<&mut Vec<ViewId>>,
+    ) -> (Vec<(ViewId, Y)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
         let match_view = |pq: &PreparedQuery, id: ViewId| {
             let (view, pv) = (snap.views.get(id), snap.descriptors.prepared(id));
-            match_view_prepared(&self.catalog, &self.config, pq, id, view, pv)
+            match_view::<Y>(&self.catalog, &self.config, pq, id, view, pv)
         };
         let mut out = Vec::new();
         for &id in ids {
             let lag = snap.view_lag(id);
             let admitted = self.config.freshness.admits(lag);
-            if !admitted && verdict.is_none() {
+            if !admitted && passed.is_none() {
                 continue;
             }
             let Some(mut sub) = match_view(&pq, id) else {
@@ -1036,11 +1037,11 @@ impl MatchingEngine {
                 "{id} matched through shared core state must be byte-identical \
                  to a match with fresh state"
             );
-            if let Some(verdict) = verdict.as_deref_mut() {
-                verdict.push(id);
+            if let Some(passed) = passed.as_deref_mut() {
+                passed.push(id);
             }
             if admitted {
-                sub.freshness = Freshness::from_lag(lag);
+                sub.admit(Freshness::from_lag(lag));
                 out.push((id, sub));
             }
         }
@@ -1048,15 +1049,16 @@ impl MatchingEngine {
     }
 
     /// Filter, match and debug-verify — the uncached matching pipeline,
-    /// recording the structural verdict into `verdict` when given (see
-    /// [`MatchingEngine::match_candidates`]). Returns the substitutes, the
-    /// candidate and core-state counts, and the filter time.
-    fn compute_substitutes(
+    /// recording the structural verdict into `passed` when given (see
+    /// [`MatchingEngine::match_candidates`]). Returns the substitutes (or
+    /// verdicts), the candidate and core-state counts, and the filter
+    /// time.
+    fn compute_substitutes<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-        verdict: Option<&mut Vec<ViewId>>,
-    ) -> (Vec<(ViewId, Substitute)>, usize, usize, Duration) {
+        passed: Option<&mut Vec<ViewId>>,
+    ) -> (Vec<(ViewId, Y)>, usize, usize, Duration) {
         let qsum = self.query_summary_in(snap, query);
 
         let filter_started = self.config.timing.then(Instant::now);
@@ -1064,7 +1066,7 @@ impl MatchingEngine {
         self.candidates_into_in(snap, query, &qsum, &mut candidates);
         let filter_time = elapsed(filter_started);
 
-        let (out, core_states) = self.match_candidates(snap, query, &qsum, &candidates, verdict);
+        let (out, core_states) = self.match_candidates(snap, query, &qsum, &candidates, passed);
         #[cfg(debug_assertions)]
         {
             self.debug_verify(snap, query, &out);
@@ -1092,18 +1094,32 @@ impl MatchingEngine {
     /// Hits replay the original candidate count into the stats so counter
     /// totals stay path-independent. A block that fails
     /// [`SpjgExpr::validate`] has no substitutes.
+    ///
+    /// An optimizer that keeps at most one substitute per block calls
+    /// [`MatchingEngine::find_verdicts`] instead, and builds only the one
+    /// it keeps.
     pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
         self.find_substitutes_in(&self.snapshot(), query)
+    }
+
+    /// [`MatchingEngine::find_substitutes`] under the snapshot `pin`
+    /// holds, yielding each substitute's [`Verdict`] instead of the
+    /// substitute: the same views pass, in the same order, and the same
+    /// stats are recorded, but no substitute is built.
+    /// [`MatchingEngine::build_substitute`] under the same pin builds the
+    /// substitute of any view a verdict names.
+    pub fn find_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
+        self.find_substitutes_in(&pin.snap, query)
     }
 
     /// [`MatchingEngine::find_substitutes`] against a pinned snapshot:
     /// probe the substitute cache if there is one, otherwise (or on a
     /// miss) compute, record the stats and fill the cache.
-    fn find_substitutes_in(
+    fn find_substitutes_in<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-    ) -> Vec<(ViewId, Substitute)> {
+    ) -> Vec<(ViewId, Y)> {
         let started = self.config.timing.then(Instant::now);
         // The block's hash and the stamp of the pinned snapshot; `None`
         // with the cache off, which then hashes nothing.
@@ -1115,14 +1131,14 @@ impl MatchingEngine {
             self.cache.lookup(*hash, |g| g.identical(query), stamp)
         });
         match probe {
-            CacheLookup::Hit((candidates, verdict)) => {
+            CacheLookup::Hit((candidates, passed)) => {
                 let qsum = self.query_summary_in(snap, query);
                 let (results, core_states) =
-                    self.match_candidates(snap, query, &qsum, &verdict, None);
+                    self.match_candidates(snap, query, &qsum, &passed, None);
                 #[cfg(debug_assertions)]
                 {
                     self.debug_verify(snap, query, &results);
-                    let (fresh, ..) = self.compute_substitutes(snap, query, None);
+                    let (fresh, ..) = self.compute_substitutes::<Y>(snap, query, None);
                     assert_eq!(
                         results, fresh,
                         "rebuilt substitutes must be byte-identical to a fresh \
@@ -1148,9 +1164,9 @@ impl MatchingEngine {
         if query.validate(&self.catalog).is_err() {
             return Vec::new();
         }
-        let mut verdict = Vec::new();
+        let mut passed = Vec::new();
         let (out, n_candidates, core_states, filter_time) =
-            self.compute_substitutes(snap, query, key.is_some().then_some(&mut verdict));
+            self.compute_substitutes(snap, query, key.is_some().then_some(&mut passed));
         self.stats.record_core_states(core_states);
         #[cfg(mv_model)]
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
@@ -1183,7 +1199,7 @@ impl MatchingEngine {
             let cost = n_candidates as u64 + 1;
             let evicted =
                 self.cache
-                    .insert(hash, query.clone(), stamp, (n_candidates, verdict), cost);
+                    .insert(hash, query.clone(), stamp, (n_candidates, passed), cost);
             if evicted {
                 self.stats.record_cache_eviction();
             }
@@ -1288,18 +1304,31 @@ impl MatchingEngine {
         self.plans.len()
     }
 
-    /// [`MatchingEngine::find_substitutes`] against `pin`, past the
+    /// [`MatchingEngine::find_verdicts`] against `pin`, past the
     /// substitute cache and the counters: the search the optimizer re-runs
     /// on every plan-cache hit of a debug build, to assert the hit equals
     /// it. Never call outside that check.
     #[cfg(debug_assertions)]
     #[doc(hidden)]
-    pub fn fresh_substitutes(
+    pub fn fresh_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
+        self.compute_substitutes(&pin.snap, query, None).0
+    }
+
+    /// Build the substitute of `view` for `query` under the snapshot `pin`
+    /// holds: the one substitute the optimizer keeps of the
+    /// [`Verdict`]s [`MatchingEngine::find_verdicts`] returned under the
+    /// same pin. A verdict's view builds under its pin, with the freshness
+    /// the gate admitted it under; under another snapshot the view may
+    /// have been removed or gone stale. Bypasses the filter, the cache
+    /// and the counters; `None` where [`MatchingEngine::match_one`] is.
+    pub fn build_substitute(
         &self,
         pin: &ViewsGuard,
         query: &SpjgExpr,
-    ) -> Vec<(ViewId, Substitute)> {
-        self.compute_substitutes(&pin.snap, query, None).0
+        view: ViewId,
+    ) -> Option<Substitute> {
+        let qsum = self.query_summary_in(&pin.snap, query);
+        self.match_one_in(&pin.snap, query, &qsum, view)
     }
 
     /// Match the query against one specific view (bypassing the filter).
@@ -1337,7 +1366,10 @@ impl MatchingEngine {
         }
         let (result, _) = self.match_candidates(snap, query, qsum, &[view], None);
         #[cfg(debug_assertions)]
-        self.debug_verify(snap, query, &result);
+        {
+            self.debug_verify(snap, query, &result);
+            self.debug_prove(snap, query, &result);
+        }
         result.into_iter().next().map(|(_, sub)| sub)
     }
 
@@ -1459,7 +1491,7 @@ impl MatchingEngine {
                 continue;
             }
             let pv = snap.descriptors.prepared(id);
-            if match_view_prepared(&self.catalog, &self.config, &pq, id, view, pv).is_none() {
+            if match_view::<Verdict>(&self.catalog, &self.config, &pq, id, view, pv).is_none() {
                 continue;
             }
             let is_agg = view.expr.is_aggregate();
@@ -1501,14 +1533,14 @@ impl MatchingEngine {
     /// with the matcher, every test exercising the matching path doubles
     /// as a soundness test for both sides. Compiled out of release builds.
     #[cfg(debug_assertions)]
-    fn debug_verify(
+    fn debug_verify<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-        results: &[(ViewId, Substitute)],
+        results: &[(ViewId, Y)],
     ) {
         let ctx = mv_verify::VerifyContext::new(&self.catalog, &snap.checks);
-        for (id, sub) in results {
+        for (id, sub) in built(results) {
             let view = snap.views.get(*id);
             let diags =
                 mv_verify::verify_substitute(&ctx, query, &view.expr, sub, &view.name, "query");
@@ -1533,11 +1565,11 @@ impl MatchingEngine {
     /// proving enumerates databases and executes both plans, so it is
     /// opt-in even for debug builds. Compiled out of release builds.
     #[cfg(debug_assertions)]
-    fn debug_prove(
+    fn debug_prove<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-        results: &[(ViewId, Substitute)],
+        results: &[(ViewId, Y)],
     ) {
         // Cap mirrors DEBUG_COMPLETENESS_CAP: proving is for functional
         // tests, not the scale benchmarks.
@@ -1550,7 +1582,7 @@ impl MatchingEngine {
             max_databases: self.config.prove_budget as u64,
             ..mv_prove::ProveConfig::default()
         };
-        for (id, sub) in results {
+        for (id, sub) in built(results) {
             let view = snap.views.get(*id);
             let outcome = mv_prove::prove(&ctx, query, &view.expr, sub, &cfg);
             if outcome.is_refuted() {
@@ -1568,6 +1600,13 @@ impl MatchingEngine {
             }
         }
     }
+}
+
+/// The built substitutes among `results`: the ones the debug-build oracles
+/// check. A verdict is checked once its substitute is built.
+#[cfg(debug_assertions)]
+fn built<Y: Assemble>(results: &[(ViewId, Y)]) -> impl Iterator<Item = (&ViewId, &Substitute)> {
+    results.iter().filter_map(|(id, y)| Some((id, y.built()?)))
 }
 
 /// A pinned, read-only handle on the registered views: derefs to

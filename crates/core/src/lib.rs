@@ -8,6 +8,9 @@
 //! with a [`filter::FilterTree`] (section 4) and then checked with the full
 //! matching tests of section 3 ([`matching::match_view_prepared`]), producing
 //! [`mv_plan::Substitute`] expressions that compute the query from a view.
+//! An optimizer that keeps one substitute per block asks
+//! [`MatchingEngine::find_verdicts`] for the cost inputs of each instead,
+//! and builds only the one it keeps ([`MatchingEngine::build_substitute`]).
 //!
 //! ```
 //! use mv_catalog::tpch::tpch_catalog;
@@ -62,6 +65,8 @@ pub use engine::{
 };
 pub use filter::{FilterTree, LevelSearch};
 pub use lattice::LatticeIndex;
-pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery};
+pub use matching::{
+    match_view_prepared, seek, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict,
+};
 pub use stats::MatchStats;
 pub use summary::ExprSummary;

@@ -2,7 +2,9 @@
 //!
 //! Given a query SPJG block and one candidate view, [`match_view_prepared`]
 //! decides whether the query can be computed from the view alone and, if
-//! so, builds the [`Substitute`]. The pipeline follows the paper:
+//! so, builds the [`Substitute`]; the same tests can instead yield only the
+//! [`Verdict`] the optimizer costs a substitute by. The pipeline follows
+//! the paper:
 //!
 //! 1. table correspondence (query tables ⊆ view tables, occurrence-aware),
 //! 2. extra-table elimination through cardinality-preserving joins (§3.2),
@@ -20,13 +22,17 @@
 use crate::descriptor::{occurrences_by_table, JoinCore, PreparedView};
 use crate::fkgraph::{build_fk_graph, eliminate};
 use crate::summary::{remap_col, ExprSummary};
-use mv_catalog::{Catalog, TableId};
-use mv_expr::{BoolExpr, ClassIndex, ColRef, EquivClasses, Interval, OccId, ScalarExpr, Template};
+use mv_catalog::{Catalog, TableId, Value};
+use mv_expr::{
+    BoolExpr, ClassIndex, CmpOp, ColRef, EquivClasses, Interval, OccId, ScalarExpr, Template,
+};
 use mv_plan::{
-    AggFunc, Freshness, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef, ViewId,
+    AggFunc, BackJoin, Freshness, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef,
+    ViewId,
 };
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
+use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -112,7 +118,9 @@ pub struct MatchConfig {
     pub timing: bool,
     /// Database budget for the debug-build bounded-equivalence oracle:
     /// when nonzero (and `debug_assertions` are on), every substitute
-    /// `find_substitutes` produces is additionally run through the
+    /// `find_substitutes` produces, and every one built one view at a time
+    /// (`match_one`, `build_substitute`: the optimizer builds the
+    /// substitute of each verdict it costs), is additionally run through the
     /// `mv-prove` bounded model checker (DESIGN.md §15) at bound k = 2,
     /// visiting at most this many enumerated databases per pair, and any
     /// refutation (MV301/MV302) panics with the rendered witness. `0`
@@ -196,6 +204,70 @@ impl<'a> PreparedQuery<'a> {
     }
 }
 
+/// What the optimizer costs a substitute by, without the substitute: the
+/// view passed every test of section 3, and these are the inputs of its
+/// physical alternative's cost. The matcher ran every compensation and
+/// output mapping to get here, so the substitute builds
+/// ([`crate::MatchingEngine::build_substitute`]) exactly when a verdict
+/// exists, but it allocated none of the substitute's expressions.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// The view the substitute scans.
+    pub view: ViewId,
+    /// The view's estimated rows ([`PreparedView::rows`]).
+    pub rows: f64,
+    /// The base table of each backjoin, in activation order: the order
+    /// of [`Substitute::backjoins`].
+    pub backjoins: Vec<TableId>,
+    /// `(output position, strength)` of each compensating
+    /// column-versus-constant predicate, as [`seek`] reads it.
+    pub seeks: Vec<(usize, u8)>,
+    /// Is any compensating predicate left: is [`Substitute::predicates`]
+    /// non-empty?
+    pub filters: bool,
+    /// Does the substitute re-aggregate the view: is its output an
+    /// [`OutputList::Aggregate`]?
+    pub regroups: bool,
+}
+
+impl Verdict {
+    /// The strongest seek on output position `pos`, 0 for none.
+    pub fn strength(&self, pos: usize) -> u8 {
+        self.seeks
+            .iter()
+            .filter(|(p, _)| *p == pos)
+            .map(|(_, s)| *s)
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+/// A predicate as an index seek key: the column of a column-versus-constant
+/// comparison, and how strongly it narrows an index seek — 2 for an
+/// equality, 1 for a range bound, 0 for `<>`. `None` for any other
+/// predicate. The optimizer's index-seek costing reads compensating
+/// predicates only through this, so a [`Verdict`] keeps only this of them.
+pub fn seek(p: &BoolExpr) -> Option<(ColRef, u8)> {
+    let BoolExpr::Compare { op, left, right } = p else {
+        return None;
+    };
+    let c = match (left.as_column(), right.as_column()) {
+        (Some(c), None) if right.is_constant() => c,
+        (None, Some(c)) if left.is_constant() => c,
+        _ => return None,
+    };
+    Some((c, seek_strength(*op)))
+}
+
+/// [`seek`]'s strength of a column-versus-constant comparison by `op`.
+fn seek_strength(op: CmpOp) -> u8 {
+    match op {
+        CmpOp::Eq => 2,
+        CmpOp::Ne => 0,
+        _ => 1,
+    }
+}
+
 /// Decide whether the prepared query can be computed from the prepared
 /// view and build the substitute.
 pub fn match_view_prepared(
@@ -206,6 +278,18 @@ pub fn match_view_prepared(
     view: &ViewDef,
     pv: &PreparedView,
 ) -> Option<Substitute> {
+    match_view(catalog, config, pq, view_id, view, pv)
+}
+
+/// [`match_view_prepared`], yielding the substitute or only its verdict.
+pub(crate) fn match_view<Y: Assemble>(
+    catalog: &Catalog,
+    config: &MatchConfig,
+    pq: &PreparedQuery<'_>,
+    view_id: ViewId,
+    view: &ViewDef,
+    pv: &PreparedView,
+) -> Option<Y> {
     // An SPJ query cannot be computed from an aggregation view: the view
     // is "more aggregated" (section 3.3, requirement 3).
     if !pq.expr.is_aggregate() && view.expr.is_aggregate() {
@@ -448,21 +532,6 @@ impl OutputCtx<'_> {
         };
         Some(base + v.col.0 as usize)
     }
-
-    /// The backjoins this match activated, ready for the substitute.
-    fn take_backjoins(&self) -> Vec<mv_plan::BackJoin> {
-        self.backjoin_active
-            .borrow()
-            .iter()
-            .map(|(occ, _)| {
-                let offer = &self.pv.outputs.backjoins[occ];
-                mv_plan::BackJoin {
-                    table: offer.table,
-                    key: offer.key.clone(),
-                }
-            })
-            .collect()
-    }
 }
 
 /// Reference to view output column `pos`.
@@ -474,17 +543,17 @@ fn out_col(pos: usize) -> ScalarExpr {
 /// constants copy through; simple columns reroute through `ec`; complex
 /// expressions first try an exact template match against a view output,
 /// then recomputation from simple output columns.
-fn map_scalar(
+fn map_scalar<Y: Assemble>(
     e: &ScalarExpr,
     ec: &EquivClasses,
     ix: &ClassIndex,
     ctx: &OutputCtx<'_>,
-) -> Option<ScalarExpr> {
+) -> Option<Y::Scalar> {
     if e.is_constant() {
-        return Some(e.clone());
+        return Some(Y::constant(e));
     }
     if let Some(c) = e.as_column() {
-        return ctx.find_position(c, ec, ix).map(out_col);
+        return ctx.find_position(c, ec, ix).map(Y::column);
     }
     let t = Template::of_scalar(e);
     // The stored view template is in view space; translate its columns to
@@ -496,13 +565,10 @@ fn map_scalar(
     };
     for (vt, pos) in &ctx.pv.outputs.complex {
         if vt.matches(&t, &same) {
-            return Some(out_col(*pos));
+            return Some(Y::column(*pos));
         }
     }
-    e.try_map_columns(&mut |c| {
-        ctx.find_position(c, ec, ix)
-            .map(|p| ColRef::new(0, p as u32))
-    })
+    Y::recompute(e, &mut |c| ctx.find_position(c, ec, ix))
 }
 
 /// Is `c` covered by a null-rejecting predicate in the query (other than
@@ -590,6 +656,9 @@ struct MappedCore {
     /// assigned and the extras' fresh ids are contiguous behind them.
     /// Needed from substitute construction on.
     inv: OnceCell<Vec<u32>>,
+    /// The range compensation's list: the genuine query ranges keyed by
+    /// the roots of [`MappedCore::ec`], sorted by root.
+    genuine_ranges: OnceCell<Option<Vec<(ColRef, Interval)>>>,
     /// The query's classes extended by the join conditions of the
     /// eliminated extra tables. `None` when the core brings no extra
     /// table: the query's own classes, class index and range maps then
@@ -604,22 +673,8 @@ struct ExtendedClasses {
     ec: EquivClasses,
     /// The range test's map; most candidates go no further.
     ranges: OnceCell<Option<HashMap<ColRef, Interval>>>,
-    /// The range compensation's map.
-    genuine_ranges: OnceCell<Option<HashMap<ColRef, Interval>>>,
     /// Substitute construction's class lookups.
     index: OnceCell<ClassIndex>,
-}
-
-impl ExtendedClasses {
-    /// `src` rebased onto the extended classes, computed into `cell` on
-    /// first use.
-    fn rebased<'a>(
-        &'a self,
-        cell: &'a OnceCell<Option<HashMap<ColRef, Interval>>>,
-        src: &HashMap<ColRef, Interval>,
-    ) -> Option<&'a HashMap<ColRef, Interval>> {
-        cell.get_or_init(|| rebase_ranges(src, &self.ec)).as_ref()
-    }
 }
 
 impl MappedCore {
@@ -700,7 +755,6 @@ impl MappedCore {
             extended = Some(ExtendedClasses {
                 ec,
                 ranges: OnceCell::new(),
-                genuine_ranges: OnceCell::new(),
                 index: OnceCell::new(),
             });
         }
@@ -722,6 +776,7 @@ impl MappedCore {
         Some(MappedCore {
             occ_map,
             inv: OnceCell::new(),
+            genuine_ranges: OnceCell::new(),
             extended,
         })
     }
@@ -747,20 +802,35 @@ impl MappedCore {
     fn ranges<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> Option<&'a HashMap<ColRef, Interval>> {
         match &self.extended {
             None => Some(&pq.summary.ranges),
-            Some(x) => x.rebased(&x.ranges, &pq.summary.ranges),
+            Some(x) => x
+                .ranges
+                .get_or_init(|| rebase_ranges(&pq.summary.ranges, &x.ec))
+                .as_ref(),
         }
     }
 
     /// Like [`MappedCore::ranges`], for the genuine (not check-derived)
-    /// query ranges.
-    fn genuine_ranges<'a>(
-        &'a self,
-        pq: &'a PreparedQuery<'_>,
-    ) -> Option<&'a HashMap<ColRef, Interval>> {
-        match &self.extended {
-            None => Some(&pq.summary.genuine_ranges),
-            Some(x) => x.rebased(&x.genuine_ranges, &pq.summary.genuine_ranges),
-        }
+    /// query ranges, as a list sorted by root: the order in which the
+    /// range compensation visits them, so substitutes are reproducible.
+    /// Sorted once per core state, not per accepted view.
+    fn genuine_ranges(&self, pq: &PreparedQuery<'_>) -> Option<&[(ColRef, Interval)]> {
+        self.genuine_ranges
+            .get_or_init(|| {
+                let mut list: Vec<(ColRef, Interval)> = match &self.extended {
+                    None => pq
+                        .summary
+                        .genuine_ranges
+                        .iter()
+                        .map(|(c, iv)| (*c, iv.clone()))
+                        .collect(),
+                    Some(x) => rebase_ranges(&pq.summary.genuine_ranges, &x.ec)?
+                        .into_iter()
+                        .collect(),
+                };
+                list.sort_by_key(|(c, _)| *c);
+                Some(list)
+            })
+            .as_deref()
     }
 
     fn inv(&self) -> &[u32] {
@@ -777,13 +847,13 @@ impl MappedCore {
 /// The per-view remainder of a match: range and residual subsumption, the
 /// three compensations and the output list, for one view of a core whose
 /// mapping `core` already passed elimination and the equijoin test.
-fn match_under(
+fn match_under<Y: Assemble>(
     pq: &PreparedQuery<'_>,
     view_id: ViewId,
     view_is_aggregate: bool,
     pv: &PreparedView,
     core: &MappedCore,
-) -> Option<Substitute> {
+) -> Option<Y> {
     let qsum = pq.summary;
     let qec = core.ec(pq);
     let mapf = |o: OccId| core.occ_map[o.0 as usize];
@@ -834,7 +904,8 @@ fn match_under(
     }
 
     // All tests passed — build the compensations against the precomputed
-    // view-space output maps.
+    // view-space output maps. Every step below can still reject, on a
+    // column no output or backjoin reaches.
     let ctx = OutputCtx {
         pv,
         occ_map: &core.occ_map,
@@ -842,7 +913,7 @@ fn match_under(
         backjoin_active: RefCell::new(Vec::new()),
     };
     let qix = core.index(pq);
-    let mut predicates: Vec<BoolExpr> = Vec::new();
+    let mut predicates = Y::Predicates::default();
 
     // ---- Compensating column-equality predicates (section 3.1.3 type 1) --
     // "Whenever some view equivalence classes E1..En map to the same query
@@ -865,7 +936,7 @@ fn match_under(
         for w in parts.windows(2) {
             let a = ctx.find_position_v(w[0].1)?;
             let b = ctx.find_position_v(w[1].1)?;
-            predicates.push(BoolExpr::cmp(out_col(a), mv_expr::CmpOp::Eq, out_col(b)));
+            Y::column_eq(&mut predicates, a, b);
         }
     }
 
@@ -873,9 +944,7 @@ fn match_under(
     // Enforce the query bounds that the view does not already guarantee —
     // only the *genuine* bounds: check-derived bounds hold on every view
     // row. Deterministic order for reproducible substitutes.
-    let mut qrange_list: Vec<(&ColRef, &Interval)> = core.genuine_ranges(pq)?.iter().collect();
-    qrange_list.sort_by_key(|(c, _)| **c);
-    for (qroot, qiv) in qrange_list {
+    for (qroot, qiv) in core.genuine_ranges(pq)? {
         let viv = veff.get(qroot).cloned().unwrap_or_default();
         let comps = viv.compensation(qiv);
         if comps.is_empty() {
@@ -884,7 +953,7 @@ fn match_under(
         // Route through QUERY equivalence classes (section 3.1.3 point 2).
         let pos = ctx.find_position(*qroot, qec, qix)?;
         for (op, value) in comps {
-            predicates.push(BoolExpr::cmp(out_col(pos), op, ScalarExpr::Literal(value)));
+            Y::bound(&mut predicates, pos, op, value);
         }
     }
 
@@ -901,25 +970,14 @@ fn match_under(
         if pv.residuals.iter().any(|vt| v_matches_q(vt, qt)) {
             continue;
         }
-        let mapped = qb.try_map_columns(&mut |c| {
-            ctx.find_position(c, qec, qix)
-                .map(|p| ColRef::new(0, p as u32))
-        })?;
-        predicates.push(mapped);
+        Y::residual(&mut predicates, qb, &mut |c| ctx.find_position(c, qec, qix))?;
     }
 
     // ---- Output expressions (sections 3.1.4 and 3.3) ----
-    let output = build_output(pq.expr, view_is_aggregate, qec, qix, &ctx)?;
+    let output = build_output::<Y>(pq.expr, view_is_aggregate, qec, qix, &ctx)?;
 
-    Some(Substitute {
-        view: view_id,
-        backjoins: ctx.take_backjoins(),
-        predicates,
-        output,
-        // The engine's freshness enforcement overrides this per candidate;
-        // direct callers see the static-catalog default.
-        freshness: Freshness::Fresh,
-    })
+    let backjoins = ctx.backjoin_active.borrow();
+    Some(Y::finish(view_id, pv, &backjoins, predicates, output))
 }
 
 /// Type-1 compensation key: the view equivalence class a query column
@@ -956,13 +1014,13 @@ fn rebase_ranges(
 }
 
 /// Construct the substitute's output list.
-fn build_output(
-    query: &SpjgExpr,
+fn build_output<'q, Y: Assemble>(
+    query: &'q SpjgExpr,
     view_is_aggregate: bool,
     qec: &EquivClasses,
     qix: &ClassIndex,
     ctx: &OutputCtx<'_>,
-) -> Option<OutputList> {
+) -> Option<Y::Output> {
     // Cross-space relation for SUM-argument templates: the stored view
     // template columns translate to query space before the equivalence
     // probe.
@@ -970,43 +1028,22 @@ fn build_output(
         let aq = ctx.to_query(a);
         aq == b || qec.same(aq, b)
     };
+    let map = |e: &ScalarExpr| map_scalar::<Y>(e, qec, qix, ctx);
+    let named = |ne: &'q NamedExpr| Some((map(&ne.expr)?, ne.name.as_str()));
     match &query.output {
-        OutputList::Spj(items) => {
-            // The caller already rejected (SPJ query, aggregate view).
-            let mapped = items
-                .iter()
-                .map(|ne| {
-                    map_scalar(&ne.expr, qec, qix, ctx).map(|e| NamedExpr::new(e, ne.name.clone()))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(OutputList::Spj(mapped))
-        }
+        // The caller already rejected (SPJ query, aggregate view).
+        OutputList::Spj(items) => Y::project(items.iter().map(named)),
         OutputList::Aggregate {
             group_by,
             aggregates,
         } if !view_is_aggregate => {
             // Aggregation query over an SPJ view: group the view directly.
-            let gb = group_by
-                .iter()
-                .map(|ne| {
-                    map_scalar(&ne.expr, qec, qix, ctx).map(|e| NamedExpr::new(e, ne.name.clone()))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            let aggs = aggregates
-                .iter()
-                .map(|na| {
-                    let func = match &na.func {
-                        AggFunc::CountStar => AggFunc::CountStar,
-                        AggFunc::Sum(e) => AggFunc::Sum(map_scalar(e, qec, qix, ctx)?),
-                        AggFunc::SumZero(e) => AggFunc::SumZero(map_scalar(e, qec, qix, ctx)?),
-                    };
-                    Some(NamedAgg::new(func, na.name.clone()))
-                })
-                .collect::<Option<Vec<_>>>()?;
-            Some(OutputList::Aggregate {
-                group_by: gb,
-                aggregates: aggs,
-            })
+            Y::group(
+                group_by.iter().map(named),
+                aggregates
+                    .iter()
+                    .map(|na| Some((Y::agg(&na.func, map)?, na.name.as_str()))),
+            )
         }
         OutputList::Aggregate {
             group_by,
@@ -1018,64 +1055,41 @@ fn build_output(
             // grouping outputs.
             let gb_mapped = group_by
                 .iter()
-                .map(|ne| map_scalar(&ne.expr, qec, qix, ctx))
+                .map(|ne| map(&ne.expr))
                 .collect::<Option<Vec<_>>>()?;
             // Positions of directly-matched view grouping outputs.
             let direct: Vec<Option<usize>> = gb_mapped
                 .iter()
-                .map(|e| {
-                    e.as_column()
-                        .map(|c| c.col.0 as usize)
-                        .filter(|&p| p < ctx.pv.outputs.scalar_len)
-                })
+                .map(|e| Y::position(e).filter(|&p| p < ctx.pv.outputs.scalar_len))
                 .collect();
             // No further aggregation is needed exactly when the query
             // grouping list covers every view grouping output.
             let no_regroup = direct.iter().all(|d| d.is_some())
                 && (0..ctx.pv.outputs.scalar_len).all(|p| direct.contains(&Some(p)));
+            let keys = gb_mapped
+                .into_iter()
+                .zip(group_by)
+                .map(|(e, ne)| Some((e, ne.name.as_str())));
             if no_regroup {
-                let mut items: Vec<NamedExpr> = group_by
-                    .iter()
-                    .zip(&gb_mapped)
-                    .map(|(ne, e)| NamedExpr::new(e.clone(), ne.name.clone()))
-                    .collect();
-                for na in aggregates {
-                    let e = match &na.func {
-                        AggFunc::CountStar => out_col(ctx.pv.outputs.count_pos?),
-                        AggFunc::Sum(arg) | AggFunc::SumZero(arg) => {
-                            out_col(find_sum(ctx, arg, &same)?)
-                        }
+                let aggs = aggregates.iter().map(|na| {
+                    let pos = match &na.func {
+                        AggFunc::CountStar => ctx.pv.outputs.count_pos?,
+                        AggFunc::Sum(arg) | AggFunc::SumZero(arg) => find_sum(ctx, arg, &same)?,
                     };
-                    items.push(NamedExpr::new(e, na.name.clone()));
-                }
-                Some(OutputList::Spj(items))
+                    Some((Y::column(pos), na.name.as_str()))
+                });
+                Y::project(keys.chain(aggs))
             } else {
-                let gb = group_by
-                    .iter()
-                    .zip(&gb_mapped)
-                    .map(|(ne, e)| NamedExpr::new(e.clone(), ne.name.clone()))
-                    .collect();
-                let aggs = aggregates
-                    .iter()
-                    .map(|na| {
-                        let func = match &na.func {
-                            // count(*) rolls up as a zero-defaulting SUM
-                            // over the view's count column.
-                            AggFunc::CountStar => {
-                                AggFunc::SumZero(out_col(ctx.pv.outputs.count_pos?))
-                            }
-                            AggFunc::Sum(arg) => AggFunc::Sum(out_col(find_sum(ctx, arg, &same)?)),
-                            AggFunc::SumZero(arg) => {
-                                AggFunc::SumZero(out_col(find_sum(ctx, arg, &same)?))
-                            }
-                        };
-                        Some(NamedAgg::new(func, na.name.clone()))
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                Some(OutputList::Aggregate {
-                    group_by: gb,
-                    aggregates: aggs,
-                })
+                let aggs = aggregates.iter().map(|na| {
+                    let agg = match &na.func {
+                        // count(*) rolls up as a zero-defaulting SUM over
+                        // the view's count column.
+                        AggFunc::CountStar => Y::rollup_count(ctx.pv.outputs.count_pos?),
+                        func => Y::agg(func, |arg| find_sum(ctx, arg, &same).map(Y::column))?,
+                    };
+                    Some((agg, na.name.as_str()))
+                });
+                Y::group(keys, aggs)
             }
         }
     }
@@ -1097,6 +1111,307 @@ fn find_sum(
         .iter()
         .find(|(vt, _)| vt.matches(&t, same))
         .map(|(_, pos)| *pos)
+}
+
+/// What a view that passed every test yields: the [`Substitute`] in full,
+/// or its [`Verdict`]. Both run the same compensation and output steps in
+/// the same order, so a verdict exists exactly when the substitute builds,
+/// and it activates the same backjoins in the same order; only the
+/// substitute allocates expressions.
+pub(crate) trait Assemble: Sized + PartialEq + fmt::Debug {
+    /// A query scalar placed over the view's outputs: the expression, or
+    /// for a verdict the position it reads when it is a bare column.
+    type Scalar;
+    /// An aggregate function placed over the view's outputs.
+    type Agg;
+    /// The output list, or for a verdict whether it regroups.
+    type Output;
+    /// The compensating predicates, or for a verdict their seeks and
+    /// whether there is any.
+    type Predicates: Default;
+
+    /// A constant, copied through.
+    fn constant(e: &ScalarExpr) -> Self::Scalar;
+    /// View output column `pos`.
+    fn column(pos: usize) -> Self::Scalar;
+    /// `e` recomputed from output columns, each column placed by `place`.
+    fn recompute(
+        e: &ScalarExpr,
+        place: &mut impl FnMut(ColRef) -> Option<usize>,
+    ) -> Option<Self::Scalar>;
+    /// The output position `s` reads, when it is a bare column.
+    fn position(s: &Self::Scalar) -> Option<usize>;
+    /// `func` with its argument, if any, placed by `arg`.
+    fn agg(
+        func: &AggFunc,
+        arg: impl FnOnce(&ScalarExpr) -> Option<Self::Scalar>,
+    ) -> Option<Self::Agg>;
+    /// `count(*)` rolled up over the view's count column at `count`.
+    fn rollup_count(count: usize) -> Self::Agg;
+    /// A projection onto named items, `None` if one does not place.
+    fn project<'n>(
+        items: impl Iterator<Item = Option<(Self::Scalar, &'n str)>>,
+    ) -> Option<Self::Output>;
+    /// A grouping by named keys with named aggregates, the keys placed
+    /// first.
+    fn group<'n>(
+        keys: impl Iterator<Item = Option<(Self::Scalar, &'n str)>>,
+        aggregates: impl Iterator<Item = Option<(Self::Agg, &'n str)>>,
+    ) -> Option<Self::Output>;
+    /// Compensate `a = b` over output positions (type 1).
+    fn column_eq(predicates: &mut Self::Predicates, a: usize, b: usize);
+    /// Compensate `pos op value` (type 2).
+    fn bound(predicates: &mut Self::Predicates, pos: usize, op: CmpOp, value: Value);
+    /// Compensate the query residual `p`, each column placed by `place`
+    /// (type 3).
+    fn residual(
+        predicates: &mut Self::Predicates,
+        p: &BoolExpr,
+        place: &mut impl FnMut(ColRef) -> Option<usize>,
+    ) -> Option<()>;
+    /// The result for `view` once its backjoins (view occurrence, base
+    /// position) were activated in the order given.
+    fn finish(
+        view: ViewId,
+        pv: &PreparedView,
+        backjoins: &[(OccId, usize)],
+        predicates: Self::Predicates,
+        output: Self::Output,
+    ) -> Self;
+    /// Stamp the freshness the engine admitted the view under.
+    fn admit(&mut self, freshness: Freshness);
+    /// The built substitute, for the debug-build oracles over it.
+    #[cfg(debug_assertions)]
+    fn built(&self) -> Option<&Substitute>;
+}
+
+/// A column mapping to output positions, as references to them.
+fn to_out_col(
+    place: &mut impl FnMut(ColRef) -> Option<usize>,
+) -> impl FnMut(ColRef) -> Option<ColRef> + '_ {
+    move |c| place(c).map(|p| ColRef::new(0, p as u32))
+}
+
+impl Assemble for Substitute {
+    type Scalar = ScalarExpr;
+    type Agg = AggFunc;
+    type Output = OutputList;
+    type Predicates = Vec<BoolExpr>;
+
+    fn constant(e: &ScalarExpr) -> ScalarExpr {
+        e.clone()
+    }
+
+    fn column(pos: usize) -> ScalarExpr {
+        out_col(pos)
+    }
+
+    fn recompute(
+        e: &ScalarExpr,
+        place: &mut impl FnMut(ColRef) -> Option<usize>,
+    ) -> Option<ScalarExpr> {
+        e.try_map_columns(&mut to_out_col(place))
+    }
+
+    fn position(s: &ScalarExpr) -> Option<usize> {
+        s.as_column().map(|c| c.col.0 as usize)
+    }
+
+    fn agg(func: &AggFunc, arg: impl FnOnce(&ScalarExpr) -> Option<ScalarExpr>) -> Option<AggFunc> {
+        Some(match func {
+            AggFunc::CountStar => AggFunc::CountStar,
+            AggFunc::Sum(e) => AggFunc::Sum(arg(e)?),
+            AggFunc::SumZero(e) => AggFunc::SumZero(arg(e)?),
+        })
+    }
+
+    fn rollup_count(count: usize) -> AggFunc {
+        AggFunc::SumZero(out_col(count))
+    }
+
+    fn project<'n>(
+        items: impl Iterator<Item = Option<(ScalarExpr, &'n str)>>,
+    ) -> Option<OutputList> {
+        items
+            .map(|item| item.map(|(e, name)| NamedExpr::new(e, name)))
+            .collect::<Option<_>>()
+            .map(OutputList::Spj)
+    }
+
+    fn group<'n>(
+        keys: impl Iterator<Item = Option<(ScalarExpr, &'n str)>>,
+        aggregates: impl Iterator<Item = Option<(AggFunc, &'n str)>>,
+    ) -> Option<OutputList> {
+        let group_by = keys
+            .map(|key| key.map(|(e, name)| NamedExpr::new(e, name)))
+            .collect::<Option<_>>()?;
+        let aggregates = aggregates
+            .map(|agg| agg.map(|(f, name)| NamedAgg::new(f, name)))
+            .collect::<Option<_>>()?;
+        Some(OutputList::Aggregate {
+            group_by,
+            aggregates,
+        })
+    }
+
+    fn column_eq(predicates: &mut Vec<BoolExpr>, a: usize, b: usize) {
+        predicates.push(BoolExpr::cmp(out_col(a), CmpOp::Eq, out_col(b)));
+    }
+
+    fn bound(predicates: &mut Vec<BoolExpr>, pos: usize, op: CmpOp, value: Value) {
+        predicates.push(BoolExpr::cmp(out_col(pos), op, ScalarExpr::Literal(value)));
+    }
+
+    fn residual(
+        predicates: &mut Vec<BoolExpr>,
+        p: &BoolExpr,
+        place: &mut impl FnMut(ColRef) -> Option<usize>,
+    ) -> Option<()> {
+        predicates.push(p.try_map_columns(&mut to_out_col(place))?);
+        Some(())
+    }
+
+    fn finish(
+        view: ViewId,
+        pv: &PreparedView,
+        backjoins: &[(OccId, usize)],
+        predicates: Vec<BoolExpr>,
+        output: OutputList,
+    ) -> Substitute {
+        Substitute {
+            view,
+            backjoins: backjoins
+                .iter()
+                .map(|(occ, _)| {
+                    let offer = &pv.outputs.backjoins[occ];
+                    BackJoin {
+                        table: offer.table,
+                        key: offer.key.clone(),
+                    }
+                })
+                .collect(),
+            predicates,
+            output,
+            // The engine's freshness enforcement overrides this per
+            // candidate; direct callers see the static-catalog default.
+            freshness: Freshness::Fresh,
+        }
+    }
+
+    fn admit(&mut self, freshness: Freshness) {
+        self.freshness = freshness;
+    }
+
+    #[cfg(debug_assertions)]
+    fn built(&self) -> Option<&Substitute> {
+        Some(self)
+    }
+}
+
+impl Assemble for Verdict {
+    type Scalar = Option<usize>;
+    type Agg = ();
+    type Output = bool;
+    type Predicates = (Vec<(usize, u8)>, bool);
+
+    fn constant(_: &ScalarExpr) -> Option<usize> {
+        None
+    }
+
+    fn column(pos: usize) -> Option<usize> {
+        Some(pos)
+    }
+
+    fn recompute(
+        e: &ScalarExpr,
+        place: &mut impl FnMut(ColRef) -> Option<usize>,
+    ) -> Option<Option<usize>> {
+        e.try_for_each_column(&mut |c| place(c).map(drop))?;
+        Some(None)
+    }
+
+    fn position(s: &Option<usize>) -> Option<usize> {
+        *s
+    }
+
+    fn agg(func: &AggFunc, arg: impl FnOnce(&ScalarExpr) -> Option<Option<usize>>) -> Option<()> {
+        if let Some(e) = func.argument() {
+            arg(e)?;
+        }
+        Some(())
+    }
+
+    fn rollup_count(_: usize) {}
+
+    fn project<'n>(
+        mut items: impl Iterator<Item = Option<(Option<usize>, &'n str)>>,
+    ) -> Option<bool> {
+        items.try_for_each(|item| item.map(drop))?;
+        Some(false)
+    }
+
+    fn group<'n>(
+        mut keys: impl Iterator<Item = Option<(Option<usize>, &'n str)>>,
+        mut aggregates: impl Iterator<Item = Option<((), &'n str)>>,
+    ) -> Option<bool> {
+        keys.try_for_each(|key| key.map(drop))?;
+        aggregates.try_for_each(|agg| agg.map(drop))?;
+        Some(true)
+    }
+
+    fn column_eq((_, filters): &mut Self::Predicates, _: usize, _: usize) {
+        *filters = true;
+    }
+
+    fn bound((seeks, filters): &mut Self::Predicates, pos: usize, op: CmpOp, _: Value) {
+        seeks.push((pos, seek_strength(op)));
+        *filters = true;
+    }
+
+    fn residual(
+        (seeks, filters): &mut Self::Predicates,
+        p: &BoolExpr,
+        place: &mut impl FnMut(ColRef) -> Option<usize>,
+    ) -> Option<()> {
+        // A seek's one column is the only one placed.
+        let mut placed = None;
+        p.try_for_each_column(&mut |c| {
+            placed = Some(place(c)?);
+            Some(())
+        })?;
+        if let (Some((_, strength)), Some(pos)) = (seek(p), placed) {
+            seeks.push((pos, strength));
+        }
+        *filters = true;
+        Some(())
+    }
+
+    fn finish(
+        view: ViewId,
+        pv: &PreparedView,
+        backjoins: &[(OccId, usize)],
+        (seeks, filters): Self::Predicates,
+        regroups: bool,
+    ) -> Verdict {
+        Verdict {
+            view,
+            rows: pv.rows,
+            backjoins: backjoins
+                .iter()
+                .map(|(occ, _)| pv.outputs.backjoins[occ].table)
+                .collect(),
+            seeks,
+            filters,
+            regroups,
+        }
+    }
+
+    fn admit(&mut self, _: Freshness) {}
+
+    #[cfg(debug_assertions)]
+    fn built(&self) -> Option<&Substitute> {
+        None
+    }
 }
 
 #[cfg(test)]

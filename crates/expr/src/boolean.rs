@@ -152,21 +152,29 @@ impl BoolExpr {
 
     /// Append column references into `out`.
     pub fn collect_columns(&self, out: &mut Vec<ColRef>) {
+        self.try_for_each_column(&mut |c| {
+            out.push(c);
+            Some(())
+        });
+    }
+
+    /// Visit the column references left-to-right, in the order
+    /// [`BoolExpr::try_map_columns`] maps them, stopping at the first
+    /// `None`: that mapping's success test without building its result.
+    pub fn try_for_each_column(&self, f: &mut impl FnMut(ColRef) -> Option<()>) -> Option<()> {
         match self {
             BoolExpr::And(v) | BoolExpr::Or(v) => {
-                for p in v {
-                    p.collect_columns(out);
-                }
+                v.iter().try_for_each(|p| p.try_for_each_column(f))
             }
-            BoolExpr::Not(p) => p.collect_columns(out),
+            BoolExpr::Not(p) => p.try_for_each_column(f),
             BoolExpr::Compare { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
+                left.try_for_each_column(f)?;
+                right.try_for_each_column(f)
             }
             BoolExpr::Like { expr, .. } | BoolExpr::IsNull { expr, .. } => {
-                expr.collect_columns(out)
+                expr.try_for_each_column(f)
             }
-            BoolExpr::Literal(_) => {}
+            BoolExpr::Literal(_) => Some(()),
         }
     }
 

@@ -77,12 +77,22 @@ impl ScalarExpr {
 
     /// Append column references into `out` (allocation-friendly form).
     pub fn collect_columns(&self, out: &mut Vec<ColRef>) {
+        self.try_for_each_column(&mut |c| {
+            out.push(c);
+            Some(())
+        });
+    }
+
+    /// Visit the column references left-to-right, in the order
+    /// [`ScalarExpr::try_map_columns`] maps them, stopping at the first
+    /// `None`: that mapping's success test without building its result.
+    pub fn try_for_each_column(&self, f: &mut impl FnMut(ColRef) -> Option<()>) -> Option<()> {
         match self {
-            ScalarExpr::Column(c) => out.push(*c),
-            ScalarExpr::Literal(_) => {}
+            ScalarExpr::Column(c) => f(*c),
+            ScalarExpr::Literal(_) => Some(()),
             ScalarExpr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
+                left.try_for_each_column(f)?;
+                right.try_for_each_column(f)
             }
         }
     }

@@ -3,11 +3,10 @@
 use crate::block::{BlockInfo, Subset};
 use crate::cost;
 use mv_catalog::TableId;
-use mv_core::{MatchingEngine, PlanProbe, ViewsGuard};
+use mv_core::{MatchingEngine, PlanProbe, Verdict, ViewsGuard};
 use mv_expr::{BoolExpr, ColRef, Conjunct, OccId, ScalarExpr};
 use mv_plan::{
-    card, AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr, Substitute, ViewDef,
-    ViewId,
+    card, AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr, Substitute, ViewId,
 };
 use std::borrow::Borrow;
 use std::collections::hash_map::DefaultHasher;
@@ -114,8 +113,9 @@ enum Choice {
     /// Join the group of this left part with the group of the rest of the
     /// subset, and project.
     Join(Subset),
-    /// The view-matching rule's substitute.
-    Substitute(Substitute),
+    /// The substitute the view-matching rule found this verdict for on
+    /// the group's block, built only if the plan uses the group.
+    Substitute(Verdict),
 }
 
 type Memo = HashMap<Subset, Group>;
@@ -381,14 +381,14 @@ fn glue_components(info: &BlockInfo, memo: &mut Memo, stats: &mut OptimizerStats
     acc
 }
 
-/// The registered views as one `try_optimize` call sees them: pinned once
-/// instead of once per costed substitute, each view's row estimate
-/// computed once however many substitutes scan it. The pin is also the
-/// snapshot the plan cache is probed under.
+/// The registered views as one `try_optimize` call sees them: one
+/// snapshot, pinned once. The plan cache is probed under it, the
+/// view-matching rule finds its verdicts under it, and the substitutes of
+/// the verdicts the plan keeps are built under it, so every verdict's view
+/// is there to build and to cost.
 struct PinnedViews<'e> {
     engine: &'e MatchingEngine,
     views: ViewsGuard,
-    rows: HashMap<ViewId, f64>,
     /// Run the rule past the substitute cache and the counters, against
     /// the pin: the search a debug build re-runs on a plan-cache hit.
     #[cfg(debug_assertions)]
@@ -400,35 +400,30 @@ impl<'e> PinnedViews<'e> {
         PinnedViews {
             engine,
             views: engine.views(),
-            rows: HashMap::new(),
             #[cfg(debug_assertions)]
             fresh: false,
         }
     }
 
-    /// The view-matching rule on `block`.
-    fn substitutes(&self, block: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
+    /// The view-matching rule on `block`, as verdicts.
+    fn verdicts(&self, block: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
         #[cfg(debug_assertions)]
         if self.fresh {
-            return self.engine.fresh_substitutes(&self.views, block);
+            return self.engine.fresh_verdicts(&self.views, block);
         }
-        self.engine.find_substitutes(block)
+        self.engine.find_verdicts(&self.views, block)
     }
 
-    /// Definition and estimated rows of a view a substitute scans.
-    fn get(&mut self, id: ViewId) -> (&ViewDef, f64) {
-        // The match that produced the substitute pinned its own snapshot,
-        // which may be later than this one. A definition never changes
-        // under its id, so pinning again is invisible to the costs.
-        if id.0 as usize >= self.views.len() {
-            self.views = self.engine.views();
-        }
-        let view = self.views.get(id);
-        let rows = *self
-            .rows
-            .entry(id)
-            .or_insert_with(|| card::estimate_rows(&view.expr, self.engine.catalog()));
-        (view, rows)
+    /// The substitute the rule found `verdict` for on `block`.
+    fn build(&self, block: &SpjgExpr, verdict: &Verdict) -> Result<Substitute, PlanInvariant> {
+        self.engine
+            .build_substitute(&self.views, block, verdict.view)
+            .ok_or_else(|| {
+                PlanInvariant::new(format!(
+                    "view {:?} has a verdict but builds no substitute",
+                    verdict.view
+                ))
+            })
     }
 }
 
@@ -459,42 +454,31 @@ fn config_tag(config: &OptimizerConfig) -> u64 {
 }
 
 /// How constrained is a view output position by the compensating
-/// predicates: 2 = equality, 1 = range bound, 0 = unconstrained.
+/// predicates: 2 = equality, 1 = range bound, 0 = unconstrained (see
+/// [`mv_core::seek`]). A [`Verdict`] answers the same from its seeks.
+#[cfg(any(debug_assertions, test))]
 fn constraint_strength(predicates: &[BoolExpr], pos: usize) -> u8 {
-    let mut strength = 0;
-    for p in predicates {
-        if let BoolExpr::Compare { op, left, right } = p {
-            let col_const = match (left.as_column(), right.as_column()) {
-                (Some(c), None) if right.is_constant() => Some(c),
-                (None, Some(c)) if left.is_constant() => Some(c),
-                _ => None,
-            };
-            if col_const.map(|c| c.col.0 as usize) == Some(pos) {
-                strength = strength.max(match op {
-                    mv_expr::CmpOp::Eq => 2,
-                    mv_expr::CmpOp::Ne => 0,
-                    _ => 1,
-                });
-            }
-        }
-    }
-    strength
+    predicates
+        .iter()
+        .filter_map(mv_core::seek)
+        .filter(|(c, _)| c.col.0 as usize == pos)
+        .map(|(_, strength)| strength)
+        .max()
+        .unwrap_or(0)
 }
 
-/// Fraction of the view the best available index lets us scan, given the
-/// compensating predicates. A matched equality prefix column shrinks the
-/// scan 20x, a matched leading range bound 3x (coarse, selectivity-free
-/// index-seek modeling; 1.0 = full scan).
-fn index_seek_factor(view: &mv_plan::ViewDef, predicates: &[BoolExpr]) -> f64 {
-    if predicates.is_empty() {
-        return 1.0;
-    }
+/// Fraction of the view the best available index lets us scan, given how
+/// strongly the compensating predicates constrain each output position. A
+/// matched equality prefix column shrinks the scan 20x, a matched leading
+/// range bound 3x (coarse, selectivity-free index-seek modeling; 1.0 =
+/// full scan).
+fn index_seek_factor(view: &mv_plan::ViewDef, strength: impl Fn(usize) -> u8) -> f64 {
     let mut best: f64 = 1.0;
     let indexes = std::iter::once(&view.key).chain(view.secondary_indexes.iter());
     for index in indexes {
         let mut factor = 1.0;
         for &pos in index {
-            match constraint_strength(predicates, pos) {
+            match strength(pos) {
                 2 => factor *= 0.05,
                 1 => {
                     factor *= 0.33;
@@ -593,15 +577,19 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
                 Subset::BITS - 1
             )));
         }
-        let mut views = PinnedViews::new(self.engine());
+        let views = PinnedViews::new(self.engine());
         let optimized = match self.engine().probe_plan(&views.views, self.tag, query) {
             PlanProbe::Hit(hit) => {
                 // Debug-mode oracle: the cached plan is the one a fresh
                 // search finds under the snapshot it was served at.
                 #[cfg(debug_assertions)]
                 {
-                    views.fresh = true;
-                    let fresh = self.search(query, &mut views)?;
+                    let views = PinnedViews {
+                        engine: views.engine,
+                        views: views.views.clone(),
+                        fresh: true,
+                    };
+                    let fresh = self.search(query, &views)?;
                     assert_eq!(
                         hit, fresh,
                         "a cached plan must be byte-identical to a fresh search"
@@ -615,7 +603,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
                 query
                     .validate(self.engine().catalog())
                     .map_err(PlanInvariant::new)?;
-                let optimized = self.search(query, &mut views)?;
+                let optimized = self.search(query, &views)?;
                 self.engine().insert_plan(ticket, query, optimized.clone());
                 optimized
             }
@@ -651,7 +639,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     fn search(
         &self,
         query: &SpjgExpr,
-        views: &mut PinnedViews<'_>,
+        views: &PinnedViews<'_>,
     ) -> Result<Optimized, PlanInvariant> {
         let info = BlockInfo::new(query);
         let mut stats = OptimizerStats::default();
@@ -683,66 +671,119 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     }
 
     /// Cost of the physical alternative [`substitute_plan`] builds for
-    /// `sub`: scan the view, apply the compensating predicates, project or
+    /// the substitute `verdict` stands for: scan the view, join back to
+    /// base tables, apply the compensating predicates, project or
     /// re-aggregate.
-    fn substitute_cost(&self, views: &mut PinnedViews<'_>, sub: &Substitute) -> f64 {
-        let (view, view_rows) = views.get(sub.view);
+    fn verdict_cost(&self, views: &PinnedViews<'_>, verdict: &Verdict) -> f64 {
+        self.scan_cost(
+            views.views.get(verdict.view),
+            verdict.rows,
+            |pos| verdict.strength(pos),
+            verdict.filters,
+            verdict.backjoins.iter().copied(),
+            verdict.regroups,
+        )
+    }
+
+    /// [`Optimizer::verdict_cost`] read off a built substitute instead:
+    /// what debug builds and the tests hold every verdict's cost to, to
+    /// the bit.
+    #[cfg(any(debug_assertions, test))]
+    fn substitute_cost(&self, views: &PinnedViews<'_>, sub: &Substitute) -> f64 {
+        self.scan_cost(
+            views.views.get(sub.view),
+            views.views.prepared(sub.view).rows,
+            |pos| constraint_strength(&sub.predicates, pos),
+            !sub.predicates.is_empty(),
+            sub.backjoins.iter().map(|bj| bj.table),
+            matches!(sub.output, OutputList::Aggregate { .. }),
+        )
+    }
+
+    /// The cost of a substitute's alternative over `view` (estimated at
+    /// `view_rows`) from what it reads: the strength of the compensating
+    /// predicates on each output position, whether any predicate is left,
+    /// the backjoined tables, and whether the output regroups.
+    fn scan_cost(
+        &self,
+        view: &mv_plan::ViewDef,
+        view_rows: f64,
+        strength: impl Fn(usize) -> u8,
+        filters: bool,
+        backjoins: impl Iterator<Item = TableId>,
+        regroups: bool,
+    ) -> f64 {
         // Index-aware scan costing: "any secondary indexes defined on a
         // materialized view will be considered automatically in the same
         // way as for base tables" (section 2). When the compensating
         // predicates constrain a prefix of the clustered key or of a
         // secondary index, the scan is costed as an index seek.
-        let seek_factor = index_seek_factor(view, &sub.predicates);
+        let seek_factor = index_seek_factor(view, strength);
         let scanned = (view_rows * seek_factor).max(1.0);
         let mut cost = cost::scan(scanned);
         // Base-table backjoins (section 7 extension): each one is a
         // cardinality-preserving hash join against the base table.
-        for bj in &sub.backjoins {
-            let table_rows = self.table_rows(bj.table);
+        for table in backjoins {
+            let table_rows = self.table_rows(table);
             cost += cost::scan(table_rows) + cost::hash_join(scanned, table_rows, scanned);
         }
-        if !sub.predicates.is_empty() {
+        if filters {
             cost += cost::filter(scanned);
         }
-        cost + match &sub.output {
-            OutputList::Spj(_) => cost::project(view_rows),
-            OutputList::Aggregate { .. } => cost::aggregate(view_rows, view_rows / 2.0),
+        cost + if regroups {
+            cost::aggregate(view_rows, view_rows / 2.0)
+        } else {
+            cost::project(view_rows)
         }
     }
 
     /// The view-matching rule on `block`, applied the same way wherever a
     /// block is offered to it: match (the "No Alt" series stops there),
-    /// cost every substitute (each one alternative and one substitute
+    /// cost every verdict (each one alternative and one substitute
     /// alternative in `stats`, at every site alike), and return the
     /// cheapest that beats `bound`, the best cost so far — the earlier on
-    /// a tie. Most invocations return several substitutes and keep none;
-    /// the winner is moved out of the rule's result, and only the site
-    /// that keeps it turns it into a plan.
+    /// a tie. Most invocations return several verdicts and keep none, so
+    /// the matcher builds no substitute: only the site that keeps a
+    /// verdict, and a plan that uses it, builds its substitute
+    /// ([`PinnedViews::build`]). Debug builds build every verdict's
+    /// substitute and assert its cost is the verdict's, to the bit.
     fn apply_rule(
         &self,
         block: &SpjgExpr,
         mut bound: Option<f64>,
-        views: &mut PinnedViews<'_>,
+        views: &PinnedViews<'_>,
         stats: &mut OptimizerStats,
-    ) -> Option<(f64, Substitute)> {
+    ) -> Option<(f64, Verdict)> {
         if !self.config.use_views {
             return None;
         }
-        let mut subs = views.substitutes(block);
+        let mut verdicts = views.verdicts(block);
         if !self.config.produce_substitutes {
             return None;
         }
         let mut best = None;
-        for (i, (_, sub)) in subs.iter().enumerate() {
+        for (i, (_, verdict)) in verdicts.iter().enumerate() {
             stats.alternatives += 1;
             stats.substitute_alternatives += 1;
-            let cost = self.substitute_cost(views, sub);
+            let cost = self.verdict_cost(views, verdict);
+            #[cfg(debug_assertions)]
+            {
+                let built = views
+                    .build(block, verdict)
+                    .unwrap_or_else(|e| panic!("{e}"));
+                assert_eq!(
+                    cost.to_bits(),
+                    self.substitute_cost(views, &built).to_bits(),
+                    "the cost of view {:?} as a verdict and as a built substitute",
+                    verdict.view
+                );
+            }
             if bound.is_none_or(|b| cost < b) {
                 bound = Some(cost);
                 best = Some((cost, i));
             }
         }
-        best.map(|(cost, i)| (cost, subs.swap_remove(i).1))
+        best.map(|(cost, i)| (cost, verdicts.swap_remove(i).1))
     }
 
     /// Optimize one connected subset: the scan or every split into two
@@ -753,7 +794,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         info: &BlockInfo,
         s: Subset,
         memo: &Memo,
-        views: &mut PinnedViews<'_>,
+        views: &PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Result<Group, PlanInvariant> {
         let (block, layout) = subset_block(info, s);
@@ -784,8 +825,8 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         }
 
         let bound = best.as_ref().map(|(cost, _)| *cost);
-        if let Some((cost, sub)) = self.apply_rule(&block, bound, views, stats) {
-            best = Some((cost, Choice::Substitute(sub)));
+        if let Some((cost, verdict)) = self.apply_rule(&block, bound, views, stats) {
+            best = Some((cost, Choice::Substitute(verdict)));
         }
 
         let (cost, choice) = best.ok_or_else(|| {
@@ -802,23 +843,28 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     }
 
     /// The plan of the group of `s`, built top-down from the choices the
-    /// search recorded.
+    /// search recorded; a substitute chosen for the group is built here,
+    /// under the pin its verdict was found under.
     fn extract(
         &self,
         info: &BlockInfo,
         memo: &Memo,
         s: Subset,
+        views: &PinnedViews<'_>,
     ) -> Result<PhysicalPlan, PlanInvariant> {
         let g = &memo[&s];
         let a = match &g.choice {
             Choice::Scan => return self.scan_plan(info, s, &g.layout),
-            Choice::Substitute(sub) => return Ok(substitute_plan(sub)),
+            Choice::Substitute(verdict) => {
+                let (block, _) = subset_block(info, s);
+                return Ok(substitute_plan(&views.build(&block, verdict)?));
+            }
             Choice::Join(a) => *a,
         };
         let (join, cost, joined) = build_join(
             info,
-            self.input(info, memo, a)?,
-            self.input(info, memo, s & !a)?,
+            self.input(info, memo, a, views)?,
+            self.input(info, memo, s & !a, views)?,
             g.rows,
         )?;
         // The search costed this join without building it. A glued cross
@@ -850,8 +896,9 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         info: &BlockInfo,
         memo: &'m Memo,
         s: Subset,
+        views: &PinnedViews<'_>,
     ) -> Result<Input<'m>, PlanInvariant> {
-        let plan = self.extract(info, memo, s)?;
+        let plan = self.extract(info, memo, s, views)?;
         let g = &memo[&s];
         Ok(Input {
             plan,
@@ -912,12 +959,12 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         info: &BlockInfo,
         top: Subset,
         memo: &Memo,
-        views: &mut PinnedViews<'_>,
+        views: &PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Result<(PhysicalPlan, f64, f64), PlanInvariant> {
         let g = &memo[&top];
         let layout = Layout::Columns(&g.layout);
-        let input = Box::new(self.extract(info, memo, top)?);
+        let input = Box::new(self.extract(info, memo, top, views)?);
         let (mut best_cost, mut best_plan, rows) = match &info.expr.output {
             OutputList::Spj(items) => {
                 let exprs = items
@@ -951,9 +998,9 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
             }
         };
         stats.alternatives += 1;
-        if let Some((cost, sub)) = self.apply_rule(info.expr, Some(best_cost), views, stats) {
+        if let Some((cost, verdict)) = self.apply_rule(info.expr, Some(best_cost), views, stats) {
             best_cost = cost;
-            best_plan = substitute_plan(&sub);
+            best_plan = substitute_plan(&views.build(info.expr, &verdict)?);
         }
 
         // Eager pre-aggregation over each connected partition (S carries
@@ -995,7 +1042,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         group_by: &[NamedExpr],
         aggregates: &[NamedAgg],
         final_rows: f64,
-        views: &mut PinnedViews<'_>,
+        views: &PinnedViews<'_>,
         stats: &mut OptimizerStats,
     ) -> Option<(f64, PhysicalPlan)> {
         let in_side = |cols: &[ColRef], side: Subset| {
@@ -1082,11 +1129,14 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         let pre_aggregates = pre_aggs(&|a| gs_layout.scalar(a).ok())?;
         let pre_cost = gs.cost + cost::aggregate(gs.rows, pre_groups);
         let (pre_cost, pre_plan) = match self.apply_rule(&pre_block, Some(pre_cost), views, stats) {
-            Some((cost, sub)) => (cost, substitute_plan(&sub)),
+            Some((cost, verdict)) => (
+                cost,
+                substitute_plan(&views.build(&pre_block, &verdict).ok()?),
+            ),
             None => (
                 pre_cost,
                 PhysicalPlan::HashAggregate {
-                    input: Box::new(self.extract(info, memo, s).ok()?),
+                    input: Box::new(self.extract(info, memo, s, views).ok()?),
                     group_by: pre_group_by,
                     aggregates: pre_aggregates,
                 },
@@ -1106,7 +1156,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
             },
         };
         let join_rows = (final_rows.max(1.0) * 4.0).min(pre_groups * gr.rows);
-        let right = self.input(info, memo, r).ok()?;
+        let right = self.input(info, memo, r, views).ok()?;
         let (join, cost, joined) = build_join(info, pre, right, join_rows).ok()?;
 
         // Final aggregation: group by the query's grouping expressions,
@@ -1202,25 +1252,28 @@ mod tests {
 
     #[test]
     fn index_seek_factor_prefers_matching_indexes() {
+        let seek_factor = |v: &ViewDef, preds: &[BoolExpr]| {
+            index_seek_factor(v, |p| constraint_strength(preds, p))
+        };
         // Equality on the clustered key: strong seek.
         let v = sample_view(None);
-        let f = index_seek_factor(&v, &[eq_pred(0)]);
+        let f = seek_factor(&v, &[eq_pred(0)]);
         assert!(f < 0.1, "{f}");
         // Range on the key: partial seek.
-        let f = index_seek_factor(&v, &[range_pred(0)]);
+        let f = seek_factor(&v, &[range_pred(0)]);
         assert!((0.2..=0.5).contains(&f), "{f}");
         // Predicate on a non-indexed column: full scan.
-        let f = index_seek_factor(&v, &[eq_pred(1)]);
+        let f = seek_factor(&v, &[eq_pred(1)]);
         assert_eq!(f, 1.0);
         // ... unless a secondary index covers it.
         let v = sample_view(Some(vec![1, 2]));
-        let f = index_seek_factor(&v, &[eq_pred(1)]);
+        let f = seek_factor(&v, &[eq_pred(1)]);
         assert!(f < 0.1, "{f}");
         // Multi-column prefix: eq on both columns compounds.
-        let f2 = index_seek_factor(&v, &[eq_pred(1), eq_pred(2)]);
+        let f2 = seek_factor(&v, &[eq_pred(1), eq_pred(2)]);
         assert!(f2 < f, "{f2} < {f}");
         // No predicates: full scan.
-        assert_eq!(index_seek_factor(&v, &[]), 1.0);
+        assert_eq!(seek_factor(&v, &[]), 1.0);
     }
 
     fn cr(occ: u32, col: u32) -> ColRef {
@@ -1256,6 +1309,107 @@ mod tests {
             substitute_alternatives: 2,
         };
         assert_eq!(optimized.stats, expected);
+    }
+
+    /// Assert every verdict the rule returns on the blocks the memo offers
+    /// it for `queries` costs what its built substitute costs, to the bit,
+    /// and return the verdicts.
+    fn assert_verdict_costs(engine: &MatchingEngine, queries: &[SpjgExpr]) -> Vec<Verdict> {
+        let opt = Optimizer::new(engine, OptimizerConfig::default());
+        let views = PinnedViews::new(engine);
+        let mut verdicts = Vec::new();
+        for query in queries {
+            let info = BlockInfo::new(query);
+            let subsets = info.connected_subsets().into_iter();
+            let blocks = subsets.map(|s| subset_block(&info, s).0);
+            for block in blocks.chain([query.clone()]) {
+                for (_, verdict) in views.verdicts(&block) {
+                    let built = views.build(&block, &verdict).unwrap();
+                    assert_eq!(
+                        opt.verdict_cost(&views, &verdict).to_bits(),
+                        opt.substitute_cost(&views, &built).to_bits(),
+                        "{verdict:?}\n{built:?}"
+                    );
+                    verdicts.push(verdict);
+                }
+            }
+        }
+        verdicts
+    }
+
+    /// Debug builds assert a verdict's cost is its substitute's in
+    /// `apply_rule`; this test also runs in release builds, where that
+    /// assertion is compiled out.
+    #[test]
+    fn every_verdict_costs_what_its_substitute_costs() {
+        // The section 5 workload of `plan_digest.rs`.
+        let (catalog, t) = tpch_catalog();
+        let params = mv_workload::WorkloadParams::views();
+        let views = mv_workload::Generator::new(&catalog, params, 0x5EC5_0001).views(200);
+        let params = mv_workload::WorkloadParams::queries();
+        let queries = mv_workload::Generator::new(&catalog, params, 0x5EC5_0002).queries(60);
+        let engine = MatchingEngine::new(catalog.clone(), mv_core::MatchConfig::default());
+        engine.add_views(views).unwrap();
+        let verdicts = assert_verdict_costs(&engine, &queries);
+        assert!(verdicts.len() >= 400, "{}", verdicts.len());
+
+        // Its substitutes need no compensation, so these do: seeks on the
+        // clustered key and on a secondary index, residuals, backjoins and
+        // rollups.
+        let config = mv_core::MatchConfig {
+            allow_backjoins: true,
+            ..mv_core::MatchConfig::default()
+        };
+        let engine = MatchingEngine::new(catalog, config);
+        let part_cols = vec![
+            NamedExpr::new(S::col(cr(0, 0)), "p_partkey"),
+            NamedExpr::new(S::col(cr(0, 5)), "p_size"),
+        ];
+        let parts = SpjgExpr::spj(vec![t.part], BoolExpr::Literal(true), part_cols.clone());
+        let parts = ViewDef::new("parts", parts)
+            .with_key(vec![0])
+            .with_secondary_index(vec![1]);
+        let by_size = SpjgExpr::aggregate(
+            vec![t.part],
+            BoolExpr::Literal(true),
+            part_cols.clone(),
+            vec![NamedAgg::new(AggFunc::CountStar, "n")],
+        );
+        let by_size = ViewDef::new("by_size", by_size).with_key(vec![0, 1]);
+        engine.add_views(vec![parts, by_size]).unwrap();
+        let size = |op, v: i64| BoolExpr::cmp(S::col(cr(0, 5)), op, S::lit(v));
+        let queries = [
+            // Equality on the key, and a `<>`: strengths 2 and 0.
+            SpjgExpr::spj(
+                vec![t.part],
+                BoolExpr::and(vec![
+                    BoolExpr::cmp(S::col(cr(0, 0)), CmpOp::Eq, S::lit(5i64)),
+                    size(CmpOp::Ne, 3),
+                ]),
+                part_cols[..1].to_vec(),
+            ),
+            // A range on the secondary index, and a column the view lacks.
+            SpjgExpr::spj(
+                vec![t.part],
+                size(CmpOp::Lt, 20),
+                vec![NamedExpr::new(S::col(cr(0, 7)), "p_retailprice")],
+            ),
+            // A rollup by size.
+            SpjgExpr::aggregate(
+                vec![t.part],
+                size(CmpOp::Ge, 10),
+                part_cols[1..].to_vec(),
+                vec![NamedAgg::new(AggFunc::CountStar, "n")],
+            ),
+        ];
+        let verdicts = assert_verdict_costs(&engine, &queries);
+        assert!(verdicts.iter().any(|v| v.strength(0) == 2));
+        assert!(verdicts.iter().any(|v| v.strength(1) == 1));
+        assert!(verdicts
+            .iter()
+            .any(|v| v.seeks.iter().any(|&(_, s)| s == 0)));
+        assert!(verdicts.iter().any(|v| v.backjoins == [t.part]));
+        assert!(verdicts.iter().any(|v| v.regroups));
     }
 
     fn nested_loops(plan: &PhysicalPlan) -> usize {
@@ -1349,12 +1503,12 @@ mod tests {
         ];
         for (case, query, shape) in cases {
             let info = BlockInfo::new(&query);
-            let mut views = PinnedViews::new(&engine);
+            let views = PinnedViews::new(&engine);
             let mut stats = OptimizerStats::default();
             let mut memo = HashMap::new();
             for s in info.connected_subsets() {
                 let group = opt
-                    .optimize_subset(&info, s, &memo, &mut views, &mut stats)
+                    .optimize_subset(&info, s, &memo, &views, &mut stats)
                     .unwrap();
                 memo.insert(s, group);
             }
@@ -1372,7 +1526,7 @@ mod tests {
             for s in 1..info.all {
                 let r = info.all & !s;
                 let Some((_, plan)) = opt.preagg_plan(
-                    &info, s, r, &memo, group_by, aggregates, final_rows, &mut views, &mut stats,
+                    &info, s, r, &memo, group_by, aggregates, final_rows, &views, &mut stats,
                 ) else {
                     continue;
                 };
