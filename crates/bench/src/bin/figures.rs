@@ -70,16 +70,18 @@ fn parse_args() -> Args {
         eprintln!("--step must be at least 1");
         std::process::exit(2);
     }
+    if args.queries == 0 {
+        eprintln!("--queries must be at least 1");
+        std::process::exit(2);
+    }
     args
 }
 
-fn view_counts(args: &Args) -> Vec<usize> {
-    let mut counts = vec![0];
-    let mut n = args.step;
-    while n <= args.max_views {
-        counts.push(n);
-        n += args.step;
-    }
+/// The view counts a sweep visits: 0, every multiple of `step` below
+/// `max_views`, and `max_views` itself.
+fn view_counts(max_views: usize, step: usize) -> Vec<usize> {
+    let mut counts: Vec<usize> = (0..max_views).step_by(step).collect();
+    counts.push(max_views);
     counts
 }
 
@@ -91,7 +93,7 @@ fn fig2(w: &Workload, args: &Args) {
     );
     println!("| views | Alt & Filter (s) | NoAlt & Filter (s) | Alt & NoFilter (s) | NoAlt & NoFilter (s) |");
     println!("|---|---|---|---|---|");
-    for &n in &view_counts(args) {
+    for &n in &view_counts(args.max_views, args.step) {
         let mut row = format!("| {n} |");
         for (_, match_cfg, opt_cfg) in figure2_configs() {
             let engine = engine_with(w, n, match_cfg);
@@ -117,7 +119,7 @@ fn fig3(w: &Workload, args: &Args) {
         "| views | total increase (s) | view-matching time (s) | matching share of increase |"
     );
     println!("|---|---|---|---|");
-    for &n in &view_counts(args) {
+    for &n in &view_counts(args.max_views, args.step) {
         if n == 0 {
             continue;
         }
@@ -142,7 +144,7 @@ fn fig4(w: &Workload, args: &Args) {
     );
     println!("| views | plans using views | fraction |");
     println!("|---|---|---|");
-    for &n in &view_counts(args) {
+    for &n in &view_counts(args.max_views, args.step) {
         let engine = engine_with(w, n, MatchConfig::default());
         let pass = run_pass(w, &engine, &OptimizerConfig::default());
         println!(
@@ -158,7 +160,7 @@ fn stats(w: &Workload, args: &Args) {
     println!("\n## Section 5 in-text statistics\n");
     println!("| views | invocations/query | candidate fraction | candidates passing | subs/invocation | subs/query |");
     println!("|---|---|---|---|---|---|");
-    for &n in &view_counts(args) {
+    for &n in &view_counts(args.max_views, args.step) {
         if n == 0 {
             continue;
         }
@@ -275,5 +277,19 @@ fn main() {
             eprintln!("unknown command {other}; use fig2|fig3|fig4|stats|ablation|all");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::view_counts;
+
+    #[test]
+    fn the_sweep_ends_at_max_views() {
+        assert_eq!(view_counts(200, 100), [0, 100, 200]);
+        assert_eq!(view_counts(250, 100), [0, 100, 200, 250]);
+        assert_eq!(view_counts(5, 10), [0, 5]);
+        assert_eq!(view_counts(0, 10), [0]);
+        assert_eq!(view_counts(3, 1), [0, 1, 2, 3]);
     }
 }

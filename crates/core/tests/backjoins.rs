@@ -6,10 +6,11 @@
 //! Every test verifies the rewrite by execution against the direct oracle.
 
 use mv_core::{MatchConfig, MatchingEngine};
-use mv_data::{generate_tpch, TpchScale};
-use mv_exec::{bag_diff, execute_spjg, execute_substitute_with, materialize_view};
+use mv_data::{generate_tpch, Database, TpchScale};
+use mv_exec::execute_spjg;
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
-use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef};
+use mv_lint::oracle::{register_views, Oracle};
+use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, Substitute, ViewDef};
 
 fn cr(occ: u32, col: u32) -> ColRef {
     ColRef::new(occ, col)
@@ -20,6 +21,17 @@ fn backjoin_config() -> MatchConfig {
         allow_backjoins: true,
         ..MatchConfig::default()
     }
+}
+
+/// Register `view` with a backjoin engine over `db` and run the oracle over
+/// `query`, asserting it finds nothing: every substitute's rows and the
+/// plan's equal the interpreter's. The substitutes.
+fn matched(db: &Database, view: ViewDef, query: &SpjgExpr) -> Vec<Substitute> {
+    let engine = MatchingEngine::new(db.catalog.clone(), backjoin_config());
+    let store = register_views(&engine, db, vec![view]);
+    let checked = Oracle::new(&engine, db, &store).check_query(query, "q");
+    let subs = checked.assert_sound().substitutes;
+    subs.into_iter().map(|(_, sub)| sub).collect()
 }
 
 /// View outputs lineitem's primary key but not l_extendedprice; the query
@@ -57,22 +69,11 @@ fn spj_backjoin_recovers_missing_column() {
     assert!(strict.find_substitutes(&query).is_empty());
 
     // Backjoin engine: matched and exact.
-    let engine = MatchingEngine::new(db.catalog.clone(), backjoin_config());
-    let rows = materialize_view(&db, &view);
-    engine.add_view(view).unwrap();
-    let subs = engine.find_substitutes(&query);
+    let subs = matched(&db, view, &query);
     assert_eq!(subs.len(), 1);
-    let sub = &subs[0].1;
-    assert_eq!(sub.backjoins.len(), 1);
-    assert_eq!(sub.backjoins[0].table, t.lineitem);
-    let got = execute_substitute_with(&db, &rows, sub);
-    let want = execute_spjg(&db, &query);
-    assert!(
-        bag_diff(&got, &want).is_none(),
-        "{:?}",
-        bag_diff(&got, &want)
-    );
-    assert!(!want.is_empty());
+    assert_eq!(subs[0].backjoins.len(), 1);
+    assert_eq!(subs[0].backjoins[0].table, t.lineitem);
+    assert!(!execute_spjg(&db, &query).is_empty());
 }
 
 /// Backjoin via an *equivalent* key: the view outputs o_orderkey (equal to
@@ -101,16 +102,10 @@ fn backjoin_key_through_equivalence_class() {
             NamedExpr::new(S::col(cr(1, 3)), "o_totalprice"),
         ],
     );
-    let engine = MatchingEngine::new(db.catalog.clone(), backjoin_config());
-    let rows = materialize_view(&db, &view);
-    engine.add_view(view).unwrap();
-    let subs = engine.find_substitutes(&query);
+    let subs = matched(&db, view, &query);
     assert_eq!(subs.len(), 1);
-    let sub = &subs[0].1;
-    assert_eq!(sub.backjoins.len(), 1);
-    assert_eq!(sub.backjoins[0].table, t.orders);
-    let got = execute_substitute_with(&db, &rows, sub);
-    assert!(bag_diff(&got, &execute_spjg(&db, &query)).is_none());
+    assert_eq!(subs[0].backjoins.len(), 1);
+    assert_eq!(subs[0].backjoins[0].table, t.orders);
 }
 
 /// Compensating predicates can live on backjoined columns too.
@@ -131,15 +126,8 @@ fn compensating_predicate_on_backjoined_column() {
         BoolExpr::cmp(S::col(cr(0, 1)), CmpOp::Le, S::lit(10i64)),
         vec![NamedExpr::new(S::col(cr(0, 0)), "o_orderkey")],
     );
-    let engine = MatchingEngine::new(db.catalog.clone(), backjoin_config());
-    let rows = materialize_view(&db, &view);
-    engine.add_view(view).unwrap();
-    let subs = engine.find_substitutes(&query);
-    assert_eq!(subs.len(), 1);
-    let got = execute_substitute_with(&db, &rows, &subs[0].1);
-    let want = execute_spjg(&db, &query);
-    assert!(bag_diff(&got, &want).is_none());
-    assert!(!want.is_empty());
+    assert_eq!(matched(&db, view, &query).len(), 1);
+    assert!(!execute_spjg(&db, &query).is_empty());
 }
 
 /// Aggregation view grouped by a table's primary key: the backjoin
@@ -172,21 +160,10 @@ fn aggregation_view_backjoin_with_regroup() {
             NamedAgg::new(AggFunc::Sum(S::col(cr(0, 4))), "qty"),
         ],
     );
-    let engine = MatchingEngine::new(db.catalog.clone(), backjoin_config());
-    let rows = materialize_view(&db, &view);
-    engine.add_view(view).unwrap();
-    let subs = engine.find_substitutes(&query);
+    let subs = matched(&db, view, &query);
     assert_eq!(subs.len(), 1, "grouped backjoin should match");
-    let sub = &subs[0].1;
-    assert_eq!(sub.backjoins.len(), 1);
-    assert!(sub.regroups());
-    let got = execute_substitute_with(&db, &rows, sub);
-    let want = execute_spjg(&db, &query);
-    assert!(
-        bag_diff(&got, &want).is_none(),
-        "{:?}",
-        bag_diff(&got, &want)
-    );
+    assert_eq!(subs[0].backjoins.len(), 1);
+    assert!(subs[0].regroups());
 }
 
 /// No usable key → no backjoin: a view without key columns still rejects.
@@ -215,8 +192,6 @@ fn backjoin_requires_an_output_key() {
 /// is still exact.
 #[test]
 fn optimizer_executes_backjoin_plans() {
-    use mv_exec::{execute_plan, ViewStore};
-    use mv_optimizer::{Optimizer, OptimizerConfig};
     let (db, t) = generate_tpch(&TpchScale::tiny(), 66);
     let view = ViewDef::new(
         "li_slim",
@@ -229,11 +204,6 @@ fn optimizer_executes_backjoin_plans() {
             ],
         ),
     );
-    let engine = MatchingEngine::new(db.catalog.clone(), backjoin_config());
-    let rows = materialize_view(&db, &view);
-    let id = engine.add_view(view).unwrap();
-    let mut store = ViewStore::new();
-    store.put(id, rows);
     let query = SpjgExpr::spj(
         vec![t.lineitem],
         BoolExpr::cmp(S::col(cr(0, 4)), CmpOp::Le, S::lit(25i64)),
@@ -242,18 +212,11 @@ fn optimizer_executes_backjoin_plans() {
             NamedExpr::new(S::col(cr(0, 5)), "l_extendedprice"),
         ],
     );
-    // Force the optimizer to prove the substitute correct even when it
-    // would not win on cost: pick whichever plan wins and execute it.
-    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
-    let optimized = optimizer.optimize(&query);
-    let got = execute_plan(&db, &store, &optimized.plan);
-    let want = execute_spjg(&db, &query);
-    assert!(bag_diff(&got, &want).is_none(), "plan:\n{}", optimized.plan);
-    // And the substitute alternative itself must execute correctly.
-    if let Some(sub) = engine.match_one(&query, id) {
-        let got = execute_substitute_with(&db, store.rows(id), &sub);
-        assert!(bag_diff(&got, &want).is_none());
-    } else {
-        panic!("backjoin substitute expected");
-    }
+    // Whichever plan wins is executed, and so is the substitute
+    // alternative itself, even when it would not win on cost.
+    let subs = matched(&db, view, &query);
+    assert!(
+        subs.iter().any(|sub| !sub.backjoins.is_empty()),
+        "backjoin substitute expected"
+    );
 }

@@ -4,32 +4,33 @@
 //! execution against the direct oracle.
 
 use mv_core::{MatchConfig, MatchingEngine};
-use mv_data::{generate_tpch, TpchScale};
-use mv_exec::{bag_diff, execute_spjg, execute_substitute, materialize_view};
+use mv_data::{generate_tpch, Database, TpchScale};
+use mv_exec::{execute_spjg, ViewStore};
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
-use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, ViewDef};
+use mv_lint::oracle::{register_views, Oracle};
+use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef, ViewId};
 
 fn cr(occ: u32, col: u32) -> ColRef {
     ColRef::new(occ, col)
 }
 
+/// The oracle over `query`, asserting it finds nothing: every substitute's
+/// rows and the plan's equal the interpreter's. The substitutes.
+fn sound_substitutes(
+    engine: &MatchingEngine,
+    db: &Database,
+    store: &ViewStore,
+    query: &SpjgExpr,
+) -> Vec<(ViewId, Substitute)> {
+    let checked = Oracle::new(engine, db, store).check_query(query, "q");
+    checked.assert_sound().substitutes
+}
+
 fn check_pair(view: SpjgExpr, query: SpjgExpr, seed: u64) -> usize {
     let (db, _) = generate_tpch(&TpchScale::tiny(), seed);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    let vdef = ViewDef::new("v", view);
-    let rows = materialize_view(&db, &vdef);
-    engine.add_view(vdef).unwrap();
-    let subs = engine.find_substitutes(&query);
-    let direct = execute_spjg(&db, &query);
-    for (_, sub) in &subs {
-        let rewritten = execute_substitute(&rows, sub);
-        assert!(
-            bag_diff(&direct, &rewritten).is_none(),
-            "{:?}",
-            bag_diff(&direct, &rewritten)
-        );
-    }
-    subs.len()
+    let store = register_views(&engine, &db, vec![ViewDef::new("v", view)]);
+    sound_substitutes(&engine, &db, &store, &query).len()
 }
 
 /// Extra table joined through the *composite* foreign key
@@ -259,9 +260,9 @@ fn commutativity_is_textual_not_positional() {
 fn multiple_views_all_produce_correct_substitutes() {
     let (db, t) = generate_tpch(&TpchScale::tiny(), 77);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    let mut materialized = Vec::new();
+    let mut views = Vec::new();
     for (name, lo, hi) in [("wide", 0, 10_000), ("mid", 0, 5_000), ("snug", 50, 900)] {
-        let view = ViewDef::new(
+        views.push(ViewDef::new(
             name,
             SpjgExpr::spj(
                 vec![t.orders],
@@ -274,11 +275,9 @@ fn multiple_views_all_produce_correct_substitutes() {
                     NamedExpr::new(S::col(cr(0, 3)), "o_totalprice"),
                 ],
             ),
-        );
-        let rows = materialize_view(&db, &view);
-        let id = engine.add_view(view).unwrap();
-        materialized.push((id, rows));
+        ));
     }
+    let store = register_views(&engine, &db, views);
     let query = SpjgExpr::spj(
         vec![t.orders],
         BoolExpr::and(vec![
@@ -287,14 +286,8 @@ fn multiple_views_all_produce_correct_substitutes() {
         ]),
         vec![NamedExpr::new(S::col(cr(0, 3)), "o_totalprice")],
     );
-    let subs = engine.find_substitutes(&query);
+    let subs = sound_substitutes(&engine, &db, &store, &query);
     assert_eq!(subs.len(), 3, "all three views contain the window");
-    let direct = execute_spjg(&db, &query);
-    for (vid, sub) in &subs {
-        let rows = &materialized.iter().find(|(id, _)| id == vid).unwrap().1;
-        let rewritten = execute_substitute(rows, sub);
-        assert!(bag_diff(&direct, &rewritten).is_none());
-    }
 }
 
 /// A view with an exclusive bound does not cover a query with the matching
@@ -369,9 +362,8 @@ fn scalar_rollup_with_empty_compensation_window() {
             ],
         ),
     );
-    let rows = materialize_view(&db, &view);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    engine.add_view(view).unwrap();
+    let store = register_views(&engine, &db, vec![view]);
     // Compensating window selects NO customers: count must be 0, not NULL.
     let query = SpjgExpr::aggregate(
         vec![t.orders],
@@ -382,13 +374,11 @@ fn scalar_rollup_with_empty_compensation_window() {
             NamedAgg::new(AggFunc::Sum(S::col(cr(0, 3))), "total"),
         ],
     );
-    let subs = engine.find_substitutes(&query);
+    let subs = sound_substitutes(&engine, &db, &store, &query);
     assert_eq!(subs.len(), 1);
-    let got = execute_substitute(&rows, &subs[0].1);
-    let want = execute_spjg(&db, &query);
-    assert!(bag_diff(&got, &want).is_none(), "{got:?} vs {want:?}");
+    // The substitute's rows equal these, the oracle checked.
     assert_eq!(
-        got,
+        execute_spjg(&db, &query),
         vec![vec![mv_catalog::Value::Int(0), mv_catalog::Value::Null]]
     );
 }
@@ -407,23 +397,20 @@ fn equal_grouping_projects_count_directly() {
             vec![NamedAgg::new(AggFunc::CountStar, "cnt")],
         ),
     );
-    let rows = materialize_view(&db, &view);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    engine.add_view(view).unwrap();
+    let store = register_views(&engine, &db, vec![view]);
     let query = SpjgExpr::aggregate(
         vec![t.orders],
         BoolExpr::Literal(true),
         vec![NamedExpr::new(S::col(cr(0, 1)), "o_custkey")],
         vec![NamedAgg::new(AggFunc::CountStar, "n")],
     );
-    let subs = engine.find_substitutes(&query);
+    let subs = sound_substitutes(&engine, &db, &store, &query);
     assert_eq!(subs.len(), 1);
     assert!(
         matches!(subs[0].1.output, OutputList::Spj(_)),
         "same grouping ⇒ plain projection"
     );
-    let got = execute_substitute(&rows, &subs[0].1);
-    assert!(bag_diff(&got, &execute_spjg(&db, &query)).is_none());
 }
 
 /// Self-joins end to end: both the occurrence-mapping in the matcher and
@@ -446,10 +433,8 @@ fn self_join_substitute_executes_correctly() {
             ],
         ),
     );
-    let rows = materialize_view(&db, &view);
-    assert_eq!(rows.len(), 125, "25 nations over 5 regions: 5 * 25 pairs");
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    engine.add_view(view).unwrap();
+    let store = register_views(&engine, &db, vec![view]);
     let query = SpjgExpr::spj(
         vec![t.nation, t.nation],
         BoolExpr::and(vec![
@@ -461,12 +446,14 @@ fn self_join_substitute_executes_correctly() {
             NamedExpr::new(S::col(cr(1, 1)), "b_name"),
         ],
     );
-    let subs = engine.find_substitutes(&query);
+    let subs = sound_substitutes(&engine, &db, &store, &query);
     assert_eq!(subs.len(), 1);
-    let direct = execute_spjg(&db, &query);
-    let rewritten = execute_substitute(&rows, &subs[0].1);
-    assert!(bag_diff(&direct, &rewritten).is_none());
-    assert!(!direct.is_empty());
+    assert_eq!(
+        store.rows(subs[0].0).len(),
+        125,
+        "25 nations over 5 regions: 5 * 25 pairs"
+    );
+    assert!(!execute_spjg(&db, &query).is_empty());
 }
 
 /// A 12-fold self-join has 12! ≈ 4.8e8 occurrence bijections. The matcher

@@ -19,13 +19,17 @@
 //!   `mv-maintain`'s materialization, refresh and delta joins. The
 //!   physical executor is built from the same parts (postfix programs,
 //!   index tuples, the group table).
-//! * [`spjg::execute_spjg`] and [`substitute::execute_substitute`] are the
-//!   tree-walking interpreter: a straightforward evaluation of an SPJG
-//!   block against base tables and of a matcher-produced
-//!   [`mv_plan::Substitute`] against a view's rows. It is the *correctness
-//!   oracle* the two compiled paths are differentially tested against
+//! * [`spjg::execute_spjg`] and [`substitute::execute_substitute_with`]
+//!   are the tree-walking interpreter: a straightforward evaluation of an
+//!   SPJG block against base tables and of a matcher-produced
+//!   [`mv_plan::Substitute`] against a view's rows (and the base tables
+//!   its backjoins read). It is the *correctness oracle* the two compiled
+//!   paths are differentially tested against
 //!   (`tests/physical_differential.rs`, `tests/program_differential.rs`);
-//!   [`materialize_view`] and `mv-lint`'s exec-check still run it too.
+//!   [`materialize_view`] runs it too, and so does `mv_lint::oracle`, the
+//!   per-query checker stack the workspace's suites and `mv-lint` share:
+//!   it compares every substitute's and every optimized plan's rows with
+//!   the interpreter's answer to the query.
 //!
 //! Bag semantics throughout: duplicates are preserved exactly, and
 //! [`compare::bag_eq`] provides multiset equality for tests. The central
@@ -48,4 +52,4 @@ pub use program::{
     rowbag_eq, ExecScratch, PlanProgram, RowBag, SubstitutePipeline, SubstituteProgram,
 };
 pub use spjg::execute_spjg;
-pub use substitute::{execute_substitute, execute_substitute_with, materialize_view};
+pub use substitute::{execute_substitute_with, materialize_view};

@@ -14,25 +14,15 @@ pub fn materialize_view(db: &Database, view: &ViewDef) -> Vec<Row> {
     execute_spjg(db, &view.expr)
 }
 
-/// Execute a substitute against the materialized rows of its view: filter
-/// by the compensating predicates, then project or re-aggregate.
+/// Execute a substitute against the materialized rows of its view: each
+/// base-table backjoin (the section 7 extension) extends every row with
+/// the columns of the base row its unique key identifies, then the
+/// compensating predicates filter and the output list projects or
+/// re-aggregates.
 ///
 /// Column references inside the substitute follow the `Substitute`
-/// convention: `occ = 0`, `col = view output position`. Panics if the
-/// substitute carries backjoins — use [`execute_substitute_with`] for
-/// those (they need base-table access).
-pub fn execute_substitute(view_rows: &[Row], sub: &Substitute) -> Vec<Row> {
-    assert!(
-        sub.backjoins.is_empty(),
-        "substitute has backjoins; use execute_substitute_with"
-    );
-    finish_substitute(view_rows.to_vec(), sub)
-}
-
-/// Execute a substitute that may carry base-table backjoins (the section 7
-/// extension): each backjoin extends every row with the columns of the
-/// base row its unique key identifies, then the usual filter/project/
-/// re-aggregate pipeline runs over the extended rows.
+/// convention: `occ = 0`, `col = view output position`, then the
+/// backjoined tables' columns in order.
 pub fn execute_substitute_with(db: &Database, view_rows: &[Row], sub: &Substitute) -> Vec<Row> {
     let mut rows: Vec<Row> = view_rows.to_vec();
     for bj in &sub.backjoins {
@@ -51,11 +41,6 @@ pub fn execute_substitute_with(db: &Database, view_rows: &[Row], sub: &Substitut
             })
             .collect();
     }
-    finish_substitute(rows, sub)
-}
-
-/// The shared tail: compensating predicates, then projection or grouping.
-fn finish_substitute(rows: Vec<Row>, sub: &Substitute) -> Vec<Row> {
     let accessor = |row: &Row| {
         let row = row.clone();
         move |c: ColRef| row[c.col.0 as usize].clone()
@@ -141,7 +126,7 @@ mod tests {
             output: OutputList::Spj(vec![NamedExpr::new(S::col(cr(0, 0)), "p_partkey")]),
             freshness: mv_plan::Freshness::Fresh,
         };
-        let got = execute_substitute(&rows, &sub);
+        let got = execute_substitute_with(&db, &rows, &sub);
         // Oracle: the query evaluated directly.
         let query = SpjgExpr::spj(
             vec![t.part],

@@ -15,9 +15,10 @@ use mv_catalog::{Catalog, ColumnType, TableId, Value};
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_data::{generate_tpch, Database, Row, TpchScale};
 use mv_exec::spjg::execute_spj_part;
-use mv_exec::{bag_diff, execute_plan, execute_spjg, materialize_view, CompiledPlan, ViewStore};
+use mv_exec::{bag_diff, execute_plan, execute_spjg, CompiledPlan, ViewStore};
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
-use mv_optimizer::{Optimizer, OptimizerConfig};
+use mv_lint::oracle::{register_views, Oracle};
+use mv_optimizer::OptimizerConfig;
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr};
 use mv_workload::{Generator, WorkloadParams};
 
@@ -103,23 +104,13 @@ struct Fixture {
 fn fixture(config: MatchConfig, n_views: usize) -> Fixture {
     let (db, _) = generate_tpch(&TpchScale::tiny(), 20_260_928);
     let engine = MatchingEngine::new(db.catalog.clone(), config);
-    let mut store = ViewStore::new();
-    for v in Generator::new(&db.catalog, WorkloadParams::views(), 41).views(n_views) {
-        let rows = materialize_view(&db, &v);
-        let id = engine.add_view(v).expect("generated views register");
-        store.put(id, rows);
-    }
+    let views = Generator::new(&db.catalog, WorkloadParams::views(), 41).views(n_views);
+    let store = register_views(&engine, &db, views);
     Fixture { db, engine, store }
 }
 
-/// Execute `plan`, compare with the interpreter's answer to `query`, and
-/// count the plan's shapes.
-fn check_plan(fx: &Fixture, plan: &PhysicalPlan, query: &SpjgExpr, shapes: &mut Shapes) {
-    let got = execute_plan(&fx.db, &fx.store, plan);
-    let want = execute_spjg(&fx.db, query);
-    if let Some(diff) = bag_diff(&got, &want) {
-        panic!("physical executor disagrees with the interpreter: {diff}\nplan:\n{plan}");
-    }
+/// Count the shapes of `plan`, an executed plan for `query`.
+fn count(fx: &Fixture, plan: &PhysicalPlan, query: &SpjgExpr, shapes: &mut Shapes) {
     shapes.count(plan, true);
     if let OutputList::Aggregate { group_by, .. } = &query.output {
         if group_by.is_empty() && execute_spj_part(&fx.db, query).is_empty() {
@@ -128,15 +119,29 @@ fn check_plan(fx: &Fixture, plan: &PhysicalPlan, query: &SpjgExpr, shapes: &mut 
     }
 }
 
-/// [`check_plan`] on the optimizer's plan for `query`.
+/// Execute a hand-built `plan`, compare with the interpreter's answer to
+/// `query`, and count the plan's shapes.
+fn check_plan(fx: &Fixture, plan: &PhysicalPlan, query: &SpjgExpr, shapes: &mut Shapes) {
+    let got = execute_plan(&fx.db, &fx.store, plan);
+    let want = execute_spjg(&fx.db, query);
+    if let Some(diff) = bag_diff(&got, &want) {
+        panic!("physical executor disagrees with the interpreter: {diff}\nplan:\n{plan}");
+    }
+    count(fx, plan, query, shapes);
+}
+
+/// The oracle over `query`, the optimizer's plan against the interpreter
+/// among its checks, and the shapes of that plan.
 fn check(fx: &Fixture, use_views: bool, query: &SpjgExpr, shapes: &mut Shapes) {
-    let config = OptimizerConfig {
-        use_views,
-        ..OptimizerConfig::default()
+    let mut oracle = Oracle {
+        optimizer: OptimizerConfig {
+            use_views,
+            ..OptimizerConfig::default()
+        },
+        ..Oracle::new(&fx.engine, &fx.db, &fx.store)
     };
-    let optimizer = Optimizer::new(&fx.engine, config);
-    let plan = optimizer.try_optimize(query).expect("plan").plan;
-    check_plan(fx, &plan, query, shapes);
+    let checked = oracle.check_query(query, "q").assert_sound();
+    count(fx, &checked.plan.expect("plan").plan, query, shapes);
 }
 
 /// Queries for the shapes the generator's foreign-key walks never reach.

@@ -1,6 +1,14 @@
-//! `mv-lint` library surface: the source-discipline pass (MV2xx) used by
-//! the CLI's `--source` mode and by the fixture tests. The workload lint
-//! (MV0xx/MV1xx) lives in the binary, which drives `mv-verify` and
-//! `mv-audit` over the TPC-H workload.
+//! `mv-lint` library surface.
+//!
+//! * [`oracle`]: the checker stack for one query — verify, match,
+//!   execute, prove, optimize — as one call. The CLI loops it over the
+//!   section 5 workload, and the integration suites of the workspace call
+//!   it wherever they compare rows with `execute_spjg`.
+//! * [`source`]: the source-discipline pass (MV2xx) behind the CLI's
+//!   `--source` mode and the fixture tests.
+//!
+//! The CLI keeps its argument parsing, the maintain, audit and source
+//! phases, and the JSON envelope.
 
+pub mod oracle;
 pub mod source;

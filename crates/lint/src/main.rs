@@ -4,16 +4,15 @@
 //! queries with the benchmark seeds), registers the views in a matching
 //! engine, and then:
 //!
-//! 1. lints every view definition and every query expression
-//!    (`verify_view_expr` / `verify_expr`),
-//! 2. runs the matcher over every query and re-verifies each produced
-//!    substitute with the independent analyzer (`verify_substitute`),
-//! 3. optionally (`--exec-check N`) cross-checks substitutes by executing
-//!    both the substitute and the original query on small generated data
-//!    and comparing row bags (rule MV018),
-//! 4. optionally (`--audit`) runs the `mv-audit` completeness & catalog
+//! 1. lints every view definition (`verify_view_expr`),
+//! 2. runs every query through the per-query [`Oracle`]: `verify_expr`,
+//!    the matcher, `verify_substitute` on each produced substitute, and
+//!    optionally (`--exec-check N`) the executed cross-check on tiny
+//!    generated data — up to N substitutes and every query's optimized
+//!    plan, each compared with the query's rows (rule MV018),
+//! 3. optionally (`--audit`) runs the `mv-audit` completeness & catalog
 //!    passes (rules MV101+) over the same engine and workload,
-//! 5. optionally (`--maintain N`) registers every view with the
+//! 4. optionally (`--maintain N`) registers every view with the
 //!    `mv-maintain` driver, applies N insert/delete delta rounds to the
 //!    generated base data, and audits after each round that maintained
 //!    contents equal recompute-from-scratch (row-bag comparison, the
@@ -27,26 +26,29 @@
 //! and expects); `--source-only` runs just that pass, skipping the
 //! workload entirely.
 //!
-//! With `--prove` every substitute the matcher produces is additionally
-//! run through the `mv-prove` bounded equivalence checker (MV3xx): the
-//! symbolic pass first, then exhaustive enumeration of all constraint-
-//! satisfying databases up to `--prove-k` rows per table. A refuted
-//! rewrite reports MV301/MV302 with a replayable counterexample.
+//! With `--prove` the oracle also runs every substitute the matcher
+//! produces through the `mv-prove` bounded equivalence checker (MV3xx):
+//! the symbolic pass first, then exhaustive enumeration of all
+//! constraint-satisfying databases up to `--prove-k` rows per table. A
+//! refuted rewrite reports MV301/MV302 with a replayable counterexample.
 //!
 //! The JSON report goes to stdout (or `--out FILE`); a human summary goes
 //! to stderr. `--json` wraps the report in a machine-readable envelope
 //! with per-gate counts (verify/audit/source/prove). Exit code 1 on any
 //! ERROR diagnostic, and on warnings too under `--deny-warnings`.
+//!
+//! Phase wall times are for the report only: mv-lint: allow(MV204)
 
 use mv_bench::{build_workload, engine_with, DATA_SEED};
 use mv_core::MatchConfig;
 use mv_data::{generate_tpch, TpchScale};
-use mv_exec::{bag_diff, execute_spjg, execute_substitute_with, materialize_view};
+use mv_lint::oracle::{materialize_views, Counts, Oracle};
 use mv_maintain::{audit_serving, Maintainer, TableDelta};
-use mv_prove::{pair_tables, prove, prove_diagnostics, ProveConfig, ProveCtx};
-use mv_verify::{json_string, Diagnostic, Report, RuleId, Severity, VerifyContext};
-use mv_verify::{verify_expr, verify_substitute, verify_view_expr};
+use mv_optimizer::OptimizerConfig;
+use mv_prove::ProveConfig;
+use mv_verify::{json_string, verify_view_expr, Report, Severity};
 use std::process::ExitCode;
+use std::time::Instant;
 
 const USAGE: &str = "\
 mv-lint: static soundness lint over the TPC-H view-matching workload
@@ -57,8 +59,9 @@ USAGE:
 OPTIONS:
     --views N          views to generate and register   [default: 200]
     --queries N        queries to generate and match    [default: 100]
-    --exec-check N     execute up to N (query, substitute) pairs on tiny
-                       generated data and compare row bags [default: 0]
+    --exec-check N     execute up to N (query, substitute) pairs, and every
+                       query's plan, on tiny generated data and compare row
+                       bags with the query's [default: 0]
     --audit            also run the mv-audit passes: filter-tree index
                        completeness, catalog redundancy, metadata (MV101+)
     --maintain N       apply N delta rounds through the mv-maintain driver
@@ -180,8 +183,7 @@ fn main() -> ExitCode {
     let mut source_summary = String::new();
     let mut source_ms = 0u128;
     if args.source {
-        // Phase wall time for the report only: mv-lint: allow(MV204)
-        let source_start = std::time::Instant::now();
+        let source_start = Instant::now();
         let root = match &args.source_root {
             Some(dir) => std::path::PathBuf::from(dir),
             None => {
@@ -217,12 +219,14 @@ fn main() -> ExitCode {
         workload_lint(&args, &mut report)
     };
     stats.source_ms = source_ms;
-    let substitutes = stats.substitutes;
+    let checked = &stats.checked;
+    let substitutes = checked.substitutes;
+    let prove_ms = checked.prove_time.as_millis();
 
     let prove_summary = if args.prove {
         format!(
             ", {} proved / {} refuted / {} inconclusive at k={} in {} ms",
-            stats.proved, stats.refuted, stats.inconclusive, args.prove_k, stats.prove_ms
+            checked.proved, checked.refuted, checked.inconclusive, args.prove_k, prove_ms
         )
     } else {
         String::new()
@@ -249,7 +253,7 @@ fn main() -> ExitCode {
             args.views,
             args.queries,
             substitutes,
-            stats.exec_checked,
+            checked.exec_checked,
             stats.audit_findings,
             source_summary,
             prove_summary,
@@ -277,9 +281,9 @@ fn main() -> ExitCode {
     eprintln!(
         "mv-lint: phase wall: verify {} ms, exec {} ms, prove {} ms, audit {} ms, source {} ms, \
          maintain {} ms",
-        stats.verify_ms,
-        stats.exec_ms,
-        stats.prove_ms,
+        checked.verify_time.as_millis(),
+        checked.exec_time.as_millis(),
+        prove_ms,
         stats.audit_ms,
         stats.source_ms,
         stats.maintain_ms
@@ -293,11 +297,11 @@ fn main() -> ExitCode {
     // The prove gate also has a wall-clock budget: a slow prover is a CI
     // regression even when every pair proves.
     let over_wall_budget =
-        args.prove && args.prove_wall_ms > 0 && stats.prove_ms > args.prove_wall_ms as u128;
+        args.prove && args.prove_wall_ms > 0 && prove_ms > args.prove_wall_ms as u128;
     if over_wall_budget {
         eprintln!(
             "mv-lint: prove gate exceeded its wall budget: {} ms > {} ms",
-            stats.prove_ms, args.prove_wall_ms
+            prove_ms, args.prove_wall_ms
         );
     }
     if errors > 0 || over_wall_budget || (args.deny_warnings && warnings > 0) {
@@ -311,12 +315,10 @@ fn main() -> ExitCode {
 /// `--json` envelope.
 #[derive(Default)]
 struct WorkloadStats {
-    substitutes: usize,
-    exec_checked: usize,
+    /// The oracle's counts; its verify time includes the view
+    /// definitions' lint, its exec time the data setup.
+    checked: Counts,
     audit_findings: usize,
-    proved: usize,
-    refuted: usize,
-    inconclusive: usize,
     maintain_rounds: usize,
     maintain_incremental: usize,
     maintain_recompute: usize,
@@ -325,25 +327,22 @@ struct WorkloadStats {
     /// unchanged.
     maintain_visits: usize,
     maintain_unchanged: usize,
-    verify_ms: u128,
-    exec_ms: u128,
-    prove_ms: u128,
     audit_ms: u128,
     source_ms: u128,
     maintain_ms: u128,
 }
 
-/// The workload lint (MV0xx/MV1xx, plus MV3xx under `--prove`): verify
-/// every view, query, and produced substitute; optionally exec-check,
-/// prove, and audit.
+/// The workload lint: every view definition through `verify_view_expr`,
+/// every query through the [`Oracle`] (MV0xx, MV018 under
+/// `--exec-check`, MV3xx under `--prove`), then the maintain and audit
+/// gates.
 fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
     let workload = build_workload(args.views, args.queries);
     let engine = engine_with(&workload, args.views, MatchConfig::default());
-    let checks = engine.check_constraints();
+    let mut counts = Counts::default();
 
-    // Phase wall time for the report only: mv-lint: allow(MV204)
-    let verify_start = std::time::Instant::now();
-    // Expression-level rules over every registered view and every query.
+    let start = Instant::now();
+    let checks = engine.check_constraints();
     for (_, view) in engine.views().iter() {
         report.extend(verify_view_expr(
             &workload.catalog,
@@ -352,98 +351,35 @@ fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
             &view.name,
         ));
     }
-    for (i, query) in workload.queries.iter().enumerate() {
-        report.extend(verify_expr(
-            &workload.catalog,
-            &checks,
-            query,
-            &format!("q{i}"),
-        ));
-    }
+    counts.verify_time = start.elapsed();
 
-    // Substitute-level rules over everything the matcher produces.
-    let ctx = VerifyContext::new(&workload.catalog, &checks);
-    let mut pairs = Vec::new();
-    for (i, query) in workload.queries.iter().enumerate() {
-        for (id, sub) in engine.find_substitutes(query) {
-            let views = engine.views();
-            let view = views.get(id);
-            let diags =
-                verify_substitute(&ctx, query, &view.expr, &sub, &view.name, &format!("q{i}"));
-            let flagged = diags.iter().any(|d| d.severity == Severity::Error);
-            report.extend(diags);
-            pairs.push((i, id, sub, flagged));
-        }
-    }
-    let mut stats = WorkloadStats {
-        substitutes: pairs.len(),
-        verify_ms: verify_start.elapsed().as_millis(),
-        ..WorkloadStats::default()
-    };
-
-    // Executed-plan cross-check on tiny generated data, statically flagged
-    // substitutes first so a real unsoundness gets confirmed dynamically.
-    if args.exec_check > 0 {
-        // Phase wall time for the report only: mv-lint: allow(MV204)
-        let exec_start = std::time::Instant::now();
+    // The exec check runs on tiny generated data, every view materialized.
+    let start = Instant::now();
+    let data = (args.exec_check > 0).then(|| {
         let (db, _) = generate_tpch(&TpchScale::tiny(), DATA_SEED);
-        pairs.sort_by_key(|(_, _, _, flagged)| !flagged);
-        let views = engine.views();
-        for (i, id, sub, _) in pairs.iter().take(args.exec_check) {
-            let view = views.get(*id);
-            let view_rows = materialize_view(&db, view);
-            let from_view = execute_substitute_with(&db, &view_rows, sub);
-            let direct = execute_spjg(&db, &workload.queries[*i]);
-            stats.exec_checked += 1;
-            if let Some(diff) = bag_diff(&from_view, &direct) {
-                report.push(
-                    Diagnostic::error(
-                        RuleId::ExecMismatch,
-                        format!("substitute rows differ from query rows: {diff}"),
-                    )
-                    .with_view(&view.name)
-                    .with_query(format!("q{i}")),
-                );
-            }
-        }
-        stats.exec_ms = exec_start.elapsed().as_millis();
-    }
-
-    // Bounded equivalence proof of every produced substitute (MV3xx):
-    // the symbolic pass first, then exhaustive enumeration up to k over
-    // compiled plan programs.
-    if args.prove {
-        let prove_ctx = ProveCtx::new(&workload.catalog, &checks);
-        let cfg = ProveConfig {
+        let store = materialize_views(&engine, &db);
+        (db, store)
+    });
+    counts.exec_time = start.elapsed();
+    let mut oracle = Oracle {
+        engine: &engine,
+        data: data.as_ref().map(|(db, store)| (db, store)),
+        optimizer: OptimizerConfig::default(),
+        prove: args.prove.then_some(ProveConfig {
             k: args.prove_k,
             max_databases: args.prove_budget,
             symbolic: true,
-        };
-        let views = engine.views();
-        // Wall-clock for the report only: mv-lint: allow(MV204)
-        let start = std::time::Instant::now();
-        for (i, id, sub, _) in &pairs {
-            let view = views.get(*id);
-            let query = &workload.queries[*i];
-            let outcome = prove(&prove_ctx, query, &view.expr, sub, &cfg);
-            if outcome.is_proved() {
-                stats.proved += 1;
-            } else if outcome.is_refuted() {
-                stats.refuted += 1;
-            } else {
-                stats.inconclusive += 1;
-            }
-            let tables = pair_tables(query, &view.expr, sub);
-            report.extend(prove_diagnostics(
-                &outcome,
-                &view.name,
-                &format!("q{i}"),
-                &tables,
-                &cfg,
-            ));
-        }
-        stats.prove_ms = start.elapsed().as_millis();
+        }),
+        exec_limit: args.exec_check,
+        counts,
+    };
+    for (i, query) in workload.queries.iter().enumerate() {
+        report.extend(oracle.check_query(query, &format!("q{i}")).diagnostics);
     }
+    let mut stats = WorkloadStats {
+        checked: oracle.counts,
+        ..WorkloadStats::default()
+    };
 
     // Incremental-maintenance gate (MV401+): register every view with
     // the mv-maintain driver over the same tiny generated data the
@@ -452,8 +388,7 @@ fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
     // maintained contents equal recompute-from-scratch; finish with a
     // freshness-stamped serving audit over the whole query workload.
     if args.maintain > 0 {
-        // Phase wall time for the report only: mv-lint: allow(MV204)
-        let maintain_start = std::time::Instant::now();
+        let maintain_start = Instant::now();
         let (db, _) = generate_tpch(&TpchScale::tiny(), DATA_SEED);
         let mut maintainer = Maintainer::new(db);
         let views = engine.views();
@@ -499,8 +434,7 @@ fn workload_lint(args: &Args, report: &mut Report) -> WorkloadStats {
 
     // Completeness & catalog audit (MV101+) over the same engine/workload.
     if args.audit {
-        // Phase wall time for the report only: mv-lint: allow(MV204)
-        let audit_start = std::time::Instant::now();
+        let audit_start = Instant::now();
         let audit = mv_audit::audit_all(&engine, &workload.queries);
         stats.audit_findings = audit.diagnostics.len();
         report.extend(audit.diagnostics);
@@ -528,14 +462,22 @@ fn envelope_json(args: &Args, report: &Report, stats: &WorkloadStats, title: &st
             json_string(name)
         )
     };
+    let checked = &stats.checked;
     let prove_extra = format!(
         ", \"proved\": {}, \"refuted\": {}, \"inconclusive\": {}, \
          \"wall_ms\": {}, \"wall_budget_ms\": {}",
-        stats.proved, stats.refuted, stats.inconclusive, stats.prove_ms, args.prove_wall_ms
+        checked.proved,
+        checked.refuted,
+        checked.inconclusive,
+        checked.prove_time.as_millis(),
+        args.prove_wall_ms
     );
     let verify_extra = format!(
-        ", \"exec_checked\": {}, \"wall_ms\": {}, \"exec_wall_ms\": {}",
-        stats.exec_checked, stats.verify_ms, stats.exec_ms
+        ", \"exec_checked\": {}, \"plans_checked\": {}, \"wall_ms\": {}, \"exec_wall_ms\": {}",
+        checked.exec_checked,
+        checked.plans_checked,
+        checked.verify_time.as_millis(),
+        checked.exec_time.as_millis()
     );
     let audit_extra = format!(", \"wall_ms\": {}", stats.audit_ms);
     let source_extra = format!(", \"wall_ms\": {}", stats.source_ms);

@@ -5,9 +5,10 @@
 
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_data::{generate_tpch, Database, TpchScale};
-use mv_exec::{bag_diff, execute_plan, execute_spjg, materialize_view, ViewStore};
+use mv_exec::{execute_spjg, ViewStore};
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
-use mv_optimizer::{Optimizer, OptimizerConfig};
+use mv_lint::oracle::{register_views, Oracle};
+use mv_optimizer::{Optimized, Optimizer, OptimizerConfig};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef};
 
 fn cr(occ: u32, col: u32) -> ColRef {
@@ -18,24 +19,18 @@ fn cr(occ: u32, col: u32) -> ColRef {
 fn setup(views: Vec<ViewDef>) -> (Database, MatchingEngine, ViewStore) {
     let (db, _) = generate_tpch(&TpchScale::tiny(), 20_260_706);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    let mut store = ViewStore::new();
-    for v in views {
-        let rows = materialize_view(&db, &v);
-        let id = engine.add_view(v).unwrap();
-        store.put(id, rows);
-    }
+    let store = register_views(&engine, &db, views);
     (db, engine, store)
 }
 
-/// Optimize and execute, asserting bag equality with the oracle.
-fn check(db: &Database, engine: &MatchingEngine, store: &ViewStore, query: &SpjgExpr) {
-    let optimizer = Optimizer::new(engine, OptimizerConfig::default());
-    let optimized = optimizer.optimize(query);
-    let got = execute_plan(db, store, &optimized.plan);
-    let want = execute_spjg(db, query);
-    if let Some(diff) = bag_diff(&got, &want) {
-        panic!("plan mismatch: {diff}\nplan:\n{}", optimized.plan);
-    }
+/// Run the oracle over `query` (its plan's rows against the interpreter's,
+/// and every substitute's), asserting it finds nothing; the plan.
+fn check(db: &Database, engine: &MatchingEngine, store: &ViewStore, query: &SpjgExpr) -> Optimized {
+    let checked = Oracle::new(engine, db, store).check_query(query, "q");
+    checked
+        .assert_sound()
+        .plan
+        .expect("the oracle plans the query")
 }
 
 #[test]
@@ -127,16 +122,12 @@ fn view_is_chosen_when_cheaper_and_plan_is_correct() {
             NamedExpr::new(S::col(cr(0, 4)), "l_quantity"),
         ],
     );
-    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
-    let optimized = optimizer.optimize(&q);
+    let optimized = check(&db, &engine, &store, &q);
     assert!(
         optimized.plan.uses_view(),
         "expected the view, got:\n{}",
         optimized.plan
     );
-    let got = execute_plan(&db, &store, &optimized.plan);
-    let want = execute_spjg(&db, &q);
-    assert!(bag_diff(&got, &want).is_none());
 }
 
 #[test]
@@ -163,13 +154,17 @@ fn no_alt_mode_matches_but_never_uses_views() {
         produce_substitutes: false,
         ..OptimizerConfig::default()
     };
-    let optimizer = Optimizer::new(&engine, config);
+    let optimizer = Optimizer::new(&engine, config.clone());
     let optimized = optimizer.optimize(&q);
     assert!(!optimized.plan.uses_view());
     // The matcher still ran (its analysis is what the NoAlt series times).
     assert!(engine.stats().invocations > 0);
-    let got = execute_plan(&db, &store, &optimized.plan);
-    assert!(bag_diff(&got, &execute_spjg(&db, &q)).is_none());
+    let mut oracle = Oracle {
+        optimizer: config,
+        ..Oracle::new(&engine, &db, &store)
+    };
+    let checked = oracle.check_query(&q, "q").assert_sound();
+    assert_eq!(checked.plan, Some(optimized));
 }
 
 #[test]
@@ -201,19 +196,10 @@ fn example4_preaggregation_uses_v4() {
         vec![NamedExpr::new(S::col(cr(2, 3)), "c_nationkey")],
         vec![NamedAgg::new(AggFunc::Sum(revenue), "revenue")],
     );
-    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
-    let optimized = optimizer.optimize(&q);
+    let optimized = check(&db, &engine, &store, &q);
     assert!(
         optimized.plan.uses_view(),
         "pre-aggregation should expose v4:\n{}",
-        optimized.plan
-    );
-    let got = execute_plan(&db, &store, &optimized.plan);
-    let want = execute_spjg(&db, &q);
-    assert!(
-        bag_diff(&got, &want).is_none(),
-        "{:?}\nplan:\n{}",
-        bag_diff(&got, &want),
         optimized.plan
     );
 }
@@ -334,8 +320,7 @@ fn a_wide_chain_plans_in_polynomial_time() {
     );
     for query in [spj, grouped] {
         assert!(!execute_spjg(&db, &query).is_empty());
-        check(&db, &engine, &store, &query);
-        let optimized = Optimizer::new(&engine, OptimizerConfig::default()).optimize(&query);
+        let optimized = check(&db, &engine, &store, &query);
         assert_eq!(optimized.stats.groups, (N * (N + 1) / 2) as usize);
     }
 }

@@ -9,8 +9,9 @@ use mv_catalog::tpch::tpch_catalog;
 use mv_catalog::{Catalog, TableId, Value};
 use mv_core::{FreshnessPolicy, MatchConfig, MatchingEngine};
 use mv_data::{generate_tpch, Row, TpchScale};
-use mv_exec::{bag_diff, execute_plan, execute_spjg, materialize_view, ViewStore};
+use mv_exec::{bag_diff, execute_plan, execute_spjg, ViewStore};
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
+use mv_lint::oracle::register_views;
 use mv_optimizer::{Optimized, Optimizer, OptimizerConfig};
 use mv_plan::{NamedExpr, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
@@ -173,12 +174,7 @@ proptest! {
 fn materialized(views: Vec<ViewDef>) -> (mv_data::Database, MatchingEngine, ViewStore) {
     let (db, _) = generate_tpch(&TpchScale::tiny(), 20_261_015);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    let mut store = ViewStore::new();
-    for v in views {
-        let rows = materialize_view(&db, &v);
-        let id = engine.add_view(v).expect("view registers");
-        store.put(id, rows);
-    }
+    let store = register_views(&engine, &db, views);
     (db, engine, store)
 }
 

@@ -70,8 +70,9 @@ pub enum RuleId {
     /// MV017 — a plan-construction invariant reported by the optimizer's
     /// typed error path instead of a panic.
     PlanInvariant,
-    /// MV018 — executed-plan cross-check: the substitute's rows differ
-    /// from the query's rows on generated data (`mv-lint --exec-check`).
+    /// MV018 — executed cross-check: a substitute's rows, or the rows of
+    /// the optimizer's plan for the query, differ from the query's rows on
+    /// generated data (`mv_lint::oracle`, `mv-lint --exec-check`).
     ExecMismatch,
 
     // ------------------------------------------------------------------

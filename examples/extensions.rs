@@ -54,7 +54,10 @@ fn main() {
     );
     let rows = materialize_view(&db, &view);
     let direct = execute_spjg(&db, &query);
-    assert!(bag_eq(&execute_substitute(&rows, &subs[0].1), &direct));
+    assert!(bag_eq(
+        &execute_substitute_with(&db, &rows, &subs[0].1),
+        &direct
+    ));
     println!(
         "verified against direct execution ({} rows)\n",
         direct.len()
@@ -100,7 +103,7 @@ fn main() {
          view's (l_orderkey, l_linenumber) key",
         sub.backjoins.len()
     );
-    let got = matview::exec::execute_substitute_with(&db, &rows, sub);
+    let got = execute_substitute_with(&db, &rows, sub);
     let direct = execute_spjg(&db, &query);
     assert!(bag_eq(&got, &direct));
     println!(
@@ -143,7 +146,7 @@ fn main() {
          (o_custkey is functionally determined by the group key), regroup = {}",
         sub.regroups()
     );
-    let got = matview::exec::execute_substitute_with(&db, &rows, sub);
+    let got = execute_substitute_with(&db, &rows, sub);
     let direct = execute_spjg(&db, &query);
     assert!(bag_eq(&got, &direct));
     println!(

@@ -49,7 +49,7 @@ fn main() {
         let (rows, how, elapsed) = if let Some((view_id, substitute)) = hits.first() {
             let cached = &cache.iter().find(|(id, _)| id == view_id).unwrap().1;
             let t = Instant::now();
-            let rows = execute_substitute(cached, substitute);
+            let rows = execute_substitute_with(&db, cached, substitute);
             (rows, format!("cache hit on q{}", view_id.0), t.elapsed())
         } else {
             let t = Instant::now();

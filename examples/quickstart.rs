@@ -61,7 +61,7 @@ fn main() {
 
     // Correctness: the rewrite returns exactly the original rows.
     let direct = execute_spjg(&db, &query);
-    let rewritten = execute_substitute(&view_rows, substitute);
+    let rewritten = execute_substitute_with(&db, &view_rows, substitute);
     assert!(bag_eq(&direct, &rewritten));
     println!(
         "verified: both plans return the same {} rows (bag equality)",

@@ -38,7 +38,7 @@
 //! assert_eq!(substitutes.len(), 1);
 //!
 //! // The rewrite returns exactly the original query's rows.
-//! let from_view = execute_substitute(&view_rows, &substitutes[0].1);
+//! let from_view = execute_substitute_with(&db, &view_rows, &substitutes[0].1);
 //! let direct = execute_spjg(&db, &query);
 //! assert!(bag_eq(&from_view, &direct));
 //! # let _ = view_id;
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use mv_core::{MatchConfig, MatchingEngine};
     pub use mv_data::{generate_tpch, Database, TpchScale};
     pub use mv_exec::{
-        bag_eq, execute_plan, execute_spjg, execute_substitute, materialize_view, ViewStore,
+        bag_eq, execute_plan, execute_spjg, execute_substitute_with, materialize_view, ViewStore,
     };
     pub use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr};
     pub use mv_optimizer::{Optimizer, OptimizerConfig};

@@ -11,11 +11,17 @@
 //! residual compensation, and aggregation roll-ups.
 
 use matview::prelude::*;
+use mv_lint::oracle::{register_views, Oracle};
 use proptest::prelude::*;
 
 /// Run one soundness round: generate views and queries from the given
-/// seeds, match every pair the engine proposes, and execute both sides.
-/// Returns the number of substitutes verified.
+/// seeds and run the oracle over every query: every substitute the engine
+/// proposes, and the query's plan, executed against the query's rows.
+/// The plans are searched without views: the view-matching rule runs the
+/// debug build's matcher oracles on every subset the optimizer visits,
+/// seconds a query on some of these seeds, and
+/// `optimized_plans_are_sound_over_random_workload` checks plans over
+/// views. Returns the number of substitutes verified.
 fn soundness_round(
     view_seed: u64,
     query_seed: u64,
@@ -44,30 +50,20 @@ fn soundness_round_cfg(
     let (db, _) = generate_tpch(&TpchScale::tiny(), data_seed);
     let engine = MatchingEngine::new(db.catalog.clone(), config);
     let views = Generator::new(&db.catalog, WorkloadParams::views(), view_seed).views(n_views);
-    let mut materialized = Vec::new();
-    for v in views {
-        let rows = materialize_view(&db, &v);
-        let id = engine.add_view(v).unwrap();
-        materialized.push((id, rows));
-    }
+    let store = register_views(&engine, &db, views);
+    let mut oracle = Oracle {
+        optimizer: OptimizerConfig {
+            use_views: false,
+            ..OptimizerConfig::default()
+        },
+        ..Oracle::new(&engine, &db, &store)
+    };
     let queries =
         Generator::new(&db.catalog, WorkloadParams::queries(), query_seed).queries(n_queries);
-    let mut verified = 0;
-    for q in &queries {
-        let direct = execute_spjg(&db, q);
-        for (vid, sub) in engine.find_substitutes(q) {
-            let rows = &materialized.iter().find(|(id, _)| *id == vid).unwrap().1;
-            let rewritten = matview::exec::execute_substitute_with(&db, rows, &sub);
-            if let Some(diff) = matview::exec::bag_diff(&direct, &rewritten) {
-                panic!(
-                    "UNSOUND substitute (view {vid:?}, seeds {view_seed}/{query_seed}/{data_seed}):\n\
-                     {diff}\nquery: {q:#?}\nsubstitute: {sub:#?}"
-                );
-            }
-            verified += 1;
-        }
+    for (i, q) in queries.iter().enumerate() {
+        oracle.check_query(q, &format!("q{i}")).assert_sound();
     }
-    verified
+    oracle.counts.exec_checked
 }
 
 proptest! {
@@ -160,26 +156,14 @@ fn backjoins_widen_the_match_set() {
 fn optimized_plans_are_sound_over_random_workload() {
     let (db, _) = generate_tpch(&TpchScale::tiny(), 5);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    let mut store = ViewStore::new();
-    for v in Generator::new(&db.catalog, WorkloadParams::views(), 31).views(40) {
-        let rows = materialize_view(&db, &v);
-        let id = engine.add_view(v).unwrap();
-        store.put(id, rows);
-    }
-    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
+    let views = Generator::new(&db.catalog, WorkloadParams::views(), 31).views(40);
+    let store = register_views(&engine, &db, views);
+    let mut oracle = Oracle::new(&engine, &db, &store);
     let queries = Generator::new(&db.catalog, WorkloadParams::queries(), 32).queries(40);
     let mut used_views = 0;
-    for q in &queries {
-        let optimized = optimizer.optimize(q);
-        let got = execute_plan(&db, &store, &optimized.plan);
-        let want = execute_spjg(&db, q);
-        if let Some(diff) = matview::exec::bag_diff(&got, &want) {
-            panic!(
-                "optimizer produced a wrong plan: {diff}\nplan:\n{}",
-                optimized.plan
-            );
-        }
-        used_views += optimized.plan.uses_view() as usize;
+    for (i, q) in queries.iter().enumerate() {
+        let checked = oracle.check_query(q, &format!("q{i}")).assert_sound();
+        used_views += checked.plan.expect("a plan").plan.uses_view() as usize;
     }
     // Not an assertion about exact counts — just confirm the whole
     // pipeline is live.

@@ -1,8 +1,9 @@
 //! SQL round-trip and full-pipeline tests: parse → plan → render → parse
-//! again, and parse → optimize → execute against the oracle.
+//! again, and parse → optimize → execute through `mv_lint::oracle`.
 
 use matview::plan::display::sql_of;
 use matview::prelude::*;
+use mv_lint::oracle::Oracle;
 
 #[test]
 fn rendered_sql_reparses_to_the_same_block() {
@@ -38,8 +39,8 @@ fn integral_float_literal_survives_the_round_trip() {
 fn handwritten_sql_through_the_whole_stack() {
     let (db, _) = generate_tpch(&TpchScale::small(), 12);
     let engine = MatchingEngine::new(db.catalog.clone(), MatchConfig::default());
-    let optimizer = Optimizer::new(&engine, OptimizerConfig::default());
     let store = ViewStore::new();
+    let mut oracle = Oracle::new(&engine, &db, &store);
     let queries = [
         "select n_name, r_name from nation, region where n_regionkey = r_regionkey",
         "select c_custkey, c_name from customer where c_acctbal > 0 and c_mktsegment = 'BUILDING'",
@@ -58,14 +59,7 @@ fn handwritten_sql_through_the_whole_stack() {
     ];
     for sql in queries {
         let q = parse_query(sql, &db.catalog).unwrap_or_else(|e| panic!("{sql}: {e}"));
-        let optimized = optimizer.optimize(&q);
-        let got = execute_plan(&db, &store, &optimized.plan);
-        let want = execute_spjg(&db, &q);
-        assert!(
-            matview::exec::bag_diff(&got, &want).is_none(),
-            "wrong result for {sql}\nplan:\n{}",
-            optimized.plan
-        );
+        oracle.check_query(&q, sql).assert_sound();
     }
 }
 
