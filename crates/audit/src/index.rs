@@ -205,11 +205,12 @@ pub fn audit_differential(engine: &MatchingEngine, queries: &[SpjgExpr], report:
         let qsum = engine.query_summary(query);
         let candidates = engine.candidates(query, &qsum); // sorted
         let (spj, agg) = engine.query_searches(query, &qsum);
-        for (id, view) in engine.views().iter() {
+        let pin = engine.views();
+        for (id, view) in pin.iter() {
             if engine.is_removed(id) || candidates.binary_search(&id).is_ok() {
                 continue;
             }
-            if engine.match_one_prepared(query, &qsum, id).is_none() {
+            if engine.build_substitute(&pin, query, id).is_none() {
                 continue;
             }
             let is_agg = view.expr.is_aggregate();

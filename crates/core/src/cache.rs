@@ -44,8 +44,12 @@
 //! `StaleOk`: then a write round or a restamp, which can change which
 //! views the gate admits, makes every plan stale (DESIGN.md §11.4).
 
-use mv_parallel::sync::{lock_or_recover, Mutex};
+use crate::matching::FreshnessPolicy;
+use crate::snapshot::CatalogSnapshot;
+use crate::sync::{lock_or_recover, Arc, Mutex};
+use crate::{MatchingEngine, ViewsGuard};
 use mv_plan::{SpjgExpr, ViewId};
+use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -302,6 +306,126 @@ impl<G: Guard, V: Clone> EpochCache<G, V> {
             shard.index.clear();
             shard.floor = 0;
         }
+    }
+}
+
+/// The plan cache (DESIGN.md §11.4): an optimizer-config tag and the bound
+/// block as the guard, the optimizer's result — a type this crate does not
+/// know — as the value.
+pub(crate) type PlanCache = EpochCache<(u64, SpjgExpr), Arc<dyn Any + Send + Sync>>;
+
+/// The plan cache holds `1 / PLAN_CACHE_SHARE` of the substitute cache's
+/// capacity: 64 plans at the default 1,024, so a capacity of 0 turns both
+/// off (DESIGN.md §11.4 has why this share).
+pub(crate) const PLAN_CACHE_SHARE: usize = 16;
+
+/// Outcome of [`MatchingEngine::probe_plan`].
+#[derive(Debug)]
+pub enum PlanProbe<P> {
+    /// The plan cached for this (tag, block), valid under the pinned
+    /// snapshot's epochs.
+    Hit(P),
+    /// No valid plan: search, then hand the ticket to
+    /// [`MatchingEngine::insert_plan`].
+    Miss(PlanTicket),
+}
+
+/// What a plan-cache miss hands back for the insert: the key's hash and
+/// tag, and the epoch stamp read from the snapshot pinned *before* the
+/// search — so the stamp cannot be taken after a registration the search
+/// did not see.
+#[derive(Debug)]
+pub struct PlanTicket {
+    /// `(hash, tag, stamp)`; `None` with the plan cache off.
+    key: Option<(u64, u64, Vec<u64>)>,
+}
+
+impl MatchingEngine {
+    /// Probe the plan cache for the plan of `query` under the optimizer
+    /// configuration `tag` identifies. `pin` is the snapshot the caller
+    /// pinned before searching: a hit is valid under its epochs, and a
+    /// miss carries its stamp in the [`PlanTicket`] for the insert. With
+    /// the cache off (`substitute_cache_capacity / 16 == 0`) nothing is
+    /// hashed and nothing counted. A cached value of another type than
+    /// `P` is a miss.
+    ///
+    /// Sound because a query's plan depends on the catalog only through
+    /// `find_substitutes` on subsets of its tables. Every catalog change
+    /// that can change one of those bumps the epoch of a table in the
+    /// subset, so of a table in the query's stamp. Freshness reaches a
+    /// plan only through which views the gate admits; under `StaleOk` it
+    /// admits every view, and under any other policy the stamp also
+    /// carries the freshness counter every write round and restamp bumps
+    /// (DESIGN.md §11.4).
+    pub fn probe_plan<P: Clone + 'static>(
+        &self,
+        pin: &ViewsGuard,
+        tag: u64,
+        query: &SpjgExpr,
+    ) -> PlanProbe<P> {
+        if !self.plans.is_enabled() {
+            return PlanProbe::Miss(PlanTicket { key: None });
+        }
+        let mut hasher = DefaultHasher::new();
+        (tag, fingerprint(query).hash).hash(&mut hasher);
+        let hash = hasher.finish();
+        let stamp = self.plan_stamp(&pin.snap, query);
+        // Not `block == query`: that serves `a * 2.0` the plan for `a * 2`.
+        let is_key = |(t, block): &(u64, SpjgExpr)| *t == tag && block.identical(query);
+        match self.plans.lookup(hash, is_key, &stamp) {
+            CacheLookup::Hit(plan) => {
+                if let Some(plan) = plan.downcast_ref::<P>() {
+                    self.stats.record_plan_cache_hit();
+                    return PlanProbe::Hit(plan.clone());
+                }
+            }
+            CacheLookup::Stale => self.stats.record_plan_cache_invalidation(),
+            CacheLookup::Miss | CacheLookup::Disabled => {}
+        }
+        self.stats.record_plan_cache_miss();
+        PlanProbe::Miss(PlanTicket {
+            key: Some((hash, tag, stamp)),
+        })
+    }
+
+    /// Store the plan a [`MatchingEngine::probe_plan`] miss went on to
+    /// search for, under the ticket's stamp.
+    pub fn insert_plan<P: Send + Sync + 'static>(
+        &self,
+        ticket: PlanTicket,
+        query: &SpjgExpr,
+        plan: P,
+    ) {
+        let Some((hash, tag, stamp)) = ticket.key else {
+            return;
+        };
+        // The stamp MUST be the one read before the search. Re-reading it
+        // here (the PLAN_STAMP_AT_INSERT mutation) stamps a plan searched
+        // before a registration with the epochs after it.
+        #[cfg(mv_model)]
+        let stamp = if crate::mutation::active(crate::mutation::PLAN_STAMP_AT_INSERT) {
+            self.plan_stamp(&self.snapshot(), query)
+        } else {
+            stamp
+        };
+        self.plans
+            .insert(hash, (tag, query.clone()), stamp, Arc::new(plan), 1);
+    }
+
+    /// The stamp a plan for `query` searched under `snap` carries: the
+    /// query's catalog stamp, plus the freshness counter when the policy
+    /// lets freshness change a plan.
+    fn plan_stamp(&self, snap: &CatalogSnapshot, query: &SpjgExpr) -> Vec<u64> {
+        let mut stamp = snap.table_stamp(query);
+        if self.config.freshness != FreshnessPolicy::StaleOk {
+            stamp.push(snap.freshness_epoch);
+        }
+        stamp
+    }
+
+    /// Number of live entries in the plan cache.
+    pub fn plan_cache_len(&self) -> usize {
+        self.plans.len()
     }
 }
 

@@ -4,9 +4,9 @@
 //! condition is applied."
 //!
 //! Keys at every level are sets of opaque `u64` tokens (table ids,
-//! base-qualified column ids, or hashed template texts — the
-//! [`crate::engine`] module computes them). Each level searches its lattice
-//! index with one of three monotone conditions:
+//! base-qualified column ids, or hashed template texts — the `keys`
+//! submodule derives them for a view and a query alike). Each level
+//! searches its lattice index with one of three monotone conditions:
 //!
 //! * [`LevelSearch::Subset`] — view key ⊆ query key (hub condition,
 //!   residual-predicate condition, weak range-constraint condition),
@@ -30,6 +30,13 @@
 //! levels inline, 3.4 on average) where a lattice per partition per level
 //! would be 138,949 lattices, 137,295 of them holding one key set.
 //! DESIGN.md §12.3 has the measurement.
+
+mod keys;
+
+pub use keys::{
+    col_token, decode_col_token, strict_filter_exempt_levels, table_token, AGG_LEVELS, LEVEL_NAMES,
+    SPJ_LEVELS,
+};
 
 use crate::lattice::{is_normalized, is_subset, LatticeIndex};
 use mv_plan::ViewId;

@@ -305,7 +305,7 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
         self.collect(&self.tops, |n| &n.subsets, qualifies, visit)
     }
 
-    /// Dual of [`collect_down`]: `qualifies` monotone decreasing under ⊇.
+    /// Dual of [`Self::collect_down`]: `qualifies` monotone decreasing under ⊇.
     /// Starts from the roots and follows superset pointers.
     fn collect_up(&self, qualifies: impl Fn(&[K]) -> bool, visit: impl FnMut(u32)) {
         self.collect(&self.roots, |n| &n.supersets, qualifies, visit)

@@ -53,20 +53,28 @@ pub mod matching;
 mod matching_tests;
 #[cfg(mv_model)]
 pub mod mutation;
+#[cfg(debug_assertions)]
+mod oracles;
+mod register;
+mod snapshot;
 mod stamps;
 pub mod stats;
 pub mod summary;
+pub mod sync;
 
-pub use cache::{fingerprint, CacheLookup, EpochCache, Fingerprint, SubstituteCache};
-pub use descriptor::{JoinCore, PreparedView};
-pub use engine::{
-    col_token, decode_col_token, strict_filter_exempt_levels, table_token, ChecksGuard,
-    MatchingEngine, PlanProbe, PlanTicket, ViewsGuard, AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS,
+pub use cache::{
+    fingerprint, CacheLookup, EpochCache, Fingerprint, PlanProbe, PlanTicket, SubstituteCache,
 };
-pub use filter::{FilterTree, LevelSearch};
+pub use descriptor::{JoinCore, PreparedView};
+pub use engine::MatchingEngine;
+pub use filter::{
+    col_token, decode_col_token, strict_filter_exempt_levels, table_token, FilterTree, LevelSearch,
+    AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS,
+};
 pub use lattice::LatticeIndex;
 pub use matching::{
     match_view_prepared, seek, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict,
 };
+pub use snapshot::{ChecksGuard, ViewsGuard};
 pub use stats::MatchStats;
 pub use summary::ExprSummary;

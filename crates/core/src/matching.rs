@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// substitute for a query? Enforced by `find_substitutes` against the
 /// per-table *data epochs* the engine tracks (bumped by
 /// [`crate::MatchingEngine::record_base_write`], restamped per view by
-/// [`crate::MatchingEngine::mark_view_maintained`]); every returned
+/// [`crate::MatchingEngine::mark_views_maintained`]); every returned
 /// [`Substitute`] carries the [`Freshness`] the policy admitted it under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FreshnessPolicy {
@@ -119,8 +119,8 @@ pub struct MatchConfig {
     /// Database budget for the debug-build bounded-equivalence oracle:
     /// when nonzero (and `debug_assertions` are on), every substitute
     /// `find_substitutes` produces, and every one built one view at a time
-    /// (`match_one`, `build_substitute`: the optimizer builds the
-    /// substitute of each verdict it costs), is additionally run through the
+    /// (`build_substitute`: the optimizer builds the substitute of each
+    /// verdict it costs), is additionally run through the
     /// `mv-prove` bounded model checker (DESIGN.md §15) at bound k = 2,
     /// visiting at most this many enumerated databases per pair, and any
     /// refutation (MV301/MV302) panics with the rendered witness. `0`
@@ -415,12 +415,13 @@ fn injections(qoccs: &[OccId], voccs: &[OccId], limit: usize) -> Vec<Vec<(OccId,
     out
 }
 
-/// Per-candidate accessor over the precomputed [`PreparedOutputs`]: the
-/// view-space output maps of the descriptor plus this match's occurrence
-/// translation and the backjoins it activates. Probes arrive in query
-/// space and are translated through `inv`; the maps themselves are never
-/// rebuilt — building them (plus a per-accept union-find and template
-/// re-render) per accepted candidate was the accept-path hot spot.
+/// Per-candidate accessor over the precomputed
+/// [`crate::descriptor::PreparedOutputs`]: the view-space output maps of
+/// the descriptor plus this match's occurrence translation and the
+/// backjoins it activates. Probes arrive in query space and are
+/// translated through `inv`; the maps themselves are never rebuilt —
+/// building them (plus a per-accept union-find and template re-render)
+/// per accepted candidate was the accept-path hot spot.
 struct OutputCtx<'a> {
     pv: &'a PreparedView,
     /// View occurrence index → query-space occurrence, and its inverse
@@ -884,7 +885,7 @@ fn match_under<Y: Assemble>(
 
     // ---- Residual subsumption test (type 3) ----
     // Matching the remapped view template in place avoids cloning every
-    // template's text per candidate (`remap_template` allocates).
+    // template's text per candidate.
     let same = |a: ColRef, b: ColRef| a == b || qec.same(a, b);
     let v_matches_q = |vt: &Template, qt: &Template| {
         vt.text == qt.text

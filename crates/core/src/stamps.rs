@@ -8,8 +8,8 @@
 //! copies only the pages holding a restamped view — two flat `memcpy`s
 //! each, no per-view allocation either way.
 
+use crate::sync::Arc;
 use mv_catalog::TableId;
-use mv_parallel::sync::Arc;
 use mv_plan::ViewId;
 
 /// Views per page: small enough that restamping one view copies a few

@@ -6,7 +6,7 @@
 //! substitutes per invocation, and invocations per query. These counters
 //! let the benchmark harness reproduce every one of those numbers.
 
-use mv_parallel::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Counters accumulated by a [`crate::MatchingEngine`].

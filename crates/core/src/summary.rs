@@ -121,31 +121,11 @@ impl ExprSummary {
     }
 }
 
-/// Remap the occurrences of an equivalence-class structure through an
-/// occurrence substitution (view space → query space).
-pub fn remap_ec(ec: &EquivClasses, map: &impl Fn(OccId) -> OccId) -> EquivClasses {
-    let mut out = EquivClasses::new();
-    for class in ec.nontrivial_classes() {
-        for pair in class.windows(2) {
-            out.union(remap_col(pair[0], map), remap_col(pair[1], map));
-        }
-    }
-    out
-}
-
 /// Remap one column reference.
 pub fn remap_col(c: ColRef, map: &impl Fn(OccId) -> OccId) -> ColRef {
     ColRef {
         occ: map(c.occ),
         col: c.col,
-    }
-}
-
-/// Remap a template's column list (the text is occurrence-independent).
-pub fn remap_template(t: &Template, map: &impl Fn(OccId) -> OccId) -> Template {
-    Template {
-        text: t.text.clone(),
-        cols: t.cols.iter().map(|c| remap_col(*c, map)).collect(),
     }
 }
 
@@ -224,21 +204,5 @@ mod tests {
         assert_eq!(s.residuals.len(), 1);
         assert!(s.residuals[0].text.contains("LIKE"));
         assert_eq!(s.residuals[0].cols, vec![cr(0, 1)]);
-    }
-
-    #[test]
-    fn remapping_moves_occurrences() {
-        let mut ec = EquivClasses::new();
-        ec.union(cr(0, 0), cr(1, 0));
-        let mapped = remap_ec(&ec, &|o: OccId| OccId(o.0 + 10));
-        assert!(mapped.same(cr(10, 0), cr(11, 0)));
-        assert!(!mapped.same(cr(0, 0), cr(1, 0)));
-        let t = Template {
-            text: "? < ?".into(),
-            cols: vec![cr(0, 0), cr(1, 0)],
-        };
-        let mt = remap_template(&t, &|o: OccId| OccId(o.0 + 2));
-        assert_eq!(mt.cols, vec![cr(2, 0), cr(3, 0)]);
-        assert_eq!(mt.text, t.text);
     }
 }

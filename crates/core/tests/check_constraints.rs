@@ -169,3 +169,39 @@ fn invalid_check_constraint_rejected() {
     assert!(err.contains(&unknown.0.to_string()), "{err}");
     assert_eq!(engine.snapshot_epoch(), before);
 }
+
+/// SQL's CHECK passes on UNKNOWN: `CHECK (x > 0)` on a nullable `x` admits
+/// NULL rows, which a view filtered on `x > 0` drops. Such a check is not
+/// folded, so an unfiltered query gets no substitute from that view. The
+/// same check on a NOT NULL column still folds.
+#[test]
+fn check_on_a_nullable_column_is_not_folded() {
+    use mv_catalog::{Catalog, ColumnType, TableBuilder};
+    let mut catalog = Catalog::new();
+    let t = catalog.add_table(
+        TableBuilder::new("t")
+            .col("id", ColumnType::Int)
+            .nullable_col("x", ColumnType::Int)
+            .col("y", ColumnType::Int)
+            .primary_key(&["id"])
+            .build(),
+    );
+    let engine = MatchingEngine::new(catalog, MatchConfig::default());
+    let positive = |col| BoolExpr::cmp(S::col(cr(0, col)), CmpOp::Gt, S::lit(0i64));
+    for col in [1, 2] {
+        engine.add_check_constraint(t, positive(col)).unwrap();
+    }
+    let outputs = vec![NamedExpr::new(S::col(cr(0, 0)), "id")];
+    for (name, col) in [("positive_x", 1), ("positive_y", 2)] {
+        let view = SpjgExpr::spj(vec![t], positive(col), outputs.clone());
+        engine.add_view(ViewDef::new(name, view)).unwrap();
+    }
+    let query = SpjgExpr::spj(vec![t], BoolExpr::Literal(true), outputs);
+    let subs = engine.find_substitutes(&query);
+    let names: Vec<String> = subs
+        .iter()
+        .map(|(id, _)| engine.views().get(*id).name.clone())
+        .collect();
+    assert_eq!(names, ["positive_y"], "only the NOT NULL check folds");
+    assert!(subs[0].1.predicates.is_empty());
+}

@@ -211,6 +211,34 @@ fn key_range(table: TableId, lo: i64, hi: i64) -> SpjgExpr {
     )
 }
 
+/// A write the engine refuses publishes nothing: the snapshot epoch, the
+/// live view count and the filter entries all stay as they were.
+#[test]
+fn refused_writes_publish_nothing() {
+    let (views, _) = workload(8, 0);
+    let engine = engine(&views, MatchConfig::default());
+    assert!(engine.remove_view(ViewId(3)));
+    let state = |engine: &MatchingEngine| {
+        let mut entries = engine.filter_entries();
+        entries.sort();
+        (engine.snapshot_epoch(), engine.live_view_count(), entries)
+    };
+    let before = state(&engine);
+
+    // A batch whose second view takes the first one's name.
+    let mut taken = views[1].clone();
+    taken.name = views[0].name.clone();
+    assert!(engine.add_views(vec![views[2].clone(), taken]).is_err());
+    assert_eq!(state(&engine), before, "refused batch");
+
+    assert!(!engine.remove_view(ViewId(3)), "already removed");
+    assert!(!engine.remove_view(ViewId(99)), "out of range");
+    assert_eq!(state(&engine), before, "refused removals");
+
+    engine.record_base_write(TableId(engine.catalog().table_count() as u32));
+    assert_eq!(state(&engine), before, "write to an unknown table");
+}
+
 /// One `mark_views_maintained` call over k views is one publication, and
 /// it leaves the engine exactly where k single restamps leave it: the
 /// same answers, with the same stamps, served from the same cache
@@ -255,7 +283,7 @@ fn batch_restamp_publishes_once_and_invalidates_like_single_restamps() {
     assert_eq!(batch.snapshot_epoch(), before + 1, "one publication");
     let before = single.snapshot_epoch();
     for &id in &ids {
-        assert!(single.mark_view_maintained(id));
+        assert_eq!(single.mark_views_maintained(&[id]), 1);
     }
     assert_eq!(single.snapshot_epoch(), before + ids.len() as u64);
 

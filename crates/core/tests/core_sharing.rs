@@ -3,7 +3,7 @@
 //! non-trivial equivalence classes) share the occurrence mapping, the §3.2
 //! elimination, the extended query classes and the equijoin test, and
 //! every one of them must still get exactly the verdict and the substitute
-//! a single-view `match_one` — which always starts from fresh state —
+//! a single-view `build_substitute` — which always starts from fresh state —
 //! gives it. Debug builds assert the same inside the engine; this suite
 //! also runs in release mode, where that oracle is compiled out.
 //!
@@ -72,8 +72,13 @@ fn one_by_one(
     query: &SpjgExpr,
     ids: &[ViewId],
 ) -> Vec<(ViewId, Substitute)> {
+    let pin = engine.views();
     ids.iter()
-        .filter_map(|&id| engine.match_one(query, id).map(|sub| (id, sub)))
+        .filter_map(|&id| {
+            engine
+                .build_substitute(&pin, query, id)
+                .map(|sub| (id, sub))
+        })
         .collect()
 }
 
@@ -489,7 +494,7 @@ proptest! {
     /// their definitions have the same FROM list and classes, the snapshot
     /// holds one core per distinct pair ever registered (a refused batch
     /// leaves none behind), and a descriptor prepared outside the engine
-    /// matches byte-identically to `match_one` on its registered twin.
+    /// matches byte-identically to `build_substitute` on its registered twin.
     #[test]
     fn equal_cores_are_one_value_under_any_interleaving(
         ops in prop::collection::vec((0usize..4, 0usize..64), 8..48),
@@ -548,7 +553,7 @@ proptest! {
                 let pq = PreparedQuery::new(query, &qsum);
                 prop_assert_eq!(
                     match_view_prepared(&catalog, &config, &pq, id, def, &own),
-                    engine.match_one(query, id)
+                    engine.build_substitute(&views, query, id)
                 );
             }
         }

@@ -1,5 +1,5 @@
 //! MV201 fixture: a raw `std::sync` primitive smuggled in outside the
-//! `mv_parallel::sync` facade. The schedule explorer cannot see this
+//! `mv_core::sync` facade. The schedule explorer cannot see this
 //! mutex, so no interleaving through it is ever model-checked.
 
 use std::sync::Mutex;

@@ -3,7 +3,7 @@
 //! flag may still read the unpublished payload — the exact bug the model
 //! crate pins in `relaxed_publication_is_pinned_to_a_failing_schedule`.
 
-use mv_parallel::sync::atomic::{AtomicU64, Ordering};
+use mv_core::sync::atomic::{AtomicU64, Ordering};
 
 pub fn publish(data: &AtomicU64, ready: &AtomicU64) {
     data.store(42, Ordering::Relaxed);

@@ -1,7 +1,7 @@
 //! MV203 fixture: engine snapshot-state discipline violations. The
 //! published snapshot may only be loaded through the `snapshot()`
-//! accessor, and only published by functions that hold the writer guard
-//! for their whole clone-modify-publish sequence.
+//! accessor, and only published by `publish()`, which holds the writer
+//! guard for its whole clone-modify-publish sequence.
 
 impl Engine {
     /// Loads the published snapshot outside `snapshot()`.

@@ -21,7 +21,7 @@
 //!
 //! With `--source` the MV2xx source-discipline pass additionally lints
 //! every workspace crate's `.rs` sources for concurrency hygiene (raw
-//! sync primitives outside the `mv_parallel::sync` facade, relaxed
+//! sync primitives outside the `mv_core::sync` facade, relaxed
 //! orderings, unguarded snapshot state, bare clock reads, lock unwraps
 //! and expects); `--source-only` runs just that pass, skipping the
 //! workload entirely.

@@ -5,20 +5,21 @@
 //! The rules (DESIGN.md §14):
 //!
 //! * **MV201** `raw-sync-primitive` — `std::sync::Mutex`, `std::sync::RwLock`
-//!   or `std::sync::atomic` types outside the `mv_parallel::sync` facade.
+//!   or `std::sync::atomic` types outside the `mv_core::sync` facade.
 //!   A raw primitive is invisible under `--cfg mv_model`, so the schedule
 //!   explorer can never exercise the interleavings it creates.
 //! * **MV202** `relaxed-ordering` — `Ordering::Relaxed` outside the
 //!   statistics counters (`crates/core/src/stats.rs`).
 //! * **MV203** `raw-engine-state` — the engine's published snapshot field
 //!   (`self.shared`) loaded outside the `snapshot` accessor, or published
-//!   from a function that never took `writer_guard()`.
+//!   anywhere but `publish`, or from a function that never took
+//!   `writer_guard()`.
 //! * **MV204** `unguarded-clock` — a bare `Instant::now` outside the bench
 //!   crate; the engine reads the clock only through the
 //!   `timing.then(Instant::now)` gate.
 //! * **MV205** `unwrap-on-lock` — `.lock().unwrap()` (or `.read()` /
 //!   `.write()`) in non-test code; poisoning then cascades. Use
-//!   `mv_parallel::sync::lock_or_recover` and friends.
+//!   `mv_core::sync::lock_or_recover` and friends.
 //! * **MV206** `expect-on-lock` — `.lock().expect(…)` (or `.read()` /
 //!   `.write()`) in non-test code; the message dresses up the same
 //!   poisoning cascade MV205 flags. Use the recover helpers instead.
@@ -438,7 +439,7 @@ fn fn_name(line: &str) -> Option<String> {
 fn mv201_path_allowed(path: &str) -> bool {
     path.starts_with("crates/model/src")
         || path.starts_with("crates/bench/src")
-        || path == "crates/parallel/src/sync.rs"
+        || path == "crates/core/src/sync.rs"
 }
 
 /// Files where MV202 relaxed orderings are legitimate: the statistics
@@ -489,7 +490,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     RuleId::RawSyncPrimitive,
                     path,
                     i,
-                    "raw std::sync primitive outside the mv_parallel::sync facade; \
+                    "raw std::sync primitive outside the mv_core::sync facade; \
                      it is invisible to the mv-model schedule explorer"
                         .to_string(),
                 ));
@@ -523,7 +524,14 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     ));
                 }
             } else if squashed.contains("self.shared.store(") {
-                if !saw_guard {
+                if current_fn.as_deref() != Some("publish") {
+                    out.push(finding(
+                        RuleId::RawEngineState,
+                        path,
+                        i,
+                        "snapshot published outside the publish() path".to_string(),
+                    ));
+                } else if !saw_guard {
                     out.push(finding(
                         RuleId::RawEngineState,
                         path,
@@ -569,7 +577,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 path,
                 i,
                 "lock result unwrapped in non-test code; poisoning cascades — use \
-                 mv_parallel::sync::lock_or_recover / read_or_recover / write_or_recover"
+                 mv_core::sync::lock_or_recover / read_or_recover / write_or_recover"
                     .to_string(),
             ));
         }
@@ -585,7 +593,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                 path,
                 i,
                 "lock result expect()ed in non-test code; the message only renames the \
-                 poisoning cascade — use mv_parallel::sync::lock_or_recover and friends"
+                 poisoning cascade — use mv_core::sync::lock_or_recover and friends"
                     .to_string(),
             ));
         }
@@ -687,7 +695,7 @@ mod tests {
     #[test]
     fn facade_and_model_paths_are_allowlisted() {
         let src = "use std::sync::Mutex;\n";
-        assert!(lint_source("crates/parallel/src/sync.rs", src).is_empty());
+        assert!(lint_source("crates/core/src/sync.rs", src).is_empty());
         assert!(lint_source("crates/model/src/exec.rs", src).is_empty());
         assert_eq!(
             codes(&lint_source("crates/core/src/engine.rs", src)),
@@ -719,6 +727,16 @@ mod tests {
         assert_eq!(
             codes(&lint_source("crates/core/src/engine.rs", bad_store)),
             vec!["MV203"]
+        );
+        // A guarded store is still flagged anywhere but `publish`.
+        let stray_store = "impl E {\n fn add(&self) {\n  let _g = self.writer_guard();\n  \
+                           self.shared.store(x);\n }\n}\n";
+        let diags = lint_source("crates/core/src/register.rs", stray_store);
+        assert_eq!(codes(&diags), vec!["MV203"]);
+        assert!(
+            diags[0].message.contains("publish()"),
+            "{}",
+            diags[0].message
         );
     }
 

@@ -766,12 +766,12 @@ impl Maintainer {
     }
 
     /// [`Maintainer::refresh`] plus a
-    /// [`MatchingEngine::mark_view_maintained`] restamp.
+    /// [`MatchingEngine::mark_views_maintained`] restamp.
     pub fn refresh_with_engine(&mut self, id: ViewId, engine: &MatchingEngine) -> bool {
         if !self.refresh(id) {
             return false;
         }
-        engine.mark_view_maintained(id);
+        engine.mark_views_maintained(&[id]);
         true
     }
 

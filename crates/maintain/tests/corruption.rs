@@ -162,7 +162,7 @@ fn skipped_maintenance_is_declared_stale_not_wrong() {
     let delta = TableDelta::insert(r, vec![vec![Value::Int(500), Value::Int(0), Value::Int(1)]]);
     maintainer.apply(&delta);
     // Only restamp view 0; view 1 stays stale in the engine.
-    engine.mark_view_maintained(ViewId(0));
+    engine.mark_views_maintained(&[ViewId(0)]);
     assert_eq!(engine.view_staleness(ViewId(1)), Some(1));
     assert!(maintainer.audit().is_empty());
     let diags = audit_serving(&engine, &maintainer, &queries);

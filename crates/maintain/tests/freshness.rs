@@ -82,7 +82,7 @@ fn strict_fresh_never_serves_trailing_epochs() {
 
         // Window 2: maintenance caught up and restamped; serving resumes
         // with a hard Fresh guarantee verified end-to-end.
-        engine.mark_view_maintained(ViewId(0));
+        engine.mark_views_maintained(&[ViewId(0)]);
         let subs = engine.find_substitutes(&query);
         assert_eq!(subs.len(), 1, "round {round}");
         assert!(subs[0].1.freshness.is_fresh());
@@ -108,7 +108,7 @@ fn bounded_staleness_admits_up_to_its_bound() {
     maintainer.apply(&delta(r, 2));
     assert!(engine.find_substitutes(&query).is_empty());
     // Maintenance restores admission at lag zero.
-    engine.mark_view_maintained(ViewId(0));
+    engine.mark_views_maintained(&[ViewId(0)]);
     let subs = engine.find_substitutes(&query);
     assert_eq!(subs.len(), 1);
     assert!(subs[0].1.freshness.is_fresh());

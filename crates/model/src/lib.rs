@@ -3,7 +3,7 @@
 //! A vendored, registry-free model checker in the spirit of `loom`,
 //! sized to what the matview engine's concurrency layer needs. Code
 //! under test swaps its sync primitives for this crate's shims (via the
-//! `mv_parallel::sync` facade under `--cfg mv_model`); [`explore`] then
+//! `mv_core::sync` facade under `--cfg mv_model`); [`explore`] then
 //! reruns a closed program over every schedule a bounded-exhaustive DFS
 //! can reach:
 //!

@@ -448,18 +448,18 @@ fn nullable_fk_elimination_refuted() {
 }
 
 // ---------------------------------------------------------------------
-// Checker independence: accepted by mv-verify, refuted by mv-prove
+// CHECK constraints on nullable columns: no checker folds them
 // ---------------------------------------------------------------------
 
-/// Both the matcher and mv-verify fold CHECK constraints into the
-/// query's antecedent without guarding on NOT NULL — but SQL's CHECK
-/// passes on UNKNOWN, so `CHECK (x > 0)` on a *nullable* column admits
-/// NULL rows that fail the view predicate `x > 0`. The matcher builds a
-/// filter-free substitute, mv-verify reports nothing, and mv-prove
-/// refutes it with a NULL-row witness: the two checkers are genuinely
-/// independent.
+/// SQL's CHECK passes on UNKNOWN, so `CHECK (x > 0)` on a *nullable*
+/// column admits NULL rows that fail the view predicate `x > 0`. The
+/// matcher, mv-verify and mv-prove all fold a check into the query's
+/// antecedent only when its columns are NOT NULL, so the matcher finds no
+/// substitute here, and the filter-free substitute it once built — made
+/// by hand below — is an error to mv-verify and refuted by mv-prove with
+/// a NULL-row witness.
 #[test]
-fn check_constraint_on_nullable_column_missed_by_verify_caught_by_prove() {
+fn check_constraint_on_nullable_column_is_not_folded() {
     let mut catalog = Catalog::new();
     let t = catalog.add_table(
         TableBuilder::new("t")
@@ -468,15 +468,7 @@ fn check_constraint_on_nullable_column_missed_by_verify_caught_by_prove() {
             .primary_key(&["id"])
             .build(),
     );
-    // The whole point is a substitute mv-prove refutes — keep the
-    // debug-build prove oracle out of `find_substitutes` itself.
-    let engine = MatchingEngine::new(
-        catalog,
-        MatchConfig {
-            prove_budget: 0,
-            ..MatchConfig::default()
-        },
-    );
+    let engine = MatchingEngine::new(catalog, MatchConfig::default());
     engine
         .add_check_constraint(t, BoolExpr::cmp(S::col(cr(0, 1)), CmpOp::Gt, S::lit(0i64)))
         .unwrap();
@@ -491,32 +483,34 @@ fn check_constraint_on_nullable_column_missed_by_verify_caught_by_prove() {
         out(&[(0, 0, "id"), (0, 1, "x")]),
     );
     engine.add_view(ViewDef::new("v", view.clone())).unwrap();
-    let mut subs = engine.find_substitutes(&query);
-    assert_eq!(
-        subs.len(),
-        1,
-        "the matcher accepts the rewrite via check-constraint folding"
+    assert!(
+        engine.find_substitutes(&query).is_empty(),
+        "the check does not imply the view's x > 0 for NULL rows"
     );
-    let (_, sub) = subs.pop().unwrap();
 
-    // mv-verify: clean — its syntactic rules fold the check the same way.
+    // The filter-free substitute check folding used to produce.
+    let sub = Substitute {
+        view: mv_plan::ViewId(0),
+        backjoins: vec![],
+        predicates: vec![],
+        output: OutputList::Spj(out(&[(0, 0, "id"), (0, 1, "x")])),
+        freshness: mv_plan::Freshness::Fresh,
+    };
+
+    // mv-verify: the view's range is not subsumed by the query's.
     let checks = engine.check_constraints();
     let vctx = VerifyContext::new(engine.catalog(), &checks);
     let verify_errors: Vec<_> = verify_substitute(&vctx, &query, &view, &sub, "v", "q")
         .into_iter()
         .filter(|d| d.severity == Severity::Error)
+        .map(|d| d.rule.code())
         .collect();
-    assert!(
-        verify_errors.is_empty(),
-        "mv-verify accepts this substitute: {verify_errors:?}"
-    );
+    assert_eq!(verify_errors, ["MV007"]);
 
-    // mv-prove: refuted. The symbolic pass only trusts checks over NOT
-    // NULL columns, so the view's x > 0 is unmatched on the query side.
+    // mv-prove: refuted symbolically, and the enumerative pass produces
+    // the concrete NULL-row witness.
     let cfg = ProveConfig::default();
     assert_eq!(prove_codes(&engine, &query, &view, &sub, &cfg), ["MV301"]);
-
-    // And the enumerative pass produces the concrete NULL-row witness.
     let w = refute_and_replay(&engine, &query, &view, &sub);
     assert!(
         w.database

@@ -140,7 +140,7 @@ pub enum RuleId {
     // the mv-model schedule explorer.
     // ------------------------------------------------------------------
     /// MV201 — a raw `std::sync::Mutex`/`RwLock` or `std::sync::atomic`
-    /// type is used outside the `mv_parallel::sync` facade (and its
+    /// type is used outside the `mv_core::sync` facade (and its
     /// allowlisted homes): such a primitive is invisible to the
     /// `--cfg mv_model` schedule explorer, so the interleavings it
     /// creates are never model-checked.
@@ -151,8 +151,8 @@ pub enum RuleId {
     RelaxedOrdering,
     /// MV203 — the engine's published snapshot field is touched outside
     /// the snapshot-guard discipline: loads anywhere but the `snapshot`
-    /// accessor, or publishes in a function that never took the writer
-    /// guard.
+    /// accessor, or publishes anywhere but `publish` or in a function that
+    /// never took the writer guard.
     RawEngineState,
     /// MV204 — a bare `Instant::now` outside the bench crate and the
     /// `timing.then(Instant::now)` gate: unconditional clock reads on the
@@ -162,11 +162,11 @@ pub enum RuleId {
     /// MV205 — `.unwrap()` on a lock acquisition result in non-test
     /// code: a panicking thread poisons the lock and every later
     /// `.unwrap()` turns one panic into a cascade; use
-    /// `mv_parallel::sync::lock_or_recover` (or the read/write variants).
+    /// `mv_core::sync::lock_or_recover` (or the read/write variants).
     UnwrapOnLock,
     /// MV206 — `.expect(..)` on a lock acquisition result in non-test
     /// code: same cascade hazard as MV205, just with a message attached;
-    /// use `mv_parallel::sync::lock_or_recover` (or the read/write
+    /// use `mv_core::sync::lock_or_recover` (or the read/write
     /// variants).
     ExpectOnLock,
     /// MV301 — the prover's symbolic pass separates query and substitute:

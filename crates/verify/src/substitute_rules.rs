@@ -35,6 +35,18 @@ impl<'a> VerifyContext<'a> {
     }
 }
 
+/// The check conjuncts of `table` that hold of every row, on occurrence
+/// `occ`: those whose columns are all NOT NULL. SQL's CHECK passes on
+/// UNKNOWN, so a check over a nullable column admits NULL rows it says
+/// nothing about; folding it would accept a substitute that loses them
+/// (mv-prove's rule, DESIGN.md §15.1).
+fn folded_checks(ctx: &VerifyContext, table: TableId, occ: u32) -> Vec<Conjunct> {
+    let def = ctx.catalog.table(table);
+    let mut checks = checks_for_occ(ctx.checks, table, occ);
+    checks.retain(|c| c.columns().iter().all(|r| def.column(r.col).not_null));
+    checks
+}
+
 /// Cap on occurrence correspondences (and backjoin resolutions) tried per
 /// substitute. Far above anything real workloads produce.
 const MAX_MAPPINGS: usize = 4096;
@@ -376,11 +388,11 @@ fn check_mapping(
     // Check-constraint conjuncts: per query occurrence and per extra.
     let mut q_checks: Vec<Conjunct> = Vec::new();
     for (j, t) in query.tables.iter().enumerate() {
-        q_checks.extend(checks_for_occ(ctx.checks, *t, j as u32));
+        q_checks.extend(folded_checks(ctx, *t, j as u32));
     }
     let mut x_checks: Vec<Conjunct> = Vec::new();
     for (k, e) in extras.iter().enumerate() {
-        x_checks.extend(checks_for_occ(ctx.checks, table_of[nq + k], *e));
+        x_checks.extend(folded_checks(ctx, table_of[nq + k], *e));
     }
 
     // Equivalence classes.
