@@ -15,8 +15,11 @@
 //! * [`program`] holds the compiled forms of an SPJG block and of a
 //!   substitute ([`PlanProgram`], [`SubstituteProgram`],
 //!   [`SubstitutePipeline`]) for callers that evaluate one expression over
-//!   many databases or deltas: `mv-prove`'s enumeration and
-//!   `mv-maintain`'s materialization, refresh and delta joins. The
+//!   many databases or deltas: `mv-prove`'s enumeration,
+//!   [`materialize_view`], and `mv-maintain`'s materialization, refresh
+//!   and delta joins. A join step probes a hash index over its table
+//!   ([`JoinIndexes`]) once the size of its inputs says that pays; a
+//!   caller that owns its data keeps the indexes across runs. The
 //!   physical executor is built from the same parts (postfix programs,
 //!   index tuples, the group table).
 //! * [`spjg::execute_spjg`] and [`substitute::execute_substitute_with`]
@@ -25,11 +28,11 @@
 //!   [`mv_plan::Substitute`] against a view's rows (and the base tables
 //!   its backjoins read). It is the *correctness oracle* the two compiled
 //!   paths are differentially tested against
-//!   (`tests/physical_differential.rs`, `tests/program_differential.rs`);
-//!   [`materialize_view`] runs it too, and so does `mv_lint::oracle`, the
-//!   per-query checker stack the workspace's suites and `mv-lint` share:
-//!   it compares every substitute's and every optimized plan's rows with
-//!   the interpreter's answer to the query.
+//!   (`tests/physical_differential.rs`, `tests/program_differential.rs`).
+//!   `mv_lint::oracle`, the per-query checker stack the workspace's suites
+//!   and `mv-lint` share, runs it too: it compares every substitute's and
+//!   every optimized plan's rows with the interpreter's answer to the
+//!   query.
 //!
 //! Bag semantics throughout: duplicates are preserved exactly, and
 //! [`compare::bag_eq`] provides multiset equality for tests. The central
@@ -49,7 +52,7 @@ pub mod substitute;
 pub use compare::{bag_diff, bag_eq};
 pub use physical::{execute_plan, CompiledPlan, ViewStore};
 pub use program::{
-    rowbag_eq, ExecScratch, PlanProgram, RowBag, SubstitutePipeline, SubstituteProgram,
+    rowbag_eq, ExecScratch, JoinIndexes, PlanProgram, RowBag, SubstitutePipeline, SubstituteProgram,
 };
 pub use spjg::execute_spjg;
 pub use substitute::{execute_substitute_with, materialize_view};

@@ -1,7 +1,7 @@
 //! View materialization and substitute execution.
 
 use crate::agg::GroupAcc;
-use crate::spjg::execute_spjg;
+use crate::program::{ExecScratch, PlanProgram, RowBag};
 use mv_catalog::Value;
 use mv_data::{Database, Row};
 use mv_expr::{BoolExpr, ColRef};
@@ -9,9 +9,14 @@ use mv_plan::{OutputList, Substitute, ViewDef};
 use std::collections::HashMap;
 
 /// Materialize a view: execute its defining expression against base data.
-/// (In SQL Server terms: build the unique clustered index contents.)
+/// (In SQL Server terms: build the unique clustered index contents.) It
+/// runs the view's compiled [`PlanProgram`], so the interpreter
+/// ([`crate::spjg::execute_spjg`]) stays an independent check of what it
+/// stores.
 pub fn materialize_view(db: &Database, view: &ViewDef) -> Vec<Row> {
-    execute_spjg(db, &view.expr)
+    let mut out = RowBag::new();
+    PlanProgram::compile(&db.catalog, &view.expr).execute(db, &mut ExecScratch::new(), &mut out);
+    out.into_rows()
 }
 
 /// Execute a substitute against the materialized rows of its view: each
@@ -93,6 +98,7 @@ pub fn execute_substitute_with(db: &Database, view_rows: &[Row], sub: &Substitut
 mod tests {
     use super::*;
     use crate::compare::bag_eq;
+    use crate::spjg::execute_spjg;
     use mv_data::{generate_tpch, TpchScale};
     use mv_expr::{CmpOp, ScalarExpr as S};
     use mv_plan::{NamedExpr, SpjgExpr, ViewId};

@@ -9,8 +9,8 @@ use mv_catalog::schema::{ForeignKey, TableBuilder};
 use mv_catalog::{Catalog, ColumnId, ColumnType, TableId, Value};
 use mv_data::{generate_tpch, ColumnDomain, Database, EnumSpec, Enumerator, TableSpec, TpchScale};
 use mv_exec::{
-    bag_diff, bag_eq, execute_spjg, execute_substitute_with, ExecScratch, PlanProgram, RowBag,
-    SubstitutePipeline, SubstituteProgram,
+    bag_diff, bag_eq, execute_spjg, execute_substitute_with, ExecScratch, JoinIndexes, PlanProgram,
+    RowBag, SubstitutePipeline, SubstituteProgram,
 };
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, ScalarExpr};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewId};
@@ -497,7 +497,8 @@ fn delta_program_matches_interpreter_with_the_occurrence_swapped() {
                 reference.load(f.t, db.rows(f.t).to_vec());
                 reference.load(stand_in[&table], delta.clone());
                 let want = execute_spjg(&reference, &swapped);
-                prog.execute_delta(db, &delta, &mut scratch, &mut bag);
+                // A fresh index set: each enumerated database is new data.
+                prog.execute_delta(db, &delta, &mut JoinIndexes::new(), &mut scratch, &mut bag);
                 let got = bag.to_rows();
                 assert!(
                     bag_eq(&got, &want),

@@ -1,6 +1,6 @@
 //! The oracle over the section 5 workload on empty inputs: every query,
-//! planned with and without views, on the tiny database and on one variant
-//! per TPC-H table that empties it. An empty side is where a plan and the
+//! planned with and without views, and every view's materialized rows, on
+//! the tiny database and on one variant per TPC-H table that empties it. An empty side is where a plan and the
 //! interpreter part ways first: a keyless pre-aggregate over no rows
 //! returns one row, a grouped one none.
 //!
@@ -14,6 +14,7 @@ use mv_bench::{build_workload, engine_with, DATA_SEED};
 use mv_catalog::TableId;
 use mv_core::MatchConfig;
 use mv_data::{generate_tpch, Database, TpchScale};
+use mv_exec::{bag_diff, bag_eq, execute_spjg, materialize_view};
 use mv_lint::oracle::{materialize_views, Oracle};
 use mv_optimizer::OptimizerConfig;
 
@@ -40,16 +41,22 @@ fn emptied(db: &Database, table: TableId) -> Database {
     variant
 }
 
-#[test]
-fn plans_and_substitutes_hold_on_empty_tables() {
-    let workload = build_workload(VIEWS, QUERIES);
-    let engine = engine_with(&workload, VIEWS, MatchConfig::default());
+/// The tiny database, then one variant per table that empties it.
+fn databases() -> Vec<(String, Database)> {
     let (tiny, _) = generate_tpch(&TpchScale::tiny(), DATA_SEED);
     let mut databases = vec![("tiny".to_string(), tiny.clone())];
     for t in 0..tiny.catalog.table_count() as u32 {
         let name = format!("tiny without {}", tiny.catalog.table(TableId(t)).name);
         databases.push((name, emptied(&tiny, TableId(t))));
     }
+    databases
+}
+
+#[test]
+fn plans_and_substitutes_hold_on_empty_tables() {
+    let workload = build_workload(VIEWS, QUERIES);
+    let engine = engine_with(&workload, VIEWS, MatchConfig::default());
+    let databases = databases();
 
     let mut plans = 0;
     for (name, db) in &databases {
@@ -74,4 +81,29 @@ fn plans_and_substitutes_hold_on_empty_tables() {
         }
     }
     assert_eq!(plans, databases.len() * 2 * QUERIES);
+}
+
+/// `materialize_view` runs the view's compiled program, so the oracle's
+/// store is checked here against the interpreter, an executor it shares
+/// nothing with: every view, on every database, as a bag (float bits
+/// included).
+#[test]
+fn materialized_views_equal_the_interpreter() {
+    let workload = build_workload(VIEWS, QUERIES);
+    let engine = engine_with(&workload, VIEWS, MatchConfig::default());
+    let mut nonempty = 0;
+    for (name, db) in &databases() {
+        for (id, view) in engine.views().iter() {
+            let got = materialize_view(db, view);
+            let want = execute_spjg(db, &view.expr);
+            assert!(
+                bag_eq(&got, &want),
+                "{name}, view {}: {:?}",
+                id.0,
+                bag_diff(&got, &want)
+            );
+            nonempty += !got.is_empty() as usize;
+        }
+    }
+    assert!(nonempty > VIEWS, "only {nonempty} views hold rows");
 }

@@ -43,7 +43,9 @@
 //! from-scratch result. The round marks the view dirty, and a refresh
 //! serves the whole view's program output for as long as a float is still
 //! there. Initial materialization and refresh run the view's compiled
-//! [`PlanProgram`].
+//! [`PlanProgram`]. Every run, full or delta, shares one set of join
+//! indexes ([`JoinIndexes`]) over the base tables, kept across views and
+//! write rounds; a round drops the indexes of the table it writes.
 //!
 //! The audit side ([`Maintainer::audit`], [`audit_serving`]) checks the
 //! MV4xx invariants: maintained contents equal recompute-from-scratch as
@@ -57,7 +59,9 @@ use mv_catalog::{TableId, Value};
 use mv_core::MatchingEngine;
 use mv_data::{Database, Row};
 use mv_exec::chains::{hash_key, HashChains};
-use mv_exec::{bag_diff, execute_spjg, execute_substitute_with, ExecScratch, PlanProgram, RowBag};
+use mv_exec::{
+    bag_diff, execute_spjg, execute_substitute_with, ExecScratch, JoinIndexes, PlanProgram, RowBag,
+};
 use mv_plan::{AggFunc, NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_verify::{Diagnostic, RuleId, Severity};
 use std::collections::hash_map::RandomState;
@@ -366,9 +370,14 @@ struct MaintainedView {
 impl MaintainedView {
     /// Recompute the contents (and the rollup) from the base tables.
     fn materialize(&mut self, db: &Database, exec: &mut ExecBuffers) {
-        let ExecBuffers { scratch, bags, .. } = exec;
+        let ExecBuffers {
+            scratch,
+            indexes,
+            bags,
+            ..
+        } = exec;
         let bag = &mut bags[0];
-        self.prog.execute(db, scratch, bag);
+        self.prog.execute_indexed(db, indexes, scratch, bag);
         self.dirty = false;
         let Some(agg) = &mut self.agg else {
             self.rows = bag.to_rows();
@@ -383,7 +392,7 @@ impl MaintainedView {
             let whole = agg
                 .whole
                 .get_or_insert_with(|| Box::new(PlanProgram::compile(&db.catalog, &self.expr)));
-            whole.execute(db, scratch, bag);
+            whole.execute_indexed(db, indexes, scratch, bag);
             self.rows = bag.to_rows();
         }
     }
@@ -404,7 +413,10 @@ struct Reader {
 }
 
 /// The maintenance driver: owns the base data and every registered view's
-/// materialized state, and applies write rounds to both.
+/// materialized state, and applies write rounds to both. The data is
+/// exposed read-only ([`Maintainer::db`]), so a write round is the one
+/// place a base table changes, and the join indexes the maintainer keeps
+/// across runs are dropped there.
 pub struct Maintainer {
     db: Database,
     /// In registration order.
@@ -423,6 +435,11 @@ pub struct Maintainer {
 #[derive(Default)]
 struct ExecBuffers {
     scratch: ExecScratch,
+    /// The join indexes of every run over the base tables: registrations,
+    /// refreshes and every view's delta joins share them. A write round
+    /// drops the written table's ([`JoinIndexes::invalidate`]); the rest
+    /// stay valid, because nothing else writes the tables.
+    indexes: JoinIndexes,
     /// Materialization uses the first; a round's delta joins fill the
     /// first from its removed rows and the second from its inserted rows.
     bags: [RowBag; 2],
@@ -659,6 +676,7 @@ impl Maintainer {
         } = self;
         let ExecBuffers {
             scratch,
+            indexes,
             bags,
             pairs,
         } = &mut **exec;
@@ -669,6 +687,7 @@ impl Maintainer {
         // never reach a view.
         let removed = db.delete_rows(delta.table, &delta.deletes);
         db.insert_rows(delta.table, &delta.inserts);
+        indexes.invalidate(delta.table);
         let mut report = DeltaReport {
             rows_deleted: removed.len(),
             ..DeltaReport::default()
@@ -700,8 +719,8 @@ impl Maintainer {
             // Both delta joins run before either is applied, so a view
             // that cannot take the round keeps its last consistent rows.
             let [minus_bag, plus_bag] = bags;
-            prog.execute_delta(db, minus, scratch, minus_bag);
-            prog.execute_delta(db, plus, scratch, plus_bag);
+            prog.execute_delta(db, minus, indexes, scratch, minus_bag);
+            prog.execute_delta(db, plus, indexes, scratch, plus_bag);
             match &mut view.agg {
                 Some(agg) if agg.holds_float(minus_bag) || agg.holds_float(plus_bag) => {
                     view.dirty = true;
@@ -950,14 +969,17 @@ fn build_agg_core(expr: &SpjgExpr) -> (AggCore, SpjgExpr) {
     (agg, core)
 }
 
-/// Remove each row of `minus` from `rows` once, bag-style. (A row of
-/// `minus` the maintained bag does not hold is drift the audit will flag.)
+/// Remove each row of `minus` from `rows` once, bag-style, matching rows
+/// value by value with [`identical`]: under `Value::eq` a removed
+/// `[Int(3)]` could take a stored `[Float(3.0)]` instead. (A row of `minus`
+/// the maintained bag does not hold is drift the audit will flag.)
 fn bag_remove(rows: &mut Vec<Row>, minus: &RowBag) {
     let mut pending: Vec<&[Value]> = minus.rows().collect();
     if pending.is_empty() {
         return;
     }
-    rows.retain(|r| match pending.iter().position(|p| *p == r.as_slice()) {
+    let same = |p: &[Value], r: &Row| p.iter().zip(r).all(|(a, b)| identical(a, b));
+    rows.retain(|r| match pending.iter().position(|p| same(p, r)) {
         Some(pos) => {
             pending.swap_remove(pos);
             false

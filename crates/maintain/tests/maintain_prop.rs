@@ -512,6 +512,53 @@ fn int_to_equal_float_update_is_a_change() {
     check_all(&mut f, 1);
 }
 
+/// A delete takes its own derivation out of an SPJ view, not an equal
+/// look-alike: with `(1, 3.0)` and `(2, Int 3)` stored, deleting `(2, 3)`
+/// leaves `SELECT x FROM f` holding the `Float`, as recompute does.
+/// (Matching rows with `Value::eq` used to take the `Float` instead, and
+/// MV401 could not tell: its bag comparison treats `Int(3)` and
+/// `Float(3.0)` as equal, so the variant left behind is checked here.)
+#[test]
+fn deleting_an_int_leaves_the_equal_float_behind() {
+    let mut cat = Catalog::new();
+    let f = cat.add_table(
+        TableBuilder::new("f")
+            .col("pk", ColumnType::Int)
+            .nullable_col("x", ColumnType::Float)
+            .primary_key(&["pk"])
+            .build(),
+    );
+    let mut db = Database::new(cat);
+    db.load(
+        f,
+        vec![
+            vec![Value::Int(1), Value::Float(3.0)],
+            vec![Value::Int(2), Value::Int(3)],
+        ],
+    );
+    let mut maintainer = Maintainer::new(db);
+    let view = SpjgExpr::spj(
+        vec![f],
+        BoolExpr::Literal(true),
+        vec![NamedExpr::new(S::col(cr(0, 1)), "x")],
+    );
+    maintainer.register(ViewId(0), &ViewDef::new("f_x", view.clone()));
+    let report = maintainer.apply(&TableDelta::delete(
+        f,
+        vec![vec![Value::Int(2), Value::Int(3)]],
+    ));
+    assert_eq!((report.rows_deleted, report.maintained), (1, 1));
+    let got = maintainer.contents(ViewId(0)).expect("registered");
+    let want = execute_spjg(maintainer.db(), &view);
+    for rows in [got, &want[..]] {
+        assert!(
+            matches!(rows, [row] if matches!(row[..], [Value::Float(x)] if x == 3.0)),
+            "{rows:?}"
+        );
+    }
+    assert!(maintainer.audit().is_empty());
+}
+
 /// `f(pk, g, x)` with `x` declared `Float`, as the TPC-H money columns
 /// are, and two views summing it: grouped, and scalar with a zero default.
 fn float_fixture(rows: Vec<Row>) -> (Maintainer, Vec<(ViewId, SpjgExpr)>, TableId) {
