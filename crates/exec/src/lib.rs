@@ -12,16 +12,17 @@
 //!   aggregate or computed projection that sits under a join. A hash join
 //!   addresses one dense `Int` key column by offset and hashes any other
 //!   key in one keyed SipHash pass.
-//! * [`program`] holds the compiled forms of an SPJG block and of a
-//!   substitute ([`PlanProgram`], [`SubstituteProgram`],
-//!   [`SubstitutePipeline`]) for callers that evaluate one expression over
-//!   many databases or deltas: `mv-prove`'s enumeration,
-//!   [`materialize_view`], and `mv-maintain`'s materialization, refresh
-//!   and delta joins. A join step probes a hash index over its table
-//!   ([`JoinIndexes`]) once the size of its inputs says that pays; a
-//!   caller that owns its data keeps the indexes across runs. The
-//!   physical executor is built from the same parts (postfix programs,
-//!   index tuples, the group table).
+//! * [`program`] holds [`PlanProgram`], the compiled form of an SPJG
+//!   block, for callers that evaluate one expression over many databases
+//!   or deltas: `mv-prove`'s enumeration, [`materialize_view`], and
+//!   `mv-maintain`'s materialization, refresh and delta joins. A
+//!   substitute compiles, with its view, to one plan program too
+//!   ([`SubstitutePipeline`]): the view's scan, a keyed join step per
+//!   backjoin, the compensating predicates as step filters. A join step
+//!   probes a hash index over its table ([`JoinIndexes`]) once the size of
+//!   its inputs says that pays; a caller that owns its data keeps the
+//!   indexes across runs. The physical executor is built from the same
+//!   parts (postfix programs, index tuples, the group table).
 //! * [`spjg::execute_spjg`] and [`substitute::execute_substitute_with`]
 //!   are the tree-walking interpreter: a straightforward evaluation of an
 //!   SPJG block against base tables and of a matcher-produced
@@ -33,6 +34,10 @@
 //!   and `mv-lint` share, runs it too: it compares every substitute's and
 //!   every optimized plan's rows with the interpreter's answer to the
 //!   query.
+//!
+//! The three paths give a backjoin one meaning, the served plan's hash
+//! join: a view row joins every base row whose key equals its own, and a
+//! row whose key holds a NULL joins none.
 //!
 //! Bag semantics throughout: duplicates are preserved exactly, and
 //! [`compare::bag_eq`] provides multiset equality for tests. The central
@@ -51,8 +56,6 @@ pub mod substitute;
 
 pub use compare::{bag_diff, bag_eq};
 pub use physical::{execute_plan, CompiledPlan, ViewStore};
-pub use program::{
-    rowbag_eq, ExecScratch, JoinIndexes, PlanProgram, RowBag, SubstitutePipeline, SubstituteProgram,
-};
+pub use program::{rowbag_eq, ExecScratch, JoinIndexes, PlanProgram, RowBag, SubstitutePipeline};
 pub use spjg::execute_spjg;
 pub use substitute::{execute_substitute_with, materialize_view};

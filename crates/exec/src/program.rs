@@ -10,19 +10,19 @@
 //! over flat, reusable scratch buffers ([`ExecScratch`]).
 //!
 //! The execution representation never materializes joined rows: a joined
-//! "row" is a tuple of `u32` row indices, one per table occurrence, and
-//! every column reference resolves lazily through a [`Fetch`] back to the
+//! "row" is a tuple of `u32` row indices, one per join step, and every
+//! column reference resolves lazily through a [`Fetch`] back to the
 //! database's own storage. Values are cloned only where the output must
 //! own them — projected cells, and a group's key values when its row is
 //! built (the group table keeps a bare-column key as the group's first
 //! index tuple) — so the per-database cost is a few tight loops over
 //! integer tuples with no allocation on the common path (the per-call
-//! table of scans, one slice per table occurrence, sits on the stack up to
-//! `INLINE_OCCS` occurrences and on the heap past that).
-//! [`SubstitutePipeline`] extends the same idea across the view boundary:
-//! when the view's output is a bare column projection, the substitute runs
-//! directly over the view's join tuples and the view rows are never
-//! materialized at all.
+//! table of scans, one slice per join step, sits on the stack up to
+//! `INLINE_OCCS` steps and on the heap past that).
+//!
+//! A substitute compiles, with its view, to one plan program too
+//! ([`SubstitutePipeline`]): when the view outputs bare columns, it runs
+//! over the view's own join and the view rows are never materialized.
 //!
 //! The tree-walking interpreter in [`crate::spjg`] / [`crate::substitute`]
 //! stays as the differential oracle: the compiled path must produce exactly
@@ -41,17 +41,16 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 
 /// Bits of an [`Op::Col`] operand holding the column index; the rest holds
-/// the join step of the column's table occurrence (plan programs) —
-/// substitute programs use the whole operand as a flat position instead.
+/// the join step that reads the column's row.
 const COL_BITS: usize = 16;
 const COL_MASK: usize = (1 << COL_BITS) - 1;
 
-/// Table occurrences per plan (and backjoins per substitute) whose
-/// per-call tables fit on the stack. A wider plan's spill to the heap:
-/// width costs an allocation per execution, it is not a limit.
+/// Join steps per plan whose per-call tables fit on the stack. A wider
+/// plan's spill to the heap: width costs an allocation per execution, it
+/// is not a limit.
 const INLINE_OCCS: usize = 16;
 
-/// A per-call table with one slot per table occurrence or backjoin.
+/// A per-call table with one slot per join step.
 #[derive(Default)]
 struct Slots<T> {
     inline: [T; INLINE_OCCS],
@@ -79,10 +78,9 @@ impl<T: Copy + Default> Slots<T> {
 }
 
 /// Resolve a fetch position to a value for the current index tuple. The
-/// executors address columns differently (packed `(occ, col)`, flat
-/// substitute-space positions, or a physical operator's input positions —
-/// [`crate::physical`]), so the resolution is a trait and the programs stay
-/// agnostic.
+/// executors address columns differently (packed `(step, col)`, or a
+/// physical operator's input positions — [`crate::physical`]), so the
+/// resolution is a trait and the programs stay agnostic.
 pub(crate) trait Fetch {
     fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value;
 }
@@ -98,61 +96,6 @@ impl Fetch for PlanFetch<'_> {
     fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value {
         let occ = pos >> COL_BITS;
         &self.occ_rows[occ][tuple[occ] as usize][pos & COL_MASK]
-    }
-}
-
-/// Substitute resolution over materialized view rows: positions below the
-/// view arity index the view bag row `tuple[0]`; later positions fall into
-/// backjoin segments, resolved against the backjoin table's own rows.
-struct SubFetch<'a> {
-    view: &'a RowBag,
-    /// Flat position where each backjoin's column segment starts.
-    bj_offs: &'a [usize],
-    bj_rows: &'a [&'a [Row]],
-}
-
-impl Fetch for SubFetch<'_> {
-    #[inline]
-    fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value {
-        if pos < self.view.arity {
-            return &self.view.vals[tuple[0] as usize * self.view.arity + pos];
-        }
-        let seg = self
-            .bj_offs
-            .iter()
-            .rposition(|&o| o <= pos)
-            .expect("position past view arity with no backjoin segment");
-        &self.bj_rows[seg][tuple[1 + seg] as usize][pos - self.bj_offs[seg]]
-    }
-}
-
-/// Fused substitute resolution ([`SubstitutePipeline`]): view positions
-/// compose through the view's column projection straight to base-table
-/// storage; the view row is never materialized.
-struct FusedFetch<'a> {
-    /// Packed `(occ, col)` per view output position.
-    view_cols: &'a [usize],
-    /// Scans of the view plan's occurrences (`tuple[..n_view_occs]`).
-    occ_rows: &'a [&'a [Row]],
-    n_view_occs: usize,
-    bj_offs: &'a [usize],
-    bj_rows: &'a [&'a [Row]],
-}
-
-impl Fetch for FusedFetch<'_> {
-    #[inline]
-    fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value {
-        if pos < self.view_cols.len() {
-            let packed = self.view_cols[pos];
-            let occ = packed >> COL_BITS;
-            return &self.occ_rows[occ][tuple[occ] as usize][packed & COL_MASK];
-        }
-        let seg = self
-            .bj_offs
-            .iter()
-            .rposition(|&o| o <= pos)
-            .expect("position past view arity with no backjoin segment");
-        &self.bj_rows[seg][tuple[self.n_view_occs + seg] as usize][pos - self.bj_offs[seg]]
     }
 }
 
@@ -437,10 +380,13 @@ impl Program {
     }
 }
 
-/// One join step: append a table occurrence to the index-tuple prefix.
-#[derive(Debug, Clone)]
+/// One join step: append a row of the step's scan to the index-tuple
+/// prefix.
+#[derive(Debug, Clone, Default)]
 struct JoinStep {
-    table: TableId,
+    /// The table scanned; `None` for a substitute's materialized view rows,
+    /// which its caller supplies ([`SubstitutePipeline::execute`]).
+    table: Option<TableId>,
     /// Equijoin pairs `(packed prefix position, column of the new scan)`,
     /// consumed from `ColumnEq` conjuncts exactly as the interpreter does,
     /// ordered by scan column.
@@ -634,13 +580,21 @@ impl OutputProgram {
 }
 
 /// Where an [`OutputProgram`] writes its rows: a flat [`RowBag`] for the
-/// prover's and maintenance's programs, owned rows for the physical
-/// executor.
+/// prover's and maintenance's programs, a view's rows for the substitute
+/// that scans them, owned rows for the physical executor.
 pub(crate) trait RowSink {
+    /// Empty the sink for rows of `arity` values.
+    fn reset(&mut self, arity: usize);
     fn push_row(&mut self, row: impl Iterator<Item = Value>);
 }
 
 impl RowSink for RowBag {
+    fn reset(&mut self, arity: usize) {
+        self.vals.clear();
+        self.arity = arity;
+        self.count = 0;
+    }
+
     fn push_row(&mut self, row: impl Iterator<Item = Value>) {
         self.vals.extend(row);
         self.count += 1;
@@ -648,8 +602,42 @@ impl RowSink for RowBag {
 }
 
 impl RowSink for Vec<Row> {
+    fn reset(&mut self, _arity: usize) {
+        self.clear();
+    }
+
     fn push_row(&mut self, row: impl Iterator<Item = Value>) {
         self.push(row.collect());
+    }
+}
+
+/// Materialized view rows that keep their allocations from one run to the
+/// next: the bag is `rows[..len]`, and a row past it is reused, not freed.
+#[derive(Debug, Default)]
+struct ViewRows {
+    rows: Vec<Row>,
+    len: usize,
+}
+
+impl ViewRows {
+    fn rows(&self) -> &[Row] {
+        &self.rows[..self.len]
+    }
+}
+
+impl RowSink for ViewRows {
+    fn reset(&mut self, _arity: usize) {
+        self.len = 0;
+    }
+
+    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
+        if self.len == self.rows.len() {
+            self.rows.push(Row::new());
+        }
+        let slot = &mut self.rows[self.len];
+        slot.clear();
+        slot.extend(row);
+        self.len += 1;
     }
 }
 
@@ -799,12 +787,6 @@ impl RowBag {
         RowBag::default()
     }
 
-    pub(crate) fn reset(&mut self, arity: usize) {
-        self.vals.clear();
-        self.arity = arity;
-        self.count = 0;
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.count
@@ -864,8 +846,8 @@ pub fn rowbag_eq(a: &RowBag, b: &RowBag, matched: &mut Vec<bool>) -> bool {
 }
 
 /// Reusable per-worker scratch: index-tuple ping-pong buffers, evaluation
-/// stacks, the group table, the join indexes of one run, and the
-/// bag-equality bitmap. One of these per prove worker amortizes every
+/// stacks, the group table, the join indexes and view rows of one run, and
+/// the bag-equality bitmap. One of these per prove worker amortizes every
 /// allocation across all enumerated databases.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
@@ -873,6 +855,8 @@ pub struct ExecScratch {
     /// Emptied at the start of every run that uses them, so a scratch
     /// reused over another database never reads an index of the last one.
     indexes: JoinIndexes,
+    /// The view rows a materializing [`SubstitutePipeline`] scans.
+    view_rows: ViewRows,
     /// Scratch bitmap for [`rowbag_eq`].
     pub matched: Vec<bool>,
 }
@@ -891,12 +875,6 @@ impl ExecScratch {
     /// Fresh (empty) scratch.
     pub fn new() -> Self {
         ExecScratch::default()
-    }
-
-    /// The buffers, and this scratch's join indexes emptied for a new run.
-    fn for_run(&mut self) -> (&mut JoinIndexes, &mut Buffers) {
-        self.indexes.clear();
-        (&mut self.indexes, &mut self.bufs)
     }
 }
 
@@ -971,8 +949,9 @@ impl JoinIndexes {
         if step.keys.is_empty() || scan.len() < HASH_COMPARES {
             return None;
         }
+        let table = step.table.expect("a keyed step scans a table");
         let cols = step.keys.iter().map(|&(_, c)| c);
-        let entries = self.by_table.entry(step.table).or_default();
+        let entries = self.by_table.entry(table).or_default();
         let at = match entries
             .iter()
             .position(|e| e.cols.iter().copied().eq(cols.clone()))
@@ -1139,19 +1118,15 @@ fn join_steps(
 pub struct PlanProgram {
     steps: Vec<JoinStep>,
     output: OutputProgram,
-    /// Packed per-output column positions when the output is a pure column
-    /// projection — the hook [`SubstitutePipeline`] uses to fuse a view
-    /// into the substitute without materializing its rows.
-    out_cols: Option<Vec<usize>>,
 }
 
 impl PlanProgram {
     /// Compile an SPJG block. The conjunct schedule (which `ColumnEq`s
     /// become join keys at which step, and when each remaining conjunct is
     /// applied) replicates [`crate::spjg::execute_spj_part`] exactly.
-    pub fn compile(catalog: &Catalog, expr: &SpjgExpr) -> Self {
+    pub fn compile(expr: &SpjgExpr) -> Self {
         let order: Vec<usize> = (0..expr.tables.len()).collect();
-        Self::compile_in_order(catalog, expr, &order)
+        Self::compile_in_order(expr, &order)
     }
 
     /// Compile the *delta schedule* of occurrence `occ`: the same block,
@@ -1162,15 +1137,15 @@ impl PlanProgram {
     /// the full join of everything scheduled before `occ`. The output bag
     /// equals [`PlanProgram::compile`]'s over a database whose `occ`
     /// table holds the delta rows (row order aside).
-    pub fn compile_delta(catalog: &Catalog, expr: &SpjgExpr, occ: usize) -> Self {
-        Self::compile_in_order(catalog, expr, &delta_order(expr, occ))
+    pub fn compile_delta(expr: &SpjgExpr, occ: usize) -> Self {
+        Self::compile_in_order(expr, &delta_order(expr, occ))
     }
 
     /// Compile with step `k` joining occurrence `order[k]`. A `ColumnEq`
     /// becomes a join key at the step that binds its later side; every
     /// other conjunct is applied at the first step that binds all its
     /// columns.
-    fn compile_in_order(catalog: &Catalog, expr: &SpjgExpr, order: &[usize]) -> Self {
+    fn compile_in_order(expr: &SpjgExpr, order: &[usize]) -> Self {
         let mut step_of = vec![0usize; order.len()];
         for (step, &occ) in order.iter().enumerate() {
             step_of[occ] = step;
@@ -1208,42 +1183,22 @@ impl PlanProgram {
                 filters.push(Program::compile_bool(&conj.to_bool(), &map));
             }
             steps.push(JoinStep {
-                table: expr.tables[occ],
+                table: Some(expr.tables[occ]),
                 keys,
                 filters,
             });
         }
         debug_assert!(applied.iter().all(|a| *a), "unapplied conjunct");
-        let output = OutputProgram::compile(&expr.output, &map);
-        let out_cols = match &output {
-            OutputProgram::Project(items) => items.iter().map(Program::single_col).collect(),
-            OutputProgram::Aggregate { .. } => None,
-        };
-        let _ = catalog; // schema is implied by the packed addressing
         PlanProgram {
             steps,
-            output,
-            out_cols,
+            output: OutputProgram::compile(&expr.output, &map),
         }
-    }
-
-    /// Fill the per-step scan table for `db`.
-    fn scans<'t, 'a>(
-        &self,
-        db: &'a Database,
-        table: &'t mut Slots<&'a [Row]>,
-    ) -> &'t mut [&'a [Row]] {
-        let occ_rows = table.take(self.steps.len());
-        for (scan, s) in occ_rows.iter_mut().zip(&self.steps) {
-            *scan = db.rows(s.table);
-        }
-        occ_rows
     }
 
     /// Evaluate against one database, writing the output bag into `out`.
     pub fn execute(&self, db: &Database, scratch: &mut ExecScratch, out: &mut RowBag) {
-        let (indexes, bufs) = scratch.for_run();
-        self.run(self.scans(db, &mut Slots::default()), indexes, bufs, out);
+        scratch.indexes.clear();
+        self.run(db, None, &mut scratch.indexes, &mut scratch.bufs, out);
     }
 
     /// [`PlanProgram::execute`] with the caller's join indexes, which must
@@ -1256,8 +1211,7 @@ impl PlanProgram {
         scratch: &mut ExecScratch,
         out: &mut RowBag,
     ) {
-        let scans = &mut Slots::default();
-        self.run(self.scans(db, scans), indexes, &mut scratch.bufs, out);
+        self.run(db, None, indexes, &mut scratch.bufs, out);
     }
 
     /// Evaluate with `delta` standing in for the first step's table and
@@ -1274,20 +1228,28 @@ impl PlanProgram {
         scratch: &mut ExecScratch,
         out: &mut RowBag,
     ) {
-        debug_assert!(self.steps[0].keys.is_empty(), "a first step has no key");
-        let mut table = Slots::default();
-        let occ_rows = self.scans(db, &mut table);
-        occ_rows[0] = delta;
-        self.run(occ_rows, indexes, &mut scratch.bufs, out);
+        self.run(db, Some(delta), indexes, &mut scratch.bufs, out);
     }
 
+    /// Run over `db`'s tables, with `first` (when given) in place of the
+    /// first step's scan.
     fn run(
         &self,
-        occ_rows: &[&[Row]],
+        db: &Database,
+        first: Option<&[Row]>,
         indexes: &mut JoinIndexes,
         bufs: &mut Buffers,
-        out: &mut RowBag,
+        out: &mut impl RowSink,
     ) {
+        let mut table = Slots::default();
+        let occ_rows = table.take(self.steps.len());
+        for (scan, s) in occ_rows.iter_mut().zip(&self.steps) {
+            *scan = s.table.map_or(&[][..], |t| db.rows(t));
+        }
+        if let Some(first) = first {
+            debug_assert!(self.steps[0].keys.is_empty(), "a first step has no key");
+            occ_rows[0] = first;
+        }
         let f = PlanFetch { occ_rows };
         let n_rows = join_steps(&self.steps, &f, indexes, bufs);
         let Buffers {
@@ -1314,212 +1276,95 @@ impl PlanProgram {
     }
 }
 
-/// One compiled backjoin: extend each tuple with the base-table row its key
-/// identifies.
-#[derive(Debug, Clone)]
-struct BackJoinStep {
-    table: TableId,
-    /// `(position in the substitute row so far, column of the base table)`.
-    key: Vec<(usize, usize)>,
-    width: usize,
-}
-
-/// A [`Substitute`] compiled once: backjoin schedule, the ANDed
-/// compensating predicate, and the output programs, addressed by position
-/// in the substitute column space (view outputs, then backjoin columns).
-#[derive(Debug, Clone)]
-pub struct SubstituteProgram {
-    backjoins: Vec<BackJoinStep>,
-    pred: Program,
-    output: OutputProgram,
-}
-
-impl SubstituteProgram {
-    /// Compile a substitute. Column references resolve by position in the
-    /// substitute column space, so the view's arity is implicit.
-    pub fn compile(catalog: &Catalog, sub: &Substitute) -> Self {
-        let map = |c: ColRef| c.col.0 as usize;
-        SubstituteProgram {
-            backjoins: sub
-                .backjoins
-                .iter()
-                .map(|bj| BackJoinStep {
-                    table: bj.table,
-                    key: bj.key.iter().map(|(p, c)| (*p, c.0 as usize)).collect(),
-                    width: catalog.table(bj.table).columns.len(),
-                })
-                .collect(),
-            pred: Program::compile_bool(&BoolExpr::and(sub.predicates.clone()), &map),
-            output: OutputProgram::compile(&sub.output, &map),
-        }
-    }
-
-    /// Fill the backjoin scan/offset tables; segment offsets start at the
-    /// view arity (backjoin key positions may reach into earlier segments).
-    fn backjoin_tables<'t, 'a>(
-        &self,
-        db: &'a Database,
-        view_arity: usize,
-        rows: &'t mut Slots<&'a [Row]>,
-        offs: &'t mut Slots<usize>,
-    ) -> (&'t [&'a [Row]], &'t [usize]) {
-        let nb = self.backjoins.len();
-        let (rows, offs) = (rows.take(nb), offs.take(nb));
-        let mut off = view_arity;
-        for (i, bj) in self.backjoins.iter().enumerate() {
-            rows[i] = db.rows(bj.table);
-            offs[i] = off;
-            off += bj.width;
-        }
-        (rows, offs)
-    }
-
-    /// Run the backjoins, predicate, and output over tuples whose view
-    /// segment is already seeded (one tuple at a time — backjoins never fan
-    /// out, they extend a tuple or drop it).
-    ///
-    /// Backjoin semantics replicate [`crate::substitute::execute_substitute_with`]:
-    /// the interpreter's key index is built by inserting base rows in order
-    /// (so on duplicate keys the *last* row wins — hence the reverse scan)
-    /// and keys compare with `Value::eq`, under which NULL equals NULL.
-    #[allow(clippy::too_many_arguments)]
-    fn feed_tuple<F: Fetch>(
-        &self,
-        f: &F,
-        tup: &mut [u32],
-        view_slots: usize,
-        bj_rows: &[&[Row]],
-        st: &mut EvalStacks,
-        key_buf: &mut Vec<Value>,
-        groups: &mut GroupTable,
-        out: &mut RowBag,
-    ) {
-        for (i, bj) in self.backjoins.iter().enumerate() {
-            let scan = bj_rows[i];
-            let hit = scan
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, trow)| bj.key.iter().all(|&(p, c)| *f.at(tup, p) == trow[c]));
-            match hit {
-                Some((ri, _)) => tup[view_slots + i] = ri as u32,
-                None => return,
-            }
-        }
-        if self.pred.eval_bool(f, tup, st) != Some(true) {
-            return;
-        }
-        self.output.feed(f, tup, st, key_buf, groups, out);
-    }
-
-    /// Evaluate against materialized view rows (and base tables for
-    /// backjoins), writing the output bag into `out`.
-    pub fn execute(
-        &self,
-        db: &Database,
-        view_rows: &RowBag,
-        scratch: &mut ExecScratch,
-        out: &mut RowBag,
-    ) {
-        let Buffers {
-            cur,
-            st,
-            key_buf,
-            groups,
-            ..
-        } = &mut scratch.bufs;
-        let (mut bj_rows, mut bj_offs) = (Slots::default(), Slots::default());
-        let (bj_rows, bj_offs) =
-            self.backjoin_tables(db, view_rows.arity, &mut bj_rows, &mut bj_offs);
-        let nb = self.backjoins.len();
-        let f = SubFetch {
-            view: view_rows,
-            bj_offs,
-            bj_rows,
-        };
-        out.reset(self.output.arity());
-        self.output.begin(groups);
-        cur.clear();
-        cur.resize(1 + nb, 0);
-        for r in 0..view_rows.count {
-            cur[0] = r as u32;
-            self.feed_tuple(&f, cur, 1, bj_rows, st, key_buf, groups, out);
-        }
-        self.output.finish(&f, groups, out);
-    }
-}
-
-/// A compiled `(view, substitute)` pair. When the view's output is a bare
-/// column projection (`out_cols`), the substitute runs *fused* over the
-/// view's join tuples — view rows are never materialized, and every column
-/// reference resolves through the projection straight to base-table
-/// storage. Otherwise (aggregate or computed-output views) the view is
-/// materialized into the caller's bag and the substitute runs over it.
+/// A [`Substitute`] compiled, with its view, into one [`PlanProgram`]: a
+/// view scan, one keyed join step per backjoin, the compensating
+/// predicates as filters of the first step that binds all their columns,
+/// and the substitute's output, every column resolved to a packed
+/// `(step, column)` position.
+///
+/// The view scan is the view's own join steps when the view's output is a
+/// bare column projection (*fused*: the view rows are never materialized,
+/// and a view column resolves through the projection straight to its base
+/// row). Otherwise (an aggregate or computed-output view) it is one step
+/// over the view rows, which [`SubstitutePipeline::execute`] materializes
+/// first into allocations it reuses from one database to the next.
+///
+/// A backjoin step joins what the served plan's `HashJoin` joins: every
+/// base row whose key equals the row's, and none for a NULL key.
 #[derive(Debug, Clone)]
 pub struct SubstitutePipeline {
-    view: PlanProgram,
-    sub: SubstituteProgram,
+    /// The view's program when its rows are materialized; `None` when fused.
+    view: Option<PlanProgram>,
+    sub: PlanProgram,
 }
 
 impl SubstitutePipeline {
-    /// Compile the pair.
+    /// Compile the pair. The catalog gives each backjoined table's width.
     pub fn compile(catalog: &Catalog, view_expr: &SpjgExpr, sub: &Substitute) -> Self {
+        let view = PlanProgram::compile(view_expr);
+        let bare_cols: Option<Vec<usize>> = match &view.output {
+            OutputProgram::Project(items) => items.iter().map(Program::single_col).collect(),
+            OutputProgram::Aggregate { .. } => None,
+        };
+        // `cols[i]` is the packed position of substitute column `i`: the
+        // view's outputs, then each backjoined table's columns.
+        let (view, mut steps, mut cols) = match bare_cols {
+            Some(cols) => (None, view.steps, cols),
+            None => {
+                let arity = view.output.arity();
+                (Some(view), vec![JoinStep::default()], (0..arity).collect())
+            }
+        };
+        for bj in &sub.backjoins {
+            let step = steps.len();
+            let mut keys: Vec<(usize, usize)> = bj
+                .key
+                .iter()
+                .map(|&(p, c)| (cols[p], c.0 as usize))
+                .collect();
+            keys.sort_by_key(|&(_, col)| col);
+            steps.push(JoinStep {
+                table: Some(bj.table),
+                keys,
+                filters: Vec::new(),
+            });
+            let width = catalog.table(bj.table).columns.len();
+            cols.extend((0..width).map(|c| (step << COL_BITS) | c));
+        }
+        let map = |c: ColRef| cols[c.col.0 as usize];
+        for pred in &sub.predicates {
+            let step = pred
+                .columns()
+                .iter()
+                .map(|&c| map(c) >> COL_BITS)
+                .max()
+                .unwrap_or(0);
+            steps[step].filters.push(Program::compile_bool(pred, &map));
+        }
+        let output = OutputProgram::compile(&sub.output, &map);
         SubstitutePipeline {
-            view: PlanProgram::compile(catalog, view_expr),
-            sub: SubstituteProgram::compile(catalog, sub),
+            view,
+            sub: PlanProgram { steps, output },
         }
     }
 
-    /// Evaluate the substitute against one database. `view_bag` is scratch
-    /// for the unfused fallback (left untouched on the fused path).
-    pub fn execute(
-        &self,
-        db: &Database,
-        scratch: &mut ExecScratch,
-        view_bag: &mut RowBag,
-        out: &mut RowBag,
-    ) {
-        let Some(view_cols) = &self.view.out_cols else {
-            self.view.execute(db, scratch, view_bag);
-            self.sub.execute(db, view_bag, scratch, out);
-            return;
-        };
-        let n_vocc = self.view.steps.len();
-        let mut occ_rows = Slots::default();
-        let occ_rows = &*self.view.scans(db, &mut occ_rows);
-        let pf = PlanFetch { occ_rows };
-        let (indexes, bufs) = scratch.for_run();
-        let n_view = join_steps(&self.view.steps, &pf, indexes, bufs);
-        let Buffers {
-            cur,
-            st,
-            key_buf,
-            groups,
+    /// Evaluate the substitute against one database.
+    pub fn execute(&self, db: &Database, scratch: &mut ExecScratch, out: &mut RowBag) {
+        let ExecScratch {
+            bufs,
+            indexes,
+            view_rows,
             ..
-        } = bufs;
-        let (mut bj_rows, mut bj_offs) = (Slots::default(), Slots::default());
-        let (bj_rows, bj_offs) =
-            self.sub
-                .backjoin_tables(db, view_cols.len(), &mut bj_rows, &mut bj_offs);
-        let f = FusedFetch {
-            view_cols,
-            occ_rows,
-            n_view_occs: n_vocc,
-            bj_offs,
-            bj_rows,
+        } = scratch;
+        indexes.clear();
+        let first = match &self.view {
+            Some(view) => {
+                view.run(db, None, indexes, bufs, view_rows);
+                Some(view_rows.rows())
+            }
+            None => None,
         };
-        out.reset(self.sub.output.arity());
-        self.sub.output.begin(groups);
-        // The join is done, so its ping-pong buffer holds the one tuple
-        // the backjoins extend.
-        let mut tup = Slots::default();
-        let tup = tup.take(n_vocc + bj_rows.len());
-        for r in 0..n_view {
-            tup[..n_vocc].copy_from_slice(&cur[r * n_vocc..(r + 1) * n_vocc]);
-            self.sub
-                .feed_tuple(&f, tup, n_vocc, bj_rows, st, key_buf, groups, out);
-        }
-        self.sub.output.finish(&f, groups, out);
+        self.sub.run(db, first, indexes, bufs, out);
     }
 }
 
@@ -1538,7 +1383,7 @@ mod tests {
     }
 
     fn run_plan(db: &Database, e: &SpjgExpr) -> Vec<Row> {
-        let prog = PlanProgram::compile(&db.catalog, e);
+        let prog = PlanProgram::compile(e);
         let mut scratch = ExecScratch::new();
         let mut out = RowBag::new();
         prog.execute(db, &mut scratch, &mut out);
@@ -1627,25 +1472,31 @@ mod tests {
             freshness: mv_plan::Freshness::Fresh,
         };
         let want = execute_substitute_with(&db, &view_rows, &sub);
-
-        let vprog = PlanProgram::compile(&db.catalog, &view.expr);
-        let sprog = SubstituteProgram::compile(&db.catalog, &sub);
-        let mut scratch = ExecScratch::new();
-        let mut vbag = RowBag::new();
-        let mut obag = RowBag::new();
-        vprog.execute(&db, &mut scratch, &mut vbag);
-        sprog.execute(&db, &vbag, &mut scratch, &mut obag);
-        assert!(bag_eq(&obag.to_rows(), &want));
         assert!(!want.is_empty());
 
-        // The fused pipeline (column-projection view) agrees too.
+        // Fused (the view outputs bare columns): the substitute filters
+        // the view's own join and never fills the view rows.
+        let mut scratch = ExecScratch::new();
+        let mut got = RowBag::new();
         let pipe = SubstitutePipeline::compile(&db.catalog, &view.expr, &sub);
-        let mut vscratch = RowBag::new();
-        let mut fused = RowBag::new();
-        pipe.execute(&db, &mut scratch, &mut vscratch, &mut fused);
-        assert!(bag_eq(&fused.to_rows(), &want));
-        // Fused path never touched the view scratch bag.
-        assert!(vscratch.is_empty());
+        assert!(pipe.view.is_none());
+        pipe.execute(&db, &mut scratch, &mut got);
+        assert!(bag_eq(&got.to_rows(), &want));
+        assert!(scratch.view_rows.rows.is_empty());
+
+        // Materialized (a computed output): the substitute scans the view
+        // rows, whose allocations the next run reuses.
+        let mut computed = view.expr.clone();
+        if let OutputList::Spj(items) = &mut computed.output {
+            items[1].expr = S::col(cr(0, 5)).binary(BinOp::Add, S::lit(0i64));
+        }
+        let pipe = SubstitutePipeline::compile(&db.catalog, &computed, &sub);
+        assert!(pipe.view.is_some());
+        for _ in 0..2 {
+            pipe.execute(&db, &mut scratch, &mut got);
+            assert!(bag_eq(&got.to_rows(), &want));
+        }
+        assert_eq!(scratch.view_rows.rows.len(), view_rows.len());
     }
 
     #[test]
@@ -1677,7 +1528,7 @@ mod tests {
             let mut swapped = db.clone();
             swapped.load(table, delta.clone());
             let want = execute_spjg(&swapped, &e);
-            PlanProgram::compile_delta(&db.catalog, &e, occ).execute_delta(
+            PlanProgram::compile_delta(&e, occ).execute_delta(
                 &db,
                 &delta,
                 &mut JoinIndexes::new(),
@@ -1798,7 +1649,7 @@ mod tests {
             let (mut got, mut want) = (RowBag::new(), RowBag::new());
             let mut shared = JoinIndexes::new();
             for (i, plan) in plans.iter().enumerate() {
-                let prog = PlanProgram::compile(&catalog, plan);
+                let prog = PlanProgram::compile(plan);
                 nested_only(&prog).execute(&db, &mut scratch, &mut want);
                 assert!(!probed(&scratch));
                 prog.execute(&db, &mut scratch, &mut got);
@@ -1814,7 +1665,7 @@ mod tests {
                     assert!(!got.is_empty(), "plan {i}, n {n}");
                 }
                 for occ in 0..plan.tables.len() {
-                    let prog = PlanProgram::compile_delta(&catalog, plan, occ);
+                    let prog = PlanProgram::compile_delta(plan, occ);
                     let stored = db.rows(plan.tables[occ]);
                     let delta = &stored[..stored.len().min(n / 2)];
                     let mut fresh = JoinIndexes::new();
@@ -1840,7 +1691,7 @@ mod tests {
             BoolExpr::Literal(true),
             vec![NamedExpr::new(S::col(cr(0, 0)), "k")],
         );
-        let prog = PlanProgram::compile(&db.catalog, &e);
+        let prog = PlanProgram::compile(&e);
         let mut scratch = ExecScratch::new();
         let mut a = RowBag::new();
         let mut b = RowBag::new();

@@ -15,15 +15,19 @@ use std::collections::HashMap;
 /// stores.
 pub fn materialize_view(db: &Database, view: &ViewDef) -> Vec<Row> {
     let mut out = RowBag::new();
-    PlanProgram::compile(&db.catalog, &view.expr).execute(db, &mut ExecScratch::new(), &mut out);
+    PlanProgram::compile(&view.expr).execute(db, &mut ExecScratch::new(), &mut out);
     out.into_rows()
 }
 
 /// Execute a substitute against the materialized rows of its view: each
-/// base-table backjoin (the section 7 extension) extends every row with
-/// the columns of the base row its unique key identifies, then the
-/// compensating predicates filter and the output list projects or
-/// re-aggregates.
+/// base-table backjoin (the section 7 extension) joins every row to the
+/// base rows whose key equals the row's, then the compensating predicates
+/// filter and the output list projects or re-aggregates.
+///
+/// A backjoin means what the served plan's `HashJoin` means: a row joins
+/// every matching base row, once each, and a row whose key holds a NULL
+/// joins none (SQL equality). On a database that satisfies the declared
+/// key, that is exactly one base row per view row.
 ///
 /// Column references inside the substitute follow the `Substitute`
 /// convention: `occ = 0`, `col = view output position`, then the
@@ -31,20 +35,22 @@ pub fn materialize_view(db: &Database, view: &ViewDef) -> Vec<Row> {
 pub fn execute_substitute_with(db: &Database, view_rows: &[Row], sub: &Substitute) -> Vec<Row> {
     let mut rows: Vec<Row> = view_rows.to_vec();
     for bj in &sub.backjoins {
-        let mut index: HashMap<Vec<&Value>, &Row> = HashMap::new();
+        let mut index: HashMap<Vec<&Value>, Vec<&Row>> = HashMap::new();
         for trow in db.rows(bj.table) {
             let key: Vec<&Value> = bj.key.iter().map(|(_, c)| &trow[c.0 as usize]).collect();
-            index.insert(key, trow);
+            if !key.iter().any(|v| v.is_null()) {
+                index.entry(key).or_default().push(trow);
+            }
         }
-        rows = rows
-            .into_iter()
-            .filter_map(|mut r| {
-                let key: Vec<&Value> = bj.key.iter().map(|(p, _)| &r[*p]).collect();
-                let trow = index.get(&key).copied()?.clone();
-                r.extend(trow);
-                Some(r)
-            })
-            .collect();
+        let mut joined = Vec::new();
+        for r in &rows {
+            // A key holding a NULL finds nothing: no indexed key holds one.
+            let key: Vec<&Value> = bj.key.iter().map(|(p, _)| &r[*p]).collect();
+            for trow in index.get(&key).into_iter().flatten() {
+                joined.push(r.iter().chain(trow.iter()).cloned().collect());
+            }
+        }
+        rows = joined;
     }
     let accessor = |row: &Row| {
         let row = row.clone();

@@ -1,5 +1,5 @@
 //! Differential property test: the compiled [`PlanProgram`] /
-//! [`SubstituteProgram`] path must produce byte-identical row bags to the
+//! [`SubstitutePipeline`] path must produce byte-identical row bags to the
 //! tree-walking interpreter over random SPJG plans × enumerated databases.
 //!
 //! The generator is a hand-rolled splitmix64 stream (no external crates):
@@ -9,11 +9,13 @@ use mv_catalog::schema::{ForeignKey, TableBuilder};
 use mv_catalog::{Catalog, ColumnId, ColumnType, TableId, Value};
 use mv_data::{generate_tpch, ColumnDomain, Database, EnumSpec, Enumerator, TableSpec, TpchScale};
 use mv_exec::{
-    bag_diff, bag_eq, execute_spjg, execute_substitute_with, ExecScratch, JoinIndexes, PlanProgram,
-    RowBag, SubstitutePipeline, SubstituteProgram,
+    bag_diff, bag_eq, execute_plan, execute_spjg, execute_substitute_with, ExecScratch,
+    JoinIndexes, PlanProgram, RowBag, SubstitutePipeline, ViewStore,
 };
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, ScalarExpr};
-use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewId};
+use mv_plan::{
+    AggFunc, BackJoin, NamedAgg, NamedExpr, OutputList, PhysicalPlan, SpjgExpr, Substitute, ViewId,
+};
 use std::collections::HashMap;
 
 fn splitmix64(state: &mut u64) -> u64 {
@@ -238,7 +240,7 @@ fn compiled_plan_matches_interpreter_over_enumerated_databases() {
     let mut checked = 0u64;
     for plan_idx in 0..PLANS {
         let plan = gen_plan(&mut rng, &f);
-        let prog = PlanProgram::compile(&f.catalog, &plan);
+        let prog = PlanProgram::compile(&plan);
         // Stride through the space so later (fuller) databases are hit too.
         let stride = 1 + plan_idx % 7;
         enumerator.for_each(DBS_PER_PLAN * stride, |seed, db| {
@@ -260,6 +262,10 @@ fn compiled_plan_matches_interpreter_over_enumerated_databases() {
     assert!(checked > 2000, "differential coverage too thin: {checked}");
 }
 
+/// Every generated substitute runs through [`SubstitutePipeline`] twice,
+/// each against the interpreter: over a view of bare columns (the fused
+/// path, which filters the view's own join) and over the same view with
+/// one output computed (the materialized path, which scans the view rows).
 #[test]
 fn compiled_substitute_matches_interpreter_over_enumerated_databases() {
     let f = fixture();
@@ -268,27 +274,31 @@ fn compiled_substitute_matches_interpreter_over_enumerated_databases() {
     let enumerator = Enumerator::new(&f.catalog, &checks, &spec);
     let mut rng = Rng(0xBAC_0FF);
     let mut scratch = ExecScratch::new();
-    let mut vbag = RowBag::new();
     let mut sbag = RowBag::new();
-    // View: r's three columns verbatim; substitutes compensate over the
-    // view outputs, optionally backjoining r through the pk in output 0.
-    let view = SpjgExpr::spj(
+    // View: r's three columns; substitutes compensate over the view
+    // outputs, optionally backjoining r through the pk in output 0.
+    let col = |c: u32| ScalarExpr::col(ColRef::new(0, c));
+    let bare = SpjgExpr::spj(
         vec![f.r],
         BoolExpr::Literal(true),
         vec![
-            NamedExpr::new(ScalarExpr::col(ColRef::new(0, 0)), "pk"),
-            NamedExpr::new(ScalarExpr::col(ColRef::new(0, 1)), "a"),
-            NamedExpr::new(ScalarExpr::col(ColRef::new(0, 2)), "s"),
+            NamedExpr::new(col(0), "pk"),
+            NamedExpr::new(col(1), "a"),
+            NamedExpr::new(col(2), "s"),
         ],
     );
-    let vprog = PlanProgram::compile(&f.catalog, &view);
-    let mut checked = 0u64;
+    let mut computed = bare.clone();
+    if let OutputList::Spj(items) = &mut computed.output {
+        items[1].expr = col(1).binary(BinOp::Add, ScalarExpr::lit(0i64));
+    }
+    let views = [("fused", &bare), ("materialized", &computed)];
+    let mut checked = [0u64; 2];
     for sub_idx in 0..40u64 {
         let backjoin = rng.chance(50);
         // Substitute column space: 3 view outputs (+3 backjoined r cols).
         let occs: Vec<(u32, u32)> = vec![(0, if backjoin { 6 } else { 3 })];
         let backjoins = if backjoin {
-            vec![mv_plan::BackJoin {
+            vec![BackJoin {
                 table: f.r,
                 key: vec![(0, ColumnId(0))],
             }]
@@ -323,23 +333,145 @@ fn compiled_substitute_matches_interpreter_over_enumerated_databases() {
             output,
             freshness: mv_plan::Freshness::Fresh,
         };
-        let sprog = SubstituteProgram::compile(&f.catalog, &sub);
-        enumerator.for_each(120, |seed, db| {
-            let view_rows = execute_spjg(db, &view);
-            let want = execute_substitute_with(db, &view_rows, &sub);
-            vprog.execute(db, &mut scratch, &mut vbag);
-            sprog.execute(db, &vbag, &mut scratch, &mut sbag);
-            let got = sbag.to_rows();
-            assert!(
-                bag_eq(&got, &want),
-                "sub {sub_idx} seed {seed}: {:?}\nsub: {sub:?}",
-                bag_diff(&got, &want)
-            );
-            checked += 1;
-            true
-        });
+        for ((path, view), checked) in views.iter().zip(&mut checked) {
+            let pipe = SubstitutePipeline::compile(&f.catalog, view, &sub);
+            enumerator.for_each(120, |seed, db| {
+                let view_rows = execute_spjg(db, view);
+                let want = execute_substitute_with(db, &view_rows, &sub);
+                pipe.execute(db, &mut scratch, &mut sbag);
+                let got = sbag.to_rows();
+                assert!(
+                    bag_eq(&got, &want),
+                    "{path} sub {sub_idx} seed {seed}: {:?}\nsub: {sub:?}",
+                    bag_diff(&got, &want)
+                );
+                *checked += 1;
+                true
+            });
+        }
     }
-    assert!(checked > 2000, "differential coverage too thin: {checked}");
+    for ((path, _), checked) in views.iter().zip(checked) {
+        assert!(checked > 2000, "{path} coverage too thin: {checked}");
+    }
+}
+
+/// A backjoin has one meaning on every path: the interpreter, the
+/// compiled pipeline (fused and materialized) and the plan the optimizer
+/// serves for a substitute, `ViewScan → HashJoin → Filter → Project`, all
+/// join a view row to every base row with its key, and a NULL key to none.
+/// Both databases break a declared constraint of `r` so that the meaning
+/// shows: one holds two rows with pk 1, the other a NULL pk beside a view
+/// row whose key is NULL.
+#[test]
+fn a_backjoin_means_the_served_hash_join_on_every_path() {
+    let f = fixture();
+    let col = |c: u32| ScalarExpr::col(ColRef::new(0, c));
+    let (int, s, null) = (Value::Int, |x: &str| Value::Str(x.into()), Value::Null);
+    // View over t, all three columns; the substitute backjoins r on the
+    // view's fk and keeps the rows whose r.a is at least 0.
+    let bare = SpjgExpr::spj(
+        vec![f.t],
+        BoolExpr::Literal(true),
+        vec![
+            NamedExpr::new(col(0), "fk"),
+            NamedExpr::new(col(1), "b"),
+            NamedExpr::new(col(2), "c"),
+        ],
+    );
+    let mut computed = bare.clone();
+    if let OutputList::Spj(items) = &mut computed.output {
+        items[1].expr = col(1).binary(BinOp::Add, ScalarExpr::lit(0i64));
+    }
+    let predicate = BoolExpr::cmp(col(4), CmpOp::Ge, ScalarExpr::lit(0i64));
+    let outputs = [col(0), col(4), col(5)];
+    let sub = Substitute {
+        view: ViewId(0),
+        backjoins: vec![BackJoin {
+            table: f.r,
+            key: vec![(0, ColumnId(0))],
+        }],
+        predicates: vec![predicate.clone()],
+        output: OutputList::Spj(
+            (outputs.iter().enumerate())
+                .map(|(i, e)| NamedExpr::new(e.clone(), format!("o{i}")))
+                .collect(),
+        ),
+        freshness: mv_plan::Freshness::Fresh,
+    };
+    let served = PhysicalPlan::Project {
+        input: Box::new(PhysicalPlan::Filter {
+            input: Box::new(PhysicalPlan::HashJoin {
+                left: Box::new(PhysicalPlan::ViewScan { view: ViewId(0) }),
+                right: Box::new(PhysicalPlan::TableScan { table: f.r }),
+                left_keys: vec![0],
+                right_keys: vec![0],
+                residual: None,
+            }),
+            predicate,
+        }),
+        exprs: outputs.to_vec(),
+    };
+    let duplicated_key = (
+        vec![
+            vec![int(1), int(0), s("steel wire")],
+            vec![int(1), int(7), null.clone()],
+            vec![int(2), int(7), null.clone()],
+        ],
+        vec![
+            vec![int(1), int(0), Value::Float(1.5)],
+            vec![int(2), null.clone(), Value::Float(1.5)],
+        ],
+        vec![
+            vec![int(1), int(0), s("steel wire")],
+            vec![int(1), int(7), null.clone()],
+            vec![int(2), int(7), null.clone()],
+        ],
+    );
+    let null_key = (
+        vec![
+            vec![null.clone(), int(7), s("steel wire")],
+            vec![int(1), int(0), null.clone()],
+        ],
+        vec![
+            vec![null.clone(), int(0), Value::Float(1.5)],
+            vec![int(1), int(0), Value::Float(1.5)],
+        ],
+        vec![vec![int(1), int(0), null.clone()]],
+    );
+    let mut scratch = ExecScratch::new();
+    let mut bag = RowBag::new();
+    for (label, (r_rows, t_rows, want)) in
+        [("duplicated key", duplicated_key), ("NULL key", null_key)]
+    {
+        let mut db = Database::new(f.catalog.clone());
+        db.load(f.r, r_rows);
+        db.load(f.t, t_rows);
+        for view in [&bare, &computed] {
+            let view_rows = execute_spjg(&db, view);
+            let mut store = ViewStore::new();
+            store.put(ViewId(0), view_rows.clone());
+            SubstitutePipeline::compile(&f.catalog, view, &sub).execute(
+                &db,
+                &mut scratch,
+                &mut bag,
+            );
+            let paths = [
+                (
+                    "interpreter",
+                    execute_substitute_with(&db, &view_rows, &sub),
+                ),
+                ("pipeline", bag.to_rows()),
+                ("served plan", execute_plan(&db, &store, &served)),
+            ];
+            for (path, got) in paths {
+                assert!(
+                    bag_eq(&got, &want),
+                    "{label}, {path}: {:?}",
+                    bag_diff(&got, &want)
+                );
+            }
+        }
+    }
 }
 
 /// Same join, permuted occurrences: an aggregate query over
@@ -386,14 +518,9 @@ fn permuted_occurrence_pair_matches_interpreter_on_both_sides() {
         freshness: mv_plan::Freshness::Fresh,
     };
     let mut scratch = ExecScratch::new();
-    let (mut qbag, mut vbag, mut sbag) = (RowBag::new(), RowBag::new(), RowBag::new());
-    PlanProgram::compile(&db.catalog, &query).execute(&db, &mut scratch, &mut qbag);
-    SubstitutePipeline::compile(&db.catalog, &view, &sub).execute(
-        &db,
-        &mut scratch,
-        &mut vbag,
-        &mut sbag,
-    );
+    let (mut qbag, mut sbag) = (RowBag::new(), RowBag::new());
+    PlanProgram::compile(&query).execute(&db, &mut scratch, &mut qbag);
+    SubstitutePipeline::compile(&db.catalog, &view, &sub).execute(&db, &mut scratch, &mut sbag);
     let want_query = execute_spjg(&db, &query);
     let want_sub = execute_substitute_with(&db, &execute_spjg(&db, &view), &sub);
     assert!(!want_query.is_empty());
@@ -481,7 +608,7 @@ fn delta_program_matches_interpreter_with_the_occurrence_swapped() {
         let plan = gen_plan(&mut rng, &f);
         let stride = 1 + plan_idx % 7;
         for (occ, &table) in plan.tables.iter().enumerate() {
-            let prog = PlanProgram::compile_delta(&f.catalog, &plan, occ);
+            let prog = PlanProgram::compile_delta(&plan, occ);
             let mut swapped = plan.clone();
             swapped.tables[occ] = stand_in[&table];
             enumerator.for_each(40 * stride, |seed, db| {
@@ -584,7 +711,7 @@ fn sum_null_semantics_match_between_paths() {
             "{label} interpreter: {:?}",
             bag_diff(&interp, want)
         );
-        let prog = PlanProgram::compile(&f.catalog, plan);
+        let prog = PlanProgram::compile(plan);
         prog.execute(&db, &mut scratch, &mut bag);
         let got = bag.to_rows();
         assert!(

@@ -391,7 +391,7 @@ impl MaintainedView {
         } else {
             let whole = agg
                 .whole
-                .get_or_insert_with(|| Box::new(PlanProgram::compile(&db.catalog, &self.expr)));
+                .get_or_insert_with(|| Box::new(PlanProgram::compile(&self.expr)));
             whole.execute_indexed(db, indexes, scratch, bag);
             self.rows = bag.to_rows();
         }
@@ -555,14 +555,13 @@ impl Maintainer {
     pub fn register(&mut self, id: ViewId, def: &ViewDef) -> MaintainStrategy {
         let expr = def.expr.clone();
         let strategy = classify(&expr);
-        let catalog = &self.db.catalog;
         let incremental = strategy == MaintainStrategy::Incremental;
         let rollup = (incremental && expr.is_aggregate()).then(|| build_agg_core(&expr));
         // The block the programs evaluate: the view, or its SPJ core.
         let block = rollup.as_ref().map_or(&expr, |(_, core)| core);
         let delta_progs = if incremental {
             (0..block.tables.len())
-                .map(|occ| PlanProgram::compile_delta(catalog, block, occ))
+                .map(|occ| PlanProgram::compile_delta(block, occ))
                 .collect()
         } else {
             Vec::new()
@@ -570,7 +569,7 @@ impl Maintainer {
         let mut view = MaintainedView {
             id,
             name: def.name.clone(),
-            prog: PlanProgram::compile(catalog, block),
+            prog: PlanProgram::compile(block),
             delta_progs,
             agg: rollup.map(|(agg, _)| agg),
             expr,

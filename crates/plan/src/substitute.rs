@@ -20,10 +20,14 @@ pub type SubstituteGrouping = OutputList;
 /// non-null unique key of a base table, so the missing columns can be
 /// pulled in by joining the view back to that table.
 ///
-/// Each view row joins exactly one base row (equijoin on a unique key
-/// whose columns are `NOT NULL`), so the join is cardinality preserving
-/// and merely extends the row. The joined table's columns follow the view
-/// outputs (and any earlier backjoins) in the substitute's column space.
+/// The join is an equijoin on the key: a row joins every row of `table`
+/// whose key columns equal its key positions, once each, and a row whose
+/// key holds a NULL joins none (SQL equality) — the served plan's
+/// `HashJoin`. On data that satisfies the declared key (unique, columns
+/// `NOT NULL`) that is exactly one base row per view row, so the join is
+/// cardinality preserving and merely extends the row. The joined table's
+/// columns follow the view outputs (and any earlier backjoins) in the
+/// substitute's column space.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackJoin {
     /// The base table to join back to.
@@ -81,9 +85,10 @@ impl Freshness {
 pub struct Substitute {
     /// The view to scan.
     pub view: ViewId,
-    /// Base-table backjoins applied (in order) before the predicates.
-    /// Column space: view outputs, then each backjoin's table columns.
-    /// Empty unless the backjoin extension is enabled.
+    /// Base-table backjoins applied (in order) before the predicates, each
+    /// an equijoin on its key ([`BackJoin`]: every matching base row, no
+    /// NULL key). Column space: view outputs, then each backjoin's table
+    /// columns. Empty unless the backjoin extension is enabled.
     pub backjoins: Vec<BackJoin>,
     /// Compensating predicates over the substitute's column space,
     /// implicitly ANDed. Empty when the view contains exactly the

@@ -42,16 +42,13 @@ struct Programs {
 struct Bags {
     scratch: ExecScratch,
     query: RowBag,
-    view: RowBag,
     sub: RowBag,
 }
 
 /// Execute the compiled pair on one database; true iff the bags agree.
 fn agree(progs: &Programs, db: &Database, b: &mut Bags) -> bool {
     progs.query.execute(db, &mut b.scratch, &mut b.query);
-    progs
-        .pipeline
-        .execute(db, &mut b.scratch, &mut b.view, &mut b.sub);
+    progs.pipeline.execute(db, &mut b.scratch, &mut b.sub);
     rowbag_eq(&b.sub, &b.query, &mut b.scratch.matched)
 }
 
@@ -80,7 +77,7 @@ pub(crate) fn run(
     cfg: &ProveConfig,
 ) -> EnumResult {
     let progs = Programs {
-        query: PlanProgram::compile(ctx.catalog, query),
+        query: PlanProgram::compile(query),
         pipeline: SubstitutePipeline::compile(ctx.catalog, view_expr, sub),
     };
     let enumerator = Enumerator::new(ctx.catalog, ctx.checks, spec);
