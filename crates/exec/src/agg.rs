@@ -1,14 +1,13 @@
 //! Aggregation accumulators with SQL semantics.
 //!
 //! [`SumAcc`] is the one SUM implementation every executor folds values
-//! into (`mv-maintain`'s counting state mirrors it). The compiled
-//! executors — plan and substitute programs (`program.rs`) and the
-//! physical-plan executor (`physical.rs`) — keep one per (group,
-//! aggregate) in `program.rs`'s flat group table and feed it borrowed
-//! values. [`GroupAcc`] is the interpreter's per-group state (`spjg.rs`,
-//! `substitute.rs`): it evaluates every argument through the tree-walking,
-//! cloning `ScalarExpr::eval`, which suits a differential oracle and is
-//! why it is not visible outside this crate.
+//! into (`mv-maintain`'s counting state mirrors it). The plan programs
+//! (`program.rs`) — and so every served plan, which `physical.rs` lowers
+//! to them — keep one per (group, aggregate) in the flat group table and
+//! feed it borrowed values. [`GroupAcc`] is the interpreter's per-group
+//! state (`spjg.rs`, `substitute.rs`): it evaluates every argument through
+//! the tree-walking, cloning `ScalarExpr::eval`, which suits a
+//! differential oracle and is why it is not visible outside this crate.
 
 use mv_catalog::Value;
 use mv_data::Row;

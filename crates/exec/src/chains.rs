@@ -1,10 +1,11 @@
 //! A chained hash index over dense `u32` ids.
 //!
 //! The index stores hashes only; the caller owns the keys, hashes them
-//! with [`hash_key`] and compares the ids a chain yields against its own
-//! storage. Nothing is allocated per entry, which is what lets the hash
-//! join ([`crate::physical`]) and the group table ([`crate::program`])
-//! key on values borrowed from the rows they index. `mv-maintain` keys
+//! with [`hash_key`] (or, for one dense `Int` key, addresses it by offset)
+//! and compares the ids a chain yields against its own storage. Nothing is
+//! allocated per entry, which is what lets a plan program's join indexes
+//! and its group table ([`crate::program`]) key on values borrowed from
+//! the rows they index. `mv-maintain` keys
 //! its counting state on the group columns of a view's served rows with
 //! it, and pairs a delta's deleted and inserted rows through it; both
 //! remove ids ([`HashChains::unlink`], [`HashChains::swap_remove`]).
@@ -39,15 +40,17 @@ pub struct HashChains {
 }
 
 impl HashChains {
-    /// An index for the ids `0..n`, none of them linked yet, with at
-    /// least `buckets` buckets.
-    pub(crate) fn with_ids(n: usize, buckets: usize) -> Self {
+    /// Forget every id and make room for the ids `0..n`, none of them
+    /// linked yet, under at least `buckets` buckets, keeping the
+    /// allocations.
+    pub(crate) fn reset(&mut self, n: usize, buckets: usize) {
         debug_assert!(n < NIL as usize, "id space exceeds u32");
-        HashChains {
-            heads: vec![NIL; buckets.next_power_of_two()],
-            next: vec![NIL; n],
-            hashes: vec![0; n],
-        }
+        self.heads.clear();
+        self.heads.resize(buckets.next_power_of_two(), NIL);
+        self.next.clear();
+        self.next.resize(n, NIL);
+        self.hashes.clear();
+        self.hashes.resize(n, 0);
     }
 
     /// Forget every id, keeping the allocations.
@@ -165,13 +168,15 @@ mod tests {
 
     #[test]
     fn unlinked_ids_are_never_yielded() {
-        let mut t = HashChains::with_ids(4, 8);
+        let mut t = HashChains::default();
+        t.reset(4, 8);
         t.link(1, 9);
         t.link(3, 9);
         let mut ids: Vec<u32> = t.chain(9).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 3]);
-        assert_eq!(HashChains::with_ids(0, 0).chain(9).count(), 0);
+        t.reset(0, 0);
+        assert_eq!(t.chain(9).count(), 0);
     }
 
     /// Removal under colliding hashes: every removed id leaves its chain,

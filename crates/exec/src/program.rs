@@ -1,21 +1,23 @@
-//! Compiled plan programs for the prove hot path.
+//! Compiled plan programs: the crate's one executor.
 //!
-//! The enumerative prover evaluates the same `(query, view, substitute)`
-//! triple over hundreds of thousands of tiny databases. Walking the
-//! expression trees for every row of every database dominates that loop:
-//! each `eval` call allocates closures, clones `Value`s for the accessor,
-//! and rebuilds hash maps per database. This module flattens a plan into a
-//! [`PlanProgram`] once — a postfix instruction stream per predicate and
-//! output expression plus a precomputed join schedule — and evaluates it
-//! over flat, reusable scratch buffers ([`ExecScratch`]).
+//! A [`PlanProgram`] is a join schedule — one step per scan, each step a
+//! base table or rows its caller supplies — plus a postfix instruction
+//! stream per predicate and output expression, compiled once and
+//! evaluated over flat, reusable scratch buffers ([`ExecScratch`]). It
+//! serves every caller: the prover's enumeration over hundreds of
+//! thousands of tiny databases, [`crate::substitute::materialize_view`],
+//! `mv-maintain`'s refresh and delta joins, every checked substitute
+//! ([`SubstitutePipeline`]), and the optimizer's plans, which
+//! [`crate::physical::execute_plan`] lowers to a short sequence of
+//! programs.
 //!
 //! The execution representation never materializes joined rows: a joined
 //! "row" is a tuple of `u32` row indices, one per join step, and every
-//! column reference resolves lazily through a [`Fetch`] back to the
-//! database's own storage. Values are cloned only where the output must
-//! own them — projected cells, and a group's key values when its row is
-//! built (the group table keeps a bare-column key as the group's first
-//! index tuple) — so the per-database cost is a few tight loops over
+//! column reference is a packed `(step, column)` position that
+//! `PlanFetch` resolves back to the scanned rows. Values are cloned only
+//! where the output must own them — projected cells, and a group's key
+//! values when its row is built (the group table keeps a bare-column key
+//! as the group's first index tuple) — so a run is a few tight loops over
 //! integer tuples with no allocation on the common path (the per-call
 //! table of scans, one slice per join step, sits on the stack up to
 //! `INLINE_OCCS` steps and on the heap past that).
@@ -27,18 +29,19 @@
 //! The tree-walking interpreter in [`crate::spjg`] / [`crate::substitute`]
 //! stays as the differential oracle: the compiled path must produce exactly
 //! the same row bags, which `exec/tests/program_differential.rs` checks over
-//! random plans × enumerated databases.
+//! random plans × enumerated databases and `physical_differential.rs` over
+//! the optimizer's plans.
 
 use crate::agg::SumAcc;
 use crate::chains::{hash_key, HashChains};
-use mv_catalog::{Catalog, TableId, Value};
+use mv_catalog::{Catalog, KeyHasher, TableId, Value};
 use mv_data::{Database, Row};
 use mv_expr::like::like_match;
 use mv_expr::scalar::eval_binop;
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, Conjunct, ScalarExpr};
 use mv_plan::{AggFunc, OutputList, SpjgExpr, Substitute};
 use std::collections::hash_map::RandomState;
-use std::collections::HashMap;
+use std::hash::BuildHasher;
 
 /// Bits of an [`Op::Col`] operand holding the column index; the rest holds
 /// the join step that reads the column's row.
@@ -77,21 +80,14 @@ impl<T: Copy + Default> Slots<T> {
     }
 }
 
-/// Resolve a fetch position to a value for the current index tuple. The
-/// executors address columns differently (packed `(step, col)`, or a
-/// physical operator's input positions — [`crate::physical`]), so the
-/// resolution is a trait and the programs stay agnostic.
-pub(crate) trait Fetch {
-    fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value;
-}
-
-/// Plan-program resolution: `pos` packs `(join step, column)`;
-/// `tuple[step]` indexes the scan of the occurrence joined at that step.
+/// Resolves a fetch position to a value for the current index tuple: `pos`
+/// packs `(join step, column)`; `tuple[step]` indexes the rows that step
+/// scans.
 struct PlanFetch<'a> {
     occ_rows: &'a [&'a [Row]],
 }
 
-impl Fetch for PlanFetch<'_> {
+impl PlanFetch<'_> {
     #[inline]
     fn at<'a>(&'a self, tuple: &'a [u32], pos: usize) -> &'a Value {
         let occ = pos >> COL_BITS;
@@ -136,7 +132,7 @@ enum Slot {
     Owned(Value),
 }
 
-fn slot<'a, F: Fetch>(s: &'a Slot, f: &'a F, tuple: &'a [u32], lits: &'a [Value]) -> &'a Value {
+fn slot<'a>(s: &'a Slot, f: &'a PlanFetch<'_>, tuple: &'a [u32], lits: &'a [Value]) -> &'a Value {
     match s {
         Slot::Pos(i) => f.at(tuple, *i),
         Slot::Lit(i) => &lits[*i],
@@ -146,13 +142,13 @@ fn slot<'a, F: Fetch>(s: &'a Slot, f: &'a F, tuple: &'a [u32], lits: &'a [Value]
 
 /// Reusable evaluation stacks, cleared (not freed) per program run.
 #[derive(Debug, Default)]
-pub struct EvalStacks {
+struct EvalStacks {
     vals: Vec<Slot>,
     bools: Vec<Option<bool>>,
 }
 
 /// A compiled expression: postfix ops plus literal and LIKE-pattern pools.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Program {
     ops: Vec<Op>,
     lits: Vec<Value>,
@@ -164,23 +160,14 @@ pub(crate) struct Program {
 }
 
 impl Program {
-    fn new() -> Self {
-        Program {
-            ops: Vec::new(),
-            lits: Vec::new(),
-            pats: Vec::new(),
-            fast_cmp: None,
-        }
-    }
-
-    pub(crate) fn compile_scalar(e: &ScalarExpr, map: &impl Fn(ColRef) -> usize) -> Self {
-        let mut p = Program::new();
+    fn compile_scalar(e: &ScalarExpr, map: &impl Fn(ColRef) -> usize) -> Self {
+        let mut p = Program::default();
         p.push_scalar(e, map);
         p
     }
 
-    pub(crate) fn compile_bool(e: &BoolExpr, map: &impl Fn(ColRef) -> usize) -> Self {
-        let mut p = Program::new();
+    fn compile_bool(e: &BoolExpr, map: &impl Fn(ColRef) -> usize) -> Self {
+        let mut p = Program::default();
         p.push_bool(e, map);
         if let [Op::Col(pos), Op::Lit(lit), Op::Cmp(c)] = p.ops.as_slice() {
             p.fast_cmp = Some((*pos, *c, *lit));
@@ -189,7 +176,7 @@ impl Program {
     }
 
     /// The fetch position when this program is a single bare column.
-    pub(crate) fn single_col(&self) -> Option<usize> {
+    fn single_col(&self) -> Option<usize> {
         match self.ops.as_slice() {
             [Op::Col(i)] => Some(*i),
             _ => None,
@@ -254,7 +241,7 @@ impl Program {
         }
     }
 
-    fn run<F: Fetch>(&self, f: &F, tuple: &[u32], st: &mut EvalStacks) {
+    fn run(&self, f: &PlanFetch, tuple: &[u32], st: &mut EvalStacks) {
         st.vals.clear();
         st.bools.clear();
         for op in &self.ops {
@@ -282,9 +269,8 @@ impl Program {
                 Op::Like { pat, negated } => {
                     let s = st.vals.pop().expect("value stack underflow");
                     let res = match slot(&s, f, tuple, &self.lits) {
-                        Value::Null => None,
                         Value::Str(s) => Some(like_match(s, &self.pats[*pat]) != *negated),
-                        // LIKE over a non-string is a type error; unknown.
+                        // NULL, or LIKE over a non-string (a type error).
                         _ => None,
                     };
                     st.bools.push(res);
@@ -299,52 +285,27 @@ impl Program {
                     let b = st.bools.pop().expect("bool stack underflow");
                     st.bools.push(b.map(|x| !x));
                 }
-                Op::And(n) => {
-                    let mut saw_false = false;
-                    let mut saw_unknown = false;
-                    for _ in 0..*n {
-                        match st.bools.pop().expect("bool stack underflow") {
-                            Some(false) => saw_false = true,
-                            None => saw_unknown = true,
-                            Some(true) => {}
-                        }
-                    }
-                    st.bools.push(if saw_false {
-                        Some(false)
-                    } else if saw_unknown {
+                // 3VL: FALSE decides an AND and TRUE an OR; else any
+                // unknown makes the result unknown.
+                Op::And(n) | Op::Or(n) => {
+                    let decides = matches!(op, Op::Or(_));
+                    let at = st.bools.len() - n;
+                    let parts = &st.bools[at..];
+                    let res = if parts.contains(&Some(decides)) {
+                        Some(decides)
+                    } else if parts.contains(&None) {
                         None
                     } else {
-                        Some(true)
-                    });
-                }
-                Op::Or(n) => {
-                    let mut saw_true = false;
-                    let mut saw_unknown = false;
-                    for _ in 0..*n {
-                        match st.bools.pop().expect("bool stack underflow") {
-                            Some(true) => saw_true = true,
-                            None => saw_unknown = true,
-                            Some(false) => {}
-                        }
-                    }
-                    st.bools.push(if saw_true {
-                        Some(true)
-                    } else if saw_unknown {
-                        None
-                    } else {
-                        Some(false)
-                    });
+                        Some(!decides)
+                    };
+                    st.bools.truncate(at);
+                    st.bools.push(res);
                 }
             }
         }
     }
 
-    pub(crate) fn eval_bool<F: Fetch>(
-        &self,
-        f: &F,
-        tuple: &[u32],
-        st: &mut EvalStacks,
-    ) -> Option<bool> {
+    fn eval_bool(&self, f: &PlanFetch, tuple: &[u32], st: &mut EvalStacks) -> Option<bool> {
         if let Some((pos, op, lit)) = self.fast_cmp {
             return f
                 .at(tuple, pos)
@@ -355,7 +316,7 @@ impl Program {
         st.bools.pop().expect("bool program left empty stack")
     }
 
-    fn eval_scalar_owned<F: Fetch>(&self, f: &F, tuple: &[u32], st: &mut EvalStacks) -> Value {
+    fn eval_scalar_owned(&self, f: &PlanFetch, tuple: &[u32], st: &mut EvalStacks) -> Value {
         if let Some(pos) = self.single_col() {
             return f.at(tuple, pos).clone();
         }
@@ -366,57 +327,53 @@ impl Program {
             other => slot(&other, f, tuple, &self.lits).clone(),
         }
     }
+}
 
-    fn eval_scalar_into_sum<F: Fetch>(
-        &self,
-        f: &F,
-        tuple: &[u32],
-        st: &mut EvalStacks,
-        acc: &mut SumAcc,
-    ) {
-        self.run(f, tuple, st);
-        let s = st.vals.pop().expect("scalar program left empty stack");
-        acc.add(slot(&s, f, tuple, &self.lits));
-    }
+/// What a join step scans.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scan {
+    /// A base table of the database.
+    Table(TableId),
+    /// Rows the caller supplies with the run, `inputs[i]`: view rows, a
+    /// delta, or the output of an earlier program.
+    Input(usize),
 }
 
 /// One join step: append a row of the step's scan to the index-tuple
 /// prefix.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct JoinStep {
-    /// The table scanned; `None` for a substitute's materialized view rows,
-    /// which its caller supplies ([`SubstitutePipeline::execute`]).
-    table: Option<TableId>,
+    scan: Scan,
     /// Equijoin pairs `(packed prefix position, column of the new scan)`,
     /// consumed from `ColumnEq` conjuncts exactly as the interpreter does,
     /// ordered by scan column.
     keys: Vec<(usize, usize)>,
+    /// A keyed step's conjuncts over its own scan alone: evaluated on the
+    /// scan rows before an index is built over those that pass, or on the
+    /// joined tuples when the step keeps the nested loop.
+    scan_filters: Vec<Program>,
     /// Conjuncts that become fully bound once this occurrence is joined,
     /// compiled and applied in conjunct order.
     filters: Vec<Program>,
 }
 
-/// Aggregate kinds mirroring [`AggFunc`] without the argument tree.
-#[derive(Debug, Clone, Copy)]
-enum AggKind {
-    CountStar,
-    Sum,
-    SumZero,
-}
-
-/// One compiled aggregate: the kind, its argument program, and — for the
-/// dominant bare-column argument shape — the direct fetch position, which
-/// skips the program stack entirely.
+/// One compiled aggregate: `COUNT(*)` without an argument program, else
+/// `SUM`, or with `zero` the `SUM` that is 0 over no value. A bare-column
+/// argument also keeps its fetch position, which skips the program stack
+/// and the clone.
 #[derive(Debug, Clone)]
 pub(crate) struct AggProg {
-    kind: AggKind,
     arg: Option<Program>,
     arg_col: Option<usize>,
+    zero: bool,
 }
 
 /// Compiled output side: projection programs or group-by/aggregate programs.
 #[derive(Debug, Clone)]
 pub(crate) enum OutputProgram {
+    /// A projection of bare columns, by fetch position: the cells are
+    /// cloned straight from the rows.
+    Columns(Vec<usize>),
     Project(Vec<Program>),
     Aggregate {
         keys: Vec<Program>,
@@ -445,10 +402,16 @@ impl OutputProgram {
 
     /// A projection onto `exprs`.
     pub(crate) fn project<'e>(
-        exprs: impl Iterator<Item = &'e ScalarExpr>,
+        exprs: impl Iterator<Item = &'e ScalarExpr> + Clone,
         map: &impl Fn(ColRef) -> usize,
     ) -> Self {
-        OutputProgram::Project(exprs.map(|e| Program::compile_scalar(e, map)).collect())
+        let bare = exprs.clone().map(|e| Some(map(e.as_column()?)));
+        match bare.collect() {
+            Some(cols) => OutputProgram::Columns(cols),
+            None => {
+                OutputProgram::Project(exprs.map(|e| Program::compile_scalar(e, map)).collect())
+            }
+        }
     }
 
     /// Grouping on `group_by` with one accumulator per aggregate.
@@ -464,37 +427,28 @@ impl OutputProgram {
             key_cols,
             aggs: aggregates
                 .map(|func| {
-                    let kind = match func {
-                        AggFunc::CountStar => AggKind::CountStar,
-                        AggFunc::Sum(_) => AggKind::Sum,
-                        AggFunc::SumZero(_) => AggKind::SumZero,
-                    };
                     let arg = func.argument().map(|e| Program::compile_scalar(e, map));
                     let arg_col = arg.as_ref().and_then(Program::single_col);
-                    AggProg { kind, arg, arg_col }
+                    let zero = matches!(func, AggFunc::SumZero(_));
+                    AggProg { arg, arg_col, zero }
                 })
                 .collect(),
         }
     }
 
-    pub(crate) fn arity(&self) -> usize {
+    fn arity(&self) -> usize {
         match self {
+            OutputProgram::Columns(cols) => cols.len(),
             OutputProgram::Project(items) => items.len(),
             OutputProgram::Aggregate { keys, aggs, .. } => keys.len() + aggs.len(),
         }
     }
 
-    pub(crate) fn begin(&self, groups: &mut GroupTable) {
-        if let OutputProgram::Aggregate { .. } = self {
-            groups.clear();
-        }
-    }
-
     /// Feed one surviving tuple: push the projected row, or accumulate it
     /// into its group.
-    pub(crate) fn feed<F: Fetch>(
+    fn feed(
         &self,
-        f: &F,
+        f: &PlanFetch,
         tuple: &[u32],
         st: &mut EvalStacks,
         key_buf: &mut Vec<Value>,
@@ -502,6 +456,9 @@ impl OutputProgram {
         out: &mut impl RowSink,
     ) {
         match self {
+            OutputProgram::Columns(cols) => {
+                out.push_row(cols.iter().map(|&c| f.at(tuple, c).clone()));
+            }
             OutputProgram::Project(items) => {
                 out.push_row(
                     items
@@ -530,7 +487,7 @@ impl OutputProgram {
                     if let Some(pos) = agg.arg_col {
                         sum.add(f.at(tuple, pos));
                     } else if let Some(p) = &agg.arg {
-                        p.eval_scalar_into_sum(f, tuple, st, sum);
+                        sum.add(&p.eval_scalar_owned(f, tuple, st));
                     }
                 }
             }
@@ -541,7 +498,7 @@ impl OutputProgram {
     /// whose rows were emitted by [`OutputProgram::feed`]). `f` resolves
     /// the tuples fed, for the bare-column keys a group keeps as its first
     /// tuple.
-    pub(crate) fn finish<F: Fetch>(&self, f: &F, groups: &mut GroupTable, out: &mut impl RowSink) {
+    fn finish(&self, f: &PlanFetch, groups: &mut GroupTable, out: &mut impl RowSink) {
         let OutputProgram::Aggregate {
             keys,
             key_cols,
@@ -561,10 +518,10 @@ impl OutputProgram {
         let mut computed = groups.keys.drain(..);
         for (g, &count) in groups.counts.iter().enumerate() {
             let sums = &groups.sums[g * aggs.len()..(g + 1) * aggs.len()];
-            let results = aggs.iter().zip(sums).map(|(agg, sum)| match agg.kind {
-                AggKind::CountStar => Value::Int(count),
-                AggKind::Sum => sum.finish(),
-                AggKind::SumZero => sum.finish_zero(),
+            let results = aggs.iter().zip(sums).map(|(agg, sum)| match agg {
+                AggProg { arg: None, .. } => Value::Int(count),
+                AggProg { zero: true, .. } => sum.finish_zero(),
+                AggProg { zero: false, .. } => sum.finish(),
             });
             match key_cols {
                 Some(cols) => {
@@ -581,8 +538,8 @@ impl OutputProgram {
 
 /// Where an [`OutputProgram`] writes its rows: a flat [`RowBag`] for the
 /// prover's and maintenance's programs, a view's rows for the substitute
-/// that scans them, owned rows for the physical executor.
-pub(crate) trait RowSink {
+/// that scans them, owned rows for a served plan's parts.
+trait RowSink {
     /// Empty the sink for rows of `arity` values.
     fn reset(&mut self, arity: usize);
     fn push_row(&mut self, row: impl Iterator<Item = Value>);
@@ -654,11 +611,11 @@ const LINEAR_GROUPS: usize = 16;
 /// A group's key is kept one of two ways. Bare-column keys keep the
 /// group's first index tuple (`reps[g * stride..]`, copied, because the
 /// programs reuse their tuple buffers) and compare candidates in place
-/// through the [`Fetch`]; no value is cloned until
+/// through the `PlanFetch`; no value is cloned until
 /// [`OutputProgram::finish`] builds the group's row. Computed keys keep
 /// their values (`keys[g * n_keys..]`).
 #[derive(Debug, Default)]
-pub(crate) struct GroupTable {
+struct GroupTable {
     reps: Vec<u32>,
     /// Index-tuple width of `reps`.
     stride: usize,
@@ -683,9 +640,9 @@ impl GroupTable {
 
     /// The group of `tuple`'s values at the fetch positions `cols`,
     /// opened with `tuple` as its first tuple when absent.
-    fn find_or_insert_tuple<F: Fetch>(
+    fn find_or_insert_tuple(
         &mut self,
-        f: &F,
+        f: &PlanFetch,
         tuple: &[u32],
         cols: &[usize],
         n_aggs: usize,
@@ -806,27 +763,13 @@ impl RowBag {
     pub fn to_rows(&self) -> Vec<Row> {
         self.rows().map(<[Value]>::to_vec).collect()
     }
-
-    /// The rows, moved out of the flat storage.
-    pub fn into_rows(self) -> Vec<Row> {
-        let mut vals = self.vals.into_iter();
-        (0..self.count)
-            .map(|_| vals.by_ref().take(self.arity).collect())
-            .collect()
-    }
 }
 
 /// Multiset equality over two flat bags without allocating (the `matched`
 /// bitmap is caller-provided scratch). Quadratic, but prove-time bags hold
 /// at most a few dozen rows.
 pub fn rowbag_eq(a: &RowBag, b: &RowBag, matched: &mut Vec<bool>) -> bool {
-    if a.count != b.count {
-        return false;
-    }
-    if a.count == 0 {
-        return true;
-    }
-    if a.arity != b.arity {
+    if a.count != b.count || (a.count > 0 && a.arity != b.arity) {
         return false;
     }
     let w = a.arity;
@@ -854,7 +797,7 @@ pub struct ExecScratch {
     bufs: Buffers,
     /// Emptied at the start of every run that uses them, so a scratch
     /// reused over another database never reads an index of the last one.
-    indexes: JoinIndexes,
+    pub(crate) indexes: JoinIndexes,
     /// The view rows a materializing [`SubstitutePipeline`] scans.
     view_rows: ViewRows,
     /// Scratch bitmap for [`rowbag_eq`].
@@ -895,6 +838,101 @@ impl ExecScratch {
 /// 4 (38 against 24 µs).
 const HASH_COMPARES: usize = 8;
 
+/// Inside ±2^53 every `i64` converts to `f64` and back exactly, so an
+/// integral `Float` equals (by `Value::eq`) exactly one `Int` there.
+const EXACT_INT: i64 = 1 << 53;
+
+/// Rows of a scan chained under their key's bucket, by id, linked last id
+/// first, so a chain yields ids in ascending order. A key holding a NULL
+/// is never linked (SQL equality: it joins nothing).
+#[derive(Debug, Default)]
+struct KeyIndex {
+    /// `(min, span)` when the keys indexed are one column over a dense
+    /// range of `Int`s ([`dense_int_range`]): a key's bucket is then its
+    /// offset from `min`, and nothing is hashed. Else it is the keyed hash.
+    direct: Option<(i64, u64)>,
+    chains: HashChains,
+    hasher: RandomState,
+    /// The rows indexed when a step's scan filters chose them, ascending:
+    /// id `i` is row `ids[i]`. Empty when every row is indexed (id `i` is
+    /// row `i`), or when no row passed, and then no chain yields an id.
+    ids: Vec<u32>,
+}
+
+impl KeyIndex {
+    /// Index `scan`'s rows — those of `ids` when `filtered` — on the scan
+    /// columns of `keys`, reusing this index's allocations.
+    fn build(&mut self, scan: &[Row], keys: &[(usize, usize)], filtered: bool) {
+        let n = if filtered { self.ids.len() } else { scan.len() };
+        let row = |id: usize| &scan[if filtered { self.ids[id] as usize } else { id }];
+        self.direct = dense_int_range(keys, n, row);
+        (self.chains).reset(n, self.direct.map_or(2 * n, |(_, span)| span as usize));
+        for id in (0..n).rev() {
+            let key = keys.iter().map(|&(_, c)| &row(id)[c]);
+            if let Some(bucket) = self.bucket(key) {
+                self.chains.link(id as u32, bucket);
+            }
+        }
+    }
+
+    /// The scan row of id `id`.
+    fn row(&self, id: u32) -> u32 {
+        self.ids.get(id as usize).copied().unwrap_or(id)
+    }
+
+    /// The bucket of `key`, or `None` when it can equal no indexed key: it
+    /// holds a NULL, or under the direct layout it is anything but an
+    /// `Int` or integral `Float` inside the range.
+    fn bucket<'v>(&self, mut key: impl Iterator<Item = &'v Value>) -> Option<u64> {
+        match self.direct {
+            Some((min, span)) => {
+                let k = match *key.next()? {
+                    Value::Int(k) => k,
+                    Value::Float(x) if x.fract() == 0.0 && x.abs() < EXACT_INT as f64 => x as i64,
+                    _ => return None,
+                };
+                let offset = k as i128 - min as i128;
+                (0..span as i128).contains(&offset).then_some(offset as u64)
+            }
+            None => {
+                let mut h = KeyHasher::new(self.hasher.build_hasher());
+                for v in key {
+                    if v.is_null() {
+                        return None;
+                    }
+                    h.push(v);
+                }
+                Some(h.finish())
+            }
+        }
+    }
+}
+
+/// `(min, span)` of the keys of the `n` rows `row(id)` when the key is one
+/// column whose non-NULL values are `Int`s inside ±[`EXACT_INT`] and take
+/// fewer than `4 × n + 64` distinct places.
+fn dense_int_range<'r>(
+    keys: &[(usize, usize)],
+    n: usize,
+    row: impl Fn(usize) -> &'r Row,
+) -> Option<(i64, u64)> {
+    let [(_, col)] = keys[..] else {
+        return None;
+    };
+    let (mut min, mut max) = (i64::MAX, i64::MIN);
+    for id in 0..n {
+        match row(id)[col] {
+            Value::Int(k) => (min, max) = (min.min(k), max.max(k)),
+            Value::Null => {}
+            _ => return None,
+        }
+    }
+    // Empty (every key NULL) when `min > max`.
+    let span = max as i128 - min as i128 + 1;
+    let dense = (1..=4 * n as i128 + 64).contains(&span) && -EXACT_INT < min && max < EXACT_INT;
+    dense.then_some((min, span as u64))
+}
+
 /// Hash indexes over table rows, one per (table, equijoin key columns) a
 /// join step has read, which a [`PlanProgram`]'s join steps probe instead
 /// of scanning the table. An index is valid only while its table is
@@ -904,21 +942,25 @@ const HASH_COMPARES: usize = 8;
 /// that owns its data can keep one set across runs and programs, and pass
 /// it to [`PlanProgram::execute_indexed`] and
 /// [`PlanProgram::execute_delta`].
+///
+/// A step over rows the caller supplies, or with scan filters, probes an
+/// index of its own, built for that step of that run when its prefix
+/// tuples alone pay for it; its allocations are reused.
 #[derive(Debug, Default)]
 pub struct JoinIndexes {
-    by_table: HashMap<TableId, Vec<JoinIndex>>,
-    /// Hashes every key of every index in the set.
-    hasher: RandomState,
+    by_key: Vec<JoinIndex>,
+    /// The index of the step joining now, when the shared set cannot hold it.
+    local: KeyIndex,
 }
 
-/// One table's rows under one key: chained by the key's hash, and linked
-/// last row first, so a chain yields row ids in ascending order.
+/// One table's rows under one key, built once enough lookups ask for it.
 #[derive(Debug)]
 struct JoinIndex {
+    table: TableId,
     cols: Box<[usize]>,
     /// Prefix tuples that looked the key up before the index was built.
     lookups: usize,
-    chains: Option<HashChains>,
+    index: Option<KeyIndex>,
 }
 
 impl JoinIndexes {
@@ -928,96 +970,106 @@ impl JoinIndexes {
     }
 
     /// Forget every index.
-    fn clear(&mut self) {
-        self.by_table.clear();
+    pub(crate) fn clear(&mut self) {
+        self.by_key.clear();
     }
 
     /// Forget the indexes over `table`, which has just been written.
     pub fn invalidate(&mut self, table: TableId) {
-        self.by_table.remove(&table);
+        self.by_key.retain(|e| e.table != table);
     }
 
-    /// The index `step` probes for `prefix_tuples` tuples over `scan`, the
-    /// rows of its table, and the hasher of its keys; `None` when the step
-    /// keeps the nested loop ([`HASH_COMPARES`]).
+    /// The index step `occ` probes for `prefix_tuples` tuples; `None` when
+    /// the step keeps the nested loop ([`HASH_COMPARES`]).
     fn for_step(
         &mut self,
+        occ: usize,
         step: &JoinStep,
-        scan: &[Row],
+        f: &PlanFetch,
         prefix_tuples: usize,
-    ) -> Option<(&HashChains, &RandomState)> {
+        st: &mut EvalStacks,
+    ) -> Option<&KeyIndex> {
+        let scan = f.occ_rows[occ];
         if step.keys.is_empty() || scan.len() < HASH_COMPARES {
             return None;
         }
-        let table = step.table.expect("a keyed step scans a table");
-        let cols = step.keys.iter().map(|&(_, c)| c);
-        let entries = self.by_table.entry(table).or_default();
-        let at = match entries
-            .iter()
-            .position(|e| e.cols.iter().copied().eq(cols.clone()))
-        {
-            Some(at) => at,
-            None => {
-                entries.push(JoinIndex {
-                    cols: cols.collect(),
-                    lookups: 0,
-                    chains: None,
-                });
-                entries.len() - 1
+        let table = match step.scan {
+            Scan::Table(table) if step.scan_filters.is_empty() => table,
+            _ if prefix_tuples < HASH_COMPARES => return None,
+            // The step's own index, over the scan rows that pass its scan
+            // filters (every row when it has none).
+            _ => {
+                let filtered = !step.scan_filters.is_empty();
+                self.local.ids.clear();
+                if filtered {
+                    // An index tuple whose slot `occ` holds the row filtered.
+                    let mut tuple = vec![0; occ + 1];
+                    for ri in 0..scan.len() as u32 {
+                        tuple[occ] = ri;
+                        let mut filters = step.scan_filters.iter();
+                        if filters.all(|p| p.eval_bool(f, &tuple, st) == Some(true)) {
+                            self.local.ids.push(ri);
+                        }
+                    }
+                }
+                self.local.build(scan, &step.keys, filtered);
+                return Some(&self.local);
             }
         };
-        let index = &mut entries[at];
-        if index.chains.is_none() {
-            index.lookups += prefix_tuples;
-            if index.lookups < HASH_COMPARES {
+        let cols = step.keys.iter().map(|&(_, c)| c);
+        let at = self
+            .by_key
+            .iter()
+            .position(|e| e.table == table && e.cols.iter().copied().eq(cols.clone()));
+        let entry = match at {
+            Some(at) => &mut self.by_key[at],
+            None => {
+                self.by_key.push(JoinIndex {
+                    table,
+                    cols: cols.collect(),
+                    lookups: 0,
+                    index: None,
+                });
+                self.by_key.last_mut()?
+            }
+        };
+        if entry.index.is_none() {
+            entry.lookups += prefix_tuples;
+            if entry.lookups < HASH_COMPARES {
                 return None;
             }
-            index.chains = Some(index_rows(&self.hasher, scan, &index.cols));
+            let mut index = KeyIndex::default();
+            index.build(scan, &step.keys, false);
+            entry.index = Some(index);
         }
-        index.chains.as_ref().map(|chains| (chains, &self.hasher))
+        entry.index.as_ref()
     }
 }
 
-/// Chain `rows`' ids under the hash of their `cols`, leaving out the rows
-/// whose key holds a NULL (SQL equality: it joins nothing).
-fn index_rows(hasher: &RandomState, rows: &[Row], cols: &[usize]) -> HashChains {
-    let mut chains = HashChains::with_ids(rows.len(), 2 * rows.len());
-    for (id, row) in rows.iter().enumerate().rev() {
-        let key = || cols.iter().map(|&c| &row[c]);
-        if !key().any(Value::is_null) {
-            chains.link(id as u32, hash_key(hasher, key()));
-        }
-    }
-    chains
-}
-
-/// A join order for `expr` that starts at occurrence `first` and reaches
-/// the others through their equijoin conjuncts: each next occurrence is
-/// the lowest-numbered one with a `ColumnEq` to an occurrence already
-/// placed, or — when the join graph is disconnected — the lowest-numbered
-/// one left (a Cartesian step either way).
-fn delta_order(expr: &SpjgExpr, first: usize) -> Vec<usize> {
-    let n = expr.tables.len();
-    let mut placed = vec![false; n];
-    placed[first] = true;
+/// A join order over `n` occurrences that starts at occurrence `first` and
+/// reaches the others through the `ColumnEq`s among `conjuncts`: each next
+/// occurrence is the lowest-numbered one with a `ColumnEq` to an
+/// occurrence already placed, or — when the join graph is disconnected —
+/// the lowest-numbered one left (a Cartesian step either way).
+pub(crate) fn connected_order(n: usize, conjuncts: &[Conjunct], first: usize) -> Vec<usize> {
     let mut order = vec![first];
     while order.len() < n {
+        let placed = |occ: usize| order.contains(&occ);
         let joins_placed = |occ: usize| {
-            expr.conjuncts.iter().any(|conj| match conj {
+            conjuncts.iter().any(|conj| match conj {
                 Conjunct::ColumnEq(a, b) => {
                     let (a, b) = (a.occ.0 as usize, b.occ.0 as usize);
-                    (a == occ && placed[b]) || (b == occ && placed[a])
+                    (a == occ && placed(b)) || (b == occ && placed(a))
                 }
                 _ => false,
             })
         };
-        let mut unplaced = (0..n).filter(|&occ| !placed[occ]);
+        let mut unplaced = (0..n).filter(|&occ| !placed(occ));
         let next = unplaced
             .clone()
             .find(|&occ| joins_placed(occ))
             .or_else(|| unplaced.next())
             .expect("an occurrence is left while order.len() < n");
-        placed[next] = true;
         order.push(next);
     }
     order
@@ -1025,12 +1077,12 @@ fn delta_order(expr: &SpjgExpr, first: usize) -> Vec<usize> {
 
 /// Apply compiled filters in place over the tuple buffer, compacting
 /// surviving tuples to the front. Returns the new tuple count.
-pub(crate) fn filter_tuples<F: Fetch>(
+fn filter_tuples(
     filters: &[Program],
     tuples: &mut Vec<u32>,
     stride: usize,
     mut n_rows: usize,
-    f: &F,
+    f: &PlanFetch,
     st: &mut EvalStacks,
 ) -> usize {
     for prog in filters {
@@ -1053,11 +1105,11 @@ pub(crate) fn filter_tuples<F: Fetch>(
 /// Run the join schedule, leaving the surviving index tuples (stride =
 /// number of steps) in `cur`. Returns the tuple count.
 ///
-/// A keyed step finds each prefix tuple's matches by scanning its table or,
-/// when [`HASH_COMPARES`] says it pays, by probing its index in `indexes`.
-/// Either way the matches come out in ascending row order within each
-/// prefix tuple, so the tuples, and every sum folded over them, are the
-/// same whichever way a step ran.
+/// A keyed step finds each prefix tuple's matches by scanning its rows or,
+/// when [`HASH_COMPARES`] says it pays, by probing an index of `indexes`
+/// (shared, or the step's own). Either way the matches come out in
+/// ascending row order within each prefix tuple, so the tuples, and every
+/// sum folded over them, are the same whichever way a step ran.
 fn join_steps(
     steps: &[JoinStep],
     f: &PlanFetch<'_>,
@@ -1069,7 +1121,9 @@ fn join_steps(
     let mut n_rows = 1usize; // one empty prefix tuple
     for (occ, step) in steps.iter().enumerate() {
         let scan = f.occ_rows[occ];
-        let index = indexes.for_step(step, scan, n_rows);
+        let index = indexes.for_step(occ, step, f, n_rows, st);
+        // An index has applied the scan filters already.
+        let filtered = index.is_some() && !step.scan_filters.is_empty();
         nxt.clear();
         for r in 0..n_rows {
             let prefix = &cur[r * occ..r * occ + occ];
@@ -1081,9 +1135,13 @@ fn join_steps(
                 })
             };
             match index {
-                Some((chains, hasher)) => {
+                Some(index) => {
                     let key = step.keys.iter().map(|&(pp, _)| f.at(prefix, pp));
-                    for ri in chains.chain(hash_key(hasher, key)) {
+                    let Some(bucket) = index.bucket(key) else {
+                        continue;
+                    };
+                    for id in index.chains.chain(bucket) {
+                        let ri = index.row(id);
                         if joins(&scan[ri as usize]) {
                             nxt.extend_from_slice(prefix);
                             nxt.push(ri);
@@ -1102,6 +1160,9 @@ fn join_steps(
         }
         std::mem::swap(cur, nxt);
         n_rows = cur.len() / (occ + 1);
+        if !filtered && !step.scan_filters.is_empty() {
+            n_rows = filter_tuples(&step.scan_filters, cur, occ + 1, n_rows, f, st);
+        }
         if !step.filters.is_empty() {
             n_rows = filter_tuples(&step.filters, cur, occ + 1, n_rows, f, st);
         }
@@ -1109,11 +1170,12 @@ fn join_steps(
     n_rows
 }
 
-/// An [`SpjgExpr`] compiled once: the join schedule plus predicate and
-/// output programs, all addressed by packed `(step, column)` fetch
-/// positions. [`PlanProgram::compile`] schedules the occurrences in
+/// A join block compiled once: the join schedule plus predicate and output
+/// programs, all addressed by packed `(step, column)` fetch positions.
+/// [`PlanProgram::compile`] schedules an [`SpjgExpr`]'s occurrences in
 /// `expr.tables` order, so step and occurrence coincide;
-/// [`PlanProgram::compile_delta`] puts a chosen occurrence first.
+/// [`PlanProgram::compile_delta`] puts a chosen occurrence first, and
+/// `execute_plan` schedules the scans of a served plan.
 #[derive(Debug, Clone)]
 pub struct PlanProgram {
     steps: Vec<JoinStep>,
@@ -1126,26 +1188,46 @@ impl PlanProgram {
     /// applied) replicates [`crate::spjg::execute_spj_part`] exactly.
     pub fn compile(expr: &SpjgExpr) -> Self {
         let order: Vec<usize> = (0..expr.tables.len()).collect();
-        Self::compile_in_order(expr, &order)
+        Self::compile_block(expr, &table_scans(expr), &order)
     }
 
     /// Compile the *delta schedule* of occurrence `occ`: the same block,
     /// joined starting from `occ` and reaching the other occurrences
     /// through their equijoin keys, for [`PlanProgram::execute_delta`] to
-    /// run with a handful of delta rows standing in for `occ`'s table. A
-    /// one-row delta then costs one pass over each other table instead of
-    /// the full join of everything scheduled before `occ`. The output bag
-    /// equals [`PlanProgram::compile`]'s over a database whose `occ`
-    /// table holds the delta rows (row order aside).
+    /// run with a handful of delta rows standing in for `occ`'s table (the
+    /// program runs only that way). A one-row delta then costs one pass
+    /// over each other table instead of the full join of everything
+    /// scheduled before `occ`. The output bag equals
+    /// [`PlanProgram::compile`]'s over a database whose `occ` table holds
+    /// the delta rows (row order aside).
     pub fn compile_delta(expr: &SpjgExpr, occ: usize) -> Self {
-        Self::compile_in_order(expr, &delta_order(expr, occ))
+        let mut scans = table_scans(expr);
+        scans[occ] = Scan::Input(0);
+        let order = connected_order(expr.tables.len(), &expr.conjuncts, occ);
+        Self::compile_block(expr, &scans, &order)
     }
 
-    /// Compile with step `k` joining occurrence `order[k]`. A `ColumnEq`
+    fn compile_block(expr: &SpjgExpr, scans: &[Scan], order: &[usize]) -> Self {
+        Self::schedule(scans, &expr.conjuncts, false, order, |map| {
+            OutputProgram::compile(&expr.output, &map)
+        })
+    }
+
+    /// Compile a join block with step `k` joining occurrence `order[k]`,
+    /// which scans `scans[order[k]]`. A `ColumnEq` among `conjuncts`
     /// becomes a join key at the step that binds its later side; every
     /// other conjunct is applied at the first step that binds all its
-    /// columns.
-    fn compile_in_order(expr: &SpjgExpr, order: &[usize]) -> Self {
+    /// columns. With `filter_scans`, a keyed step evaluates the conjuncts
+    /// over its own scan alone on the scan rows
+    /// ([`JoinStep::scan_filters`]). `output` compiles the output, given
+    /// the packed position of every column.
+    pub(crate) fn schedule(
+        scans: &[Scan],
+        conjuncts: &[Conjunct],
+        filter_scans: bool,
+        order: &[usize],
+        output: impl FnOnce(&dyn Fn(ColRef) -> usize) -> OutputProgram,
+    ) -> Self {
         let mut step_of = vec![0usize; order.len()];
         for (step, &occ) in order.iter().enumerate() {
             step_of[occ] = step;
@@ -1153,52 +1235,55 @@ impl PlanProgram {
         let step_of = |c: ColRef| step_of[c.occ.0 as usize];
         let map = |c: ColRef| (step_of(c) << COL_BITS) | c.col.0 as usize;
 
-        let mut applied = vec![false; expr.conjuncts.len()];
-        let mut steps = Vec::with_capacity(order.len());
-        for (step, &occ) in order.iter().enumerate() {
-            let mut keys = Vec::new();
-            for (i, conj) in expr.conjuncts.iter().enumerate() {
-                if applied[i] {
+        let mut steps: Vec<JoinStep> = (order.iter())
+            .map(|&occ| JoinStep {
+                scan: scans[occ],
+                keys: Vec::new(),
+                scan_filters: Vec::new(),
+                filters: Vec::new(),
+            })
+            .collect();
+        for conj in conjuncts {
+            let columns = conj.columns();
+            let step = columns.iter().map(|&c| step_of(c)).max().unwrap_or(0);
+            let filter = match conj {
+                &Conjunct::ColumnEq(a, b) if step_of(a) != step_of(b) => {
+                    let (prior, new) = if step_of(a) < step { (a, b) } else { (b, a) };
+                    steps[step].keys.push((map(prior), new.col.0 as usize));
                     continue;
                 }
-                if let Conjunct::ColumnEq(a, b) = conj {
-                    if step_of(*a) < step && step_of(*b) == step {
-                        keys.push((map(*a), b.col.0 as usize));
-                        applied[i] = true;
-                    } else if step_of(*b) < step && step_of(*a) == step {
-                        keys.push((map(*b), a.col.0 as usize));
-                        applied[i] = true;
-                    }
-                }
+                Conjunct::Residual(p) => Program::compile_bool(p, &map),
+                other => Program::compile_bool(&other.to_bool(), &map),
+            };
+            let own_scan = !columns.is_empty() && columns.iter().all(|&c| step_of(c) == step);
+            match filter_scans && own_scan {
+                true => steps[step].scan_filters.push(filter),
+                false => steps[step].filters.push(filter),
             }
+        }
+        for js in &mut steps {
             // By scan column, so steps that join a table on the same
             // columns share one index (`JoinIndexes`).
-            keys.sort_by_key(|&(_, col)| col);
-            let mut filters = Vec::new();
-            for (i, conj) in expr.conjuncts.iter().enumerate() {
-                if applied[i] || !conj.columns().iter().all(|c| step_of(*c) <= step) {
-                    continue;
-                }
-                applied[i] = true;
-                filters.push(Program::compile_bool(&conj.to_bool(), &map));
+            js.keys.sort_by_key(|&(_, col)| col);
+            if js.keys.is_empty() {
+                js.filters.append(&mut js.scan_filters);
             }
-            steps.push(JoinStep {
-                table: Some(expr.tables[occ]),
-                keys,
-                filters,
-            });
         }
-        debug_assert!(applied.iter().all(|a| *a), "unapplied conjunct");
         PlanProgram {
             steps,
-            output: OutputProgram::compile(&expr.output, &map),
+            output: output(&map),
         }
+    }
+
+    /// The width of the rows the program outputs.
+    pub(crate) fn arity(&self) -> usize {
+        self.output.arity()
     }
 
     /// Evaluate against one database, writing the output bag into `out`.
     pub fn execute(&self, db: &Database, scratch: &mut ExecScratch, out: &mut RowBag) {
         scratch.indexes.clear();
-        self.run(db, None, &mut scratch.indexes, &mut scratch.bufs, out);
+        self.run(db, &[], &mut scratch.indexes, &mut scratch.bufs, out);
     }
 
     /// [`PlanProgram::execute`] with the caller's join indexes, which must
@@ -1211,15 +1296,15 @@ impl PlanProgram {
         scratch: &mut ExecScratch,
         out: &mut RowBag,
     ) {
-        self.run(db, None, indexes, &mut scratch.bufs, out);
+        self.run(db, &[], indexes, &mut scratch.bufs, out);
     }
 
-    /// Evaluate with `delta` standing in for the first step's table and
-    /// every other table read from `db` — for a program compiled by
-    /// [`PlanProgram::compile_delta`], the block over the delta rows of
-    /// its chosen occurrence. The delta is borrowed, never copied. The
-    /// join indexes are the caller's, as in [`PlanProgram::execute_indexed`]:
-    /// the first step has no key, so no index is built over the delta.
+    /// Evaluate a program compiled by [`PlanProgram::compile_delta`] with
+    /// `delta` standing in for its chosen occurrence's table and every
+    /// other table read from `db`. The delta is borrowed, never copied.
+    /// The join indexes are the caller's, as in
+    /// [`PlanProgram::execute_indexed`]: the first step has no key, so no
+    /// index is built over the delta.
     pub fn execute_delta(
         &self,
         db: &Database,
@@ -1228,15 +1313,28 @@ impl PlanProgram {
         scratch: &mut ExecScratch,
         out: &mut RowBag,
     ) {
-        self.run(db, Some(delta), indexes, &mut scratch.bufs, out);
+        self.run(db, &[delta], indexes, &mut scratch.bufs, out);
     }
 
-    /// Run over `db`'s tables, with `first` (when given) in place of the
-    /// first step's scan.
+    /// Evaluate with `inputs` supplying the rows of the [`Scan::Input`]
+    /// steps, into owned rows. The scratch's join indexes are kept: the
+    /// caller empties them when the data changes.
+    pub(crate) fn execute_rows(
+        &self,
+        db: &Database,
+        inputs: &[&[Row]],
+        scratch: &mut ExecScratch,
+        out: &mut Vec<Row>,
+    ) {
+        self.run(db, inputs, &mut scratch.indexes, &mut scratch.bufs, out);
+    }
+
+    /// Run over `db`'s tables and the caller's `inputs`. When a step scans
+    /// no row, the join is empty, and no step runs.
     fn run(
         &self,
         db: &Database,
-        first: Option<&[Row]>,
+        inputs: &[&[Row]],
         indexes: &mut JoinIndexes,
         bufs: &mut Buffers,
         out: &mut impl RowSink,
@@ -1244,36 +1342,31 @@ impl PlanProgram {
         let mut table = Slots::default();
         let occ_rows = table.take(self.steps.len());
         for (scan, s) in occ_rows.iter_mut().zip(&self.steps) {
-            *scan = s.table.map_or(&[][..], |t| db.rows(t));
-        }
-        if let Some(first) = first {
-            debug_assert!(self.steps[0].keys.is_empty(), "a first step has no key");
-            occ_rows[0] = first;
+            *scan = match s.scan {
+                Scan::Table(t) => db.rows(t),
+                Scan::Input(i) => inputs[i],
+            };
         }
         let f = PlanFetch { occ_rows };
-        let n_rows = join_steps(&self.steps, &f, indexes, bufs);
-        let Buffers {
-            cur,
-            st,
-            key_buf,
-            groups,
-            ..
-        } = bufs;
-        let stride = self.steps.len();
+        let n_rows = if f.occ_rows.iter().any(|rows| rows.is_empty()) {
+            0
+        } else {
+            join_steps(&self.steps, &f, indexes, bufs)
+        };
+        let (stride, groups) = (self.steps.len(), &mut bufs.groups);
         out.reset(self.output.arity());
-        self.output.begin(groups);
+        groups.clear();
         for r in 0..n_rows {
-            self.output.feed(
-                &f,
-                &cur[r * stride..(r + 1) * stride],
-                st,
-                key_buf,
-                groups,
-                out,
-            );
+            let tuple = &bufs.cur[r * stride..(r + 1) * stride];
+            (self.output).feed(&f, tuple, &mut bufs.st, &mut bufs.key_buf, groups, out);
         }
         self.output.finish(&f, groups, out);
     }
+}
+
+/// One table scan per occurrence of `expr`.
+fn table_scans(expr: &SpjgExpr) -> Vec<Scan> {
+    expr.tables.iter().map(|&t| Scan::Table(t)).collect()
 }
 
 /// A [`Substitute`] compiled, with its view, into one [`PlanProgram`]: a
@@ -1301,51 +1394,45 @@ pub struct SubstitutePipeline {
 impl SubstitutePipeline {
     /// Compile the pair. The catalog gives each backjoined table's width.
     pub fn compile(catalog: &Catalog, view_expr: &SpjgExpr, sub: &Substitute) -> Self {
-        let view = PlanProgram::compile(view_expr);
-        let bare_cols: Option<Vec<usize>> = match &view.output {
-            OutputProgram::Project(items) => items.iter().map(Program::single_col).collect(),
-            OutputProgram::Aggregate { .. } => None,
+        let bare: Option<Vec<ColRef>> = match &view_expr.output {
+            OutputList::Spj(items) => items.iter().map(|ne| ne.expr.as_column()).collect(),
+            OutputList::Aggregate { .. } => None,
         };
-        // `cols[i]` is the packed position of substitute column `i`: the
-        // view's outputs, then each backjoined table's columns.
-        let (view, mut steps, mut cols) = match bare_cols {
-            Some(cols) => (None, view.steps, cols),
+        // The view's scans and conjuncts, or one scan of its rows; `cols[i]`
+        // is substitute column `i`: the view's outputs, then each
+        // backjoined table's columns.
+        let (view, mut scans, mut conjuncts, mut cols) = match bare {
+            Some(cols) => (
+                None,
+                table_scans(view_expr),
+                view_expr.conjuncts.clone(),
+                cols,
+            ),
             None => {
-                let arity = view.output.arity();
-                (Some(view), vec![JoinStep::default()], (0..arity).collect())
+                let view = PlanProgram::compile(view_expr);
+                let cols = (0..view.output.arity() as u32).map(|c| ColRef::new(0, c));
+                (Some(view), vec![Scan::Input(0)], Vec::new(), cols.collect())
             }
         };
         for bj in &sub.backjoins {
-            let step = steps.len();
-            let mut keys: Vec<(usize, usize)> = bj
+            let leaf = scans.len() as u32;
+            scans.push(Scan::Table(bj.table));
+            let key = bj
                 .key
                 .iter()
-                .map(|&(p, c)| (cols[p], c.0 as usize))
-                .collect();
-            keys.sort_by_key(|&(_, col)| col);
-            steps.push(JoinStep {
-                table: Some(bj.table),
-                keys,
-                filters: Vec::new(),
-            });
-            let width = catalog.table(bj.table).columns.len();
-            cols.extend((0..width).map(|c| (step << COL_BITS) | c));
+                .map(|&(p, c)| (cols[p], ColRef::new(leaf, c.0)));
+            conjuncts.extend(key.map(|(v, b)| Conjunct::ColumnEq(v, b)));
+            let width = catalog.table(bj.table).columns.len() as u32;
+            cols.extend((0..width).map(|c| ColRef::new(leaf, c)));
         }
-        let map = |c: ColRef| cols[c.col.0 as usize];
-        for pred in &sub.predicates {
-            let step = pred
-                .columns()
-                .iter()
-                .map(|&c| map(c) >> COL_BITS)
-                .max()
-                .unwrap_or(0);
-            steps[step].filters.push(Program::compile_bool(pred, &map));
-        }
-        let output = OutputProgram::compile(&sub.output, &map);
-        SubstitutePipeline {
-            view,
-            sub: PlanProgram { steps, output },
-        }
+        let at = |c: ColRef| cols[c.col.0 as usize];
+        let preds = sub.predicates.iter().map(|p| p.map_columns(&mut { at }));
+        conjuncts.extend(preds.map(Conjunct::Residual));
+        let order: Vec<usize> = (0..scans.len()).collect();
+        let sub = PlanProgram::schedule(&scans, &conjuncts, false, &order, |map| {
+            OutputProgram::compile(&sub.output, &|c| map(at(c)))
+        });
+        SubstitutePipeline { view, sub }
     }
 
     /// Evaluate the substitute against one database.
@@ -1357,14 +1444,10 @@ impl SubstitutePipeline {
             ..
         } = scratch;
         indexes.clear();
-        let first = match &self.view {
-            Some(view) => {
-                view.run(db, None, indexes, bufs, view_rows);
-                Some(view_rows.rows())
-            }
-            None => None,
-        };
-        self.sub.run(db, first, indexes, bufs, out);
+        if let Some(view) = &self.view {
+            view.run(db, &[], indexes, bufs, view_rows);
+        }
+        self.sub.run(db, &[view_rows.rows()], indexes, bufs, out);
     }
 }
 
@@ -1517,8 +1600,8 @@ mod tests {
                 NamedAgg::new(AggFunc::Sum(S::col(cr(0, 4))), "qty"),
             ],
         );
-        assert_eq!(delta_order(&e, 2), vec![2, 1, 0, 3]);
-        assert_eq!(delta_order(&e, 3), vec![3, 0, 1, 2]);
+        assert_eq!(connected_order(4, &e.conjuncts, 2), vec![2, 1, 0, 3]);
+        assert_eq!(connected_order(4, &e.conjuncts, 3), vec![3, 0, 1, 2]);
         let mut scratch = ExecScratch::new();
         let mut out = RowBag::new();
         for (occ, &table) in e.tables.iter().enumerate() {
@@ -1552,7 +1635,7 @@ mod tests {
                     Op::Col((step << COL_BITS) | col),
                     Op::Cmp(CmpOp::Eq),
                 ],
-                ..Program::new()
+                ..Program::default()
             });
             js.filters.splice(0..0, eqs);
         }
@@ -1565,9 +1648,65 @@ mod tests {
         bag.rows().map(|row| format!("{row:?}")).collect()
     }
 
-    /// Did the last run over `scratch` build an index?
-    fn probed(scratch: &ExecScratch) -> bool {
-        (scratch.indexes.by_table.values().flatten()).any(|ix| ix.chains.is_some())
+    /// The direct layouts (or `None`, hashed) of the indexes the last run
+    /// over `scratch` built.
+    fn layouts(scratch: &ExecScratch) -> Vec<Option<(i64, u64)>> {
+        let entries = scratch.indexes.by_key.iter();
+        entries
+            .filter_map(|ix| Some(ix.index.as_ref()?.direct))
+            .collect()
+    }
+
+    /// Rows `[id, k, k2, v]` whose keys `k` and `k2` are drawn from NULL,
+    /// Ints and Floats, 1.0 among them; every value recurs, so every key is
+    /// duplicated in the larger data.
+    fn mixed_rows(n: usize, salt: usize) -> Vec<Row> {
+        let keys = [
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Float(1.0),
+            Value::Int(2),
+            Value::Float(2.5),
+        ];
+        (0..n)
+            .map(|i| {
+                let key = |at: usize| keys[(at + salt) % keys.len()].clone();
+                let v = Value::Float(0.1 * i as f64);
+                vec![Value::Int(i as i64), key(5 * i), key(i / 3), v]
+            })
+            .collect()
+    }
+
+    /// Rows `[id, k, k2, v]` whose single `Int` key `k` is dense: ten
+    /// values from `base` on, and NULL. Salt 0 (`r`, the probing side of
+    /// most plans) mixes in probes of an index addressed by offset: the
+    /// `Float` equal to a key, NULL, `Int`s just past either end of the
+    /// range, a non-integral `Float`, and `Int`s and `Float`s at ±2^53.
+    fn dense_rows(n: usize, salt: usize, base: i64) -> Vec<Row> {
+        let edge = EXACT_INT;
+        let probes = [
+            Value::Float((base + 3) as f64),
+            Value::Null,
+            Value::Int(base - 1),
+            Value::Int(base + 10),
+            Value::Float(base as f64 + 2.5),
+            Value::Int(edge),
+            Value::Int(-edge),
+            Value::Float(edge as f64),
+            Value::Float(-edge as f64),
+        ];
+        (0..n)
+            .map(|i| {
+                let k = match i % 7 {
+                    _ if salt == 0 && i % 4 == 0 => probes[i / 4 % probes.len()].clone(),
+                    6 => Value::Null,
+                    _ => Value::Int(base + ((i + salt) % 10) as i64),
+                };
+                let k2 = Value::Int(((i + salt) / 3 % 4) as i64);
+                vec![Value::Int(i as i64), k, k2, Value::Float(0.1 * i as f64)]
+            })
+            .collect()
     }
 
     /// Probing returns what the nested loop does, row for row and in the
@@ -1575,7 +1714,9 @@ mod tests {
     /// keys, `Int` keys meeting equal `Float`s, duplicate and two-column
     /// keys, a Cartesian step beside a keyed one, an empty scan on either
     /// side, a self-join, float sums, and delta schedules sharing one index
-    /// set across runs.
+    /// set across runs. Each data set runs twice: keys of mixed types,
+    /// which the index hashes, and a dense single `Int` key near 0 and near
+    /// either end of ±2^53, which it addresses by offset.
     #[test]
     fn probing_and_the_nested_loop_agree_row_for_row() {
         let mut catalog = Catalog::new();
@@ -1620,67 +1761,105 @@ mod tests {
                 ],
             ),
         ];
-        // Keys drawn from NULL, Ints and Floats, 1.0 among them; every
-        // value recurs, so every key is duplicated in the larger data.
-        let keys = [
-            Value::Null,
-            Value::Int(0),
-            Value::Int(1),
-            Value::Float(1.0),
-            Value::Int(2),
-            Value::Float(2.5),
+        // Mixed keys, then a dense key from each base.
+        let data_sets = [
+            ("mixed", None),
+            ("dense at 0", Some(0)),
+            ("dense below 2^53", Some(EXACT_INT - 10)),
+            ("dense above -2^53", Some(1 - EXACT_INT)),
         ];
-        let rows = |n: usize, salt: usize| -> Vec<Row> {
-            (0..n)
-                .map(|i| {
-                    let key = |at: usize| keys[(at + salt) % keys.len()].clone();
-                    let v = Value::Float(0.1 * i as f64);
-                    vec![Value::Int(i as i64), key(5 * i), key(i / 3), v]
-                })
-                .collect()
-        };
-        for (n, probes) in [(HASH_COMPARES - 2, false), (5 * HASH_COMPARES, true)] {
-            let mut db = Database::new(catalog.clone());
-            db.load(r, rows(n, 0));
-            db.load(t, rows(n, 1));
-            db.load(u, rows(2, 2));
-            db.load(e, Vec::new());
-            let mut scratch = ExecScratch::new();
-            let (mut got, mut want) = (RowBag::new(), RowBag::new());
-            let mut shared = JoinIndexes::new();
-            for (i, plan) in plans.iter().enumerate() {
-                let prog = PlanProgram::compile(plan);
-                nested_only(&prog).execute(&db, &mut scratch, &mut want);
-                assert!(!probed(&scratch));
-                prog.execute(&db, &mut scratch, &mut got);
-                let keyed_and_full = !plan.tables.contains(&e);
-                assert_eq!(
-                    probed(&scratch),
-                    probes && keyed_and_full,
-                    "plan {i}, n {n}"
-                );
-                assert_eq!(exact(&got), exact(&want), "plan {i}, n {n}");
-                assert!(bag_eq(&got.to_rows(), &execute_spjg(&db, plan)));
-                if probes && keyed_and_full {
-                    assert!(!got.is_empty(), "plan {i}, n {n}");
-                }
-                for occ in 0..plan.tables.len() {
-                    let prog = PlanProgram::compile_delta(plan, occ);
-                    let stored = db.rows(plan.tables[occ]);
-                    let delta = &stored[..stored.len().min(n / 2)];
-                    let mut fresh = JoinIndexes::new();
-                    nested_only(&prog).execute_delta(
-                        &db,
-                        delta,
-                        &mut fresh,
-                        &mut scratch,
-                        &mut want,
-                    );
-                    prog.execute_delta(&db, delta, &mut shared, &mut scratch, &mut got);
-                    assert_eq!(exact(&got), exact(&want), "plan {i} delta {occ}, n {n}");
+        for (data, base) in data_sets {
+            let rows = |n, salt| match base {
+                None => mixed_rows(n, salt),
+                Some(base) => dense_rows(n, salt, base),
+            };
+            for (n, probes) in [(HASH_COMPARES - 2, false), (5 * HASH_COMPARES, true)] {
+                let mut db = Database::new(catalog.clone());
+                db.load(r, rows(n, 0));
+                db.load(t, rows(n, 1));
+                db.load(u, rows(2, 2));
+                db.load(e, Vec::new());
+                let mut scratch = ExecScratch::new();
+                let (mut got, mut want) = (RowBag::new(), RowBag::new());
+                let mut shared = JoinIndexes::new();
+                for (i, plan) in plans.iter().enumerate() {
+                    let at = format!("{data}, plan {i}, n {n}");
+                    let prog = PlanProgram::compile(plan);
+                    nested_only(&prog).execute(&db, &mut scratch, &mut want);
+                    assert!(layouts(&scratch).is_empty());
+                    prog.execute(&db, &mut scratch, &mut got);
+                    let keyed_and_full = !plan.tables.contains(&e);
+                    let built = layouts(&scratch);
+                    assert_eq!(!built.is_empty(), probes && keyed_and_full, "{at}");
+                    // One dense `Int` key column is addressed by offset.
+                    if base.is_some() && probes && i == 0 {
+                        assert!(matches!(built[..], [Some(_)]), "{at}");
+                    }
+                    assert_eq!(exact(&got), exact(&want), "{at}");
+                    assert!(bag_eq(&got.to_rows(), &execute_spjg(&db, plan)));
+                    if probes && keyed_and_full {
+                        assert!(!got.is_empty(), "{at}");
+                    }
+                    for occ in 0..plan.tables.len() {
+                        let prog = PlanProgram::compile_delta(plan, occ);
+                        let stored = db.rows(plan.tables[occ]);
+                        let delta = &stored[..stored.len().min(n / 2)];
+                        let mut fresh = JoinIndexes::new();
+                        nested_only(&prog).execute_delta(
+                            &db,
+                            delta,
+                            &mut fresh,
+                            &mut scratch,
+                            &mut want,
+                        );
+                        prog.execute_delta(&db, delta, &mut shared, &mut scratch, &mut got);
+                        assert_eq!(exact(&got), exact(&want), "{at}, delta {occ}");
+                    }
                 }
             }
         }
+    }
+
+    /// Whether an index over `rows` (those of `ids` when given) keyed on
+    /// the columns `key` addresses its keys by offset. The probing test
+    /// above and `physical_differential.rs` check both layouts' answers.
+    fn direct(rows: &[Row], ids: Option<&[u32]>, key: &[usize]) -> bool {
+        let keys: Vec<(usize, usize)> = key.iter().map(|&c| (0, c)).collect();
+        let mut index = KeyIndex::default();
+        index.ids.extend(ids.into_iter().flatten());
+        index.build(rows, &keys, ids.is_some());
+        index.direct.is_some()
+    }
+
+    fn one_key(keys: &[Value]) -> bool {
+        let rows: Vec<Row> = keys.iter().map(|k| vec![k.clone()]).collect();
+        direct(&rows, None, &[0])
+    }
+
+    #[test]
+    fn the_indexed_keys_choose_the_layout() {
+        let ints = |ks: &[i64]| ks.iter().map(|&k| Value::Int(k)).collect::<Vec<_>>();
+        assert!(one_key(&ints(&[-5, -3, -3, -1])));
+        assert!(one_key(&[Value::Int(7), Value::Null]));
+        // Three rows may span 4 × 3 + 64 = 76 places.
+        assert!(one_key(&ints(&[0, 40, 75])));
+        assert!(!one_key(&ints(&[0, 40, 76])));
+        assert!(!one_key(&ints(&[i64::MIN, 0, i64::MAX])));
+        // Only inside ±2^53 does an integral Float equal one Int.
+        let big = 1i64 << 53;
+        assert!(one_key(&ints(&[-big + 1, -big + 2])));
+        assert!(!one_key(&ints(&[big - 1, big])));
+        assert!(!one_key(&[Value::Null, Value::Null]));
+        assert!(!one_key(&[Value::Int(1), Value::Float(2.0)]));
+        assert!(!one_key(&[Value::Date(1), Value::Date(2)]));
+        let pairs = [ints(&[1, 2]), ints(&[2, 3])];
+        assert!(!direct(&pairs, None, &[0, 1]));
+        assert!(direct(&pairs, None, &[1]));
+        // Only the rows indexed count: the scan filters of a step leave
+        // out the key that makes the column sparse.
+        let sparse: Vec<Row> = ints(&[0, 1, 1_000]).into_iter().map(|k| vec![k]).collect();
+        assert!(!direct(&sparse, None, &[0]));
+        assert!(direct(&sparse, Some(&[0, 1]), &[0]));
     }
 
     #[test]

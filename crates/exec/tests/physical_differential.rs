@@ -1,21 +1,22 @@
-//! The late-materializing physical executor against the interpreter.
+//! Served plans, lowered to plan programs, against the interpreter.
 //!
 //! Every plan the optimizer emits for the section 5 generator's queries —
 //! over a few hundred registered and materialized views, with and without
 //! backjoins — must return exactly the bag `execute_spjg` returns for the
 //! query. The run counts the plan shapes it saw and fails if one the
-//! executor treats specially never occurred; the generator alone does not
+//! lowering treats specially never occurred; the generator alone does not
 //! produce every shape, so a few targeted queries go through the same
 //! optimizer. Hand-built plans cover what no optimizer output reaches:
 //! NULL, duplicated and cross-numeric join keys, a residual that rejects
-//! everything, and more leaves than the prover's programs allow.
+//! everything, a conjunct over a keyed step's own scan on both join paths,
+//! and more leaves than the per-call table of scans holds on the stack.
 
 use mv_catalog::schema::TableBuilder;
 use mv_catalog::{Catalog, ColumnType, TableId, Value};
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_data::{generate_tpch, Database, Row, TpchScale};
 use mv_exec::spjg::execute_spj_part;
-use mv_exec::{bag_diff, execute_plan, execute_spjg, CompiledPlan, ViewStore};
+use mv_exec::{bag_diff, execute_plan, execute_spjg, ViewStore};
 use mv_expr::{BinOp, BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_lint::oracle::{register_views, Oracle};
 use mv_optimizer::OptimizerConfig;
@@ -37,6 +38,11 @@ struct Shapes {
     preaggregation_under_join: usize,
     computed_project_below_root: usize,
     scalar_aggregate_over_empty_input: usize,
+    /// A join whose only single-leaf input is its left one: the right
+    /// input's steps go first.
+    single_leaf_on_the_left_only: usize,
+    /// A join of two joins, flattened into one step sequence.
+    bushy_join_flattened: usize,
 }
 
 /// The operator under any stack of `Project`s and `Filter`s.
@@ -44,6 +50,21 @@ fn strip(plan: &PhysicalPlan) -> &PhysicalPlan {
     match plan {
         PhysicalPlan::Project { input, .. } | PhysicalPlan::Filter { input, .. } => strip(input),
         other => other,
+    }
+}
+
+/// Whether `plan` is one step of a lowered program: a scan, or an
+/// aggregate or computing projection (a program of its own), under filters
+/// and bare projections.
+fn single_leaf(plan: &PhysicalPlan) -> bool {
+    match plan {
+        PhysicalPlan::Filter { input, .. } => single_leaf(input),
+        PhysicalPlan::Project { input, exprs }
+            if exprs.iter().all(|e| matches!(e, S::Column(_))) =>
+        {
+            single_leaf(input)
+        }
+        other => !is_join(other),
     }
 }
 
@@ -81,6 +102,11 @@ impl Shapes {
             let (l, r) = (strip(left), strip(right));
             if is_join(l) && is_join(r) {
                 self.bushy_join += 1;
+            }
+            match (single_leaf(left), single_leaf(right)) {
+                (true, false) => self.single_leaf_on_the_left_only += 1,
+                (false, false) => self.bushy_join_flattened += 1,
+                _ => {}
             }
             if [l, r]
                 .iter()
@@ -125,7 +151,7 @@ fn check_plan(fx: &Fixture, plan: &PhysicalPlan, query: &SpjgExpr, shapes: &mut 
     let got = execute_plan(&fx.db, &fx.store, plan);
     let want = execute_spjg(&fx.db, query);
     if let Some(diff) = bag_diff(&got, &want) {
-        panic!("physical executor disagrees with the interpreter: {diff}\nplan:\n{plan}");
+        panic!("served plan disagrees with the interpreter: {diff}\nplan:\n{plan}");
     }
     count(fx, plan, query, shapes);
 }
@@ -249,6 +275,8 @@ fn optimizer_plans_match_the_interpreter_on_every_shape() {
         preaggregation_under_join,
         computed_project_below_root,
         scalar_aggregate_over_empty_input,
+        single_leaf_on_the_left_only,
+        bushy_join_flattened,
     } = shapes;
     for (shape, seen) in [
         ("view scan with compensation filter", view_scan_filter),
@@ -265,6 +293,11 @@ fn optimizer_plans_match_the_interpreter_on_every_shape() {
             "scalar aggregate over empty input",
             scalar_aggregate_over_empty_input,
         ),
+        (
+            "join whose only single-leaf input is the left one",
+            single_leaf_on_the_left_only,
+        ),
+        ("bushy join flattened", bushy_join_flattened),
     ] {
         assert!(seen > 0, "no executed plan had the shape: {shape}");
     }
@@ -483,6 +516,47 @@ fn single_key_build_layouts() {
     }
 }
 
+/// A served join whose keyed step has a conjunct over its own scan alone
+/// (the optimizer's filter over a scan, under the join): below
+/// `HASH_COMPARES` (8) rows the step keeps the nested loop and applies the
+/// conjunct to the joined tuples; above, it evaluates the conjunct on the
+/// scan rows and indexes only the rows that pass. Either way the answer is
+/// the interpreter's, and the conjunct removes rows.
+#[test]
+fn a_conjunct_over_the_keyed_scan_holds_on_both_join_paths() {
+    for n in [4i64, 40] {
+        let rows = keyed(&(0..n).map(|i| Value::Int(i % 5)).collect::<Vec<_>>());
+        let (db, a, b) = key_tables(ColumnType::Int, ColumnType::Int, rows.clone(), rows);
+        let cut = n / 2;
+        let tag_below = |occ| BoolExpr::cmp(S::col(cr(occ, 1)), CmpOp::Lt, S::lit(cut));
+        let plan = PhysicalPlan::HashJoin {
+            left: Box::new(PhysicalPlan::TableScan { table: a }),
+            right: Box::new(PhysicalPlan::Filter {
+                input: Box::new(PhysicalPlan::TableScan { table: b }),
+                predicate: tag_below(0),
+            }),
+            left_keys: vec![0],
+            right_keys: vec![0],
+            residual: None,
+        };
+        let columns = (0..4)
+            .map(|p| NamedExpr::new(S::col(cr(p / 2, p % 2)), format!("c{p}")))
+            .collect::<Vec<_>>();
+        let join = BoolExpr::col_eq(cr(0, 0), cr(1, 0));
+        let query = SpjgExpr::spj(
+            vec![a, b],
+            BoolExpr::and(vec![join.clone(), tag_below(1)]),
+            columns.clone(),
+        );
+        let got = execute_plan(&db, &ViewStore::new(), &plan);
+        if let Some(diff) = bag_diff(&got, &execute_spjg(&db, &query)) {
+            panic!("{n} rows: {diff}");
+        }
+        let unfiltered = execute_spjg(&db, &SpjgExpr::spj(vec![a, b], join, columns));
+        assert!(!got.is_empty() && got.len() < unfiltered.len(), "{n} rows");
+    }
+}
+
 /// Rows sorted by their debug form, which tells `Int(2)` from
 /// `Float(2.0)` where `bag_diff` (by `Value::eq`) cannot.
 fn debug_rows(rows: &[Row]) -> Vec<String> {
@@ -654,8 +728,7 @@ fn more_than_sixteen_leaves() {
             .map(|occ| NamedExpr::new(S::col(cr(occ, 1)), format!("n{occ}")))
             .collect(),
     );
-    let compiled = CompiledPlan::compile(&plan);
-    let got = compiled.run(&db, &ViewStore::new());
+    let got = execute_plan(&db, &ViewStore::new(), &plan);
     assert_eq!(got.len(), db.row_count(t.nation));
     assert!(bag_diff(&got, &execute_spjg(&db, &query)).is_none());
 }
