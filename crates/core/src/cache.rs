@@ -34,20 +34,25 @@
 //!   next lookup — registering a view never takes a stop-the-world pass
 //!   over the cache.
 //!
-//! A substitute-cache hit re-runs the full tests over the cached views
-//! only, for the probing query and against the pinned snapshot, so the
-//! substitutes carry the freshness the snapshot's data epochs give each
-//! view. Base-table writes therefore leave substitute entries alone
-//! (DESIGN.md §11.1); debug builds prove a hit equals a fresh computation
-//! with a differential assertion. A plan carries the same per-table
+//! A substitute-cache entry holds the [`Verdict`] of every view that
+//! passed the full tests ([`CachedVerdicts`]). A hit applies the pinned
+//! snapshot's freshness gate to each cached verdict: a verdict-yield hit
+//! (`find_verdicts`) serves the admitted verdicts as they are, and a
+//! substitute-yield hit re-runs the full tests over the admitted views
+//! only, building their substitutes for the probing query with the
+//! freshness the snapshot's data epochs give each view. Base-table writes
+//! therefore leave substitute entries alone (DESIGN.md §11.1, §11.7);
+//! debug builds prove a hit equals a fresh computation with a
+//! differential assertion. A plan carries the same per-table
 //! stamp, plus one freshness counter when the engine's policy is not
 //! `StaleOk`: then a write round or a restamp, which can change which
 //! views the gate admits, makes every plan stale (DESIGN.md §11.4).
 
-use crate::matching::FreshnessPolicy;
+use crate::matching::{FreshnessPolicy, Verdict};
 use crate::snapshot::CatalogSnapshot;
 use crate::sync::{lock_or_recover, Arc, Mutex};
 use crate::{MatchingEngine, ViewsGuard};
+use mv_catalog::TableId;
 use mv_plan::{SpjgExpr, ViewId};
 use std::any::Any;
 use std::collections::hash_map::DefaultHasher;
@@ -159,11 +164,114 @@ pub struct EpochCache<G, V> {
 }
 
 /// The substitute cache: the bound block as the guard, and as the value
-/// the matcher's structural verdict — the candidate count of the original
+/// the matcher's structural verdicts, behind an `Arc` so a hit clones a
+/// pointer under the stripe's lock.
+pub type SubstituteCache = EpochCache<SpjgExpr, Arc<CachedVerdicts>>;
+
+/// A substitute-cache entry's value: the candidate count of the original
 /// computation (replayed into the stats on every hit, so counter totals
-/// stay path-independent) and the views that passed the full tests,
-/// freshness not applied.
-pub type SubstituteCache = EpochCache<SpjgExpr, (usize, Vec<ViewId>)>;
+/// stay path-independent) and the [`Verdict`] of every view that passed
+/// the full tests, freshness not applied. Packed: one 12-byte record a
+/// view, the seeks (4 bytes each) and backjoins of all of them in two
+/// arrays shared across the entry, and no rows, which a hit re-reads from
+/// the view's descriptor.
+#[derive(Debug, Default)]
+pub struct CachedVerdicts {
+    candidates: usize,
+    passed: Vec<Passed>,
+    /// Each seek as `pos << 2 | strength`.
+    seeks: Vec<u32>,
+    backjoins: Vec<TableId>,
+}
+
+/// One view's verdict in a [`CachedVerdicts`]: where its seeks and its
+/// backjoins end in the shared arrays (they start where the previous
+/// record's end), and its flags.
+#[derive(Debug)]
+struct Passed {
+    view: ViewId,
+    seeks_end: u32,
+    /// `backjoins_end << 2 | filters << 1 | regroups`.
+    backjoins_end: u32,
+}
+
+/// `n << 2 | low`: an offset or an output position with two bits beside
+/// it, a seek's strength (at most 2) or a record's flags.
+fn pack(n: usize, low: u8) -> u32 {
+    let n = u32::try_from(n)
+        .ok()
+        .filter(|&n| n < 1 << 30)
+        .expect("a cached verdict's offsets fit in 30 bits");
+    n << 2 | u32::from(low & 3)
+}
+
+/// [`pack`]'s `(n, low)`.
+fn unpack(word: u32) -> (usize, u8) {
+    ((word >> 2) as usize, (word & 3) as u8)
+}
+
+impl CachedVerdicts {
+    /// Record the verdict of the next view that passed (`rows` is not
+    /// kept).
+    pub(crate) fn push(&mut self, verdict: &Verdict) {
+        let seeks = verdict.seeks.iter().map(|&(pos, s)| pack(pos, s));
+        self.seeks.extend(seeks);
+        self.backjoins.extend_from_slice(&verdict.backjoins);
+        let flags = u8::from(verdict.filters) << 1 | u8::from(verdict.regroups);
+        self.passed.push(Passed {
+            view: verdict.view,
+            seeks_end: u32::try_from(self.seeks.len())
+                .expect("a cached verdict's offsets fit in u32"),
+            backjoins_end: pack(self.backjoins.len(), flags),
+        });
+    }
+
+    /// The finished entry of a computation over `candidates` candidates,
+    /// its arrays trimmed to their length.
+    pub(crate) fn finish(mut self, candidates: usize) -> Arc<CachedVerdicts> {
+        self.candidates = candidates;
+        self.passed.shrink_to_fit();
+        self.seeks.shrink_to_fit();
+        self.backjoins.shrink_to_fit();
+        Arc::new(self)
+    }
+
+    /// The filter's candidate count when the entry was computed.
+    pub(crate) fn candidates(&self) -> usize {
+        self.candidates
+    }
+
+    /// The views that passed the full tests, ascending.
+    pub(crate) fn views(&self) -> impl Iterator<Item = ViewId> + '_ {
+        self.passed.iter().map(|p| p.view)
+    }
+
+    /// The verdicts of the views the freshness `policy` admits under
+    /// `snap`, in view order, each with its rows read from the view's
+    /// descriptor in `snap`.
+    pub(crate) fn admitted<'a>(
+        &'a self,
+        snap: &'a CatalogSnapshot,
+        policy: FreshnessPolicy,
+    ) -> impl Iterator<Item = Verdict> + 'a {
+        let (mut seeks_at, mut backjoins_at) = (0, 0);
+        self.passed.iter().filter_map(move |p| {
+            let (seeks_end, (backjoins_end, flags)) =
+                (p.seeks_end as usize, unpack(p.backjoins_end));
+            let seeks = &self.seeks[seeks_at..seeks_end];
+            let backjoins = &self.backjoins[backjoins_at..backjoins_end];
+            (seeks_at, backjoins_at) = (seeks_end, backjoins_end);
+            policy.admits(snap.view_lag(p.view)).then(|| Verdict {
+                view: p.view,
+                rows: snap.descriptors.prepared(p.view).rows,
+                backjoins: backjoins.to_vec(),
+                seeks: seeks.iter().map(|&s| unpack(s)).collect(),
+                filters: flags & 2 != 0,
+                regroups: flags & 1 != 0,
+            })
+        })
+    }
+}
 
 impl<G: Guard, V: Clone> EpochCache<G, V> {
     /// A cache of at most `capacity` entries, striped over one mutex per
@@ -465,6 +573,17 @@ mod tests {
         assert!(cache.len() <= 4, "eviction must bound the cache");
         cache.clear();
         assert_eq!(cache.len(), 0);
+    }
+
+    /// A record is 12 bytes and a seek 4, and what is packed reads back.
+    #[test]
+    fn cached_verdicts_pack_into_words() {
+        assert_eq!(std::mem::size_of::<Passed>(), 12);
+        for (n, low) in [(0, 0), (7, 2), ((1 << 30) - 1, 3)] {
+            assert_eq!(unpack(pack(n, low)), (n, low));
+        }
+        let entry = CachedVerdicts::default().finish(9);
+        assert_eq!((entry.candidates(), entry.views().count()), (9, 0));
     }
 
     #[test]

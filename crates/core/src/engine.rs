@@ -3,7 +3,10 @@
 //! filter, full tests, freshness gate, substitute cache. DESIGN.md §3 maps
 //! the modules the rest of the engine lives in.
 
-use crate::cache::{fingerprint, CacheLookup, PlanCache, SubstituteCache, PLAN_CACHE_SHARE};
+use crate::cache::{
+    fingerprint, CacheLookup, CachedVerdicts, PlanCache, SubstituteCache, PLAN_CACHE_SHARE,
+};
+use crate::descriptor::PreparedView;
 use crate::matching::{match_view, Assemble, MatchConfig, PreparedQuery, Verdict};
 use crate::snapshot::{CatalogSnapshot, ChecksGuard, ViewsGuard};
 use crate::stats::{AtomicMatchStats, MatchStats};
@@ -219,24 +222,23 @@ impl MatchingEngine {
     /// configured staleness bound of the current data epochs keep their
     /// substitutes (or verdicts, as `Y` says), stamped with the lag so
     /// callers see the guarantee.
-    /// With `passed`, every id that passes the full tests is also pushed
-    /// there, fresh or not — the structural verdict a cache entry keeps;
-    /// without it, a view the gate refuses skips the tests. The count is
-    /// the join-core states the loop built — candidates over one core
-    /// share everything up to the equijoin test through one
-    /// [`PreparedQuery`].
+    /// With `passed`, the verdict of every view that passes the full tests
+    /// is also recorded there, fresh or not — the structural verdict a
+    /// cache entry keeps; without it, a view the gate refuses skips the
+    /// tests. The count is the join-core states the loop built —
+    /// candidates over one core share everything up to the equijoin test
+    /// through one [`PreparedQuery`].
     fn match_candidates<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
         qsum: &ExprSummary,
         ids: &[ViewId],
-        mut passed: Option<&mut Vec<ViewId>>,
+        mut passed: Option<&mut CachedVerdicts>,
     ) -> (Vec<(ViewId, Y)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
-        let match_view = |pq: &PreparedQuery, id: ViewId| {
-            let (view, pv) = (snap.views.get(id), snap.descriptors.prepared(id));
-            match_view::<Y>(&self.catalog, &self.config, pq, id, view, pv)
+        let match_view = |pq: &PreparedQuery, id: ViewId, pv: &PreparedView| {
+            match_view::<Y>(&self.catalog, &self.config, pq, id, snap.views.get(id), pv)
         };
         let mut out = Vec::new();
         for &id in ids {
@@ -245,7 +247,8 @@ impl MatchingEngine {
             if !admitted && passed.is_none() {
                 continue;
             }
-            let Some(mut sub) = match_view(&pq, id) else {
+            let pv = snap.descriptors.prepared(id);
+            let Some(mut sub) = match_view(&pq, id, pv) else {
                 continue;
             };
             // Sharing must be invisible: a state of its own gives this
@@ -253,12 +256,12 @@ impl MatchingEngine {
             #[cfg(debug_assertions)]
             assert_eq!(
                 Some(&sub),
-                match_view(&PreparedQuery::new(query, qsum), id).as_ref(),
+                match_view(&PreparedQuery::new(query, qsum), id, pv).as_ref(),
                 "{id} matched through shared core state must be byte-identical \
                  to a match with fresh state"
             );
             if let Some(passed) = passed.as_deref_mut() {
-                passed.push(id);
+                passed.push(&sub.verdict(pv));
             }
             if admitted {
                 sub.admit(Freshness::from_lag(lag));
@@ -277,7 +280,7 @@ impl MatchingEngine {
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-        passed: Option<&mut Vec<ViewId>>,
+        passed: Option<&mut CachedVerdicts>,
     ) -> (Vec<(ViewId, Y)>, usize, usize, Duration) {
         let qsum = self.query_summary_in(snap, query);
 
@@ -303,13 +306,15 @@ impl MatchingEngine {
     ///
     /// With the substitute cache enabled (see
     /// [`MatchConfig::substitute_cache_capacity`]), a repeated query block
-    /// skips the filter tree and every failing candidate: the full tests
-    /// re-run over the views the cached verdict kept, and the freshness
-    /// gate over the pinned snapshot, so the result is byte-identical to
-    /// a fresh computation, which debug builds prove with a differential
-    /// assertion on every hit. Verdicts are stamped with the catalog
-    /// epochs of the query's tables, so a registration over disjoint
-    /// tables leaves them valid and a base-table write touches none.
+    /// skips the filter tree and every failing candidate: the freshness
+    /// gate runs over the pinned snapshot for each view the cache kept a
+    /// verdict of, and the full tests re-run over the admitted views to
+    /// build their substitutes for the probing query, so the result is
+    /// byte-identical to a fresh computation, which debug builds prove
+    /// with a differential assertion on every hit. Verdicts are stamped
+    /// with the catalog epochs of the query's tables, so a registration
+    /// over disjoint tables leaves them valid and a base-table write
+    /// touches none.
     /// Hits replay the original candidate count into the stats so counter
     /// totals stay path-independent. A block that fails
     /// [`SpjgExpr::validate`] has no substitutes.
@@ -324,7 +329,9 @@ impl MatchingEngine {
     /// [`MatchingEngine::find_substitutes`] under the snapshot `pin`
     /// holds, yielding each substitute's [`Verdict`] instead of the
     /// substitute: the same views pass, in the same order, and the same
-    /// stats are recorded, but no substitute is built.
+    /// stats are recorded, but no substitute is built. A cache hit serves
+    /// the cached verdicts the freshness gate admits, with no query
+    /// summary and no full test run.
     /// [`MatchingEngine::build_substitute`] under the same pin builds the
     /// substitute of any view a verdict names.
     pub fn find_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
@@ -350,24 +357,33 @@ impl MatchingEngine {
             self.cache.lookup(*hash, |g| g.identical(query), stamp)
         });
         match probe {
-            CacheLookup::Hit((candidates, passed)) => {
-                let qsum = self.query_summary_in(snap, query);
-                let (results, core_states) =
-                    self.match_candidates(snap, query, &qsum, &passed, None);
+            CacheLookup::Hit(entry) => {
+                // A verdict is served as the entry holds it. A substitute
+                // is rebuilt by the full tests over the cached views, which
+                // apply the gate themselves.
+                let admitted = entry.admitted(snap, self.config.freshness);
+                let (results, core_states) = match Y::from_verdicts(admitted) {
+                    Some(served) => (served, 0),
+                    None => {
+                        let qsum = self.query_summary_in(snap, query);
+                        let ids: Vec<ViewId> = entry.views().collect();
+                        self.match_candidates(snap, query, &qsum, &ids, None)
+                    }
+                };
                 #[cfg(debug_assertions)]
                 {
                     // The fresh computation runs the soundness oracles.
                     let (fresh, ..) = self.compute_substitutes::<Y>(snap, query, None);
                     assert_eq!(
                         results, fresh,
-                        "rebuilt substitutes must be byte-identical to a fresh \
+                        "a cache hit must be byte-identical to a fresh \
                          computation for the probing query"
                     );
                 }
                 self.stats.record_cache_hit();
                 self.stats.record_core_states(core_states);
                 self.stats.record(
-                    candidates,
+                    entry.candidates(),
                     snap.live_view_count(),
                     results.len(),
                     Duration::ZERO,
@@ -383,7 +399,7 @@ impl MatchingEngine {
         if query.validate(&self.catalog).is_err() {
             return Vec::new();
         }
-        let mut passed = Vec::new();
+        let mut passed = CachedVerdicts::default();
         let (out, n_candidates, core_states, filter_time) =
             self.compute_substitutes(snap, query, key.is_some().then_some(&mut passed));
         self.stats.record_core_states(core_states);
@@ -416,9 +432,8 @@ impl MatchingEngine {
             // A hit skips the filter and every failing candidate: the
             // candidate count is what the entry saves.
             let cost = n_candidates as u64 + 1;
-            let evicted =
-                self.cache
-                    .insert(hash, query.clone(), stamp, (n_candidates, passed), cost);
+            let entry = passed.finish(n_candidates);
+            let evicted = self.cache.insert(hash, query.clone(), stamp, entry, cost);
             if evicted {
                 self.stats.record_cache_eviction();
             }

@@ -63,7 +63,8 @@ pub mod summary;
 pub mod sync;
 
 pub use cache::{
-    fingerprint, CacheLookup, EpochCache, Fingerprint, PlanProbe, PlanTicket, SubstituteCache,
+    fingerprint, CacheLookup, CachedVerdicts, EpochCache, Fingerprint, PlanProbe, PlanTicket,
+    SubstituteCache,
 };
 pub use descriptor::{JoinCore, PreparedView};
 pub use engine::MatchingEngine;

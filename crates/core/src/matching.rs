@@ -30,6 +30,7 @@ use mv_plan::{
     AggFunc, BackJoin, Freshness, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef,
     ViewId,
 };
+use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
@@ -100,9 +101,10 @@ pub struct MatchConfig {
     pub strict_expression_filter: bool,
     /// Capacity (entries) of the block-keyed substitute cache on
     /// [`crate::MatchingEngine::find_substitutes`]: an entry holds the
-    /// views that passed the full tests, so a repeated query block skips
-    /// the filter tree and every failing candidate, and the substitutes
-    /// are rebuilt for the probing query under the current freshness.
+    /// verdicts of the views that passed the full tests, so a repeated
+    /// query block skips the filter tree and every failing candidate; a
+    /// hit serves the verdicts, or rebuilds the substitutes for the
+    /// probing query, under the current freshness.
     /// `0` disables the cache. Entries are invalidated lazily, per table,
     /// on view registration/removal and check constraints (never on
     /// base-table writes); a full stripe evicts the entry cheapest to
@@ -231,6 +233,25 @@ pub struct Verdict {
 }
 
 impl Verdict {
+    /// The verdict of `sub`, built over a view of `rows` estimated rows:
+    /// what the verdict yield of the same tests holds. The substitute
+    /// cache records a substitute-yield miss's verdicts this way.
+    pub fn of(sub: &Substitute, rows: f64) -> Verdict {
+        Verdict {
+            view: sub.view,
+            rows,
+            backjoins: sub.backjoins.iter().map(|bj| bj.table).collect(),
+            seeks: sub
+                .predicates
+                .iter()
+                .filter_map(seek)
+                .map(|(c, strength)| (c.col.0 as usize, strength))
+                .collect(),
+            filters: !sub.predicates.is_empty(),
+            regroups: matches!(sub.output, OutputList::Aggregate { .. }),
+        }
+    }
+
     /// The strongest seek on output position `pos`, 0 for none.
     pub fn strength(&self, pos: usize) -> u8 {
         self.seeks
@@ -1181,6 +1202,13 @@ pub(crate) trait Assemble: Sized + PartialEq + fmt::Debug {
     ) -> Self;
     /// Stamp the freshness the engine admitted the view under.
     fn admit(&mut self, freshness: Freshness);
+    /// The verdict of this result over `pv`, as a substitute-cache entry
+    /// records it.
+    fn verdict(&self, pv: &PreparedView) -> Cow<'_, Verdict>;
+    /// A substitute-cache hit's results from the cached verdicts of the
+    /// admitted views, when a verdict is the whole result. `None` for a
+    /// substitute, which the hit rebuilds with the full tests.
+    fn from_verdicts(verdicts: impl Iterator<Item = Verdict>) -> Option<Vec<(ViewId, Self)>>;
     /// The built substitute, for the debug-build oracles over it.
     #[cfg(debug_assertions)]
     fn built(&self) -> Option<&Substitute>;
@@ -1303,6 +1331,14 @@ impl Assemble for Substitute {
         self.freshness = freshness;
     }
 
+    fn verdict(&self, pv: &PreparedView) -> Cow<'_, Verdict> {
+        Cow::Owned(Verdict::of(self, pv.rows))
+    }
+
+    fn from_verdicts(_: impl Iterator<Item = Verdict>) -> Option<Vec<(ViewId, Substitute)>> {
+        None
+    }
+
     #[cfg(debug_assertions)]
     fn built(&self) -> Option<&Substitute> {
         Some(self)
@@ -1408,6 +1444,14 @@ impl Assemble for Verdict {
     }
 
     fn admit(&mut self, _: Freshness) {}
+
+    fn verdict(&self, _: &PreparedView) -> Cow<'_, Verdict> {
+        Cow::Borrowed(self)
+    }
+
+    fn from_verdicts(verdicts: impl Iterator<Item = Verdict>) -> Option<Vec<(ViewId, Verdict)>> {
+        Some(verdicts.map(|v| (v.view, v)).collect())
+    }
 
     #[cfg(debug_assertions)]
     fn built(&self) -> Option<&Substitute> {

@@ -205,8 +205,8 @@ impl MatchingEngine {
     /// Record a write round against a base table: bump its *data epoch*,
     /// so every view over it becomes one round stale until
     /// [`MatchingEngine::mark_views_maintained`] restamps it, and bump the
-    /// freshness counter. Substitute verdicts stay valid — freshness is
-    /// applied each time one is rebuilt. Under `StaleOk` cached plans stay
+    /// freshness counter. Substitute verdicts stay valid — every hit
+    /// applies the freshness gate to them afresh. Under `StaleOk` cached plans stay
     /// valid too; under any other policy every cached plan goes stale
     /// (DESIGN.md §17.2). A table the catalog does not know records and
     /// publishes nothing.

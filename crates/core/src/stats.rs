@@ -22,8 +22,9 @@ pub struct MatchStats {
     /// candidates of one invocation that share a FROM list and equijoin
     /// classes share one (DESIGN.md §13.5), so `candidates / core_states`
     /// is how many views paid for one §3.2 elimination. Counts work done —
-    /// an invocation answered from the substitute cache builds states only
-    /// for the views its cached verdict kept.
+    /// a substitute-yield hit on the substitute cache builds states only
+    /// for the cached views the freshness gate admits, and a verdict-yield
+    /// hit (`find_verdicts`) runs no full test and builds none.
     pub core_states: u64,
     /// Total views registered at the time of each invocation, summed over
     /// invocations (denominator for the candidate fraction).

@@ -1,15 +1,16 @@
 //! The substitute cache must be invisible: under any interleaving of
 //! `add_view` / `remove_view` / `record_base_write` /
-//! `mark_views_maintained` / `find_substitutes`, an engine with the cache
-//! enabled returns byte-identical results — freshness stamps included —
-//! to an engine with the cache disabled. In debug builds every cache hit
-//! additionally runs the engine's own differential assertion (rebuilt ==
-//! freshly computed), so these tests double as a harness for that oracle;
-//! release builds compile it out, which leaves these tests as the check
-//! of a rebuilt hit.
+//! `mark_views_maintained` / `find_substitutes` / `find_verdicts`, an
+//! engine with the cache enabled returns byte-identical results —
+//! freshness stamps included — to an engine with the cache disabled,
+//! whichever yield filled the entry a probe hits. In debug builds every
+//! cache hit additionally runs the engine's own differential assertion
+//! (served == freshly computed), so these tests double as a harness for
+//! that oracle; release builds compile it out, which leaves these tests as
+//! the check of a served hit.
 
 use mv_catalog::tpch::tpch_catalog;
-use mv_core::{EpochCache, FreshnessPolicy, MatchConfig, MatchingEngine};
+use mv_core::{EpochCache, FreshnessPolicy, MatchConfig, MatchingEngine, Verdict};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
@@ -38,8 +39,8 @@ fn uncached_config() -> MatchConfig {
     }
 }
 
-/// One step of the interleaving, decoded from a `(kind, index)` pair
-/// (the vendored proptest stand-in has no `prop_oneof`).
+/// One step of the interleaving, decoded from a `(kind, index, yield)`
+/// triple (the vendored proptest stand-in has no `prop_oneof`).
 #[derive(Debug, Clone, Copy)]
 enum Op {
     AddView(usize),
@@ -49,32 +50,41 @@ enum Op {
     /// Restamp every live view over the first table of query `idx`.
     MarkMaintained(usize),
     Find(usize),
+    /// `find_verdicts` under a pin taken for the probe.
+    FindVerdicts(usize),
 }
 
-fn decode(kind: usize, idx: usize) -> Op {
+fn decode(kind: usize, idx: usize, verdicts: bool) -> Op {
     match kind {
         0 => Op::AddView(idx),
         1 => Op::RemoveView(idx),
         2 => Op::RecordWrite(idx),
         3 => Op::MarkMaintained(idx),
+        _ if verdicts => Op::FindVerdicts(idx),
         _ => Op::Find(idx),
     }
+}
+
+/// `find_verdicts` under a fresh pin.
+fn verdicts_of(engine: &MatchingEngine, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
+    engine.find_verdicts(&engine.views(), query)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// Apply the same op sequence to a cached and an uncached engine
-    /// under `StrictFresh`; every `find_substitutes` must agree
-    /// byte-for-byte. Repeated query indices make real cache hits,
-    /// removals and additions exercise the epoch invalidation
-    /// mid-sequence, and writes and restamps exercise freshness applied
-    /// to a rebuilt verdict. Half the view pool is the queries
-    /// themselves, and the whole pool is registered before the first op,
-    /// so a find has views that answer it.
+    /// under `StrictFresh`; every `find_substitutes` and `find_verdicts`
+    /// must agree byte-for-byte. The yield is drawn per probe and both
+    /// share the one cache, so an entry one yield filled serves the
+    /// other. Repeated query indices make real cache hits, removals and
+    /// additions exercise the epoch invalidation mid-sequence, and writes
+    /// and restamps exercise freshness applied to a cached verdict. Half
+    /// the view pool is the queries themselves, and the whole pool is
+    /// registered before the first op, so a find has views that answer it.
     #[test]
     fn interleaving_equals_uncached_engine(
-        ops in prop::collection::vec((0usize..6, 0usize..16), 1..40),
+        ops in prop::collection::vec((0usize..6, 0usize..16, any::<bool>()), 1..40),
     ) {
         let (mut views, queries) = pools(8, 8);
         views.extend(
@@ -96,8 +106,8 @@ proptest! {
             live.push(id);
         }
 
-        for (kind, idx) in ops {
-            match decode(kind, idx) {
+        for (kind, idx, verdicts) in ops {
+            match decode(kind, idx, verdicts) {
                 Op::AddView(i) => {
                     let def = views[i % views.len()].clone();
                     let a = cached.add_view(def.clone());
@@ -139,6 +149,12 @@ proptest! {
                     let a = cached.find_substitutes(q);
                     let b = uncached.find_substitutes(q);
                     prop_assert_eq!(a, b, "cached engine diverged from uncached");
+                }
+                Op::FindVerdicts(qi) => {
+                    let q = &queries[qi % queries.len()];
+                    let a = verdicts_of(&cached, q);
+                    let b = verdicts_of(&uncached, q);
+                    prop_assert_eq!(a, b, "cached verdicts diverged from uncached");
                 }
             }
         }
@@ -192,6 +208,218 @@ fn epoch_bump_evicts_stale_hits() {
             .expect("generated views are valid");
     }
     assert_eq!(refreshed, fresh.find_substitutes(q));
+}
+
+/// Assert that for every query an entry filled by `find_substitutes`
+/// serves `find_verdicts` as a hit, and the reverse, each byte-identical to
+/// what the uncached `fresh` engine computes.
+fn assert_either_yield_serves(
+    cached: &MatchingEngine,
+    fresh: &MatchingEngine,
+    queries: &[SpjgExpr],
+) {
+    for (i, q) in queries.iter().enumerate() {
+        cached.clear_substitute_cache();
+        let hits = cached.stats().cache_hits;
+        assert_eq!(
+            cached.find_substitutes(q),
+            fresh.find_substitutes(q),
+            "query {i}"
+        );
+        let served = verdicts_of(cached, q);
+        assert_eq!(
+            cached.stats().cache_hits,
+            hits + 1,
+            "query {i}: a verdict hit"
+        );
+        assert_eq!(served, verdicts_of(fresh, q), "query {i}: served verdicts");
+
+        cached.clear_substitute_cache();
+        assert_eq!(verdicts_of(cached, q), served, "query {i}");
+        let rebuilt = cached.find_substitutes(q);
+        assert_eq!(
+            cached.stats().cache_hits,
+            hits + 2,
+            "query {i}: a substitute hit"
+        );
+        assert_eq!(
+            rebuilt,
+            fresh.find_substitutes(q),
+            "query {i}: rebuilt substitutes"
+        );
+    }
+}
+
+/// A substitute-yield miss fills an entry a verdict-yield probe then hits,
+/// and the reverse. The hand-built views compensate — a range on a view
+/// column is a seek, a column only a base table has is a backjoin — and
+/// one entry holds several views with different numbers of each, so the
+/// packed entry's shared arrays are read back at every offset.
+#[test]
+fn either_yield_serves_an_entry_the_other_filled() {
+    let (views, queries) = pools(8, 8);
+    let (cached, fresh) = (
+        engine_with(MatchConfig::default()),
+        engine_with(uncached_config()),
+    );
+    for def in views
+        .iter()
+        .chain(&[ViewDef::new("q0", queries[0].clone())])
+    {
+        cached.add_view(def.clone()).expect("pool views are valid");
+        fresh.add_view(def.clone()).expect("pool views are valid");
+    }
+    assert_either_yield_serves(&cached, &fresh, &queries);
+
+    let (catalog, t) = tpch_catalog();
+    let cr = ColRef::new;
+    let out = |cols: &[(u32, u32)]| {
+        cols.iter()
+            .map(|&(o, c)| NamedExpr::new(S::col(cr(o, c)), format!("t{o}c{c}")))
+            .collect::<Vec<_>>()
+    };
+    let cmp = |c: ColRef, op: CmpOp, v: i64| BoolExpr::cmp(S::col(c), op, S::lit(v));
+    let li_ord = BoolExpr::col_eq(cr(0, 0), cr(1, 0));
+    let views = [
+        SpjgExpr::spj(
+            vec![t.lineitem, t.orders],
+            li_ord.clone(),
+            out(&[(0, 0), (0, 3), (1, 0)]),
+        ),
+        SpjgExpr::spj(
+            vec![t.lineitem],
+            cmp(cr(0, 4), CmpOp::Gt, 10),
+            out(&[(0, 0), (0, 3), (0, 4)]),
+        ),
+        SpjgExpr::spj(
+            vec![t.lineitem],
+            BoolExpr::Literal(true),
+            out(&[(0, 0), (0, 3), (0, 4), (0, 5)]),
+        ),
+    ];
+    let queries = [
+        SpjgExpr::spj(vec![t.lineitem, t.orders], li_ord, out(&[(1, 3), (0, 5)])),
+        SpjgExpr::spj(
+            vec![t.lineitem],
+            BoolExpr::and(vec![
+                cmp(cr(0, 4), CmpOp::Gt, 10),
+                cmp(cr(0, 4), CmpOp::Le, 30),
+                cmp(cr(0, 5), CmpOp::Ne, 5),
+            ]),
+            out(&[(0, 0), (0, 5)]),
+        ),
+    ];
+    let backjoins = MatchConfig {
+        allow_backjoins: true,
+        ..MatchConfig::default()
+    };
+    let cached = MatchingEngine::new(catalog.clone(), backjoins.clone());
+    let fresh = MatchingEngine::new(
+        catalog,
+        MatchConfig {
+            substitute_cache_capacity: 0,
+            ..backjoins
+        },
+    );
+    for (i, v) in views.iter().enumerate() {
+        let def = ViewDef::new(format!("v{i}"), v.clone());
+        cached.add_view(def.clone()).expect("the view is valid");
+        fresh.add_view(def).expect("the view is valid");
+    }
+    assert_either_yield_serves(&cached, &fresh, &queries);
+    let served: Vec<Verdict> = queries
+        .iter()
+        .flat_map(|q| verdicts_of(&fresh, q))
+        .map(|(_, v)| v)
+        .collect();
+    assert!(served.iter().any(|v| v.backjoins.len() >= 2), "{served:?}");
+    assert!(served.iter().any(|v| v.seeks.len() >= 3), "{served:?}");
+    assert!(served.iter().any(|v| v.seeks.is_empty()), "{served:?}");
+}
+
+/// `part` rows with `lo <= p_partkey < hi`, projecting the key and
+/// `p_size` (`with_size`) or the key alone.
+fn part_range(lo: i64, hi: i64, with_size: bool) -> SpjgExpr {
+    let (_, t) = tpch_catalog();
+    let key = S::col(ColRef::new(0, 0));
+    let mut output = vec![NamedExpr::new(key.clone(), "p_partkey")];
+    if with_size {
+        output.push(NamedExpr::new(S::col(ColRef::new(0, 5)), "p_size"));
+    }
+    SpjgExpr::spj(
+        vec![t.part],
+        BoolExpr::and(vec![
+            BoolExpr::cmp(key.clone(), CmpOp::Ge, S::lit(lo)),
+            BoolExpr::cmp(key, CmpOp::Lt, S::lit(hi)),
+        ]),
+        output,
+    )
+}
+
+/// Under `StrictFresh` a verdict hit applies the gate to each cached
+/// verdict: a write round leaves the entry in place, and the hit omits the
+/// views it made stale until they are marked maintained.
+#[test]
+fn a_verdict_hit_gates_each_cached_verdict() {
+    let (catalog, t) = tpch_catalog();
+    let engine = MatchingEngine::new(
+        catalog,
+        MatchConfig {
+            freshness: FreshnessPolicy::StrictFresh,
+            ..MatchConfig::default()
+        },
+    );
+    let low = engine
+        .add_view(ViewDef::new("low", part_range(0, 1000, true)))
+        .expect("the view is valid");
+    let mid = engine
+        .add_view(ViewDef::new("mid", part_range(500, 2000, true)))
+        .expect("the view is valid");
+    let q = part_range(600, 900, false);
+    let ids = |v: &[(ViewId, Verdict)]| v.iter().map(|(id, _)| *id).collect::<Vec<_>>();
+
+    let first = verdicts_of(&engine, &q);
+    assert_eq!(ids(&first), [low, mid]);
+    engine.record_base_write(t.part);
+    assert_eq!(verdicts_of(&engine, &q), [], "both views are stale");
+    engine.mark_views_maintained(&[low]);
+    assert_eq!(verdicts_of(&engine, &q), first[..1], "low is fresh again");
+    engine.mark_views_maintained(&[mid]);
+    assert_eq!(verdicts_of(&engine, &q), first);
+    let s = engine.stats();
+    assert_eq!(
+        (s.cache_misses, s.cache_hits),
+        (1, 3),
+        "one entry served every probe"
+    );
+    assert_eq!(s.cache_invalidations, 0, "a write stales no entry");
+}
+
+/// A verdict hit runs no full test, so it builds no join-core state; a
+/// substitute hit rebuilds, and does.
+#[test]
+fn a_verdict_hit_builds_no_core_state() {
+    let engine = engine_with(MatchConfig::default());
+    let (views, queries) = pools(8, 1);
+    for def in views
+        .iter()
+        .chain(&[ViewDef::new("q0", queries[0].clone())])
+    {
+        engine.add_view(def.clone()).expect("pool views are valid");
+    }
+    let q = &queries[0];
+    assert!(!verdicts_of(&engine, q).is_empty());
+    let missed = engine.stats().core_states;
+    assert!(missed > 0, "the miss matched candidates");
+    verdicts_of(&engine, q);
+    let s = engine.stats();
+    assert_eq!(s.cache_hits, 1);
+    assert_eq!(s.core_states, missed, "a verdict hit builds no state");
+    engine.find_substitutes(q);
+    assert!(
+        engine.stats().core_states > missed,
+        "a substitute hit rebuilds"
+    );
 }
 
 /// The key is the exact block: variants that differ only in output names,

@@ -242,8 +242,8 @@ fn refused_writes_publish_nothing() {
 /// One `mark_views_maintained` call over k views is one publication, and
 /// it leaves the engine exactly where k single restamps leave it: the
 /// same answers, with the same stamps, served from the same cache
-/// entries. Restamps invalidate no substitute-cache entry — a cached
-/// verdict is rebuilt against the current freshness on every hit.
+/// entries. Restamps invalidate no substitute-cache entry — every hit
+/// gates the cached verdicts by the current freshness.
 #[test]
 fn batch_restamp_publishes_once_and_invalidates_like_single_restamps() {
     let (_, t) = tpch_catalog();

@@ -4,9 +4,10 @@
 //! what the optimizer's cost reads off that substitute — the view's rows,
 //! the backjoined tables in order, the seek strength of each compensating
 //! column-versus-constant predicate, whether any predicate is left, and
-//! whether the output regroups. The optimizer's debug builds assert a verdict's cost equals
-//! its built substitute's; this suite also runs in release mode, where
-//! that assertion is compiled out.
+//! whether the output regroups — which [`Verdict::of`] derives from the
+//! substitute, as the substitute cache does. The optimizer's debug builds
+//! assert a verdict's cost equals its built substitute's; this suite also
+//! runs in release mode, where that assertion is compiled out.
 
 use mv_catalog::tpch::{tpch_catalog, TpchTables};
 use mv_core::{seek, MatchConfig, MatchingEngine, Verdict};
@@ -81,6 +82,10 @@ fn assert_stands_for(
             .unwrap_or(0);
         assert_eq!(verdict.strength(pos), strength, "{id:?}: strength at {pos}");
     }
+    // The substitute cache records a substitute-yield miss's verdicts by
+    // deriving them from the built substitutes: the derivation must be
+    // the verdict the matcher yields.
+    assert_eq!(Verdict::of(sub, verdict.rows), *verdict, "{id:?}: derived");
 }
 
 /// Check every candidate of `query`, and that the verdicts name the views
