@@ -117,7 +117,7 @@ impl Value {
         }
     }
 
-    /// Total order used for sorting and clustered-index keys: `NULL` sorts
+    /// Total order used for sorting: `NULL` sorts
     /// first, then by type tag, then by value. Unlike [`Value::sql_cmp`],
     /// this is total and never fails.
     pub fn total_cmp(&self, other: &Value) -> Ordering {

@@ -171,32 +171,28 @@ pub type SubstituteCache = EpochCache<SpjgExpr, Arc<CachedVerdicts>>;
 /// A substitute-cache entry's value: the candidate count of the original
 /// computation (replayed into the stats on every hit, so counter totals
 /// stay path-independent) and the [`Verdict`] of every view that passed
-/// the full tests, freshness not applied. Packed: one 12-byte record a
-/// view, the seeks (4 bytes each) and backjoins of all of them in two
-/// arrays shared across the entry, and no rows, which a hit re-reads from
-/// the view's descriptor.
+/// the full tests, freshness not applied. Packed: one 8-byte record a
+/// view, the backjoins of all of them in one array shared across the
+/// entry, and no rows, which a hit re-reads from the view's descriptor.
+/// Those are all a substitute's cost reads (DESIGN.md §18.4).
 #[derive(Debug, Default)]
 pub struct CachedVerdicts {
     candidates: usize,
     passed: Vec<Passed>,
-    /// Each seek as `pos << 2 | strength`.
-    seeks: Vec<u32>,
     backjoins: Vec<TableId>,
 }
 
-/// One view's verdict in a [`CachedVerdicts`]: where its seeks and its
-/// backjoins end in the shared arrays (they start where the previous
-/// record's end), and its flags.
+/// One view's verdict in a [`CachedVerdicts`]: where its backjoins end in
+/// the shared array (they start where the previous record's end), and its
+/// flags.
 #[derive(Debug)]
 struct Passed {
     view: ViewId,
-    seeks_end: u32,
     /// `backjoins_end << 2 | filters << 1 | regroups`.
     backjoins_end: u32,
 }
 
-/// `n << 2 | low`: an offset or an output position with two bits beside
-/// it, a seek's strength (at most 2) or a record's flags.
+/// `n << 2 | low`: an offset with a record's two flag bits beside it.
 fn pack(n: usize, low: u8) -> u32 {
     let n = u32::try_from(n)
         .ok()
@@ -214,14 +210,10 @@ impl CachedVerdicts {
     /// Record the verdict of the next view that passed (`rows` is not
     /// kept).
     pub(crate) fn push(&mut self, verdict: &Verdict) {
-        let seeks = verdict.seeks.iter().map(|&(pos, s)| pack(pos, s));
-        self.seeks.extend(seeks);
         self.backjoins.extend_from_slice(&verdict.backjoins);
         let flags = u8::from(verdict.filters) << 1 | u8::from(verdict.regroups);
         self.passed.push(Passed {
             view: verdict.view,
-            seeks_end: u32::try_from(self.seeks.len())
-                .expect("a cached verdict's offsets fit in u32"),
             backjoins_end: pack(self.backjoins.len(), flags),
         });
     }
@@ -231,7 +223,6 @@ impl CachedVerdicts {
     pub(crate) fn finish(mut self, candidates: usize) -> Arc<CachedVerdicts> {
         self.candidates = candidates;
         self.passed.shrink_to_fit();
-        self.seeks.shrink_to_fit();
         self.backjoins.shrink_to_fit();
         Arc::new(self)
     }
@@ -254,18 +245,15 @@ impl CachedVerdicts {
         snap: &'a CatalogSnapshot,
         policy: FreshnessPolicy,
     ) -> impl Iterator<Item = Verdict> + 'a {
-        let (mut seeks_at, mut backjoins_at) = (0, 0);
+        let mut backjoins_at = 0;
         self.passed.iter().filter_map(move |p| {
-            let (seeks_end, (backjoins_end, flags)) =
-                (p.seeks_end as usize, unpack(p.backjoins_end));
-            let seeks = &self.seeks[seeks_at..seeks_end];
+            let (backjoins_end, flags) = unpack(p.backjoins_end);
             let backjoins = &self.backjoins[backjoins_at..backjoins_end];
-            (seeks_at, backjoins_at) = (seeks_end, backjoins_end);
+            backjoins_at = backjoins_end;
             policy.admits(snap.view_lag(p.view)).then(|| Verdict {
                 view: p.view,
                 rows: snap.descriptors.prepared(p.view).rows,
                 backjoins: backjoins.to_vec(),
-                seeks: seeks.iter().map(|&s| unpack(s)).collect(),
                 filters: flags & 2 != 0,
                 regroups: flags & 1 != 0,
             })
@@ -575,10 +563,10 @@ mod tests {
         assert_eq!(cache.len(), 0);
     }
 
-    /// A record is 12 bytes and a seek 4, and what is packed reads back.
+    /// A record is 8 bytes, and what is packed reads back.
     #[test]
     fn cached_verdicts_pack_into_words() {
-        assert_eq!(std::mem::size_of::<Passed>(), 12);
+        assert_eq!(std::mem::size_of::<Passed>(), 8);
         for (n, low) in [(0, 0), (7, 2), ((1 << 30) - 1, 3)] {
             assert_eq!(unpack(pack(n, low)), (n, low));
         }

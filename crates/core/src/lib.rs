@@ -73,9 +73,7 @@ pub use filter::{
     AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS,
 };
 pub use lattice::LatticeIndex;
-pub use matching::{
-    match_view_prepared, seek, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict,
-};
+pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict};
 pub use snapshot::{ChecksGuard, ViewsGuard};
 pub use stats::MatchStats;
 pub use summary::ExprSummary;

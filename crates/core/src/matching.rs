@@ -221,9 +221,6 @@ pub struct Verdict {
     /// The base table of each backjoin, in activation order: the order
     /// of [`Substitute::backjoins`].
     pub backjoins: Vec<TableId>,
-    /// `(output position, strength)` of each compensating
-    /// column-versus-constant predicate, as [`seek`] reads it.
-    pub seeks: Vec<(usize, u8)>,
     /// Is any compensating predicate left: is [`Substitute::predicates`]
     /// non-empty?
     pub filters: bool,
@@ -241,51 +238,9 @@ impl Verdict {
             view: sub.view,
             rows,
             backjoins: sub.backjoins.iter().map(|bj| bj.table).collect(),
-            seeks: sub
-                .predicates
-                .iter()
-                .filter_map(seek)
-                .map(|(c, strength)| (c.col.0 as usize, strength))
-                .collect(),
             filters: !sub.predicates.is_empty(),
             regroups: matches!(sub.output, OutputList::Aggregate { .. }),
         }
-    }
-
-    /// The strongest seek on output position `pos`, 0 for none.
-    pub fn strength(&self, pos: usize) -> u8 {
-        self.seeks
-            .iter()
-            .filter(|(p, _)| *p == pos)
-            .map(|(_, s)| *s)
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-/// A predicate as an index seek key: the column of a column-versus-constant
-/// comparison, and how strongly it narrows an index seek — 2 for an
-/// equality, 1 for a range bound, 0 for `<>`. `None` for any other
-/// predicate. The optimizer's index-seek costing reads compensating
-/// predicates only through this, so a [`Verdict`] keeps only this of them.
-pub fn seek(p: &BoolExpr) -> Option<(ColRef, u8)> {
-    let BoolExpr::Compare { op, left, right } = p else {
-        return None;
-    };
-    let c = match (left.as_column(), right.as_column()) {
-        (Some(c), None) if right.is_constant() => c,
-        (None, Some(c)) if left.is_constant() => c,
-        _ => return None,
-    };
-    Some((c, seek_strength(*op)))
-}
-
-/// [`seek`]'s strength of a column-versus-constant comparison by `op`.
-fn seek_strength(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 2,
-        CmpOp::Ne => 0,
-        _ => 1,
     }
 }
 
@@ -1148,8 +1103,8 @@ pub(crate) trait Assemble: Sized + PartialEq + fmt::Debug {
     type Agg;
     /// The output list, or for a verdict whether it regroups.
     type Output;
-    /// The compensating predicates, or for a verdict their seeks and
-    /// whether there is any.
+    /// The compensating predicates, or for a verdict whether there is
+    /// any.
     type Predicates: Default;
 
     /// A constant, copied through.
@@ -1349,7 +1304,7 @@ impl Assemble for Verdict {
     type Scalar = Option<usize>;
     type Agg = ();
     type Output = bool;
-    type Predicates = (Vec<(usize, u8)>, bool);
+    type Predicates = bool;
 
     fn constant(_: &ScalarExpr) -> Option<usize> {
         None
@@ -1396,29 +1351,20 @@ impl Assemble for Verdict {
         Some(true)
     }
 
-    fn column_eq((_, filters): &mut Self::Predicates, _: usize, _: usize) {
+    fn column_eq(filters: &mut bool, _: usize, _: usize) {
         *filters = true;
     }
 
-    fn bound((seeks, filters): &mut Self::Predicates, pos: usize, op: CmpOp, _: Value) {
-        seeks.push((pos, seek_strength(op)));
+    fn bound(filters: &mut bool, _: usize, _: CmpOp, _: Value) {
         *filters = true;
     }
 
     fn residual(
-        (seeks, filters): &mut Self::Predicates,
+        filters: &mut bool,
         p: &BoolExpr,
         place: &mut impl FnMut(ColRef) -> Option<usize>,
     ) -> Option<()> {
-        // A seek's one column is the only one placed.
-        let mut placed = None;
-        p.try_for_each_column(&mut |c| {
-            placed = Some(place(c)?);
-            Some(())
-        })?;
-        if let (Some((_, strength)), Some(pos)) = (seek(p), placed) {
-            seeks.push((pos, strength));
-        }
+        p.try_for_each_column(&mut |c| place(c).map(drop))?;
         *filters = true;
         Some(())
     }
@@ -1427,7 +1373,7 @@ impl Assemble for Verdict {
         view: ViewId,
         pv: &PreparedView,
         backjoins: &[(OccId, usize)],
-        (seeks, filters): Self::Predicates,
+        filters: bool,
         regroups: bool,
     ) -> Verdict {
         Verdict {
@@ -1437,7 +1383,6 @@ impl Assemble for Verdict {
                 .iter()
                 .map(|(occ, _)| pv.outputs.backjoins[occ].table)
                 .collect(),
-            seeks,
             filters,
             regroups,
         }

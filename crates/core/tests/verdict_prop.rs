@@ -2,15 +2,14 @@
 //! candidate view, `find_verdicts` has a verdict exactly when
 //! `build_substitute` builds a substitute, and the verdict holds exactly
 //! what the optimizer's cost reads off that substitute — the view's rows,
-//! the backjoined tables in order, the seek strength of each compensating
-//! column-versus-constant predicate, whether any predicate is left, and
-//! whether the output regroups — which [`Verdict::of`] derives from the
+//! the backjoined tables in order, whether any compensating predicate is
+//! left, and whether the output regroups — which [`Verdict::of`] derives from the
 //! substitute, as the substitute cache does. The optimizer's debug builds
 //! assert a verdict's cost equals its built substitute's; this suite also
 //! runs in release mode, where that assertion is compiled out.
 
 use mv_catalog::tpch::{tpch_catalog, TpchTables};
-use mv_core::{seek, MatchConfig, MatchingEngine, Verdict};
+use mv_core::{MatchConfig, MatchingEngine, Verdict};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{card, AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef};
 use mv_plan::{ViewId, ViewSet};
@@ -63,25 +62,6 @@ fn assert_stands_for(
         matches!(sub.output, OutputList::Aggregate { .. }),
         "{id:?}: regroups"
     );
-    // The seeks, in predicate order, and the strength the optimizer's
-    // index costing reads at every position.
-    let built: Vec<(usize, u8)> = sub
-        .predicates
-        .iter()
-        .filter_map(seek)
-        .map(|(c, strength)| (c.col.0 as usize, strength))
-        .collect();
-    assert_eq!(verdict.seeks, built, "{id:?}: seeks");
-    let width = built.iter().map(|(p, _)| p + 1).max().unwrap_or(0) + 1;
-    for pos in 0..width {
-        let strength = built
-            .iter()
-            .filter(|(p, _)| *p == pos)
-            .map(|(_, s)| *s)
-            .max()
-            .unwrap_or(0);
-        assert_eq!(verdict.strength(pos), strength, "{id:?}: strength at {pos}");
-    }
     // The substitute cache records a substitute-yield miss's verdicts by
     // deriving them from the built substitutes: the derivation must be
     // the verdict the matcher yields.
@@ -168,6 +148,7 @@ fn verdicts_stand_for_the_substitutes_of_the_section_5_workload() {
     // The workload's matches need no compensation (the hand-built cases
     // below cover that), but both output shapes occur.
     assert!(verdicts.len() >= 500, "{} verdicts", verdicts.len());
+    assert!(verdicts.iter().any(|v| !v.filters));
     assert!(verdicts.iter().any(|v| v.regroups));
     assert!(verdicts.iter().any(|v| !v.regroups));
 }
@@ -219,6 +200,7 @@ fn backjoins_keep_their_activation_order() {
     let v = check(&engine, &q, &all);
     assert_eq!(v.len(), 1);
     assert_eq!(v[0].backjoins, vec![t.orders, t.lineitem]);
+    assert!(!v[0].filters, "the view's join is the query's");
     // ... and the other way round.
     let q = SpjgExpr::spj(vec![t.lineitem, t.orders], li_ord, out(&[(0, 5), (1, 3)]));
     assert_eq!(
@@ -226,8 +208,8 @@ fn backjoins_keep_their_activation_order() {
         vec![t.lineitem, t.orders]
     );
 
-    // A range on a view column and a `<>` on a backjoined one: the seeks
-    // are the bound (strength 1) and the residual (strength 0).
+    // A range on a view column and a `<>` on a backjoined one: both are
+    // left to compensate.
     let q = SpjgExpr::spj(
         vec![t.lineitem],
         BoolExpr::and(vec![
@@ -240,9 +222,7 @@ fn backjoins_keep_their_activation_order() {
     let v = check(&engine, &q, &all);
     let slim = v.iter().find(|v| v.view == ViewId(1)).unwrap();
     assert_eq!(slim.backjoins, vec![t.lineitem]);
-    assert!(slim.filters);
-    assert_eq!(slim.seeks.len(), 2, "{slim:?}");
-    assert_eq!(slim.strength(2), 1);
+    assert!(slim.filters, "{slim:?}");
 }
 
 #[test]
@@ -285,11 +265,12 @@ fn rollups_regroup_and_exact_groupings_do_not() {
         vec![count.clone(), qty.clone()],
     );
     let v = check(&engine, &exact, &all);
-    assert!(!by_view(&v, 0).unwrap().regroups);
+    let own = by_view(&v, 0).unwrap();
+    assert!(!own.regroups && !own.filters, "{own:?}");
     assert!(by_view(&v, 1).unwrap().regroups);
 
-    // Coarser, with an equality on a grouping column: a rollup, and a
-    // strength-2 seek on the view's l_partkey output.
+    // Coarser, with an equality on a grouping column: a rollup that
+    // filters on the view's l_partkey output.
     let coarser = SpjgExpr::aggregate(
         vec![t.lineitem],
         cmp(cr(0, 1), CmpOp::Eq, 7),
@@ -298,12 +279,11 @@ fn rollups_regroup_and_exact_groupings_do_not() {
     );
     let v = check(&engine, &coarser, &all);
     let rollup = by_view(&v, 0).unwrap();
-    assert!(rollup.regroups && rollup.filters);
-    assert_eq!(rollup.strength(1), 2);
+    assert!(rollup.regroups && rollup.filters, "{rollup:?}");
     assert!(by_view(&v, 1).unwrap().regroups);
 
-    // A compensating column equality filters but seeks nothing; an SPJ
-    // query cannot use the aggregation view.
+    // A compensating column equality filters; an SPJ query cannot use
+    // the aggregation view.
     let q = SpjgExpr::spj(
         vec![t.lineitem],
         BoolExpr::col_eq(cr(0, 1), cr(0, 2)),
@@ -311,5 +291,5 @@ fn rollups_regroup_and_exact_groupings_do_not() {
     );
     let v = check(&engine, &q, &all);
     assert_eq!(v.len(), 1);
-    assert!(v[0].filters && v[0].seeks.is_empty() && !v[0].regroups);
+    assert!(v[0].filters && !v[0].regroups);
 }

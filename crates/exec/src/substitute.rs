@@ -9,8 +9,8 @@ use mv_plan::{OutputList, Substitute, ViewDef};
 use std::collections::HashMap;
 
 /// Materialize a view: execute its defining expression against base data.
-/// (In SQL Server terms: build the unique clustered index contents.) It
-/// runs the view's compiled [`PlanProgram`], so the interpreter
+/// (SQL Server keeps these rows in the view's unique clustered index;
+/// here they are kept unindexed.) It runs the view's compiled [`PlanProgram`], so the interpreter
 /// ([`crate::spjg::execute_spjg`]) stays an independent check of what it
 /// stores.
 pub fn materialize_view(db: &Database, view: &ViewDef) -> Vec<Row> {

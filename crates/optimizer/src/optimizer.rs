@@ -453,45 +453,6 @@ fn config_tag(config: &OptimizerConfig) -> u64 {
     hasher.finish()
 }
 
-/// How constrained is a view output position by the compensating
-/// predicates: 2 = equality, 1 = range bound, 0 = unconstrained (see
-/// [`mv_core::seek`]). A [`Verdict`] answers the same from its seeks.
-#[cfg(any(debug_assertions, test))]
-fn constraint_strength(predicates: &[BoolExpr], pos: usize) -> u8 {
-    predicates
-        .iter()
-        .filter_map(mv_core::seek)
-        .filter(|(c, _)| c.col.0 as usize == pos)
-        .map(|(_, strength)| strength)
-        .max()
-        .unwrap_or(0)
-}
-
-/// Fraction of the view the best available index lets us scan, given how
-/// strongly the compensating predicates constrain each output position. A
-/// matched equality prefix column shrinks the scan 20x, a matched leading
-/// range bound 3x (coarse, selectivity-free index-seek modeling; 1.0 =
-/// full scan).
-fn index_seek_factor(view: &mv_plan::ViewDef, strength: impl Fn(usize) -> u8) -> f64 {
-    let mut best: f64 = 1.0;
-    let indexes = std::iter::once(&view.key).chain(view.secondary_indexes.iter());
-    for index in indexes {
-        let mut factor = 1.0;
-        for &pos in index {
-            match strength(pos) {
-                2 => factor *= 0.05,
-                1 => {
-                    factor *= 0.33;
-                    break; // a range bound ends the usable prefix
-                }
-                _ => break,
-            }
-        }
-        best = best.min(factor);
-    }
-    best
-}
-
 /// The physical alternative for a substitute: scan the view, join back
 /// to base tables (section 7 extension), apply the compensating
 /// predicates, project or re-aggregate.
@@ -674,11 +635,9 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     /// the substitute `verdict` stands for: scan the view, join back to
     /// base tables, apply the compensating predicates, project or
     /// re-aggregate.
-    fn verdict_cost(&self, views: &PinnedViews<'_>, verdict: &Verdict) -> f64 {
+    fn verdict_cost(&self, verdict: &Verdict) -> f64 {
         self.scan_cost(
-            views.views.get(verdict.view),
             verdict.rows,
-            |pos| verdict.strength(pos),
             verdict.filters,
             verdict.backjoins.iter().copied(),
             verdict.regroups,
@@ -691,35 +650,26 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
     #[cfg(any(debug_assertions, test))]
     fn substitute_cost(&self, views: &PinnedViews<'_>, sub: &Substitute) -> f64 {
         self.scan_cost(
-            views.views.get(sub.view),
             views.views.prepared(sub.view).rows,
-            |pos| constraint_strength(&sub.predicates, pos),
             !sub.predicates.is_empty(),
             sub.backjoins.iter().map(|bj| bj.table),
             matches!(sub.output, OutputList::Aggregate { .. }),
         )
     }
 
-    /// The cost of a substitute's alternative over `view` (estimated at
-    /// `view_rows`) from what it reads: the strength of the compensating
-    /// predicates on each output position, whether any predicate is left,
-    /// the backjoined tables, and whether the output regroups.
+    /// The cost of a substitute's alternative over a view of `view_rows`
+    /// estimated rows from what it executes: a full scan of the view (its
+    /// rows are stored unindexed, DESIGN.md §18.4), the backjoined
+    /// tables, a filter when any compensating predicate is left, and a
+    /// projection or a regrouping.
     fn scan_cost(
         &self,
-        view: &mv_plan::ViewDef,
         view_rows: f64,
-        strength: impl Fn(usize) -> u8,
         filters: bool,
         backjoins: impl Iterator<Item = TableId>,
         regroups: bool,
     ) -> f64 {
-        // Index-aware scan costing: "any secondary indexes defined on a
-        // materialized view will be considered automatically in the same
-        // way as for base tables" (section 2). When the compensating
-        // predicates constrain a prefix of the clustered key or of a
-        // secondary index, the scan is costed as an index seek.
-        let seek_factor = index_seek_factor(view, strength);
-        let scanned = (view_rows * seek_factor).max(1.0);
+        let scanned = view_rows.max(1.0);
         let mut cost = cost::scan(scanned);
         // Base-table backjoins (section 7 extension): each one is a
         // cardinality-preserving hash join against the base table.
@@ -765,7 +715,7 @@ impl<E: Borrow<MatchingEngine>> Optimizer<E> {
         for (i, (_, verdict)) in verdicts.iter().enumerate() {
             stats.alternatives += 1;
             stats.substitute_alternatives += 1;
-            let cost = self.verdict_cost(views, verdict);
+            let cost = self.verdict_cost(verdict);
             #[cfg(debug_assertions)]
             {
                 let built = views
@@ -1202,32 +1152,6 @@ mod tests {
     use mv_expr::{BinOp, CmpOp, ScalarExpr as S};
     use mv_plan::{NamedExpr, ViewDef};
 
-    fn sample_view(secondary: Option<Vec<usize>>) -> mv_plan::ViewDef {
-        let (_, t) = tpch_catalog();
-        let expr = SpjgExpr::spj(
-            vec![t.lineitem],
-            BoolExpr::Literal(true),
-            vec![
-                NamedExpr::new(S::col(ColRef::new(0, 0)), "l_orderkey"),
-                NamedExpr::new(S::col(ColRef::new(0, 4)), "l_quantity"),
-                NamedExpr::new(S::col(ColRef::new(0, 10)), "l_shipdate"),
-            ],
-        );
-        let mut v = ViewDef::new("v", expr).with_key(vec![0]);
-        if let Some(idx) = secondary {
-            v = v.with_secondary_index(idx);
-        }
-        v
-    }
-
-    fn eq_pred(pos: u32) -> BoolExpr {
-        BoolExpr::cmp(S::col(ColRef::new(0, pos)), CmpOp::Eq, S::lit(5i64))
-    }
-
-    fn range_pred(pos: u32) -> BoolExpr {
-        BoolExpr::cmp(S::col(ColRef::new(0, pos)), CmpOp::Lt, S::lit(5i64))
-    }
-
     #[test]
     fn try_optimize_rejects_empty_queries() {
         let (cat, _) = tpch_catalog();
@@ -1239,41 +1163,33 @@ mod tests {
         assert!(err.to_string().contains("at least one table"), "{err}");
     }
 
+    /// A view's rows are scanned whole whatever the compensating
+    /// predicates are, so an equality on its first output costs what a
+    /// `<>` on its second does: only that some predicate is left counts.
     #[test]
-    fn constraint_strength_classifies_predicates() {
-        let preds = vec![eq_pred(0), range_pred(1)];
-        assert_eq!(constraint_strength(&preds, 0), 2);
-        assert_eq!(constraint_strength(&preds, 1), 1);
-        assert_eq!(constraint_strength(&preds, 2), 0);
-        // Column-to-column comparisons do not qualify as seek keys.
-        let preds = vec![BoolExpr::col_eq(ColRef::new(0, 0), ColRef::new(0, 1))];
-        assert_eq!(constraint_strength(&preds, 0), 0);
-    }
-
-    #[test]
-    fn index_seek_factor_prefers_matching_indexes() {
-        let seek_factor = |v: &ViewDef, preds: &[BoolExpr]| {
-            index_seek_factor(v, |p| constraint_strength(preds, p))
+    fn compensating_predicates_cost_one_filter_whatever_they_are() {
+        let (cat, t) = tpch_catalog();
+        let engine = MatchingEngine::new(cat, mv_core::MatchConfig::default());
+        let part_cols = vec![
+            NamedExpr::new(S::col(cr(0, 0)), "p_partkey"),
+            NamedExpr::new(S::col(cr(0, 5)), "p_size"),
+        ];
+        let parts = SpjgExpr::spj(vec![t.part], BoolExpr::Literal(true), part_cols.clone());
+        engine.add_view(ViewDef::new("parts", parts)).unwrap();
+        let opt = Optimizer::new(&engine, OptimizerConfig::default());
+        let views = PinnedViews::new(&engine);
+        let cost = |col: u32, op: CmpOp, v: i64| {
+            let query = SpjgExpr::spj(
+                vec![t.part],
+                BoolExpr::cmp(S::col(cr(0, col)), op, S::lit(v)),
+                part_cols[..1].to_vec(),
+            );
+            let mut stats = OptimizerStats::default();
+            let (cost, verdict) = opt.apply_rule(&query, None, &views, &mut stats).unwrap();
+            assert!(verdict.filters, "{verdict:?}");
+            cost.to_bits()
         };
-        // Equality on the clustered key: strong seek.
-        let v = sample_view(None);
-        let f = seek_factor(&v, &[eq_pred(0)]);
-        assert!(f < 0.1, "{f}");
-        // Range on the key: partial seek.
-        let f = seek_factor(&v, &[range_pred(0)]);
-        assert!((0.2..=0.5).contains(&f), "{f}");
-        // Predicate on a non-indexed column: full scan.
-        let f = seek_factor(&v, &[eq_pred(1)]);
-        assert_eq!(f, 1.0);
-        // ... unless a secondary index covers it.
-        let v = sample_view(Some(vec![1, 2]));
-        let f = seek_factor(&v, &[eq_pred(1)]);
-        assert!(f < 0.1, "{f}");
-        // Multi-column prefix: eq on both columns compounds.
-        let f2 = seek_factor(&v, &[eq_pred(1), eq_pred(2)]);
-        assert!(f2 < f, "{f2} < {f}");
-        // No predicates: full scan.
-        assert_eq!(seek_factor(&v, &[]), 1.0);
+        assert_eq!(cost(0, CmpOp::Eq, 5), cost(5, CmpOp::Ne, 3));
     }
 
     fn cr(occ: u32, col: u32) -> ColRef {
@@ -1326,7 +1242,7 @@ mod tests {
                 for (_, verdict) in views.verdicts(&block) {
                     let built = views.build(&block, &verdict).unwrap();
                     assert_eq!(
-                        opt.verdict_cost(&views, &verdict).to_bits(),
+                        opt.verdict_cost(&verdict).to_bits(),
                         opt.substitute_cost(&views, &built).to_bits(),
                         "{verdict:?}\n{built:?}"
                     );
@@ -1353,9 +1269,10 @@ mod tests {
         let verdicts = assert_verdict_costs(&engine, &queries);
         assert!(verdicts.len() >= 400, "{}", verdicts.len());
 
-        // Its substitutes need no compensation, so these do: seeks on the
-        // clustered key and on a secondary index, residuals, backjoins and
-        // rollups.
+        assert!(verdicts.iter().any(|v| !v.filters));
+
+        // Its substitutes need no compensation, so these do: ranges,
+        // equalities and a `<>` on view columns, backjoins and rollups.
         let config = mv_core::MatchConfig {
             allow_backjoins: true,
             ..mv_core::MatchConfig::default()
@@ -1366,20 +1283,18 @@ mod tests {
             NamedExpr::new(S::col(cr(0, 5)), "p_size"),
         ];
         let parts = SpjgExpr::spj(vec![t.part], BoolExpr::Literal(true), part_cols.clone());
-        let parts = ViewDef::new("parts", parts)
-            .with_key(vec![0])
-            .with_secondary_index(vec![1]);
+        let parts = ViewDef::new("parts", parts);
         let by_size = SpjgExpr::aggregate(
             vec![t.part],
             BoolExpr::Literal(true),
             part_cols.clone(),
             vec![NamedAgg::new(AggFunc::CountStar, "n")],
         );
-        let by_size = ViewDef::new("by_size", by_size).with_key(vec![0, 1]);
+        let by_size = ViewDef::new("by_size", by_size);
         engine.add_views(vec![parts, by_size]).unwrap();
         let size = |op, v: i64| BoolExpr::cmp(S::col(cr(0, 5)), op, S::lit(v));
         let queries = [
-            // Equality on the key, and a `<>`: strengths 2 and 0.
+            // An equality and a `<>`.
             SpjgExpr::spj(
                 vec![t.part],
                 BoolExpr::and(vec![
@@ -1388,7 +1303,7 @@ mod tests {
                 ]),
                 part_cols[..1].to_vec(),
             ),
-            // A range on the secondary index, and a column the view lacks.
+            // A range, and a column the view lacks.
             SpjgExpr::spj(
                 vec![t.part],
                 size(CmpOp::Lt, 20),
@@ -1403,11 +1318,7 @@ mod tests {
             ),
         ];
         let verdicts = assert_verdict_costs(&engine, &queries);
-        assert!(verdicts.iter().any(|v| v.strength(0) == 2));
-        assert!(verdicts.iter().any(|v| v.strength(1) == 1));
-        assert!(verdicts
-            .iter()
-            .any(|v| v.seeks.iter().any(|&(_, s)| s == 0)));
+        assert!(verdicts.iter().any(|v| v.filters));
         assert!(verdicts.iter().any(|v| v.backjoins == [t.part]));
         assert!(verdicts.iter().any(|v| v.regroups));
     }

@@ -1,7 +1,7 @@
 //! Materialized-view definitions and the registry of all views known to
 //! the matcher.
 
-use crate::spjg::{OutputList, SpjgExpr};
+use crate::spjg::SpjgExpr;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -16,64 +16,28 @@ impl fmt::Display for ViewId {
     }
 }
 
-/// A materialized (indexed) view: a name, the defining SPJG expression, a
-/// unique clustered key, and optional secondary indexes.
+/// A materialized view: a name and the defining SPJG expression.
 ///
 /// SQL Server 2000 materializes a view "by creating a unique clustered
-/// index on an existing view. ... Once the clustered index has been
-/// created, additional secondary indexes can be created" (section 2). Keys
-/// and indexes are stored as positions into the view's output list.
+/// index on an existing view", and may add secondary indexes (section 2).
+/// Neither is modelled here: a view's rows are kept unindexed and every
+/// plan over the view scans them whole, so the optimizer costs a full
+/// scan (DESIGN.md §18.4).
 #[derive(Debug, Clone)]
 pub struct ViewDef {
     /// View name.
     pub name: String,
     /// The defining SPJG expression.
     pub expr: SpjgExpr,
-    /// Output positions forming the unique clustered key. For aggregation
-    /// views this is the set of grouping columns.
-    pub key: Vec<usize>,
-    /// Secondary index definitions (output positions each).
-    pub secondary_indexes: Vec<Vec<usize>>,
 }
 
 impl ViewDef {
-    /// Define a view. For aggregation views the clustered key defaults to
-    /// the grouping columns (which SQL Server requires to be the key); for
-    /// SPJ views the caller supplies it via [`ViewDef::with_key`], default
-    /// all output columns.
+    /// Define a view.
     pub fn new(name: impl Into<String>, expr: SpjgExpr) -> Self {
-        let key = match &expr.output {
-            OutputList::Aggregate { group_by, .. } => (0..group_by.len()).collect(),
-            OutputList::Spj(outputs) => (0..outputs.len()).collect(),
-        };
         ViewDef {
             name: name.into(),
             expr,
-            key,
-            secondary_indexes: Vec::new(),
         }
-    }
-
-    /// Override the clustered key.
-    pub fn with_key(mut self, key: Vec<usize>) -> Self {
-        assert!(
-            key.iter().all(|&p| p < self.expr.output_arity()),
-            "key position out of range for view {}",
-            self.name
-        );
-        self.key = key;
-        self
-    }
-
-    /// Add a secondary index.
-    pub fn with_secondary_index(mut self, cols: Vec<usize>) -> Self {
-        assert!(
-            cols.iter().all(|&p| p < self.expr.output_arity()),
-            "index position out of range for view {}",
-            self.name
-        );
-        self.secondary_indexes.push(cols);
-        self
     }
 
     /// Check the indexed-view rules of section 2: an aggregation view must
@@ -189,15 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn default_keys() {
-        let v = ViewDef::new("v_spj", spj_view());
-        assert_eq!(v.key, vec![0, 1]);
-        let v = ViewDef::new("v_agg", agg_view(true));
-        // Aggregation views are keyed on the grouping columns.
-        assert_eq!(v.key, vec![0]);
-    }
-
-    #[test]
     fn aggregation_views_require_count() {
         let mut set = ViewSet::new();
         assert!(set.add(ViewDef::new("good", agg_view(true))).is_ok());
@@ -213,17 +168,5 @@ mod tests {
         assert_eq!(set.get(id).name, "v1");
         assert_eq!(set.len(), 1);
         assert!(set.add(ViewDef::new("v1", spj_view())).is_err());
-    }
-
-    #[test]
-    fn secondary_indexes_validated() {
-        let v = ViewDef::new("v", spj_view()).with_secondary_index(vec![1]);
-        assert_eq!(v.secondary_indexes.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "key position out of range")]
-    fn bad_key_position_panics() {
-        let _ = ViewDef::new("v", spj_view()).with_key(vec![5]);
     }
 }

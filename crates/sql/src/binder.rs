@@ -309,7 +309,6 @@ mod tests {
         assert_eq!(v.expr.tables, vec![t.lineitem, t.part]);
         assert!(v.expr.is_aggregate());
         assert_eq!(v.expr.output_arity(), 5);
-        assert_eq!(v.key, vec![0, 1, 2]); // the grouping columns
         assert!(v.expr.count_star_position().is_some());
         // Conjuncts: range + residual LIKE + equijoin.
         assert_eq!(v.expr.conjuncts.len(), 3);
