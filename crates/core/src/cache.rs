@@ -35,18 +35,16 @@
 //!   over the cache.
 //!
 //! A substitute-cache entry holds the [`Verdict`] of every view that
-//! passed the full tests ([`CachedVerdicts`]). A hit applies the pinned
-//! snapshot's freshness gate to each cached verdict: a verdict-yield hit
-//! (`find_verdicts`) serves the admitted verdicts as they are, and a
-//! substitute-yield hit re-runs the full tests over the admitted views
-//! only, building their substitutes for the probing query with the
-//! freshness the snapshot's data epochs give each view. Base-table writes
-//! therefore leave substitute entries alone (DESIGN.md §11.1, §11.7);
-//! debug builds prove a hit equals a fresh computation with a
-//! differential assertion. A plan carries the same per-table
-//! stamp, plus one freshness counter when the engine's policy is not
-//! `StaleOk`: then a write round or a restamp, which can change which
-//! views the gate admits, makes every plan stale (DESIGN.md §11.4).
+//! passed the full tests ([`CachedVerdicts`]), stale ones included. A hit
+//! (`find_verdicts`, which `find_substitutes` calls first) applies the
+//! pinned snapshot's freshness gate to each cached verdict and serves the
+//! admitted ones as they are. Base-table writes therefore leave
+//! substitute entries alone (DESIGN.md §11.1, §11.7); debug builds prove
+//! a hit equals a fresh computation with a differential assertion. A
+//! plan carries the same per-table stamp, plus one freshness counter when
+//! the engine's policy is not `StaleOk`: then a write round or a restamp,
+//! which can change which views the gate admits, makes every plan stale
+//! (DESIGN.md §11.4).
 
 use crate::matching::{FreshnessPolicy, Verdict};
 use crate::snapshot::CatalogSnapshot;
@@ -230,11 +228,6 @@ impl CachedVerdicts {
     /// The filter's candidate count when the entry was computed.
     pub(crate) fn candidates(&self) -> usize {
         self.candidates
-    }
-
-    /// The views that passed the full tests, ascending.
-    pub(crate) fn views(&self) -> impl Iterator<Item = ViewId> + '_ {
-        self.passed.iter().map(|p| p.view)
     }
 
     /// The verdicts of the views the freshness `policy` admits under
@@ -446,7 +439,7 @@ impl MatchingEngine {
     /// `P` is a miss.
     ///
     /// Sound because a query's plan depends on the catalog only through
-    /// `find_substitutes` on subsets of its tables. Every catalog change
+    /// `find_verdicts` on subsets of its tables. Every catalog change
     /// that can change one of those bumps the epoch of a table in the
     /// subset, so of a table in the query's stamp. Freshness reaches a
     /// plan only through which views the gate admits; under `StaleOk` it
@@ -571,7 +564,7 @@ mod tests {
             assert_eq!(unpack(pack(n, low)), (n, low));
         }
         let entry = CachedVerdicts::default().finish(9);
-        assert_eq!((entry.candidates(), entry.views().count()), (9, 0));
+        assert_eq!((entry.candidates(), entry.passed.len()), (9, 0));
     }
 
     #[test]

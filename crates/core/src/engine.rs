@@ -1,4 +1,4 @@
-//! The matching engine and the `find_substitutes` entry point that a
+//! The matching engine and the `find_verdicts` entry point that a
 //! transformation-based optimizer invokes as its view-matching rule:
 //! filter, full tests, freshness gate, substitute cache. DESIGN.md §3 maps
 //! the modules the rest of the engine lives in.
@@ -24,11 +24,11 @@ use std::time::{Duration, Instant};
 ///
 /// The engine is an *online catalog*: every method — registration
 /// (`add_view`, `add_views`, `remove_view`, `add_check_constraint`) as
-/// well as the whole matching path (`find_substitutes`, `candidates`,
-/// `build_substitute`) — takes `&self`, so writers run concurrently with
-/// matchers. Writers serialize among themselves on an internal mutex,
-/// build the next immutable [`CatalogSnapshot`] by copy-on-write, and
-/// publish it with one atomic pointer swap
+/// well as the whole matching path (`find_verdicts`, `find_substitutes`,
+/// `candidates`, `build_substitute`) — takes `&self`, so writers run
+/// concurrently with matchers. Writers serialize among themselves on an
+/// internal mutex, build the next immutable catalog snapshot by
+/// copy-on-write, and publish it with one atomic pointer swap
 /// (`MatchingEngine::publish`); readers pin the current
 /// snapshot once per match and never observe a half-applied change. A
 /// multi-threaded optimizer host can therefore share one engine behind an
@@ -217,24 +217,21 @@ impl MatchingEngine {
         out.dedup();
     }
 
-    /// Run the full tests over `ids` (live views of `snap`, ascending)
-    /// and apply the freshness gate to each: the views within the
-    /// configured staleness bound of the current data epochs keep their
-    /// substitutes (or verdicts, as `Y` says), stamped with the lag so
-    /// callers see the guarantee.
-    /// With `passed`, the verdict of every view that passes the full tests
-    /// is also recorded there, fresh or not — the structural verdict a
-    /// cache entry keeps; without it, a view the gate refuses skips the
-    /// tests. The count is the join-core states the loop built —
-    /// candidates over one core share everything up to the equijoin test
-    /// through one [`PreparedQuery`].
+    /// Run the full tests over `ids` (live views of `snap`, ascending).
+    /// With `gate`, the freshness gate runs first: a view outside the
+    /// configured staleness bound of the current data epochs skips the
+    /// tests, and each one kept is stamped with its lag so callers see the
+    /// guarantee. Without it, every view that passes is kept, unstamped —
+    /// the structural verdicts a cache entry records. The count is the
+    /// join-core states the loop built — candidates over one core share
+    /// everything up to the equijoin test through one [`PreparedQuery`].
     fn match_candidates<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
         qsum: &ExprSummary,
         ids: &[ViewId],
-        mut passed: Option<&mut CachedVerdicts>,
+        gate: bool,
     ) -> (Vec<(ViewId, Y)>, usize) {
         let pq = PreparedQuery::new(query, qsum);
         let match_view = |pq: &PreparedQuery, id: ViewId, pv: &PreparedView| {
@@ -243,8 +240,7 @@ impl MatchingEngine {
         let mut out = Vec::new();
         for &id in ids {
             let lag = snap.view_lag(id);
-            let admitted = self.config.freshness.admits(lag);
-            if !admitted && passed.is_none() {
+            if gate && !self.config.freshness.admits(lag) {
                 continue;
             }
             let pv = snap.descriptors.prepared(id);
@@ -260,28 +256,26 @@ impl MatchingEngine {
                 "{id} matched through shared core state must be byte-identical \
                  to a match with fresh state"
             );
-            if let Some(passed) = passed.as_deref_mut() {
-                passed.push(&sub.verdict(pv));
-            }
-            if admitted {
+            if gate {
                 sub.admit(Freshness::from_lag(lag));
-                out.push((id, sub));
             }
+            out.push((id, sub));
         }
         (out, pq.core_states())
     }
 
-    /// Filter, match and debug-verify — the uncached matching pipeline,
-    /// recording the structural verdict into `passed` when given (see
-    /// [`MatchingEngine::match_candidates`]). Returns the substitutes (or
-    /// verdicts), the candidate and core-state counts, and the filter
-    /// time.
-    fn compute_substitutes<Y: Assemble>(
+    /// Filter, match and debug-check — the uncached matching pipeline.
+    /// With `entry`, the verdict of every view that passes the full tests
+    /// is recorded there, fresh or not, before the freshness gate keeps
+    /// the admitted ones; without it, a view the gate refuses skips the
+    /// tests. Returns the admitted verdicts, the candidate and core-state
+    /// counts, and the filter time.
+    fn compute_verdicts(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-        passed: Option<&mut CachedVerdicts>,
-    ) -> (Vec<(ViewId, Y)>, usize, usize, Duration) {
+        entry: Option<&mut CachedVerdicts>,
+    ) -> (Vec<(ViewId, Verdict)>, usize, usize, Duration) {
         let qsum = self.query_summary_in(snap, query);
 
         let filter_started = self.config.timing.then(Instant::now);
@@ -289,63 +283,63 @@ impl MatchingEngine {
         self.candidates_into_in(snap, query, &qsum, &mut candidates);
         let filter_time = elapsed(filter_started);
 
-        let (out, core_states) = self.match_candidates(snap, query, &qsum, &candidates, passed);
-        #[cfg(debug_assertions)]
-        {
-            self.debug_check(snap, query, &out);
-            self.debug_assert_filter_complete(snap, query, &qsum, &candidates);
+        let (mut out, core_states) =
+            self.match_candidates(snap, query, &qsum, &candidates, entry.is_none());
+        if let Some(entry) = entry {
+            for (_, verdict) in &out {
+                entry.push(verdict);
+            }
+            out.retain(|(id, _)| self.config.freshness.admits(snap.view_lag(*id)));
         }
+        #[cfg(debug_assertions)]
+        self.debug_assert_filter_complete(snap, query, &qsum, &candidates);
         (out, candidates.len(), core_states, filter_time)
     }
 
     /// The view-matching rule: find every view from which `query` can be
-    /// computed and build the substitutes. Updates the instrumentation
-    /// counters. Callable concurrently from any number of threads sharing
-    /// the engine, including while other threads register or remove
-    /// views: the whole match runs against one pinned snapshot.
+    /// computed and build the substitutes — [`MatchingEngine::find_verdicts`]
+    /// under one pinned snapshot, then the substitute of each view it
+    /// returns, built under the same pin in one pass. The same views come
+    /// back in the same order, and the counters move exactly as that one
+    /// `find_verdicts` call moves them. Callable concurrently from any
+    /// number of threads sharing the engine, including while other
+    /// threads register or remove views. A block that fails
+    /// [`SpjgExpr::validate`] has no substitutes.
+    ///
+    /// An optimizer that keeps at most one substitute per block calls
+    /// `find_verdicts` itself, and builds only the one it keeps with
+    /// [`MatchingEngine::build_substitute`].
+    pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
+        let pin = self.views();
+        let ids: Vec<ViewId> = self
+            .find_verdicts(&pin, query)
+            .into_iter()
+            .map(|(id, _)| id)
+            .collect();
+        self.build_substitutes(&pin.snap, query, &ids)
+    }
+
+    /// Every view from which `query` can be computed under the snapshot
+    /// `pin` holds, as the [`Verdict`] the optimizer costs its substitute
+    /// by: the substitutes themselves are not built. Updates the
+    /// instrumentation counters.
     ///
     /// With the substitute cache enabled (see
     /// [`MatchConfig::substitute_cache_capacity`]), a repeated query block
     /// skips the filter tree and every failing candidate: the freshness
     /// gate runs over the pinned snapshot for each view the cache kept a
-    /// verdict of, and the full tests re-run over the admitted views to
-    /// build their substitutes for the probing query, so the result is
-    /// byte-identical to a fresh computation, which debug builds prove
-    /// with a differential assertion on every hit. Verdicts are stamped
-    /// with the catalog epochs of the query's tables, so a registration
-    /// over disjoint tables leaves them valid and a base-table write
-    /// touches none.
-    /// Hits replay the original candidate count into the stats so counter
-    /// totals stay path-independent. A block that fails
-    /// [`SpjgExpr::validate`] has no substitutes.
-    ///
-    /// An optimizer that keeps at most one substitute per block calls
-    /// [`MatchingEngine::find_verdicts`] instead, and builds only the one
-    /// it keeps.
-    pub fn find_substitutes(&self, query: &SpjgExpr) -> Vec<(ViewId, Substitute)> {
-        self.find_substitutes_in(&self.snapshot(), query)
-    }
-
-    /// [`MatchingEngine::find_substitutes`] under the snapshot `pin`
-    /// holds, yielding each substitute's [`Verdict`] instead of the
-    /// substitute: the same views pass, in the same order, and the same
-    /// stats are recorded, but no substitute is built. A cache hit serves
-    /// the cached verdicts the freshness gate admits, with no query
-    /// summary and no full test run.
+    /// verdict of, and the admitted verdicts are served as the entry
+    /// holds them, with no query summary and no full test run. Debug
+    /// builds prove every hit byte-identical to a fresh computation.
+    /// Verdicts are stamped with the catalog epochs of the query's tables,
+    /// so a registration over disjoint tables leaves them valid and a
+    /// base-table write touches none. Hits replay the original candidate
+    /// count into the stats so counter totals stay path-independent. A
+    /// block that fails [`SpjgExpr::validate`] has no verdicts.
     /// [`MatchingEngine::build_substitute`] under the same pin builds the
     /// substitute of any view a verdict names.
     pub fn find_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
-        self.find_substitutes_in(&pin.snap, query)
-    }
-
-    /// [`MatchingEngine::find_substitutes`] against a pinned snapshot:
-    /// probe the substitute cache if there is one, otherwise (or on a
-    /// miss) compute, record the stats and fill the cache.
-    fn find_substitutes_in<Y: Assemble>(
-        &self,
-        snap: &CatalogSnapshot,
-        query: &SpjgExpr,
-    ) -> Vec<(ViewId, Y)> {
+        let snap = &pin.snap;
         let started = self.config.timing.then(Instant::now);
         // The block's hash and the stamp of the pinned snapshot; `None`
         // with the cache off, which then hashes nothing.
@@ -358,22 +352,13 @@ impl MatchingEngine {
         });
         match probe {
             CacheLookup::Hit(entry) => {
-                // A verdict is served as the entry holds it. A substitute
-                // is rebuilt by the full tests over the cached views, which
-                // apply the gate themselves.
-                let admitted = entry.admitted(snap, self.config.freshness);
-                let (results, core_states) = match Y::from_verdicts(admitted) {
-                    Some(served) => (served, 0),
-                    None => {
-                        let qsum = self.query_summary_in(snap, query);
-                        let ids: Vec<ViewId> = entry.views().collect();
-                        self.match_candidates(snap, query, &qsum, &ids, None)
-                    }
-                };
+                let results: Vec<(ViewId, Verdict)> = entry
+                    .admitted(snap, self.config.freshness)
+                    .map(|v| (v.view, v))
+                    .collect();
                 #[cfg(debug_assertions)]
                 {
-                    // The fresh computation runs the soundness oracles.
-                    let (fresh, ..) = self.compute_substitutes::<Y>(snap, query, None);
+                    let (fresh, ..) = self.compute_verdicts(snap, query, None);
                     assert_eq!(
                         results, fresh,
                         "a cache hit must be byte-identical to a fresh \
@@ -381,7 +366,6 @@ impl MatchingEngine {
                     );
                 }
                 self.stats.record_cache_hit();
-                self.stats.record_core_states(core_states);
                 self.stats.record(
                     entry.candidates(),
                     snap.live_view_count(),
@@ -401,7 +385,7 @@ impl MatchingEngine {
         }
         let mut passed = CachedVerdicts::default();
         let (out, n_candidates, core_states, filter_time) =
-            self.compute_substitutes(snap, query, key.is_some().then_some(&mut passed));
+            self.compute_verdicts(snap, query, key.is_some().then_some(&mut passed));
         self.stats.record_core_states(core_states);
         #[cfg(mv_model)]
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
@@ -441,7 +425,7 @@ impl MatchingEngine {
         out
     }
 
-    /// Drop every cached `find_substitutes` result (capacity unchanged).
+    /// Drop every cached verdict (capacity unchanged).
     pub fn clear_substitute_cache(&self) {
         self.cache.clear();
     }
@@ -458,7 +442,7 @@ impl MatchingEngine {
     #[cfg(debug_assertions)]
     #[doc(hidden)]
     pub fn fresh_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
-        self.compute_substitutes(&pin.snap, query, None).0
+        self.compute_verdicts(&pin.snap, query, None).0
     }
 
     /// Build the substitute of `view` for `query` under the snapshot `pin`
@@ -478,15 +462,33 @@ impl MatchingEngine {
         query: &SpjgExpr,
         view: ViewId,
     ) -> Option<Substitute> {
-        let snap = &pin.snap;
-        if !snap.is_live(view) || query.validate(&self.catalog).is_err() {
+        if !pin.snap.is_live(view) || query.validate(&self.catalog).is_err() {
             return None;
         }
+        let built = self.build_substitutes(&pin.snap, query, &[view]);
+        built.into_iter().next().map(|(_, sub)| sub)
+    }
+
+    /// The substitutes of `ids` (live views of `snap`, ascending) for a
+    /// valid `query`, each through the full tests and the freshness gate
+    /// and debug-checked by the soundness oracles; a view that fails
+    /// either is left out.
+    fn build_substitutes(
+        &self,
+        snap: &CatalogSnapshot,
+        query: &SpjgExpr,
+        ids: &[ViewId],
+    ) -> Vec<(ViewId, Substitute)> {
+        // `find_substitutes` passes no id for a block that fails
+        // validation, which is then never summarized.
+        if ids.is_empty() {
+            return Vec::new();
+        }
         let qsum = self.query_summary_in(snap, query);
-        let (result, _) = self.match_candidates(snap, query, &qsum, &[view], None);
+        let (out, _) = self.match_candidates(snap, query, &qsum, ids, true);
         #[cfg(debug_assertions)]
-        self.debug_check(snap, query, &result);
-        result.into_iter().next().map(|(_, sub)| sub)
+        self.debug_check(snap, query, &out);
+        out
     }
 
     // ------------------------------------------------------------------
@@ -1018,8 +1020,8 @@ mod tests {
         assert!(fresh.iter().all(|(_, s)| s.freshness.is_fresh()));
         engine.record_base_write(t.part);
         // StaleOk (the default) still serves, but the stamp says stale:
-        // the cached verdict survives the write, and rebuilding it stamps
-        // each view with its lag under the current data epochs.
+        // the cached verdict survives the write, and each substitute built
+        // from it is stamped with its view's lag under the current epochs.
         let stale = engine.find_substitutes(&q);
         assert_eq!(stale.len(), fresh.len());
         assert!(stale
@@ -1138,7 +1140,7 @@ mod tests {
             ..MatchConfig::default()
         });
         assert_eq!(engine.find_substitutes(&q).len(), 2);
-        // Both part views stale: the rebuilt verdict serves neither.
+        // Both part views stale: the cached verdict serves neither.
         engine.record_base_write(t.part);
         assert!(engine.find_substitutes(&q).is_empty());
         assert_eq!(hits(&engine), 1);

@@ -16,7 +16,7 @@
 //!
 //! Steps 1–3 read the view only through its [`JoinCore`] (FROM list and
 //! non-trivial equivalence classes), so they are computed once per
-//! distinct core per query ([`CoreMatch`], kept in the [`PreparedQuery`])
+//! distinct core per query (`CoreMatch`, kept in the [`PreparedQuery`])
 //! and steps 4–6 run per view against that shared state (DESIGN.md §13.5).
 
 use crate::descriptor::{occurrences_by_table, JoinCore, PreparedView};
@@ -30,7 +30,6 @@ use mv_plan::{
     AggFunc, BackJoin, Freshness, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef,
     ViewId,
 };
-use std::borrow::Cow;
 use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
@@ -100,21 +99,22 @@ pub struct MatchConfig {
     /// conditions (weaker pruning, never misses a recomputable rewrite).
     pub strict_expression_filter: bool,
     /// Capacity (entries) of the block-keyed substitute cache on
-    /// [`crate::MatchingEngine::find_substitutes`]: an entry holds the
+    /// [`crate::MatchingEngine::find_verdicts`]: an entry holds the
     /// verdicts of the views that passed the full tests, so a repeated
     /// query block skips the filter tree and every failing candidate; a
-    /// hit serves the verdicts, or rebuilds the substitutes for the
-    /// probing query, under the current freshness.
-    /// `0` disables the cache. Entries are invalidated lazily, per table,
-    /// on view registration/removal and check constraints (never on
-    /// base-table writes); a full stripe evicts the entry cheapest to
-    /// recompute. The cache stripes itself over one mutex per 128
-    /// entries of capacity, at most 8. The
-    /// engine's plan cache ([`crate::MatchingEngine::probe_plan`]) holds
-    /// a sixteenth of this many whole-query plans, so `0` disables both.
+    /// hit serves the verdicts the current freshness admits.
+    /// `find_substitutes` goes through the same cache and builds the
+    /// substitutes of the verdicts it returns. `0` disables the cache.
+    /// Entries are invalidated lazily, per table, on view
+    /// registration/removal and check constraints (never on base-table
+    /// writes); a full stripe evicts the entry cheapest to recompute. The
+    /// cache stripes itself over one mutex per 128 entries of capacity,
+    /// at most 8. The engine's plan cache
+    /// ([`crate::MatchingEngine::probe_plan`]) holds a sixteenth of this
+    /// many whole-query plans, so `0` disables both.
     pub substitute_cache_capacity: usize,
     /// Record wall-clock filter/match durations in [`crate::MatchStats`].
-    /// With this off, `find_substitutes` performs zero clock reads — on
+    /// With this off, `find_verdicts` performs zero clock reads — on
     /// the cached hot path the only work left is hashing the block and a
     /// shard probe.
     pub timing: bool,
@@ -227,21 +227,6 @@ pub struct Verdict {
     /// Does the substitute re-aggregate the view: is its output an
     /// [`OutputList::Aggregate`]?
     pub regroups: bool,
-}
-
-impl Verdict {
-    /// The verdict of `sub`, built over a view of `rows` estimated rows:
-    /// what the verdict yield of the same tests holds. The substitute
-    /// cache records a substitute-yield miss's verdicts this way.
-    pub fn of(sub: &Substitute, rows: f64) -> Verdict {
-        Verdict {
-            view: sub.view,
-            rows,
-            backjoins: sub.backjoins.iter().map(|bj| bj.table).collect(),
-            filters: !sub.predicates.is_empty(),
-            regroups: matches!(sub.output, OutputList::Aggregate { .. }),
-        }
-    }
 }
 
 /// Decide whether the prepared query can be computed from the prepared
@@ -1157,16 +1142,6 @@ pub(crate) trait Assemble: Sized + PartialEq + fmt::Debug {
     ) -> Self;
     /// Stamp the freshness the engine admitted the view under.
     fn admit(&mut self, freshness: Freshness);
-    /// The verdict of this result over `pv`, as a substitute-cache entry
-    /// records it.
-    fn verdict(&self, pv: &PreparedView) -> Cow<'_, Verdict>;
-    /// A substitute-cache hit's results from the cached verdicts of the
-    /// admitted views, when a verdict is the whole result. `None` for a
-    /// substitute, which the hit rebuilds with the full tests.
-    fn from_verdicts(verdicts: impl Iterator<Item = Verdict>) -> Option<Vec<(ViewId, Self)>>;
-    /// The built substitute, for the debug-build oracles over it.
-    #[cfg(debug_assertions)]
-    fn built(&self) -> Option<&Substitute>;
 }
 
 /// A column mapping to output positions, as references to them.
@@ -1285,19 +1260,6 @@ impl Assemble for Substitute {
     fn admit(&mut self, freshness: Freshness) {
         self.freshness = freshness;
     }
-
-    fn verdict(&self, pv: &PreparedView) -> Cow<'_, Verdict> {
-        Cow::Owned(Verdict::of(self, pv.rows))
-    }
-
-    fn from_verdicts(_: impl Iterator<Item = Verdict>) -> Option<Vec<(ViewId, Substitute)>> {
-        None
-    }
-
-    #[cfg(debug_assertions)]
-    fn built(&self) -> Option<&Substitute> {
-        Some(self)
-    }
 }
 
 impl Assemble for Verdict {
@@ -1389,19 +1351,6 @@ impl Assemble for Verdict {
     }
 
     fn admit(&mut self, _: Freshness) {}
-
-    fn verdict(&self, _: &PreparedView) -> Cow<'_, Verdict> {
-        Cow::Borrowed(self)
-    }
-
-    fn from_verdicts(verdicts: impl Iterator<Item = Verdict>) -> Option<Vec<(ViewId, Verdict)>> {
-        Some(verdicts.map(|v| (v.view, v)).collect())
-    }
-
-    #[cfg(debug_assertions)]
-    fn built(&self) -> Option<&Substitute> {
-        None
-    }
 }
 
 #[cfg(test)]

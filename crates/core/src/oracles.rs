@@ -4,15 +4,15 @@
 //! and the only place mv-core calls either checker.
 
 use crate::filter::{strict_filter_exempt_levels, LEVEL_NAMES};
-use crate::matching::{match_view, Assemble, PreparedQuery, Verdict};
+use crate::matching::{match_view, PreparedQuery, Verdict};
 use crate::snapshot::CatalogSnapshot;
 use crate::summary::ExprSummary;
 use crate::MatchingEngine;
-use mv_plan::{SpjgExpr, ViewId};
+use mv_plan::{SpjgExpr, Substitute, ViewId};
 
 impl MatchingEngine {
     /// Completeness oracle, the dual of [`MatchingEngine::debug_check`]:
-    /// after every filtered `find_substitutes`, exhaustively re-match each
+    /// after every filtered `find_verdicts`, exhaustively re-match each
     /// live view the filter tree pruned and panic if one of them actually
     /// matches — unless the only rejecting levels are the documented
     /// strict-expression-filter conservatism
@@ -85,11 +85,11 @@ impl MatchingEngine {
     /// test for all three. Proving enumerates databases and executes both
     /// plans, so it is off unless [`crate::MatchConfig::prove_budget`] is
     /// nonzero, and capped at a catalog size for functional tests.
-    pub(crate) fn debug_check<Y: Assemble>(
+    pub(crate) fn debug_check(
         &self,
         snap: &CatalogSnapshot,
         query: &SpjgExpr,
-        results: &[(ViewId, Y)],
+        results: &[(ViewId, Substitute)],
     ) {
         const DEBUG_PROVE_CAP: usize = 64;
         let ctx = mv_verify::VerifyContext::new(&self.catalog, &snap.checks);
@@ -100,7 +100,7 @@ impl MatchingEngine {
                     ..mv_prove::ProveConfig::default()
                 }
             });
-        for (id, sub) in results.iter().filter_map(|(id, y)| Some((id, y.built()?))) {
+        for (id, sub) in results {
             let view = snap.views.get(*id);
             let errors: Vec<String> =
                 mv_verify::verify_substitute(&ctx, query, &view.expr, sub, &view.name, "query")

@@ -276,7 +276,7 @@ impl MatchingEngine {
 }
 
 /// A pinned, read-only handle on the registered views: derefs to
-/// [`ViewSet`] and keeps the underlying [`CatalogSnapshot`] alive, so the
+/// [`ViewSet`] and keeps the underlying catalog snapshot alive, so the
 /// registry it exposes stays coherent (and valid) however many writers
 /// publish while the guard is held. Returned by
 /// [`MatchingEngine::views`].

@@ -13,7 +13,8 @@ use std::time::Duration;
 #[derive(Debug, Default, Clone)]
 pub struct MatchStats {
     /// Number of invocations of the view-matching rule (i.e. calls to
-    /// `find_substitutes` on an acceptable expression).
+    /// `find_verdicts`, or `find_substitutes` through it, on an
+    /// acceptable expression).
     pub invocations: u64,
     /// Total candidate views that survived filtering, summed over
     /// invocations.
@@ -21,10 +22,10 @@ pub struct MatchStats {
     /// Join-core match states built, summed over invocations: the
     /// candidates of one invocation that share a FROM list and equijoin
     /// classes share one (DESIGN.md §13.5), so `candidates / core_states`
-    /// is how many views paid for one §3.2 elimination. Counts work done —
-    /// a substitute-yield hit on the substitute cache builds states only
-    /// for the cached views the freshness gate admits, and a verdict-yield
-    /// hit (`find_verdicts`) runs no full test and builds none.
+    /// is how many views paid for one §3.2 elimination. Counts the work
+    /// of the search: a substitute-cache hit runs no full test and builds
+    /// none, and building substitutes (`find_substitutes` past its
+    /// search, `build_substitute`) is not counted.
     pub core_states: u64,
     /// Total views registered at the time of each invocation, summed over
     /// invocations (denominator for the candidate fraction).
@@ -35,11 +36,11 @@ pub struct MatchStats {
     /// Time spent searching the filter tree.
     pub filter_time: Duration,
     /// Total time spent inside the view-matching rule (filtering plus
-    /// checking plus substitute construction).
+    /// checking; building a substitute is not counted).
     pub match_time: Duration,
-    /// `find_substitutes` calls answered from the substitute cache.
+    /// `find_verdicts` calls answered from the substitute cache.
     pub cache_hits: u64,
-    /// `find_substitutes` calls that probed an enabled cache and had to
+    /// `find_verdicts` calls that probed an enabled cache and had to
     /// compute (includes stale hits, which recompute too).
     pub cache_misses: u64,
     /// Cached entries discarded because a table epoch moved past them (a

@@ -2,17 +2,19 @@
 //! `add_view` / `remove_view` / `record_base_write` /
 //! `mark_views_maintained` / `find_substitutes` / `find_verdicts`, an
 //! engine with the cache enabled returns byte-identical results —
-//! freshness stamps included — to an engine with the cache disabled,
-//! whichever yield filled the entry a probe hits. In debug builds every
-//! cache hit additionally runs the engine's own differential assertion
-//! (served == freshly computed), so these tests double as a harness for
-//! that oracle; release builds compile it out, which leaves these tests as
-//! the check of a served hit.
+//! freshness stamps included — to an engine with the cache disabled.
+//! `find_substitutes` searches through `find_verdicts` and then builds,
+//! so the two entry points share every entry, and
+//! `find_substitutes_is_find_verdicts_then_build` holds it to that
+//! definition. In debug builds every cache hit additionally runs the
+//! engine's own differential assertion (served == freshly computed), so
+//! these tests double as a harness for that oracle; release builds
+//! compile it out, which leaves these tests as the check of a served hit.
 
 use mv_catalog::tpch::tpch_catalog;
 use mv_core::{EpochCache, FreshnessPolicy, MatchConfig, MatchingEngine, Verdict};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
-use mv_plan::{NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
+use mv_plan::{Freshness, NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
 use mv_workload::{Generator, WorkloadParams};
 use proptest::prelude::*;
 
@@ -75,9 +77,9 @@ proptest! {
 
     /// Apply the same op sequence to a cached and an uncached engine
     /// under `StrictFresh`; every `find_substitutes` and `find_verdicts`
-    /// must agree byte-for-byte. The yield is drawn per probe and both
-    /// share the one cache, so an entry one yield filled serves the
-    /// other. Repeated query indices make real cache hits, removals and
+    /// must agree byte-for-byte. The entry point is drawn per probe and
+    /// both share the one cache, so an entry either call filled serves
+    /// the other. Repeated query indices make real cache hits, removals and
     /// additions exercise the epoch invalidation mid-sequence, and writes
     /// and restamps exercise freshness applied to a cached verdict. Half
     /// the view pool is the queries themselves, and the whole pool is
@@ -212,7 +214,8 @@ fn epoch_bump_evicts_stale_hits() {
 
 /// Assert that for every query an entry filled by `find_substitutes`
 /// serves `find_verdicts` as a hit, and the reverse, each byte-identical to
-/// what the uncached `fresh` engine computes.
+/// what the uncached `fresh` engine computes, and the substitutes built
+/// from a hit's verdicts too.
 fn assert_either_yield_serves(
     cached: &MatchingEngine,
     fresh: &MatchingEngine,
@@ -240,18 +243,18 @@ fn assert_either_yield_serves(
         assert_eq!(
             cached.stats().cache_hits,
             hits + 2,
-            "query {i}: a substitute hit"
+            "query {i}: find_substitutes hits"
         );
         assert_eq!(
             rebuilt,
             fresh.find_substitutes(q),
-            "query {i}: rebuilt substitutes"
+            "query {i}: substitutes built from a hit"
         );
     }
 }
 
-/// A substitute-yield miss fills an entry a verdict-yield probe then hits,
-/// and the reverse. The hand-built views compensate — a range on a view
+/// A `find_substitutes` miss fills an entry a `find_verdicts` probe then
+/// hits, and the reverse. The hand-built views compensate — a range on a view
 /// column is a filter, a column only a base table has is a backjoin — and
 /// one entry holds several views with different backjoins and flags, so
 /// the packed entry's shared array and flag bits are read back at every
@@ -396,8 +399,7 @@ fn a_verdict_hit_gates_each_cached_verdict() {
     assert_eq!(s.cache_invalidations, 0, "a write stales no entry");
 }
 
-/// A verdict hit runs no full test, so it builds no join-core state; a
-/// substitute hit rebuilds, and does.
+/// A verdict hit runs no full test, so it builds no join-core state.
 #[test]
 fn a_verdict_hit_builds_no_core_state() {
     let engine = engine_with(MatchConfig::default());
@@ -416,11 +418,110 @@ fn a_verdict_hit_builds_no_core_state() {
     let s = engine.stats();
     assert_eq!(s.cache_hits, 1);
     assert_eq!(s.core_states, missed, "a verdict hit builds no state");
-    engine.find_substitutes(q);
-    assert!(
-        engine.stats().core_states > missed,
-        "a substitute hit rebuilds"
+}
+
+/// Write twice to the first table of each query, restamping after each
+/// write every third view over it (ids ≡ 0, then ≡ 1 mod 3): those over
+/// the table then lag 1, 0 and 2 rounds by id mod 3.
+fn stale_some(engine: &MatchingEngine, queries: &[SpjgExpr]) {
+    let mut tables: Vec<_> = queries.iter().map(|q| q.tables[0]).collect();
+    tables.sort_unstable();
+    tables.dedup();
+    for table in tables {
+        let over: Vec<ViewId> = engine
+            .views()
+            .iter()
+            .filter(|(_, def)| def.expr.tables.contains(&table))
+            .map(|(id, _)| id)
+            .collect();
+        for third in 0..2 {
+            engine.record_base_write(table);
+            let restamped: Vec<ViewId> = over
+                .iter()
+                .copied()
+                .filter(|id| id.0 as usize % 3 == third)
+                .collect();
+            engine.mark_views_maintained(&restamped);
+        }
+    }
+}
+
+/// `find_substitutes` is `find_verdicts` followed by `build_substitute` of
+/// each verdict's view under the same pin: the same substitutes in the
+/// same order, freshness stamps included. And a `find_substitutes` call
+/// moves every `MatchStats` counter exactly as that one `find_verdicts`
+/// call moves it on a twin engine (timing off, so every counter is a
+/// count). Each query runs cold and then warm, with the cache on (the
+/// warm probe hits) and off, under `StrictFresh` and
+/// `BoundedStaleness(1)` after writes that a partial restamp left some
+/// views stale for, and under `StaleOk`.
+#[test]
+fn find_substitutes_is_find_verdicts_then_build() {
+    let (mut views, queries) = pools(8, 8);
+    views.extend(
+        queries
+            .iter()
+            .enumerate()
+            .map(|(i, q)| ViewDef::new(format!("q{i}"), q.clone())),
     );
+    let policies = [
+        FreshnessPolicy::StrictFresh,
+        FreshnessPolicy::BoundedStaleness(1),
+        FreshnessPolicy::StaleOk,
+    ];
+    for freshness in policies {
+        for capacity in [MatchConfig::default().substitute_cache_capacity, 0] {
+            let config = MatchConfig {
+                freshness,
+                substitute_cache_capacity: capacity,
+                timing: false,
+                ..MatchConfig::default()
+            };
+            let (subs, verdicts) = (engine_with(config.clone()), engine_with(config));
+            for engine in [&subs, &verdicts] {
+                engine
+                    .add_views(views.clone())
+                    .expect("pool views are valid");
+                stale_some(engine, &queries);
+            }
+            let mut stamps = Vec::new();
+            for round in ["cold", "warm"] {
+                for (i, q) in queries.iter().enumerate() {
+                    let at = format!("{freshness:?}, capacity {capacity}, {round} query {i}");
+                    subs.reset_stats();
+                    verdicts.reset_stats();
+                    let got = subs.find_substitutes(q);
+                    let pin = verdicts.views();
+                    let built: Vec<_> = verdicts
+                        .find_verdicts(&pin, q)
+                        .into_iter()
+                        .map(|(id, _)| {
+                            let sub = verdicts.build_substitute(&pin, q, id);
+                            (id, sub.expect("a verdict's view builds under its pin"))
+                        })
+                        .collect();
+                    assert_eq!(got, built, "{at}: substitutes");
+                    assert_eq!(
+                        format!("{:?}", subs.stats()),
+                        format!("{:?}", verdicts.stats()),
+                        "{at}: counters"
+                    );
+                    let hits = subs.stats().cache_hits;
+                    assert_eq!(hits, u64::from(capacity > 0 && round == "warm"), "{at}");
+                    stamps.extend(got.iter().map(|(_, sub)| sub.freshness));
+                }
+            }
+            // The runs exercise what they name: some view answers, and the
+            // restamps left the stamps each policy admits.
+            assert!(!stamps.is_empty(), "{freshness:?}: no substitute");
+            let lagging = stamps.iter().any(|f| *f != Freshness::Fresh);
+            assert_eq!(
+                lagging,
+                freshness != FreshnessPolicy::StrictFresh,
+                "{freshness:?}"
+            );
+        }
+    }
 }
 
 /// The key is the exact block: variants that differ only in output names,

@@ -4,7 +4,7 @@
 //! into (`mv-maintain`'s counting state mirrors it). The plan programs
 //! (`program.rs`) — and so every served plan, which `physical.rs` lowers
 //! to them — keep one per (group, aggregate) in the flat group table and
-//! feed it borrowed values. [`GroupAcc`] is the interpreter's per-group
+//! feed it borrowed values. `GroupAcc` is the interpreter's per-group
 //! state (`spjg.rs`, `substitute.rs`): it evaluates every argument through
 //! the tree-walking, cloning `ScalarExpr::eval`, which suits a
 //! differential oracle and is why it is not visible outside this crate.

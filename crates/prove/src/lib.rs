@@ -7,7 +7,7 @@
 //! original query on **every** database. This crate closes that gap with
 //! a small-scope bounded model checker in the Cosette/Alloy style:
 //!
-//! 1. a **symbolic pass** ([`symbolic`]) abstracts both plans into the
+//! 1. a **symbolic pass** (`symbolic`) abstracts both plans into the
 //!    shared `EquivClasses`/`Interval` domains and either discharges the
 //!    pair outright or reports `MV301 symbolic-mismatch` naming the
 //!    column/predicate where the abstractions separate;
