@@ -15,7 +15,7 @@
 //! not ask for. A conjunct over one scan alone is evaluated on that scan's
 //! rows before a keyed step indexes them (`JoinStep::scan_filters`).
 
-use crate::program::{connected_order, ExecScratch, OutputProgram, PlanProgram, Scan};
+use crate::program::{connected_order, ExecScratch, OutputProgram, PlanProgram, RowBag, Scan};
 use mv_data::{Database, Row};
 use mv_expr::{BoolExpr, ColRef, Conjunct, ScalarExpr};
 use mv_plan::{PhysicalPlan, ViewId};
@@ -254,9 +254,9 @@ impl Lowering<'_> {
                 Input::Part(p) => self.outputs[p].as_slice(),
             })
             .collect();
-        let mut rows = Vec::new();
+        let mut rows = RowBag::new();
         program.execute_rows(self.db, &inputs, self.scratch, &mut rows);
-        self.outputs.push(rows);
+        self.outputs.push(rows.into_rows());
         program.arity()
     }
 

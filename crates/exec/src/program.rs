@@ -26,6 +26,11 @@
 //! ([`SubstitutePipeline`]): when the view outputs bare columns, it runs
 //! over the view's own join and the view rows are never materialized.
 //!
+//! Every run writes its output into a [`RowBag`], the one row buffer:
+//! the prover's and the maintainer's bags, the view rows a materializing
+//! substitute scans, and a served plan's parts, which are moved out of
+//! theirs. A bag keeps its rows' allocations for the next run.
+//!
 //! The tree-walking interpreter in [`crate::spjg`] / [`crate::substitute`]
 //! stays as the differential oracle: the compiled path must produce exactly
 //! the same row bags, which `exec/tests/program_differential.rs` checks over
@@ -453,7 +458,7 @@ impl OutputProgram {
         st: &mut EvalStacks,
         key_buf: &mut Vec<Value>,
         groups: &mut GroupTable,
-        out: &mut impl RowSink,
+        out: &mut RowBag,
     ) {
         match self {
             OutputProgram::Columns(cols) => {
@@ -498,7 +503,7 @@ impl OutputProgram {
     /// whose rows were emitted by [`OutputProgram::feed`]). `f` resolves
     /// the tuples fed, for the bare-column keys a group keeps as its first
     /// tuple.
-    fn finish(&self, f: &PlanFetch, groups: &mut GroupTable, out: &mut impl RowSink) {
+    fn finish(&self, f: &PlanFetch, groups: &mut GroupTable, out: &mut RowBag) {
         let OutputProgram::Aggregate {
             keys,
             key_cols,
@@ -533,68 +538,6 @@ impl OutputProgram {
                 None => out.push_row(computed.by_ref().take(keys.len()).chain(results)),
             }
         }
-    }
-}
-
-/// Where an [`OutputProgram`] writes its rows: a flat [`RowBag`] for the
-/// prover's and maintenance's programs, a view's rows for the substitute
-/// that scans them, owned rows for a served plan's parts.
-trait RowSink {
-    /// Empty the sink for rows of `arity` values.
-    fn reset(&mut self, arity: usize);
-    fn push_row(&mut self, row: impl Iterator<Item = Value>);
-}
-
-impl RowSink for RowBag {
-    fn reset(&mut self, arity: usize) {
-        self.vals.clear();
-        self.arity = arity;
-        self.count = 0;
-    }
-
-    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
-        self.vals.extend(row);
-        self.count += 1;
-    }
-}
-
-impl RowSink for Vec<Row> {
-    fn reset(&mut self, _arity: usize) {
-        self.clear();
-    }
-
-    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
-        self.push(row.collect());
-    }
-}
-
-/// Materialized view rows that keep their allocations from one run to the
-/// next: the bag is `rows[..len]`, and a row past it is reused, not freed.
-#[derive(Debug, Default)]
-struct ViewRows {
-    rows: Vec<Row>,
-    len: usize,
-}
-
-impl ViewRows {
-    fn rows(&self) -> &[Row] {
-        &self.rows[..self.len]
-    }
-}
-
-impl RowSink for ViewRows {
-    fn reset(&mut self, _arity: usize) {
-        self.len = 0;
-    }
-
-    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
-        if self.len == self.rows.len() {
-            self.rows.push(Row::new());
-        }
-        let slot = &mut self.rows[self.len];
-        slot.clear();
-        slot.extend(row);
-        self.len += 1;
     }
 }
 
@@ -730,12 +673,13 @@ impl GroupTable {
     }
 }
 
-/// A flat, reusable bag of fixed-arity rows.
+/// The rows a program run writes: the bag is `rows[..len]`, and a row
+/// past `len` keeps its allocation for the next run, so a warm run over
+/// rows no wider than an earlier one allocates nothing.
 #[derive(Debug, Default)]
 pub struct RowBag {
-    vals: Vec<Value>,
-    arity: usize,
-    count: usize,
+    rows: Vec<Row>,
+    len: usize,
 }
 
 impl RowBag {
@@ -746,39 +690,53 @@ impl RowBag {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.count
+        self.len
     }
 
     /// True iff the bag holds no rows.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len == 0
     }
 
-    /// The rows, borrowed from the flat storage.
-    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        (0..self.count).map(|i| &self.vals[i * self.arity..(i + 1) * self.arity])
+    /// The rows.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows[..self.len]
     }
 
-    /// Materialize as owned rows.
-    pub fn to_rows(&self) -> Vec<Row> {
-        self.rows().map(<[Value]>::to_vec).collect()
+    /// The rows, moved out.
+    pub(crate) fn into_rows(mut self) -> Vec<Row> {
+        self.rows.truncate(self.len);
+        self.rows
+    }
+
+    /// Empty the bag, keeping its rows' allocations.
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    fn push_row(&mut self, row: impl Iterator<Item = Value>) {
+        if self.len == self.rows.len() {
+            self.rows.push(Row::new());
+        }
+        let slot = &mut self.rows[self.len];
+        slot.clear();
+        slot.extend(row);
+        self.len += 1;
     }
 }
 
-/// Multiset equality over two flat bags without allocating (the `matched`
+/// Multiset equality over two bags without allocating (the `matched`
 /// bitmap is caller-provided scratch). Quadratic, but prove-time bags hold
 /// at most a few dozen rows.
 pub fn rowbag_eq(a: &RowBag, b: &RowBag, matched: &mut Vec<bool>) -> bool {
-    if a.count != b.count || (a.count > 0 && a.arity != b.arity) {
+    if a.len != b.len {
         return false;
     }
-    let w = a.arity;
     matched.clear();
-    matched.resize(b.count, false);
-    'outer: for i in 0..a.count {
-        let ra = &a.vals[i * w..(i + 1) * w];
-        for (j, m) in matched.iter_mut().enumerate() {
-            if !*m && &b.vals[j * w..(j + 1) * w] == ra {
+    matched.resize(b.len, false);
+    'outer: for ra in a.rows() {
+        for (rb, m) in b.rows().iter().zip(matched.iter_mut()) {
+            if !*m && rb == ra {
                 *m = true;
                 continue 'outer;
             }
@@ -789,9 +747,10 @@ pub fn rowbag_eq(a: &RowBag, b: &RowBag, matched: &mut Vec<bool>) -> bool {
 }
 
 /// Reusable per-worker scratch: index-tuple ping-pong buffers, evaluation
-/// stacks, the group table, the join indexes and view rows of one run, and
-/// the bag-equality bitmap. One of these per prove worker amortizes every
-/// allocation across all enumerated databases.
+/// stacks, the group table, the join indexes of one run, the [`RowBag`] of
+/// view rows a materializing substitute scans, and the bag-equality
+/// bitmap. One of these per prove worker, with its output bags, amortizes
+/// every allocation across all enumerated databases.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     bufs: Buffers,
@@ -799,7 +758,7 @@ pub struct ExecScratch {
     /// reused over another database never reads an index of the last one.
     pub(crate) indexes: JoinIndexes,
     /// The view rows a materializing [`SubstitutePipeline`] scans.
-    view_rows: ViewRows,
+    view_rows: RowBag,
     /// Scratch bitmap for [`rowbag_eq`].
     pub matched: Vec<bool>,
 }
@@ -1317,14 +1276,14 @@ impl PlanProgram {
     }
 
     /// Evaluate with `inputs` supplying the rows of the [`Scan::Input`]
-    /// steps, into owned rows. The scratch's join indexes are kept: the
-    /// caller empties them when the data changes.
+    /// steps. The scratch's join indexes are kept: the caller empties them
+    /// when the data changes.
     pub(crate) fn execute_rows(
         &self,
         db: &Database,
         inputs: &[&[Row]],
         scratch: &mut ExecScratch,
-        out: &mut Vec<Row>,
+        out: &mut RowBag,
     ) {
         self.run(db, inputs, &mut scratch.indexes, &mut scratch.bufs, out);
     }
@@ -1337,7 +1296,7 @@ impl PlanProgram {
         inputs: &[&[Row]],
         indexes: &mut JoinIndexes,
         bufs: &mut Buffers,
-        out: &mut impl RowSink,
+        out: &mut RowBag,
     ) {
         let mut table = Slots::default();
         let occ_rows = table.take(self.steps.len());
@@ -1354,7 +1313,7 @@ impl PlanProgram {
             join_steps(&self.steps, &f, indexes, bufs)
         };
         let (stride, groups) = (self.steps.len(), &mut bufs.groups);
-        out.reset(self.output.arity());
+        out.clear();
         groups.clear();
         for r in 0..n_rows {
             let tuple = &bufs.cur[r * stride..(r + 1) * stride];
@@ -1470,7 +1429,7 @@ mod tests {
         let mut scratch = ExecScratch::new();
         let mut out = RowBag::new();
         prog.execute(db, &mut scratch, &mut out);
-        out.to_rows()
+        out.into_rows()
     }
 
     #[test]
@@ -1564,7 +1523,7 @@ mod tests {
         let pipe = SubstitutePipeline::compile(&db.catalog, &view.expr, &sub);
         assert!(pipe.view.is_none());
         pipe.execute(&db, &mut scratch, &mut got);
-        assert!(bag_eq(&got.to_rows(), &want));
+        assert!(bag_eq(got.rows(), &want));
         assert!(scratch.view_rows.rows.is_empty());
 
         // Materialized (a computed output): the substitute scans the view
@@ -1577,7 +1536,7 @@ mod tests {
         assert!(pipe.view.is_some());
         for _ in 0..2 {
             pipe.execute(&db, &mut scratch, &mut got);
-            assert!(bag_eq(&got.to_rows(), &want));
+            assert!(bag_eq(got.rows(), &want));
         }
         assert_eq!(scratch.view_rows.rows.len(), view_rows.len());
     }
@@ -1619,7 +1578,7 @@ mod tests {
                 &mut out,
             );
             assert!(!want.is_empty());
-            assert!(bag_eq(&out.to_rows(), &want), "delta on occurrence {occ}");
+            assert!(bag_eq(out.rows(), &want), "delta on occurrence {occ}");
         }
     }
 
@@ -1645,7 +1604,7 @@ mod tests {
     /// Rows with every value's variant and bits spelled out: `Int(3)` and
     /// `Float(3.0)` differ here, and so do two sums that round apart.
     fn exact(bag: &RowBag) -> Vec<String> {
-        bag.rows().map(|row| format!("{row:?}")).collect()
+        bag.rows().iter().map(|row| format!("{row:?}")).collect()
     }
 
     /// The direct layouts (or `None`, hashed) of the indexes the last run
@@ -1796,7 +1755,7 @@ mod tests {
                         assert!(matches!(built[..], [Some(_)]), "{at}");
                     }
                     assert_eq!(exact(&got), exact(&want), "{at}");
-                    assert!(bag_eq(&got.to_rows(), &execute_spjg(&db, plan)));
+                    assert!(bag_eq(got.rows(), &execute_spjg(&db, plan)));
                     if probes && keyed_and_full {
                         assert!(!got.is_empty(), "{at}");
                     }
@@ -1879,7 +1838,7 @@ mod tests {
         let mut matched = Vec::new();
         assert!(rowbag_eq(&a, &b, &mut matched));
         // Perturb one value.
-        b.vals[0] = Value::Int(-999);
+        b.rows[0][0] = Value::Int(-999);
         assert!(!rowbag_eq(&a, &b, &mut matched));
     }
 }

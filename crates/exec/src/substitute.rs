@@ -1,7 +1,7 @@
 //! View materialization and substitute execution.
 
 use crate::agg::GroupAcc;
-use crate::program::{ExecScratch, PlanProgram};
+use crate::program::{ExecScratch, PlanProgram, RowBag};
 use mv_catalog::Value;
 use mv_data::{Database, Row};
 use mv_expr::{BoolExpr, ColRef};
@@ -14,9 +14,9 @@ use std::collections::HashMap;
 /// ([`crate::spjg::execute_spjg`]) stays an independent check of what it
 /// stores.
 pub fn materialize_view(db: &Database, view: &ViewDef) -> Vec<Row> {
-    let mut out = Vec::new();
-    PlanProgram::compile(&view.expr).execute_rows(db, &[], &mut ExecScratch::new(), &mut out);
-    out
+    let mut out = RowBag::new();
+    PlanProgram::compile(&view.expr).execute(db, &mut ExecScratch::new(), &mut out);
+    out.into_rows()
 }
 
 /// Execute a substitute against the materialized rows of its view: each

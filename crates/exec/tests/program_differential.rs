@@ -249,11 +249,11 @@ fn compiled_plan_matches_interpreter_over_enumerated_databases() {
             }
             let want = execute_spjg(db, &plan);
             prog.execute(db, &mut scratch, &mut bag);
-            let got = bag.to_rows();
+            let got = bag.rows();
             assert!(
-                bag_eq(&got, &want),
+                bag_eq(got, &want),
                 "plan {plan_idx} seed {seed}: {:?}\nplan: {plan:?}",
-                bag_diff(&got, &want)
+                bag_diff(got, &want)
             );
             checked += 1;
             true
@@ -339,11 +339,11 @@ fn compiled_substitute_matches_interpreter_over_enumerated_databases() {
                 let view_rows = execute_spjg(db, view);
                 let want = execute_substitute_with(db, &view_rows, &sub);
                 pipe.execute(db, &mut scratch, &mut sbag);
-                let got = sbag.to_rows();
+                let got = sbag.rows();
                 assert!(
-                    bag_eq(&got, &want),
+                    bag_eq(got, &want),
                     "{path} sub {sub_idx} seed {seed}: {:?}\nsub: {sub:?}",
-                    bag_diff(&got, &want)
+                    bag_diff(got, &want)
                 );
                 *checked += 1;
                 true
@@ -460,7 +460,7 @@ fn a_backjoin_means_the_served_hash_join_on_every_path() {
                     "interpreter",
                     execute_substitute_with(&db, &view_rows, &sub),
                 ),
-                ("pipeline", bag.to_rows()),
+                ("pipeline", bag.rows().to_vec()),
                 ("served plan", execute_plan(&db, &store, &served)),
             ];
             for (path, got) in paths {
@@ -524,21 +524,21 @@ fn permuted_occurrence_pair_matches_interpreter_on_both_sides() {
     let want_query = execute_spjg(&db, &query);
     let want_sub = execute_substitute_with(&db, &execute_spjg(&db, &view), &sub);
     assert!(!want_query.is_empty());
-    let (got_query, got_sub) = (qbag.to_rows(), sbag.to_rows());
+    let (got_query, got_sub) = (qbag.rows(), sbag.rows());
     assert!(
-        bag_eq(&got_query, &want_query),
+        bag_eq(got_query, &want_query),
         "query: {:?}",
-        bag_diff(&got_query, &want_query)
+        bag_diff(got_query, &want_query)
     );
     assert!(
-        bag_eq(&got_sub, &want_sub),
+        bag_eq(got_sub, &want_sub),
         "substitute: {:?}",
-        bag_diff(&got_sub, &want_sub)
+        bag_diff(got_sub, &want_sub)
     );
     assert!(
-        bag_eq(&got_sub, &got_query),
+        bag_eq(got_sub, got_query),
         "pair: {:?}",
-        bag_diff(&got_sub, &got_query)
+        bag_diff(got_sub, got_query)
     );
 }
 
@@ -626,11 +626,11 @@ fn delta_program_matches_interpreter_with_the_occurrence_swapped() {
                 let want = execute_spjg(&reference, &swapped);
                 // A fresh index set: each enumerated database is new data.
                 prog.execute_delta(db, &delta, &mut JoinIndexes::new(), &mut scratch, &mut bag);
-                let got = bag.to_rows();
+                let got = bag.rows();
                 assert!(
-                    bag_eq(&got, &want),
+                    bag_eq(got, &want),
                     "plan {plan_idx} occurrence {occ} seed {seed} delta {delta:?}: {:?}\nplan: {plan:?}",
-                    bag_diff(&got, &want)
+                    bag_diff(got, &want)
                 );
                 checked += 1;
                 true
@@ -713,11 +713,11 @@ fn sum_null_semantics_match_between_paths() {
         );
         let prog = PlanProgram::compile(plan);
         prog.execute(&db, &mut scratch, &mut bag);
-        let got = bag.to_rows();
+        let got = bag.rows();
         assert!(
-            bag_eq(&got, want),
+            bag_eq(got, want),
             "{label} compiled: {:?}",
-            bag_diff(&got, want)
+            bag_diff(got, want)
         );
     };
     check(

@@ -221,8 +221,8 @@ impl AggCore {
     /// Does a `Float` reach a `SUM` in these core rows? Float accumulation
     /// depends on the order of the rows, so such rows cannot be folded in
     /// and out exactly.
-    fn holds_float(&self, core: &RowBag) -> bool {
-        core.rows().any(|row| {
+    fn holds_float(&self, core: &[Row]) -> bool {
+        core.iter().any(|row| {
             self.aggs
                 .iter()
                 .filter_map(AggSpec::sum_slot)
@@ -303,8 +303,8 @@ impl AggCore {
     /// contents, up to date for exactly the groups the bag touches: a
     /// group's row is rewritten in place, appended when the group is new,
     /// and removed with the group when its count reaches zero.
-    fn fold(&mut self, rows: &mut Vec<Row>, core: &RowBag, sign: i64) {
-        for core_row in core.rows() {
+    fn fold(&mut self, rows: &mut Vec<Row>, core: &[Row], sign: i64) {
+        for core_row in core {
             let key = &core_row[..self.n_keys];
             let hash = self.hash(key);
             let g = match self.find(rows, key, hash) {
@@ -380,20 +380,20 @@ impl MaintainedView {
         self.prog.execute_indexed(db, indexes, scratch, bag);
         self.dirty = false;
         let Some(agg) = &mut self.agg else {
-            self.rows = bag.to_rows();
+            self.rows = bag.rows().to_vec();
             return;
         };
         agg.clear();
-        agg.exact = !agg.holds_float(bag);
+        agg.exact = !agg.holds_float(bag.rows());
         if agg.exact {
             self.rows = agg.empty_rows();
-            agg.fold(&mut self.rows, bag, 1);
+            agg.fold(&mut self.rows, bag.rows(), 1);
         } else {
             let whole = agg
                 .whole
                 .get_or_insert_with(|| Box::new(PlanProgram::compile(&self.expr)));
             whole.execute_indexed(db, indexes, scratch, bag);
-            self.rows = bag.to_rows();
+            self.rows = bag.rows().to_vec();
         }
     }
 
@@ -464,26 +464,19 @@ struct Pairs {
     plus: Vec<Row>,
 }
 
-/// Same variant and same value (`Value::eq` on it, so `NULL` matches
-/// `NULL` and floats compare by normalized bits). Unlike `Value::eq`,
-/// `Int(3)` is not `Float(3.0)`: the two differ in what a `SUM` over them
-/// yields.
-fn identical(a: &Value, b: &Value) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
-}
-
 impl Pairs {
     /// Pair each removed row with an inserted row identical to it on
-    /// `cols`, and return the unpaired rest of each side. A view that
-    /// references no other column of the table sees a cancelled pair as no
-    /// change at all, so the rest is all it has to delta-join.
+    /// `cols` ([`Value::identical`]: `0.0` does not cancel `-0.0`), and
+    /// return the unpaired rest of each side. A view that references no
+    /// other column of the table sees a cancelled pair as no change at
+    /// all, so the rest is all it has to delta-join.
     fn remainder<'a>(
         &'a mut self,
         cols: &[usize],
         removed: &'a [Row],
         inserted: &'a [Row],
     ) -> (&'a [Row], &'a [Row]) {
-        let same = |a: &Row, b: &Row| cols.iter().all(|&c| identical(&a[c], &b[c]));
+        let same = |a: &Row, b: &Row| cols.iter().all(|&c| a[c].identical(&b[c]));
         self.paired.clear();
         self.paired.resize(removed.len(), false);
         self.lone.clear();
@@ -720,19 +713,20 @@ impl Maintainer {
             let [minus_bag, plus_bag] = bags;
             prog.execute_delta(db, minus, indexes, scratch, minus_bag);
             prog.execute_delta(db, plus, indexes, scratch, plus_bag);
+            let (minus_rows, plus_rows) = (minus_bag.rows(), plus_bag.rows());
             match &mut view.agg {
-                Some(agg) if agg.holds_float(minus_bag) || agg.holds_float(plus_bag) => {
+                Some(agg) if agg.holds_float(minus_rows) || agg.holds_float(plus_rows) => {
                     view.dirty = true;
                     report.marked_dirty += 1;
                     continue;
                 }
                 Some(agg) => {
-                    agg.fold(&mut view.rows, minus_bag, -1);
-                    agg.fold(&mut view.rows, plus_bag, 1);
+                    agg.fold(&mut view.rows, minus_rows, -1);
+                    agg.fold(&mut view.rows, plus_rows, 1);
                 }
                 None => {
-                    bag_remove(&mut view.rows, minus_bag);
-                    view.rows.extend(plus_bag.rows().map(<[Value]>::to_vec));
+                    bag_remove(&mut view.rows, minus_rows);
+                    view.rows.extend_from_slice(plus_rows);
                 }
             }
             report.maintained += 1;
@@ -969,15 +963,16 @@ fn build_agg_core(expr: &SpjgExpr) -> (AggCore, SpjgExpr) {
 }
 
 /// Remove each row of `minus` from `rows` once, bag-style, matching rows
-/// value by value with [`identical`]: under `Value::eq` a removed
-/// `[Int(3)]` could take a stored `[Float(3.0)]` instead. (A row of `minus`
-/// the maintained bag does not hold is drift the audit will flag.)
-fn bag_remove(rows: &mut Vec<Row>, minus: &RowBag) {
-    let mut pending: Vec<&[Value]> = minus.rows().collect();
+/// value by value with [`Value::identical`]: under `Value::eq` a removed
+/// `[Int(3)]` could take a stored `[Float(3.0)]` instead, and a removed
+/// `[Float(0.0)]` a stored `[Float(-0.0)]`. (A row of `minus` the
+/// maintained bag does not hold is drift the audit will flag.)
+fn bag_remove(rows: &mut Vec<Row>, minus: &[Row]) {
+    let mut pending: Vec<&Row> = minus.iter().collect();
     if pending.is_empty() {
         return;
     }
-    let same = |p: &[Value], r: &Row| p.iter().zip(r).all(|(a, b)| identical(a, b));
+    let same = |p: &Row, r: &Row| p.iter().zip(r).all(|(a, b)| a.identical(b));
     rows.retain(|r| match pending.iter().position(|p| same(p, r)) {
         Some(pos) => {
             pending.swap_remove(pos);

@@ -312,12 +312,6 @@ fn refresh_keeps_registration_order() {
     assert_eq!(order, ["agg_by_g", "self_join"]);
 }
 
-/// Same variant and same value: `Int(3)` is not `Float(3.0)`, `NULL` is
-/// `NULL`.
-fn identical(a: &Value, b: &Value) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b) && a == b
-}
-
 /// The columns of `table` a view references, in any occurrence.
 fn read_cols(expr: &SpjgExpr, table: TableId) -> Vec<usize> {
     expr.referenced_columns()
@@ -328,7 +322,8 @@ fn read_cols(expr: &SpjgExpr, table: TableId) -> Vec<usize> {
 }
 
 /// The rows a view reading `cols` must still delta-join after each removed
-/// row cancels against an inserted row identical to it on `cols`: the
+/// row cancels against an inserted row identical to it on `cols`
+/// ([`Value::identical`]): the
 /// unpaired removed rows, then the unpaired inserted rows. (Greedy
 /// pairing is a maximum one: "identical on `cols`" is an equivalence.)
 fn model_remainder(cols: &[usize], removed: &[Row], inserted: &[Row]) -> (Vec<Row>, Vec<Row>) {
@@ -337,7 +332,7 @@ fn model_remainder(cols: &[usize], removed: &[Row], inserted: &[Row]) -> (Vec<Ro
     for ins in inserted {
         match minus
             .iter()
-            .position(|r| cols.iter().all(|&c| identical(&r[c], &ins[c])))
+            .position(|r| cols.iter().all(|&c| r[c].identical(&ins[c])))
         {
             Some(at) => {
                 minus.remove(at);
@@ -367,7 +362,8 @@ fn removed_by(stored: &[Row], deletes: &[Row]) -> Vec<Row> {
 
 /// `old` with one column's value replaced: by itself (so `NULL → NULL`
 /// stays `NULL`), by the equal `Float` of an `Int` (`Int(3) → Float(3.0)`,
-/// equal under `Value::eq` but not identical), by `NULL`, or by a small
+/// equal under `Value::eq` but not identical), by a `Float` with its sign
+/// flipped (`0.0 → -0.0` is the same pair again), by `NULL`, or by a small
 /// integer. A key column only ever takes itself or a fresh key.
 fn update_value(old: &Value, seed: &mut u64, fresh_key: Option<&mut i64>) -> Value {
     let pick = splitmix64(seed) % 4;
@@ -381,6 +377,7 @@ fn update_value(old: &Value, seed: &mut u64, fresh_key: Option<&mut i64>) -> Val
     match (pick, old) {
         (0, _) => old.clone(),
         (1, Value::Int(i)) => Value::Float(*i as f64),
+        (1, Value::Float(x)) => Value::Float(-x),
         (1 | 2, _) => Value::Null,
         _ => Value::Int((splitmix64(seed) % 5) as i64 * 10),
     }
@@ -553,6 +550,51 @@ fn deleting_an_int_leaves_the_equal_float_behind() {
     for rows in [got, &want[..]] {
         assert!(
             matches!(rows, [row] if matches!(row[..], [Value::Float(x)] if x == 3.0)),
+            "{rows:?}"
+        );
+    }
+    assert!(maintainer.audit().is_empty());
+}
+
+/// `0.0 → -0.0` is equal under `Value::eq` but not a cancelled pair: the
+/// view takes the round and holds `-0.0`, as recompute does. (Pairing
+/// rows by variant and `Value::eq` used to cancel the pair, leave `0.0`
+/// behind and report the view unchanged; MV401 compares with `Value::eq`
+/// and cannot tell.)
+#[test]
+fn negative_zero_update_is_a_change() {
+    let mut cat = Catalog::new();
+    let f = cat.add_table(
+        TableBuilder::new("f")
+            .col("pk", ColumnType::Int)
+            .nullable_col("x", ColumnType::Float)
+            .primary_key(&["pk"])
+            .build(),
+    );
+    let row = |x: f64| vec![Value::Int(1), Value::Float(x)];
+    let mut db = Database::new(cat);
+    db.load(f, vec![row(0.0)]);
+    let mut maintainer = Maintainer::new(db);
+    let view = SpjgExpr::spj(
+        vec![f],
+        BoolExpr::Literal(true),
+        vec![
+            NamedExpr::new(S::col(cr(0, 0)), "pk"),
+            NamedExpr::new(S::col(cr(0, 1)), "x"),
+        ],
+    );
+    maintainer.register(ViewId(0), &ViewDef::new("f_all", view.clone()));
+    let report = maintainer.apply(&TableDelta {
+        table: f,
+        inserts: vec![row(-0.0)],
+        deletes: vec![row(0.0)],
+    });
+    assert_eq!((report.maintained, report.unchanged), (1, 0));
+    let got = maintainer.contents(ViewId(0)).expect("registered");
+    let want = execute_spjg(maintainer.db(), &view);
+    for rows in [got, &want[..]] {
+        assert!(
+            matches!(rows, [r] if r.iter().zip(&row(-0.0)).all(|(a, b)| a.identical(b))),
             "{rows:?}"
         );
     }

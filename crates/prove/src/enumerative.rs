@@ -55,8 +55,8 @@ fn agree(progs: &Programs, db: &Database, b: &mut Bags) -> bool {
 /// Build the MV302 witness for a disagreeing database (cold path — the
 /// only allocating step of the loop).
 fn make_witness(seed: u64, db: &Database, b: &Bags) -> Witness {
-    let query_rows = b.query.to_rows();
-    let substitute_rows = b.sub.to_rows();
+    let query_rows = b.query.rows().to_vec();
+    let substitute_rows = b.sub.rows().to_vec();
     let diff = bag_diff(&substitute_rows, &query_rows).unwrap_or_default();
     Witness {
         seed,
