@@ -127,6 +127,8 @@ pub struct ForeignKey {
 pub struct Catalog {
     tables: Vec<Table>,
     by_name: HashMap<String, TableId>,
+    /// Every column of every table, by column name.
+    columns_named: HashMap<String, Vec<(TableId, ColumnId)>>,
     foreign_keys: Vec<ForeignKey>,
     /// Outgoing foreign keys indexed by referencing table.
     fks_from: HashMap<TableId, Vec<ForeignKeyId>>,
@@ -149,6 +151,12 @@ impl Catalog {
         );
         let id = TableId(self.tables.len() as u32);
         self.by_name.insert(table.name.clone(), id);
+        for (i, column) in table.columns.iter().enumerate() {
+            self.columns_named
+                .entry(column.name.clone())
+                .or_default()
+                .push((id, ColumnId(i as u32)));
+        }
         self.tables.push(table);
         id
     }
@@ -207,6 +215,11 @@ impl Catalog {
     /// Look up a table by name.
     pub fn table_by_name(&self, name: &str) -> Option<TableId> {
         self.by_name.get(name).copied()
+    }
+
+    /// Every column named `name`, in table registration order.
+    pub fn columns_named(&self, name: &str) -> &[(TableId, ColumnId)] {
+        self.columns_named.get(name).map_or(&[], Vec::as_slice)
     }
 
     /// All tables with their ids.
@@ -445,6 +458,8 @@ mod tests {
         assert_eq!(cat.resolve("s", "y"), Some((TableId(1), ColumnId(1))));
         assert_eq!(cat.resolve("s", "nope"), None);
         assert_eq!(cat.resolve("nope", "y"), None);
+        assert_eq!(cat.columns_named("c"), &[(tid, ColumnId(2))]);
+        assert_eq!(cat.columns_named("nope"), &[]);
     }
 
     #[test]

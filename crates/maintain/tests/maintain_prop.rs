@@ -55,13 +55,14 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// A row for `r`: fresh pk from a counter, small group domain (with
-/// NULLs), small measure domain (with NULLs) so groups collide, empty and
-/// refill.
+/// NULLs, and a `Float(0.0)` that an update can flip to `-0.0`), small
+/// measure domain (with NULLs) so groups collide, empty and refill.
 fn r_row(seed: &mut u64, next_pk: &mut i64) -> Row {
     let pk = *next_pk;
     *next_pk += 1;
-    let g = match splitmix64(seed) % 4 {
+    let g = match splitmix64(seed) % 5 {
         0 => Value::Null,
+        4 => Value::Float(0.0),
         v => Value::Int(v as i64),
     };
     let x = match splitmix64(seed) % 5 {

@@ -1,5 +1,6 @@
 //! Name resolution: AST → catalog-resolved SPJG blocks.
 
+use crate::lexer::Name;
 use crate::parser::{AstAgg, AstBool, AstScalar, AstSelect, AstStatement, SelectItem};
 use crate::{SqlError, Statement};
 use mv_catalog::{types::parse_date, Catalog, TableId, Value};
@@ -11,7 +12,7 @@ struct FromEntry {
     occ: OccId,
     table: TableId,
     /// Name this occurrence answers to (alias, or table name).
-    label: String,
+    label: Name,
     /// Whether the label is an explicit alias (qualifies exclusively).
     aliased: bool,
 }
@@ -27,32 +28,32 @@ pub fn bind(ast: AstStatement, catalog: &Catalog) -> Result<Statement, SqlError>
         AstStatement::Select(s) => Ok(Statement::Select(bind_select(s, catalog)?)),
         AstStatement::CreateView { name, select } => {
             let expr = bind_select(select, catalog)?;
-            Ok(Statement::CreateView(ViewDef::new(name, expr)))
+            Ok(Statement::CreateView(ViewDef::new(name.as_str(), expr)))
         }
     }
 }
 
 fn bind_select(select: AstSelect, catalog: &Catalog) -> Result<SpjgExpr, SqlError> {
-    let mut from = Vec::new();
+    let mut from = Vec::with_capacity(select.from.len());
     for (i, tref) in select.from.iter().enumerate() {
         let table = catalog
-            .table_by_name(&tref.name)
-            .ok_or_else(|| SqlError::new(format!("unknown table {}", tref.name), 0))?;
+            .table_by_name(tref.name.as_str())
+            .ok_or_else(|| SqlError::new(format!("unknown table {}", tref.name), tref.offset))?;
         from.push(FromEntry {
             occ: OccId(i as u32),
             table,
-            label: tref.alias.clone().unwrap_or_else(|| tref.name.clone()),
+            label: tref.alias.as_ref().unwrap_or(&tref.name).clone(),
             aliased: tref.alias.is_some(),
         });
     }
     // Duplicate labels are only a problem when referenced; but two
     // unaliased occurrences of one table can never be addressed.
     for (i, a) in from.iter().enumerate() {
-        for b in &from[i + 1..] {
+        for (b, tref) in from[i + 1..].iter().zip(&select.from[i + 1..]) {
             if a.label == b.label {
                 return Err(SqlError::new(
                     format!("duplicate table label {} — alias repeated tables", a.label),
-                    0,
+                    tref.offset,
                 ));
             }
         }
@@ -126,9 +127,9 @@ fn bind_select(select: AstSelect, catalog: &Catalog) -> Result<SpjgExpr, SqlErro
                     }
                 };
                 let name = alias
-                    .clone()
+                    .as_ref()
                     .ok_or_else(|| SqlError::new("aggregate outputs must be named with AS", 0))?;
-                aggregates.push(NamedAgg::new(func, name));
+                aggregates.push(NamedAgg::new(func, name.as_str()));
             }
         }
     }
@@ -148,12 +149,16 @@ impl<'a> Binder<'a> {
     /// Default output name: the column name for bare columns; expressions
     /// require an alias (the paper: "output columns defined by arithmetic
     /// or other expressions must be assigned names").
-    fn output_name(&self, expr: &AstScalar, alias: &Option<String>) -> Result<String, SqlError> {
+    fn output_name<'n>(
+        &self,
+        expr: &'n AstScalar,
+        alias: &'n Option<Name>,
+    ) -> Result<&'n str, SqlError> {
         if let Some(a) = alias {
-            return Ok(a.clone());
+            return Ok(a.as_str());
         }
         match expr {
-            AstScalar::Column { name, .. } => Ok(name.clone()),
+            AstScalar::Column { name, .. } => Ok(name.as_str()),
             _ => Err(SqlError::new(
                 "expression outputs must be assigned a name with AS",
                 0,
@@ -161,21 +166,27 @@ impl<'a> Binder<'a> {
         }
     }
 
-    fn resolve_column(&self, qualifier: &Option<String>, name: &str) -> Result<ColRef, SqlError> {
+    fn resolve_column(
+        &self,
+        qualifier: &Option<Name>,
+        name: &Name,
+        offset: usize,
+    ) -> Result<ColRef, SqlError> {
+        let named = self.catalog.columns_named(name.as_str());
         match qualifier {
             Some(q) => {
                 let entry = self
                     .from
                     .iter()
                     .find(|f| {
-                        f.label == *q || (!f.aliased && self.catalog.table(f.table).name == *q)
+                        f.label == *q
+                            || (!f.aliased && self.catalog.table(f.table).name == q.as_str())
                     })
-                    .ok_or_else(|| SqlError::new(format!("unknown table or alias {q}"), 0))?;
-                let (col, _) = self
-                    .catalog
-                    .table(entry.table)
-                    .column_by_name(name)
-                    .ok_or_else(|| SqlError::new(format!("unknown column {q}.{name}"), 0))?;
+                    .ok_or_else(|| SqlError::new(format!("unknown table or alias {q}"), offset))?;
+                let &(_, col) = named
+                    .iter()
+                    .find(|(table, _)| *table == entry.table)
+                    .ok_or_else(|| SqlError::new(format!("unknown column {q}.{name}"), offset))?;
                 Ok(ColRef {
                     occ: entry.occ,
                     col,
@@ -183,10 +194,10 @@ impl<'a> Binder<'a> {
             }
             None => {
                 let mut found: Option<ColRef> = None;
-                for entry in &self.from {
-                    if let Some((col, _)) = self.catalog.table(entry.table).column_by_name(name) {
+                for &(table, col) in named {
+                    for entry in self.from.iter().filter(|f| f.table == table) {
                         if found.is_some() {
-                            return Err(SqlError::new(format!("ambiguous column {name}"), 0));
+                            return Err(SqlError::new(format!("ambiguous column {name}"), offset));
                         }
                         found = Some(ColRef {
                             occ: entry.occ,
@@ -194,16 +205,18 @@ impl<'a> Binder<'a> {
                         });
                     }
                 }
-                found.ok_or_else(|| SqlError::new(format!("unknown column {name}"), 0))
+                found.ok_or_else(|| SqlError::new(format!("unknown column {name}"), offset))
             }
         }
     }
 
     fn bind_scalar(&self, e: &AstScalar) -> Result<ScalarExpr, SqlError> {
         Ok(match e {
-            AstScalar::Column { qualifier, name } => {
-                ScalarExpr::Column(self.resolve_column(qualifier, name)?)
-            }
+            AstScalar::Column {
+                qualifier,
+                name,
+                offset,
+            } => ScalarExpr::Column(self.resolve_column(qualifier, name, *offset)?),
             AstScalar::Int(v) => ScalarExpr::Literal(Value::Int(*v)),
             AstScalar::Float(v) => ScalarExpr::Literal(Value::Float(*v)),
             AstScalar::Str(s) => ScalarExpr::Literal(Value::from(s.as_str())),
@@ -331,9 +344,44 @@ mod tests {
     #[test]
     fn ambiguity_and_unknowns_rejected() {
         let (cat, _) = tpch_catalog();
-        assert!(parse_query("select x from lineitem", &cat).is_err());
-        assert!(parse_query("select l_orderkey from nosuch", &cat).is_err());
-        assert!(parse_query("select l_orderkey from lineitem, lineitem", &cat).is_err());
+        // Each error points at the name it is about.
+        for (bad, message, offset) in [
+            ("select x from lineitem", "unknown column x", 7),
+            ("select l_orderkey from nosuch", "unknown table nosuch", 23),
+            (
+                "select l_orderkey from dbo.nosuch",
+                "unknown table nosuch",
+                27,
+            ),
+            (
+                "select z.l_orderkey from lineitem",
+                "unknown table or alias z",
+                7,
+            ),
+            (
+                "select l_orderkey from lineitem where l.x = 1",
+                "unknown table or alias l",
+                38,
+            ),
+            ("select l.x from lineitem l", "unknown column l.x", 7),
+            (
+                "select n_name from nation a, nation b",
+                "ambiguous column n_name",
+                7,
+            ),
+            (
+                "select l_orderkey from lineitem, lineitem",
+                "duplicate table label lineitem — alias repeated tables",
+                33,
+            ),
+        ] {
+            let err = parse_query(bad, &cat).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{bad}"
+            );
+        }
         // Same table twice with aliases is fine.
         assert!(parse_query(
             "select a.n_name from nation a, nation b where a.n_regionkey = b.n_regionkey",

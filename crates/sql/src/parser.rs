@@ -1,16 +1,17 @@
 //! Recursive-descent parser producing an unbound AST.
 
-use crate::lexer::{Spanned, Token};
+use crate::lexer::{Kw, Name, Spanned, Token};
 use crate::SqlError;
 use mv_expr::{BinOp, CmpOp};
 
 /// Unbound scalar expression.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AstScalar {
-    /// `[qualifier.]name`.
+    /// `[qualifier.]name`, starting at byte `offset`.
     Column {
-        qualifier: Option<String>,
-        name: String,
+        qualifier: Option<Name>,
+        name: Name,
+        offset: usize,
     },
     Int(i64),
     Float(f64),
@@ -73,11 +74,11 @@ pub enum AstAgg {
 pub enum SelectItem {
     Scalar {
         expr: AstScalar,
-        alias: Option<String>,
+        alias: Option<Name>,
     },
     Agg {
         agg: AstAgg,
-        alias: Option<String>,
+        alias: Option<Name>,
     },
 }
 
@@ -85,9 +86,11 @@ pub enum SelectItem {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableRef {
     /// Table name (a `dbo.` schema prefix is accepted and dropped).
-    pub name: String,
+    pub name: Name,
     /// Optional alias.
-    pub alias: Option<String>,
+    pub alias: Option<Name>,
+    /// Byte offset of the table name.
+    pub offset: usize,
 }
 
 /// An unbound SELECT block.
@@ -103,36 +106,8 @@ pub struct AstSelect {
 #[derive(Debug, Clone, PartialEq)]
 pub enum AstStatement {
     Select(AstSelect),
-    CreateView { name: String, select: AstSelect },
+    CreateView { name: Name, select: AstSelect },
 }
-
-/// Keywords that terminate an expression and must not be taken as aliases.
-const RESERVED: &[&str] = &[
-    "select",
-    "from",
-    "where",
-    "group",
-    "by",
-    "and",
-    "or",
-    "not",
-    "like",
-    "between",
-    "is",
-    "null",
-    "as",
-    "create",
-    "view",
-    "with",
-    "schemabinding",
-    "sum",
-    "count",
-    "count_big",
-    "avg",
-    "date",
-    "order",
-    "having",
-];
 
 /// How deeply `(`, `NOT`, unary `-` and the operators of an arithmetic
 /// chain may nest. The parser recurses once per level, and so does
@@ -154,7 +129,7 @@ pub fn parse(tokens: &[Spanned]) -> Result<AstStatement, SqlError> {
         pos: 0,
         depth: 0,
     };
-    let stmt = if p.peek_keyword("create") {
+    let stmt = if p.peek_keyword(Kw::Create) {
         p.parse_create_view()?
     } else {
         AstStatement::Select(p.parse_select()?)
@@ -182,8 +157,8 @@ impl<'a> Parser<'a> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
-    fn peek_keyword(&self, kw: &str) -> bool {
-        matches!(self.peek(), Some(Token::Ident(s)) if s == kw)
+    fn peek_keyword(&self, kw: Kw) -> bool {
+        matches!(self.peek(), Some(Token::Kw(k)) if *k == kw)
     }
 
     fn eat(&mut self, t: &Token) -> bool {
@@ -195,7 +170,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn eat_keyword(&mut self, kw: &str) -> bool {
+    fn eat_keyword(&mut self, kw: Kw) -> bool {
         if self.peek_keyword(kw) {
             self.pos += 1;
             true
@@ -212,11 +187,11 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_keyword(&mut self, kw: &str) -> Result<(), SqlError> {
+    fn expect_keyword(&mut self, kw: Kw) -> Result<(), SqlError> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
-            Err(self.error(format!("expected {}", kw.to_uppercase())))
+            Err(self.error(format!("expected {}", kw.text().to_uppercase())))
         }
     }
 
@@ -247,48 +222,52 @@ impl<'a> Parser<'a> {
         parsed
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String, SqlError> {
-        match self.peek() {
-            Some(Token::Ident(s)) if !RESERVED.contains(&s.as_str()) => {
-                let s = s.clone();
-                self.pos += 1;
-                Ok(s)
-            }
-            _ => Err(self.error(format!("expected {what}"))),
-        }
+    fn expect_ident(&mut self, what: &str) -> Result<Name, SqlError> {
+        self.eat_ident()
+            .ok_or_else(|| self.error(format!("expected {what}")))
+    }
+
+    /// Take the name at `pos`, if there is one.
+    fn eat_ident(&mut self) -> Option<Name> {
+        let Some(Token::Ident(name)) = self.peek() else {
+            return None;
+        };
+        let name = name.clone();
+        self.pos += 1;
+        Some(name)
     }
 
     fn parse_create_view(&mut self) -> Result<AstStatement, SqlError> {
-        self.expect_keyword("create")?;
-        self.expect_keyword("view")?;
+        self.expect_keyword(Kw::Create)?;
+        self.expect_keyword(Kw::View)?;
         let name = self.expect_ident("view name")?;
-        if self.eat_keyword("with") {
-            self.expect_keyword("schemabinding")?;
+        if self.eat_keyword(Kw::With) {
+            self.expect_keyword(Kw::Schemabinding)?;
         }
-        self.expect_keyword("as")?;
+        self.expect_keyword(Kw::As)?;
         let select = self.parse_select()?;
         Ok(AstStatement::CreateView { name, select })
     }
 
     fn parse_select(&mut self) -> Result<AstSelect, SqlError> {
-        self.expect_keyword("select")?;
+        self.expect_keyword(Kw::Select)?;
         let mut items = vec![self.parse_select_item()?];
         while self.eat(&Token::Comma) {
             items.push(self.parse_select_item()?);
         }
-        self.expect_keyword("from")?;
+        self.expect_keyword(Kw::From)?;
         let mut from = vec![self.parse_table_ref()?];
         while self.eat(&Token::Comma) {
             from.push(self.parse_table_ref()?);
         }
-        let where_clause = if self.eat_keyword("where") {
+        let where_clause = if self.eat_keyword(Kw::Where) {
             Some(self.parse_bool()?)
         } else {
             None
         };
         let mut group_by = Vec::new();
-        if self.eat_keyword("group") {
-            self.expect_keyword("by")?;
+        if self.eat_keyword(Kw::Group) {
+            self.expect_keyword(Kw::By)?;
             group_by.push(self.parse_scalar()?);
             while self.eat(&Token::Comma) {
                 group_by.push(self.parse_scalar()?);
@@ -304,17 +283,17 @@ impl<'a> Parser<'a> {
 
     fn parse_select_item(&mut self) -> Result<SelectItem, SqlError> {
         // Aggregates.
-        let agg = if self.eat_keyword("count") || self.eat_keyword("count_big") {
+        let agg = if self.eat_keyword(Kw::Count) || self.eat_keyword(Kw::CountBig) {
             self.expect(&Token::LParen, "(")?;
             self.expect(&Token::Star, "*")?;
             self.expect(&Token::RParen, ")")?;
             Some(AstAgg::CountStar)
-        } else if self.eat_keyword("sum") {
+        } else if self.eat_keyword(Kw::Sum) {
             self.expect(&Token::LParen, "(")?;
             let e = self.parse_scalar()?;
             self.expect(&Token::RParen, ")")?;
             Some(AstAgg::Sum(e))
-        } else if self.eat_keyword("avg") {
+        } else if self.eat_keyword(Kw::Avg) {
             self.expect(&Token::LParen, "(")?;
             let e = self.parse_scalar()?;
             self.expect(&Token::RParen, ")")?;
@@ -331,45 +310,35 @@ impl<'a> Parser<'a> {
         Ok(SelectItem::Scalar { expr, alias })
     }
 
-    fn parse_alias(&mut self) -> Result<Option<String>, SqlError> {
-        if self.eat_keyword("as") {
+    fn parse_alias(&mut self) -> Result<Option<Name>, SqlError> {
+        if self.eat_keyword(Kw::As) {
             return Ok(Some(self.expect_ident("alias")?));
         }
-        // Bare alias (identifier that is not a keyword).
-        if let Some(Token::Ident(s)) = self.peek() {
-            if !RESERVED.contains(&s.as_str()) {
-                let s = s.clone();
-                self.pos += 1;
-                return Ok(Some(s));
-            }
-        }
-        Ok(None)
+        // Bare alias.
+        Ok(self.eat_ident())
     }
 
     fn parse_table_ref(&mut self) -> Result<TableRef, SqlError> {
-        let first = self.expect_ident("table name")?;
-        let name = if self.eat(&Token::Dot) {
+        let mut offset = self.offset();
+        let mut name = self.expect_ident("table name")?;
+        if self.eat(&Token::Dot) {
             // schema.table — the schema (e.g. `dbo`) is dropped.
-            self.expect_ident("table name")?
-        } else {
-            first
-        };
-        let alias = match self.peek() {
-            Some(Token::Ident(s)) if !RESERVED.contains(&s.as_str()) => {
-                let s = s.clone();
-                self.pos += 1;
-                Some(s)
-            }
-            _ => None,
-        };
-        Ok(TableRef { name, alias })
+            offset = self.offset();
+            name = self.expect_ident("table name")?;
+        }
+        let alias = self.eat_ident();
+        Ok(TableRef {
+            name,
+            alias,
+            offset,
+        })
     }
 
     // Boolean grammar: or := and (OR and)*, and := unary (AND unary)*,
     // unary := NOT unary | predicate | ( or ).
     fn parse_bool(&mut self) -> Result<AstBool, SqlError> {
         let mut parts = vec![self.parse_bool_and()?];
-        while self.eat_keyword("or") {
+        while self.eat_keyword(Kw::Or) {
             parts.push(self.parse_bool_and()?);
         }
         Ok(if parts.len() == 1 {
@@ -381,7 +350,7 @@ impl<'a> Parser<'a> {
 
     fn parse_bool_and(&mut self) -> Result<AstBool, SqlError> {
         let mut parts = vec![self.parse_bool_unary()?];
-        while self.eat_keyword("and") {
+        while self.eat_keyword(Kw::And) {
             parts.push(self.parse_bool_unary()?);
         }
         Ok(if parts.len() == 1 {
@@ -392,7 +361,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_bool_unary(&mut self) -> Result<AstBool, SqlError> {
-        if self.eat_keyword("not") {
+        if self.eat_keyword(Kw::Not) {
             let inner = self.nested(Self::parse_bool_unary)?;
             return Ok(AstBool::Not(Box::new(inner)));
         }
@@ -416,17 +385,17 @@ impl<'a> Parser<'a> {
     fn parse_predicate(&mut self) -> Result<AstBool, SqlError> {
         let left = self.parse_scalar()?;
         // IS [NOT] NULL
-        if self.eat_keyword("is") {
-            let negated = self.eat_keyword("not");
-            self.expect_keyword("null")?;
+        if self.eat_keyword(Kw::Is) {
+            let negated = self.eat_keyword(Kw::Not);
+            self.expect_keyword(Kw::Null)?;
             return Ok(AstBool::IsNull {
                 expr: left,
                 negated,
             });
         }
         // [NOT] LIKE / BETWEEN
-        let negated = self.eat_keyword("not");
-        if self.eat_keyword("like") {
+        let negated = self.eat_keyword(Kw::Not);
+        if self.eat_keyword(Kw::Like) {
             let pattern = match self.peek() {
                 Some(Token::Str(s)) => {
                     let s = s.clone();
@@ -441,9 +410,9 @@ impl<'a> Parser<'a> {
                 negated,
             });
         }
-        if self.eat_keyword("between") {
+        if self.eat_keyword(Kw::Between) {
             let lo = self.parse_scalar()?;
-            self.expect_keyword("and")?;
+            self.expect_keyword(Kw::And)?;
             let hi = self.parse_scalar()?;
             return Ok(AstBool::Between {
                 expr: left,
@@ -547,7 +516,7 @@ impl<'a> Parser<'a> {
                 self.expect(&Token::RParen, ")")?;
                 Ok(e)
             }
-            Some(Token::Ident(s)) if s == "date" => {
+            Some(Token::Kw(Kw::Date)) => {
                 self.pos += 1;
                 match self.peek().cloned() {
                     Some(Token::Str(d)) => {
@@ -557,20 +526,19 @@ impl<'a> Parser<'a> {
                     _ => Err(self.error("expected a date string after DATE")),
                 }
             }
-            Some(Token::Ident(s)) if !RESERVED.contains(&s.as_str()) => {
+            Some(Token::Ident(first)) => {
+                let offset = self.offset();
                 self.pos += 1;
-                if self.eat(&Token::Dot) {
-                    let name = self.expect_ident("column name")?;
-                    Ok(AstScalar::Column {
-                        qualifier: Some(s),
-                        name,
-                    })
+                let (qualifier, name) = if self.eat(&Token::Dot) {
+                    (Some(first), self.expect_ident("column name")?)
                 } else {
-                    Ok(AstScalar::Column {
-                        qualifier: None,
-                        name: s,
-                    })
-                }
+                    (None, first)
+                };
+                Ok(AstScalar::Column {
+                    qualifier,
+                    name,
+                    offset,
+                })
             }
             _ => Err(self.error("expected an expression")),
         }
@@ -629,8 +597,8 @@ mod tests {
         else {
             panic!()
         };
-        assert_eq!(name, "v1");
-        assert_eq!(select.from[0].name, "t");
+        assert_eq!(name.as_str(), "v1");
+        assert_eq!(select.from[0].name.as_str(), "t");
     }
 
     #[test]
@@ -699,16 +667,18 @@ mod tests {
         ) else {
             panic!()
         };
-        assert_eq!(s.from[0].alias.as_deref(), Some("l"));
+        assert_eq!(s.from[0].alias, Some("l".into()));
+        assert_eq!(s.from[1].offset, 42);
         let SelectItem::Scalar { expr, alias } = &s.items[0] else {
             panic!()
         };
-        assert_eq!(alias.as_deref(), Some("k"));
+        assert_eq!(*alias, Some("k".into()));
         assert_eq!(
             *expr,
             AstScalar::Column {
                 qualifier: Some("l".into()),
-                name: "l_orderkey".into()
+                name: "l_orderkey".into(),
+                offset: 7,
             }
         );
     }
@@ -760,17 +730,79 @@ mod tests {
 
     #[test]
     fn errors_are_reported() {
-        for bad in [
-            "SELECT",
-            "SELECT a FROM",
-            "SELECT a FROM t WHERE",
-            "SELECT a FROM t WHERE a ==",
-            "SELECT a FROM t GROUP",
-            "CREATE VIEW AS SELECT a FROM t",
-            "SELECT a FROM t extra garbage (",
+        // One statement per keyword expectation and error path, with the
+        // message and byte offset each reports.
+        for (bad, message, offset) in [
+            ("FROM t", "expected SELECT", 0),
+            ("SELECT a", "expected FROM", 8),
+            ("SELECT a FROM", "expected table name", 10),
+            ("SELECT a FROM dbo.", "expected table name", 18),
+            ("SELECT a FROM t GROUP a", "expected BY", 22),
+            ("SELECT a FROM t WHERE a IS 1", "expected NULL", 27),
+            ("SELECT a FROM t WHERE a BETWEEN 1 OR 2", "expected AND", 34),
+            ("CREATE TABLE t", "expected VIEW", 7),
+            ("CREATE VIEW AS SELECT a FROM t", "expected view name", 12),
+            (
+                "CREATE VIEW v WITH AS SELECT a FROM t",
+                "expected SCHEMABINDING",
+                19,
+            ),
+            ("CREATE VIEW v SELECT a FROM t", "expected AS", 14),
+            ("SELECT a AS FROM t", "expected alias", 12),
+            ("SELECT t. FROM t", "expected column name", 10),
+            ("SELECT COUNT_BIG * FROM t", "expected (", 17),
+            ("SELECT COUNT(a) FROM t", "expected *", 13),
+            ("SELECT SUM(a FROM t", "expected )", 13),
+            ("SELECT FROM t", "expected an expression", 7),
+            ("SELECT a FROM t WHERE", "expected an expression", 17),
+            (
+                "SELECT a FROM t WHERE a NOT = 1",
+                "expected LIKE or BETWEEN after NOT",
+                28,
+            ),
+            (
+                "SELECT a FROM t WHERE a 1",
+                "expected a comparison operator",
+                24,
+            ),
+            ("SELECT a FROM t WHERE a ==", "expected an expression", 25),
+            (
+                "SELECT a FROM t WHERE a LIKE 1",
+                "expected a string pattern after LIKE",
+                29,
+            ),
+            (
+                "SELECT a FROM t WHERE a = DATE 1",
+                "expected a date string after DATE",
+                31,
+            ),
+            (
+                "SELECT a FROM t extra garbage (",
+                "unexpected trailing input",
+                22,
+            ),
+            (
+                "SELECT a FROM t WHERE a = 'x",
+                "unterminated string literal",
+                26,
+            ),
+            (
+                "SELECT a FROM t WHERE a = @",
+                "unexpected character '@'",
+                26,
+            ),
+            (
+                "SELECT a FROM t WHERE a = 99999999999999999999",
+                "invalid number 99999999999999999999",
+                26,
+            ),
         ] {
-            let r = tokenize(bad).and_then(|t| parse(&t));
-            assert!(r.is_err(), "{bad} should fail");
+            let err = tokenize(bad).and_then(|t| parse(&t)).unwrap_err();
+            assert_eq!(
+                (err.message.as_str(), err.offset),
+                (message, offset),
+                "{bad}"
+            );
         }
     }
 }
