@@ -20,25 +20,27 @@
 //!    (MV102) — unless the only rejecting levels are the documented
 //!    §4.2.7 strict-expression-filter conservatism, which is reported as
 //!    an INFO note instead.
+//!
+//! Both checks audit the index they are handed: [`audit_index`] hands
+//! them the engine's own stored entries and filter-tree search, and a
+//! test can hand them a damaged copy instead.
 
 use mv_core::{
-    decode_col_token, strict_filter_exempt_levels, MatchingEngine, AGG_LEVELS, LEVEL_NAMES,
-    SPJ_LEVELS,
+    decode_col_token, strict_filter_exempt_levels, ExprSummary, MatchingEngine, TokenKind,
+    AGG_LEVELS, LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
 };
 use mv_plan::{SpjgExpr, ViewId};
 use mv_verify::{Diagnostic, Report, RuleId, Severity};
 use std::collections::HashMap;
 
-/// Filter-tree levels keyed by table tokens.
-const TABLE_LEVELS: [usize; 2] = [0, 1];
-/// Filter-tree levels keyed by base-qualified column tokens.
-const COL_LEVELS: [usize; 3] = [3, 5, 7];
-
-/// Run the full index-completeness pass.
+/// Run the full index-completeness pass over the engine's own filter
+/// trees.
 pub fn audit_index(engine: &MatchingEngine, queries: &[SpjgExpr]) -> Report {
     let mut report = Report::new();
-    audit_stored_entries(engine, &mut report);
-    audit_differential(engine, queries, &mut report);
+    let entries = engine.filter_entries();
+    audit_stored_entries(engine, &entries, &mut report);
+    let search = |query: &SpjgExpr, qsum: &ExprSummary| engine.candidates(query, qsum);
+    audit_differential(engine, &entries, search, queries, &mut report);
     report
 }
 
@@ -57,11 +59,16 @@ fn view_label(engine: &MatchingEngine, id: ViewId) -> String {
     }
 }
 
-/// Static validation of every stored index entry (MV101/MV103/MV104).
-pub fn audit_stored_entries(engine: &MatchingEngine, report: &mut Report) {
-    let entries = engine.filter_entries();
+/// Static validation of stored index entries — `(view, per-level keys)`,
+/// normalized as [`MatchingEngine::filter_entries`] returns them —
+/// against the engine's views (MV101/MV103/MV104).
+pub fn audit_stored_entries(
+    engine: &MatchingEngine,
+    entries: &[(ViewId, Vec<Vec<u64>>)],
+    report: &mut Report,
+) {
     let mut stored: HashMap<ViewId, &Vec<Vec<u64>>> = HashMap::new();
-    for (id, keys) in &entries {
+    for (id, keys) in entries {
         if (id.0 as usize) >= engine.views().len() || engine.is_removed(*id) {
             report.push(
                 Diagnostic::error(
@@ -157,53 +164,68 @@ fn audit_entry_obligations(
 
     for (lvl, key) in keys.iter().enumerate() {
         let level = LEVEL_NAMES[lvl];
-        if TABLE_LEVELS.contains(&lvl) {
-            for &t in key {
-                if t >= n_tables {
-                    report.push(
-                        Diagnostic::error(
-                            RuleId::IndexTokenBounds,
-                            format!("stored table token {t} names no catalog table"),
-                        )
-                        .with_view(view_name)
-                        .with_detail(format!("level {level}")),
-                    );
+        match LEVEL_TOKENS[lvl] {
+            TokenKind::Table => {
+                for &t in key {
+                    if t >= n_tables {
+                        report.push(
+                            Diagnostic::error(
+                                RuleId::IndexTokenBounds,
+                                format!("stored table token {t} names no catalog table"),
+                            )
+                            .with_view(view_name)
+                            .with_detail(format!("level {level}")),
+                        );
+                    }
                 }
             }
-        } else if COL_LEVELS.contains(&lvl) {
-            for &c in key {
-                let (table, col) = decode_col_token(c);
-                let valid = (table.0 as u64) < n_tables
-                    && (col.0 as usize) < catalog.table(table).columns.len();
-                if !valid {
-                    report.push(
-                        Diagnostic::error(
-                            RuleId::IndexTokenBounds,
-                            format!("stored column token {c} decodes to no catalog column"),
-                        )
-                        .with_view(view_name)
-                        .with_detail(format!("level {level}")),
-                    );
+            TokenKind::Column => {
+                for &c in key {
+                    let (table, col) = decode_col_token(c);
+                    let valid = (table.0 as u64) < n_tables
+                        && (col.0 as usize) < catalog.table(table).columns.len();
+                    if !valid {
+                        report.push(
+                            Diagnostic::error(
+                                RuleId::IndexTokenBounds,
+                                format!("stored column token {c} decodes to no catalog column"),
+                            )
+                            .with_view(view_name)
+                            .with_detail(format!("level {level}")),
+                        );
+                    }
                 }
             }
+            TokenKind::Text => {}
         }
     }
 }
 
-/// Differential completeness check over a workload (MV102): filter-tree
-/// candidates must be a superset of the exhaustive matcher's accepts.
-pub fn audit_differential(engine: &MatchingEngine, queries: &[SpjgExpr], report: &mut Report) {
+/// Differential completeness check over a workload (MV102): the
+/// candidates `search` returns for a query (sorted, as
+/// [`MatchingEngine::candidates`] returns them) must be a superset of the
+/// exhaustive matcher's accepts. A pruned view is attributed to the first
+/// level whose condition its entry in `entries` — the index `search`
+/// walks — fails.
+pub fn audit_differential(
+    engine: &MatchingEngine,
+    entries: &[(ViewId, Vec<Vec<u64>>)],
+    search: impl Fn(&SpjgExpr, &ExprSummary) -> Vec<ViewId>,
+    queries: &[SpjgExpr],
+    report: &mut Report,
+) {
     if !engine.config().use_filter_tree {
         return;
     }
     // Level conditions must be evaluated against the keys the tree
     // *stores* — that is what the search actually walked — not a fresh
     // re-derivation (stored-vs-derived drift is MV101's job).
-    let stored: HashMap<ViewId, Vec<Vec<u64>>> = engine.filter_entries().into_iter().collect();
+    let stored: HashMap<ViewId, &Vec<Vec<u64>>> =
+        entries.iter().map(|(id, keys)| (*id, keys)).collect();
     for (qi, query) in queries.iter().enumerate() {
         let qlabel = format!("q{qi}");
         let qsum = engine.query_summary(query);
-        let candidates = engine.candidates(query, &qsum); // sorted
+        let candidates = search(query, &qsum);
         let (spj, agg) = engine.query_searches(query, &qsum);
         let pin = engine.views();
         for (id, view) in pin.iter() {
@@ -231,7 +253,7 @@ pub fn audit_differential(engine: &MatchingEngine, queries: &[SpjgExpr], report:
             let rejecting: Vec<usize> = match stored.get(&id) {
                 Some(keys) => searches
                     .iter()
-                    .zip(keys)
+                    .zip(keys.iter())
                     .enumerate()
                     .filter(|(_, (s, key))| !s.accepts(key))
                     .map(|(lvl, _)| lvl)

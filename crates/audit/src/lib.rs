@@ -21,11 +21,17 @@
 //!    the matcher trusts: FK structural soundness, unique referenced
 //!    keys, null-free key/FK columns, and type agreement.
 //!
+//! The index pass audits the index it is handed
+//! ([`audit_stored_entries`], [`audit_differential`]); [`audit_index`]
+//! hands it the engine's own stored entries and filter-tree search.
+//!
 //! Deployment: `mv-lint --audit` runs all three passes over the §5
 //! workload and folds the findings into the CI report; the corruption
-//! suite in `tests/corruption.rs` seeds index/catalog mutations and pins
-//! each to its expected rule. The engine additionally asserts the
-//! differential property after every `find_substitutes` in debug builds.
+//! suite in `tests/corruption.rs` hands the index pass damaged copies of
+//! the stored entries, and the catalog passes broken catalogs, and pins
+//! each mutation to its expected rule. The engine additionally asserts
+//! the differential property after every search `find_verdicts` computes
+//! in debug builds.
 
 pub mod index;
 pub mod metadata;

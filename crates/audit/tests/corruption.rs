@@ -1,16 +1,22 @@
 //! The corruption suite: seed index and catalog mutations and pin each to
-//! the MV1xx rule that must catch it, mirroring `crates/verify`'s
+//! the MV1xx rule that must catch it — an index mutation as a damaged copy
+//! of the stored entries handed to the pass — mirroring `crates/verify`'s
 //! corruption tests for the soundness band. The dual sanity checks — the
 //! unmutated fixture and the unmutated §5 workload audit clean — keep the
 //! rules honest in both directions.
 
-use mv_audit::{audit_all, audit_index, audit_metadata, audit_redundancy};
+use mv_audit::{
+    audit_all, audit_differential, audit_metadata, audit_redundancy, audit_stored_entries,
+};
 use mv_bench::{build_workload, engine_with};
 use mv_catalog::tpch::tpch_catalog;
 use mv_catalog::{
     Catalog, Column, ColumnId, ColumnType, ForeignKey, Key, KeyKind, Table, TableBuilder, TableId,
 };
-use mv_core::{col_token, table_token, MatchConfig, MatchingEngine, SPJ_LEVELS};
+use mv_core::{
+    col_token, table_token, ExprSummary, FilterTree, MatchConfig, MatchingEngine, AGG_LEVELS,
+    SPJ_LEVELS,
+};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef, ViewId};
 use mv_verify::{Report, Severity};
@@ -114,23 +120,112 @@ fn clean_workload_audits_without_errors() {
 }
 
 // ---------------------------------------------------------------------
-// Index corruptions (MV101–MV104).
+// Index corruptions (MV101–MV104): the engine stays intact; each test
+// hands the pass a damaged copy of its stored entries.
 // ---------------------------------------------------------------------
+
+type Entries = Vec<(ViewId, Vec<Vec<u64>>)>;
+
+/// The engine's stored index entries with `parts_low` (view 0) taken out
+/// and, given keys, filed again under them — normalized, as a tree stores
+/// its keys.
+fn refiled(engine: &MatchingEngine, keys: Option<Vec<Vec<u64>>>) -> Entries {
+    let mut entries = engine.filter_entries();
+    entries.retain(|(id, _)| *id != ViewId(0));
+    if let Some(mut keys) = keys {
+        for key in &mut keys {
+            key.sort_unstable();
+            key.dedup();
+        }
+        entries.push((ViewId(0), keys));
+    }
+    entries
+}
+
+/// `parts_low`'s derived SPJ keys, with `damage` applied.
+fn parts_low_keys(engine: &MatchingEngine, damage: impl FnOnce(&mut [Vec<u64>])) -> Vec<Vec<u64>> {
+    let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
+    keys.truncate(SPJ_LEVELS);
+    damage(&mut keys);
+    keys
+}
+
+fn stored_report(engine: &MatchingEngine, entries: &Entries) -> Report {
+    let mut report = Report::new();
+    audit_stored_entries(engine, entries, &mut report);
+    report
+}
+
+/// A search over real filter trees built from `entries`, posed the way
+/// the engine searches its own.
+fn tree_search<'a>(
+    engine: &'a MatchingEngine,
+    entries: &Entries,
+) -> impl Fn(&SpjgExpr, &ExprSummary) -> Vec<ViewId> + 'a {
+    let mut spj = FilterTree::new(SPJ_LEVELS);
+    let mut agg = FilterTree::new(AGG_LEVELS);
+    for (id, keys) in entries {
+        let tree = if keys.len() == SPJ_LEVELS {
+            &mut spj
+        } else {
+            &mut agg
+        };
+        tree.insert(keys, *id);
+    }
+    move |query, qsum| {
+        let (spj_search, agg_search) = engine.query_searches(query, qsum);
+        let mut out = spj.search(&spj_search);
+        if query.is_aggregate() {
+            out.extend(agg.search(&agg_search));
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+fn differential_report(engine: &MatchingEngine, entries: &Entries) -> Report {
+    let mut report = Report::new();
+    audit_differential(
+        engine,
+        entries,
+        tree_search(engine, entries),
+        &queries(),
+        &mut report,
+    );
+    report
+}
+
+/// Trees built from an undamaged copy return the engine's own
+/// candidates, so a damaged copy's trees search as a damaged engine's
+/// would.
+#[test]
+fn intact_copy_searches_like_the_engine() {
+    let workload = build_workload(40, 20);
+    let engine = engine_with(&workload, 40, MatchConfig::default());
+    let search = tree_search(&engine, &engine.filter_entries());
+    // Each view's definition as a query finds at least that view.
+    let views: Vec<SpjgExpr> = engine.views().iter().map(|(_, v)| v.expr.clone()).collect();
+    let mut found = 0;
+    for query in workload.queries.iter().chain(&views) {
+        let qsum = engine.query_summary(query);
+        let candidates = engine.candidates(query, &qsum);
+        found += candidates.len();
+        assert_eq!(search(query, &qsum), candidates);
+    }
+    assert!(found > 0, "no query has a candidate");
+}
 
 #[test]
 fn evicted_view_caught_by_mv101() {
     let engine = fixture();
-    assert!(engine.evict_view_for_audit(ViewId(0)));
-    let report = audit_index(&engine, &[]);
+    let report = stored_report(&engine, &refiled(&engine, None));
     assert_eq!(codes(&report, Severity::Error), vec!["MV101"]);
 }
 
 #[test]
 fn evicted_view_differential_caught_by_mv102() {
     let engine = fixture();
-    assert!(engine.evict_view_for_audit(ViewId(0)));
-    let mut report = Report::new();
-    mv_audit::audit_differential(&engine, &queries(), &mut report);
+    let report = differential_report(&engine, &refiled(&engine, None));
     assert_eq!(codes(&report, Severity::Error), vec!["MV102"]);
     let d = &report.diagnostics[0];
     assert_eq!(d.context.view.as_deref(), Some("parts_low"));
@@ -147,12 +242,8 @@ fn stale_residual_key_caught_by_mv102_naming_the_level() {
     let engine = fixture();
     // File parts_low as if it carried a residual predicate no query has:
     // the level-5 subset search now rejects it for every real query.
-    let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
-    keys.truncate(SPJ_LEVELS);
-    keys[4].push(999_999);
-    assert!(engine.refile_view_for_audit(ViewId(0), &keys));
-    let mut report = Report::new();
-    mv_audit::audit_differential(&engine, &queries(), &mut report);
+    let keys = parts_low_keys(&engine, |keys| keys[4].push(999_999));
+    let report = differential_report(&engine, &refiled(&engine, Some(keys)));
     assert_eq!(codes(&report, Severity::Error), vec!["MV102"]);
     let detail = report.diagnostics[0].context.detail.as_deref().unwrap();
     assert!(
@@ -167,11 +258,8 @@ fn foreign_hub_caught_by_mv103() {
     let engine = fixture();
     // A hub outside the view's own table set breaks the level-1
     // containment argument.
-    let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
-    keys.truncate(SPJ_LEVELS);
-    keys[0] = vec![table_token(t.orders)];
-    assert!(engine.refile_view_for_audit(ViewId(0), &keys));
-    let report = audit_index(&engine, &[]);
+    let keys = parts_low_keys(&engine, |keys| keys[0] = vec![table_token(t.orders)]);
+    let report = stored_report(&engine, &refiled(&engine, Some(keys)));
     let errs = codes(&report, Severity::Error);
     assert!(errs.contains(&"MV103"), "got {errs:?}");
 }
@@ -179,11 +267,11 @@ fn foreign_hub_caught_by_mv103() {
 #[test]
 fn bogus_column_token_caught_by_mv104() {
     let engine = fixture();
-    let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
-    keys.truncate(SPJ_LEVELS);
-    keys[5].push(col_token(TableId(999), ColumnId(7))); // no such table
-    assert!(engine.refile_view_for_audit(ViewId(0), &keys));
-    let report = audit_index(&engine, &[]);
+    // No such table.
+    let keys = parts_low_keys(&engine, |keys| {
+        keys[5].push(col_token(TableId(999), ColumnId(7)))
+    });
+    let report = stored_report(&engine, &refiled(&engine, Some(keys)));
     let errs = codes(&report, Severity::Error);
     assert!(errs.contains(&"MV104"), "got {errs:?}");
     let levels: Vec<&str> = report
@@ -200,11 +288,8 @@ fn bogus_text_token_caught_by_mv101() {
     // A template-text token is a hash, so any value is well formed
     // (no MV104); a wrong one differs from the re-derived key.
     let engine = fixture();
-    let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
-    keys.truncate(SPJ_LEVELS);
-    keys[2].push(1_000_000);
-    assert!(engine.refile_view_for_audit(ViewId(0), &keys));
-    let report = audit_index(&engine, &[]);
+    let keys = parts_low_keys(&engine, |keys| keys[2].push(1_000_000));
+    let report = stored_report(&engine, &refiled(&engine, Some(keys)));
     assert_eq!(codes(&report, Severity::Error), vec!["MV101"]);
     let detail = report.diagnostics[0].context.detail.as_deref().unwrap();
     assert!(detail.contains("output-exprs"), "{detail}");

@@ -440,6 +440,8 @@ impl MatchingEngine {
     /// on every plan-cache hit of a debug build, to assert the hit equals
     /// it. Never call outside that check.
     #[cfg(debug_assertions)]
+    // Read-only, and compiled out of release builds; the optimizer's
+    // plan-cache oracle calls it from another crate. mv-lint: allow(MV207)
     #[doc(hidden)]
     pub fn fresh_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
         self.compute_verdicts(&pin.snap, query, None).0
@@ -572,6 +574,29 @@ mod tests {
         } else {
             snap.spj_tree.contains(&keys[..SPJ_LEVELS], id)
         }
+    }
+
+    /// Damage the index the way a lost or drifted entry would: take `id`
+    /// out of its filter tree and, given keys, file it again under them.
+    /// `false`, publishing nothing, when the view is not live or not filed
+    /// under its derived keys.
+    fn refile(engine: &MatchingEngine, id: ViewId, keys: Option<&[Vec<u64>]>) -> bool {
+        engine
+            .publish(|next| {
+                if !engine.unfile(next, id) {
+                    return None;
+                }
+                if let Some(keys) = keys {
+                    let tree = if next.views.get(id).expr.is_aggregate() {
+                        &mut next.agg_tree
+                    } else {
+                        &mut next.spj_tree
+                    };
+                    crate::sync::Arc::make_mut(tree).insert(keys, id);
+                }
+                Some(())
+            })
+            .is_some()
     }
 
     fn engine_with_views(config: MatchConfig) -> MatchingEngine {
@@ -761,16 +786,15 @@ mod tests {
             }
         }
         // Evicting drops the view from the index but not from the engine.
-        assert!(engine.evict_view_for_audit(ViewId(0)));
+        assert!(refile(&engine, ViewId(0), None));
         assert!(!view_in_tree(&engine, ViewId(0)));
         assert_eq!(engine.filter_entries().len(), 3);
         assert_eq!(engine.live_view_count(), 4);
-        // Removed views have no keys and cannot be corrupted.
+        // Removed views have no keys and are filed nowhere.
         let engine = engine_with_views(MatchConfig::default());
         engine.remove_view(ViewId(1));
         assert!(engine.view_filter_keys(ViewId(1)).is_none());
-        assert!(!engine.evict_view_for_audit(ViewId(1)));
-        assert!(!engine.refile_view_for_audit(ViewId(1), &[]));
+        assert!(!refile(&engine, ViewId(1), None));
     }
 
     #[test]
@@ -820,7 +844,7 @@ mod tests {
         let mut keys = engine.view_filter_keys(ViewId(0)).unwrap();
         keys.truncate(SPJ_LEVELS);
         keys[4].push(999_999); // bogus residual token
-        assert!(engine.refile_view_for_audit(ViewId(0), &keys));
+        assert!(refile(&engine, ViewId(0), Some(&keys)));
         assert!(
             !view_in_tree(&engine, ViewId(0)),
             "stored keys are stale now"
@@ -833,7 +857,7 @@ mod tests {
     #[should_panic(expected = "filter tree dropped matching view")]
     fn debug_hook_catches_evicted_view() {
         let engine = engine_with_views(MatchConfig::default());
-        engine.evict_view_for_audit(ViewId(0));
+        assert!(refile(&engine, ViewId(0), None));
         engine.find_substitutes(&part_query(600, 900));
     }
 

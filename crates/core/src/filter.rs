@@ -34,8 +34,8 @@
 mod keys;
 
 pub use keys::{
-    col_token, decode_col_token, strict_filter_exempt_levels, table_token, AGG_LEVELS, LEVEL_NAMES,
-    SPJ_LEVELS,
+    col_token, decode_col_token, strict_filter_exempt_levels, table_token, TokenKind, AGG_LEVELS,
+    LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
 };
 
 use crate::lattice::{is_normalized, is_subset, LatticeIndex};

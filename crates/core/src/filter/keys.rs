@@ -37,6 +37,29 @@ pub const LEVEL_NAMES: [&str; AGG_LEVELS] = [
     "grouping-cols",
 ];
 
+/// What a filter-key token denotes: a [`table_token`], a [`col_token`],
+/// or a template text's hash.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind {
+    Table,
+    Column,
+    Text,
+}
+
+/// The kind of token each filter-tree level is keyed by, in key order
+/// (beside [`LEVEL_NAMES`]). Table and column tokens decode to catalog
+/// objects; a text token is a hash, so any value is well formed.
+pub const LEVEL_TOKENS: [TokenKind; AGG_LEVELS] = [
+    TokenKind::Table,
+    TokenKind::Table,
+    TokenKind::Text,
+    TokenKind::Column,
+    TokenKind::Text,
+    TokenKind::Column,
+    TokenKind::Text,
+    TokenKind::Column,
+];
+
 /// Filter-tree levels at which the paper-faithful strict expression
 /// filter ([`crate::MatchConfig::strict_expression_filter`], section
 /// 4.2.7) is *deliberately* incomplete: the matcher can recompute a
@@ -366,5 +389,102 @@ impl MatchingEngine {
         let vsum = ExprSummary::analyze(expr);
         let core = JoinCore::new(&self.catalog, &self.config, &expr.tables, &vsum.ec);
         Some(self.view_keys(expr, &vsum, &core.fk_graph))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::MatchConfig;
+    use mv_catalog::tpch::tpch_catalog;
+    use mv_expr::{BinOp, BoolExpr, CmpOp, ScalarExpr as S};
+    use mv_plan::{NamedAgg, NamedExpr, ViewDef};
+
+    fn cr(occ: u32, col: u32) -> ColRef {
+        ColRef::new(occ, col)
+    }
+
+    /// Views that file a token at every level: a three-table aggregate
+    /// with a range, a residual, an expression and a column in its
+    /// grouping list and a `SUM` of an expression, and an SPJ view with an
+    /// expression output.
+    fn views(catalog: &Catalog) -> Vec<ViewDef> {
+        let li = catalog.table_by_name("lineitem").unwrap();
+        let orders = catalog.table_by_name("orders").unwrap();
+        let customer = catalog.table_by_name("customer").unwrap();
+        let part = catalog.table_by_name("part").unwrap();
+        let agg = SpjgExpr::aggregate(
+            vec![li, orders, customer],
+            BoolExpr::and(vec![
+                BoolExpr::col_eq(cr(0, 0), cr(1, 0)),
+                BoolExpr::col_eq(cr(1, 1), cr(2, 0)),
+                BoolExpr::cmp(S::col(cr(1, 3)), CmpOp::Ge, S::lit(100i64)),
+                BoolExpr::Like {
+                    expr: S::col(cr(2, 1)),
+                    pattern: "a%".into(),
+                    negated: false,
+                },
+            ]),
+            vec![
+                NamedExpr::new(S::col(cr(1, 1)), "o_custkey"),
+                NamedExpr::new(S::col(cr(0, 4)).binary(BinOp::Mul, S::lit(2i64)), "q2"),
+            ],
+            vec![
+                NamedAgg::new(AggFunc::CountStar, "cnt"),
+                NamedAgg::new(
+                    AggFunc::Sum(S::col(cr(0, 5)).binary(BinOp::Mul, S::col(cr(0, 6)))),
+                    "revenue",
+                ),
+            ],
+        );
+        let spj = SpjgExpr::spj(
+            vec![part],
+            BoolExpr::cmp(S::col(cr(0, 0)), CmpOp::Lt, S::lit(1000i64)),
+            vec![
+                NamedExpr::new(S::col(cr(0, 0)), "p_partkey"),
+                NamedExpr::new(S::col(cr(0, 5)).binary(BinOp::Add, S::lit(1i64)), "size1"),
+            ],
+        );
+        vec![ViewDef::new("agg", agg), ViewDef::new("spj", spj)]
+    }
+
+    /// Every table-level token of every view of a generated workload names
+    /// a catalog table, and every column-level token decodes to a catalog
+    /// column: [`LEVEL_TOKENS`] says what `view_keys` files where.
+    #[test]
+    fn level_tokens_match_what_view_keys_files() {
+        let (catalog, _) = tpch_catalog();
+        let views = views(&catalog);
+        for config in [
+            MatchConfig::default(),
+            MatchConfig {
+                allow_backjoins: true,
+                ..MatchConfig::default()
+            },
+        ] {
+            let engine = MatchingEngine::new(catalog.clone(), config);
+            for def in &views {
+                let id = engine.add_view(def.clone()).unwrap();
+                let keys = engine.view_filter_keys(id).unwrap();
+                assert_eq!(keys.len(), AGG_LEVELS);
+                if def.expr.is_aggregate() {
+                    assert!(keys.iter().all(|k| !k.is_empty()), "{keys:?}");
+                }
+                for (lvl, key) in keys.iter().enumerate() {
+                    for &token in key {
+                        let valid = match LEVEL_TOKENS[lvl] {
+                            TokenKind::Table => (token as usize) < catalog.table_count(),
+                            TokenKind::Column => {
+                                let (t, c) = decode_col_token(token);
+                                (t.0 as usize) < catalog.table_count()
+                                    && (c.0 as usize) < catalog.table(t).columns.len()
+                            }
+                            TokenKind::Text => true,
+                        };
+                        assert!(valid, "{}: token {token} at {}", def.name, LEVEL_NAMES[lvl]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -70,7 +70,7 @@ pub use descriptor::{JoinCore, PreparedView};
 pub use engine::MatchingEngine;
 pub use filter::{
     col_token, decode_col_token, strict_filter_exempt_levels, table_token, FilterTree, LevelSearch,
-    AGG_LEVELS, LEVEL_NAMES, SPJ_LEVELS,
+    TokenKind, AGG_LEVELS, LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
 };
 pub use lattice::LatticeIndex;
 pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict};

@@ -1,6 +1,6 @@
-//! The catalog's write side: registering and removing views, declaring
-//! check constraints, and the corruption hooks the audit suites use. Each
-//! write is one [`MatchingEngine::publish`].
+//! The catalog's write side: registering and removing views and
+//! declaring check constraints. Each write is one
+//! [`MatchingEngine::publish`].
 
 use crate::descriptor::{JoinCore, PreparedView};
 use crate::filter::SPJ_LEVELS;
@@ -122,7 +122,7 @@ impl MatchingEngine {
 
     /// Take a live view out of its filter tree, under the keys its
     /// definition derives. `false` if it is not live or not filed there.
-    fn unfile(&self, next: &mut CatalogSnapshot, id: ViewId) -> bool {
+    pub(crate) fn unfile(&self, next: &mut CatalogSnapshot, id: ViewId) -> bool {
         let Some(keys) = self.view_filter_keys_in(next, id) else {
             return false;
         };
@@ -172,56 +172,5 @@ impl MatchingEngine {
             Some(())
         });
         Ok(())
-    }
-
-    /// Corruption hook for the `mv-audit` test suite: silently drop `id`
-    /// from its filter tree while the engine still believes it is live.
-    /// Simulates an index that lost an entry. Never call outside tests.
-    /// Bumps every table epoch: a corrupted index invalidates all cached
-    /// results, by design.
-    #[doc(hidden)]
-    pub fn evict_view_for_audit(&self, id: ViewId) -> bool {
-        self.refile(id, None)
-    }
-
-    /// Corruption hook for the `mv-audit` test suite: re-file `id` under
-    /// caller-chosen per-level keys (arity must match the view's tree),
-    /// in one publication. Simulates an index whose stored keys drifted
-    /// from the definition. Never call outside tests.
-    #[doc(hidden)]
-    pub fn refile_view_for_audit(&self, id: ViewId, keys: &[Vec<u64>]) -> bool {
-        self.refile(id, Some(keys))
-    }
-
-    /// Unfile a live view and, given keys, file it again under them; bump
-    /// every table epoch. `false`, publishing nothing, when the view is
-    /// not live or not filed under its derived keys.
-    fn refile(&self, id: ViewId, keys: Option<&[Vec<u64>]>) -> bool {
-        self.publish(|next| {
-            if !self.unfile(next, id) {
-                return None;
-            }
-            if let Some(keys) = keys {
-                if next.views.get(id).expr.is_aggregate() {
-                    Arc::make_mut(&mut next.agg_tree).insert(keys, id);
-                } else {
-                    Arc::make_mut(&mut next.spj_tree).insert(keys, id);
-                }
-            }
-            let n = next.table_epochs.len();
-            next.bump_tables((0..n).map(|i| TableId(i as u32)));
-            Some(())
-        })
-        .is_some()
-    }
-
-    /// Corruption hook for the maintenance audit suite: overwrite a
-    /// view's data-epoch stamp with epochs `lead` rounds *ahead* of the
-    /// current table epochs — a stamp no correct maintenance schedule can
-    /// produce. Never call outside tests.
-    #[doc(hidden)]
-    pub fn corrupt_view_stamp_for_audit(&self, id: ViewId, lead: u64) -> bool {
-        self.publish(|next| next.restamp(id, lead).then(|| next.bump_freshness()))
-            .is_some()
     }
 }

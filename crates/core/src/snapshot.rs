@@ -155,14 +155,14 @@ impl CatalogSnapshot {
             .unwrap_or(0)
     }
 
-    /// Restamp a view's data epochs to the current ones plus `lead`.
-    /// `false` for an id with no stamp.
-    pub(crate) fn restamp(&mut self, id: ViewId, lead: u64) -> bool {
+    /// Restamp a view's data epochs to the current ones. `false` for an
+    /// id with no stamp.
+    pub(crate) fn restamp(&mut self, id: ViewId) -> bool {
         let Some(stamp) = self.view_stamps.get_mut(id) else {
             return false;
         };
         for (t, stamped) in stamp {
-            *stamped = epoch_of(&self.data_epochs, *t) + lead;
+            *stamped = epoch_of(&self.data_epochs, *t);
         }
         true
     }
@@ -238,7 +238,7 @@ impl MatchingEngine {
         self.publish(|next| {
             let restamped = ids
                 .into_iter()
-                .filter(|&id| !next.removed.contains(&id) && next.restamp(id, 0))
+                .filter(|&id| !next.removed.contains(&id) && next.restamp(id))
                 .count();
             if restamped == 0 {
                 return None;

@@ -23,11 +23,16 @@
 //! * **MV206** `expect-on-lock` — `.lock().expect(…)` (or `.read()` /
 //!   `.write()`) in non-test code; the message dresses up the same
 //!   poisoning cascade MV205 flags. Use the recover helpers instead.
+//! * **MV207** `test-backdoor` — `#[doc(hidden)]` in non-test code. The
+//!   attribute hides an item from the docs, not from callers: a hook a
+//!   test suite needs ships in every release build. Keep such helpers in
+//!   the `#[cfg(test)]` modules that use them.
 //!
 //! Suppressions: a comment `mv-lint: allow(MVnnn)` disables rule `nnn`
 //! on its own line and the next line; placed in a file's comment header
 //! (before any code), it disables the rule for the whole file. Regions
-//! under `#[cfg(test)] mod … { … }` are skipped entirely.
+//! under `#[cfg(test)] mod … { … }` are skipped entirely; a
+//! `#[cfg(test)] mod name;` declaration marks only itself.
 //!
 //! The pass owns a tiny lexer that blanks comments and string/char
 //! literal contents (so a pattern inside a doc comment or a string never
@@ -330,6 +335,12 @@ fn test_regions(code: &[String]) -> Vec<bool> {
                             opened = true;
                         }
                         '}' => depth -= 1,
+                        // An item with no body: `mod name;`.
+                        ';' if !opened => {
+                            in_test[j] = true;
+                            i = j;
+                            break 'scan;
+                        }
                         _ => {}
                     }
                     if opened && depth == 0 {
@@ -597,6 +608,18 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
                     .to_string(),
             ));
         }
+
+        // MV207 — #[doc(hidden)] in non-test code.
+        if !allows.permits("MV207", i) && squashed.contains("#[doc(hidden)]") {
+            out.push(finding(
+                RuleId::TestBackdoor,
+                path,
+                i,
+                "#[doc(hidden)] in non-test code hides the item from the docs, not from \
+                 callers; move a test-only hook into the #[cfg(test)] module that uses it"
+                    .to_string(),
+            ));
+        }
     }
     out
 }
@@ -771,6 +794,25 @@ mod tests {
             codes(&lint_source("crates/x/src/lib.rs", src)),
             vec!["MV206", "MV206"]
         );
+    }
+
+    #[test]
+    fn doc_hidden_mv207_and_test_regions() {
+        let src = "impl E {\n  #[doc(hidden)]\n  pub fn corrupt(&mut self) {}\n}\n\
+                   #[cfg(test)]\nmod tests {\n  #[doc(hidden)]\n  fn helper() {}\n}\n";
+        assert_eq!(
+            codes(&lint_source("crates/x/src/lib.rs", src)),
+            vec!["MV207"]
+        );
+        // A body-less `#[cfg(test)] mod name;` exempts its own line only.
+        let src = "#[cfg(test)]\nmod corruption;\n#[doc(hidden)]\npub fn hook() {}\n";
+        assert_eq!(
+            codes(&lint_source("crates/x/src/lib.rs", src)),
+            vec!["MV207"]
+        );
+        let allowed =
+            "fn f() {}\n// read-only: mv-lint: allow(MV207)\n#[doc(hidden)]\npub fn peek() {}\n";
+        assert!(lint_source("crates/x/src/lib.rs", allowed).is_empty());
     }
 
     #[test]

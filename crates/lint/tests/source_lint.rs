@@ -70,7 +70,7 @@ fn fixtures_are_flagged() {
     }
     assert_eq!(
         seen_rules.into_iter().collect::<Vec<_>>(),
-        vec!["MV201", "MV202", "MV203", "MV204", "MV205", "MV206"],
+        vec!["MV201", "MV202", "MV203", "MV204", "MV205", "MV206", "MV207"],
         "fixtures must cover every MV2xx rule"
     );
 }

@@ -32,7 +32,9 @@
 //! nothing but [`DeltaReport::rows_deleted`]. A removed row and an inserted
 //! row that are identical on every column of the table a view references
 //! cancel for that view: only the unpaired rest is delta-joined, and a
-//! view with no rest is unchanged ([`DeltaReport::unchanged`]).
+//! view with no rest is unchanged ([`DeltaReport::unchanged`]). A view
+//! whose `SUM` adds `Float`s cancels nothing: the inserted copy lands last
+//! in the table, and a float sum depends on the order of its rows.
 //!
 //! Only self-joins (a table occurring twice) are classified for
 //! recompute-from-scratch: they need quadratic delta terms, so a relevant
@@ -365,6 +367,12 @@ struct MaintainedView {
     /// Recompute pending: a write changed what the view reads, the view
     /// could not take it in place, and it has not been refreshed since.
     dirty: bool,
+    /// A `SUM` of the served rows adds `Float`s, so it depends on the
+    /// order of the base rows: a removed row and an inserted copy that
+    /// agree on what the view reads do not cancel, because the copy lands
+    /// last. Set by every materialization, the one place such a view's
+    /// rows change.
+    float_sum: bool,
 }
 
 impl MaintainedView {
@@ -381,10 +389,12 @@ impl MaintainedView {
         self.dirty = false;
         let Some(agg) = &mut self.agg else {
             self.rows = bag.rows().to_vec();
+            self.float_sum = sum_holds_float(&self.expr, &self.rows);
             return;
         };
         agg.clear();
         agg.exact = !agg.holds_float(bag.rows());
+        self.float_sum = !agg.exact;
         if agg.exact {
             self.rows = agg.empty_rows();
             agg.fold(&mut self.rows, bag.rows(), 1);
@@ -569,6 +579,7 @@ impl Maintainer {
             strategy,
             rows: Vec::new(),
             dirty: false,
+            float_sum: false,
         };
         view.materialize(&self.db, &mut self.exec);
         let reads = read_columns(&view.expr);
@@ -690,7 +701,11 @@ impl Maintainer {
                 report.marked_dirty += 1;
                 continue;
             }
-            let (minus, plus) = pairs.remainder(&reader.cols, &removed, &delta.inserts);
+            let (minus, plus) = if view.float_sum {
+                (&removed[..], &delta.inserts[..])
+            } else {
+                pairs.remainder(&reader.cols, &removed, &delta.inserts)
+            };
             if minus.is_empty() && plus.is_empty() {
                 report.unchanged += 1;
                 report.maintained += 1;
@@ -827,56 +842,23 @@ impl Maintainer {
         }
         out
     }
+}
 
-    /// Corruption hook for the audit suite: drop one row from a view's
-    /// maintained contents (for a grouped aggregate view, the row's group
-    /// with it), simulating a skipped insert delta. Never call outside
-    /// tests.
-    #[doc(hidden)]
-    pub fn corrupt_drop_row_for_audit(&mut self, id: ViewId) -> bool {
-        let Some(&slot) = self.slots.get(&id) else {
-            return false;
-        };
-        let view = &mut self.views[slot];
-        match &mut view.agg {
-            _ if view.rows.is_empty() => false,
-            // A scalar aggregate always serves its one row.
-            Some(agg) if agg.n_keys == 0 => false,
-            Some(agg) if agg.exact => {
-                agg.remove_group(&mut view.rows, 0);
-                true
-            }
-            _ => {
-                view.rows.remove(0);
-                true
-            }
-        }
-    }
-
-    /// Corruption hook for the audit suite: insert a group at count zero
-    /// into a grouped aggregate view's rollup and its served rows,
-    /// simulating a counting bug that forgets to delete emptied groups.
-    /// Never call outside tests.
-    #[doc(hidden)]
-    pub fn corrupt_zombie_group_for_audit(&mut self, id: ViewId, key: Vec<Value>) -> bool {
-        let Some(&slot) = self.slots.get(&id) else {
-            return false;
-        };
-        let view = &mut self.views[slot];
-        let Some(agg) = view.agg.as_mut().filter(|a| a.exact) else {
-            return false;
-        };
-        if key.len() != agg.n_keys || key.is_empty() {
-            return false;
-        }
-        let hash = agg.hash(&key);
-        if agg.find(&view.rows, &key, hash).is_some() {
-            return false;
-        }
-        let g = agg.push_group(&mut view.rows, &key, hash);
-        agg.write_row(&mut view.rows, g);
-        true
-    }
+/// Does a `SUM` output of an aggregate view's served rows hold a `Float`?
+fn sum_holds_float(expr: &SpjgExpr, rows: &[Row]) -> bool {
+    let OutputList::Aggregate {
+        group_by,
+        aggregates,
+    } = &expr.output
+    else {
+        return false;
+    };
+    let sums: Vec<usize> = (0..aggregates.len())
+        .filter(|&i| !matches!(aggregates[i].func, AggFunc::CountStar))
+        .map(|i| group_by.len() + i)
+        .collect();
+    rows.iter()
+        .any(|row| sums.iter().any(|&c| matches!(row[c], Value::Float(_))))
 }
 
 /// Incremental when every base table occurs once; a self-join would need
@@ -1003,22 +985,9 @@ pub fn audit_serving(
     let mut out = Vec::new();
     for view in &maintainer.views {
         if let Some(stamp) = engine.view_data_epochs(view.id) {
-            for (t, stamped) in stamp {
-                let cur = engine.data_epoch(t);
-                if stamped > cur {
-                    out.push(
-                        Diagnostic::new(
-                            RuleId::StampRegression,
-                            Severity::Error,
-                            format!(
-                                "data-epoch stamp {stamped} for table {} leads current epoch {cur}",
-                                t.0
-                            ),
-                        )
-                        .with_view(&view.name),
-                    );
-                }
-            }
+            out.extend(stamp_regressions(&view.name, &stamp, |t| {
+                engine.data_epoch(t)
+            }));
         }
     }
     for (qi, query) in queries.iter().enumerate() {
@@ -1062,3 +1031,32 @@ pub fn audit_serving(
     }
     out
 }
+
+/// MV404 over one view's data-epoch stamp: every table whose stamped
+/// epoch leads its `current` one.
+fn stamp_regressions(
+    view: &str,
+    stamp: &[(TableId, u64)],
+    current: impl Fn(TableId) -> u64,
+) -> Vec<Diagnostic> {
+    stamp
+        .iter()
+        .filter_map(|&(t, stamped)| {
+            let cur = current(t);
+            (stamped > cur).then(|| {
+                Diagnostic::new(
+                    RuleId::StampRegression,
+                    Severity::Error,
+                    format!(
+                        "data-epoch stamp {stamped} for table {} leads current epoch {cur}",
+                        t.0
+                    ),
+                )
+                .with_view(view)
+            })
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod corruption;

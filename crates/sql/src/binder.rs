@@ -75,11 +75,16 @@ fn bind_select(select: AstSelect, catalog: &Catalog) -> Result<SpjgExpr, SqlErro
         // Plain SPJ projection.
         let mut outputs = Vec::new();
         for item in &select.items {
-            let SelectItem::Scalar { expr, alias } = item else {
+            let SelectItem::Scalar {
+                expr,
+                alias,
+                offset,
+            } = item
+            else {
                 unreachable!()
             };
             let bound = binder.bind_scalar(expr)?;
-            let name = binder.output_name(expr, alias)?;
+            let name = binder.output_name(expr, alias, *offset)?;
             outputs.push(NamedExpr::new(bound, name));
         }
         return Ok(SpjgExpr::spj(tables, predicate, outputs));
@@ -91,30 +96,34 @@ fn bind_select(select: AstSelect, catalog: &Catalog) -> Result<SpjgExpr, SqlErro
     let bound_gb: Vec<ScalarExpr> = select
         .group_by
         .iter()
-        .map(|g| binder.bind_scalar(g))
+        .map(|(g, _)| binder.bind_scalar(g))
         .collect::<Result<_, _>>()?;
     let mut group_by = Vec::new();
     let mut aggregates = Vec::new();
     for item in &select.items {
         match item {
-            SelectItem::Scalar { expr, alias } => {
+            SelectItem::Scalar {
+                expr,
+                alias,
+                offset,
+            } => {
                 if !aggregates.is_empty() {
                     return Err(SqlError::new(
                         "grouping columns must precede aggregates in the select list",
-                        0,
+                        *offset,
                     ));
                 }
                 let bound = binder.bind_scalar(expr)?;
                 if !bound_gb.contains(&bound) {
                     return Err(SqlError::new(
                         format!("select item {expr:?} is not in the GROUP BY list"),
-                        0,
+                        *offset,
                     ));
                 }
-                let name = binder.output_name(expr, alias)?;
+                let name = binder.output_name(expr, alias, *offset)?;
                 group_by.push(NamedExpr::new(bound, name));
             }
-            SelectItem::Agg { agg, alias } => {
+            SelectItem::Agg { agg, alias, offset } => {
                 let func = match agg {
                     AstAgg::CountStar => AggFunc::CountStar,
                     AstAgg::Sum(e) => AggFunc::Sum(binder.bind_scalar(e)?),
@@ -122,23 +131,23 @@ fn bind_select(select: AstSelect, catalog: &Catalog) -> Result<SpjgExpr, SqlErro
                         return Err(SqlError::new(
                             "AVG is not supported: select SUM(e) and COUNT_BIG(*) and divide \
                              after aggregation (the paper's AVG = SUM/COUNT rewrite)",
-                            0,
+                            *offset,
                         ))
                     }
                 };
-                let name = alias
-                    .as_ref()
-                    .ok_or_else(|| SqlError::new("aggregate outputs must be named with AS", 0))?;
+                let name = alias.as_ref().ok_or_else(|| {
+                    SqlError::new("aggregate outputs must be named with AS", *offset)
+                })?;
                 aggregates.push(NamedAgg::new(func, name.as_str()));
             }
         }
     }
     // Every GROUP BY expression must be selected (it is the key).
-    for (g, bound) in select.group_by.iter().zip(&bound_gb) {
+    for ((g, offset), bound) in select.group_by.iter().zip(&bound_gb) {
         if !group_by.iter().any(|ne| ne.expr == *bound) {
             return Err(SqlError::new(
                 format!("GROUP BY expression {g:?} must appear in the select list"),
-                0,
+                *offset,
             ));
         }
     }
@@ -146,13 +155,15 @@ fn bind_select(select: AstSelect, catalog: &Catalog) -> Result<SpjgExpr, SqlErro
 }
 
 impl<'a> Binder<'a> {
-    /// Default output name: the column name for bare columns; expressions
-    /// require an alias (the paper: "output columns defined by arithmetic
-    /// or other expressions must be assigned names").
+    /// Default output name of the select item at `offset`: the column
+    /// name for bare columns; expressions require an alias (the paper:
+    /// "output columns defined by arithmetic or other expressions must be
+    /// assigned names").
     fn output_name<'n>(
         &self,
         expr: &'n AstScalar,
         alias: &'n Option<Name>,
+        offset: usize,
     ) -> Result<&'n str, SqlError> {
         if let Some(a) = alias {
             return Ok(a.as_str());
@@ -161,7 +172,7 @@ impl<'a> Binder<'a> {
             AstScalar::Column { name, .. } => Ok(name.as_str()),
             _ => Err(SqlError::new(
                 "expression outputs must be assigned a name with AS",
-                0,
+                offset,
             )),
         }
     }
@@ -220,9 +231,9 @@ impl<'a> Binder<'a> {
             AstScalar::Int(v) => ScalarExpr::Literal(Value::Int(*v)),
             AstScalar::Float(v) => ScalarExpr::Literal(Value::Float(*v)),
             AstScalar::Str(s) => ScalarExpr::Literal(Value::from(s.as_str())),
-            AstScalar::DateLit(d) => {
-                let days =
-                    parse_date(d).ok_or_else(|| SqlError::new(format!("invalid date {d}"), 0))?;
+            AstScalar::DateLit { text, offset } => {
+                let days = parse_date(text)
+                    .ok_or_else(|| SqlError::new(format!("invalid date {text}"), *offset))?;
                 ScalarExpr::Literal(Value::Date(days))
             }
             AstScalar::Binary { op, left, right } => ScalarExpr::Binary {
@@ -417,47 +428,58 @@ mod tests {
             panic!()
         };
         assert!(matches!(value, Value::Date(_)));
-        assert!(parse_query(
+        let err = parse_query(
             "select l_orderkey from lineitem where l_shipdate >= DATE '1994-13-01'",
-            &cat
+            &cat,
         )
-        .is_err());
+        .unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("invalid date 1994-13-01", 52)
+        );
     }
 
     #[test]
     fn aggregate_select_list_rules() {
         let (cat, _) = tpch_catalog();
-        // Scalar item not in GROUP BY: error.
-        assert!(parse_query(
-            "select o_orderkey, count_big(*) as c from orders group by o_custkey",
-            &cat
-        )
-        .is_err());
-        // GROUP BY expression not selected: error.
-        assert!(parse_query(
-            "select count_big(*) as c from orders group by o_custkey",
-            &cat
-        )
-        .is_err());
-        // Aggregate before a grouping column: error.
-        assert!(parse_query(
-            "select count_big(*) as c, o_custkey from orders group by o_custkey",
-            &cat
-        )
-        .is_err());
-        // Unnamed aggregate: error.
-        assert!(parse_query(
-            "select o_custkey, count_big(*) from orders group by o_custkey",
-            &cat
-        )
-        .is_err());
-        // AVG: rejected with guidance.
-        let err = parse_query(
-            "select o_custkey, avg(o_totalprice) as a from orders group by o_custkey",
-            &cat,
-        )
-        .unwrap_err();
-        assert!(err.message.contains("AVG"));
+        // Each error points at the select item or GROUP BY expression it
+        // is about.
+        for (bad, message, offset) in [
+            // Scalar item not in GROUP BY.
+            (
+                "select o_orderkey, count_big(*) as c from orders group by o_custkey",
+                "is not in the GROUP BY list",
+                7,
+            ),
+            // GROUP BY expression not selected.
+            (
+                "select count_big(*) as c from orders group by o_custkey",
+                "must appear in the select list",
+                46,
+            ),
+            // Aggregate before a grouping column.
+            (
+                "select count_big(*) as c, o_custkey from orders group by o_custkey",
+                "grouping columns must precede aggregates",
+                26,
+            ),
+            // Unnamed aggregate.
+            (
+                "select o_custkey, count_big(*) from orders group by o_custkey",
+                "aggregate outputs must be named",
+                18,
+            ),
+            // AVG: rejected with guidance.
+            (
+                "select o_custkey, avg(o_totalprice) as a from orders group by o_custkey",
+                "AVG",
+                18,
+            ),
+        ] {
+            let err = parse_query(bad, &cat).unwrap_err();
+            assert!(err.message.contains(message), "{bad}: {}", err.message);
+            assert_eq!(err.offset, offset, "{bad}");
+        }
     }
 
     #[test]
@@ -499,7 +521,15 @@ mod tests {
     #[test]
     fn expression_outputs_need_names() {
         let (cat, _) = tpch_catalog();
-        assert!(parse_query("select l_quantity * l_extendedprice from lineitem", &cat).is_err());
+        let err = parse_query(
+            "select l_orderkey, l_quantity * l_extendedprice from lineitem",
+            &cat,
+        )
+        .unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("expression outputs must be assigned a name with AS", 19)
+        );
         assert!(parse_query(
             "select l_quantity * l_extendedprice as gross from lineitem",
             &cat

@@ -16,8 +16,11 @@ pub enum AstScalar {
     Int(i64),
     Float(f64),
     Str(String),
-    /// `DATE 'YYYY-MM-DD'`.
-    DateLit(String),
+    /// `DATE 'YYYY-MM-DD'`, the `DATE` keyword at byte `offset`.
+    DateLit {
+        text: String,
+        offset: usize,
+    },
     /// Binary arithmetic.
     Binary {
         op: BinOp,
@@ -69,16 +72,18 @@ pub enum AstAgg {
     Avg(AstScalar),
 }
 
-/// One item of the select list.
+/// One item of the select list, starting at byte `offset`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectItem {
     Scalar {
         expr: AstScalar,
         alias: Option<Name>,
+        offset: usize,
     },
     Agg {
         agg: AstAgg,
         alias: Option<Name>,
+        offset: usize,
     },
 }
 
@@ -99,7 +104,8 @@ pub struct AstSelect {
     pub items: Vec<SelectItem>,
     pub from: Vec<TableRef>,
     pub where_clause: Option<AstBool>,
-    pub group_by: Vec<AstScalar>,
+    /// The GROUP BY expressions, each with the byte offset it starts at.
+    pub group_by: Vec<(AstScalar, usize)>,
 }
 
 /// A parsed statement.
@@ -268,9 +274,12 @@ impl<'a> Parser<'a> {
         let mut group_by = Vec::new();
         if self.eat_keyword(Kw::Group) {
             self.expect_keyword(Kw::By)?;
-            group_by.push(self.parse_scalar()?);
-            while self.eat(&Token::Comma) {
-                group_by.push(self.parse_scalar()?);
+            loop {
+                let offset = self.offset();
+                group_by.push((self.parse_scalar()?, offset));
+                if !self.eat(&Token::Comma) {
+                    break;
+                }
             }
         }
         Ok(AstSelect {
@@ -282,6 +291,7 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_select_item(&mut self) -> Result<SelectItem, SqlError> {
+        let offset = self.offset();
         // Aggregates.
         let agg = if self.eat_keyword(Kw::Count) || self.eat_keyword(Kw::CountBig) {
             self.expect(&Token::LParen, "(")?;
@@ -303,11 +313,15 @@ impl<'a> Parser<'a> {
         };
         if let Some(agg) = agg {
             let alias = self.parse_alias()?;
-            return Ok(SelectItem::Agg { agg, alias });
+            return Ok(SelectItem::Agg { agg, alias, offset });
         }
         let expr = self.parse_scalar()?;
         let alias = self.parse_alias()?;
-        Ok(SelectItem::Scalar { expr, alias })
+        Ok(SelectItem::Scalar {
+            expr,
+            alias,
+            offset,
+        })
     }
 
     fn parse_alias(&mut self) -> Result<Option<Name>, SqlError> {
@@ -517,11 +531,12 @@ impl<'a> Parser<'a> {
                 Ok(e)
             }
             Some(Token::Kw(Kw::Date)) => {
+                let offset = self.offset();
                 self.pos += 1;
                 match self.peek().cloned() {
-                    Some(Token::Str(d)) => {
+                    Some(Token::Str(text)) => {
                         self.pos += 1;
-                        Ok(AstScalar::DateLit(d))
+                        Ok(AstScalar::DateLit { text, offset })
                     }
                     _ => Err(self.error("expected a date string after DATE")),
                 }
@@ -669,7 +684,7 @@ mod tests {
         };
         assert_eq!(s.from[0].alias, Some("l".into()));
         assert_eq!(s.from[1].offset, 42);
-        let SelectItem::Scalar { expr, alias } = &s.items[0] else {
+        let SelectItem::Scalar { expr, alias, .. } = &s.items[0] else {
             panic!()
         };
         assert_eq!(*alias, Some("k".into()));
@@ -695,7 +710,7 @@ mod tests {
         };
         assert!(matches!(
             &parts[0],
-            AstBool::Cmp { right: AstScalar::DateLit(d), .. } if d == "1994-01-01"
+            AstBool::Cmp { right: AstScalar::DateLit { text, .. }, .. } if text == "1994-01-01"
         ));
         assert!(matches!(
             &parts[1],

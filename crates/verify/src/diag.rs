@@ -169,6 +169,12 @@ pub enum RuleId {
     /// use `mv_core::sync::lock_or_recover` (or the read/write
     /// variants).
     ExpectOnLock,
+    /// MV207 — `#[doc(hidden)]` on library code outside a `#[cfg(test)]`
+    /// region: the attribute hides an item from the docs, not from
+    /// callers, so a test-only backdoor marked with it ships in every
+    /// release build. Test helpers belong in the test modules that use
+    /// them.
+    TestBackdoor,
     /// MV301 — the prover's symbolic pass separates query and substitute:
     /// their abstract states (equivalence-class partition, per-column
     /// interval, or residual-predicate set) differ, so the rewrite cannot
@@ -251,6 +257,7 @@ impl RuleId {
             RuleId::UnguardedClock => "MV204",
             RuleId::UnwrapOnLock => "MV205",
             RuleId::ExpectOnLock => "MV206",
+            RuleId::TestBackdoor => "MV207",
             RuleId::SymbolicMismatch => "MV301",
             RuleId::Counterexample => "MV302",
             RuleId::ProveBudgetExhausted => "MV303",
@@ -303,6 +310,7 @@ impl RuleId {
             RuleId::UnguardedClock => "unguarded-clock",
             RuleId::UnwrapOnLock => "unwrap-on-lock",
             RuleId::ExpectOnLock => "expect-on-lock",
+            RuleId::TestBackdoor => "test-backdoor",
             RuleId::SymbolicMismatch => "symbolic-mismatch",
             RuleId::Counterexample => "counterexample",
             RuleId::ProveBudgetExhausted => "prove-budget-exhausted",
