@@ -30,6 +30,12 @@
 //! levels inline, 3.4 on average) where a lattice per partition per level
 //! would be 138,949 lattices, 137,295 of them holding one key set.
 //! DESIGN.md §12.3 has the measurement.
+//!
+//! Each lattice node also stores its key's 64-bit signature, and a search
+//! condition carries the signatures of its sets ([`TokenSet`]), built once
+//! per query: a lattice search rejects most nodes on one AND of two
+//! signatures before it reads a key (DESIGN.md §12.5). Chains are tested
+//! on their keys alone.
 
 mod keys;
 
@@ -38,30 +44,22 @@ pub use keys::{
     LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
 };
 
-use crate::lattice::{is_normalized, is_subset, LatticeIndex};
+use crate::lattice::{hits_all, is_subset, normalized, LatticeIndex, TokenSet};
 use mv_plan::ViewId;
 use std::sync::Arc;
 
-/// The search condition applied at one level. The sets of `Subset` and
-/// `Superset` are sorted and deduplicated ([`FilterTree::search_into`]
-/// checks this in debug builds).
+/// The search condition applied at one level. Its sets are
+/// [`TokenSet`]s: sorted, deduplicated and signed when built, so a search
+/// borrows them as they are.
 #[derive(Debug, Clone)]
 pub enum LevelSearch {
     /// Qualify nodes whose key is a subset of the given set.
-    Subset(Vec<u64>),
+    Subset(TokenSet),
     /// Qualify nodes whose key is a superset of the given set.
-    Superset(Vec<u64>),
+    Superset(TokenSet),
     /// Qualify nodes whose key intersects every one of the given classes.
     /// An empty class list qualifies everything.
-    Hitting(Vec<Vec<u64>>),
-}
-
-/// The set the tokens denote: sorted, duplicates dropped.
-pub(crate) fn normalized(tokens: impl IntoIterator<Item = u64>) -> Vec<u64> {
-    let mut set: Vec<u64> = tokens.into_iter().collect();
-    set.sort_unstable();
-    set.dedup();
-    set
+    Hitting(Vec<TokenSet>),
 }
 
 impl LevelSearch {
@@ -76,14 +74,13 @@ impl LevelSearch {
     /// [`LevelSearch::accepts`] for a sorted, deduplicated `key`, without
     /// allocating: the pointwise form of the monotone condition a lattice
     /// search evaluates over whole branches, and the one test a chain
-    /// node, the hitting search and the audit all apply.
+    /// node and the audit apply. A lattice search's exact test calls the
+    /// same `is_subset` and `hits_all`, after the signature precheck.
     pub fn accepts_sorted(&self, key: &[u64]) -> bool {
         match self {
-            LevelSearch::Subset(s) => is_subset(key, s),
-            LevelSearch::Superset(s) => is_subset(s, key),
-            LevelSearch::Hitting(classes) => classes
-                .iter()
-                .all(|cl| cl.iter().any(|e| key.binary_search(e).is_ok())),
+            LevelSearch::Subset(s) => is_subset(key, s.tokens()),
+            LevelSearch::Superset(s) => is_subset(s.tokens(), key),
+            LevelSearch::Hitting(classes) => hits_all(classes, key),
         }
     }
 }
@@ -141,7 +138,7 @@ enum FilterNode {
     /// One key set per remaining level, down to the views.
     Chain(Chain),
     /// Two or more key sets at the next level: a lattice index over them.
-    Internal(LatticeIndex<u64, Arc<FilterNode>>),
+    Internal(LatticeIndex<Arc<FilterNode>>),
 }
 
 /// A filter tree with a fixed number of levels.
@@ -335,18 +332,11 @@ impl FilterTree {
     /// the union over several trees without intermediate allocations.
     ///
     /// `searches` are borrowed as they are — the caller builds each
-    /// level's set sorted and deduplicated, once per query — and the
-    /// descent allocates nothing: lattice searches run through the
-    /// visitor API, chains are tested in place.
+    /// level's sets and their signatures once per query — and the descent
+    /// allocates nothing: lattice searches run through the visitor API,
+    /// chains are tested in place.
     pub fn search_into(&self, searches: &[LevelSearch], out: &mut Vec<ViewId>) {
         assert_eq!(searches.len(), self.depth, "level search count mismatch");
-        debug_assert!(
-            searches.iter().all(|s| match s {
-                LevelSearch::Subset(s) | LevelSearch::Superset(s) => is_normalized(s),
-                LevelSearch::Hitting(_) => true,
-            }),
-            "search not normalized"
-        );
         Self::search_node(&self.root, searches, out);
     }
 
@@ -365,8 +355,7 @@ impl FilterTree {
                 match search {
                     LevelSearch::Subset(s) => index.for_each_subset_value(s, descend),
                     LevelSearch::Superset(s) => index.for_each_superset_value(s, descend),
-                    LevelSearch::Hitting(_) => index
-                        .for_each_monotone_down_value(|key| search.accepts_sorted(key), descend),
+                    LevelSearch::Hitting(classes) => index.for_each_hitting_value(classes, descend),
                 }
             }
         }
@@ -410,16 +399,16 @@ mod tests {
         // - view must reference at least {1,2} (v0, v1, v3 qualify),
         // - view residuals must be ⊆ {100} (drops v3).
         let mut found = tree.search(&[
-            LevelSearch::Superset(vec![1, 2]),
-            LevelSearch::Subset(vec![100]),
+            LevelSearch::Superset(TokenSet::new([1, 2])),
+            LevelSearch::Subset(TokenSet::new([100])),
         ]);
         found.sort();
         assert_eq!(found, vec![v(0), v(1)]);
 
         // Query with no residuals: only residual-free views qualify.
         let found = tree.search(&[
-            LevelSearch::Superset(vec![1, 2]),
-            LevelSearch::Subset(vec![]),
+            LevelSearch::Superset(TokenSet::new([1, 2])),
+            LevelSearch::Subset(TokenSet::new([])),
         ]);
         assert_eq!(found, vec![v(1)]);
     }
@@ -433,7 +422,7 @@ mod tests {
         tree.insert(&[vec![10, 30]], v(1));
         tree.insert(&[vec![20, 30]], v(2));
         // Query classes: {10, 11} and {30, 31}.
-        let search = LevelSearch::Hitting(vec![vec![10, 11], vec![30, 31]]);
+        let search = LevelSearch::Hitting(vec![TokenSet::new([10, 11]), TokenSet::new([30, 31])]);
         let found = tree.search(std::slice::from_ref(&search));
         assert_eq!(found, vec![v(1)]);
         // Empty class list: everything qualifies.
@@ -458,15 +447,15 @@ mod tests {
 
     #[test]
     fn accepts_mirrors_search_conditions() {
-        let sub = LevelSearch::Subset(vec![100, 200]);
+        let sub = LevelSearch::Subset(TokenSet::new([100, 200]));
         assert!(sub.accepts(&[100]));
         assert!(sub.accepts(&[]));
         assert!(sub.accepts(&[200, 100, 100])); // unnormalized input
         assert!(!sub.accepts(&[100, 300]));
-        let sup = LevelSearch::Superset(vec![1, 2]);
+        let sup = LevelSearch::Superset(TokenSet::new([1, 2]));
         assert!(sup.accepts(&[2, 1, 3]));
         assert!(!sup.accepts(&[1]));
-        let hit = LevelSearch::Hitting(vec![vec![10, 11], vec![30, 31]]);
+        let hit = LevelSearch::Hitting(vec![TokenSet::new([10, 11]), TokenSet::new([30, 31])]);
         assert!(hit.accepts(&[11, 30]));
         assert!(!hit.accepts(&[10, 20]));
         assert!(LevelSearch::Hitting(vec![]).accepts(&[]));
@@ -514,11 +503,13 @@ mod tests {
         tree.insert(&keys, v(41));
         assert_eq!(tree.lattice_count(), 1 + 4);
         assert_eq!(tree.len(), 42);
-        let everything: Vec<LevelSearch> = (0..6).map(|_| LevelSearch::Superset(vec![])).collect();
+        let everything: Vec<LevelSearch> = (0..6)
+            .map(|_| LevelSearch::Superset(TokenSet::new([])))
+            .collect();
         assert_eq!(tree.search(&everything).len(), 42);
         let mut searches = everything.clone();
-        searches[0] = LevelSearch::Superset(vec![7]);
-        searches[4] = LevelSearch::Subset(vec![7, 104]);
+        searches[0] = LevelSearch::Superset(TokenSet::new([7]));
+        searches[4] = LevelSearch::Subset(TokenSet::new([7, 104]));
         assert_eq!(tree.search(&searches), vec![v(7), v(40)]);
         assert!(tree.contains(&keys, v(41)) && !tree.contains(&keys, v(40)));
         assert!(tree.remove(&keys, v(41)) && !tree.remove(&keys, v(41)));
@@ -532,8 +523,8 @@ mod tests {
         // Search that matches the second level for everyone, first level
         // only for table {1}.
         let found = tree.search(&[
-            LevelSearch::Superset(vec![1]),
-            LevelSearch::Subset(vec![5, 6]),
+            LevelSearch::Superset(TokenSet::new([1])),
+            LevelSearch::Subset(TokenSet::new([5, 6])),
         ]);
         assert_eq!(found, vec![v(0)]);
     }

@@ -4,8 +4,9 @@
 //! tokens from the expression alone, so they live together: a change to
 //! one side's format is a change to the other's.
 
-use super::{normalized, LevelSearch};
+use super::LevelSearch;
 use crate::fkgraph::{compute_hub, FkGraph};
+use crate::lattice::TokenSet;
 use crate::snapshot::CatalogSnapshot;
 use crate::summary::ExprSummary;
 use crate::{JoinCore, MatchingEngine};
@@ -262,14 +263,14 @@ impl MatchingEngine {
     /// against the latter, which is never searched for one (section 3.3),
     /// so its list is empty. Every query-side filter token is rendered
     /// once, from the query alone, and both trees' conditions are
-    /// assembled from that one pass in the normalized form the trees
-    /// search with.
+    /// assembled from that one pass as the [`TokenSet`]s — normalized and
+    /// signed — the trees search with.
     pub fn query_searches(
         &self,
         query: &SpjgExpr,
         qsum: &ExprSummary,
     ) -> (Vec<LevelSearch>, Vec<LevelSearch>) {
-        let source: Vec<u64> = query.tables.iter().copied().map(table_token).collect();
+        let source = TokenSet::new(query.tables.iter().copied().map(table_token));
 
         // Textual output expressions. With the paper-faithful strict
         // filter these must all appear in the view; recomputation from
@@ -302,15 +303,15 @@ impl MatchingEngine {
         // Output-column hitting classes.
         let class_of = |c: ColRef| {
             let class = qsum.ec.class_of(c);
-            normalized(class.into_iter().map(|m| base_col_token(query, m)))
+            TokenSet::new(class.into_iter().map(|m| base_col_token(query, m)))
         };
-        let out_classes: Vec<Vec<u64>> = query
+        let out_classes: Vec<TokenSet> = query
             .scalar_outputs()
             .iter()
             .filter_map(|ne| ne.expr.as_column())
             .map(class_of)
             .collect();
-        let sum_classes: Vec<Vec<u64>> = query
+        let sum_classes: Vec<TokenSet> = query
             .aggregate_outputs()
             .iter()
             .filter_map(|agg| match &agg.func {
@@ -332,23 +333,22 @@ impl MatchingEngine {
             }
         }
 
-        // Each set is sorted and deduplicated here, once — the form
-        // `FilterTree::search_into` borrows.
-        let source = normalized(source);
-        let residuals = normalized(residuals);
-        let range_cols = normalized(range_cols);
-        let spj_exprs = normalized(scalar_exprs.iter().chain(&sum_exprs_complex).copied());
+        // Each set is sorted, deduplicated and signed here, once — the
+        // form `FilterTree::search_into` borrows.
+        let residuals = TokenSet::new(residuals);
+        let range_cols = TokenSet::new(range_cols);
+        let spj_exprs = TokenSet::new(scalar_exprs.iter().chain(&sum_exprs_complex).copied());
         let agg = if query.is_aggregate() {
             vec![
                 LevelSearch::Subset(source.clone()),
                 LevelSearch::Superset(source.clone()),
-                LevelSearch::Superset(normalized(
-                    spj_exprs.iter().copied().chain(sum_exprs_simple),
+                LevelSearch::Superset(TokenSet::new(
+                    spj_exprs.tokens().iter().copied().chain(sum_exprs_simple),
                 )),
                 LevelSearch::Hitting(out_classes.clone()),
                 LevelSearch::Subset(residuals.clone()),
                 LevelSearch::Subset(range_cols.clone()),
-                LevelSearch::Superset(normalized(scalar_exprs)),
+                LevelSearch::Superset(TokenSet::new(scalar_exprs)),
                 LevelSearch::Hitting(out_classes.clone()),
             ]
         } else {

@@ -18,22 +18,87 @@
 //!
 //! # Storage layout
 //!
-//! Node key sets live in one shared arena (`keys`), addressed per node by
-//! an `(offset, len)` span; the nodes themselves are flat records holding
-//! the one value filed under their key set. Exact-key lookup is a binary
-//! search over `by_key`, the node ids ordered by their arena slices — the
-//! arena is the only copy of a key. Cloning an index — which the filter
-//! tree's copy-on-write does on first write to a shared partition —
-//! therefore copies a few contiguous pages instead of one heap allocation
-//! per node key. The top and root node lists are maintained incrementally
-//! on insert, and searches mark visited nodes in a pooled, epoch-stamped
-//! scratch instead of allocating a fresh `visited` bitmap per search: a
-//! search over a million-node catalog does no per-call allocation at all.
+//! Keys are sets of opaque `u64` tokens. Node key sets live in one shared
+//! arena (`keys`), addressed per node by an `(offset, len)` span; the nodes
+//! themselves are flat records holding the one value filed under their key
+//! set and the key's 64-bit *signature*: one bit per token, OR-ed together
+//! (superimposed coding). Exact-key lookup is a binary search over
+//! `by_key`, the node ids ordered by their arena slices — the arena is the
+//! only copy of a key. Cloning an index — which the filter tree's
+//! copy-on-write does on first write to a shared partition — therefore
+//! copies a few contiguous pages instead of one heap allocation per node
+//! key. The top and root node lists are maintained incrementally on insert,
+//! and searches mark visited nodes in a pooled, epoch-stamped scratch
+//! instead of allocating a fresh `visited` bitmap per search: a search over
+//! a million-node catalog does no per-call allocation at all.
+//!
+//! A search tests a node's signature before it reads the node's key. Each
+//! condition has a signature form that every qualifying key satisfies
+//! (`K ⊆ S` sets no bit outside `sig(S)`; a key meeting class `C` shares a
+//! bit with `sig(C)`), so a node whose signature fails is rejected without
+//! touching the arena, and one whose signature passes — by a true match or
+//! by two tokens sharing a bit — is decided by the exact test. Answers and
+//! visit order are those of the exact test alone.
 //!
 //! Every key a caller passes — to file, to look up or to search with — is
-//! a *normalized* set: sorted and deduplicated (checked in debug builds).
+//! a *normalized* set: sorted and deduplicated (checked in debug builds;
+//! a [`TokenSet`] is normalized when built).
 
 use std::cell::RefCell;
+
+/// The signature bit of one token: the top six bits of a Fibonacci hash
+/// pick one of 64.
+fn token_bit(token: u64) -> u64 {
+    1 << (token.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58)
+}
+
+/// The signature of a token set: the OR of its tokens' bits. A subset's
+/// signature sets no bit its superset's lacks, and two sets that share a
+/// token share that token's bit; the converse of either can fail.
+fn signature(tokens: &[u64]) -> u64 {
+    tokens.iter().fold(0, |sig, &t| sig | token_bit(t))
+}
+
+/// May a set with signature `a` be a subset of one with signature `b`?
+fn sig_within(a: u64, b: u64) -> bool {
+    a & !b == 0
+}
+
+/// A search set: sorted, deduplicated tokens and their signature,
+/// computed once when the set is built so that searching with it
+/// allocates and hashes nothing.
+#[derive(Debug, Clone)]
+pub struct TokenSet {
+    tokens: Vec<u64>,
+    sig: u64,
+}
+
+impl TokenSet {
+    /// The set the tokens denote.
+    pub fn new(tokens: impl IntoIterator<Item = u64>) -> Self {
+        let tokens = normalized(tokens);
+        let sig = signature(&tokens);
+        TokenSet { tokens, sig }
+    }
+
+    /// The tokens, sorted and deduplicated.
+    pub fn tokens(&self) -> &[u64] {
+        &self.tokens
+    }
+
+    /// The set's signature: one bit per token, OR-ed together.
+    pub fn sig(&self) -> u64 {
+        self.sig
+    }
+}
+
+/// Does the sorted `key` meet every one of `classes`? An empty class list
+/// is met by every key; an empty class by none.
+pub(crate) fn hits_all(classes: &[TokenSet], key: &[u64]) -> bool {
+    classes
+        .iter()
+        .all(|cl| cl.tokens.iter().any(|e| key.binary_search(e).is_ok()))
+}
 
 /// One node of the lattice. The key set lives in the index's shared key
 /// arena as the span `[key_off, key_off + key_len)`.
@@ -43,6 +108,8 @@ struct Node<V> {
     key_off: u32,
     /// Length of the key set.
     key_len: u32,
+    /// The key set's [`signature`].
+    sig: u64,
     /// Indices of nodes holding minimal proper supersets of the key.
     supersets: Vec<u32>,
     /// Indices of nodes holding maximal proper subsets of the key.
@@ -55,10 +122,10 @@ struct Node<V> {
 /// subset and superset queries. Each key set holds exactly one value (the
 /// filter tree files one child partition per key set).
 #[derive(Debug, Clone)]
-pub struct LatticeIndex<K, V> {
+pub struct LatticeIndex<V> {
     nodes: Vec<Node<V>>,
     /// Shared key arena; each node's key is a contiguous sorted slice.
-    keys: Vec<K>,
+    keys: Vec<u64>,
     /// Node ids ordered by key slice, for exact-key lookup.
     by_key: Vec<u32>,
     /// Nodes with no supersets, maintained incrementally — searches start
@@ -68,7 +135,7 @@ pub struct LatticeIndex<K, V> {
     roots: Vec<u32>,
 }
 
-impl<K, V> Default for LatticeIndex<K, V> {
+impl<V> Default for LatticeIndex<V> {
     fn default() -> Self {
         LatticeIndex {
             nodes: Vec::new(),
@@ -81,7 +148,7 @@ impl<K, V> Default for LatticeIndex<K, V> {
 }
 
 /// Is sorted slice `a` a subset of sorted slice `b`?
-pub(crate) fn is_subset<K: Ord>(a: &[K], b: &[K]) -> bool {
+pub(crate) fn is_subset(a: &[u64], b: &[u64]) -> bool {
     let mut bi = 0;
     'outer: for x in a {
         while bi < b.len() {
@@ -99,8 +166,16 @@ pub(crate) fn is_subset<K: Ord>(a: &[K], b: &[K]) -> bool {
     true
 }
 
+/// The set the tokens denote: sorted, duplicates dropped.
+pub(crate) fn normalized(tokens: impl IntoIterator<Item = u64>) -> Vec<u64> {
+    let mut set: Vec<u64> = tokens.into_iter().collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
 /// Is `key` sorted and free of duplicates?
-pub(crate) fn is_normalized<K: Ord>(key: &[K]) -> bool {
+pub(crate) fn is_normalized(key: &[u64]) -> bool {
     key.windows(2).all(|w| w[0] < w[1])
 }
 
@@ -131,7 +206,7 @@ fn with_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
     out
 }
 
-impl<K: Ord + Clone, V> LatticeIndex<K, V> {
+impl<V> LatticeIndex<V> {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
@@ -143,38 +218,38 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
     }
 
     /// The key slice of node `id`.
-    fn key(&self, id: u32) -> &[K] {
+    fn key(&self, id: u32) -> &[u64] {
         let n = &self.nodes[id as usize];
         &self.keys[n.key_off as usize..(n.key_off + n.key_len) as usize]
     }
 
     /// Position of `key`'s node in `by_key`, or where it would go.
-    fn position(&self, key: &[K]) -> Result<usize, usize> {
+    fn position(&self, key: &[u64]) -> Result<usize, usize> {
         debug_assert!(is_normalized(key), "key not normalized");
         self.by_key.binary_search_by(|&id| self.key(id).cmp(key))
     }
 
     /// The value filed under exactly `key`, read-only — audit paths must
     /// not mutate the index.
-    pub fn peek(&self, key: &[K]) -> Option<&V> {
+    pub fn peek(&self, key: &[u64]) -> Option<&V> {
         let pos = self.position(key).ok()?;
         Some(&self.nodes[self.by_key[pos] as usize].value)
     }
 
     /// The value filed under exactly `key`, mutably.
-    pub fn peek_mut(&mut self, key: &[K]) -> Option<&mut V> {
+    pub fn peek_mut(&mut self, key: &[u64]) -> Option<&mut V> {
         let pos = self.position(key).ok()?;
         Some(&mut self.nodes[self.by_key[pos] as usize].value)
     }
 
     /// Every `(key, value)` pair in the index, in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[K], &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&[u64], &V)> {
         (0..self.nodes.len() as u32).map(|id| (self.key(id), &self.nodes[id as usize].value))
     }
 
     /// The value filed under `key`, first linking a node holding `make()`
     /// into the lattice if the key set is new.
-    pub fn get_or_insert_with(&mut self, key: &[K], make: impl FnOnce() -> V) -> &mut V {
+    pub fn get_or_insert_with(&mut self, key: &[u64], make: impl FnOnce() -> V) -> &mut V {
         let id = match self.position(key) {
             Ok(pos) => self.by_key[pos],
             Err(pos) => {
@@ -188,13 +263,18 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
 
     /// Append a node for the new key set `key` and wire it between its
     /// minimal supersets and maximal subsets.
-    fn link_node(&mut self, key: &[K], value: V) -> u32 {
+    fn link_node(&mut self, key: &[u64], value: V) -> u32 {
         let id = u32::try_from(self.nodes.len()).expect("lattice node ids fit u32");
+        let sig = signature(key);
 
         // Find the existing supersets and subsets of the new key via the
         // lattice itself, then reduce them to the minimal / maximal ones.
         let mut supers = Vec::new();
-        self.collect_down(|k| is_subset(key, k), |i| supers.push(i));
+        self.collect_down(
+            |s| sig_within(sig, s),
+            |k| is_subset(key, k),
+            |i| supers.push(i),
+        );
         let minimal_supers: Vec<u32> = supers
             .iter()
             .copied()
@@ -205,7 +285,11 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
             })
             .collect();
         let mut subs = Vec::new();
-        self.collect_up(|k| is_subset(k, key), |i| subs.push(i));
+        self.collect_up(
+            |s| sig_within(s, sig),
+            |k| is_subset(k, key),
+            |i| subs.push(i),
+        );
         let maximal_subs: Vec<u32> = subs
             .iter()
             .copied()
@@ -255,7 +339,7 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
             self.roots.push(id);
         }
         let key_off = self.keys.len();
-        self.keys.extend(key.iter().cloned());
+        self.keys.extend_from_slice(key);
         // Bounds `key_off + key_len`, so both casts below are exact.
         assert!(
             self.keys.len() <= u32::MAX as usize,
@@ -264,6 +348,7 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
         self.nodes.push(Node {
             key_off: key_off as u32,
             key_len: key.len() as u32,
+            sig,
             supersets: minimal_supers,
             subsets: maximal_subs,
             value,
@@ -272,14 +357,17 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
     }
 
     /// Visit every node id reachable from `from` along `next` pointers
-    /// through nodes whose key satisfies `qualifies`. Allocation-free:
-    /// visited marks and the stack come from a pooled, epoch-stamped
-    /// scratch.
+    /// through nodes whose key satisfies `qualifies`. `may_qualify` is the
+    /// condition's signature form, true of the signature of every key
+    /// `qualifies` accepts; a node it rejects is skipped without reading
+    /// its key. Allocation-free: visited marks and the stack come from a
+    /// pooled, epoch-stamped scratch.
     fn collect(
         &self,
         from: &[u32],
         next: impl Fn(&Node<V>) -> &[u32],
-        qualifies: impl Fn(&[K]) -> bool,
+        may_qualify: impl Fn(u64) -> bool,
+        qualifies: impl Fn(&[u64]) -> bool,
         mut visit: impl FnMut(u32),
     ) {
         with_scratch(|scratch| {
@@ -289,11 +377,13 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
                 if !scratch.first_visit(i) {
                     continue;
                 }
-                if !qualifies(self.key(i)) {
+                let node = &self.nodes[i as usize];
+                debug_assert_eq!(node.sig, signature(self.key(i)), "stale node signature");
+                if !may_qualify(node.sig) || !qualifies(self.key(i)) {
                     continue;
                 }
                 visit(i);
-                scratch.stack.extend(next(&self.nodes[i as usize]));
+                scratch.stack.extend(next(node));
             }
         })
     }
@@ -301,47 +391,58 @@ impl<K: Ord + Clone, V> LatticeIndex<K, V> {
     /// Visit every node id whose key satisfies `qualifies`, where
     /// `qualifies` is monotone decreasing under ⊆ (if a key fails, all its
     /// subsets fail). Starts from the tops and follows subset pointers.
-    fn collect_down(&self, qualifies: impl Fn(&[K]) -> bool, visit: impl FnMut(u32)) {
-        self.collect(&self.tops, |n| &n.subsets, qualifies, visit)
+    fn collect_down(
+        &self,
+        may_qualify: impl Fn(u64) -> bool,
+        qualifies: impl Fn(&[u64]) -> bool,
+        visit: impl FnMut(u32),
+    ) {
+        self.collect(&self.tops, |n| &n.subsets, may_qualify, qualifies, visit)
     }
 
     /// Dual of [`Self::collect_down`]: `qualifies` monotone decreasing under ⊇.
     /// Starts from the roots and follows superset pointers.
-    fn collect_up(&self, qualifies: impl Fn(&[K]) -> bool, visit: impl FnMut(u32)) {
-        self.collect(&self.roots, |n| &n.supersets, qualifies, visit)
+    fn collect_up(
+        &self,
+        may_qualify: impl Fn(u64) -> bool,
+        qualifies: impl Fn(&[u64]) -> bool,
+        visit: impl FnMut(u32),
+    ) {
+        self.collect(&self.roots, |n| &n.supersets, may_qualify, qualifies, visit)
     }
 
     /// Visit the value of every key that is a superset of (or equal to)
-    /// `search`, which must be sorted and deduplicated. Allocation-free;
-    /// the filter tree calls this per partition with a search set
-    /// normalized once per query.
-    pub fn for_each_superset_value<'a>(&'a self, search: &[K], mut f: impl FnMut(&'a V)) {
-        debug_assert!(is_normalized(search), "search not normalized");
+    /// `search`. Allocation-free; the filter tree calls this per partition
+    /// with a search set built once per query.
+    pub fn for_each_superset_value<'a>(&'a self, search: &TokenSet, mut f: impl FnMut(&'a V)) {
         self.collect_down(
-            |k| is_subset(search, k),
+            |sig| sig_within(search.sig, sig),
+            |k| is_subset(&search.tokens, k),
             |i| f(&self.nodes[i as usize].value),
         );
     }
 
     /// Visit the value of every key that is a subset of (or equal to)
-    /// `search`, which must be sorted and deduplicated.
-    pub fn for_each_subset_value<'a>(&'a self, search: &[K], mut f: impl FnMut(&'a V)) {
-        debug_assert!(is_normalized(search), "search not normalized");
+    /// `search`.
+    pub fn for_each_subset_value<'a>(&'a self, search: &TokenSet, mut f: impl FnMut(&'a V)) {
         self.collect_up(
-            |k| is_subset(k, search),
+            |sig| sig_within(sig, search.sig),
+            |k| is_subset(k, &search.tokens),
             |i| f(&self.nodes[i as usize].value),
         );
     }
 
-    /// Visit the value of every key satisfying an arbitrary predicate that
-    /// is monotone decreasing under subset (the hitting conditions of
-    /// sections 4.2.3/4.2.4). The predicate sees the sorted key.
-    pub fn for_each_monotone_down_value<'a>(
-        &'a self,
-        qualifies: impl Fn(&[K]) -> bool,
-        mut f: impl FnMut(&'a V),
-    ) {
-        self.collect_down(qualifies, |i| f(&self.nodes[i as usize].value));
+    /// Visit the value of every key that meets each of `classes` (the
+    /// hitting conditions of sections 4.2.3/4.2.4). The condition is
+    /// monotone decreasing under subset, so the search walks down from the
+    /// tops; a node whose signature shares no bit with some class's is
+    /// skipped unread.
+    pub fn for_each_hitting_value<'a>(&'a self, classes: &[TokenSet], mut f: impl FnMut(&'a V)) {
+        self.collect_down(
+            |sig| classes.iter().all(|cl| cl.sig & sig != 0),
+            |k| hits_all(classes, k),
+            |i| f(&self.nodes[i as usize].value),
+        );
     }
 }
 
@@ -374,15 +475,18 @@ impl SearchScratch {
 mod tests {
     use super::*;
 
+    /// The set of `name`'s characters, one token each.
+    fn chars(name: &str) -> Vec<u64> {
+        TokenSet::new(name.chars().map(u64::from)).tokens
+    }
+
     /// File `name` under the set of its characters.
-    fn file(idx: &mut LatticeIndex<char, String>, name: &str) {
-        let mut key: Vec<char> = name.chars().collect();
-        key.sort();
-        *idx.get_or_insert_with(&key, String::new) = name.to_string();
+    fn file(idx: &mut LatticeIndex<String>, name: &str) {
+        *idx.get_or_insert_with(&chars(name), String::new) = name.to_string();
     }
 
     /// Build the Figure 1 lattice: keys A, B, D, AB, BE, ABC, ABF, BCDE.
-    fn figure1() -> LatticeIndex<char, String> {
+    fn figure1() -> LatticeIndex<String> {
         let mut idx = LatticeIndex::new();
         for key in ["A", "B", "D", "AB", "BE", "ABC", "ABF", "BCDE"] {
             file(&mut idx, key);
@@ -390,16 +494,16 @@ mod tests {
         idx
     }
 
-    fn supersets(idx: &LatticeIndex<char, String>, search: &str) -> Vec<String> {
-        let search: Vec<char> = search.chars().collect();
+    fn supersets(idx: &LatticeIndex<String>, search: &str) -> Vec<String> {
+        let search = TokenSet::new(chars(search));
         let mut out = Vec::new();
         idx.for_each_superset_value(&search, |v| out.push(v.clone()));
         out.sort();
         out
     }
 
-    fn subsets(idx: &LatticeIndex<char, String>, search: &str) -> Vec<String> {
-        let search: Vec<char> = search.chars().collect();
+    fn subsets(idx: &LatticeIndex<String>, search: &str) -> Vec<String> {
+        let search = TokenSet::new(chars(search));
         let mut out = Vec::new();
         idx.for_each_subset_value(&search, |v| out.push(v.clone()));
         out.sort();
@@ -447,7 +551,7 @@ mod tests {
         }
         // AB's minimal supersets are ABC and ABF; its maximal subsets are
         // A and B.
-        let ab = idx.by_key[idx.position(&['A', 'B']).unwrap()] as usize;
+        let ab = idx.by_key[idx.position(&chars("AB")).unwrap()] as usize;
         assert_eq!(idx.nodes[ab].supersets.len(), 2);
         assert_eq!(idx.nodes[ab].subsets.len(), 2);
     }
@@ -457,15 +561,18 @@ mod tests {
         let mut idx = figure1();
         // A stored key returns its slot without building a value; the
         // arena keeps one copy of each key.
-        let slot = idx.get_or_insert_with(&['A', 'B'], || unreachable!("AB is filed"));
+        let slot = idx.get_or_insert_with(&chars("AB"), || unreachable!("AB is filed"));
         assert_eq!(slot, "AB");
         assert_eq!(idx.node_count(), 8);
         assert_eq!(idx.keys.len(), "ABDABBEABCABFBCDE".len());
-        assert_eq!(idx.peek(&['B', 'E']).map(String::as_str), Some("BE"));
-        assert_eq!(idx.peek(&['E']), None);
-        idx.peek_mut(&['D']).unwrap().push('!');
+        assert_eq!(idx.peek(&chars("BE")).map(String::as_str), Some("BE"));
+        assert_eq!(idx.peek(&chars("E")), None);
+        idx.peek_mut(&chars("D")).unwrap().push('!');
         assert_eq!(subsets(&idx, "D"), ["D!"]);
-        let mut stored: Vec<String> = idx.iter().map(|(k, _)| k.iter().collect()).collect();
+        let mut stored: Vec<String> = idx
+            .iter()
+            .map(|(k, _)| k.iter().map(|&c| c as u8 as char).collect())
+            .collect();
         stored.sort();
         assert_eq!(stored, ["A", "AB", "ABC", "ABF", "B", "BCDE", "BE", "D"]);
     }
@@ -476,10 +583,10 @@ mod tests {
         idx.get_or_insert_with(&[], || "empty");
         idx.get_or_insert_with(&[1], || "one");
         let mut found = Vec::new();
-        idx.for_each_subset_value(&[5, 6], |v| found.push(*v));
+        idx.for_each_subset_value(&TokenSet::new([5, 6]), |v| found.push(*v));
         assert_eq!(found, ["empty"]);
         let mut found = 0;
-        idx.for_each_superset_value(&[], |_| found += 1);
+        idx.for_each_superset_value(&TokenSet::new([]), |_| found += 1);
         assert_eq!(found, 2);
     }
 
@@ -491,14 +598,9 @@ mod tests {
         idx.get_or_insert_with(&[1, 2, 3], || "v123");
         idx.get_or_insert_with(&[1, 4], || "v14");
         idx.get_or_insert_with(&[2], || "v2");
-        let classes: Vec<Vec<u32>> = vec![vec![1, 9], vec![3, 4]];
-        let hits = |k: &[u32]| {
-            classes
-                .iter()
-                .all(|cl| cl.iter().any(|e| k.binary_search(e).is_ok()))
-        };
+        let classes = [TokenSet::new([1, 9]), TokenSet::new([3, 4])];
         let mut found = Vec::new();
-        idx.for_each_monotone_down_value(hits, |v| found.push(*v));
+        idx.for_each_hitting_value(&classes, |v| found.push(*v));
         found.sort();
         assert_eq!(found, ["v123", "v14"]);
     }
@@ -513,11 +615,11 @@ mod tests {
         idx.get_or_insert_with(&[1, 2], || "c"); // splits the direct link
         idx.get_or_insert_with(&[1, 2, 3], || "d"); // splits again
         let mut found = Vec::new();
-        idx.for_each_superset_value(&[1], |v| found.push(*v));
+        idx.for_each_superset_value(&TokenSet::new([1]), |v| found.push(*v));
         found.sort();
         assert_eq!(found, ["a", "b", "c", "d"]);
         let mut found = 0;
-        idx.for_each_subset_value(&[1, 2], |_| found += 1);
+        idx.for_each_subset_value(&TokenSet::new([1, 2]), |_| found += 1);
         assert_eq!(found, 2);
         // The direct link 1 -> 1234 must be gone (replaced by chains).
         let (big, one) = (0, 1);
@@ -535,10 +637,11 @@ mod tests {
         idx.get_or_insert_with(&[2], || "b");
         assert_eq!(idx.roots.len(), 2);
         assert_eq!(idx.tops.len(), 2);
+        let both = TokenSet::new([1, 2]);
         let mut found = 0;
-        idx.for_each_superset_value(&[1, 2], |_| found += 1);
+        idx.for_each_superset_value(&both, |_| found += 1);
         assert_eq!(found, 0);
-        idx.for_each_subset_value(&[1, 2], |_| found += 1);
+        idx.for_each_subset_value(&both, |_| found += 1);
         assert_eq!(found, 2);
     }
 
@@ -549,8 +652,9 @@ mod tests {
         let outer = figure1();
         let inner = figure1();
         let mut count = 0;
-        outer.for_each_superset_value(&['A'], |_| {
-            inner.for_each_subset_value(&['A', 'B', 'E'], |_| count += 1);
+        let (a, abe) = (TokenSet::new(chars("A")), TokenSet::new(chars("ABE")));
+        outer.for_each_superset_value(&a, |_| {
+            inner.for_each_subset_value(&abe, |_| count += 1);
         });
         // 4 supersets of A, each triggering a 4-hit inner subset search.
         assert_eq!(count, 16);

@@ -72,7 +72,7 @@ pub use filter::{
     col_token, decode_col_token, strict_filter_exempt_levels, table_token, FilterTree, LevelSearch,
     TokenKind, AGG_LEVELS, LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
 };
-pub use lattice::LatticeIndex;
+pub use lattice::{LatticeIndex, TokenSet};
 pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict};
 pub use snapshot::{ChecksGuard, ViewsGuard};
 pub use stats::MatchStats;

@@ -4,9 +4,11 @@
 //! of a few base key tuples — two views usually agree on every level but
 //! one — so chains split at every level, and equal keys land in the chain
 //! that already holds them. A third property is the one the engine's
-//! hashed text tokens rest on: merging tokens never drops a view.
+//! hashed text tokens rest on: merging tokens never drops a view. The
+//! fourth draws tokens that share signature bits, so the lattice's
+//! signature test passes keys only the exact test rejects.
 
-use mv_core::{FilterTree, LevelSearch};
+use mv_core::{FilterTree, LevelSearch, TokenSet};
 use mv_plan::ViewId;
 use proptest::prelude::*;
 
@@ -23,13 +25,21 @@ fn normalize(key: &[u64]) -> Vec<u64> {
     key
 }
 
+fn set(tokens: &[u64]) -> TokenSet {
+    TokenSet::new(tokens.iter().copied())
+}
+
+fn sets_of(classes: &[Vec<u64>]) -> Vec<TokenSet> {
+    classes.iter().map(|c| set(c)).collect()
+}
+
 /// A probe for every level of a `depth`-level tree from drawn token sets.
 fn searches(depth: usize, sets: &[Vec<u64>], classes: &[Vec<u64>]) -> Vec<LevelSearch> {
     (0..depth)
         .map(|level| match KINDS[level] {
-            0 => LevelSearch::Subset(normalize(&sets[level])),
-            1 => LevelSearch::Superset(normalize(&sets[level])),
-            _ => LevelSearch::Hitting(classes.to_vec()),
+            0 => LevelSearch::Subset(set(&sets[level])),
+            1 => LevelSearch::Superset(set(&sets[level])),
+            _ => LevelSearch::Hitting(sets_of(classes)),
         })
         .collect()
 }
@@ -39,9 +49,9 @@ fn self_searches(keys: &Keys) -> Vec<LevelSearch> {
     keys.iter()
         .zip(KINDS)
         .map(|(key, kind)| match kind {
-            0 => LevelSearch::Subset(key.clone()),
-            1 => LevelSearch::Superset(key.clone()),
-            _ => LevelSearch::Hitting(key.iter().map(|&t| vec![t]).collect()),
+            0 => LevelSearch::Subset(set(key)),
+            1 => LevelSearch::Superset(set(key)),
+            _ => LevelSearch::Hitting(key.iter().map(|&t| set(&[t])).collect()),
         })
         .collect()
 }
@@ -111,6 +121,10 @@ fn run(depth: usize, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes:
         prop_assert_eq!(&found, &scan(&entries, &own));
         let mut filed = entries.iter().filter(|(_, k)| *k == stored);
         prop_assert!(filed.all(|(view, _)| found.contains(view)));
+        // A probe around the step's keys: every level accepts them through
+        // sets and classes that hold other tokens too.
+        let around = probe_around(&stored, sets, classes);
+        prop_assert_eq!(sorted(tree.search(&around)), scan(&entries, &around));
     }
 
     // The shape follows the stored set, not the order it arrived in: a
@@ -147,18 +161,15 @@ fn probe_around(keys: &[Vec<u64>], sets: &[Vec<u64>], classes: &[Vec<u64>]) -> V
     keys.iter()
         .zip(KINDS)
         .zip(sets)
-        .map(|((key, kind), set)| match kind {
-            0 => LevelSearch::Subset(normalize(&[key.as_slice(), set].concat())),
-            1 => LevelSearch::Superset(normalize(
-                &set.iter()
-                    .copied()
-                    .filter(|t| key.contains(t))
-                    .collect::<Vec<_>>(),
+        .map(|((key, kind), drawn)| match kind {
+            0 => LevelSearch::Subset(set(&[key.as_slice(), drawn].concat())),
+            1 => LevelSearch::Superset(TokenSet::new(
+                drawn.iter().copied().filter(|t| key.contains(t)),
             )),
             _ => LevelSearch::Hitting(match key.first() {
                 Some(&t) => classes
                     .iter()
-                    .map(|c| [c.as_slice(), &[t]].concat())
+                    .map(|c| set(&[c.as_slice(), &[t]].concat()))
                     .collect(),
                 None => Vec::new(),
             }),
@@ -171,11 +182,14 @@ fn merged_probe(probe: &[LevelSearch], merge: &[u64]) -> Vec<LevelSearch> {
     probe
         .iter()
         .map(|search| match search {
-            LevelSearch::Subset(set) => LevelSearch::Subset(normalize(&merged(set, merge))),
-            LevelSearch::Superset(set) => LevelSearch::Superset(normalize(&merged(set, merge))),
-            LevelSearch::Hitting(classes) => {
-                LevelSearch::Hitting(classes.iter().map(|c| merged(c, merge)).collect())
-            }
+            LevelSearch::Subset(s) => LevelSearch::Subset(set(&merged(s.tokens(), merge))),
+            LevelSearch::Superset(s) => LevelSearch::Superset(set(&merged(s.tokens(), merge))),
+            LevelSearch::Hitting(classes) => LevelSearch::Hitting(
+                classes
+                    .iter()
+                    .map(|c| set(&merged(c.tokens(), merge)))
+                    .collect(),
+            ),
         })
         .collect()
 }
@@ -251,6 +265,50 @@ proptest! {
         merge in prop::collection::vec(0u64..4, 4),
     ) {
         merging_keeps_every_view(depth, &views, &sets, &classes, &merge);
+    }
+}
+
+/// Twelve tokens in four groups of three; the tokens of a group share
+/// their one signature bit, and the groups' bits differ.
+fn colliding_tokens() -> Vec<u64> {
+    let bit = |t: u64| TokenSet::new([t]).sig();
+    let mut groups: Vec<Vec<u64>> = Vec::new();
+    for t in 0u64.. {
+        match groups.iter().position(|g| bit(g[0]) == bit(t)) {
+            Some(at) if groups[at].len() < 3 => groups[at].push(t),
+            Some(_) => {}
+            None if groups.len() < 4 => groups.push(vec![t]),
+            None => {}
+        }
+        if groups.len() == 4 && groups.iter().all(|g| g.len() == 3) {
+            return groups.concat();
+        }
+    }
+    unreachable!("every bit is hit")
+}
+
+fn colliding_key() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(prop::sample::select(colliding_tokens()), 0..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+    /// The flat-scan properties over tokens that share signature bits: a
+    /// lattice search whose signature test passed a key the exact test
+    /// rejects must still answer like the scan, at every condition kind.
+    #[test]
+    fn colliding_signatures_equal_flat_scan(
+        depth in prop::sample::select(vec![6usize, 8]),
+        bases in prop::collection::vec(prop::collection::vec(colliding_key(), 8), 3),
+        steps in prop::collection::vec((0usize..3, 0usize..9, colliding_key(), any::<bool>()), 1..40),
+        sets in prop::collection::vec(colliding_key(), 8),
+        classes in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(colliding_tokens()), 1..4),
+            0..3,
+        ),
+    ) {
+        run(depth, &bases, &steps, &sets, &classes);
     }
 }
 

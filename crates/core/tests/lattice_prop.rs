@@ -3,24 +3,29 @@
 //! searches must visit exactly what a naive scan over the stored key sets
 //! returns. The index files one value per key set, so the tests file a
 //! `Vec<usize>` per key and push every insertion's number onto it.
+//!
+//! Every node carries its key's signature, and a search tests it before
+//! the key. Small alphabets give each token a bit of its own; the
+//! colliding-signature properties draw from tokens that share bits, where
+//! the signature test passes keys that only the exact test rejects.
 
-use mv_core::LatticeIndex;
+use mv_core::{LatticeIndex, TokenSet};
 use proptest::prelude::*;
 
-type Index = LatticeIndex<u8, Vec<usize>>;
+type Index = LatticeIndex<Vec<usize>>;
 
-fn is_subset(a: &[u8], b: &[u8]) -> bool {
+fn is_subset(a: &[u64], b: &[u64]) -> bool {
     a.iter().all(|x| b.contains(x))
 }
 
-fn normalize(mut v: Vec<u8>) -> Vec<u8> {
+fn normalize(mut v: Vec<u64>) -> Vec<u64> {
     v.sort();
     v.dedup();
     v
 }
 
 /// File insertion `i` under each `keys[i]`.
-fn build(keys: &[Vec<u8>]) -> Index {
+fn build(keys: &[Vec<u64>]) -> Index {
     let mut idx = Index::new();
     for (i, k) in keys.iter().enumerate() {
         idx.get_or_insert_with(&normalize(k.clone()), Vec::new)
@@ -29,22 +34,30 @@ fn build(keys: &[Vec<u8>]) -> Index {
     idx
 }
 
-fn subsets_of(idx: &Index, probe: &[u8]) -> Vec<usize> {
+fn subsets_of(idx: &Index, probe: &[u64]) -> Vec<usize> {
     let mut out = Vec::new();
-    idx.for_each_subset_value(probe, |v| out.extend(v));
+    idx.for_each_subset_value(&TokenSet::new(probe.iter().copied()), |v| out.extend(v));
     out.sort();
     out
 }
 
-fn supersets_of(idx: &Index, probe: &[u8]) -> Vec<usize> {
+fn supersets_of(idx: &Index, probe: &[u64]) -> Vec<usize> {
     let mut out = Vec::new();
-    idx.for_each_superset_value(probe, |v| out.extend(v));
+    idx.for_each_superset_value(&TokenSet::new(probe.iter().copied()), |v| out.extend(v));
     out.sort();
     out
+}
+
+fn hitting(idx: &Index, classes: &[Vec<u64>]) -> Vec<usize> {
+    let classes: Vec<TokenSet> = classes.iter().map(|c| TokenSet::new(c.clone())).collect();
+    let mut found: Vec<usize> = Vec::new();
+    idx.for_each_hitting_value(&classes, |v| found.extend(v));
+    found.sort();
+    found
 }
 
 /// The insertions whose key satisfies `keep`, by a scan of `keys`.
-fn naive(keys: &[Vec<u8>], keep: impl Fn(&[u8]) -> bool) -> Vec<usize> {
+fn naive(keys: &[Vec<u64>], keep: impl Fn(&[u64]) -> bool) -> Vec<usize> {
     keys.iter()
         .enumerate()
         .filter(|(_, k)| keep(&normalize((*k).clone())))
@@ -57,15 +70,15 @@ proptest! {
 
     #[test]
     fn search_equals_naive_scan(
-        keys in prop::collection::vec(prop::collection::vec(0u8..12, 0..6), 1..40),
-        probe in prop::collection::vec(0u8..12, 0..6),
+        keys in prop::collection::vec(prop::collection::vec(0u64..12, 0..6), 1..40),
+        probe in prop::collection::vec(0u64..12, 0..6),
     ) {
         let idx = build(&keys);
         let probe = normalize(probe);
         prop_assert_eq!(subsets_of(&idx, &probe), naive(&keys, |k| is_subset(k, &probe)));
         prop_assert_eq!(supersets_of(&idx, &probe), naive(&keys, |k| is_subset(&probe, k)));
         // Insertion order changes the links built, never the answers.
-        let reversed: Vec<Vec<u8>> = keys.iter().rev().cloned().collect();
+        let reversed: Vec<Vec<u64>> = keys.iter().rev().cloned().collect();
         let ridx = build(&reversed);
         let renumbered = |found: Vec<usize>| {
             let mut found: Vec<usize> = found.iter().map(|i| keys.len() - 1 - i).collect();
@@ -75,11 +88,11 @@ proptest! {
         prop_assert_eq!(renumbered(subsets_of(&ridx, &probe)), subsets_of(&idx, &probe));
         prop_assert_eq!(renumbered(supersets_of(&ridx, &probe)), supersets_of(&idx, &probe));
         // Exact lookup and iteration see every stored key set once.
-        let mut stored: Vec<Vec<u8>> = keys.iter().cloned().map(normalize).collect();
+        let mut stored: Vec<Vec<u64>> = keys.iter().cloned().map(normalize).collect();
         stored.sort();
         stored.dedup();
         prop_assert_eq!(idx.node_count(), stored.len());
-        let mut listed: Vec<Vec<u8>> = idx.iter().map(|(k, _)| k.to_vec()).collect();
+        let mut listed: Vec<Vec<u64>> = idx.iter().map(|(k, _)| k.to_vec()).collect();
         listed.sort();
         prop_assert_eq!(&listed, &stored);
         prop_assert_eq!(idx.peek(&probe).is_some(), stored.contains(&probe));
@@ -87,9 +100,9 @@ proptest! {
 
     #[test]
     fn edits_through_peek_mut_respect_searches(
-        keys in prop::collection::vec(prop::collection::vec(0u8..10, 0..5), 1..25),
+        keys in prop::collection::vec(prop::collection::vec(0u64..10, 0..5), 1..25),
         remove_mask in prop::collection::vec(any::<bool>(), 1..25),
-        probe in prop::collection::vec(0u8..10, 0..5),
+        probe in prop::collection::vec(0u64..10, 0..5),
     ) {
         // The filter tree takes a view out by editing the value filed
         // under its key; the node stays as structure.
@@ -113,9 +126,9 @@ proptest! {
 
     #[test]
     fn refiling_a_key_reuses_its_node(
-        key in prop::collection::vec(0u8..8, 0..5),
+        key in prop::collection::vec(0u64..8, 0..5),
         copies in 1usize..6,
-        probe_extra in prop::collection::vec(0u8..8, 0..3),
+        probe_extra in prop::collection::vec(0u64..8, 0..3),
     ) {
         // Filing under the same key set again (including the empty key)
         // must reach the one node, and every search that reaches the key
@@ -140,14 +153,77 @@ proptest! {
 
     #[test]
     fn monotone_hitting_search_equals_naive(
-        keys in prop::collection::vec(prop::collection::vec(0u8..10, 0..5), 1..30),
-        classes in prop::collection::vec(prop::collection::vec(0u8..10, 1..4), 0..4),
+        keys in prop::collection::vec(prop::collection::vec(0u64..10, 0..5), 1..30),
+        classes in prop::collection::vec(prop::collection::vec(0u64..10, 1..4), 0..4),
     ) {
         let idx = build(&keys);
-        let hits = |k: &[u8]| classes.iter().all(|cl| cl.iter().any(|e| k.contains(e)));
-        let mut found: Vec<usize> = Vec::new();
-        idx.for_each_monotone_down_value(hits, |v| found.extend(v));
-        found.sort();
-        prop_assert_eq!(found, naive(&keys, hits));
+        prop_assert_eq!(hitting(&idx, &classes), naive(&keys, |k| hits(k, &classes)));
     }
+
+    #[test]
+    fn colliding_signatures_leave_answers_exact(
+        keys in prop::collection::vec(prop::collection::vec(colliding(), 0..5), 1..40),
+        probe in prop::collection::vec(colliding(), 0..6),
+        classes in prop::collection::vec(prop::collection::vec(colliding(), 1..4), 0..4),
+    ) {
+        // Keys, probes and classes all come from tokens that share
+        // signature bits, so the signature test passes many keys the exact
+        // test rejects; all three searches must still equal the scan, and
+        // so must every stored key's own searches, which walk the links
+        // inserting the keys built.
+        let idx = build(&keys);
+        let probe = normalize(probe);
+        prop_assert_eq!(subsets_of(&idx, &probe), naive(&keys, |k| is_subset(k, &probe)));
+        prop_assert_eq!(supersets_of(&idx, &probe), naive(&keys, |k| is_subset(&probe, k)));
+        prop_assert_eq!(hitting(&idx, &classes), naive(&keys, |k| hits(k, &classes)));
+        for key in &keys {
+            let key = normalize(key.clone());
+            prop_assert_eq!(subsets_of(&idx, &key), naive(&keys, |k| is_subset(k, &key)));
+            prop_assert_eq!(supersets_of(&idx, &key), naive(&keys, |k| is_subset(&key, k)));
+        }
+    }
+}
+
+/// Does `key` meet every class?
+fn hits(key: &[u64], classes: &[Vec<u64>]) -> bool {
+    classes.iter().all(|cl| cl.iter().any(|e| key.contains(e)))
+}
+
+/// Twelve tokens in four groups of three; the tokens of a group share
+/// their one signature bit, and the groups' bits differ.
+fn colliding_tokens() -> Vec<u64> {
+    let bit = |t: u64| TokenSet::new([t]).sig();
+    let mut groups: Vec<Vec<u64>> = Vec::new();
+    for t in 0u64.. {
+        match groups.iter().position(|g| bit(g[0]) == bit(t)) {
+            Some(at) if groups[at].len() < 3 => groups[at].push(t),
+            Some(_) => {}
+            None if groups.len() < 4 => groups.push(vec![t]),
+            None => {}
+        }
+        if groups.len() == 4 && groups.iter().all(|g| g.len() == 3) {
+            return groups.concat();
+        }
+    }
+    unreachable!("every bit is hit")
+}
+
+fn colliding() -> impl Strategy<Value = u64> {
+    prop::sample::select(colliding_tokens())
+}
+
+/// The alphabet really collides: a token's set and its group-mate's share
+/// a signature, and each search still tells them apart.
+#[test]
+fn tokens_sharing_a_bit_are_told_apart_by_their_keys() {
+    let tokens = colliding_tokens();
+    let (a, b, c) = (tokens[0], tokens[1], tokens[3]);
+    assert_eq!(TokenSet::new([a]).sig(), TokenSet::new([b]).sig());
+    assert_ne!(TokenSet::new([a]).sig(), TokenSet::new([c]).sig());
+    let idx = build(&[vec![a], vec![a, c]]);
+    assert_eq!(subsets_of(&idx, &[b]), Vec::<usize>::new());
+    assert_eq!(subsets_of(&idx, &[b, c]), Vec::<usize>::new());
+    assert_eq!(supersets_of(&idx, &[b]), Vec::<usize>::new());
+    assert_eq!(hitting(&idx, &[vec![b, c]]), vec![1]);
+    assert_eq!(hitting(&idx, &[vec![b]]), Vec::<usize>::new());
 }
