@@ -93,11 +93,11 @@ fn codes(diags: &[Diagnostic]) -> Vec<&'static str> {
 fn drop_row(maintainer: &mut Maintainer, id: ViewId) {
     let view = &mut maintainer.views[maintainer.slots[&id]];
     match &mut view.agg {
-        Some(agg) if agg.exact => {
+        Some(agg) => {
             assert!(agg.n_keys > 0, "a scalar aggregate always serves its row");
             agg.remove_group(&mut view.rows, 0);
         }
-        _ => {
+        None => {
             view.rows.remove(0);
         }
     }

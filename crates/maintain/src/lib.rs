@@ -19,35 +19,31 @@
 //!   costs what it touches, not the join of everything before `T`.
 //! * **Aggregates** (`COUNT(*)`/`SUM`): the same delta joins run over the
 //!   view's SPJ core (group-by expressions plus sum arguments), then fold
-//!   into counting state — per-group row count and per-sum (non-null
-//!   count, exact integer total), stored flat beside the served rows.
-//!   Inserts increment, deletes decrement; a group whose count reaches
-//!   zero is deleted. Only the groups a delta row lands in are touched:
-//!   their served rows are rewritten (or removed) in place. `SUM` yields
-//!   NULL when its non-null count is zero, matching
-//!   [`mv_exec::agg::SumAcc`].
+//!   into counting state — per-group row count and per-sum
+//!   [`mv_exec::agg::SumAcc`], the executor's own SUM state, stored flat
+//!   beside the served rows. Inserts add, deletes remove; a group whose
+//!   count reaches zero is deleted. Only the groups a delta row lands in
+//!   are touched: their served rows are rewritten (or removed) in place.
+//!   `SumAcc` is exact and independent of row order for `Int`s and
+//!   `Float`s alike, so removing a value restores its state bit for bit
+//!   and a folded sum equals a recompute's.
 //!
 //! Deletes are resolved against the base table first: only rows the table
 //! actually held propagate, so a delta naming an absent row changes
 //! nothing but [`DeltaReport::rows_deleted`]. A removed row and an inserted
 //! row that are identical on every column of the table a view references
 //! cancel for that view: only the unpaired rest is delta-joined, and a
-//! view with no rest is unchanged ([`DeltaReport::unchanged`]). A view
-//! whose `SUM` adds `Float`s cancels nothing: the inserted copy lands last
-//! in the table, and a float sum depends on the order of its rows.
+//! view with no rest is unchanged ([`DeltaReport::unchanged`]).
 //!
-//! Only self-joins (a table occurring twice) are classified for
-//! recompute-from-scratch: they need quadratic delta terms, so a relevant
-//! write marks them *dirty* and [`Maintainer::refresh`] recomputes them.
-//! A `SUM` that meets a `Float` value falls back by value instead: float
-//! accumulation depends on the order of the rows, so adding and
-//! subtracting deltas cannot reproduce [`mv_exec::agg::SumAcc`]'s
-//! from-scratch result. The round marks the view dirty, and a refresh
-//! serves the whole view's program output for as long as a float is still
-//! there. Initial materialization and refresh run the view's compiled
-//! [`PlanProgram`]. Every run, full or delta, shares one set of join
-//! indexes ([`JoinIndexes`]) over the base tables, kept across views and
-//! write rounds; a round drops the indexes of the table it writes.
+//! The strategy follows from structure alone. Only self-joins (a table
+//! occurring twice) are recomputed from scratch: they need quadratic
+//! delta terms, so a relevant write marks them *dirty* and
+//! [`Maintainer::refresh`] recomputes them; every other view is
+//! maintained in place. Initial materialization and refresh run the
+//! view's compiled [`PlanProgram`]. Every run, full or delta, shares one
+//! set of join indexes ([`JoinIndexes`]) over the base tables, kept
+//! across views and write rounds; a round drops the indexes of the table
+//! it writes.
 //!
 //! The audit side ([`Maintainer::audit`], [`audit_serving`]) checks the
 //! MV4xx invariants: maintained contents equal recompute-from-scratch as
@@ -60,6 +56,7 @@
 use mv_catalog::{TableId, Value};
 use mv_core::MatchingEngine;
 use mv_data::{Database, Row};
+use mv_exec::agg::SumAcc;
 use mv_exec::chains::{hash_key, HashChains};
 use mv_exec::{
     bag_diff, execute_spjg, execute_substitute_with, ExecScratch, JoinIndexes, PlanProgram, RowBag,
@@ -101,7 +98,8 @@ impl TableDelta {
     }
 }
 
-/// How a registered view is kept current.
+/// How a registered view is kept current. [`Maintainer::register`]
+/// decides by structure alone: a self-join is recomputed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MaintainStrategy {
     /// Delta joins applied in place after every write round.
@@ -123,55 +121,23 @@ pub struct DeltaReport {
     /// identical on them, so nothing was delta-joined (and a recompute
     /// view was not dirtied).
     pub unchanged: usize,
-    /// Views marked dirty (recompute strategy, a `Float` reaching a
-    /// `SUM`, or already dirty).
+    /// Views marked dirty (recompute strategy, or already dirty).
     pub marked_dirty: usize,
     /// Base rows actually removed (shortfall against `deletes.len()` means
     /// the delta named rows the table did not contain).
     pub rows_deleted: usize,
 }
 
-/// Exact integer SUM state: NULLs are skipped (`nonnull` counts the rest),
-/// and the total uses the same wrapping arithmetic as
-/// [`mv_exec::agg::SumAcc`], so adding then subtracting a delta restores
-/// the previous state bit-for-bit. A `Float` never reaches it:
-/// [`AggCore::holds_float`] turns such rows away first.
-#[derive(Debug, Clone, Copy, Default)]
-struct SumState {
-    nonnull: i64,
-    total: i64,
-}
-
-impl SumState {
-    fn fold(&mut self, v: &Value, sign: i64) {
-        if let Value::Int(i) = v {
-            self.nonnull += sign;
-            self.total = if sign >= 0 {
-                self.total.wrapping_add(*i)
-            } else {
-                self.total.wrapping_sub(*i)
-            };
-        }
-    }
-
-    fn finish(&self, zero_default: bool) -> Value {
-        if self.nonnull == 0 {
-            if zero_default {
-                Value::Int(0)
-            } else {
-                Value::Null
-            }
-        } else {
-            Value::Int(self.total)
-        }
-    }
-}
-
-/// Which core-output slot feeds each aggregate of the view.
+/// Which core-output slot feeds each aggregate of the view, and how a
+/// `SUM` reads its state (`SumAcc::finish`, or `finish_zero` for
+/// `SumZero`).
 #[derive(Debug, Clone, Copy)]
 enum AggSpec {
     CountStar,
-    Sum { slot: usize, zero_default: bool },
+    Sum {
+        slot: usize,
+        finish: fn(&SumAcc) -> Value,
+    },
 }
 
 impl AggSpec {
@@ -200,16 +166,9 @@ struct AggCore {
     n_sums: usize,
     aggs: Vec<AggSpec>,
     counts: Vec<i64>,
-    sums: Vec<SumState>,
+    sums: Vec<SumAcc>,
     index: HashChains,
     hasher: RandomState,
-    /// `false` while the served rows are the whole view's program output
-    /// rather than this rollup's: the last materialization met a `Float`
-    /// in a `SUM`, and the counting state is empty.
-    exact: bool,
-    /// The whole view's program, compiled the first time a float makes it
-    /// necessary.
-    whole: Option<Box<PlanProgram>>,
 }
 
 impl AggCore {
@@ -220,18 +179,6 @@ impl AggCore {
         self.index.clear();
     }
 
-    /// Does a `Float` reach a `SUM` in these core rows? Float accumulation
-    /// depends on the order of the rows, so such rows cannot be folded in
-    /// and out exactly.
-    fn holds_float(&self, core: &[Row]) -> bool {
-        core.iter().any(|row| {
-            self.aggs
-                .iter()
-                .filter_map(AggSpec::sum_slot)
-                .any(|slot| matches!(row[slot], Value::Float(_)))
-        })
-    }
-
     /// The served contents of a view with no groups: nothing, or — like
     /// the executor — the one row a scalar aggregate yields over empty
     /// input.
@@ -240,22 +187,19 @@ impl AggCore {
             return Vec::new();
         }
         let mut row = vec![Value::Null; self.aggs.len()];
-        let no_sums = vec![SumState::default(); self.n_sums];
+        let no_sums = vec![SumAcc::default(); self.n_sums];
         Self::write_aggs(&self.aggs, &mut row, 0, &no_sums);
         vec![row]
     }
 
     /// Write `out`, the aggregate columns of a served row (the ones after
     /// its group key), from counting state.
-    fn write_aggs(aggs: &[AggSpec], out: &mut [Value], count: i64, sums: &[SumState]) {
+    fn write_aggs(aggs: &[AggSpec], out: &mut [Value], count: i64, sums: &[SumAcc]) {
         let mut sums = sums.iter();
         for (out, spec) in out.iter_mut().zip(aggs) {
             *out = match spec {
                 AggSpec::CountStar => Value::Int(count),
-                AggSpec::Sum { zero_default, .. } => sums
-                    .next()
-                    .expect("one state per sum")
-                    .finish(*zero_default),
+                AggSpec::Sum { finish, .. } => finish(sums.next().expect("one state per sum")),
             };
         }
     }
@@ -296,7 +240,7 @@ impl AggCore {
         self.index.push(hash);
         self.counts.push(0);
         self.sums
-            .resize(self.sums.len() + self.n_sums, SumState::default());
+            .resize(self.sums.len() + self.n_sums, SumAcc::default());
         self.counts.len() - 1
     }
 
@@ -319,8 +263,13 @@ impl AggCore {
             self.counts[g] += sign;
             let slots = self.aggs.iter().filter_map(AggSpec::sum_slot);
             let sums = &mut self.sums[g * self.n_sums..(g + 1) * self.n_sums];
+            let fold = if sign > 0 {
+                SumAcc::add
+            } else {
+                SumAcc::remove
+            };
             for (sum, slot) in sums.iter_mut().zip(slots) {
-                sum.fold(&core_row[slot], sign);
+                fold(sum, &core_row[slot]);
             }
             self.write_row(rows, g);
             if self.counts[g] <= 0 {
@@ -339,7 +288,9 @@ impl AggCore {
         let last = self.counts.len() - 1;
         self.index.swap_remove(g as u32);
         self.counts.swap_remove(g);
-        self.sums.copy_within(last * n..(last + 1) * n, g * n);
+        for i in 0..n {
+            self.sums.swap(g * n + i, last * n + i);
+        }
         self.sums.truncate(last * n);
         if self.n_keys > 0 {
             rows.swap_remove(g);
@@ -364,15 +315,9 @@ struct MaintainedView {
     agg: Option<AggCore>,
     /// The served contents, kept current by every delta.
     rows: Vec<Row>,
-    /// Recompute pending: a write changed what the view reads, the view
-    /// could not take it in place, and it has not been refreshed since.
+    /// Recompute pending: a write changed what a recomputed view reads,
+    /// and it has not been refreshed since.
     dirty: bool,
-    /// A `SUM` of the served rows adds `Float`s, so it depends on the
-    /// order of the base rows: a removed row and an inserted copy that
-    /// agree on what the view reads do not cancel, because the copy lands
-    /// last. Set by every materialization, the one place such a view's
-    /// rows change.
-    float_sum: bool,
 }
 
 impl MaintainedView {
@@ -381,35 +326,18 @@ impl MaintainedView {
         let ExecBuffers {
             scratch,
             indexes,
-            bags,
+            bag,
             ..
         } = exec;
-        let bag = &mut bags[0];
         self.prog.execute_indexed(db, indexes, scratch, bag);
         self.dirty = false;
         let Some(agg) = &mut self.agg else {
             self.rows = bag.rows().to_vec();
-            self.float_sum = sum_holds_float(&self.expr, &self.rows);
             return;
         };
         agg.clear();
-        agg.exact = !agg.holds_float(bag.rows());
-        self.float_sum = !agg.exact;
-        if agg.exact {
-            self.rows = agg.empty_rows();
-            agg.fold(&mut self.rows, bag.rows(), 1);
-        } else {
-            let whole = agg
-                .whole
-                .get_or_insert_with(|| Box::new(PlanProgram::compile(&self.expr)));
-            whole.execute_indexed(db, indexes, scratch, bag);
-            self.rows = bag.rows().to_vec();
-        }
-    }
-
-    /// Can a write that changes what the view reads be applied in place?
-    fn in_place(&self) -> bool {
-        self.strategy == MaintainStrategy::Incremental && self.agg.as_ref().is_none_or(|a| a.exact)
+        self.rows = agg.empty_rows();
+        agg.fold(&mut self.rows, bag.rows(), 1);
     }
 }
 
@@ -450,9 +378,9 @@ struct ExecBuffers {
     /// drops the written table's ([`JoinIndexes::invalidate`]); the rest
     /// stay valid, because nothing else writes the tables.
     indexes: JoinIndexes,
-    /// Materialization uses the first; a round's delta joins fill the
-    /// first from its removed rows and the second from its inserted rows.
-    bags: [RowBag; 2],
+    /// Each materialization and delta join writes it, and its rows are
+    /// applied before the next run.
+    bag: RowBag,
     pairs: Pairs,
 }
 
@@ -552,9 +480,7 @@ impl Maintainer {
     /// Materialize and register a view for maintenance under the id the
     /// matching engine knows it by (an id registered again answers to its
     /// latest registration). Returns the chosen strategy: incremental when
-    /// every base table occurs once, recompute for a self-join. (An
-    /// incremental aggregate view still falls back to recompute for as
-    /// long as a `Float` reaches one of its `SUM`s.)
+    /// every base table occurs once, recompute for a self-join.
     pub fn register(&mut self, id: ViewId, def: &ViewDef) -> MaintainStrategy {
         let expr = def.expr.clone();
         let strategy = classify(&expr);
@@ -579,7 +505,6 @@ impl Maintainer {
             strategy,
             rows: Vec::new(),
             dirty: false,
-            float_sum: false,
         };
         view.materialize(&self.db, &mut self.exec);
         let reads = read_columns(&view.expr);
@@ -680,7 +605,7 @@ impl Maintainer {
         let ExecBuffers {
             scratch,
             indexes,
-            bags,
+            bag,
             pairs,
         } = &mut **exec;
         // An incremental view reads the written table once, and that one
@@ -701,17 +626,13 @@ impl Maintainer {
                 report.marked_dirty += 1;
                 continue;
             }
-            let (minus, plus) = if view.float_sum {
-                (&removed[..], &delta.inserts[..])
-            } else {
-                pairs.remainder(&reader.cols, &removed, &delta.inserts)
-            };
+            let (minus, plus) = pairs.remainder(&reader.cols, &removed, &delta.inserts);
             if minus.is_empty() && plus.is_empty() {
                 report.unchanged += 1;
                 report.maintained += 1;
                 continue;
             }
-            if !view.in_place() {
+            if view.strategy == MaintainStrategy::Recompute {
                 view.dirty = true;
                 report.marked_dirty += 1;
                 continue;
@@ -723,26 +644,15 @@ impl Maintainer {
                 .position(|&t| t == delta.table)
                 .expect("by_table lists only views reading the table");
             let prog = &view.delta_progs[occ];
-            // Both delta joins run before either is applied, so a view
-            // that cannot take the round keeps its last consistent rows.
-            let [minus_bag, plus_bag] = bags;
-            prog.execute_delta(db, minus, indexes, scratch, minus_bag);
-            prog.execute_delta(db, plus, indexes, scratch, plus_bag);
-            let (minus_rows, plus_rows) = (minus_bag.rows(), plus_bag.rows());
+            prog.execute_delta(db, minus, indexes, scratch, bag);
             match &mut view.agg {
-                Some(agg) if agg.holds_float(minus_rows) || agg.holds_float(plus_rows) => {
-                    view.dirty = true;
-                    report.marked_dirty += 1;
-                    continue;
-                }
-                Some(agg) => {
-                    agg.fold(&mut view.rows, minus_rows, -1);
-                    agg.fold(&mut view.rows, plus_rows, 1);
-                }
-                None => {
-                    bag_remove(&mut view.rows, minus_rows);
-                    view.rows.extend_from_slice(plus_rows);
-                }
+                Some(agg) => agg.fold(&mut view.rows, bag.rows(), -1),
+                None => bag_remove(&mut view.rows, bag.rows()),
+            }
+            prog.execute_delta(db, plus, indexes, scratch, bag);
+            match &mut view.agg {
+                Some(agg) => agg.fold(&mut view.rows, bag.rows(), 1),
+                None => view.rows.extend_from_slice(bag.rows()),
             }
             report.maintained += 1;
         }
@@ -844,23 +754,6 @@ impl Maintainer {
     }
 }
 
-/// Does a `SUM` output of an aggregate view's served rows hold a `Float`?
-fn sum_holds_float(expr: &SpjgExpr, rows: &[Row]) -> bool {
-    let OutputList::Aggregate {
-        group_by,
-        aggregates,
-    } = &expr.output
-    else {
-        return false;
-    };
-    let sums: Vec<usize> = (0..aggregates.len())
-        .filter(|&i| !matches!(aggregates[i].func, AggFunc::CountStar))
-        .map(|i| group_by.len() + i)
-        .collect();
-    rows.iter()
-        .any(|row| sums.iter().any(|&c| matches!(row[c], Value::Float(_))))
-}
-
 /// Incremental when every base table occurs once; a self-join would need
 /// the delta's cross terms, so it is recomputed.
 fn classify(expr: &SpjgExpr) -> MaintainStrategy {
@@ -910,18 +803,16 @@ fn build_agg_core(expr: &SpjgExpr) -> (AggCore, SpjgExpr) {
     let mut outputs: Vec<NamedExpr> = group_by.clone();
     let mut aggs = Vec::with_capacity(aggregates.len());
     for na in aggregates {
-        let (arg, zero_default) = match &na.func {
+        let (arg, finish): (_, fn(&SumAcc) -> Value) = match &na.func {
             AggFunc::CountStar => {
                 aggs.push(AggSpec::CountStar);
                 continue;
             }
-            AggFunc::Sum(arg) => (arg, false),
-            AggFunc::SumZero(arg) => (arg, true),
+            AggFunc::Sum(arg) => (arg, SumAcc::finish),
+            AggFunc::SumZero(arg) => (arg, SumAcc::finish_zero),
         };
-        aggs.push(AggSpec::Sum {
-            slot: outputs.len(),
-            zero_default,
-        });
+        let slot = outputs.len();
+        aggs.push(AggSpec::Sum { slot, finish });
         outputs.push(NamedExpr::new(arg.clone(), &na.name));
     }
     let core = SpjgExpr {
@@ -938,8 +829,6 @@ fn build_agg_core(expr: &SpjgExpr) -> (AggCore, SpjgExpr) {
         sums: Vec::new(),
         index: HashChains::default(),
         hasher: RandomState::new(),
-        exact: true,
-        whole: None,
     };
     (agg, core)
 }

@@ -7,17 +7,17 @@
 //! Around it: update-shaped deltas cancel for exactly the views that do
 //! not reference the changed columns (checked against a model built from
 //! `SpjgExpr::referenced_columns`), a `SUM` over a `Float`-declared column
-//! is maintained in place while its values are integers and falls back to
-//! recompute at the first float, and a malformed delta changes nothing.
+//! is maintained in place whatever its values, a float `SUM` reads the same
+//! bits in every row order, and a malformed delta changes nothing.
 
 use mv_catalog::schema::TableBuilder;
 use mv_catalog::{Catalog, ColumnType, TableId, Value};
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_data::{Database, Row};
-use mv_exec::{bag_diff, execute_spjg};
+use mv_exec::{bag_diff, execute_spjg, ExecScratch, PlanProgram, RowBag};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_maintain::{MaintainStrategy, Maintainer, TableDelta};
-use mv_plan::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr, ViewDef, ViewId};
+use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef, ViewId};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -317,25 +317,6 @@ fn model_remainder(cols: &[usize], removed: &[Row], inserted: &[Row]) -> (Vec<Ro
     (minus, plus)
 }
 
-/// Does a `SUM` output of a view's contents hold a `Float`? Such a sum
-/// adds its rows in table order, which a cancelled pair changes (the
-/// inserted copy lands last), so no pair cancels for the view.
-fn sums_a_float(expr: &SpjgExpr, rows: &[Row]) -> bool {
-    let OutputList::Aggregate {
-        group_by,
-        aggregates,
-    } = &expr.output
-    else {
-        return false;
-    };
-    let sums: Vec<usize> = (0..aggregates.len())
-        .filter(|&i| !matches!(aggregates[i].func, AggFunc::CountStar))
-        .map(|i| group_by.len() + i)
-        .collect();
-    rows.iter()
-        .any(|row| sums.iter().any(|&c| matches!(row[c], Value::Float(_))))
-}
-
 /// The stored rows `deletes` removes, as `Database::delete_rows` picks
 /// them: each stored row, in storage order, that equals a pending delete.
 fn removed_by(stored: &[Row], deletes: &[Row]) -> Vec<Row> {
@@ -382,9 +363,10 @@ proptest! {
     /// Update-shaped rounds — 1–6 distinct stored rows deleted, each
     /// re-inserted with one column changed (past 4 × 4 rows the rows are
     /// paired by hashing, not scanning) — cancel for exactly the views
-    /// that reference none of the changed columns of their pair and sum
-    /// no `Float` (an update can turn `Int(v)` into `Float(v)`). Each
-    /// view's fate follows the model: `unchanged` counts the views whose
+    /// that reference none of the changed columns of their pair, whether
+    /// or not a `SUM` of theirs holds a `Float` (an update can turn
+    /// `Int(v)` into `Float(v)`). Each view's fate follows the model:
+    /// `unchanged` counts the views whose
     /// remainder is empty, those are neither dirtied nor touched (the
     /// self-join included), every view reading the table is maintained or
     /// dirty, and contents still equal recompute after every step.
@@ -417,9 +399,7 @@ proptest! {
                 .filter(|(_, e)| e.tables.contains(&table))
                 .map(|(id, e)| {
                     let (minus, plus) = model_remainder(&read_cols(e, table), &removed, &delta.inserts);
-                    let contents = f.maintainer.contents(*id).expect("registered");
-                    let cancels = !sums_a_float(e, contents);
-                    (*id, cancels && minus.is_empty() && plus.is_empty())
+                    (*id, minus.is_empty() && plus.is_empty())
                 })
                 .collect();
             let before: Vec<Vec<Row>> = readers
@@ -473,9 +453,9 @@ fn self_join_is_not_dirtied_by_an_update_it_does_not_read() {
 }
 
 /// `Int(v) → Float(v)` is equal under `Value::eq` but not a cancelled
-/// pair: the views reading `x` take the round (the sum falls back, since
-/// a float reached it), and only the self-join, which does not read `x`,
-/// is unchanged.
+/// pair: the views reading `x` take the round in place (the sum now holds
+/// a float), and only the self-join, which does not read `x`, is
+/// unchanged.
 #[test]
 fn int_to_equal_float_update_is_a_change() {
     let (mut f, r, _) = fixture(3);
@@ -499,8 +479,8 @@ fn int_to_equal_float_update_is_a_change() {
         deletes: vec![old],
     });
     assert_eq!(report.unchanged, 1);
-    assert_eq!((report.maintained, report.marked_dirty), (2, 1));
-    assert!(f.maintainer.is_dirty(ViewId(1)), "the float reached SUM(x)");
+    assert_eq!((report.maintained, report.marked_dirty), (3, 0));
+    assert!(!f.maintainer.is_dirty(ViewId(1)), "SUM(x) takes the float");
     assert!(!f.maintainer.is_dirty(ViewId(3)));
     check_all(&mut f, 1);
 }
@@ -696,26 +676,23 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     /// Integer, mixed and float-valued streams into a `Float`-declared
-    /// sum (`floats` 0, 1, 2). The views start exact; a round whose
-    /// remainder carries a float — or, while a float is stored, any round
-    /// that removes or inserts a row, cancelled pairs included — dirties
-    /// them, and no other round does. After the
-    /// refresh that follows, contents equal `execute_spjg` (floats compared
-    /// bit for bit), and once the floats are gone the views are maintained
-    /// in place again.
+    /// sum (`floats` 0, 1, 2). No round dirties either view: each takes
+    /// every round in place, a round whose remainder is empty leaves it
+    /// unchanged, and its contents equal `execute_spjg` (floats compared
+    /// bit for bit) with the audit clean after every round.
     #[test]
-    fn float_sums_fall_back_by_value(
+    fn float_sums_stay_incremental(
         steps in prop::collection::vec((0usize..3, 0u64..u64::MAX), 1..16),
         floats in 0u64..3,
         seed in 0u64..u64::MAX,
     ) {
         let mut st = seed;
         let mut next_pk = 0i64;
-        let mut row = |st: &mut u64, floats: u64| {
+        let mut row = |st: &mut u64| {
             next_pk += 1;
             vec![Value::Int(next_pk), Value::Int((splitmix64(st) % 3) as i64), f_measure(st, floats)]
         };
-        let rows: Vec<Row> = (0..6).map(|_| row(&mut st, 0)).collect();
+        let rows: Vec<Row> = (0..6).map(|_| row(&mut st)).collect();
         let (mut maintainer, views, t) = float_fixture(rows);
         for (i, &(op, sd)) in steps.iter().enumerate() {
             let mut st = sd;
@@ -730,30 +707,25 @@ proptest! {
             }
             if op != 1 {
                 for _ in 0..1 + splitmix64(&mut st) % 2 {
-                    delta.inserts.push(row(&mut st, floats));
+                    delta.inserts.push(row(&mut st));
                 }
             }
-            let is_float = |r: &Row| matches!(r[2], Value::Float(_));
-            let stored_float = existing.iter().any(is_float);
             let removed = removed_by(&existing, &delta.deletes);
-            // With a float stored, both views sum it and cancel no pair.
-            let want_dirty: Vec<bool> = views
+            let unchanged = views
                 .iter()
-                .map(|(_, e)| {
-                    if stored_float {
-                        return !(removed.is_empty() && delta.inserts.is_empty());
-                    }
+                .filter(|(_, e)| {
                     let (minus, plus) = model_remainder(&read_cols(e, t), &removed, &delta.inserts);
-                    minus.iter().chain(&plus).any(is_float)
+                    minus.is_empty() && plus.is_empty()
                 })
-                .collect();
+                .count();
             let report = maintainer.apply(&delta);
-            prop_assert_eq!(report.marked_dirty, want_dirty.iter().filter(|d| **d).count(), "step {}", i);
-            for ((id, expr), want_dirty) in views.iter().zip(&want_dirty) {
-                prop_assert_eq!(maintainer.is_dirty(*id), *want_dirty, "step {}: view {}", i, id.0);
-                if *want_dirty {
-                    prop_assert!(maintainer.refresh(*id));
-                }
+            prop_assert_eq!(
+                (report.maintained, report.unchanged, report.marked_dirty),
+                (2, unchanged, 0),
+                "step {}", i
+            );
+            for (id, expr) in &views {
+                prop_assert!(!maintainer.is_dirty(*id), "step {}: view {} dirtied", i, id.0);
                 let want = execute_spjg(maintainer.db(), expr);
                 let got = maintainer.contents(*id).expect("registered");
                 prop_assert!(
@@ -793,39 +765,89 @@ fn reordering_pair(t: TableId) -> TableDelta {
     }
 }
 
-/// Refresh a dirty view, then compare it with recompute, floats bit for
-/// bit.
-fn assert_current(maintainer: &mut Maintainer, id: ViewId, expr: &SpjgExpr) {
-    if maintainer.is_dirty(id) {
-        assert!(maintainer.refresh(id));
-    }
-    let want = execute_spjg(maintainer.db(), expr);
+/// Check a clean view against recompute as row bags, floats bit for bit
+/// ([`Value::identical`]), and audit.
+fn assert_current(maintainer: &Maintainer, id: ViewId, expr: &SpjgExpr) {
+    assert!(!maintainer.is_dirty(id), "view {} dirtied", id.0);
     let got = maintainer.contents(id).expect("registered");
-    assert!(
-        mv_exec::bag_eq(got, &want),
-        "view {}: {:?}",
-        id.0,
-        bag_diff(got, &want)
-    );
+    let mut want = execute_spjg(maintainer.db(), expr);
+    for row in got {
+        let same = |w: &Row| w.iter().zip(row).all(|(a, b)| a.identical(b));
+        let at = want.iter().position(same);
+        let at = at.unwrap_or_else(|| panic!("view {}: {row:?} not in {want:?}", id.0));
+        want.swap_remove(at);
+    }
+    assert!(want.is_empty(), "view {}: missing {want:?}", id.0);
+    assert!(maintainer.audit().is_empty());
 }
 
-/// A float `SUM` adds its rows in table order, so a pair that cancels on
-/// the columns the view reads still changes it: the scalar `SUM(x)` takes
-/// the round (and falls back) instead of keeping its old total.
+/// A `SUM(x)` over `reordering_rows` reads the same bits whatever the
+/// order of the table's rows: through the interpreter, through the
+/// compiled program, and in a view maintained through `reordering_pair`,
+/// which moves the `8` from first to last. (A sum that adds in row order
+/// reads 14.299999999999999 with the `8` first and 14.3 with it last.)
 #[test]
-fn cancelled_pair_reorders_a_float_sum() {
+fn float_sum_reads_the_same_bits_in_every_row_order() {
+    let rows = reordering_rows();
+    let n = rows.len();
+    // Every n-digit base-n number whose digits are a permutation.
+    let orders: Vec<Vec<usize>> = (0..n.pow(n as u32))
+        .map(|k| (0..n).map(|d| k / n.pow(d as u32) % n).collect())
+        .filter(|order: &Vec<usize>| (0..n).all(|i| order.contains(&i)))
+        .collect();
+    assert_eq!(orders.len(), 120);
+    let sum = |rows: &[Row]| match rows {
+        [row] => match row[0] {
+            Value::Float(x) => x.to_bits(),
+            ref v => panic!("a float sum, not {v:?}"),
+        },
+        _ => panic!("one row, not {rows:?}"),
+    };
+    let all_equal = |bits: &[u64]| {
+        let floats: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+        assert!(bits.iter().all(|&b| b == bits[0]), "{floats:?}");
+    };
+    let mut bits = Vec::new();
+    let mut fixtures = Vec::new();
+    for order in &orders {
+        let permuted: Vec<Row> = order.iter().map(|&i| rows[i].clone()).collect();
+        let (maintainer, views, t) = float_fixture(permuted);
+        let scalar = &views[1].1;
+        bits.push(sum(&execute_spjg(maintainer.db(), scalar)));
+        let mut bag = RowBag::new();
+        let mut scratch = ExecScratch::default();
+        PlanProgram::compile(scalar).execute(maintainer.db(), &mut scratch, &mut bag);
+        bits.push(sum(bag.rows()));
+        fixtures.push((maintainer, views, t));
+    }
+    all_equal(&bits);
+    for (mut maintainer, views, t) in fixtures {
+        let (id, scalar) = &views[1];
+        maintainer.apply(&reordering_pair(t));
+        bits.push(sum(maintainer.contents(*id).expect("registered")));
+        assert_current(&maintainer, *id, scalar);
+    }
+    all_equal(&bits);
+}
+
+/// A pair that cancels on the columns a float-summing view reads leaves
+/// it unchanged: the scalar `SUM(x)` keeps its total in place, and
+/// `f_by_g`, which reads the `g` the pair changes, takes the round in
+/// place. Neither is dirtied.
+#[test]
+fn cancelled_pair_leaves_a_float_sum_unchanged() {
     let (mut maintainer, views, t) = float_fixture(reordering_rows());
     let report = maintainer.apply(&reordering_pair(t));
+    assert_eq!((report.unchanged, report.marked_dirty), (1, 0));
     for (id, expr) in &views {
-        assert_current(&mut maintainer, *id, expr);
+        assert_current(&maintainer, *id, expr);
     }
-    assert_eq!((report.unchanged, report.marked_dirty), (0, 2));
 }
 
 /// The same for a recomputed aggregate view: a self-join summing a float
-/// is dirtied by a pair that cancels on the columns it reads.
+/// reads only `x`, so the pair leaves it unchanged and clean too.
 #[test]
-fn cancelled_pair_reorders_a_recomputed_float_sum() {
+fn cancelled_pair_leaves_a_recomputed_float_sum_unchanged() {
     let (mut maintainer, _, t) = float_fixture(reordering_rows());
     let cross = SpjgExpr::aggregate(
         vec![t, t],
@@ -837,8 +859,8 @@ fn cancelled_pair_reorders_a_recomputed_float_sum() {
     let def = ViewDef::new("f_cross", cross.clone());
     assert_eq!(maintainer.register(id, &def), MaintainStrategy::Recompute);
     let report = maintainer.apply(&reordering_pair(t));
-    assert_current(&mut maintainer, id, &cross);
-    assert_eq!((report.unchanged, report.marked_dirty), (0, 3));
+    assert_eq!((report.unchanged, report.marked_dirty), (2, 0));
+    assert_current(&maintainer, id, &cross);
 }
 
 /// A malformed delta — an insert of the wrong width behind a valid
