@@ -15,7 +15,9 @@
 //!    re-derived key and is MV101's.
 //! 2. **Differential check** ([`audit_differential`]): for each workload
 //!    query, run the filter-tree search and the exhaustive matcher over
-//!    all live views; any view the matcher accepts but the filter prunes
+//!    all live views — [`MatchingEngine::filter_misses`], the check the
+//!    engine's debug oracle runs after every search, matching past the
+//!    freshness gate; any view the matcher accepts but the filter prunes
 //!    is attributed to the first level whose stored condition fails
 //!    (MV102) — unless the only rejecting levels are the documented
 //!    §4.2.7 strict-expression-filter conservatism, which is reported as
@@ -26,8 +28,8 @@
 //! test can hand them a damaged copy instead.
 
 use mv_core::{
-    decode_col_token, strict_filter_exempt_levels, ExprSummary, MatchingEngine, TokenKind,
-    AGG_LEVELS, LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
+    decode_col_token, ExprSummary, MatchingEngine, TokenKind, AGG_LEVELS, LEVEL_NAMES,
+    LEVEL_TOKENS, SPJ_LEVELS,
 };
 use mv_plan::{SpjgExpr, ViewId};
 use mv_verify::{Diagnostic, Report, RuleId, Severity};
@@ -204,9 +206,10 @@ fn audit_entry_obligations(
 /// Differential completeness check over a workload (MV102): the
 /// candidates `search` returns for a query (sorted, as
 /// [`MatchingEngine::candidates`] returns them) must be a superset of the
-/// exhaustive matcher's accepts. A pruned view is attributed to the first
-/// level whose condition its entry in `entries` — the index `search`
-/// walks — fails.
+/// exhaustive matcher's accepts ([`MatchingEngine::filter_misses`], the
+/// check the engine's debug oracle runs too). A pruned view is attributed
+/// to the first level whose condition its entry in `entries` — the index
+/// `search` walks — fails.
 pub fn audit_differential(
     engine: &MatchingEngine,
     entries: &[(ViewId, Vec<Vec<u64>>)],
@@ -214,9 +217,6 @@ pub fn audit_differential(
     queries: &[SpjgExpr],
     report: &mut Report,
 ) {
-    if !engine.config().use_filter_tree {
-        return;
-    }
     // Level conditions must be evaluated against the keys the tree
     // *stores* — that is what the search actually walked — not a fresh
     // re-derivation (stored-vs-derived drift is MV101's job).
@@ -226,74 +226,36 @@ pub fn audit_differential(
         let qlabel = format!("q{qi}");
         let qsum = engine.query_summary(query);
         let candidates = search(query, &qsum);
-        let (spj, agg) = engine.query_searches(query, &qsum);
         let pin = engine.views();
-        for (id, view) in pin.iter() {
-            if engine.is_removed(id) || candidates.binary_search(&id).is_ok() {
-                continue;
-            }
-            if engine.build_substitute(&pin, query, id).is_none() {
-                continue;
-            }
-            let is_agg = view.expr.is_aggregate();
-            if is_agg && !query.is_aggregate() {
-                report.push(
-                    Diagnostic::error(
-                        RuleId::FilterCompleteness,
-                        "matcher accepted an aggregation view for a non-aggregate query \
-                         (invalid per §3.3); the filter correctly never searches the \
-                         aggregation tree here",
-                    )
-                    .with_view(&view.name)
-                    .with_query(&qlabel),
-                );
-                continue;
-            }
-            let searches = if is_agg { &agg } else { &spj };
-            let rejecting: Vec<usize> = match stored.get(&id) {
-                Some(keys) => searches
-                    .iter()
-                    .zip(keys.iter())
-                    .enumerate()
-                    .filter(|(_, (s, key))| !s.accepts(key))
-                    .map(|(lvl, _)| lvl)
-                    .collect(),
-                // No stored entry at all: every search trivially misses
-                // the view. Report with the empty rejecting set so the
-                // message points at the missing entry.
-                None => Vec::new(),
-            };
-            let exempt = strict_filter_exempt_levels(is_agg);
-            if engine.config().strict_expression_filter
-                && !rejecting.is_empty()
-                && rejecting.iter().all(|l| exempt.contains(l))
-            {
-                report.push(
-                    Diagnostic::new(
-                        RuleId::FilterCompleteness,
-                        Severity::Info,
-                        "view pruned only by the documented §4.2.7 strict expression \
-                         filter; the matcher could recompute the expression",
-                    )
-                    .with_view(&view.name)
-                    .with_query(&qlabel),
-                );
-                continue;
-            }
-            let levels: Vec<&str> = rejecting.iter().map(|&l| LEVEL_NAMES[l]).collect();
-            let first = levels
-                .first()
-                .copied()
-                .unwrap_or("<none — view missing from its tree>");
-            report.push(
+        for miss in engine.filter_misses(&pin, query, &candidates, |id| stored.get(&id).copied()) {
+            let view = pin.get(miss.view);
+            let diagnostic = if view.expr.is_aggregate() && !query.is_aggregate() {
+                Diagnostic::error(
+                    RuleId::FilterCompleteness,
+                    "matcher accepted an aggregation view for a non-aggregate query \
+                     (invalid per §3.3); the filter correctly never searches the \
+                     aggregation tree here",
+                )
+            } else if miss.exempt {
+                Diagnostic::new(
+                    RuleId::FilterCompleteness,
+                    Severity::Info,
+                    "view pruned only by the documented §4.2.7 strict expression \
+                     filter; the matcher could recompute the expression",
+                )
+            } else {
+                let levels: Vec<&str> = miss.levels.iter().map(|&l| LEVEL_NAMES[l]).collect();
+                let first = levels
+                    .first()
+                    .copied()
+                    .unwrap_or("<none — view missing from its tree>");
                 Diagnostic::error(
                     RuleId::FilterCompleteness,
                     "filter tree pruned a view the exhaustive matcher accepts",
                 )
-                .with_view(&view.name)
-                .with_query(&qlabel)
-                .with_detail(format!("first failing level: {first} (all: {levels:?})")),
-            );
+                .with_detail(format!("first failing level: {first} (all: {levels:?})"))
+            };
+            report.push(diagnostic.with_view(&view.name).with_query(&qlabel));
         }
     }
 }

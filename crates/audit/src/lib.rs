@@ -29,9 +29,10 @@
 //! workload and folds the findings into the CI report; the corruption
 //! suite in `tests/corruption.rs` hands the index pass damaged copies of
 //! the stored entries, and the catalog passes broken catalogs, and pins
-//! each mutation to its expected rule. The engine additionally asserts
-//! the differential property after every search `find_verdicts` computes
-//! in debug builds.
+//! each mutation to its expected rule. The differential check is
+//! `mv_core::MatchingEngine::filter_misses`, which the engine also runs,
+//! and asserts, after every search `find_verdicts` computes in debug
+//! builds; this crate turns its misses into MV102 diagnostics.
 
 pub mod index;
 pub mod metadata;

@@ -14,8 +14,8 @@ use mv_catalog::{
     Catalog, Column, ColumnId, ColumnType, ForeignKey, Key, KeyKind, Table, TableBuilder, TableId,
 };
 use mv_core::{
-    col_token, table_token, ExprSummary, FilterTree, MatchConfig, MatchingEngine, AGG_LEVELS,
-    SPJ_LEVELS,
+    col_token, table_token, ExprSummary, FilterTree, FreshnessPolicy, MatchConfig, MatchingEngine,
+    AGG_LEVELS, SPJ_LEVELS,
 };
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef, ViewId};
@@ -58,8 +58,12 @@ fn part_query(lo: i64, hi: i64) -> SpjgExpr {
 /// aggregate — the engine-test fixture, re-used so index corruptions have
 /// live matching traffic to disturb.
 fn fixture() -> MatchingEngine {
+    fixture_with(MatchConfig::default())
+}
+
+fn fixture_with(config: MatchConfig) -> MatchingEngine {
     let (cat, t) = tpch_catalog();
-    let engine = MatchingEngine::new(cat, MatchConfig::default());
+    let engine = MatchingEngine::new(cat, config);
     for (name, lo, hi) in [
         ("parts_low", 0, 1000),
         ("parts_mid", 500, 2000),
@@ -235,6 +239,24 @@ fn evicted_view_differential_caught_by_mv102() {
         .as_deref()
         .unwrap()
         .contains("missing from its tree"));
+}
+
+/// Completeness is a property of the index, not of what the freshness
+/// gate serves: under `StrictFresh`, a base-table write leaves
+/// `parts_low` stale, and its eviction from the tree is still MV102.
+#[test]
+fn evicted_stale_view_caught_by_mv102() {
+    let (_, t) = tpch_catalog();
+    let engine = fixture_with(MatchConfig {
+        freshness: FreshnessPolicy::StrictFresh,
+        ..MatchConfig::default()
+    });
+    engine.record_base_write(t.part);
+    assert_eq!(engine.view_staleness(ViewId(0)), Some(1));
+    let report = differential_report(&engine, &refiled(&engine, None));
+    assert_eq!(codes(&report, Severity::Error), vec!["MV102"]);
+    let d = &report.diagnostics[0];
+    assert_eq!(d.context.view.as_deref(), Some("parts_low"));
 }
 
 #[test]

@@ -12,6 +12,7 @@
 use mv_bench::{build_workload, engine_with, figure2_configs, run_pass, Workload};
 use mv_core::MatchConfig;
 use mv_optimizer::OptimizerConfig;
+use std::time::Duration;
 
 struct Args {
     command: String,
@@ -104,27 +105,44 @@ fn fig2(w: &Workload, args: &Args) {
     }
 }
 
+/// Passes Figure 3 times per view count: below about 200 views the
+/// increase it divides by is a few milliseconds, inside one pass's drift.
+const FIG3_RUNS: usize = 5;
+
 /// Figure 3: optimization time and view-matching time (Alt & Filter), each
 /// as an increase over the 0-view pass, which already invokes the rule.
+/// Every time is the median of [`FIG3_RUNS`] passes, each on an engine of
+/// its own, so that no pass is served from an earlier pass's caches. The
+/// passes go round-robin over the view counts, baseline included, so
+/// that drift over the run falls on every count alike.
 fn fig3(w: &Workload, args: &Args) {
     println!("\n## Figure 3: optimization-time increase vs view-matching time\n");
-    let engine = engine_with(w, 0, MatchConfig::default());
-    let base = run_pass(w, &engine, &OptimizerConfig::default());
-    let base_total = base.total_time.as_secs_f64();
-    let base_matching = base.matching_time.as_secs_f64();
+    let counts = view_counts(args.max_views, args.step);
+    // Per view count: the total and the matching time of each pass.
+    let mut samples = vec![(Vec::new(), Vec::new()); counts.len()];
+    for _ in 0..FIG3_RUNS {
+        for (&n, (total, matching)) in counts.iter().zip(&mut samples) {
+            let engine = engine_with(w, n, MatchConfig::default());
+            let pass = run_pass(w, &engine, &OptimizerConfig::default());
+            total.push(pass.total_time);
+            matching.push(pass.matching_time);
+        }
+    }
+    let median = |times: &mut Vec<Duration>| {
+        times.sort_unstable();
+        times[FIG3_RUNS / 2].as_secs_f64()
+    };
+    let base_total = median(&mut samples[0].0);
+    let base_matching = median(&mut samples[0].1);
     println!(
-        "baseline (0 views): {base_total:.3} s, of which view matching {base_matching:.3} s\n"
+        "baseline (0 views): {base_total:.3} s, of which view matching {base_matching:.3} s \
+         (medians of {FIG3_RUNS} passes)\n"
     );
     println!("| views | total increase (s) | matching increase (s) | matching share of increase |");
     println!("|---|---|---|---|");
-    for &n in &view_counts(args.max_views, args.step) {
-        if n == 0 {
-            continue;
-        }
-        let engine = engine_with(w, n, MatchConfig::default());
-        let pass = run_pass(w, &engine, &OptimizerConfig::default());
-        let increase = pass.total_time.as_secs_f64() - base_total;
-        let matching = pass.matching_time.as_secs_f64() - base_matching;
+    for (&n, (total, matching)) in counts.iter().zip(&mut samples).skip(1) {
+        let increase = median(total) - base_total;
+        let matching = median(matching) - base_matching;
         let share = if increase > 0.0 {
             matching / increase
         } else {

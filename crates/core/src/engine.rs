@@ -7,6 +7,7 @@ use crate::cache::{
     fingerprint, CacheLookup, CachedVerdicts, PlanCache, SubstituteCache, PLAN_CACHE_SHARE,
 };
 use crate::descriptor::PreparedView;
+use crate::filter::strict_filter_exempt_levels;
 use crate::matching::{match_view, Assemble, MatchConfig, PreparedQuery, Verdict};
 use crate::snapshot::{CatalogSnapshot, ChecksGuard, ViewsGuard};
 use crate::stats::{AtomicMatchStats, MatchStats};
@@ -272,10 +273,11 @@ impl MatchingEngine {
     /// counts, and the filter time.
     fn compute_verdicts(
         &self,
-        snap: &CatalogSnapshot,
+        pin: &ViewsGuard,
         query: &SpjgExpr,
         entry: Option<&mut CachedVerdicts>,
     ) -> (Vec<(ViewId, Verdict)>, usize, usize, Duration) {
+        let snap: &CatalogSnapshot = &pin.snap;
         let qsum = self.query_summary_in(snap, query);
 
         let filter_started = self.config.timing.then(Instant::now);
@@ -292,7 +294,7 @@ impl MatchingEngine {
             out.retain(|(id, _)| self.config.freshness.admits(snap.view_lag(*id)));
         }
         #[cfg(debug_assertions)]
-        self.debug_assert_filter_complete(snap, query, &qsum, &candidates);
+        self.debug_assert_filter_complete(pin, query, &candidates);
         (out, candidates.len(), core_states, filter_time)
     }
 
@@ -358,7 +360,7 @@ impl MatchingEngine {
                     .collect();
                 #[cfg(debug_assertions)]
                 {
-                    let (fresh, ..) = self.compute_verdicts(snap, query, None);
+                    let (fresh, ..) = self.compute_verdicts(pin, query, None);
                     assert_eq!(
                         results, fresh,
                         "a cache hit must be byte-identical to a fresh \
@@ -385,7 +387,7 @@ impl MatchingEngine {
         }
         let mut passed = CachedVerdicts::default();
         let (out, n_candidates, core_states, filter_time) =
-            self.compute_verdicts(snap, query, key.is_some().then_some(&mut passed));
+            self.compute_verdicts(pin, query, key.is_some().then_some(&mut passed));
         self.stats.record_core_states(core_states);
         #[cfg(mv_model)]
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
@@ -444,7 +446,7 @@ impl MatchingEngine {
     // plan-cache oracle calls it from another crate. mv-lint: allow(MV207)
     #[doc(hidden)]
     pub fn fresh_verdicts(&self, pin: &ViewsGuard, query: &SpjgExpr) -> Vec<(ViewId, Verdict)> {
-        self.compute_verdicts(&pin.snap, query, None).0
+        self.compute_verdicts(pin, query, None).0
     }
 
     /// Build the substitute of `view` for `query` under the snapshot `pin`
@@ -513,6 +515,62 @@ impl MatchingEngine {
         out
     }
 
+    /// The filter tree's completeness check (paper section 4: a search
+    /// must return a superset of the views the section 3 tests accept):
+    /// every live view of `pin` outside `candidates` (sorted, as a search
+    /// returns them) that the full tests accept for `query`, in id order,
+    /// with the levels whose condition the keys `keys` gives for the view
+    /// fail. The match is structural, past the freshness gate:
+    /// completeness is a property of the index, so a stale view a search
+    /// drops is a miss too. The debug oracle hands it the keys each view
+    /// derives, `mv-audit`'s MV102 the entries a tree stores. Empty with
+    /// the filter tree off and for a block that fails
+    /// [`SpjgExpr::validate`].
+    pub fn filter_misses<K: AsRef<[Vec<u64>]>>(
+        &self,
+        pin: &ViewsGuard,
+        query: &SpjgExpr,
+        candidates: &[ViewId],
+        keys: impl Fn(ViewId) -> Option<K>,
+    ) -> Vec<FilterMiss> {
+        let snap = &pin.snap;
+        if !self.config.use_filter_tree || query.validate(&self.catalog).is_err() {
+            return Vec::new();
+        }
+        let qsum = self.query_summary_in(snap, query);
+        let (spj, agg) = self.query_searches(query, &qsum);
+        let pq = PreparedQuery::new(query, &qsum);
+        let mut out = Vec::new();
+        for (id, view) in snap.views.iter() {
+            if !snap.is_live(id) || candidates.binary_search(&id).is_ok() {
+                continue;
+            }
+            let pv = snap.descriptors.prepared(id);
+            if match_view::<Verdict>(&self.catalog, &self.config, &pq, id, view, pv).is_none() {
+                continue;
+            }
+            let is_agg = view.expr.is_aggregate();
+            let searches = if is_agg { &agg } else { &spj };
+            let levels: Vec<usize> = keys(id).map_or_else(Vec::new, |keys| {
+                (searches.iter().zip(keys.as_ref()).enumerate())
+                    .filter(|(_, (s, key))| !s.accepts(key))
+                    .map(|(lvl, _)| lvl)
+                    .collect()
+            });
+            let exempt = self.config.strict_expression_filter
+                && !levels.is_empty()
+                && levels
+                    .iter()
+                    .all(|l| strict_filter_exempt_levels(is_agg).contains(l));
+            out.push(FilterMiss {
+                view: id,
+                levels,
+                exempt,
+            });
+        }
+        out
+    }
+
     /// Bytes the descriptor store of the current snapshot reserves for
     /// its pointer tables (not the descriptors behind them). The bench
     /// harness divides this by the live view count for its
@@ -520,6 +578,26 @@ impl MatchingEngine {
     pub fn arena_bytes(&self) -> usize {
         self.snapshot().descriptors.arena_bytes()
     }
+}
+
+/// A live view the full tests accept for a query that a filter-tree
+/// search did not return ([`MatchingEngine::filter_misses`]).
+#[derive(Debug)]
+pub struct FilterMiss {
+    /// The view.
+    pub view: ViewId,
+    /// The levels whose search condition the view's keys fail, ascending
+    /// ([`crate::LEVEL_NAMES`]); empty when there are no keys for the
+    /// view, which is then missing from its tree. An aggregation view
+    /// matched for a non-aggregate query has none either: that query
+    /// never searches the aggregation tree (section 3.3).
+    pub levels: Vec<usize>,
+    /// Only the levels the strict expression filter
+    /// ([`MatchConfig::strict_expression_filter`], section 4.2.7) is
+    /// documented to be incomplete at failed: the matcher recomputes an
+    /// expression the filter requires verbatim. Conservatism, not an
+    /// index fault.
+    pub exempt: bool,
 }
 
 /// `Instant::elapsed` for a gated timer: `Duration::ZERO` when timing is

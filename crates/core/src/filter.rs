@@ -39,9 +39,10 @@
 
 mod keys;
 
+pub(crate) use keys::strict_filter_exempt_levels;
 pub use keys::{
-    col_token, decode_col_token, strict_filter_exempt_levels, table_token, TokenKind, AGG_LEVELS,
-    LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
+    col_token, decode_col_token, table_token, TokenKind, AGG_LEVELS, LEVEL_NAMES, LEVEL_TOKENS,
+    SPJ_LEVELS,
 };
 
 use crate::lattice::{hits_all, is_subset, normalized, LatticeIndex, TokenSet};

@@ -69,7 +69,7 @@ pub const LEVEL_TOKENS: [TokenKind; AGG_LEVELS] = [
 /// output-expression key. A view pruned *only* at these levels while the
 /// matcher accepts it is documented conservatism, not an index fault; any
 /// other rejecting level is a genuine completeness violation (rule MV102).
-pub fn strict_filter_exempt_levels(is_aggregate_view: bool) -> &'static [usize] {
+pub(crate) fn strict_filter_exempt_levels(is_aggregate_view: bool) -> &'static [usize] {
     if is_aggregate_view {
         &[2, 6]
     } else {

@@ -67,10 +67,10 @@ pub use cache::{
     SubstituteCache,
 };
 pub use descriptor::{JoinCore, PreparedView};
-pub use engine::MatchingEngine;
+pub use engine::{FilterMiss, MatchingEngine};
 pub use filter::{
-    col_token, decode_col_token, strict_filter_exempt_levels, table_token, FilterTree, LevelSearch,
-    TokenKind, AGG_LEVELS, LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
+    col_token, decode_col_token, table_token, FilterTree, LevelSearch, TokenKind, AGG_LEVELS,
+    LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
 };
 pub use lattice::{LatticeIndex, TokenSet};
 pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict};

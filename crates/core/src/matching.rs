@@ -118,19 +118,6 @@ pub struct MatchConfig {
     /// the cached hot path the only work left is hashing the block and a
     /// shard probe.
     pub timing: bool,
-    /// Database budget for the debug-build bounded-equivalence oracle:
-    /// when nonzero (and `debug_assertions` are on), every substitute
-    /// `find_substitutes` produces, and every one built one view at a time
-    /// (`build_substitute`: the optimizer builds the substitute of each
-    /// verdict it costs), is additionally run through the
-    /// `mv-prove` bounded model checker (DESIGN.md §15) at bound k = 2,
-    /// visiting at most this many enumerated databases per pair, and any
-    /// refutation (MV301/MV302) panics with the rendered witness. `0`
-    /// disables the oracle; release builds never prove. Since the
-    /// compiled-program prover (DESIGN.md §16) the oracle is cheap enough
-    /// to default **on** in debug builds (2 000 databases per pair);
-    /// release builds still default to `0`.
-    pub prove_budget: usize,
     /// Freshness policy for substitute serving (see [`FreshnessPolicy`]):
     /// which views may substitute when base-table writes have outpaced
     /// their incremental maintenance. Defaults to
@@ -148,7 +135,6 @@ impl Default for MatchConfig {
             strict_expression_filter: true,
             substitute_cache_capacity: 1024,
             timing: true,
-            prove_budget: if cfg!(debug_assertions) { 2_000 } else { 0 },
             freshness: FreshnessPolicy::default(),
         }
     }

@@ -51,13 +51,11 @@ fn like(col: ColRef, pattern: &str) -> BoolExpr {
 }
 
 /// Every view is a candidate and no result is replayed from the cache, so
-/// the `candidates` and `core_states` counters are exact. The prover is
-/// off: this suite is about byte-identity, and is also run unoptimized.
+/// the `candidates` and `core_states` counters are exact.
 fn config() -> MatchConfig {
     MatchConfig {
         use_filter_tree: false,
         substitute_cache_capacity: 0,
-        prove_budget: 0,
         ..MatchConfig::default()
     }
 }

@@ -1,25 +1,36 @@
-//! The debug-build prove oracle: with [`MatchConfig::prove_budget`]
-//! nonzero, `find_substitutes` hands every substitute it is about to
-//! return to the `mv-prove` bounded equivalence checker and panics on a
-//! refutation (MV301/MV302). The engine is sound, so enabling the oracle
-//! must be invisible — these tests simply run real matches through it.
-//! In release builds the hook compiles out and the tests degrade to
-//! plain matching assertions.
+//! The debug-build prove oracle: `find_substitutes` hands every
+//! substitute it is about to return to the `mv-prove` bounded equivalence
+//! checker, at most 2,000 databases per pair, and panics on a refutation
+//! (MV301/MV302). The engine is sound, so the oracle must be invisible —
+//! these tests run real matches through it, and prove each substitute
+//! again at the oracle's budget so that an inconclusive outcome, which
+//! the oracle lets pass, cannot hide here. In release builds the hook
+//! compiles out and the explicit proof remains.
 
 use mv_catalog::tpch::tpch_catalog;
 use mv_core::{MatchConfig, MatchingEngine};
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef};
+use mv_prove::{prove, ProveConfig, ProveCtx};
 
 fn cr(occ: u32, col: u32) -> ColRef {
     ColRef::new(occ, col)
 }
 
-fn prove_config() -> MatchConfig {
-    MatchConfig {
-        prove_budget: 20_000,
-        ..MatchConfig::default()
-    }
+/// `query`'s one substitute, proved equivalent within the debug
+/// oracle's budget of 2,000 databases.
+fn assert_proved_at_oracle_budget(engine: &MatchingEngine, query: &SpjgExpr) {
+    let subs = engine.find_substitutes(query);
+    assert_eq!(subs.len(), 1);
+    let (id, sub) = &subs[0];
+    let checks = engine.check_constraints();
+    let ctx = ProveCtx::new(engine.catalog(), &checks);
+    let cfg = ProveConfig {
+        max_databases: 2_000,
+        ..ProveConfig::default()
+    };
+    let outcome = prove(&ctx, query, &engine.views().get(*id).expr, sub, &cfg);
+    assert!(outcome.is_proved(), "{outcome:?}");
 }
 
 /// A range-compensated SPJ match runs through the oracle without
@@ -27,7 +38,7 @@ fn prove_config() -> MatchConfig {
 #[test]
 fn oracle_accepts_range_compensation() {
     let (cat, t) = tpch_catalog();
-    let engine = MatchingEngine::new(cat, prove_config());
+    let engine = MatchingEngine::new(cat, MatchConfig::default());
     engine
         .add_view(ViewDef::new(
             "big_items",
@@ -46,7 +57,7 @@ fn oracle_accepts_range_compensation() {
         BoolExpr::cmp(S::col(cr(0, 4)), CmpOp::Gt, S::lit(30i64)),
         vec![NamedExpr::new(S::col(cr(0, 0)), "l_orderkey")],
     );
-    assert_eq!(engine.find_substitutes(&query).len(), 1);
+    assert_proved_at_oracle_budget(&engine, &query);
 }
 
 /// An aggregation-rollup match (the paper's Example 4 shape) takes the
@@ -54,7 +65,7 @@ fn oracle_accepts_range_compensation() {
 #[test]
 fn oracle_accepts_aggregate_rollup() {
     let (cat, t) = tpch_catalog();
-    let engine = MatchingEngine::new(cat, prove_config());
+    let engine = MatchingEngine::new(cat, MatchConfig::default());
     engine
         .add_view(ViewDef::new(
             "rev_by_order",
@@ -75,42 +86,5 @@ fn oracle_accepts_aggregate_rollup() {
         vec![],
         vec![NamedAgg::new(AggFunc::Sum(S::col(cr(0, 5))), "revenue")],
     );
-    assert_eq!(engine.find_substitutes(&query).len(), 1);
-}
-
-/// The oracle defaults **on** in debug builds (the compiled-program
-/// prover made it cheap enough — DESIGN.md §16) and off in release,
-/// where the hook compiles out anyway. `prove_budget: 0` still disables
-/// it entirely: same matches, no proving.
-#[test]
-fn oracle_default_tracks_build_profile() {
-    if cfg!(debug_assertions) {
-        assert!(MatchConfig::default().prove_budget > 0);
-    } else {
-        assert_eq!(MatchConfig::default().prove_budget, 0);
-    }
-    let (cat, t) = tpch_catalog();
-    let engine = MatchingEngine::new(
-        cat,
-        MatchConfig {
-            prove_budget: 0,
-            ..MatchConfig::default()
-        },
-    );
-    engine
-        .add_view(ViewDef::new(
-            "all_items",
-            SpjgExpr::spj(
-                vec![t.lineitem],
-                BoolExpr::Literal(true),
-                vec![NamedExpr::new(S::col(cr(0, 0)), "l_orderkey")],
-            ),
-        ))
-        .unwrap();
-    let query = SpjgExpr::spj(
-        vec![t.lineitem],
-        BoolExpr::Literal(true),
-        vec![NamedExpr::new(S::col(cr(0, 0)), "l_orderkey")],
-    );
-    assert_eq!(engine.find_substitutes(&query).len(), 1);
+    assert_proved_at_oracle_budget(&engine, &query);
 }

@@ -3,7 +3,7 @@
 
 use crate::colref::ColRef;
 use crate::like::like_match;
-use crate::scalar::ScalarExpr;
+use crate::scalar::{ColumnNamer, ScalarExpr};
 use mv_catalog::Value;
 use std::cmp::Ordering;
 use std::fmt;
@@ -392,47 +392,57 @@ fn or_of_cnfs(a: BoolExpr, b: BoolExpr) -> BoolExpr {
     }
 }
 
-impl fmt::Display for BoolExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl BoolExpr {
+    /// Write the predicate's text into `out`, each column as `col` writes
+    /// it ([`ScalarExpr::render`]). `Display` is this with [`ColRef`]'s
+    /// own rendering.
+    pub fn render(&self, out: &mut dyn fmt::Write, col: &ColumnNamer) -> fmt::Result {
         match self {
-            BoolExpr::And(parts) => {
-                write!(f, "(")?;
+            BoolExpr::And(parts) | BoolExpr::Or(parts) => {
+                let sep = if let BoolExpr::And(_) = self {
+                    " AND "
+                } else {
+                    " OR "
+                };
+                out.write_char('(')?;
                 for (i, p) in parts.iter().enumerate() {
                     if i > 0 {
-                        write!(f, " AND ")?;
+                        out.write_str(sep)?;
                     }
-                    write!(f, "{p}")?;
+                    p.render(out, col)?;
                 }
-                write!(f, ")")
+                out.write_char(')')
             }
-            BoolExpr::Or(parts) => {
-                write!(f, "(")?;
-                for (i, p) in parts.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " OR ")?;
-                    }
-                    write!(f, "{p}")?;
-                }
-                write!(f, ")")
+            BoolExpr::Not(p) => {
+                out.write_str("NOT ")?;
+                p.render(out, col)
             }
-            BoolExpr::Not(p) => write!(f, "NOT {p}"),
             BoolExpr::Compare { op, left, right } => {
-                write!(f, "{left} {} {right}", op.symbol())
+                left.render(out, col)?;
+                write!(out, " {} ", op.symbol())?;
+                right.render(out, col)
             }
             BoolExpr::Like {
                 expr,
                 pattern,
                 negated,
-            } => write!(
-                f,
-                "{expr} {}LIKE '{pattern}'",
-                if *negated { "NOT " } else { "" }
-            ),
-            BoolExpr::IsNull { expr, negated } => {
-                write!(f, "{expr} IS {}NULL", if *negated { "NOT " } else { "" })
+            } => {
+                expr.render(out, col)?;
+                let not = if *negated { "NOT " } else { "" };
+                write!(out, " {not}LIKE '{pattern}'")
             }
-            BoolExpr::Literal(b) => write!(f, "{}", if *b { "TRUE" } else { "FALSE" }),
+            BoolExpr::IsNull { expr, negated } => {
+                expr.render(out, col)?;
+                write!(out, " IS {}NULL", if *negated { "NOT " } else { "" })
+            }
+            BoolExpr::Literal(b) => out.write_str(if *b { "TRUE" } else { "FALSE" }),
         }
+    }
+}
+
+impl fmt::Display for BoolExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.render(f, &|out, c| write!(out, "{c}"))
     }
 }
 

@@ -40,5 +40,5 @@ pub use colref::{ColRef, OccId};
 pub use conjunct::{classify, conjuncts_to_bool, Conjunct};
 pub use equiv::{ClassIndex, EquivClasses};
 pub use interval::{Bound, Interval};
-pub use scalar::{BinOp, ScalarExpr};
+pub use scalar::{BinOp, ColumnNamer, ScalarExpr};
 pub use template::Template;

@@ -234,15 +234,31 @@ pub fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
     }
 }
 
-impl fmt::Display for ScalarExpr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+/// How a rendering writes one column reference: [`ColRef`]'s own `t0.c3`
+/// in `Display`, the catalog's names in `mv-plan`'s SQL rendering.
+pub type ColumnNamer<'a> = dyn Fn(&mut dyn fmt::Write, ColRef) -> fmt::Result + 'a;
+
+impl ScalarExpr {
+    /// Write the expression's text into `out`, each column as `col`
+    /// writes it. `Display` is this with [`ColRef`]'s own rendering.
+    pub fn render(&self, out: &mut dyn fmt::Write, col: &ColumnNamer) -> fmt::Result {
         match self {
-            ScalarExpr::Column(c) => write!(f, "{c}"),
-            ScalarExpr::Literal(v) => write!(f, "{v}"),
+            ScalarExpr::Column(c) => col(out, *c),
+            ScalarExpr::Literal(v) => write!(out, "{v}"),
             ScalarExpr::Binary { op, left, right } => {
-                write!(f, "({} {} {})", left, op.symbol(), right)
+                out.write_char('(')?;
+                left.render(out, col)?;
+                write!(out, " {} ", op.symbol())?;
+                right.render(out, col)?;
+                out.write_char(')')
             }
         }
+    }
+}
+
+impl fmt::Display for ScalarExpr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.render(f, &|out, c| write!(out, "{c}"))
     }
 }
 

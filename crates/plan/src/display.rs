@@ -8,175 +8,102 @@ use crate::spjg::{AggFunc, OutputList, SpjgExpr};
 use crate::substitute::Substitute;
 use crate::view::ViewSet;
 use mv_catalog::Catalog;
-use mv_expr::{conjuncts_to_bool, BoolExpr, ColRef, ScalarExpr};
+use mv_expr::{conjuncts_to_bool, BoolExpr, ColRef, ColumnNamer};
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-/// Render a scalar expression with real names. `name_of` supplies the
-/// rendering of each column reference.
-fn render_scalar(e: &ScalarExpr, name_of: &impl Fn(ColRef) -> String) -> String {
-    match e {
-        ScalarExpr::Column(c) => name_of(*c),
-        ScalarExpr::Literal(v) => v.to_string(),
-        ScalarExpr::Binary { op, left, right } => format!(
-            "({} {} {})",
-            render_scalar(left, name_of),
-            op.symbol(),
-            render_scalar(right, name_of)
-        ),
-    }
-}
-
-/// Render a boolean expression with real names.
-fn render_bool(e: &BoolExpr, name_of: &impl Fn(ColRef) -> String) -> String {
-    match e {
-        BoolExpr::And(parts) => {
-            let inner: Vec<String> = parts.iter().map(|p| render_bool(p, name_of)).collect();
-            format!("({})", inner.join(" AND "))
-        }
-        BoolExpr::Or(parts) => {
-            let inner: Vec<String> = parts.iter().map(|p| render_bool(p, name_of)).collect();
-            format!("({})", inner.join(" OR "))
-        }
-        BoolExpr::Not(p) => format!("NOT {}", render_bool(p, name_of)),
-        BoolExpr::Compare { op, left, right } => format!(
-            "{} {} {}",
-            render_scalar(left, name_of),
-            op.symbol(),
-            render_scalar(right, name_of)
-        ),
-        BoolExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => format!(
-            "{} {}LIKE '{}'",
-            render_scalar(expr, name_of),
-            if *negated { "NOT " } else { "" },
-            pattern
-        ),
-        BoolExpr::IsNull { expr, negated } => format!(
-            "{} IS {}NULL",
-            render_scalar(expr, name_of),
-            if *negated { "NOT " } else { "" }
-        ),
-        BoolExpr::Literal(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-    }
-}
-
-/// Column naming for a block over base tables: `alias.column` when the same
-/// base table appears more than once, bare column names otherwise.
-fn base_namer<'a>(expr: &'a SpjgExpr, catalog: &'a Catalog) -> impl Fn(ColRef) -> String + 'a {
-    let needs_alias = expr.tables.len()
-        != expr
-            .tables
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len();
-    move |c: ColRef| {
-        let table = catalog.table(expr.table_of(c.occ));
-        let col = &table.column(c.col).name;
-        if needs_alias {
-            format!("t{}.{}", c.occ.0, col)
-        } else {
-            col.clone()
-        }
-    }
-}
-
-/// Render an SPJG block as SQL.
-pub fn sql_of(expr: &SpjgExpr, catalog: &Catalog) -> String {
-    let namer = base_namer(expr, catalog);
-    let mut out = String::from("SELECT ");
-    match &expr.output {
-        OutputList::Spj(items) => {
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{} AS {}",
-                    render_scalar(&item.expr, &namer),
-                    item.name
-                );
-            }
-        }
+/// Render a block's clauses into one string: `SELECT` over `output`,
+/// `FROM` as `from` writes it, `WHERE` over `pred` if there is one, and
+/// `GROUP BY` over a non-empty grouping list, each column named by `col`.
+fn render_block(
+    output: &OutputList,
+    from: impl FnOnce(&mut String) -> fmt::Result,
+    pred: Option<&BoolExpr>,
+    col: &ColumnNamer,
+) -> String {
+    let (items, aggregates, group_by) = match output {
+        OutputList::Spj(items) => (&items[..], &[][..], &[][..]),
         OutputList::Aggregate {
             group_by,
             aggregates,
-        } => {
-            let mut first = true;
-            for item in group_by {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{} AS {}",
-                    render_scalar(&item.expr, &namer),
-                    item.name
-                );
+        } => (&group_by[..], &aggregates[..], &group_by[..]),
+    };
+    let mut out = String::from("SELECT ");
+    let clauses = |out: &mut String| -> fmt::Result {
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
             }
-            for agg in aggregates {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                match &agg.func {
-                    AggFunc::CountStar => {
-                        let _ = write!(out, "COUNT_BIG(*) AS {}", agg.name);
-                    }
-                    AggFunc::Sum(e) => {
-                        let _ = write!(out, "SUM({}) AS {}", render_scalar(e, &namer), agg.name);
-                    }
-                    AggFunc::SumZero(e) => {
-                        let _ = write!(
-                            out,
-                            "COALESCE(SUM({}), 0) AS {}",
-                            render_scalar(e, &namer),
-                            agg.name
-                        );
-                    }
-                }
-            }
+            item.expr.render(out, col)?;
+            write!(out, " AS {}", item.name)?;
         }
-    }
-    out.push_str("\nFROM ");
+        for (i, agg) in aggregates.iter().enumerate() {
+            if i + items.len() > 0 {
+                out.push_str(", ");
+            }
+            match &agg.func {
+                AggFunc::CountStar => out.push_str("COUNT_BIG(*)"),
+                AggFunc::Sum(e) => {
+                    out.push_str("SUM(");
+                    e.render(out, col)?;
+                    out.push(')');
+                }
+                AggFunc::SumZero(e) => {
+                    out.push_str("COALESCE(SUM(");
+                    e.render(out, col)?;
+                    out.push_str("), 0)");
+                }
+            }
+            write!(out, " AS {}", agg.name)?;
+        }
+        out.push_str("\nFROM ");
+        from(out)?;
+        if let Some(pred) = pred {
+            out.push_str("\nWHERE ");
+            pred.render(out, col)?;
+        }
+        for (i, g) in group_by.iter().enumerate() {
+            out.push_str(if i > 0 { ", " } else { "\nGROUP BY " });
+            g.expr.render(out, col)?;
+        }
+        Ok(())
+    };
+    clauses(&mut out).expect("a String takes every write");
+    out
+}
+
+/// Render an SPJG block as SQL. A column is named by its catalog name,
+/// prefixed `t{occurrence}.` when the same base table appears more than
+/// once.
+pub fn sql_of(expr: &SpjgExpr, catalog: &Catalog) -> String {
     let needs_alias = expr.tables.len()
         != expr
             .tables
             .iter()
             .collect::<std::collections::HashSet<_>>()
             .len();
-    for (i, t) in expr.tables.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&catalog.table(*t).name);
+    let col = |out: &mut dyn fmt::Write, c: ColRef| {
         if needs_alias {
-            let _ = write!(out, " t{i}");
+            write!(out, "t{}.", c.occ.0)?;
         }
-    }
-    if !expr.conjuncts.is_empty() {
-        let pred = conjuncts_to_bool(&expr.conjuncts);
-        if pred != BoolExpr::Literal(true) {
-            let _ = write!(out, "\nWHERE {}", render_bool(&pred, &namer));
-        }
-    }
-    if let OutputList::Aggregate { group_by, .. } = &expr.output {
-        if !group_by.is_empty() {
-            out.push_str("\nGROUP BY ");
-            for (i, g) in group_by.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&render_scalar(&g.expr, &namer));
+        let table = catalog.table(expr.table_of(c.occ));
+        out.write_str(&table.column(c.col).name)
+    };
+    let from = |out: &mut String| {
+        for (i, t) in expr.tables.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push_str(&catalog.table(*t).name);
+            if needs_alias {
+                write!(out, " t{i}")?;
             }
         }
-    }
-    out
+        Ok(())
+    };
+    let pred = conjuncts_to_bool(&expr.conjuncts);
+    let pred = (pred != BoolExpr::Literal(true)).then_some(&pred);
+    render_block(&expr.output, from, pred, &col)
 }
 
 /// Render a substitute as SQL over the view it scans. Backjoined base
@@ -222,95 +149,22 @@ pub fn sql_of_substitute_with(
             }
         }
     }
-    let namer = |c: ColRef| {
-        names
-            .get(c.col.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("c{}", c.col.0))
+    let col = |out: &mut dyn fmt::Write, c: ColRef| match names.get(c.col.0 as usize) {
+        Some(name) => out.write_str(name),
+        None => write!(out, "c{}", c.col.0),
     };
-    let mut out = String::from("SELECT ");
-    match &sub.output {
-        OutputList::Spj(items) => {
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(
-                    out,
-                    "{} AS {}",
-                    render_scalar(&item.expr, &namer),
-                    item.name
-                );
+    let from = |out: &mut String| {
+        out.push_str(&view.name);
+        for bj in &sub.backjoins {
+            match catalog {
+                Some(cat) => write!(out, " JOIN {} USING (key)", cat.table(bj.table).name)?,
+                None => write!(out, " JOIN T{} USING (key)", bj.table.0)?,
             }
         }
-        OutputList::Aggregate {
-            group_by,
-            aggregates,
-        } => {
-            let mut first = true;
-            for item in group_by {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let _ = write!(
-                    out,
-                    "{} AS {}",
-                    render_scalar(&item.expr, &namer),
-                    item.name
-                );
-            }
-            for agg in aggregates {
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                match &agg.func {
-                    AggFunc::CountStar => {
-                        let _ = write!(out, "COUNT_BIG(*) AS {}", agg.name);
-                    }
-                    AggFunc::Sum(e) => {
-                        let _ = write!(out, "SUM({}) AS {}", render_scalar(e, &namer), agg.name);
-                    }
-                    AggFunc::SumZero(e) => {
-                        let _ = write!(
-                            out,
-                            "COALESCE(SUM({}), 0) AS {}",
-                            render_scalar(e, &namer),
-                            agg.name
-                        );
-                    }
-                }
-            }
-        }
-    }
-    let _ = write!(out, "\nFROM {}", view.name);
-    for bj in &sub.backjoins {
-        match catalog {
-            Some(cat) => {
-                let _ = write!(out, " JOIN {} USING (key)", cat.table(bj.table).name);
-            }
-            None => {
-                let _ = write!(out, " JOIN T{} USING (key)", bj.table.0);
-            }
-        }
-    }
-    if !sub.predicates.is_empty() {
-        let pred = BoolExpr::and(sub.predicates.clone());
-        let _ = write!(out, "\nWHERE {}", render_bool(&pred, &namer));
-    }
-    if let OutputList::Aggregate { group_by, .. } = &sub.output {
-        if !group_by.is_empty() {
-            out.push_str("\nGROUP BY ");
-            for (i, g) in group_by.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&render_scalar(&g.expr, &namer));
-            }
-        }
-    }
-    out
+        Ok(())
+    };
+    let pred = (!sub.predicates.is_empty()).then(|| BoolExpr::and(sub.predicates.clone()));
+    render_block(&sub.output, from, pred.as_ref(), &col)
 }
 
 #[cfg(test)]

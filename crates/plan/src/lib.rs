@@ -18,5 +18,5 @@ pub mod view;
 pub use card::estimate_rows;
 pub use physical::PhysicalPlan;
 pub use spjg::{AggFunc, NamedAgg, NamedExpr, OutputList, SpjgExpr};
-pub use substitute::{BackJoin, Freshness, Substitute, SubstituteGrouping};
+pub use substitute::{BackJoin, Freshness, Substitute};
 pub use view::{ViewDef, ViewId, ViewSet};

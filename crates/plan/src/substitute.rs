@@ -11,10 +11,6 @@ use crate::view::ViewId;
 use mv_catalog::{ColumnId, TableId};
 use mv_expr::BoolExpr;
 
-/// A compensating group-by for an aggregation query answered from a view
-/// that is less aggregated than the query (or not aggregated at all).
-pub type SubstituteGrouping = OutputList;
-
 /// A base-table backjoin (the section 7 extension): the view "contains all
 /// tables and rows needed but some columns are missing", and outputs a
 /// non-null unique key of a base table, so the missing columns can be

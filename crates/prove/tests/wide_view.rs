@@ -2,7 +2,7 @@
 //! programs' per-occurrence tables spill to the heap past 16 slots, so the
 //! prover runs both sides of a 17-table chain join and returns an outcome
 //! (it used to panic on the 17th occurrence, and with it — through the
-//! debug default `prove_budget` — `find_substitutes`). `mv-maintain`'s
+//! debug-build prove oracle — `find_substitutes`). `mv-maintain`'s
 //! `tests/wide_view.rs` is the maintainer's half.
 
 use mv_catalog::schema::TableBuilder;
