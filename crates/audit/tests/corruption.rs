@@ -15,7 +15,7 @@ use mv_catalog::{
 };
 use mv_core::{
     col_token, table_token, ExprSummary, FilterTree, FreshnessPolicy, MatchConfig, MatchingEngine,
-    AGG_LEVELS, SPJ_LEVELS,
+    AGG_NESTING, LEVEL_CONDITIONS, SPJ_LEVELS, SPJ_NESTING,
 };
 use mv_expr::{BoolExpr, CmpOp, ColRef, ScalarExpr as S};
 use mv_plan::{AggFunc, NamedAgg, NamedExpr, SpjgExpr, ViewDef, ViewId};
@@ -166,8 +166,8 @@ fn tree_search<'a>(
     engine: &'a MatchingEngine,
     entries: &Entries,
 ) -> impl Fn(&SpjgExpr, &ExprSummary) -> Vec<ViewId> + 'a {
-    let mut spj = FilterTree::new(SPJ_LEVELS);
-    let mut agg = FilterTree::new(AGG_LEVELS);
+    let mut spj = FilterTree::new(&SPJ_NESTING, &LEVEL_CONDITIONS[..SPJ_LEVELS]);
+    let mut agg = FilterTree::new(&AGG_NESTING, &LEVEL_CONDITIONS);
     for (id, keys) in entries {
         let tree = if keys.len() == SPJ_LEVELS {
             &mut spj

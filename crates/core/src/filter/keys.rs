@@ -4,7 +4,7 @@
 //! tokens from the expression alone, so they live together: a change to
 //! one side's format is a change to the other's.
 
-use super::LevelSearch;
+use super::{Condition, LevelSearch};
 use crate::fkgraph::{compute_hub, FkGraph};
 use crate::lattice::TokenSet;
 use crate::snapshot::CatalogSnapshot;
@@ -27,6 +27,13 @@ pub const AGG_LEVELS: usize = 8;
 /// Human-readable names of the filter-tree levels, in key order (the
 /// first [`SPJ_LEVELS`] apply to the SPJ tree). Diagnostics use these to
 /// say *which* partitioning condition wrongly pruned a view.
+///
+/// This order is the levels' *numbering*, the paper's (section 4.2): the
+/// place of a level's key in `MatchingEngine::view_keys`, of its search
+/// in [`MatchingEngine::query_searches`], and of its entry in
+/// [`LEVEL_TOKENS`], [`LEVEL_CONDITIONS`], `strict_filter_exempt_levels`
+/// and `FilterTree::entries`. The order the trees *nest* the levels in is
+/// [`SPJ_NESTING`] and [`AGG_NESTING`]; it changes no number.
 pub const LEVEL_NAMES: [&str; AGG_LEVELS] = [
     "hub",
     "source-tables",
@@ -60,6 +67,34 @@ pub const LEVEL_TOKENS: [TokenKind; AGG_LEVELS] = [
     TokenKind::Text,
     TokenKind::Column,
 ];
+
+/// The condition each filter-tree level is searched with, in key order
+/// (beside [`LEVEL_NAMES`]): the variant of the level's entry in
+/// [`MatchingEngine::query_searches`]' lists.
+pub const LEVEL_CONDITIONS: [Condition; AGG_LEVELS] = [
+    Condition::Subset,
+    Condition::Superset,
+    Condition::Superset,
+    Condition::Hitting,
+    Condition::Subset,
+    Condition::Subset,
+    Condition::Superset,
+    Condition::Hitting,
+];
+
+/// The order the SPJ tree nests its levels in, root first, by key number:
+/// range-constrained columns, residuals, hub, source tables, output
+/// expressions, output columns. The cheapest levels to search sit at the
+/// top, where a search visits every partition; the output-column level,
+/// a hitting condition and the most costly to search, is last, where the
+/// levels above have cut the partitions it is searched in to few. Any
+/// order gives the same answers (DESIGN.md §12.6 has the measurements and
+/// the orders rejected).
+pub const SPJ_NESTING: [usize; SPJ_LEVELS] = [5, 4, 0, 1, 2, 3];
+
+/// The aggregation tree's nesting: [`SPJ_NESTING`], then grouping
+/// expressions and grouping columns.
+pub const AGG_NESTING: [usize; AGG_LEVELS] = [5, 4, 0, 1, 2, 3, 6, 7];
 
 /// Filter-tree levels at which the paper-faithful strict expression
 /// filter ([`crate::MatchConfig::strict_expression_filter`], section

@@ -1,4 +1,5 @@
-//! The lattice index of section 4.1.
+//! The lattice index of section 4.1, and the posting index the filter
+//! tree keeps at its hitting levels instead.
 //!
 //! "The subset relationship between sets imposes a partial order among
 //! sets, which can be represented as a lattice. ... a node in the lattice
@@ -12,33 +13,47 @@
 //! Searches prune whole branches: looking for supersets of `S`, a node that
 //! fails `S ⊆ key` cannot have any qualifying node below it (every subset
 //! of a failing key also fails); looking for subsets, the dual holds going
-//! upwards. The same pruning argument extends to any predicate that is
-//! monotone with respect to set inclusion — the filter tree exploits this
-//! for its "hitting" conditions (section 4.2.3).
+//! upwards.
+//!
+//! The hitting conditions of sections 4.2.3/4.2.4 (the key meets every one
+//! of the query's column classes) are monotone under ⊆ as well, but a walk
+//! down from the tops reads every top, and at the output-column level most
+//! nodes are tops. A [`PostingIndex`] answers them the way an inverted
+//! index answers a set-containment probe: it keeps, per token, the ids of
+//! the nodes whose key holds the token, and a search tests only the nodes
+//! on the lists of the query class with the fewest postings. A node that
+//! holds no token of that class cannot meet it and is never read.
 //!
 //! # Storage layout
 //!
-//! Keys are sets of opaque `u64` tokens. Node key sets live in one shared
-//! arena (`keys`), addressed per node by an `(offset, len)` span; the nodes
-//! themselves are flat records holding the one value filed under their key
-//! set and the key's 64-bit *signature*: one bit per token, OR-ed together
-//! (superimposed coding). Exact-key lookup is a binary search over
-//! `by_key`, the node ids ordered by their arena slices — the arena is the
-//! only copy of a key. Cloning an index — which the filter tree's
-//! copy-on-write does on first write to a shared partition — therefore
-//! copies a few contiguous pages instead of one heap allocation per node
-//! key. The top and root node lists are maintained incrementally on insert,
-//! and searches mark visited nodes in a pooled, epoch-stamped scratch
-//! instead of allocating a fresh `visited` bitmap per search: a search over
-//! a million-node catalog does no per-call allocation at all.
+//! Keys are sets of opaque `u64` tokens. Both indexes keep their nodes in
+//! a `KeyTable`: key sets live in one shared arena (`keys`), addressed per
+//! node by an `(offset, len)` span; the nodes themselves are flat records
+//! holding the item filed under their key set and the key's 64-bit
+//! *signature*: one bit per token, OR-ed together (superimposed coding).
+//! Exact-key lookup is a binary search over `by_key`, the node ids ordered
+//! by their arena slices — the arena is the only copy of a key. Cloning an
+//! index — which the filter tree's copy-on-write does on first write to a
+//! shared partition — therefore copies a few contiguous arrays instead of
+//! one heap allocation per node key.
+//!
+//! A lattice node's item is its superset and subset links and its value.
+//! The top and root node lists are maintained incrementally on insert, and
+//! searches mark visited nodes in a pooled, epoch-stamped scratch instead
+//! of allocating a fresh `visited` bitmap per search: a search over a
+//! million-node catalog does no per-call allocation at all. A posting
+//! index's node item is its value alone — a hitting search follows no
+//! links — and its postings are three flat arrays (compressed rows): the
+//! distinct tokens, ascending; where each token's list ends; and the
+//! lists' node ids, one list after another, each ascending.
 //!
 //! A search tests a node's signature before it reads the node's key. Each
 //! condition has a signature form that every qualifying key satisfies
 //! (`K ⊆ S` sets no bit outside `sig(S)`; a key meeting class `C` shares a
 //! bit with `sig(C)`), so a node whose signature fails is rejected without
 //! touching the arena, and one whose signature passes — by a true match or
-//! by two tokens sharing a bit — is decided by the exact test. Answers and
-//! visit order are those of the exact test alone.
+//! by two tokens sharing a bit — is decided by the exact test. Answers are
+//! those of the exact test alone.
 //!
 //! Every key a caller passes — to file, to look up or to search with — is
 //! a *normalized* set: sorted and deduplicated (checked in debug builds;
@@ -100,53 +115,6 @@ pub(crate) fn hits_all(classes: &[TokenSet], key: &[u64]) -> bool {
         .all(|cl| cl.tokens.iter().any(|e| key.binary_search(e).is_ok()))
 }
 
-/// One node of the lattice. The key set lives in the index's shared key
-/// arena as the span `[key_off, key_off + key_len)`.
-#[derive(Debug, Clone)]
-struct Node<V> {
-    /// Offset of the key set in the shared key arena.
-    key_off: u32,
-    /// Length of the key set.
-    key_len: u32,
-    /// The key set's [`signature`].
-    sig: u64,
-    /// Indices of nodes holding minimal proper supersets of the key.
-    supersets: Vec<u32>,
-    /// Indices of nodes holding maximal proper subsets of the key.
-    subsets: Vec<u32>,
-    /// The value filed under this key set.
-    value: V,
-}
-
-/// A lattice index: a map from key *sets* to values supporting efficient
-/// subset and superset queries. Each key set holds exactly one value (the
-/// filter tree files one child partition per key set).
-#[derive(Debug, Clone)]
-pub struct LatticeIndex<V> {
-    nodes: Vec<Node<V>>,
-    /// Shared key arena; each node's key is a contiguous sorted slice.
-    keys: Vec<u64>,
-    /// Node ids ordered by key slice, for exact-key lookup.
-    by_key: Vec<u32>,
-    /// Nodes with no supersets, maintained incrementally — searches start
-    /// here instead of scanning every node.
-    tops: Vec<u32>,
-    /// Nodes with no subsets, maintained incrementally.
-    roots: Vec<u32>,
-}
-
-impl<V> Default for LatticeIndex<V> {
-    fn default() -> Self {
-        LatticeIndex {
-            nodes: Vec::new(),
-            keys: Vec::new(),
-            by_key: Vec::new(),
-            tops: Vec::new(),
-            roots: Vec::new(),
-        }
-    }
-}
-
 /// Is sorted slice `a` a subset of sorted slice `b`?
 pub(crate) fn is_subset(a: &[u64], b: &[u64]) -> bool {
     let mut bi = 0;
@@ -177,6 +145,129 @@ pub(crate) fn normalized(tokens: impl IntoIterator<Item = u64>) -> Vec<u64> {
 /// Is `key` sorted and free of duplicates?
 pub(crate) fn is_normalized(key: &[u64]) -> bool {
     key.windows(2).all(|w| w[0] < w[1])
+}
+
+/// One node record: the key set's span `[key_off, key_off + key_len)` in
+/// the table's arena, the key's [`signature`], and the item filed under
+/// it.
+#[derive(Debug, Clone)]
+struct Node<T> {
+    key_off: u32,
+    key_len: u32,
+    sig: u64,
+    item: T,
+}
+
+/// The nodes of an index, one per distinct key set, and the arena their
+/// keys live in. Nodes are never removed, so a node's id is its position
+/// in `nodes` for good.
+#[derive(Debug, Clone)]
+struct KeyTable<T> {
+    nodes: Vec<Node<T>>,
+    /// Shared key arena; each node's key is a contiguous sorted slice.
+    keys: Vec<u64>,
+    /// Node ids ordered by key slice, for exact-key lookup.
+    by_key: Vec<u32>,
+}
+
+impl<T> Default for KeyTable<T> {
+    fn default() -> Self {
+        KeyTable {
+            nodes: Vec::new(),
+            keys: Vec::new(),
+            by_key: Vec::new(),
+        }
+    }
+}
+
+impl<T> KeyTable<T> {
+    /// The key slice of node `id`.
+    fn key(&self, id: u32) -> &[u64] {
+        let n = &self.nodes[id as usize];
+        &self.keys[n.key_off as usize..(n.key_off + n.key_len) as usize]
+    }
+
+    /// Position of `key`'s node in `by_key`, or where it would go.
+    fn position(&self, key: &[u64]) -> Result<usize, usize> {
+        debug_assert!(is_normalized(key), "key not normalized");
+        self.by_key.binary_search_by(|&id| self.key(id).cmp(key))
+    }
+
+    /// The item filed under exactly `key`.
+    fn peek(&self, key: &[u64]) -> Option<&T> {
+        let pos = self.position(key).ok()?;
+        Some(&self.nodes[self.by_key[pos] as usize].item)
+    }
+
+    /// The item filed under exactly `key`, mutably.
+    fn peek_mut(&mut self, key: &[u64]) -> Option<&mut T> {
+        let pos = self.position(key).ok()?;
+        Some(&mut self.nodes[self.by_key[pos] as usize].item)
+    }
+
+    /// Every `(key, item)` pair, in node id order.
+    fn iter(&self) -> impl Iterator<Item = (&[u64], &T)> {
+        (0..self.nodes.len() as u32).map(|id| (self.key(id), &self.nodes[id as usize].item))
+    }
+
+    /// The id the next node appended gets.
+    fn next_id(&self) -> u32 {
+        u32::try_from(self.nodes.len()).expect("index node ids fit u32")
+    }
+
+    /// Append a node filing `item` under the new key set `key`, whose
+    /// place in `by_key` is `pos`; returns its id.
+    fn push(&mut self, pos: usize, key: &[u64], sig: u64, item: T) -> u32 {
+        let id = self.next_id();
+        let key_off = self.keys.len();
+        self.keys.extend_from_slice(key);
+        // Bounds `key_off + key_len`, so both casts below are exact.
+        assert!(
+            self.keys.len() <= u32::MAX as usize,
+            "index key arena exceeds u32 offsets"
+        );
+        self.nodes.push(Node {
+            key_off: key_off as u32,
+            key_len: key.len() as u32,
+            sig,
+            item,
+        });
+        self.by_key.insert(pos, id);
+        id
+    }
+}
+
+/// A lattice node's item: its links and the value filed under its key.
+#[derive(Debug, Clone)]
+struct Linked<V> {
+    /// Indices of nodes holding minimal proper supersets of the key.
+    supersets: Vec<u32>,
+    /// Indices of nodes holding maximal proper subsets of the key.
+    subsets: Vec<u32>,
+    value: V,
+}
+
+/// A lattice index: a map from key *sets* to values supporting efficient
+/// subset and superset queries. Each key set holds exactly one value (the
+/// filter tree files one child partition per key set).
+#[derive(Debug, Clone)]
+pub struct LatticeIndex<V> {
+    table: KeyTable<Linked<V>>,
+    /// Nodes with no supersets, maintained incrementally — searches start
+    /// here instead of scanning every node.
+    tops: Vec<u32>,
+    /// Nodes with no subsets, maintained incrementally.
+    roots: Vec<u32>,
+}
+
+impl<V> Default for LatticeIndex<V> {
+    fn default() -> Self {
+        LatticeIndex {
+            table: KeyTable::default(),
+            tops: Vec::new(),
+            roots: Vec::new(),
+        }
+    }
 }
 
 /// Reusable per-search state: an epoch-stamped visited mark per node (a
@@ -214,58 +305,49 @@ impl<V> LatticeIndex<V> {
 
     /// Number of distinct key sets stored.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// The key slice of node `id`.
-    fn key(&self, id: u32) -> &[u64] {
-        let n = &self.nodes[id as usize];
-        &self.keys[n.key_off as usize..(n.key_off + n.key_len) as usize]
-    }
-
-    /// Position of `key`'s node in `by_key`, or where it would go.
-    fn position(&self, key: &[u64]) -> Result<usize, usize> {
-        debug_assert!(is_normalized(key), "key not normalized");
-        self.by_key.binary_search_by(|&id| self.key(id).cmp(key))
+        self.table.nodes.len()
     }
 
     /// The value filed under exactly `key`, read-only — audit paths must
     /// not mutate the index.
     pub fn peek(&self, key: &[u64]) -> Option<&V> {
-        let pos = self.position(key).ok()?;
-        Some(&self.nodes[self.by_key[pos] as usize].value)
+        self.table.peek(key).map(|n| &n.value)
     }
 
     /// The value filed under exactly `key`, mutably.
     pub fn peek_mut(&mut self, key: &[u64]) -> Option<&mut V> {
-        let pos = self.position(key).ok()?;
-        Some(&mut self.nodes[self.by_key[pos] as usize].value)
+        self.table.peek_mut(key).map(|n| &mut n.value)
     }
 
     /// Every `(key, value)` pair in the index, in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u64], &V)> {
-        (0..self.nodes.len() as u32).map(|id| (self.key(id), &self.nodes[id as usize].value))
+        self.table.iter().map(|(key, n)| (key, &n.value))
     }
 
     /// The value filed under `key`, first linking a node holding `make()`
     /// into the lattice if the key set is new.
     pub fn get_or_insert_with(&mut self, key: &[u64], make: impl FnOnce() -> V) -> &mut V {
-        let id = match self.position(key) {
-            Ok(pos) => self.by_key[pos],
+        let id = match self.table.position(key) {
+            Ok(pos) => self.table.by_key[pos],
             Err(pos) => {
-                let id = self.link_node(key, make());
-                self.by_key.insert(pos, id);
-                id
+                let sig = signature(key);
+                let (supersets, subsets) = self.link_node(key, sig);
+                let linked = Linked {
+                    supersets,
+                    subsets,
+                    value: make(),
+                };
+                self.table.push(pos, key, sig, linked)
             }
         };
-        &mut self.nodes[id as usize].value
+        &mut self.table.nodes[id as usize].item.value
     }
 
-    /// Append a node for the new key set `key` and wire it between its
-    /// minimal supersets and maximal subsets.
-    fn link_node(&mut self, key: &[u64], value: V) -> u32 {
-        let id = u32::try_from(self.nodes.len()).expect("lattice node ids fit u32");
-        let sig = signature(key);
+    /// Wire the node the new key set `key` is about to get between its
+    /// minimal supersets and maximal subsets; returns those two lists, the
+    /// new node's own links.
+    fn link_node(&mut self, key: &[u64], sig: u64) -> (Vec<u32>, Vec<u32>) {
+        let id = self.table.next_id();
 
         // Find the existing supersets and subsets of the new key via the
         // lattice itself, then reduce them to the minimal / maximal ones.
@@ -275,13 +357,14 @@ impl<V> LatticeIndex<V> {
             |k| is_subset(key, k),
             |i| supers.push(i),
         );
+        let table = &self.table;
         let minimal_supers: Vec<u32> = supers
             .iter()
             .copied()
             .filter(|&s| {
                 !supers
                     .iter()
-                    .any(|&o| o != s && is_subset(self.key(o), self.key(s)))
+                    .any(|&o| o != s && is_subset(table.key(o), table.key(s)))
             })
             .collect();
         let mut subs = Vec::new();
@@ -290,37 +373,37 @@ impl<V> LatticeIndex<V> {
             |k| is_subset(k, key),
             |i| subs.push(i),
         );
+        let table = &self.table;
         let maximal_subs: Vec<u32> = subs
             .iter()
             .copied()
             .filter(|&s| {
                 !subs
                     .iter()
-                    .any(|&o| o != s && is_subset(self.key(s), self.key(o)))
+                    .any(|&o| o != s && is_subset(table.key(s), table.key(o)))
             })
             .collect();
 
         // Cut direct links that now route through the new node.
+        let nodes = &mut self.table.nodes;
         for &u in &minimal_supers {
             for &l in &maximal_subs {
-                if let Some(p) = self.nodes[u as usize].subsets.iter().position(|&x| x == l) {
-                    self.nodes[u as usize].subsets.remove(p);
+                let upper = &mut nodes[u as usize].item.subsets;
+                if let Some(p) = upper.iter().position(|&x| x == l) {
+                    upper.remove(p);
                 }
-                if let Some(p) = self.nodes[l as usize]
-                    .supersets
-                    .iter()
-                    .position(|&x| x == u)
-                {
-                    self.nodes[l as usize].supersets.remove(p);
+                let lower = &mut nodes[l as usize].item.supersets;
+                if let Some(p) = lower.iter().position(|&x| x == u) {
+                    lower.remove(p);
                 }
             }
         }
         // Wire the new node in.
         for &u in &minimal_supers {
-            self.nodes[u as usize].subsets.push(id);
+            nodes[u as usize].item.subsets.push(id);
         }
         for &l in &maximal_subs {
-            self.nodes[l as usize].supersets.push(id);
+            nodes[l as usize].item.supersets.push(id);
         }
         // Maintain the incremental top/root lists: every maximal subset
         // gained a superset (the new node), every minimal superset gained
@@ -338,22 +421,7 @@ impl<V> LatticeIndex<V> {
         if maximal_subs.is_empty() {
             self.roots.push(id);
         }
-        let key_off = self.keys.len();
-        self.keys.extend_from_slice(key);
-        // Bounds `key_off + key_len`, so both casts below are exact.
-        assert!(
-            self.keys.len() <= u32::MAX as usize,
-            "lattice key arena exceeds u32 offsets"
-        );
-        self.nodes.push(Node {
-            key_off: key_off as u32,
-            key_len: key.len() as u32,
-            sig,
-            supersets: minimal_supers,
-            subsets: maximal_subs,
-            value,
-        });
-        id
+        (minimal_supers, maximal_subs)
     }
 
     /// Visit every node id reachable from `from` along `next` pointers
@@ -365,25 +433,26 @@ impl<V> LatticeIndex<V> {
     fn collect(
         &self,
         from: &[u32],
-        next: impl Fn(&Node<V>) -> &[u32],
+        next: impl Fn(&Linked<V>) -> &[u32],
         may_qualify: impl Fn(u64) -> bool,
         qualifies: impl Fn(&[u64]) -> bool,
         mut visit: impl FnMut(u32),
     ) {
+        let table = &self.table;
         with_scratch(|scratch| {
-            scratch.begin(self.nodes.len());
+            scratch.begin(table.nodes.len());
             scratch.stack.extend(from);
             while let Some(i) = scratch.stack.pop() {
                 if !scratch.first_visit(i) {
                     continue;
                 }
-                let node = &self.nodes[i as usize];
-                debug_assert_eq!(node.sig, signature(self.key(i)), "stale node signature");
-                if !may_qualify(node.sig) || !qualifies(self.key(i)) {
+                let node = &table.nodes[i as usize];
+                debug_assert_eq!(node.sig, signature(table.key(i)), "stale node signature");
+                if !may_qualify(node.sig) || !qualifies(table.key(i)) {
                     continue;
                 }
                 visit(i);
-                scratch.stack.extend(next(node));
+                scratch.stack.extend(next(&node.item));
             }
         })
     }
@@ -418,7 +487,7 @@ impl<V> LatticeIndex<V> {
         self.collect_down(
             |sig| sig_within(search.sig, sig),
             |k| is_subset(&search.tokens, k),
-            |i| f(&self.nodes[i as usize].value),
+            |i| f(&self.table.nodes[i as usize].item.value),
         );
     }
 
@@ -428,20 +497,7 @@ impl<V> LatticeIndex<V> {
         self.collect_up(
             |sig| sig_within(sig, search.sig),
             |k| is_subset(k, &search.tokens),
-            |i| f(&self.nodes[i as usize].value),
-        );
-    }
-
-    /// Visit the value of every key that meets each of `classes` (the
-    /// hitting conditions of sections 4.2.3/4.2.4). The condition is
-    /// monotone decreasing under subset, so the search walks down from the
-    /// tops; a node whose signature shares no bit with some class's is
-    /// skipped unread.
-    pub fn for_each_hitting_value<'a>(&'a self, classes: &[TokenSet], mut f: impl FnMut(&'a V)) {
-        self.collect_down(
-            |sig| classes.iter().all(|cl| cl.sig & sig != 0),
-            |k| hits_all(classes, k),
-            |i| f(&self.nodes[i as usize].value),
+            |i| f(&self.table.nodes[i as usize].item.value),
         );
     }
 }
@@ -467,6 +523,168 @@ impl SearchScratch {
         } else {
             *slot = self.epoch;
             true
+        }
+    }
+}
+
+/// A posting index: a map from key sets to values that answers hitting
+/// searches (does the key meet every one of these classes?) through
+/// per-token lists of the nodes that hold each token. Each key set holds
+/// exactly one value, as in [`LatticeIndex`]; there are no links.
+#[derive(Debug, Clone)]
+pub struct PostingIndex<V> {
+    table: KeyTable<V>,
+    /// The distinct tokens of the stored keys, ascending.
+    tokens: Vec<u64>,
+    /// Where each token's list ends in `ids`; it starts where the
+    /// previous token's ends.
+    ends: Vec<u32>,
+    /// The ids of the nodes holding each token, one token's list after
+    /// another, each list ascending.
+    ids: Vec<u32>,
+}
+
+impl<V> Default for PostingIndex<V> {
+    fn default() -> Self {
+        PostingIndex {
+            table: KeyTable::default(),
+            tokens: Vec::new(),
+            ends: Vec::new(),
+            ids: Vec::new(),
+        }
+    }
+}
+
+impl<V> PostingIndex<V> {
+    /// An empty index.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of distinct key sets stored.
+    pub fn node_count(&self) -> usize {
+        self.table.nodes.len()
+    }
+
+    /// The value filed under exactly `key`, read-only.
+    pub fn peek(&self, key: &[u64]) -> Option<&V> {
+        self.table.peek(key)
+    }
+
+    /// The value filed under exactly `key`, mutably.
+    pub fn peek_mut(&mut self, key: &[u64]) -> Option<&mut V> {
+        self.table.peek_mut(key)
+    }
+
+    /// Every `(key, value)` pair in the index, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u64], &V)> {
+        self.table.iter()
+    }
+
+    /// The value filed under `key`, first posting a node holding `make()`
+    /// on its tokens' lists if the key set is new.
+    pub fn get_or_insert_with(&mut self, key: &[u64], make: impl FnOnce() -> V) -> &mut V {
+        let id = match self.table.position(key) {
+            Ok(pos) => self.table.by_key[pos],
+            Err(pos) => {
+                let id = self.table.push(pos, key, signature(key), make());
+                self.post(id, key);
+                id
+            }
+        };
+        &mut self.table.nodes[id as usize].item
+    }
+
+    /// Where the list of the `i`-th token starts in `ids`.
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.ends[i - 1] as usize
+        }
+    }
+
+    /// The ids of the nodes whose key holds `token`, ascending.
+    fn postings(&self, token: u64) -> &[u32] {
+        match self.tokens.binary_search(&token) {
+            Ok(i) => &self.ids[self.start(i)..self.ends[i] as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// Append node `id`, newer than every node posted so far, to the list
+    /// of each token of `key`. One pass from the back moves each later
+    /// list up by the number of ids inserted before it.
+    fn post(&mut self, id: u32, key: &[u64]) {
+        for &token in key {
+            if let Err(i) = self.tokens.binary_search(&token) {
+                let start = self.start(i) as u32;
+                self.tokens.insert(i, token);
+                self.ends.insert(i, start);
+            }
+        }
+        let old = self.ids.len();
+        assert!(
+            old + key.len() <= u32::MAX as usize,
+            "posting lists exceed u32 offsets"
+        );
+        self.ids.resize(old + key.len(), 0);
+        let mut moved_to = old;
+        for (j, token) in key.iter().enumerate().rev() {
+            let i = self.tokens.binary_search(token).expect("posted above");
+            let end = self.ends[i] as usize;
+            // The lists after this token's move up by the `j + 1` ids
+            // inserted at or before it; this one gains `id` at its end.
+            self.ids.copy_within(end..moved_to, end + j + 1);
+            self.ids[end + j] = id;
+            moved_to = end;
+        }
+        let mut inserted = 0;
+        let mut key = key.iter().peekable();
+        for (token, end) in self.tokens.iter().zip(&mut self.ends) {
+            if key.next_if_eq(&token).is_some() {
+                inserted += 1;
+            }
+            *end += inserted;
+        }
+    }
+
+    /// How many postings the lists of `class`'s tokens hold together.
+    fn posted(&self, class: &TokenSet) -> usize {
+        class.tokens.iter().map(|&t| self.postings(t).len()).sum()
+    }
+
+    /// Visit the value of every key that meets each of `classes` (the
+    /// hitting conditions of sections 4.2.3/4.2.4); an empty class list is
+    /// met by every key. Only the nodes on the lists of the class with the
+    /// fewest postings are read, each once: its signature first, then its
+    /// key. Allocation-free.
+    pub fn for_each_hitting_value<'a>(&'a self, classes: &[TokenSet], mut f: impl FnMut(&'a V)) {
+        let Some(rarest) = classes.iter().min_by_key(|cl| self.posted(cl)) else {
+            self.table.nodes.iter().for_each(|n| f(&n.item));
+            return;
+        };
+        for (at, &token) in rarest.tokens.iter().enumerate() {
+            for &id in self.postings(token) {
+                let node = &self.table.nodes[id as usize];
+                debug_assert_eq!(
+                    node.sig,
+                    signature(self.table.key(id)),
+                    "stale node signature"
+                );
+                if !classes.iter().all(|cl| cl.sig & node.sig != 0) {
+                    continue;
+                }
+                let key = self.table.key(id);
+                // A key holding an earlier token of the class was tested
+                // on that token's list.
+                let seen = rarest.tokens[..at]
+                    .iter()
+                    .any(|t| key.binary_search(t).is_ok());
+                if !seen && hits_all(classes, key) {
+                    f(&node.item);
+                }
+            }
         }
     }
 }
@@ -510,6 +728,11 @@ mod tests {
         out
     }
 
+    /// The node of `key` in `idx`.
+    fn node<'a>(idx: &'a LatticeIndex<String>, key: &str) -> &'a Linked<String> {
+        idx.table.peek(&chars(key)).expect("key is filed")
+    }
+
     #[test]
     fn figure1_superset_search() {
         // "Suppose we want to find supersets of AB. ... The search returns
@@ -527,33 +750,30 @@ mod tests {
     #[test]
     fn figure1_structure() {
         let idx = figure1();
+        let value = |i: &u32| &idx.table.nodes[*i as usize].item.value;
         // Tops: ABC, ABF, BCDE. Roots: A, B, D.
-        let mut tops: Vec<&String> = idx
-            .tops
-            .iter()
-            .map(|&i| &idx.nodes[i as usize].value)
-            .collect();
+        let mut tops: Vec<&String> = idx.tops.iter().map(value).collect();
         tops.sort();
         assert_eq!(tops, ["ABC", "ABF", "BCDE"]);
         assert_eq!(idx.roots.len(), 3);
         // The incremental lists must agree with a full scan.
-        for (i, n) in idx.nodes.iter().enumerate() {
+        for (i, n) in idx.table.nodes.iter().enumerate() {
             assert_eq!(
-                n.supersets.is_empty(),
+                n.item.supersets.is_empty(),
                 idx.tops.contains(&(i as u32)),
                 "top list out of sync at node {i}"
             );
             assert_eq!(
-                n.subsets.is_empty(),
+                n.item.subsets.is_empty(),
                 idx.roots.contains(&(i as u32)),
                 "root list out of sync at node {i}"
             );
         }
         // AB's minimal supersets are ABC and ABF; its maximal subsets are
         // A and B.
-        let ab = idx.by_key[idx.position(&chars("AB")).unwrap()] as usize;
-        assert_eq!(idx.nodes[ab].supersets.len(), 2);
-        assert_eq!(idx.nodes[ab].subsets.len(), 2);
+        let ab = node(&idx, "AB");
+        assert_eq!(ab.supersets.len(), 2);
+        assert_eq!(ab.subsets.len(), 2);
     }
 
     #[test]
@@ -564,7 +784,7 @@ mod tests {
         let slot = idx.get_or_insert_with(&chars("AB"), || unreachable!("AB is filed"));
         assert_eq!(slot, "AB");
         assert_eq!(idx.node_count(), 8);
-        assert_eq!(idx.keys.len(), "ABDABBEABCABFBCDE".len());
+        assert_eq!(idx.table.keys.len(), "ABDABBEABCABFBCDE".len());
         assert_eq!(idx.peek(&chars("BE")).map(String::as_str), Some("BE"));
         assert_eq!(idx.peek(&chars("E")), None);
         idx.peek_mut(&chars("D")).unwrap().push('!');
@@ -591,21 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn monotone_hitting_search() {
-        // Condition: key must intersect each of the given classes — the
-        // output-column condition of section 4.2.3.
-        let mut idx = LatticeIndex::new();
-        idx.get_or_insert_with(&[1, 2, 3], || "v123");
-        idx.get_or_insert_with(&[1, 4], || "v14");
-        idx.get_or_insert_with(&[2], || "v2");
-        let classes = [TokenSet::new([1, 9]), TokenSet::new([3, 4])];
-        let mut found = Vec::new();
-        idx.for_each_hitting_value(&classes, |v| found.push(*v));
-        found.sort();
-        assert_eq!(found, ["v123", "v14"]);
-    }
-
-    #[test]
     fn chain_insertion_orders() {
         // Insert in an order that forces re-linking: supersets first.
         let mut idx = LatticeIndex::new();
@@ -622,9 +827,9 @@ mod tests {
         idx.for_each_subset_value(&TokenSet::new([1, 2]), |_| found += 1);
         assert_eq!(found, 2);
         // The direct link 1 -> 1234 must be gone (replaced by chains).
-        let (big, one) = (0, 1);
-        assert!(!idx.nodes[one].supersets.contains(&(big as u32)));
-        assert!(!idx.nodes[big].subsets.contains(&(one as u32)));
+        let (big, one) = (&idx.table.nodes[0].item, &idx.table.nodes[1].item);
+        assert!(!one.supersets.contains(&0));
+        assert!(!big.subsets.contains(&1));
         // Re-linking must keep the incremental lists exact.
         assert_eq!(idx.tops, vec![0]);
         assert_eq!(idx.roots, vec![1]);
@@ -658,5 +863,81 @@ mod tests {
         });
         // 4 supersets of A, each triggering a 4-hit inner subset search.
         assert_eq!(count, 16);
+    }
+
+    #[test]
+    fn monotone_hitting_search() {
+        // Condition: key must intersect each of the given classes — the
+        // output-column condition of section 4.2.3.
+        let mut idx = PostingIndex::new();
+        idx.get_or_insert_with(&[1, 2, 3], || "v123");
+        idx.get_or_insert_with(&[1, 4], || "v14");
+        idx.get_or_insert_with(&[2], || "v2");
+        let hitting = |classes: &[TokenSet]| {
+            let mut found = Vec::new();
+            idx.for_each_hitting_value(classes, |v| found.push(*v));
+            found.sort();
+            found
+        };
+        let classes = [TokenSet::new([1, 9]), TokenSet::new([3, 4])];
+        assert_eq!(hitting(&classes), ["v123", "v14"]);
+        // A key holding two tokens of the rarest class is visited once.
+        assert_eq!(hitting(&[TokenSet::new([1, 2])]), ["v123", "v14", "v2"]);
+        assert_eq!(hitting(&[]), ["v123", "v14", "v2"]);
+        assert!(hitting(&[TokenSet::new([])]).is_empty());
+        assert!(hitting(&[TokenSet::new([9])]).is_empty());
+    }
+
+    /// The postings are exactly the inverse of the node keys: the tokens
+    /// are the stored keys' distinct tokens, ascending, and each token's
+    /// list holds, ascending, the ids of the nodes whose key holds it.
+    fn assert_postings_invert_keys<V>(idx: &PostingIndex<V>) {
+        let mut tokens: Vec<u64> = idx.table.keys.clone();
+        tokens.sort_unstable();
+        tokens.dedup();
+        assert_eq!(idx.tokens, tokens);
+        assert_eq!(idx.ends.len(), tokens.len());
+        assert_eq!(idx.ends.last().map_or(0, |&e| e as usize), idx.ids.len());
+        for (i, &token) in tokens.iter().enumerate() {
+            let holders: Vec<u32> = (0..idx.table.nodes.len() as u32)
+                .filter(|&id| idx.table.key(id).contains(&token))
+                .collect();
+            assert_eq!(idx.postings(token), holders, "list of token {token}");
+            assert_eq!(idx.start(i) + holders.len(), idx.ends[i] as usize);
+        }
+    }
+
+    #[test]
+    fn postings_are_the_inverse_of_the_keys() {
+        let mut idx = PostingIndex::new();
+        let keys: [&[u64]; 7] = [&[5, 9], &[1, 5], &[], &[9], &[1, 2, 5, 9], &[0, 12], &[2]];
+        for (value, key) in keys.iter().enumerate() {
+            idx.get_or_insert_with(key, || value);
+            assert_postings_invert_keys(&idx);
+        }
+        // A key filed again adds no node and no posting.
+        idx.get_or_insert_with(&[1, 5], || unreachable!("filed"));
+        assert_eq!(idx.node_count(), keys.len());
+        assert_postings_invert_keys(&idx);
+
+        // Copy-on-write: the published original is a clone's source; a
+        // write to the clone posts there alone.
+        let published = idx.clone();
+        let mut next = idx.clone();
+        next.get_or_insert_with(&[0, 3, 9, 13], || 7);
+        next.get_or_insert_with(&[13], || 8);
+        *next.peek_mut(&[9]).unwrap() = 30;
+        assert_postings_invert_keys(&next);
+        assert_postings_invert_keys(&published);
+        assert_eq!(published.node_count(), keys.len());
+        assert_eq!(
+            (published.tokens.clone(), published.ids.clone()),
+            (idx.tokens, idx.ids)
+        );
+        assert_eq!(published.peek(&[9]), Some(&3));
+        assert_eq!(published.peek(&[0, 3, 9, 13]), None);
+        assert_eq!(next.peek(&[0, 3, 9, 13]), Some(&7));
+        assert_eq!(next.postings(13), [7, 8]);
+        assert!(published.postings(13).is_empty());
     }
 }

@@ -69,10 +69,10 @@ pub use cache::{
 pub use descriptor::{JoinCore, PreparedView};
 pub use engine::{FilterMiss, MatchingEngine};
 pub use filter::{
-    col_token, decode_col_token, table_token, FilterTree, LevelSearch, TokenKind, AGG_LEVELS,
-    LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS,
+    col_token, decode_col_token, table_token, Condition, FilterTree, LevelSearch, TokenKind,
+    AGG_LEVELS, AGG_NESTING, LEVEL_CONDITIONS, LEVEL_NAMES, LEVEL_TOKENS, SPJ_LEVELS, SPJ_NESTING,
 };
-pub use lattice::{LatticeIndex, TokenSet};
+pub use lattice::{LatticeIndex, PostingIndex, TokenSet};
 pub use matching::{match_view_prepared, FreshnessPolicy, MatchConfig, PreparedQuery, Verdict};
 pub use snapshot::{ChecksGuard, ViewsGuard};
 pub use stats::MatchStats;

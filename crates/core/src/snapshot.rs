@@ -3,7 +3,7 @@
 //! freshness API, and the guards that pin a snapshot for a reader.
 
 use crate::descriptor::{DescriptorStore, JoinCore, PreparedView};
-use crate::filter::{FilterTree, AGG_LEVELS, SPJ_LEVELS};
+use crate::filter::{FilterTree, AGG_NESTING, LEVEL_CONDITIONS, SPJ_LEVELS, SPJ_NESTING};
 use crate::stamps::ViewStamps;
 use crate::sync::{lock_or_recover, Arc, MutexGuard};
 use crate::MatchingEngine;
@@ -83,8 +83,11 @@ impl CatalogSnapshot {
         CatalogSnapshot {
             views: ViewSet::new(),
             descriptors: DescriptorStore::default(),
-            spj_tree: Arc::new(FilterTree::new(SPJ_LEVELS)),
-            agg_tree: Arc::new(FilterTree::new(AGG_LEVELS)),
+            spj_tree: Arc::new(FilterTree::new(
+                &SPJ_NESTING,
+                &LEVEL_CONDITIONS[..SPJ_LEVELS],
+            )),
+            agg_tree: Arc::new(FilterTree::new(&AGG_NESTING, &LEVEL_CONDITIONS)),
             cores: Arc::new(HashMap::new()),
             checks: Arc::new(HashMap::new()),
             removed: Arc::new(HashSet::new()),

@@ -5,18 +5,64 @@
 //! one — so chains split at every level, and equal keys land in the chain
 //! that already holds them. A third property is the one the engine's
 //! hashed text tokens rest on: merging tokens never drops a view. The
-//! fourth draws tokens that share signature bits, so the lattice's
-//! signature test passes keys only the exact test rejects.
+//! fourth draws tokens that share signature bits, so the indexes'
+//! signature tests pass keys only the exact test rejects.
+//!
+//! Every property draws the tree's shape: each level's condition kind and
+//! the order the tree nests the levels in. So a hitting level, which a
+//! posting index holds, can be the root, a middle level or the last, as
+//! can a lattice level of either kind.
 
-use mv_core::{FilterTree, LevelSearch, TokenSet};
+use mv_core::{Condition, FilterTree, LevelSearch, TokenSet, AGG_NESTING, LEVEL_CONDITIONS};
 use mv_plan::ViewId;
 use proptest::prelude::*;
+use Condition::{Hitting, Subset, Superset};
 
 type Keys = Vec<Vec<u64>>;
 
-/// The condition kinds of the engine's trees: the SPJ tree uses the first
-/// six, the aggregation tree all eight.
-const KINDS: [u8; 8] = [0, 1, 1, 2, 0, 0, 1, 2];
+/// A tree's shape: the condition of each level, in key order, and the
+/// order the tree nests the levels in, root first.
+#[derive(Debug, Clone)]
+struct Shape {
+    conditions: Vec<Condition>,
+    nesting: Vec<usize>,
+}
+
+impl Shape {
+    /// The first `depth` of the drawn conditions (0, 1, 2: subset,
+    /// superset, hitting), nested in the order that sorts the levels by
+    /// their drawn ranks.
+    fn drawn(depth: usize, conditions: &[u8], ranks: &[u64]) -> Self {
+        let mut nesting: Vec<usize> = (0..depth).collect();
+        nesting.sort_by_key(|&level| ranks[level]);
+        let kinds = [Subset, Superset, Hitting];
+        Shape {
+            conditions: conditions[..depth]
+                .iter()
+                .map(|&c| kinds[c as usize])
+                .collect(),
+            nesting,
+        }
+    }
+
+    fn depth(&self) -> usize {
+        self.conditions.len()
+    }
+
+    fn tree(&self) -> FilterTree {
+        FilterTree::new(&self.nesting, &self.conditions)
+    }
+}
+
+/// Each level's condition kind, for [`Shape::drawn`].
+fn conditions() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(0u8..3, 8)
+}
+
+/// Each level's rank in the nesting, for [`Shape::drawn`].
+fn ranks() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(any::<u64>(), 8)
+}
 
 fn normalize(key: &[u64]) -> Vec<u64> {
     let mut key = key.to_vec();
@@ -33,25 +79,27 @@ fn sets_of(classes: &[Vec<u64>]) -> Vec<TokenSet> {
     classes.iter().map(|c| set(c)).collect()
 }
 
-/// A probe for every level of a `depth`-level tree from drawn token sets.
-fn searches(depth: usize, sets: &[Vec<u64>], classes: &[Vec<u64>]) -> Vec<LevelSearch> {
-    (0..depth)
-        .map(|level| match KINDS[level] {
-            0 => LevelSearch::Subset(set(&sets[level])),
-            1 => LevelSearch::Superset(set(&sets[level])),
-            _ => LevelSearch::Hitting(sets_of(classes)),
+/// A probe for every level of a tree from drawn token sets.
+fn searches(conditions: &[Condition], sets: &[Vec<u64>], classes: &[Vec<u64>]) -> Vec<LevelSearch> {
+    conditions
+        .iter()
+        .zip(sets)
+        .map(|(condition, drawn)| match condition {
+            Subset => LevelSearch::Subset(set(drawn)),
+            Superset => LevelSearch::Superset(set(drawn)),
+            Hitting => LevelSearch::Hitting(sets_of(classes)),
         })
         .collect()
 }
 
 /// The probe a stored entry poses to itself: every level accepts its key.
-fn self_searches(keys: &Keys) -> Vec<LevelSearch> {
+fn self_searches(conditions: &[Condition], keys: &Keys) -> Vec<LevelSearch> {
     keys.iter()
-        .zip(KINDS)
-        .map(|(key, kind)| match kind {
-            0 => LevelSearch::Subset(set(key)),
-            1 => LevelSearch::Superset(set(key)),
-            _ => LevelSearch::Hitting(key.iter().map(|&t| set(&[t])).collect()),
+        .zip(conditions)
+        .map(|(key, condition)| match condition {
+            Subset => LevelSearch::Subset(set(key)),
+            Superset => LevelSearch::Superset(set(key)),
+            Hitting => LevelSearch::Hitting(key.iter().map(|&t| set(&[t])).collect()),
         })
         .collect()
 }
@@ -77,10 +125,11 @@ fn scan(entries: &[(ViewId, Keys)], probe: &[LevelSearch]) -> Vec<ViewId> {
 /// whether the step removes instead of inserting.
 type Step = (usize, usize, Vec<u64>, bool);
 
-fn run(depth: usize, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes: &[Vec<u64>]) {
-    let mut tree = FilterTree::new(depth);
+fn run(shape: &Shape, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes: &[Vec<u64>]) {
+    let (depth, conditions) = (shape.depth(), &shape.conditions);
+    let mut tree = shape.tree();
     let mut model: Vec<(ViewId, Keys)> = Vec::new();
-    let probe = searches(depth, sets, classes);
+    let probe = searches(conditions, sets, classes);
     let mut next_view = 0;
     for (base, level, key, remove) in steps {
         let mut keys: Keys = bases[*base][..depth].to_vec();
@@ -116,14 +165,14 @@ fn run(depth: usize, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes:
             prop_assert!(tree.contains(keys, *view));
         }
         prop_assert_eq!(sorted(tree.search(&probe)), scan(&entries, &probe));
-        let own = self_searches(&stored);
+        let own = self_searches(conditions, &stored);
         let found = sorted(tree.search(&own));
         prop_assert_eq!(&found, &scan(&entries, &own));
         let mut filed = entries.iter().filter(|(_, k)| *k == stored);
         prop_assert!(filed.all(|(view, _)| found.contains(view)));
         // A probe around the step's keys: every level accepts them through
         // sets and classes that hold other tokens too.
-        let around = probe_around(&stored, sets, classes);
+        let around = probe_around(conditions, &stored, sets, classes);
         prop_assert_eq!(sorted(tree.search(&around)), scan(&entries, &around));
     }
 
@@ -136,14 +185,14 @@ fn run(depth: usize, bases: &[Keys], steps: &[Step], sets: &[Vec<u64>], classes:
         .rev()
         .enumerate()
         .partition(|(i, _)| i % 2 == 0);
-    let mut rebuilt = FilterTree::new(depth);
+    let mut rebuilt = shape.tree();
     for (_, (view, keys)) in odd.into_iter().chain(even) {
         rebuilt.insert(keys, *view);
     }
     prop_assert_eq!(sorted(rebuilt.entries()), sorted(entries.clone()));
     prop_assert_eq!(sorted(rebuilt.search(&probe)), scan(&entries, &probe));
     for (_, keys) in &entries {
-        let own = self_searches(keys);
+        let own = self_searches(conditions, keys);
         prop_assert_eq!(sorted(rebuilt.search(&own)), sorted(tree.search(&own)));
     }
 }
@@ -157,16 +206,21 @@ fn merged(key: &[u64], merge: &[u64]) -> Vec<u64> {
 /// the key plus drawn tokens, each superset set the drawn tokens the key
 /// holds, each class a drawn one plus a token of the key (no class for
 /// an empty key, which none can hit).
-fn probe_around(keys: &[Vec<u64>], sets: &[Vec<u64>], classes: &[Vec<u64>]) -> Vec<LevelSearch> {
+fn probe_around(
+    conditions: &[Condition],
+    keys: &[Vec<u64>],
+    sets: &[Vec<u64>],
+    classes: &[Vec<u64>],
+) -> Vec<LevelSearch> {
     keys.iter()
-        .zip(KINDS)
+        .zip(conditions)
         .zip(sets)
-        .map(|((key, kind), drawn)| match kind {
-            0 => LevelSearch::Subset(set(&[key.as_slice(), drawn].concat())),
-            1 => LevelSearch::Superset(TokenSet::new(
+        .map(|((key, condition), drawn)| match condition {
+            Subset => LevelSearch::Subset(set(&[key.as_slice(), drawn].concat())),
+            Superset => LevelSearch::Superset(TokenSet::new(
                 drawn.iter().copied().filter(|t| key.contains(t)),
             )),
-            _ => LevelSearch::Hitting(match key.first() {
+            Hitting => LevelSearch::Hitting(match key.first() {
                 Some(&t) => classes
                     .iter()
                     .map(|c| set(&[c.as_slice(), &[t]].concat()))
@@ -201,14 +255,15 @@ fn merged_probe(probe: &[LevelSearch], merge: &[u64]) -> Vec<LevelSearch> {
 /// both, so a merged search returns every view the unmerged one did. The
 /// probes are built around the stored views, so each returns at least one.
 fn merging_keeps_every_view(
-    depth: usize,
+    shape: &Shape,
     views: &[Keys],
     sets: &[Vec<u64>],
     classes: &[Vec<u64>],
     merge: &[u64],
 ) {
-    let mut tree = FilterTree::new(depth);
-    let mut merged_tree = FilterTree::new(depth);
+    let depth = shape.depth();
+    let mut tree = shape.tree();
+    let mut merged_tree = shape.tree();
     for (i, keys) in views.iter().enumerate() {
         let keys = &keys[..depth];
         tree.insert(keys, ViewId(i as u32));
@@ -216,7 +271,7 @@ fn merging_keeps_every_view(
         merged_tree.insert(&keys, ViewId(i as u32));
     }
     for keys in views {
-        let probe = probe_around(&keys[..depth], sets, classes);
+        let probe = probe_around(&shape.conditions, &keys[..depth], sets, classes);
         let before = tree.search(&probe);
         let after = merged_tree.search(&merged_probe(&probe, merge));
         prop_assert!(!before.is_empty());
@@ -238,33 +293,40 @@ proptest! {
 
     #[test]
     fn six_level_tree_equals_flat_scan(
+        conditions in conditions(),
+        ranks in ranks(),
         bases in prop::collection::vec(prop::collection::vec(key(), 8), 3),
         steps in prop::collection::vec((0usize..3, 0usize..9, key(), any::<bool>()), 1..40),
         sets in prop::collection::vec(prop::collection::vec(0u64..4, 0..5), 8),
         classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
     ) {
-        run(6, &bases, &steps, &sets, &classes);
+        run(&Shape::drawn(6, &conditions, &ranks), &bases, &steps, &sets, &classes);
     }
 
     #[test]
     fn eight_level_tree_equals_flat_scan(
+        conditions in conditions(),
+        ranks in ranks(),
         bases in prop::collection::vec(prop::collection::vec(key(), 8), 3),
         steps in prop::collection::vec((0usize..3, 0usize..9, key(), any::<bool>()), 1..40),
         sets in prop::collection::vec(prop::collection::vec(0u64..4, 0..5), 8),
         classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
     ) {
-        run(8, &bases, &steps, &sets, &classes);
+        run(&Shape::drawn(8, &conditions, &ranks), &bases, &steps, &sets, &classes);
     }
 
     #[test]
     fn merging_tokens_never_drops_a_view(
         depth in prop::sample::select(vec![6usize, 8]),
+        conditions in conditions(),
+        ranks in ranks(),
         views in prop::collection::vec(prop::collection::vec(key(), 8), 1..24),
         sets in prop::collection::vec(prop::collection::vec(0u64..4, 0..5), 8),
         classes in prop::collection::vec(prop::collection::vec(0u64..4, 1..3), 0..3),
         merge in prop::collection::vec(0u64..4, 4),
     ) {
-        merging_keeps_every_view(depth, &views, &sets, &classes, &merge);
+        let shape = Shape::drawn(depth, &conditions, &ranks);
+        merging_keeps_every_view(&shape, &views, &sets, &classes, &merge);
     }
 }
 
@@ -294,12 +356,14 @@ fn colliding_key() -> impl Strategy<Value = Vec<u64>> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
-    /// The flat-scan properties over tokens that share signature bits: a
-    /// lattice search whose signature test passed a key the exact test
+    /// The flat-scan properties over tokens that share signature bits: an
+    /// index search whose signature test passed a key the exact test
     /// rejects must still answer like the scan, at every condition kind.
     #[test]
     fn colliding_signatures_equal_flat_scan(
         depth in prop::sample::select(vec![6usize, 8]),
+        conditions in conditions(),
+        ranks in ranks(),
         bases in prop::collection::vec(prop::collection::vec(colliding_key(), 8), 3),
         steps in prop::collection::vec((0usize..3, 0usize..9, colliding_key(), any::<bool>()), 1..40),
         sets in prop::collection::vec(colliding_key(), 8),
@@ -308,25 +372,35 @@ proptest! {
             0..3,
         ),
     ) {
-        run(depth, &bases, &steps, &sets, &classes);
+        run(&Shape::drawn(depth, &conditions, &ranks), &bases, &steps, &sets, &classes);
     }
 }
 
 /// The copy-on-write contract the online catalog relies on, at the layer
 /// that implements it: a clone shares the original's nodes, and a write to
 /// the clone that splits one of the original's chains — at any level —
-/// leaves the original as it was.
+/// leaves the original as it was. The shapes are the engine's, nested as
+/// the engine nests them and in key order.
 #[test]
 fn splitting_a_chain_in_a_clone_leaves_the_original_alone() {
-    for depth in [6, 8] {
+    let engine = |depth: usize| Shape {
+        conditions: LEVEL_CONDITIONS[..depth].to_vec(),
+        nesting: AGG_NESTING.iter().copied().filter(|&l| l < depth).collect(),
+    };
+    let key_order = |depth: usize| Shape {
+        nesting: (0..depth).collect(),
+        ..engine(depth)
+    };
+    for shape in [engine(6), engine(8), key_order(6), key_order(8)] {
+        let depth = shape.depth();
         let keys: Keys = (0..depth as u64).map(|level| vec![1, 10 + level]).collect();
         let other: Keys = (0..depth as u64).map(|level| vec![2, 10 + level]).collect();
-        let mut original = FilterTree::new(depth);
+        let mut original = shape.tree();
         original.insert(&keys, ViewId(0));
         original.insert(&keys, ViewId(1));
         original.insert(&other, ViewId(2));
         let entries = sorted(original.entries());
-        let own = self_searches(&keys);
+        let own = self_searches(&shape.conditions, &keys);
 
         for level in 0..depth {
             let mut clone = original.clone();

@@ -1,15 +1,16 @@
 //! A warm filter-tree search allocates nothing: the query side's sets and
 //! their signatures are built once, before the search, and the descent
 //! borrows them; lattice searches mark and stack nodes in pooled scratch,
-//! chains are tested in place, and the caller's output buffer has grown
-//! to fit. A search that built anything per lattice it entered — a class
-//! signature list, a normalized key — would allocate thousands of times
-//! over these probes.
+//! posting searches read their lists in place, chains are tested in
+//! place, and the caller's output buffer has grown to fit. A search that
+//! built anything per index it entered — a class signature list, a
+//! normalized key, a list of the nodes a posting search has seen — would
+//! allocate thousands of times over these probes.
 //!
 //! Its own test binary: it counts allocations through a
 //! `#[global_allocator]`.
 
-use mv_core::{FilterTree, LevelSearch, TokenSet};
+use mv_core::{FilterTree, LevelSearch, TokenSet, LEVEL_CONDITIONS, SPJ_LEVELS, SPJ_NESTING};
 use mv_plan::ViewId;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,13 +95,35 @@ fn probe(rng: &mut Rng) -> Vec<LevelSearch> {
     ]
 }
 
+/// The engine's SPJ nesting, and one that puts the output-column level at
+/// the root, where one posting index holds every distinct output-column
+/// key of the 5,000 views.
 #[test]
 fn warm_searches_allocate_nothing() {
-    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
-    let mut tree = FilterTree::new(6);
-    for view in 0..5_000 {
-        tree.insert(&view_keys(&mut rng), ViewId(view));
+    let hitting_root = [3, 0, 1, 2, 4, 5];
+    for nesting in [SPJ_NESTING, hitting_root] {
+        warm_searches_allocate_nothing_nested(&nesting);
     }
+}
+
+fn warm_searches_allocate_nothing_nested(nesting: &[usize]) {
+    let mut rng = Rng(0x2545_F491_4F6C_DD1D);
+    let mut tree = FilterTree::new(nesting, &LEVEL_CONDITIONS[..SPJ_LEVELS]);
+    let mut output_cols = Vec::new();
+    for view in 0..5_000 {
+        let mut keys = view_keys(&mut rng);
+        tree.insert(&keys, ViewId(view));
+        keys[3].sort_unstable();
+        keys[3].dedup();
+        output_cols.push(keys.swap_remove(3));
+    }
+    output_cols.sort();
+    output_cols.dedup();
+    assert!(
+        output_cols.len() > 500,
+        "the output-column level holds {} key sets",
+        output_cols.len()
+    );
     let probes: Vec<Vec<LevelSearch>> = (0..10).map(|_| probe(&mut rng)).collect();
 
     // Cold pass: the scratch pool, its mark pages and the output buffer
@@ -125,6 +148,6 @@ fn warm_searches_allocate_nothing() {
     assert_eq!(warm, found * 10, "warm searches answer like cold ones");
     assert_eq!(
         allocated, 0,
-        "100 warm searches allocated {allocated} times"
+        "100 warm searches nested {nesting:?} allocated {allocated} times"
     );
 }

@@ -1,7 +1,8 @@
-//! Property tests for the lattice index: under arbitrary insertion
-//! sequences (and edits to the filed values), subset/superset/monotone
+//! Property tests for the lattice index and the posting index: under
+//! arbitrary insertion sequences (and edits to the filed values), the
+//! lattice's subset/superset searches and the posting index's hitting
 //! searches must visit exactly what a naive scan over the stored key sets
-//! returns. The index files one value per key set, so the tests file a
+//! returns. Each index files one value per key set, so the tests file a
 //! `Vec<usize>` per key and push every insertion's number onto it.
 //!
 //! Every node carries its key's signature, and a search tests it before
@@ -9,10 +10,11 @@
 //! colliding-signature properties draw from tokens that share bits, where
 //! the signature test passes keys that only the exact test rejects.
 
-use mv_core::{LatticeIndex, TokenSet};
+use mv_core::{LatticeIndex, PostingIndex, TokenSet};
 use proptest::prelude::*;
 
 type Index = LatticeIndex<Vec<usize>>;
+type Postings = PostingIndex<Vec<usize>>;
 
 fn is_subset(a: &[u64], b: &[u64]) -> bool {
     a.iter().all(|x| b.contains(x))
@@ -34,6 +36,16 @@ fn build(keys: &[Vec<u64>]) -> Index {
     idx
 }
 
+/// File insertion `i` under each `keys[i]` in a posting index.
+fn build_postings(keys: &[Vec<u64>]) -> Postings {
+    let mut idx = Postings::new();
+    for (i, k) in keys.iter().enumerate() {
+        idx.get_or_insert_with(&normalize(k.clone()), Vec::new)
+            .push(i);
+    }
+    idx
+}
+
 fn subsets_of(idx: &Index, probe: &[u64]) -> Vec<usize> {
     let mut out = Vec::new();
     idx.for_each_subset_value(&TokenSet::new(probe.iter().copied()), |v| out.extend(v));
@@ -48,7 +60,7 @@ fn supersets_of(idx: &Index, probe: &[u64]) -> Vec<usize> {
     out
 }
 
-fn hitting(idx: &Index, classes: &[Vec<u64>]) -> Vec<usize> {
+fn hitting(idx: &Postings, classes: &[Vec<u64>]) -> Vec<usize> {
     let classes: Vec<TokenSet> = classes.iter().map(|c| TokenSet::new(c.clone())).collect();
     let mut found: Vec<usize> = Vec::new();
     idx.for_each_hitting_value(&classes, |v| found.extend(v));
@@ -156,8 +168,50 @@ proptest! {
         keys in prop::collection::vec(prop::collection::vec(0u64..10, 0..5), 1..30),
         classes in prop::collection::vec(prop::collection::vec(0u64..10, 1..4), 0..4),
     ) {
-        let idx = build(&keys);
+        let idx = build_postings(&keys);
         prop_assert_eq!(hitting(&idx, &classes), naive(&keys, |k| hits(k, &classes)));
+        // Insertion order changes the node ids and the lists' order, never
+        // the answers; exact lookup and iteration see every key set once.
+        let reversed: Vec<Vec<u64>> = keys.iter().rev().cloned().collect();
+        let mut found: Vec<usize> = hitting(&build_postings(&reversed), &classes)
+            .iter()
+            .map(|i| keys.len() - 1 - i)
+            .collect();
+        found.sort();
+        prop_assert_eq!(found, hitting(&idx, &classes));
+        let mut stored: Vec<Vec<u64>> = keys.iter().cloned().map(normalize).collect();
+        stored.sort();
+        stored.dedup();
+        prop_assert_eq!(idx.node_count(), stored.len());
+        let mut listed: Vec<Vec<u64>> = idx.iter().map(|(k, _)| k.to_vec()).collect();
+        listed.sort();
+        prop_assert_eq!(&listed, &stored);
+        for key in &stored {
+            prop_assert!(idx.peek(key).is_some());
+        }
+    }
+
+    #[test]
+    fn edits_through_peek_mut_respect_hitting_searches(
+        keys in prop::collection::vec(prop::collection::vec(0u64..10, 0..5), 1..25),
+        remove_mask in prop::collection::vec(any::<bool>(), 1..25),
+        classes in prop::collection::vec(prop::collection::vec(0u64..10, 1..4), 0..3),
+    ) {
+        let mut idx = build_postings(&keys);
+        let nodes = idx.node_count();
+        let mut alive: Vec<bool> = vec![true; keys.len()];
+        for (i, k) in keys.iter().enumerate() {
+            if *remove_mask.get(i).unwrap_or(&false) {
+                let filed = idx.peek_mut(&normalize(k.clone())).expect("key was filed");
+                let at = filed.iter().position(|&v| v == i).expect("insertion was filed");
+                filed.remove(at);
+                alive[i] = false;
+            }
+        }
+        prop_assert_eq!(idx.node_count(), nodes);
+        let mut expected = naive(&keys, |k| hits(k, &classes));
+        expected.retain(|&i| alive[i]);
+        prop_assert_eq!(hitting(&idx, &classes), expected);
     }
 
     #[test]
@@ -170,16 +224,21 @@ proptest! {
         // signature bits, so the signature test passes many keys the exact
         // test rejects; all three searches must still equal the scan, and
         // so must every stored key's own searches, which walk the links
-        // inserting the keys built.
+        // inserting the keys built and the lists of the keys' tokens.
         let idx = build(&keys);
+        let postings = build_postings(&keys);
         let probe = normalize(probe);
         prop_assert_eq!(subsets_of(&idx, &probe), naive(&keys, |k| is_subset(k, &probe)));
         prop_assert_eq!(supersets_of(&idx, &probe), naive(&keys, |k| is_subset(&probe, k)));
-        prop_assert_eq!(hitting(&idx, &classes), naive(&keys, |k| hits(k, &classes)));
+        prop_assert_eq!(hitting(&postings, &classes), naive(&keys, |k| hits(k, &classes)));
         for key in &keys {
             let key = normalize(key.clone());
             prop_assert_eq!(subsets_of(&idx, &key), naive(&keys, |k| is_subset(k, &key)));
             prop_assert_eq!(supersets_of(&idx, &key), naive(&keys, |k| is_subset(&key, k)));
+            // Every stored key's own classes, one token each: the node
+            // itself and every key that holds all of its tokens.
+            let own: Vec<Vec<u64>> = key.iter().map(|&t| vec![t]).collect();
+            prop_assert_eq!(hitting(&postings, &own), naive(&keys, |k| hits(k, &own)));
         }
     }
 }
@@ -224,6 +283,8 @@ fn tokens_sharing_a_bit_are_told_apart_by_their_keys() {
     assert_eq!(subsets_of(&idx, &[b]), Vec::<usize>::new());
     assert_eq!(subsets_of(&idx, &[b, c]), Vec::<usize>::new());
     assert_eq!(supersets_of(&idx, &[b]), Vec::<usize>::new());
-    assert_eq!(hitting(&idx, &[vec![b, c]]), vec![1]);
-    assert_eq!(hitting(&idx, &[vec![b]]), Vec::<usize>::new());
+    let postings = build_postings(&[vec![a], vec![a, c]]);
+    assert_eq!(hitting(&postings, &[vec![b, c]]), vec![1]);
+    assert_eq!(hitting(&postings, &[vec![b]]), Vec::<usize>::new());
+    assert_eq!(hitting(&postings, &[vec![a, b], vec![c]]), vec![1]);
 }

@@ -690,6 +690,114 @@ fn grouping_keeps_the_first_rows_key() {
     );
 }
 
+/// `SUM` over `Float`s through a served plan: each group's floats are
+/// summed exactly and rounded once, so the total is the same whatever
+/// order the scan feeds the rows in, and bit-equal to the interpreter's.
+/// The values cancel and underflow the way a left-to-right `f64` sum
+/// rounds differently per order — the test checks that it does.
+#[test]
+fn float_sums_are_bit_equal_in_every_row_order() {
+    let mut cat = Catalog::new();
+    let f = cat.add_table(
+        TableBuilder::new("f")
+            .col("k", ColumnType::Int)
+            .nullable_col("x", ColumnType::Float)
+            .build(),
+    );
+    let floats = [
+        1e16, 1.0, -1e16, 1.0, 0.1, 0.2, 0.3, 1e-8, 3.0, -0.5, 2.5e-3,
+    ];
+    let rows: Vec<Row> = (0..66i64)
+        .map(|i| {
+            let x = match i % 12 {
+                11 => Value::Null,
+                at => Value::Float(floats[at as usize] * (1 + i % 3) as f64),
+            };
+            vec![Value::Int(i % 3), x]
+        })
+        .collect();
+    let x = S::col(cr(0, 1));
+    let grouped = (
+        PhysicalPlan::HashAggregate {
+            input: Box::new(PhysicalPlan::TableScan { table: f }),
+            group_by: vec![S::col(cr(0, 0))],
+            aggregates: vec![AggFunc::Sum(x.clone()), AggFunc::CountStar],
+        },
+        SpjgExpr::aggregate(
+            vec![f],
+            BoolExpr::Literal(true),
+            vec![NamedExpr::new(S::col(cr(0, 0)), "k")],
+            vec![
+                NamedAgg::new(AggFunc::Sum(x.clone()), "total"),
+                NamedAgg::new(AggFunc::CountStar, "n"),
+            ],
+        ),
+    );
+    let scalar = (
+        PhysicalPlan::HashAggregate {
+            input: Box::new(PhysicalPlan::TableScan { table: f }),
+            group_by: vec![],
+            aggregates: vec![AggFunc::Sum(x.clone())],
+        },
+        SpjgExpr::aggregate(
+            vec![f],
+            BoolExpr::Literal(true),
+            vec![],
+            vec![NamedAgg::new(AggFunc::Sum(x), "total")],
+        ),
+    );
+
+    let rotated = |by: usize| {
+        let mut rows = rows.clone();
+        rows.rotate_left(by);
+        rows
+    };
+    let (small, rest): (Vec<Row>, Vec<Row>) = rows.iter().cloned().partition(|r| {
+        let Value::Float(x) = r[1] else { return false };
+        x.abs() < 1.0
+    });
+    let orders: Vec<Vec<Row>> = vec![
+        rows.clone(),
+        rows.iter().rev().cloned().collect(),
+        rotated(1),
+        rotated(5),
+        rotated(29),
+        [small, rest].concat(),
+    ];
+    // Left-to-right `f64` sums of the same rows disagree across orders.
+    let naive: Vec<u64> = orders
+        .iter()
+        .map(|rows| {
+            let sum: f64 = rows
+                .iter()
+                .filter_map(|r| match r[1] {
+                    Value::Float(x) => Some(x),
+                    _ => None,
+                })
+                .sum();
+            sum.to_bits()
+        })
+        .collect();
+    assert!(naive.iter().any(|&bits| bits != naive[0]), "{naive:?}");
+
+    for (case, (plan, query)) in [("grouped", &grouped), ("scalar", &scalar)] {
+        let mut first: Option<Vec<String>> = None;
+        for (at, rows) in orders.iter().enumerate() {
+            let mut db = Database::new(cat.clone());
+            db.load(f, rows.clone());
+            let got = debug_rows(&execute_plan(&db, &ViewStore::new(), plan));
+            let want = debug_rows(&execute_spjg(&db, query));
+            assert_eq!(got, want, "{case}, row order {at}");
+            assert!(got.iter().all(|r| r.contains("Float(")), "{got:?}");
+            assert_eq!(
+                first.get_or_insert_with(|| got.clone()),
+                &got,
+                "{case}, row order {at}"
+            );
+        }
+    }
+}
+
 /// A balanced tree of hash joins over `leaves` scans of nation, every join
 /// on the first column of both inputs.
 fn nation_join_tree(nation: TableId, leaves: usize) -> PhysicalPlan {
