@@ -111,38 +111,54 @@ const FIG3_RUNS: usize = 5;
 
 /// Figure 3: optimization time and view-matching time (Alt & Filter), each
 /// as an increase over the 0-view pass, which already invokes the rule.
-/// Every time is the median of [`FIG3_RUNS`] passes, each on an engine of
-/// its own, so that no pass is served from an earlier pass's caches. The
-/// passes go round-robin over the view counts, baseline included, so
-/// that drift over the run falls on every count alike.
+/// Every n-view pass follows a 0-view pass of its own, and a row reports
+/// the median over [`FIG3_RUNS`] such pairs of the n-view pass minus its
+/// 0-view pass, so that drift between rounds cancels inside each pair.
+/// Every pass runs on an engine of its own, so that none is served from
+/// an earlier pass's caches; the rounds go round-robin over the counts.
 fn fig3(w: &Workload, args: &Args) {
     println!("\n## Figure 3: optimization-time increase vs view-matching time\n");
-    let counts = view_counts(args.max_views, args.step);
-    // Per view count: the total and the matching time of each pass.
-    let mut samples = vec![(Vec::new(), Vec::new()); counts.len()];
+    let counts: Vec<usize> = view_counts(args.max_views, args.step)
+        .into_iter()
+        .filter(|&n| n > 0)
+        .collect();
+    let pass_with = |n: usize| {
+        run_pass(
+            w,
+            &engine_with(w, n, MatchConfig::default()),
+            &OptimizerConfig::default(),
+        )
+    };
+    // The 0-view passes, and per view count the paired differences.
+    let (mut base_total, mut base_matching) = (Vec::new(), Vec::new());
+    let mut increases = vec![(Vec::new(), Vec::new()); counts.len()];
+    let secs = |d: Duration| d.as_secs_f64();
     for _ in 0..FIG3_RUNS {
-        for (&n, (total, matching)) in counts.iter().zip(&mut samples) {
-            let engine = engine_with(w, n, MatchConfig::default());
-            let pass = run_pass(w, &engine, &OptimizerConfig::default());
-            total.push(pass.total_time);
-            matching.push(pass.matching_time);
+        for (&n, (total, matching)) in counts.iter().zip(&mut increases) {
+            let base = pass_with(0);
+            let pass = pass_with(n);
+            total.push(secs(pass.total_time) - secs(base.total_time));
+            matching.push(secs(pass.matching_time) - secs(base.matching_time));
+            base_total.push(secs(base.total_time));
+            base_matching.push(secs(base.matching_time));
         }
     }
-    let median = |times: &mut Vec<Duration>| {
-        times.sort_unstable();
-        times[FIG3_RUNS / 2].as_secs_f64()
+    let median = |xs: &mut Vec<f64>| {
+        xs.sort_unstable_by(f64::total_cmp);
+        xs[xs.len() / 2]
     };
-    let base_total = median(&mut samples[0].0);
-    let base_matching = median(&mut samples[0].1);
     println!(
-        "baseline (0 views): {base_total:.3} s, of which view matching {base_matching:.3} s \
-         (medians of {FIG3_RUNS} passes)\n"
+        "baseline (0 views): {:.3} s, of which view matching {:.3} s \
+         (medians of {} passes)\n",
+        median(&mut base_total),
+        median(&mut base_matching),
+        base_total.len(),
     );
     println!("| views | total increase (s) | matching increase (s) | matching share of increase |");
     println!("|---|---|---|---|");
-    for (&n, (total, matching)) in counts.iter().zip(&mut samples).skip(1) {
-        let increase = median(total) - base_total;
-        let matching = median(matching) - base_matching;
+    for (&n, (total, matching)) in counts.iter().zip(&mut increases) {
+        let increase = median(total);
+        let matching = median(matching);
         let share = if increase > 0.0 {
             matching / increase
         } else {

@@ -42,18 +42,20 @@ pub struct JoinCore {
     /// The FK join graph under the *permissive* nullable-column rule (every
     /// nullable FK accepted when [`MatchConfig::null_rejecting_fk`] is on):
     /// its edge set is a superset of what any per-query graph can contain.
-    /// Registration computes each member view's hub from it.
-    pub(crate) fk_graph: FkGraph,
+    /// Registration computes each member view's hub from it, and the
+    /// matcher derives each per-query graph from it with
+    /// [`FkGraph::renamed`] instead of building one.
+    pub fk_graph: FkGraph,
     /// Per occurrence: does an edge of `fk_graph` point at it? §3.2 can
     /// only eliminate an extra table some edge points at, so a mapping that
     /// leaves an edge-less occurrence unassigned is rejected before the
-    /// per-query graph is built.
+    /// per-query graph is derived.
     pub fk_incoming: Vec<bool>,
 }
 
 impl JoinCore {
     /// The core of a block with FROM list `tables` and column equivalences
-    /// `ec`. The one place a view's FK join graph is built.
+    /// `ec`. The one place an FK join graph is built outside tests.
     pub fn new(
         catalog: &Catalog,
         config: &MatchConfig,

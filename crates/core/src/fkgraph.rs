@@ -114,6 +114,58 @@ pub fn build_fk_graph(
     }
 }
 
+impl FkGraph {
+    /// The graph of the same block with occurrence `OccId(i)` renamed
+    /// `occ_map[i]` (the occurrences of `self` must be `OccId(0), OccId(1),
+    /// ...` in order), keeping only the edges whose nullable foreign-key
+    /// columns, renamed, all pass `nullable_ok`.
+    ///
+    /// Built with a `nullable_ok` that accepts at least what this one does,
+    /// `self` holds every edge [`build_fk_graph`] finds over the renamed
+    /// occurrences and the renamed classes: renaming is injective, so it
+    /// keeps which columns the classes equate, and both graphs list edges
+    /// by referencing occurrence, foreign key and referenced occurrence.
+    /// The result is that graph, edge for edge and in the same order.
+    pub fn renamed(
+        &self,
+        catalog: &Catalog,
+        occ_map: &[OccId],
+        nullable_ok: &dyn Fn(ColRef) -> bool,
+    ) -> FkGraph {
+        let rename = |c: ColRef| ColRef {
+            occ: occ_map[c.occ.0 as usize],
+            col: c.col,
+        };
+        let edges = self
+            .edges
+            .iter()
+            .filter(|e| {
+                let from = catalog.table(self.occs[e.from.0 as usize].1);
+                e.col_pairs
+                    .iter()
+                    .all(|&(f, _)| from.column(f.col).not_null || nullable_ok(rename(f)))
+            })
+            .map(|e| FkEdge {
+                from: occ_map[e.from.0 as usize],
+                to: occ_map[e.to.0 as usize],
+                col_pairs: e
+                    .col_pairs
+                    .iter()
+                    .map(|&(f, c)| (rename(f), rename(c)))
+                    .collect(),
+            })
+            .collect();
+        FkGraph {
+            occs: occ_map
+                .iter()
+                .zip(&self.occs)
+                .map(|(&o, &(_, t))| (o, t))
+                .collect(),
+            edges,
+        }
+    }
+}
+
 /// Result of running the elimination loop.
 #[derive(Debug, Clone)]
 pub struct Elimination {

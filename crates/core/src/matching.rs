@@ -20,7 +20,7 @@
 //! and steps 4–6 run per view against that shared state (DESIGN.md §13.5).
 
 use crate::descriptor::{occurrences_by_table, JoinCore, PreparedView};
-use crate::fkgraph::{build_fk_graph, eliminate};
+use crate::fkgraph::eliminate;
 use crate::summary::{remap_col, ExprSummary};
 use mv_catalog::{Catalog, TableId, Value};
 use mv_expr::{
@@ -519,23 +519,6 @@ fn map_scalar<Y: Assemble>(
     Y::recompute(e, &mut |c| ctx.find_position(c, ec, ix))
 }
 
-/// Is `c` covered by a null-rejecting predicate in the query (other than
-/// an equijoin)? Used by the nullable-FK relaxation of section 3.2.
-fn is_null_rejecting(qsum: &ExprSummary, c: ColRef) -> bool {
-    if qsum.is_range_constrained(c) {
-        return true;
-    }
-    let same = |x: ColRef| x == c || qsum.ec.same(x, c);
-    qsum.residual_bools.iter().any(|p| match p {
-        BoolExpr::Compare { .. } | BoolExpr::Like { .. } => p.columns().into_iter().any(same),
-        BoolExpr::IsNull {
-            negated: true,
-            expr,
-        } => expr.columns().into_iter().any(same),
-        _ => false,
-    })
-}
-
 /// What one invocation knows about one join core: the occurrence mappings
 /// of the query into it, in enumeration order, each with the state derived
 /// under it. A mapping's state is built by the first view that tries it —
@@ -668,26 +651,15 @@ impl MappedCore {
         let mapf = |o: OccId| occ_map[o.0 as usize];
 
         // Cloning the query's union-find is pure overhead when the core
-        // brings no extra tables — the common case borrows it. The view's
-        // classes rebased into query space (needed for the FK graph) are
-        // likewise only built on this path: the occurrence substitution is
-        // injective, so distinct view classes stay distinct.
+        // brings no extra tables — the common case borrows it. The §3.2
+        // graph is the core's, renamed into query space, less the edges
+        // whose nullable FK columns this query does not null-reject: the
+        // core kept every edge the permissive rule admits.
         let mut extended = None;
         if !extras.is_empty() {
-            let mut vec_q = EquivClasses::new();
-            for class in &core.classes {
-                for pair in class.windows(2) {
-                    vec_q.union(remap_col(pair[0], &mapf), remap_col(pair[1], &mapf));
-                }
-            }
-            let occs: Vec<(OccId, TableId)> = occ_map
-                .iter()
-                .copied()
-                .zip(core.tables.iter().copied())
-                .collect();
             let nullable_ok =
-                |c: ColRef| config.null_rejecting_fk && c.occ.0 < nq && is_null_rejecting(qsum, c);
-            let graph = build_fk_graph(catalog, &occs, &vec_q, &nullable_ok);
+                |c: ColRef| config.null_rejecting_fk && c.occ.0 < nq && qsum.is_null_rejecting(c);
+            let graph = core.fk_graph.renamed(catalog, &occ_map, &nullable_ok);
             let elim = eliminate(&graph, &|o| extras.contains(&o));
             if elim.remaining.iter().any(|o| extras.contains(o)) {
                 return None;

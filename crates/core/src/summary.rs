@@ -119,6 +119,24 @@ impl ExprSummary {
     pub fn is_range_constrained(&self, col: ColRef) -> bool {
         self.range_of(col).is_some()
     }
+
+    /// Is `c` covered by a null-rejecting predicate (other than an
+    /// equijoin)? The nullable-FK relaxation of section 3.2 (Example 5)
+    /// admits an edge over a nullable FK column the query null-rejects.
+    pub fn is_null_rejecting(&self, c: ColRef) -> bool {
+        if self.is_range_constrained(c) {
+            return true;
+        }
+        let same = |x: ColRef| x == c || self.ec.same(x, c);
+        self.residual_bools.iter().any(|p| match p {
+            BoolExpr::Compare { .. } | BoolExpr::Like { .. } => p.columns().into_iter().any(same),
+            BoolExpr::IsNull {
+                negated: true,
+                expr,
+            } => expr.columns().into_iter().any(same),
+            _ => false,
+        })
+    }
 }
 
 /// Remap one column reference.

@@ -10,19 +10,38 @@
 //! Implemented as a union-find over [`ColRef`]s with path compression and
 //! union by size, plus enumeration of class members (needed for *extended*
 //! output lists in section 4.2.3 and for rerouting column references).
+//!
+//! The structure is one vector of `(column, parent, size)` entries sorted by
+//! column and searched by binary search: a block's classes hold a few dozen
+//! columns, so a search over one contiguous array beats hashing, and a clone
+//! is one copy (the matcher clones the query's classes per join core it
+//! extends, DESIGN.md §13.6).
 
 use crate::colref::ColRef;
-use std::collections::HashMap;
 
 /// Union-find over column references.
 ///
 /// Columns never mentioned in any predicate or registration implicitly form
 /// trivial singleton classes; [`EquivClasses::class_of`] handles them
 /// without requiring registration.
+///
+/// Which column is a class's root is part of the contract: range maps are
+/// keyed by roots, and compensations and substitutes visit classes in root
+/// order. Union by size with ties to the first argument's root fixes it.
 #[derive(Debug, Clone, Default)]
 pub struct EquivClasses {
-    parent: HashMap<ColRef, ColRef>,
-    size: HashMap<ColRef, u32>,
+    /// One entry per column a merging [`EquivClasses::union`] touched,
+    /// sorted by column.
+    nodes: Vec<Node>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    col: ColRef,
+    /// The column itself for a root.
+    parent: ColRef,
+    /// The class size; read for roots only.
+    size: u32,
 }
 
 impl EquivClasses {
@@ -40,24 +59,32 @@ impl EquivClasses {
         ec
     }
 
+    fn pos(&self, c: ColRef) -> Result<usize, usize> {
+        self.nodes.binary_search_by_key(&c, |n| n.col)
+    }
+
+    /// [`EquivClasses::find`], then point every column on the path at the
+    /// root.
     fn find_internal(&mut self, c: ColRef) -> ColRef {
-        match self.parent.get(&c) {
-            None => c,
-            Some(&p) if p == c => c,
-            Some(&p) => {
-                let root = self.find_internal(p);
-                if root != p {
-                    self.parent.insert(c, root);
-                }
-                root
-            }
+        let root = self.find(c);
+        let mut x = c;
+        while x != root {
+            let i = self.pos(x).expect("a column on a path has an entry");
+            x = std::mem::replace(&mut self.nodes[i].parent, root);
         }
+        root
+    }
+
+    /// Size of the class rooted at `root`.
+    fn root_size(&self, root: ColRef) -> u32 {
+        self.pos(root).map_or(1, |i| self.nodes[i].size)
     }
 
     /// Canonical representative of the class containing `c` (no mutation;
     /// follows parent pointers without compressing).
     pub fn find(&self, mut c: ColRef) -> ColRef {
-        while let Some(&p) = self.parent.get(&c) {
+        while let Ok(i) = self.pos(c) {
+            let p = self.nodes[i].parent;
             if p == c {
                 break;
             }
@@ -74,12 +101,35 @@ impl EquivClasses {
         if ra == rb {
             return false;
         }
-        let sa = *self.size.get(&ra).unwrap_or(&1);
-        let sb = *self.size.get(&rb).unwrap_or(&1);
+        let sa = self.root_size(ra);
+        let sb = self.root_size(rb);
         let (big, small) = if sa >= sb { (ra, rb) } else { (rb, ra) };
-        self.parent.insert(small, big);
-        self.parent.entry(big).or_insert(big);
-        self.size.insert(big, sa + sb);
+        match self.pos(small) {
+            Ok(i) => self.nodes[i].parent = big,
+            Err(i) => self.nodes.insert(
+                i,
+                Node {
+                    col: small,
+                    parent: big,
+                    size: 1,
+                },
+            ),
+        }
+        match self.pos(big) {
+            Ok(i) => self.nodes[i].size = sa + sb,
+            Err(i) => self.nodes.insert(
+                i,
+                Node {
+                    col: big,
+                    parent: big,
+                    size: sa + sb,
+                },
+            ),
+        }
+        debug_assert!(
+            self.nodes.windows(2).all(|w| w[0].col < w[1].col),
+            "entries sorted by column"
+        );
         true
     }
 
@@ -92,28 +142,21 @@ impl EquivClasses {
     /// column)? Used by the *reduced range constraint list* (section 4.2.5)
     /// and the hub refinement (section 4.2.2).
     pub fn is_trivial(&self, c: ColRef) -> bool {
-        match self.parent.get(&c) {
-            None => true,
-            Some(_) => {
-                let root = self.find(c);
-                *self.size.get(&root).unwrap_or(&1) <= 1
-            }
-        }
+        self.pos(c).is_err() || self.root_size(self.find(c)) <= 1
     }
 
     /// All members of the class containing `c` (at least `[c]` itself).
     pub fn class_of(&self, c: ColRef) -> Vec<ColRef> {
         let root = self.find(c);
         let mut members: Vec<ColRef> = self
-            .parent
-            .keys()
-            .copied()
+            .nodes
+            .iter()
+            .map(|n| n.col)
             .filter(|&k| self.find(k) == root)
             .collect();
         if members.is_empty() {
             members.push(c);
         }
-        members.sort();
         members
     }
 
@@ -121,17 +164,11 @@ impl EquivClasses {
     /// first member. These are the "non-trivial equivalence classes" whose
     /// containment the equijoin subsumption test checks.
     pub fn nontrivial_classes(&self) -> Vec<Vec<ColRef>> {
-        let mut by_root: HashMap<ColRef, Vec<ColRef>> = HashMap::new();
-        for &k in self.parent.keys() {
-            by_root.entry(self.find(k)).or_default().push(k);
-        }
-        let mut classes: Vec<Vec<ColRef>> = by_root
-            .into_values()
-            .filter(|v| v.len() >= 2)
-            .map(|mut v| {
-                v.sort();
-                v
-            })
+        let mut classes: Vec<Vec<ColRef>> = self
+            .by_root()
+            .into_iter()
+            .filter(|(_, v)| v.len() >= 2)
+            .map(|(_, v)| v)
             .collect();
         classes.sort();
         classes
@@ -140,19 +177,28 @@ impl EquivClasses {
     /// Materialize every class once, for hot loops that would otherwise
     /// call [`EquivClasses::class_of`] (a full scan) per probed column.
     pub fn class_index(&self) -> ClassIndex {
-        let mut by_root: HashMap<ColRef, Vec<ColRef>> = HashMap::new();
-        for &k in self.parent.keys() {
-            by_root.entry(self.find(k)).or_default().push(k);
+        ClassIndex {
+            classes: self.by_root(),
         }
-        let mut classes: Vec<(ColRef, Vec<ColRef>)> = by_root
-            .into_iter()
-            .map(|(root, mut members)| {
-                members.sort();
-                (root, members)
-            })
+    }
+
+    /// Every class with an entry as `(root, sorted members)`, sorted by
+    /// root.
+    fn by_root(&self) -> Vec<(ColRef, Vec<ColRef>)> {
+        let mut pairs: Vec<(ColRef, ColRef)> = self
+            .nodes
+            .iter()
+            .map(|n| (self.find(n.col), n.col))
             .collect();
-        classes.sort_by_key(|(root, _)| *root);
-        ClassIndex { classes }
+        pairs.sort_unstable();
+        let mut classes: Vec<(ColRef, Vec<ColRef>)> = Vec::new();
+        for (root, c) in pairs {
+            match classes.last_mut() {
+                Some((r, members)) if *r == root => members.push(c),
+                _ => classes.push((root, vec![c])),
+            }
+        }
+        classes
     }
 
     /// Merge every equality from `other` into `self`. Used when the query's

@@ -304,3 +304,188 @@ proptest! {
         );
     }
 }
+
+/// The two-`HashMap` union-find `EquivClasses` was before it became one
+/// sorted vector, kept as the reference the flat structure must agree
+/// with: same roots, same union results, same enumerations.
+mod reference {
+    use mv_expr::ColRef;
+    use std::collections::HashMap;
+
+    #[derive(Default)]
+    pub struct HashClasses {
+        parent: HashMap<ColRef, ColRef>,
+        size: HashMap<ColRef, u32>,
+    }
+
+    impl HashClasses {
+        fn find_internal(&mut self, c: ColRef) -> ColRef {
+            match self.parent.get(&c) {
+                None => c,
+                Some(&p) if p == c => c,
+                Some(&p) => {
+                    let root = self.find_internal(p);
+                    if root != p {
+                        self.parent.insert(c, root);
+                    }
+                    root
+                }
+            }
+        }
+
+        pub fn find(&self, mut c: ColRef) -> ColRef {
+            while let Some(&p) = self.parent.get(&c) {
+                if p == c {
+                    break;
+                }
+                c = p;
+            }
+            c
+        }
+
+        pub fn union(&mut self, a: ColRef, b: ColRef) -> bool {
+            let ra = self.find_internal(a);
+            let rb = self.find_internal(b);
+            if ra == rb {
+                return false;
+            }
+            let sa = *self.size.get(&ra).unwrap_or(&1);
+            let sb = *self.size.get(&rb).unwrap_or(&1);
+            let (big, small) = if sa >= sb { (ra, rb) } else { (rb, ra) };
+            self.parent.insert(small, big);
+            self.parent.entry(big).or_insert(big);
+            self.size.insert(big, sa + sb);
+            true
+        }
+
+        pub fn same(&self, a: ColRef, b: ColRef) -> bool {
+            self.find(a) == self.find(b)
+        }
+
+        pub fn is_trivial(&self, c: ColRef) -> bool {
+            match self.parent.get(&c) {
+                None => true,
+                Some(_) => *self.size.get(&self.find(c)).unwrap_or(&1) <= 1,
+            }
+        }
+
+        pub fn class_of(&self, c: ColRef) -> Vec<ColRef> {
+            let root = self.find(c);
+            let mut members: Vec<ColRef> = self
+                .parent
+                .keys()
+                .copied()
+                .filter(|&k| self.find(k) == root)
+                .collect();
+            if members.is_empty() {
+                members.push(c);
+            }
+            members.sort();
+            members
+        }
+
+        /// `(root, sorted members)` per class, sorted by root: what
+        /// `class_index` materializes.
+        pub fn classes_by_root(&self) -> Vec<(ColRef, Vec<ColRef>)> {
+            let mut by_root: HashMap<ColRef, Vec<ColRef>> = HashMap::new();
+            for &k in self.parent.keys() {
+                by_root.entry(self.find(k)).or_default().push(k);
+            }
+            let mut classes: Vec<(ColRef, Vec<ColRef>)> = by_root
+                .into_iter()
+                .map(|(root, mut members)| {
+                    members.sort();
+                    (root, members)
+                })
+                .collect();
+            classes.sort_by_key(|(root, _)| *root);
+            classes
+        }
+
+        pub fn nontrivial_classes(&self) -> Vec<Vec<ColRef>> {
+            let mut classes: Vec<Vec<ColRef>> = self
+                .classes_by_root()
+                .into_iter()
+                .map(|(_, members)| members)
+                .filter(|v| v.len() >= 2)
+                .collect();
+            classes.sort();
+            classes
+        }
+    }
+}
+
+/// Columns the union sequences draw from: 20 over three occurrences; the
+/// property also probes the 4 columns past them, which no union touches.
+const UNION_COLS: u32 = 20;
+const PROBE_COLS: u32 = 24;
+
+fn ucol(i: u32) -> ColRef {
+    ColRef::new(i % 3, i / 3)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The flat union-find agrees with the two-`HashMap` reference on
+    /// random union sequences — self-unions, repeated pairs and a long
+    /// chain spliced in at a random point included: every `union` returns
+    /// the same, `find` names the same root after each union, and at the
+    /// end `same`, `is_trivial`, `class_of`, `nontrivial_classes` and
+    /// `class_index` agree on every column, seen or not.
+    #[test]
+    fn flat_union_find_matches_hashmap_reference(
+        ops in prop::collection::vec((0..UNION_COLS, 0..UNION_COLS, any::<bool>()), 0..40),
+        chain_at in 0usize..40,
+        chain_len in 0u32..UNION_COLS,
+        chain_reversed in any::<bool>(),
+    ) {
+        // A self-union when the flag is set; the chain links consecutive
+        // columns, in either direction, so path compression has long paths
+        // to shorten.
+        let mut pairs: Vec<(u32, u32)> =
+            ops.iter().map(|&(a, b, selfie)| (a, if selfie { a } else { b })).collect();
+        let chain = (0..chain_len).map(|i| {
+            if chain_reversed { (i + 1, i) } else { (i, i + 1) }
+        });
+        let at = chain_at.min(pairs.len());
+        pairs.splice(at..at, chain);
+
+        let mut flat = EquivClasses::new();
+        let mut reference = reference::HashClasses::default();
+        for (step, &(a, b)) in pairs.iter().enumerate() {
+            let (a, b) = (ucol(a), ucol(b));
+            prop_assert_eq!(flat.union(a, b), reference.union(a, b),
+                "union({:?}, {:?}) at step {}", a, b, step);
+            for i in 0..PROBE_COLS {
+                prop_assert_eq!(flat.find(ucol(i)), reference.find(ucol(i)),
+                    "root of {:?} after step {}", ucol(i), step);
+            }
+        }
+
+        let index = flat.class_index();
+        let reference_classes = reference.classes_by_root();
+        for i in 0..PROBE_COLS {
+            let c = ucol(i);
+            prop_assert_eq!(flat.is_trivial(c), reference.is_trivial(c), "is_trivial({:?})", c);
+            prop_assert_eq!(flat.class_of(c), reference.class_of(c), "class_of({:?})", c);
+            let root = reference.find(c);
+            let expected = reference_classes
+                .iter()
+                .find(|(r, _)| *r == root)
+                .map(|(_, m)| m.as_slice());
+            prop_assert_eq!(index.members(flat.find(c)), expected, "members of {:?}", c);
+            for j in 0..PROBE_COLS {
+                prop_assert_eq!(flat.same(c, ucol(j)), reference.same(c, ucol(j)));
+            }
+        }
+        prop_assert_eq!(flat.nontrivial_classes(), reference.nontrivial_classes());
+        let nontrivial: Vec<&[ColRef]> = index.nontrivial().collect();
+        let expected: Vec<&[ColRef]> = reference_classes
+            .iter()
+            .filter(|(_, m)| m.len() >= 2)
+            .map(|(_, m)| m.as_slice())
+            .collect();
+        prop_assert_eq!(nontrivial, expected);
+    }
+}
