@@ -35,10 +35,9 @@ pub struct JoinCore {
     /// The occurrences grouped by base table, sorted by table id.
     pub by_table: Vec<(TableId, Vec<OccId>)>,
     /// The non-trivial equivalence classes, canonical (classes and members
-    /// sorted).
+    /// sorted). A view's classes are few and small, so
+    /// [`JoinCore::class_of`] searches them in place.
     pub classes: Vec<Vec<ColRef>>,
-    /// View column → index into `classes`, for every member of a class.
-    pub ec_class: HashMap<ColRef, u32>,
     /// The FK join graph under the *permissive* nullable-column rule (every
     /// nullable FK accepted when [`MatchConfig::null_rejecting_fk`] is on):
     /// its edge set is a superset of what any per-query graph can contain.
@@ -63,10 +62,6 @@ impl JoinCore {
         ec: &EquivClasses,
     ) -> JoinCore {
         let classes = ec.nontrivial_classes();
-        let mut ec_class: HashMap<ColRef, u32> = HashMap::new();
-        for (i, class) in classes.iter().enumerate() {
-            ec_class.extend(class.iter().map(|&c| (c, i as u32)));
-        }
         let occs: Vec<(OccId, TableId)> = (0..).map(OccId).zip(tables.iter().copied()).collect();
         let fk_graph = build_fk_graph(catalog, &occs, ec, &|_| config.null_rejecting_fk);
         let mut fk_incoming = vec![false; tables.len()];
@@ -77,10 +72,17 @@ impl JoinCore {
             tables: tables.to_vec(),
             by_table: occurrences_by_table(tables),
             classes,
-            ec_class,
             fk_graph,
             fk_incoming,
         }
+    }
+
+    /// The index in `classes` of the class holding view column `c`, or
+    /// `None` when `c` is in no non-trivial class.
+    pub fn class_of(&self, c: ColRef) -> Option<usize> {
+        self.classes
+            .iter()
+            .position(|class| class.binary_search(&c).is_ok())
     }
 }
 
@@ -241,7 +243,7 @@ impl PreparedOutputs {
         if let Some(p) = self.col_position(c) {
             return Some(p);
         }
-        let i = *core.ec_class.get(&c)? as usize;
+        let i = core.class_of(c)?;
         core.classes[i].iter().find_map(|&m| self.col_position(m))
     }
 }

@@ -223,9 +223,8 @@ impl MatchingEngine {
     /// configured staleness bound of the current data epochs skips the
     /// tests, and each one kept is stamped with its lag so callers see the
     /// guarantee. Without it, every view that passes is kept, unstamped —
-    /// the structural verdicts a cache entry records. The count is the
-    /// join-core states the loop built — candidates over one core share
-    /// everything up to the equijoin test through one [`PreparedQuery`].
+    /// the structural verdicts a cache entry records. The counts are the
+    /// loop's [`LoopWork`].
     fn match_candidates<Y: Assemble>(
         &self,
         snap: &CatalogSnapshot,
@@ -233,15 +232,17 @@ impl MatchingEngine {
         qsum: &ExprSummary,
         ids: &[ViewId],
         gate: bool,
-    ) -> (Vec<(ViewId, Y)>, usize) {
+    ) -> (Vec<(ViewId, Y)>, LoopWork) {
         let pq = PreparedQuery::new(query, qsum);
         let match_view = |pq: &PreparedQuery, id: ViewId, pv: &PreparedView| {
             match_view::<Y>(&self.catalog, &self.config, pq, id, snap.views.get(id), pv)
         };
         let mut out = Vec::new();
         for &id in ids {
-            let lag = snap.view_lag(id);
-            if gate && !self.config.freshness.admits(lag) {
+            // Without the gate the lag is never read: a cache entry records
+            // structural verdicts.
+            let lag = gate.then(|| snap.view_lag(id));
+            if lag.is_some_and(|lag| !self.config.freshness.admits(lag)) {
                 continue;
             }
             let pv = snap.descriptors.prepared(id);
@@ -257,26 +258,30 @@ impl MatchingEngine {
                 "{id} matched through shared core state must be byte-identical \
                  to a match with fresh state"
             );
-            if gate {
+            if let Some(lag) = lag {
                 sub.admit(Freshness::from_lag(lag));
             }
             out.push((id, sub));
         }
-        (out, pq.core_states())
+        let work = LoopWork {
+            core_states: pq.core_states(),
+            range_prefiltered: pq.range_prefiltered(),
+        };
+        (out, work)
     }
 
     /// Filter, match and debug-check — the uncached matching pipeline.
     /// With `entry`, the verdict of every view that passes the full tests
     /// is recorded there, fresh or not, before the freshness gate keeps
     /// the admitted ones; without it, a view the gate refuses skips the
-    /// tests. Returns the admitted verdicts, the candidate and core-state
-    /// counts, and the filter time.
+    /// tests. Returns the admitted verdicts, the candidate count, the
+    /// loop's work counts and the filter time.
     fn compute_verdicts(
         &self,
         pin: &ViewsGuard,
         query: &SpjgExpr,
         entry: Option<&mut CachedVerdicts>,
-    ) -> (Vec<(ViewId, Verdict)>, usize, usize, Duration) {
+    ) -> (Vec<(ViewId, Verdict)>, usize, LoopWork, Duration) {
         let snap: &CatalogSnapshot = &pin.snap;
         let qsum = self.query_summary_in(snap, query);
 
@@ -285,7 +290,7 @@ impl MatchingEngine {
         self.candidates_into_in(snap, query, &qsum, &mut candidates);
         let filter_time = elapsed(filter_started);
 
-        let (mut out, core_states) =
+        let (mut out, work) =
             self.match_candidates(snap, query, &qsum, &candidates, entry.is_none());
         if let Some(entry) = entry {
             for (_, verdict) in &out {
@@ -295,7 +300,7 @@ impl MatchingEngine {
         }
         #[cfg(debug_assertions)]
         self.debug_assert_filter_complete(pin, query, &candidates);
-        (out, candidates.len(), core_states, filter_time)
+        (out, candidates.len(), work, filter_time)
     }
 
     /// The view-matching rule: find every view from which `query` can be
@@ -386,9 +391,10 @@ impl MatchingEngine {
             return Vec::new();
         }
         let mut passed = CachedVerdicts::default();
-        let (out, n_candidates, core_states, filter_time) =
+        let (out, n_candidates, work, filter_time) =
             self.compute_verdicts(pin, query, key.is_some().then_some(&mut passed));
-        self.stats.record_core_states(core_states);
+        self.stats.record_core_states(work.core_states);
+        self.stats.record_range_prefiltered(work.range_prefiltered);
         #[cfg(mv_model)]
         let skip_miss_stat = crate::mutation::active(crate::mutation::SKIP_CACHE_MISS_STAT);
         #[cfg(not(mv_model))]
@@ -578,6 +584,18 @@ impl MatchingEngine {
     pub fn arena_bytes(&self) -> usize {
         self.snapshot().descriptors.arena_bytes()
     }
+}
+
+/// The work counts of one candidate loop ([`crate::MatchStats`] sums them
+/// per invocation).
+#[derive(Debug, Clone, Copy)]
+struct LoopWork {
+    /// Join-core states built: candidates over one core share everything
+    /// up to the equijoin test through one [`PreparedQuery`].
+    core_states: usize,
+    /// Candidates the early range test rejected before their core was
+    /// looked up ([`PreparedQuery::refutes_ranges`]).
+    range_prefiltered: usize,
 }
 
 /// A live view the full tests accept for a query that a filter-tree

@@ -18,19 +18,24 @@
 //! non-trivial equivalence classes), so they are computed once per
 //! distinct core per query (`CoreMatch`, kept in the [`PreparedQuery`])
 //! and steps 4–6 run per view against that shared state (DESIGN.md §13.5).
+//! Ahead of all of them, the engine's candidate loop runs step 4's test
+//! on the view classes whose query interval the table correspondence
+//! alone decides ([`PreparedQuery::refutes_ranges`], DESIGN.md §13.7):
+//! most candidates fail it, and it needs no core state.
 
 use crate::descriptor::{occurrences_by_table, JoinCore, PreparedView};
+use crate::filter::col_token;
 use crate::fkgraph::eliminate;
 use crate::summary::{remap_col, ExprSummary};
-use mv_catalog::{Catalog, TableId, Value};
+use mv_catalog::{Catalog, ColumnId, TableId, Value};
 use mv_expr::{
-    BoolExpr, ClassIndex, CmpOp, ColRef, EquivClasses, Interval, OccId, ScalarExpr, Template,
+    BoolExpr, Bound, ClassIndex, CmpOp, ColRef, EquivClasses, Interval, OccId, ScalarExpr, Template,
 };
 use mv_plan::{
     AggFunc, BackJoin, Freshness, NamedAgg, NamedExpr, OutputList, SpjgExpr, Substitute, ViewDef,
     ViewId,
 };
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
@@ -157,27 +162,95 @@ pub struct PreparedQuery<'a> {
     /// substitute-construction lookups probe classes per column per
     /// accepted candidate, which a per-probe scan made the hot spot.
     pub ec_index: ClassIndex,
+    /// The summary's effective ranges, sorted by class root: the range
+    /// test's list when a core brings no extra table.
+    ranges: Vec<(ColRef, Interval)>,
+    /// `(col_token, index into ranges)` for every member of a constrained
+    /// class whose table occurs once in the query, sorted by token: the
+    /// early range test's side of the query.
+    col_ranges: Vec<(u64, u32)>,
+    /// The summary's genuine ranges, sorted by class root, built by the
+    /// first candidate that reaches the range compensation.
+    genuine_ranges: OnceCell<Vec<(ColRef, Interval)>>,
     /// The per-core match state built so far, by the identity of the
     /// shared [`JoinCore`]. Every state holds its core, so no address is
     /// reused while its entry is here.
     cores: RefCell<HashMap<*const JoinCore, Rc<CoreMatch>>>,
+    /// Candidates [`PreparedQuery::refutes_ranges`] rejected in the
+    /// engine's candidate loop.
+    range_prefiltered: Cell<usize>,
+    /// The range test's view intervals per query class root, sorted by
+    /// root: one buffer for every candidate of the invocation.
+    veff: RefCell<Vec<(ColRef, Interval)>>,
+}
+
+/// The interval of a column no range predicate constrains.
+static UNBOUNDED: Interval = Interval {
+    lo: Bound::Unbounded,
+    hi: Bound::Unbounded,
+};
+
+/// Does `table` occur exactly once in a grouping of occurrences by table?
+fn occurs_once(by_table: &[(TableId, Vec<OccId>)], table: TableId) -> bool {
+    by_table
+        .binary_search_by_key(&table, |(t, _)| *t)
+        .is_ok_and(|i| by_table[i].1.len() == 1)
+}
+
+/// The entry of `root` in a list sorted by root.
+fn range_at(ranges: &[(ColRef, Interval)], root: ColRef) -> Option<&Interval> {
+    let i = ranges.binary_search_by_key(&root, |(c, _)| *c).ok()?;
+    Some(&ranges[i].1)
+}
+
+/// A summary range map as a list sorted by root.
+fn sorted_ranges(map: &HashMap<ColRef, Interval>) -> Vec<(ColRef, Interval)> {
+    let mut list: Vec<(ColRef, Interval)> = map.iter().map(|(c, iv)| (*c, iv.clone())).collect();
+    list.sort_unstable_by_key(|(c, _)| *c);
+    list
 }
 
 impl<'a> PreparedQuery<'a> {
     /// Prepare a query for a candidate loop.
     pub fn new(expr: &'a SpjgExpr, summary: &'a ExprSummary) -> PreparedQuery<'a> {
+        let by_table = occurrences_by_table(&expr.tables);
+        let ec_index = summary.ec.class_index();
+        let ranges = sorted_ranges(&summary.ranges);
+        let mut col_ranges = Vec::new();
+        for (i, (root, _)) in ranges.iter().enumerate() {
+            let class = ec_index
+                .members(*root)
+                .unwrap_or(std::slice::from_ref(root));
+            for m in class {
+                let table = expr.table_of(m.occ);
+                if occurs_once(&by_table, table) {
+                    col_ranges.push((col_token(table, m.col), i as u32));
+                }
+            }
+        }
+        col_ranges.sort_unstable_by_key(|&(token, _)| token);
         PreparedQuery {
             expr,
             summary,
-            by_table: occurrences_by_table(&expr.tables),
-            ec_index: summary.ec.class_index(),
+            by_table,
+            ec_index,
+            ranges,
+            col_ranges,
+            genuine_ranges: OnceCell::new(),
             cores: RefCell::new(HashMap::new()),
+            range_prefiltered: Cell::new(0),
+            veff: RefCell::new(Vec::new()),
         }
     }
 
     /// How many join-core states the candidates matched so far have built.
     pub(crate) fn core_states(&self) -> usize {
         self.cores.borrow().len()
+    }
+
+    /// How many candidates the early range test rejected so far.
+    pub(crate) fn range_prefiltered(&self) -> usize {
+        self.range_prefiltered.get()
     }
 
     /// The match state of a join core, built by the first candidate that
@@ -189,6 +262,65 @@ impl<'a> PreparedQuery<'a> {
                 .entry(Arc::as_ptr(core))
                 .or_insert_with(|| Rc::new(CoreMatch::new(self, core))),
         )
+    }
+
+    /// The query's effective interval on column `col` of a table that
+    /// occurs once in the query; a column no range constrains reads the
+    /// unconstrained interval.
+    fn col_range(&self, table: TableId, col: ColumnId) -> &Interval {
+        let token = col_token(table, col);
+        match self.col_ranges.binary_search_by_key(&token, |&(t, _)| t) {
+            Ok(i) => &self.ranges[self.col_ranges[i].1 as usize].1,
+            Err(_) => &UNBOUNDED,
+        }
+    }
+
+    /// The query interval the range test compares view class `class` of
+    /// `core` with under every occurrence mapping, when the table
+    /// correspondence decides it: the query's interval on a member whose
+    /// table occurs once in the core and once in the query, or the
+    /// unconstrained interval when no member's table occurs in the query.
+    /// `None` otherwise (a self-joined table).
+    fn class_range(&self, core: &JoinCore, class: &[ColRef]) -> Option<&Interval> {
+        let mut in_query = false;
+        for m in class {
+            let table = core.tables[m.occ.0 as usize];
+            let Ok(i) = self.by_table.binary_search_by_key(&table, |(t, _)| *t) else {
+                continue;
+            };
+            if self.by_table[i].1.len() == 1 && occurs_once(&core.by_table, table) {
+                return Some(self.col_range(table, m.col));
+            }
+            in_query = true;
+        }
+        (!in_query).then_some(&UNBOUNDED)
+    }
+
+    /// Does the range subsumption test (§3.1.2) certainly reject `pv`,
+    /// read through base columns alone? Each view range is compared with
+    /// the query interval its class lands on under every occurrence
+    /// mapping, where the table correspondence decides that interval: on
+    /// a class member whose table occurs once in the view and once in the
+    /// query, or unconstrained when no member's table is in the query.
+    /// Any other range (a self-joined table) is left to the full tests.
+    /// Every view this rejects, the full tests reject too (DESIGN.md
+    /// §13.7), so the engine runs it before it looks the view's join core
+    /// up.
+    pub fn refutes_ranges(&self, pv: &PreparedView) -> bool {
+        let core = &*pv.core;
+        pv.ranges.iter().any(|(vroot, iv)| {
+            let class = core
+                .class_of(*vroot)
+                .map_or(std::slice::from_ref(vroot), |i| &core.classes[i]);
+            self.class_range(core, class)
+                .is_some_and(|qiv| iv.contains(qiv) != Some(true))
+        })
+    }
+
+    /// The genuine ranges as a list sorted by root.
+    fn genuine_ranges(&self) -> &[(ColRef, Interval)] {
+        self.genuine_ranges
+            .get_or_init(|| sorted_ranges(&self.summary.genuine_ranges))
     }
 }
 
@@ -216,7 +348,10 @@ pub struct Verdict {
 }
 
 /// Decide whether the prepared query can be computed from the prepared
-/// view and build the substitute.
+/// view and build the substitute: the full tests of section 3, without the
+/// early range test the engine's candidate loop runs first
+/// ([`PreparedQuery::refutes_ranges`]). Both give every view the same
+/// answer; this is the reference the early test is held against.
 pub fn match_view_prepared(
     catalog: &Catalog,
     config: &MatchConfig,
@@ -225,11 +360,29 @@ pub fn match_view_prepared(
     view: &ViewDef,
     pv: &PreparedView,
 ) -> Option<Substitute> {
-    match_view(catalog, config, pq, view_id, view, pv)
+    match_full(catalog, config, pq, view_id, view, pv)
 }
 
-/// [`match_view_prepared`], yielding the substitute or only its verdict.
+/// The engine's way into the matcher: the early range test, then the full
+/// tests, yielding the substitute or only its verdict. The early test
+/// reads only the descriptor, so a view it rejects is never read.
 pub(crate) fn match_view<Y: Assemble>(
+    catalog: &Catalog,
+    config: &MatchConfig,
+    pq: &PreparedQuery<'_>,
+    view_id: ViewId,
+    view: &ViewDef,
+    pv: &PreparedView,
+) -> Option<Y> {
+    if pq.refutes_ranges(pv) {
+        pq.range_prefiltered.set(pq.range_prefiltered.get() + 1);
+        return None;
+    }
+    match_full(catalog, config, pq, view_id, view, pv)
+}
+
+/// The full tests of section 3.
+fn match_full<Y: Assemble>(
     catalog: &Catalog,
     config: &MatchConfig,
     pq: &PreparedQuery<'_>,
@@ -422,8 +575,8 @@ impl OutputCtx<'_> {
             return None;
         }
         let v = self.to_view(c);
-        let class: &[ColRef] = match self.pv.core.ec_class.get(&v) {
-            Some(&i) => &self.pv.core.classes[i as usize],
+        let class: &[ColRef] = match self.pv.core.class_of(v) {
+            Some(i) => &self.pv.core.classes[i],
             None => &[],
         };
         std::iter::once(v)
@@ -587,9 +740,6 @@ struct MappedCore {
     /// assigned and the extras' fresh ids are contiguous behind them.
     /// Needed from substitute construction on.
     inv: OnceCell<Vec<u32>>,
-    /// The range compensation's list: the genuine query ranges keyed by
-    /// the roots of [`MappedCore::ec`], sorted by root.
-    genuine_ranges: OnceCell<Option<Vec<(ColRef, Interval)>>>,
     /// The query's classes extended by the join conditions of the
     /// eliminated extra tables. `None` when the core brings no extra
     /// table: the query's own classes, class index and range maps then
@@ -602,8 +752,10 @@ struct MappedCore {
 /// and the query-side maps rebased onto them.
 struct ExtendedClasses {
     ec: EquivClasses,
-    /// The range test's map; most candidates go no further.
-    ranges: OnceCell<Option<HashMap<ColRef, Interval>>>,
+    /// The range test's list; most candidates go no further.
+    ranges: OnceCell<Option<Vec<(ColRef, Interval)>>>,
+    /// The range compensation's list.
+    genuine_ranges: OnceCell<Option<Vec<(ColRef, Interval)>>>,
     /// Substitute construction's class lookups.
     index: OnceCell<ClassIndex>,
 }
@@ -675,6 +827,7 @@ impl MappedCore {
             extended = Some(ExtendedClasses {
                 ec,
                 ranges: OnceCell::new(),
+                genuine_ranges: OnceCell::new(),
                 index: OnceCell::new(),
             });
         }
@@ -696,7 +849,6 @@ impl MappedCore {
         Some(MappedCore {
             occ_map,
             inv: OnceCell::new(),
-            genuine_ranges: OnceCell::new(),
             extended,
         })
     }
@@ -714,43 +866,33 @@ impl MappedCore {
         }
     }
 
-    /// The query ranges keyed by the roots of [`MappedCore::ec`]. With no
-    /// extra tables the rebase is the identity — the summary keys its
-    /// range maps by canonical class roots of the query's own classes.
-    /// `None`: the extension merged classes with disjoint ranges, so no
-    /// row satisfies the extended query and no view of the core matches.
-    fn ranges<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> Option<&'a HashMap<ColRef, Interval>> {
+    /// The query ranges keyed by the roots of [`MappedCore::ec`], sorted
+    /// by root. With no extra tables the rebase is the identity — the
+    /// summary keys its range maps by canonical class roots of the query's
+    /// own classes. `None`: the extension merged classes with disjoint
+    /// ranges, so no row satisfies the extended query and no view of the
+    /// core matches.
+    fn ranges<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> Option<&'a [(ColRef, Interval)]> {
         match &self.extended {
-            None => Some(&pq.summary.ranges),
+            None => Some(&pq.ranges),
             Some(x) => x
                 .ranges
-                .get_or_init(|| rebase_ranges(&pq.summary.ranges, &x.ec))
-                .as_ref(),
+                .get_or_init(|| rebase_ranges(&pq.ranges, &x.ec))
+                .as_deref(),
         }
     }
 
     /// Like [`MappedCore::ranges`], for the genuine (not check-derived)
-    /// query ranges, as a list sorted by root: the order in which the
-    /// range compensation visits them, so substitutes are reproducible.
-    /// Sorted once per core state, not per accepted view.
-    fn genuine_ranges(&self, pq: &PreparedQuery<'_>) -> Option<&[(ColRef, Interval)]> {
-        self.genuine_ranges
-            .get_or_init(|| {
-                let mut list: Vec<(ColRef, Interval)> = match &self.extended {
-                    None => pq
-                        .summary
-                        .genuine_ranges
-                        .iter()
-                        .map(|(c, iv)| (*c, iv.clone()))
-                        .collect(),
-                    Some(x) => rebase_ranges(&pq.summary.genuine_ranges, &x.ec)?
-                        .into_iter()
-                        .collect(),
-                };
-                list.sort_by_key(|(c, _)| *c);
-                Some(list)
-            })
-            .as_deref()
+    /// query ranges: the order in which the range compensation visits
+    /// them, so substitutes are reproducible.
+    fn genuine_ranges<'a>(&'a self, pq: &'a PreparedQuery<'_>) -> Option<&'a [(ColRef, Interval)]> {
+        match &self.extended {
+            None => Some(pq.genuine_ranges()),
+            Some(x) => x
+                .genuine_ranges
+                .get_or_init(|| rebase_ranges(pq.genuine_ranges(), &x.ec))
+                .as_deref(),
+        }
     }
 
     fn inv(&self) -> &[u32] {
@@ -790,16 +932,15 @@ fn match_under<Y: Assemble>(
     // prepared range list is sorted by class representative, so `veff`
     // accumulates in a deterministic order.
     let qranges = core.ranges(pq)?;
-    let mut veff: HashMap<ColRef, Interval> = HashMap::new();
+    let mut veff = pq.veff.borrow_mut();
+    veff.clear();
     for (vroot, iv) in &pv.ranges {
-        let c = remap_col(*vroot, &mapf);
-        let qroot = qec.find(c);
-        let qiv = qranges.get(&qroot).cloned().unwrap_or_default();
-        if iv.contains(&qiv) != Some(true) {
+        let qroot = qec.find(remap_col(*vroot, &mapf));
+        let qiv = range_at(qranges, qroot).unwrap_or(&UNBOUNDED);
+        if iv.contains(qiv) != Some(true) {
             return None;
         }
-        let eff = veff.remove(&qroot).unwrap_or_default();
-        veff.insert(qroot, eff.intersect(iv)?);
+        intersect_into(&mut veff, qroot, iv)?;
     }
 
     // ---- Residual subsumption test (type 3) ----
@@ -840,23 +981,29 @@ fn match_under<Y: Assemble>(
     // equivalence class E, we create a column-equality predicate between
     // any column in Ei and any column in Ei+1." These reroute through the
     // VIEW equivalence classes; a query column outside every view class is
-    // its own singleton. Classes come in the sorted `ClassIndex`'s order.
-    for qclass in qix.nontrivial() {
-        let mut parts: Vec<(VClassKey, ColRef)> = Vec::new(); // (view class, representative)
-        for &c in qclass {
-            let v = ctx.to_view(c);
-            let key = match pv.core.ec_class.get(&v) {
-                Some(&i) => VClassKey::Class(i),
-                None => VClassKey::Solo(v),
-            };
-            if !parts.iter().any(|(k, _)| *k == key) {
-                parts.push((key, c));
-            }
+    // its own singleton. Classes come in the sorted `ClassIndex`'s order;
+    // each view class is represented by its first member in the query
+    // class, and consecutive representatives are equated.
+    let key = |c: ColRef| {
+        let v = ctx.to_view(c);
+        match pv.core.class_of(v) {
+            Some(i) => VClassKey::Class(i),
+            None => VClassKey::Solo(v),
         }
-        for w in parts.windows(2) {
-            let a = ctx.find_position_v(w[0].1)?;
-            let b = ctx.find_position_v(w[1].1)?;
-            Y::column_eq(&mut predicates, a, b);
+    };
+    for qclass in qix.nontrivial() {
+        let mut prev: Option<ColRef> = None;
+        for (j, &c) in qclass.iter().enumerate() {
+            let k = key(c);
+            if qclass[..j].iter().any(|&d| key(d) == k) {
+                continue;
+            }
+            if let Some(p) = prev {
+                let a = ctx.find_position_v(p)?;
+                let b = ctx.find_position_v(c)?;
+                Y::column_eq(&mut predicates, a, b);
+            }
+            prev = Some(c);
         }
     }
 
@@ -865,7 +1012,7 @@ fn match_under<Y: Assemble>(
     // only the *genuine* bounds: check-derived bounds hold on every view
     // row. Deterministic order for reproducible substitutes.
     for (qroot, qiv) in core.genuine_ranges(pq)? {
-        let viv = veff.get(qroot).cloned().unwrap_or_default();
+        let viv = range_at(&veff, *qroot).unwrap_or(&UNBOUNDED);
         let comps = viv.compensation(qiv);
         if comps.is_empty() {
             continue;
@@ -906,31 +1053,40 @@ fn match_under<Y: Assemble>(
 /// `match_under`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VClassKey {
-    Class(u32),
+    Class(usize),
     Solo(ColRef),
 }
 
-/// Rebase a summary range map onto extended equivalence classes: entries
-/// whose roots collapse into one class under the extension intersect
-/// (`None` when an intersection comes up empty — no row satisfies the
-/// extended query, so no substitute exists under this mapping).
+/// Rebase a range list sorted by root onto extended equivalence classes:
+/// entries whose roots collapse into one class under the extension
+/// intersect (`None` when an intersection comes up empty — no row
+/// satisfies the extended query, so no substitute exists under this
+/// mapping).
 fn rebase_ranges(
-    src: &HashMap<ColRef, Interval>,
+    src: &[(ColRef, Interval)],
     qec: &EquivClasses,
-) -> Option<HashMap<ColRef, Interval>> {
-    let mut out: HashMap<ColRef, Interval> = HashMap::with_capacity(src.len());
+) -> Option<Vec<(ColRef, Interval)>> {
+    let mut out = Vec::with_capacity(src.len());
     for (root, iv) in src {
-        let r = qec.find(*root);
-        match out.remove(&r) {
-            Some(prev) => {
-                out.insert(r, prev.intersect(iv)?);
-            }
-            None => {
-                out.insert(r, iv.clone());
-            }
-        }
+        intersect_into(&mut out, qec.find(*root), iv)?;
     }
     Some(out)
+}
+
+/// Intersect `iv` into the entry of `root` in a list sorted by root, an
+/// absent entry being the unconstrained interval; `None` when the bounds
+/// are incomparable.
+fn intersect_into(list: &mut Vec<(ColRef, Interval)>, root: ColRef, iv: &Interval) -> Option<()> {
+    let i = match list.binary_search_by_key(&root, |(c, _)| *c) {
+        Ok(i) => i,
+        Err(i) => {
+            list.insert(i, (root, Interval::default()));
+            i
+        }
+    };
+    let prev = std::mem::take(&mut list[i].1);
+    list[i].1 = prev.intersect(iv)?;
+    Some(())
 }
 
 /// Construct the substitute's output list.

@@ -27,6 +27,14 @@ pub struct MatchStats {
     /// none, and building substitutes (`find_substitutes` past its
     /// search, `build_substitute`) is not counted.
     pub core_states: u64,
+    /// Candidates the early range test rejected, summed over invocations
+    /// ([`crate::PreparedQuery::refutes_ranges`], DESIGN.md §13.7): the
+    /// range subsumption test read through base columns, run before a
+    /// candidate's join core is looked up, so such a candidate builds no
+    /// core state. Every one of them fails the full tests too, so
+    /// `range_prefiltered + substitutes <= candidates`. Counted where
+    /// `core_states` is.
+    pub range_prefiltered: u64,
     /// Total views registered at the time of each invocation, summed over
     /// invocations (denominator for the candidate fraction).
     pub views_available: u64,
@@ -126,6 +134,7 @@ enum Counter {
     Invocations,
     Candidates,
     CoreStates,
+    RangePrefiltered,
     ViewsAvailable,
     Substitutes,
     FilterNanos,
@@ -186,6 +195,11 @@ impl AtomicMatchStats {
         self.add(Counter::CoreStates, n as u64);
     }
 
+    /// Record the candidates one invocation's early range test rejected.
+    pub fn record_range_prefiltered(&self, n: usize) {
+        self.add(Counter::RangePrefiltered, n as u64);
+    }
+
     /// Record a substitute-cache hit.
     pub fn record_cache_hit(&self) {
         self.add(Counter::CacheHits, 1);
@@ -239,6 +253,7 @@ impl AtomicMatchStats {
             invocations: get(Counter::Invocations),
             candidates: get(Counter::Candidates),
             core_states: get(Counter::CoreStates),
+            range_prefiltered: get(Counter::RangePrefiltered),
             views_available: get(Counter::ViewsAvailable),
             substitutes: get(Counter::Substitutes),
             filter_time: Duration::from_nanos(get(Counter::FilterNanos)),
@@ -353,8 +368,11 @@ mod tests {
         a.record_plan_cache_invalidation();
         a.record_core_states(2);
         a.record_core_states(0);
+        a.record_range_prefiltered(5);
+        a.record_range_prefiltered(1);
         let s = a.snapshot();
         assert_eq!(s.core_states, 2);
+        assert_eq!(s.range_prefiltered, 6);
         assert_eq!(s.cache_hits, 3);
         assert_eq!(s.cache_misses, 1);
         assert_eq!(s.cache_invalidations, 1);
@@ -366,6 +384,7 @@ mod tests {
         a.reset();
         let z = a.snapshot();
         assert_eq!(z.core_states, 0);
+        assert_eq!(z.range_prefiltered, 0);
         assert_eq!(z.cache_hits, 0);
         assert_eq!(z.cache_misses, 0);
         assert_eq!(z.cache_invalidations, 0);

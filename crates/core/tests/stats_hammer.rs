@@ -19,10 +19,15 @@ use std::time::Duration;
 
 /// Counter-by-counter monotonicity between successive snapshots.
 fn regressed(prev: &MatchStats, cur: &MatchStats) -> Option<String> {
-    let pairs: [(&str, u64, u64); 10] = [
+    let pairs: [(&str, u64, u64); 11] = [
         ("invocations", prev.invocations, cur.invocations),
         ("candidates", prev.candidates, cur.candidates),
         ("core_states", prev.core_states, cur.core_states),
+        (
+            "range_prefiltered",
+            prev.range_prefiltered,
+            cur.range_prefiltered,
+        ),
         ("views_available", prev.views_available, cur.views_available),
         ("substitutes", prev.substitutes, cur.substitutes),
         ("cache_hits", prev.cache_hits, cur.cache_hits),
@@ -83,9 +88,11 @@ proptest! {
                         for j in 0..ops {
                             if (t + j) % 3 == 0 {
                                 // A miss computes: its candidate loop
-                                // reports the core states it built.
+                                // reports the core states it built and
+                                // the candidates its range test rejected.
                                 stats.record_cache_miss();
                                 stats.record_core_states(j % 5);
+                                stats.record_range_prefiltered(j % 3);
                             } else {
                                 stats.record_cache_hit();
                             }
@@ -131,6 +138,9 @@ proptest! {
         let expected_core_states: u64 = (0..threads)
             .map(|t| (0..ops).filter(|j| (t + j) % 3 == 0).map(|j| (j % 5) as u64).sum::<u64>())
             .sum();
+        let expected_prefiltered: u64 = (0..threads)
+            .map(|t| (0..ops).filter(|j| (t + j) % 3 == 0).map(|j| (j % 3) as u64).sum::<u64>())
+            .sum();
         let expected_subs: u64 = (0..threads)
             .map(|t| (0..ops).map(|j| ((t + j) % 2) as u64).sum::<u64>())
             .sum();
@@ -139,6 +149,7 @@ proptest! {
         prop_assert_eq!(s.invocations, total);
         prop_assert_eq!(s.candidates, 2 * total);
         prop_assert_eq!(s.core_states, expected_core_states);
+        prop_assert_eq!(s.range_prefiltered, expected_prefiltered);
         prop_assert_eq!(s.views_available, 10 * total);
         prop_assert_eq!(s.substitutes, expected_subs);
         prop_assert_eq!(s.cache_hits + s.cache_misses, s.invocations);
